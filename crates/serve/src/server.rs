@@ -1400,9 +1400,10 @@ struct SweepStreamSink<'a, W: Write> {
 }
 
 impl<W: Write> SweepStreamSink<'_, W> {
-    /// Encode one point onto `self.wire` in the negotiated format.
+    /// Encode one point onto `self.wire` in the negotiated format. The
+    /// caller times the serialize stage once per batch, keeping clock reads
+    /// off the per-point path.
     fn encode(&mut self, point: &SweepPoint) -> Result<(), EcoChipError> {
-        let started = Instant::now();
         self.line.clear();
         serde_json::to_string_into(point, &mut self.line)
             .map_err(|e| EcoChipError::Io(format!("serializing sweep point: {e}")))?;
@@ -1413,7 +1414,6 @@ impl<W: Write> SweepStreamSink<'_, W> {
             }
             SweepFormat::Frames => frames::push_frame(&mut self.wire, &self.line),
         }
-        self.timings.record(Stage::Serialize, started.elapsed());
         Ok(())
     }
 
@@ -1471,16 +1471,15 @@ impl<W: Write> SweepStreamSink<'_, W> {
 
 impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
     fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.prepare();
-        self.encode(&point)?;
-        self.flush_wire()
+        self.accept_batch(vec![point])
     }
 
     fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
         self.prepare();
-        for point in &points {
-            self.encode(point)?;
-        }
+        let started = Instant::now();
+        let encoded = points.iter().try_for_each(|point| self.encode(point));
+        self.timings.record(Stage::Serialize, started.elapsed());
+        encoded?;
         self.flush_wire()
     }
 }

@@ -213,7 +213,8 @@ proptest! {
 /// which `serde_json::to_string` uses) must be byte-identical to the
 /// `Value`-tree emitter for every sweep point. Serializing the point's
 /// `to_value()` tree routes through the tree emitter, so the two calls
-/// exercise the two paths.
+/// exercise the two paths. The packaging sweep covers every internally
+/// tagged `PackagingArchitecture` variant.
 #[test]
 fn streaming_serializer_matches_value_tree_for_every_builtin() {
     use eco_chip::core::dse::named_sweep_axis;
@@ -225,16 +226,19 @@ fn streaming_serializer_matches_value_tree_for_every_builtin() {
     let db = TechDb::default();
     let est = EcoChip::default();
     let engine = SweepEngine::with_jobs(1);
-    for name in catalog::names() {
+    let sweeps = catalog::names()
+        .into_iter()
+        .map(|name| (name, "lifetime"))
+        .chain([("ga102-3chiplet".to_string(), "packaging")]);
+    for (name, axis) in sweeps {
         let system = catalog::build(&db, &name).unwrap();
-        let spec =
-            SweepSpec::new(system.clone()).axis(named_sweep_axis("lifetime", &system).unwrap());
+        let spec = SweepSpec::new(system.clone()).axis(named_sweep_axis(axis, &system).unwrap());
         for point in engine.run(&est, &spec).unwrap() {
             let streamed = serde_json::to_string(&point).unwrap();
             let tree = serde_json::to_string(&point.to_value()).unwrap();
             assert_eq!(
                 streamed, tree,
-                "{name}: write_json diverged from the Value tree"
+                "{name} {axis} sweep: write_json diverged from the Value tree"
             );
         }
     }
