@@ -7,6 +7,12 @@
 //! serializer path against another that shares the same number formatter,
 //! so they cannot see a formatting change; these files can.
 //!
+//! `tests/golden/bounded_optimize/` pins `POST /v1/optimize` against a
+//! server whose memo is bounded to 8 entries per cache: the pareto, anneal
+//! and genetic event streams over a chiplet-count × node × packaging space,
+//! plus the memo's hit, miss and eviction counters after each request. It
+//! is the path where LRU eviction decides what gets recomputed.
+//!
 //! After an intended change to the wire bytes, re-bless with
 //!
 //! ```sh
@@ -16,15 +22,24 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use eco_chip::core::disaggregation::NodeTuple;
+use eco_chip::core::sweep::SweepAxis;
+use eco_chip::packaging::{
+    InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig,
+};
+use eco_chip::serve::api::{OptimizeRequest, StatsResponse};
 use eco_chip::serve::{client, ServeConfig, Server};
-use eco_chip::testcases::catalog;
+use eco_chip::techdb::{TechDb, TechNode};
+use eco_chip::testcases::{catalog, ga102};
 
 /// Environment variable that rewrites the golden files instead of
 /// comparing against them.
 const BLESS_VAR: &str = "ECOCHIP_BLESS_GOLDEN";
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire")
+fn golden_dir(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 /// `ecochip --testcase <name> --sweep <axis> --stream jsonl`, stdout bytes.
@@ -97,21 +112,91 @@ fn first_difference(expected: &[u8], actual: &[u8]) -> String {
     )
 }
 
-#[test]
-fn wire_bytes_match_golden_files() {
-    let dir = golden_dir();
-    let outputs = current_outputs();
+/// The bounded-memo optimize outputs: each method's NDJSON body, then one
+/// line of memo counters per request.
+fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: Some(1),
+        threads: 1,
+        memo_max_entries: Some(8),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral server");
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
 
+    let db = TechDb::default();
+    let base = catalog::build(&db, "ga102-3chiplet").expect("built-in test case");
+    let axes = vec![
+        SweepAxis::ChipletCounts {
+            blocks: ga102::soc_blocks(&db).expect("GA102 blocks"),
+            nodes: NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+            counts: vec![1, 2, 3, 4],
+        },
+        SweepAxis::ChipletNode {
+            index: 0,
+            nodes: vec![TechNode::N7, TechNode::N10, TechNode::N14],
+        },
+        SweepAxis::Packaging(vec![
+            PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
+            PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
+            PackagingArchitecture::PassiveInterposer(InterposerConfig::default()),
+        ]),
+    ];
+
+    let mut outputs = Vec::new();
+    let mut counters = String::new();
+    for (method, seed) in [("pareto", None), ("anneal", Some(7)), ("genetic", Some(11))] {
+        let request = OptimizeRequest {
+            testcase: None,
+            system: Some(base.clone()),
+            axis: None,
+            axes: Some(axes.clone()),
+            method: Some(method.into()),
+            budget: seed.map(|_| 64),
+            seed,
+            ..OptimizeRequest::named("", "")
+        };
+        let body = serde_json::to_string(&request).expect("encode optimize request");
+        let response = client::post_json(&addr, "/v1/optimize", &body).expect("POST /v1/optimize");
+        assert_eq!(response.status, 200, "{method}: {:?}", response.text());
+        outputs.push((format!("{method}.jsonl"), response.body));
+
+        let stats = client::get(&addr, "/v1/stats").expect("GET /v1/stats");
+        let stats: StatsResponse =
+            serde_json::from_str(stats.text().expect("UTF-8 stats")).expect("decode /v1/stats");
+        counters.push_str(&format!(
+            "{method}: floorplan hits={} misses={} evictions={} entries={}; \
+             manufacturing hits={} misses={} evictions={} entries={}\n",
+            stats.floorplan_hits,
+            stats.floorplan_misses,
+            stats.floorplan_evictions,
+            stats.floorplan_entries,
+            stats.manufacturing_hits,
+            stats.manufacturing_misses,
+            stats.manufacturing_evictions,
+            stats.manufacturing_entries,
+        ));
+    }
+    outputs.push(("memo_stats.txt".into(), counters.into_bytes()));
+    handle.shutdown().expect("server shutdown");
+    outputs
+}
+
+/// Compare `outputs` byte for byte against the files in `dir`, or rewrite
+/// them when the bless variable is set.
+fn check_golden(dir: &Path, outputs: &[(String, Vec<u8>)]) {
     if std::env::var_os(BLESS_VAR).is_some() {
-        std::fs::create_dir_all(&dir).expect("create golden dir");
-        for (name, bytes) in &outputs {
+        std::fs::create_dir_all(dir).expect("create golden dir");
+        for (name, bytes) in outputs {
             std::fs::write(dir.join(name), bytes).expect("write golden file");
         }
         return;
     }
 
     let mut failures = Vec::new();
-    for (name, actual) in &outputs {
+    for (name, actual) in outputs {
         match std::fs::read(dir.join(name)) {
             Ok(expected) if expected == *actual => {}
             Ok(expected) => {
@@ -122,7 +207,7 @@ fn wire_bytes_match_golden_files() {
     }
     // A stale file left behind by a renamed test case would otherwise go
     // unchecked forever.
-    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
         .expect("read golden dir")
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
@@ -140,4 +225,14 @@ fn wire_bytes_match_golden_files() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+#[test]
+fn wire_bytes_match_golden_files() {
+    check_golden(&golden_dir("wire"), &current_outputs());
+}
+
+#[test]
+fn bounded_memo_optimize_matches_golden_files() {
+    check_golden(&golden_dir("bounded_optimize"), &bounded_optimize_outputs());
 }
