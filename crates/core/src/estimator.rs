@@ -2,7 +2,9 @@
 
 use ecochip_act::{ActBreakdown, ActEstimator};
 use ecochip_design::{gates_from_transistors, DesignEstimator};
-use ecochip_floorplan::{ChipletOutline, Floorplan, SlicingFloorplanner};
+use std::sync::Arc;
+
+use ecochip_floorplan::{Floorplan, SlicingFloorplanner};
 use ecochip_packaging::{CommOverheads, CommunicationEstimator, PackageEstimator};
 use ecochip_power::OperationalEstimator;
 use ecochip_techdb::{Area, Carbon, TechNode};
@@ -20,20 +22,42 @@ use crate::system::System;
 /// Construct it once with an [`EstimatorConfig`] and call
 /// [`EcoChip::estimate`] for every [`System`] of interest; the estimator is
 /// cheap to clone and borrows nothing, so it can be reused across sweeps.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EcoChip {
     config: EstimatorConfig,
+    /// [`ManufacturingModel::memo_bits`] of every node in the database, by
+    /// node ordinal (`None` for nodes the database lacks): computed once
+    /// here instead of on every memoized manufacturing lookup.
+    memo_bits: [Option<u64>; TechNode::ALL.len()],
+}
+
+impl Default for EcoChip {
+    fn default() -> Self {
+        Self::new(EstimatorConfig::default())
+    }
 }
 
 impl EcoChip {
     /// Create an estimator with the given configuration.
     pub fn new(config: EstimatorConfig) -> Self {
-        Self { config }
+        let model = Self::manufacturing_model(&config);
+        let memo_bits = TechNode::ALL.map(|node| model.memo_bits(node).ok());
+        Self { config, memo_bits }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &EstimatorConfig {
         &self.config
+    }
+
+    /// The manufacturing model `config` describes.
+    fn manufacturing_model(config: &EstimatorConfig) -> ManufacturingModel<'_> {
+        let model = ManufacturingModel::new(&config.techdb, config.wafer, config.fab_source);
+        if config.include_wafer_wastage {
+            model
+        } else {
+            model.without_wastage()
+        }
     }
 
     /// Fingerprint of every configuration input that feeds the memoized
@@ -65,38 +89,25 @@ impl EcoChip {
             .mm()
             .to_bits()
             .hash(&mut hasher);
-        let model = {
-            let m = ManufacturingModel::new(
-                &self.config.techdb,
-                self.config.wafer,
-                self.config.fab_source,
-            );
-            if self.config.include_wafer_wastage {
-                m
-            } else {
-                m.without_wastage()
+        // `TechNode::ALL` is in `Ord` order, so the nodes hash sorted.
+        for (node, bits) in TechNode::ALL.iter().zip(self.memo_bits) {
+            if let Some(bits) = bits {
+                node.hash(&mut hasher);
+                bits.hash(&mut hasher);
             }
-        };
-        let mut nodes: Vec<TechNode> = self.config.techdb.iter().map(|(node, _)| *node).collect();
-        nodes.sort_unstable();
-        for node in nodes {
-            node.hash(&mut hasher);
-            model
-                .memo_bits(node)
-                .expect("every iterated node exists in its own database")
-                .hash(&mut hasher);
         }
         hasher.finish()
     }
 
-    /// The chiplet outlines of a system — the input of the floorplan stage.
-    fn outlines(&self, system: &System) -> Result<Vec<ChipletOutline>, EcoChipError> {
+    /// The name and derived base area of every chiplet of a system, in
+    /// order — the input of the floorplan stage, borrowed from `system`.
+    fn chiplet_areas<'s>(&self, system: &'s System) -> Result<Vec<(&'s str, Area)>, EcoChipError> {
         let db = &self.config.techdb;
-        let mut outlines = Vec::with_capacity(system.chiplets.len());
-        for chiplet in &system.chiplets {
-            outlines.push(ChipletOutline::new(chiplet.name.clone(), chiplet.area(db)?));
-        }
-        Ok(outlines)
+        system
+            .chiplets
+            .iter()
+            .map(|chiplet| Ok((chiplet.name.as_str(), chiplet.area(db)?)))
+            .collect()
     }
 
     /// Floorplan the chiplets of a system (exposed for package-area studies).
@@ -120,9 +131,18 @@ impl EcoChip {
         system: &System,
         context: &SweepContext,
     ) -> Result<Floorplan, EcoChipError> {
-        let outlines = self.outlines(system)?;
-        context.floorplan(&self.config.floorplan, &outlines, || {
-            Ok(SlicingFloorplanner::new(self.config.floorplan).floorplan(&outlines)?)
+        self.shared_floorplan(&self.chiplet_areas(system)?, context)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// The floorplan stage: plan `chiplets` through the memo.
+    fn shared_floorplan(
+        &self,
+        chiplets: &[(&str, Area)],
+        context: &SweepContext,
+    ) -> Result<Arc<Floorplan>, EcoChipError> {
+        context.floorplan(&self.config.floorplan, chiplets, |outlines| {
+            Ok(SlicingFloorplanner::new(self.config.floorplan).floorplan(outlines)?)
         })
     }
 
@@ -154,13 +174,10 @@ impl EcoChip {
         context: &SweepContext,
     ) -> Result<CarbonReport, EcoChipError> {
         let db = &self.config.techdb;
-        // The outline set feeds both the floorplan stage and the per-chiplet
-        // loop below: an outline's area *is* the chiplet's derived base area,
-        // so building the outlines once avoids re-deriving every area.
-        let outlines = self.outlines(system)?;
-        let floorplan = context.floorplan(&self.config.floorplan, &outlines, || {
-            Ok(SlicingFloorplanner::new(self.config.floorplan).floorplan(&outlines)?)
-        })?;
+        // The chiplet areas feed both the floorplan stage and the per-chiplet
+        // loop below, so every area is derived once.
+        let chiplet_areas = self.chiplet_areas(system)?;
+        let floorplan = self.shared_floorplan(&chiplet_areas, context)?;
 
         // --- Inter-die communication overheads -------------------------------
         let comm = if system.is_monolithic() {
@@ -174,26 +191,23 @@ impl EcoChip {
         };
 
         // --- Per-chiplet manufacturing and design ----------------------------
-        let mfg_model = {
-            let m = ManufacturingModel::new(db, self.config.wafer, self.config.fab_source);
-            if self.config.include_wafer_wastage {
-                m
-            } else {
-                m.without_wastage()
-            }
-        };
+        let mfg_model = Self::manufacturing_model(&self.config);
         let design_model = DesignEstimator::new(db, self.config.design);
 
         let mut chiplet_reports = Vec::with_capacity(system.chiplets.len());
         for (i, chiplet) in system.chiplets.iter().enumerate() {
-            let base_area = outlines[i].area;
+            let base_area = chiplet_areas[i].1;
             let comm_area = comm
                 .chiplet_extra_area
                 .get(i)
                 .copied()
                 .unwrap_or(Area::ZERO);
-            let manufacturing =
-                context.manufacturing(&mfg_model, base_area + comm_area, chiplet.node)?;
+            let manufacturing = context.manufacturing(
+                &mfg_model,
+                self.memo_bits[chiplet.node as usize],
+                base_area + comm_area,
+                chiplet.node,
+            )?;
 
             let transistors = chiplet.transistors(db)?;
             let gates = gates_from_transistors(transistors)
@@ -528,6 +542,23 @@ mod tests {
     fn config_accessor() {
         let est = EcoChip::default();
         assert!(est.config().include_wafer_wastage);
+    }
+
+    #[test]
+    fn memo_bits_table_is_indexed_by_node_ordinal() {
+        // `memo_fingerprint` hashes the table in `TechNode::ALL` order, which
+        // must be the sorted order the database's nodes always hashed in.
+        assert!(TechNode::ALL.windows(2).all(|pair| pair[0] < pair[1]));
+        let est = EcoChip::new(
+            EstimatorConfig::builder()
+                .include_wafer_wastage(false)
+                .build(),
+        );
+        let model = EcoChip::manufacturing_model(est.config());
+        for (ordinal, node) in TechNode::ALL.into_iter().enumerate() {
+            assert_eq!(node as usize, ordinal);
+            assert_eq!(est.memo_bits[ordinal], model.memo_bits(node).ok());
+        }
     }
 
     #[test]

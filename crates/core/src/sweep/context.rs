@@ -19,16 +19,26 @@
 //! whose format version or fingerprint does not match is *rejected* with a
 //! typed error, never silently reused.
 //!
+//! # Cache layout
+//!
+//! Each cache is an exact least-recently-used list: entries live in a slab
+//! threaded on an intrusive doubly-linked recency list, and a map from a
+//! 64-bit FNV digest of the key to the entry's slot indexes it. A hit
+//! relinks its entry at the front, an insert into a full cache drops the
+//! entry at the back, and both are O(1). Floorplans are looked up by the
+//! digest of the *borrowed* outline set and confirmed field by field
+//! against the stored key, so a hit allocates nothing; entries hold an
+//! [`Arc<Floorplan>`] that a hit shares instead of deep-cloning.
+//!
 //! # Bounded memos for service deployments
 //!
 //! A long-running service's key space grows without limit (every new outline
 //! set and `(node, area)` pair adds an entry), so
 //! [`SweepContext::with_capacity`] bounds each cache to a maximum entry
-//! count with least-recently-used eviction: every hit refreshes an entry's
-//! age stamp, and an insert into a full cache evicts the stalest entry
-//! first. Eviction only discards work — results stay bit-for-bit identical,
-//! evicted entries are simply recomputed on their next use — and the
-//! [`SweepStats`] eviction counters make the churn observable.
+//! count with least-recently-used eviction. Eviction only discards work —
+//! results stay bit-for-bit identical, evicted entries are simply
+//! recomputed on their next use — and the [`SweepStats`] eviction counters
+//! make the churn observable.
 //!
 //! For incremental persistence, the context tracks how many entries were
 //! inserted since the last save ([`SweepContext::dirty_entries`]);
@@ -39,7 +49,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +68,7 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// FNV-1a prime (the standard 64-bit parameters).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a hasher for the memo caches.
+/// FNV-1a hasher for the memo key digests and their index.
 ///
 /// Memo keys are a small fixed shape — a handful of packed `u64` bit
 /// patterns plus short chiplet names — hashed on *every* estimator point,
@@ -103,13 +113,14 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// A memo cache: a [`HashMap`] of [`Cached`] values under the packed-key
-/// [`FnvHasher`] instead of the default SipHash.
-type MemoMap<K, V> = HashMap<K, Cached<V>, BuildHasherDefault<FnvHasher>>;
+/// A memo key: its 64-bit digest indexes the cache.
+trait MemoKey: Clone + PartialEq {
+    fn digest(&self) -> u64;
+}
 
 /// Cache key for a floorplan: the floorplanner configuration plus the ordered
 /// outline set (names, exact area bits, exact aspect-ratio bits).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 struct FloorplanKey {
     spacing_bits: u64,
     margin_bits: u64,
@@ -133,16 +144,69 @@ impl FloorplanKey {
                 .collect(),
         }
     }
+
+    /// Whether this key is the one `config` and the square `chiplets`
+    /// outlines would build, compared without building it.
+    fn matches(&self, config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> bool {
+        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
+        self.spacing_bits == config.chiplet_spacing.mm().to_bits()
+            && self.margin_bits == config.edge_margin.mm().to_bits()
+            && self.outlines.len() == chiplets.len()
+            && self.outlines.iter().zip(chiplets).all(
+                |((name, area_bits, aspect_bits), (other, area))| {
+                    name == other && *area_bits == area.mm2().to_bits() && *aspect_bits == square
+                },
+            )
+    }
+}
+
+/// FNV digest of a floorplan key's fields, taken from borrowed parts so a
+/// lookup never has to build the key.
+fn floorplan_digest<'a>(
+    spacing_bits: u64,
+    margin_bits: u64,
+    outlines: impl Iterator<Item = (&'a str, u64, u64)>,
+) -> u64 {
+    let mut hasher = FnvHasher::default();
+    hasher.write_u64(spacing_bits);
+    hasher.write_u64(margin_bits);
+    for (name, area_bits, aspect_bits) in outlines {
+        hasher.write(name.as_bytes());
+        hasher.write_u8(0xff);
+        hasher.write_u64(area_bits);
+        hasher.write_u64(aspect_bits);
+    }
+    hasher.finish()
+}
+
+impl MemoKey for FloorplanKey {
+    fn digest(&self) -> u64 {
+        floorplan_digest(
+            self.spacing_bits,
+            self.margin_bits,
+            self.outlines
+                .iter()
+                .map(|(name, area_bits, aspect_bits)| (name.as_str(), *area_bits, *aspect_bits)),
+        )
+    }
 }
 
 /// Cache key for a per-die manufacturing result: `(node, area)` plus the
 /// model fingerprint of [`ManufacturingModel::memo_bits`] (node parameters,
 /// wafer, fab energy source, wastage accounting).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 struct ManufacturingKey {
     node: TechNode,
     area_bits: u64,
     model_bits: u64,
+}
+
+impl MemoKey for ManufacturingKey {
+    fn digest(&self) -> u64 {
+        let mut hasher = FnvHasher::default();
+        self.hash(&mut hasher);
+        hasher.finish()
+    }
 }
 
 /// On-disk layout of a persisted memo: format version, model fingerprint and
@@ -155,11 +219,166 @@ struct MemoFile {
     manufacturing: Vec<(ManufacturingKey, ChipletManufacturing)>,
 }
 
-/// A cached stage result plus the last-use age stamp LRU eviction keys on.
+/// The "no slot" end of a recency link.
+const NIL: usize = usize::MAX;
+
+/// One cached entry, threaded on its cache's recency list.
 #[derive(Debug)]
-struct Cached<V> {
+struct Slot<K, V> {
+    digest: u64,
+    key: K,
     value: V,
-    stamp: u64,
+    /// The next more recently used slot (`NIL` at the front).
+    newer: usize,
+    /// The next less recently used slot (`NIL` at the back).
+    older: usize,
+}
+
+/// An exact least-recently-used cache: a dense slab of entries on an
+/// intrusive doubly-linked recency list, indexed by key digest.
+///
+/// The index holds one slot per digest. Callers confirm the key on lookup,
+/// so a digest collision reads as a miss, and inserting the second of two
+/// colliding keys replaces the first (counted as an eviction).
+#[derive(Debug)]
+struct Lru<K, V> {
+    slots: Vec<Slot<K, V>>,
+    index: HashMap<u64, usize, BuildHasherDefault<FnvHasher>>,
+    /// Most recently used slot.
+    front: usize,
+    /// Least recently used slot: the next to be evicted.
+    back: usize,
+}
+
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            index: HashMap::default(),
+            front: NIL,
+            back: NIL,
+        }
+    }
+}
+
+impl<K: MemoKey, V> Lru<K, V> {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot holding the key with `digest` that satisfies `is_key`.
+    fn find(&self, digest: u64, is_key: impl FnOnce(&K) -> bool) -> Option<usize> {
+        let slot = *self.index.get(&digest)?;
+        is_key(&self.slots[slot].key).then_some(slot)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.find(key.digest(), |stored| stored == key).is_some()
+    }
+
+    /// Look up the key with `digest` that satisfies `is_key`, marking it the
+    /// most recently used on a hit.
+    fn get(&mut self, digest: u64, is_key: impl FnOnce(&K) -> bool) -> Option<&V> {
+        let slot = self.find(digest, is_key)?;
+        self.unlink(slot);
+        self.link_front(slot);
+        Some(&self.slots[slot].value)
+    }
+
+    /// Insert `key` as the most recently used entry, first evicting from
+    /// the back until the cache holds fewer than `capacity` entries.
+    /// Returns how many entries left the cache. `capacity` must not be
+    /// `Some(0)`.
+    fn insert(&mut self, key: K, value: V, capacity: Option<usize>) -> usize {
+        let digest = key.digest();
+        if let Some(&slot) = self.index.get(&digest) {
+            let entry = &mut self.slots[slot];
+            let replaced = usize::from(entry.key != key);
+            entry.key = key;
+            entry.value = value;
+            self.unlink(slot);
+            self.link_front(slot);
+            return replaced;
+        }
+        let mut evicted = 0;
+        while capacity.is_some_and(|cap| self.len() >= cap) && self.pop_back().is_some() {
+            evicted += 1;
+        }
+        let slot = self.slots.len();
+        self.slots.push(Slot {
+            digest,
+            key,
+            value,
+            newer: NIL,
+            older: NIL,
+        });
+        self.index.insert(digest, slot);
+        self.link_front(slot);
+        evicted
+    }
+
+    /// Evict from the back until at most `capacity` entries remain;
+    /// returns how many were evicted.
+    fn shrink_to(&mut self, capacity: usize) -> usize {
+        let mut evicted = 0;
+        while self.len() > capacity && self.pop_back().is_some() {
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Remove and return the least recently used entry.
+    fn pop_back(&mut self) -> Option<Slot<K, V>> {
+        if self.back == NIL {
+            return None;
+        }
+        let slot = self.back;
+        self.unlink(slot);
+        self.index.remove(&self.slots[slot].digest);
+        let removed = self.slots.swap_remove(slot);
+        if slot < self.slots.len() {
+            // The last slot moved into the hole: repoint its neighbours,
+            // the list ends and the index at its new position.
+            let (newer, older) = (self.slots[slot].newer, self.slots[slot].older);
+            match newer {
+                NIL => self.front = slot,
+                newer => self.slots[newer].older = slot,
+            }
+            match older {
+                NIL => self.back = slot,
+                older => self.slots[older].newer = slot,
+            }
+            self.index.insert(self.slots[slot].digest, slot);
+        }
+        Some(removed)
+    }
+
+    /// Every entry, least recently used first, emptying the cache.
+    fn drain_oldest_first(mut self) -> impl Iterator<Item = (K, V)> {
+        std::iter::from_fn(move || self.pop_back().map(|slot| (slot.key, slot.value)))
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (newer, older) = (self.slots[slot].newer, self.slots[slot].older);
+        match newer {
+            NIL => self.front = older,
+            newer => self.slots[newer].older = older,
+        }
+        match older {
+            NIL => self.back = newer,
+            older => self.slots[older].newer = newer,
+        }
+    }
+
+    fn link_front(&mut self, slot: usize) {
+        self.slots[slot].newer = NIL;
+        self.slots[slot].older = self.front;
+        match self.front {
+            NIL => self.back = slot,
+            front => self.slots[front].newer = slot,
+        }
+        self.front = slot;
+    }
 }
 
 /// Hit/miss/eviction counters of a [`SweepContext`], for tests, benches,
@@ -192,10 +411,8 @@ pub struct SweepContext {
     enabled: bool,
     /// Maximum entries *per cache* (`None` = unbounded).
     capacity: Option<usize>,
-    floorplans: Mutex<MemoMap<FloorplanKey, Floorplan>>,
-    manufacturing: Mutex<MemoMap<ManufacturingKey, ChipletManufacturing>>,
-    /// Monotonic age counter; every hit or insert stamps the entry touched.
-    tick: AtomicU64,
+    floorplans: Mutex<Lru<FloorplanKey, Arc<Floorplan>>>,
+    manufacturing: Mutex<Lru<ManufacturingKey, ChipletManufacturing>>,
     /// Entries inserted since the last successful [`SweepContext::save_to`].
     dirty: AtomicUsize,
     /// Serializes concurrent saves: two threads writing the same temp
@@ -227,12 +444,8 @@ impl SweepContext {
     /// eviction only trades recomputation for memory. A capacity of zero
     /// caches nothing (every insert is dropped immediately).
     ///
-    /// Eviction scans the full cache for the stalest stamp, an
-    /// `O(max_entries)` walk under the cache mutex — but it only runs on a
-    /// *miss* at capacity, which already paid for a floorplan or
-    /// manufacturing computation that dwarfs the scan by orders of
-    /// magnitude. Revisit with a stamp index if capacities ever reach the
-    /// many-millions range.
+    /// Hits, inserts and evictions each take constant time under the cache
+    /// mutex, whatever the bound.
     pub fn with_capacity(max_entries: usize) -> Self {
         Self {
             enabled: true,
@@ -261,67 +474,53 @@ impl SweepContext {
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity;
         let Some(cap) = capacity else { return };
-        Self::shrink_to(
-            &mut self.floorplans.lock().expect("floorplan cache"),
-            cap,
-            &self.floorplan_evictions,
-        );
-        Self::shrink_to(
-            &mut self.manufacturing.lock().expect("manufacturing cache"),
-            cap,
-            &self.manufacturing_evictions,
-        );
+        let evicted = self
+            .floorplans
+            .get_mut()
+            .expect("floorplan cache")
+            .shrink_to(cap);
+        self.floorplan_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+        let evicted = self
+            .manufacturing
+            .get_mut()
+            .expect("manufacturing cache")
+            .shrink_to(cap);
+        self.manufacturing_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
-    /// Evict least-recently-used entries until `map` holds at most `cap`.
-    fn shrink_to<K: Eq + Hash + Clone, V>(
-        map: &mut MemoMap<K, V>,
-        cap: usize,
-        evictions: &AtomicUsize,
-    ) {
-        while map.len() > cap {
-            let Some(stalest) = map
-                .iter()
-                .min_by_key(|(_, cached)| cached.stamp)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            map.remove(&stalest);
-            evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Insert under the capacity bound: evict the least-recently-used entry
-    /// first when the cache is full, and count the insert as dirty.
-    fn insert_bounded<K: Eq + Hash + Clone, V>(
+    /// Insert under the capacity bound (evicting least-recently-used
+    /// entries as needed) and count the insert as dirty.
+    fn insert_bounded<K: MemoKey, V>(
         &self,
-        map: &mut MemoMap<K, V>,
+        cache: &mut Lru<K, V>,
         key: K,
         value: V,
         evictions: &AtomicUsize,
     ) {
-        if let Some(cap) = self.capacity {
-            if cap == 0 {
-                // A zero-capacity cache stores nothing.
-                evictions.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if map.len() >= cap && !map.contains_key(&key) {
-                Self::shrink_to(map, cap - 1, evictions);
-            }
+        if self.capacity == Some(0) {
+            // A zero-capacity cache stores nothing.
+            evictions.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        map.insert(key, Cached { value, stamp });
+        let evicted = cache.insert(key, value, self.capacity);
+        if evicted > 0 {
+            evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
         self.dirty.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Merge another context's entries into this one, keeping existing
-    /// entries (and their recency stamps) untouched. Returns how many
+    /// entries (and their recency) untouched. Returns how many
     /// `(floorplan, manufacturing)` imported entries are *retained* after
     /// the merge — on a capacity-bounded cache an import larger than the
     /// bound churns through eviction, so the count reflects what the cache
     /// actually holds, not how many inserts were attempted.
+    ///
+    /// Imported entries are inserted from least to most recently used, so
+    /// they keep their relative recency and a bounded cache retains the
+    /// import's most recently used entries.
     ///
     /// This is the cross-server memo-sharing primitive: a warm peer's
     /// exported memo is absorbed into a cold worker without discarding
@@ -333,24 +532,24 @@ impl SweepContext {
         if !self.enabled {
             return (0, 0);
         }
-        /// Merge `imported` into `map` under the capacity bound, returning
+        /// Merge `imported` into `cache` under the capacity bound, returning
         /// how many imported keys survived the merge (later inserts may
         /// evict earlier ones on a bounded cache).
-        fn merge<K: Eq + Hash + Clone, V>(
+        fn merge<K: MemoKey, V>(
             context: &SweepContext,
-            map: &mut MemoMap<K, V>,
-            imported: MemoMap<K, V>,
+            cache: &mut Lru<K, V>,
+            imported: Lru<K, V>,
             evictions: &AtomicUsize,
         ) -> usize {
             let mut inserted = Vec::new();
-            for (key, cached) in imported {
-                if map.contains_key(&key) {
+            for (key, value) in imported.drain_oldest_first() {
+                if cache.contains(&key) {
                     continue;
                 }
-                context.insert_bounded(map, key.clone(), cached.value, evictions);
+                context.insert_bounded(cache, key.clone(), value, evictions);
                 inserted.push(key);
             }
-            inserted.iter().filter(|key| map.contains_key(*key)).count()
+            inserted.iter().filter(|key| cache.contains(key)).count()
         }
         let absorbed_floorplans = merge(
             self,
@@ -410,18 +609,20 @@ impl SweepContext {
             .floorplans
             .lock()
             .expect("floorplan cache")
+            .slots
             .iter()
-            .map(|(k, cached)| (k.clone(), cached.value.clone()))
+            .map(|slot| (slot.key.clone(), Floorplan::clone(&slot.value)))
             .collect();
         floorplans.sort_by(|a, b| a.0.cmp(&b.0));
         let mut manufacturing: Vec<(ManufacturingKey, ChipletManufacturing)> = self
             .manufacturing
             .lock()
             .expect("manufacturing cache")
+            .slots
             .iter()
-            .map(|(k, cached)| (k.clone(), cached.value))
+            .map(|slot| (slot.key, slot.value))
             .collect();
-        manufacturing.sort_by(|a, b| a.0.cmp(&b.0));
+        manufacturing.sort_by_key(|entry| entry.0);
         let file = MemoFile {
             version: MEMO_FORMAT_VERSION,
             fingerprint,
@@ -435,7 +636,8 @@ impl SweepContext {
     /// output, verifying the format version and the model fingerprint.
     ///
     /// The restored context is unbounded; apply a bound afterwards with
-    /// [`SweepContext::set_capacity`].
+    /// [`SweepContext::set_capacity`]. Entries later in the file count as
+    /// more recently used.
     ///
     /// # Errors
     ///
@@ -458,20 +660,17 @@ impl SweepContext {
                 file.fingerprint, fingerprint
             )));
         }
-        let context = Self::new();
-        {
-            let mut floorplans = context.floorplans.lock().expect("floorplan cache");
-            for (key, value) in file.floorplans {
-                let stamp = context.tick.fetch_add(1, Ordering::Relaxed);
-                floorplans.insert(key, Cached { value, stamp });
-            }
+        let mut context = Self::new();
+        let floorplans = context.floorplans.get_mut().expect("floorplan cache");
+        for (key, value) in file.floorplans {
+            floorplans.insert(key, Arc::new(value), None);
         }
-        {
-            let mut manufacturing = context.manufacturing.lock().expect("manufacturing cache");
-            for (key, value) in file.manufacturing {
-                let stamp = context.tick.fetch_add(1, Ordering::Relaxed);
-                manufacturing.insert(key, Cached { value, stamp });
-            }
+        let manufacturing = context
+            .manufacturing
+            .get_mut()
+            .expect("manufacturing cache");
+        for (key, value) in file.manufacturing {
+            manufacturing.insert(key, value, None);
         }
         Ok(context)
     }
@@ -559,39 +758,57 @@ impl SweepContext {
         }
     }
 
-    /// Floorplan `outlines` under `config`, reusing a cached result when the
-    /// same outline set was already planned.
+    /// Floorplan of the square `chiplets` outlines (name and area, in
+    /// order) under `config`, reusing a cached plan when the same outline
+    /// set was already planned.
+    ///
+    /// A hit hashes and compares the borrowed inputs and shares the cached
+    /// plan; the owned outlines handed to `compute` and the owned cache key
+    /// are only built on a miss.
     pub(crate) fn floorplan<F>(
         &self,
         config: &FloorplanConfig,
-        outlines: &[ChipletOutline],
+        chiplets: &[(&str, Area)],
         compute: F,
-    ) -> Result<Floorplan, EcoChipError>
+    ) -> Result<Arc<Floorplan>, EcoChipError>
     where
-        F: FnOnce() -> Result<Floorplan, EcoChipError>,
+        F: FnOnce(&[ChipletOutline]) -> Result<Floorplan, EcoChipError>,
     {
+        let outlines = || -> Vec<ChipletOutline> {
+            chiplets
+                .iter()
+                .map(|&(name, area)| ChipletOutline::new(name, area))
+                .collect()
+        };
         if !self.enabled {
-            return compute();
+            return compute(&outlines()).map(Arc::new);
         }
-        let key = FloorplanKey::new(config, outlines);
-        if let Some(cached) = self
+        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
+        let digest = floorplan_digest(
+            config.chiplet_spacing.mm().to_bits(),
+            config.edge_margin.mm().to_bits(),
+            chiplets
+                .iter()
+                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
+        );
+        if let Some(plan) = self
             .floorplans
             .lock()
             .expect("floorplan cache")
-            .get_mut(&key)
+            .get(digest, |key| key.matches(config, chiplets))
         {
-            cached.stamp = self.tick.fetch_add(1, Ordering::Relaxed);
             self.floorplan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.value.clone());
+            return Ok(Arc::clone(plan));
         }
         // Computed outside the lock so other workers make progress; a rare
         // duplicate computation of the same key is benign (same value).
-        let plan = compute()?;
+        let outlines = outlines();
+        let plan = Arc::new(compute(&outlines)?);
         self.floorplan_misses.fetch_add(1, Ordering::Relaxed);
         self.insert_bounded(
             &mut self.floorplans.lock().expect("floorplan cache"),
-            key,
-            plan.clone(),
+            FloorplanKey::new(config, &outlines),
+            Arc::clone(&plan),
             &self.floorplan_evictions,
         );
         Ok(plan)
@@ -599,9 +816,13 @@ impl SweepContext {
 
     /// Manufacturing CFP of one die, reusing a cached result when the same
     /// `(node, area)` was already evaluated under an identical model.
+    /// `model_bits` is the model's [`ManufacturingModel::memo_bits`] for
+    /// `node` when the caller has it precomputed; `None` computes it here
+    /// (and fails for a node the database lacks).
     pub(crate) fn manufacturing(
         &self,
         model: &ManufacturingModel<'_>,
+        model_bits: Option<u64>,
         area: Area,
         node: TechNode,
     ) -> Result<ChipletManufacturing, EcoChipError> {
@@ -611,17 +832,19 @@ impl SweepContext {
         let key = ManufacturingKey {
             node,
             area_bits: area.mm2().to_bits(),
-            model_bits: model.memo_bits(node)?,
+            model_bits: match model_bits {
+                Some(bits) => bits,
+                None => model.memo_bits(node)?,
+            },
         };
-        if let Some(cached) = self
+        if let Some(&cached) = self
             .manufacturing
             .lock()
             .expect("manufacturing cache")
-            .get_mut(&key)
+            .get(key.digest(), |stored| *stored == key)
         {
-            cached.stamp = self.tick.fetch_add(1, Ordering::Relaxed);
             self.manufacturing_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.value);
+            return Ok(cached);
         }
         let result = model.chiplet_cfp(area, node)?;
         self.manufacturing_misses.fetch_add(1, Ordering::Relaxed);
@@ -640,6 +863,7 @@ mod tests {
     use super::*;
     use ecochip_techdb::{EnergySource, TechDb};
     use ecochip_yield::Wafer;
+    use proptest::prelude::*;
 
     #[test]
     fn fnv_hasher_matches_the_reference_byte_vectors() {
@@ -673,7 +897,7 @@ mod tests {
         let ctx = SweepContext::disabled();
         assert!(!ctx.is_enabled());
         for _ in 0..3 {
-            ctx.manufacturing(&model, Area::from_mm2(100.0), TechNode::N7)
+            ctx.manufacturing(&model, None, Area::from_mm2(100.0), TechNode::N7)
                 .unwrap();
         }
         assert_eq!(ctx.stats(), SweepStats::default());
@@ -685,14 +909,15 @@ mod tests {
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::new();
         let area = Area::from_mm2(123.0);
-        let first = ctx.manufacturing(&model, area, TechNode::N7).unwrap();
-        let second = ctx.manufacturing(&model, area, TechNode::N7).unwrap();
+        let first = ctx.manufacturing(&model, None, area, TechNode::N7).unwrap();
+        let second = ctx.manufacturing(&model, None, area, TechNode::N7).unwrap();
         assert_eq!(first, second);
         let stats = ctx.stats();
         assert_eq!(stats.manufacturing_misses, 1);
         assert_eq!(stats.manufacturing_hits, 1);
         // A different node misses again.
-        ctx.manufacturing(&model, area, TechNode::N14).unwrap();
+        ctx.manufacturing(&model, None, area, TechNode::N14)
+            .unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 2);
     }
 
@@ -704,9 +929,11 @@ mod tests {
         let no_wastage = coal.without_wastage();
         let ctx = SweepContext::new();
         let area = Area::from_mm2(100.0);
-        let a = ctx.manufacturing(&coal, area, TechNode::N7).unwrap();
-        let b = ctx.manufacturing(&wind, area, TechNode::N7).unwrap();
-        let c = ctx.manufacturing(&no_wastage, area, TechNode::N7).unwrap();
+        let a = ctx.manufacturing(&coal, None, area, TechNode::N7).unwrap();
+        let b = ctx.manufacturing(&wind, None, area, TechNode::N7).unwrap();
+        let c = ctx
+            .manufacturing(&no_wastage, None, area, TechNode::N7)
+            .unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 3);
         assert!(b.total().kg() < a.total().kg());
         assert_eq!(c.wastage_cfp.kg(), 0.0);
@@ -729,8 +956,8 @@ mod tests {
         let b = ManufacturingModel::new(&dirty, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::new();
         let area = Area::from_mm2(300.0);
-        let from_a = ctx.manufacturing(&a, area, TechNode::N7).unwrap();
-        let from_b = ctx.manufacturing(&b, area, TechNode::N7).unwrap();
+        let from_a = ctx.manufacturing(&a, None, area, TechNode::N7).unwrap();
+        let from_b = ctx.manufacturing(&b, None, area, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 2);
         assert_eq!(ctx.stats().manufacturing_hits, 0);
         assert!(from_b.total().kg() > from_a.total().kg());
@@ -738,26 +965,30 @@ mod tests {
         assert_eq!(from_b, b.chiplet_cfp(area, TechNode::N7).unwrap());
     }
 
-    fn filled_context() -> SweepContext {
+    /// Plan `chiplets` under the default configuration through `ctx`.
+    fn plan(ctx: &SweepContext, chiplets: &[(&str, Area)]) -> Arc<Floorplan> {
         use ecochip_floorplan::SlicingFloorplanner;
+        let config = FloorplanConfig::default();
+        ctx.floorplan(&config, chiplets, |outlines| {
+            SlicingFloorplanner::new(config)
+                .floorplan(outlines)
+                .map_err(EcoChipError::from)
+        })
+        .unwrap()
+    }
+
+    fn filled_context() -> SweepContext {
         let db = TechDb::default();
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::new();
-        ctx.manufacturing(&model, Area::from_mm2(123.0), TechNode::N7)
+        ctx.manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
             .unwrap();
-        ctx.manufacturing(&model, Area::from_mm2(45.0), TechNode::N14)
+        ctx.manufacturing(&model, None, Area::from_mm2(45.0), TechNode::N14)
             .unwrap();
-        let config = FloorplanConfig::default();
-        let outlines = vec![
-            ChipletOutline::new("a", Area::from_mm2(100.0)),
-            ChipletOutline::new("b", Area::from_mm2(50.0)),
-        ];
-        ctx.floorplan(&config, &outlines, || {
-            SlicingFloorplanner::new(config)
-                .floorplan(&outlines)
-                .map_err(EcoChipError::from)
-        })
-        .unwrap();
+        plan(
+            &ctx,
+            &[("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))],
+        );
         ctx
     }
 
@@ -775,10 +1006,10 @@ mod tests {
         let db = TechDb::default();
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let original = ctx
-            .manufacturing(&model, Area::from_mm2(123.0), TechNode::N7)
+            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
             .unwrap();
         let served = restored
-            .manufacturing(&model, Area::from_mm2(123.0), TechNode::N7)
+            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
             .unwrap();
         assert_eq!(restored.stats().manufacturing_hits, 1);
         assert_eq!(restored.stats().manufacturing_misses, 0);
@@ -856,7 +1087,7 @@ mod tests {
         // New inserts dirty the context again.
         let db = TechDb::default();
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        ctx.manufacturing(&model, Area::from_mm2(999.0), TechNode::N7)
+        ctx.manufacturing(&model, None, Area::from_mm2(999.0), TechNode::N7)
             .unwrap();
         assert_eq!(ctx.dirty_entries(), 1);
         // A save into a directory that does not exist fails with Io and
@@ -908,26 +1139,26 @@ mod tests {
         let a = Area::from_mm2(10.0);
         let b = Area::from_mm2(20.0);
         let c = Area::from_mm2(30.0);
-        ctx.manufacturing(&model, a, TechNode::N7).unwrap();
-        ctx.manufacturing(&model, b, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
         // Touch `a` so `b` is the least recently used.
-        ctx.manufacturing(&model, a, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
         // Inserting `c` into the full cache evicts `b`.
-        ctx.manufacturing(&model, c, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, c, TechNode::N7).unwrap();
         assert_eq!(ctx.manufacturing_entries(), 2);
         assert_eq!(ctx.stats().manufacturing_evictions, 1);
         // `a` and `c` still hit; `b` was evicted and misses again.
         let hits_before = ctx.stats().manufacturing_hits;
-        ctx.manufacturing(&model, a, TechNode::N7).unwrap();
-        ctx.manufacturing(&model, c, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, c, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_hits, hits_before + 2);
         let misses_before = ctx.stats().manufacturing_misses;
-        ctx.manufacturing(&model, b, TechNode::N7).unwrap();
+        ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, misses_before + 1);
         // Eviction never changes values, only recomputes them.
-        let bounded = ctx.manufacturing(&model, b, TechNode::N7).unwrap();
+        let bounded = ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
         let unbounded = SweepContext::new()
-            .manufacturing(&model, b, TechNode::N7)
+            .manufacturing(&model, None, b, TechNode::N7)
             .unwrap();
         assert_eq!(
             bounded.total().kg().to_bits(),
@@ -941,7 +1172,7 @@ mod tests {
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::with_capacity(0);
         for _ in 0..3 {
-            ctx.manufacturing(&model, Area::from_mm2(50.0), TechNode::N7)
+            ctx.manufacturing(&model, None, Area::from_mm2(50.0), TechNode::N7)
                 .unwrap();
         }
         assert_eq!(ctx.manufacturing_entries(), 0);
@@ -956,7 +1187,7 @@ mod tests {
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let mut ctx = SweepContext::new();
         for mm2 in [10.0, 20.0, 30.0, 40.0] {
-            ctx.manufacturing(&model, Area::from_mm2(mm2), TechNode::N7)
+            ctx.manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
                 .unwrap();
         }
         assert_eq!(ctx.manufacturing_entries(), 4);
@@ -965,9 +1196,9 @@ mod tests {
         assert_eq!(ctx.stats().manufacturing_evictions, 2);
         // The survivors are the two most recently inserted areas.
         let hits_before = ctx.stats().manufacturing_hits;
-        ctx.manufacturing(&model, Area::from_mm2(30.0), TechNode::N7)
+        ctx.manufacturing(&model, None, Area::from_mm2(30.0), TechNode::N7)
             .unwrap();
-        ctx.manufacturing(&model, Area::from_mm2(40.0), TechNode::N7)
+        ctx.manufacturing(&model, None, Area::from_mm2(40.0), TechNode::N7)
             .unwrap();
         assert_eq!(ctx.stats().manufacturing_hits, hits_before + 2);
         // Lifting the bound keeps everything.
@@ -988,7 +1219,7 @@ mod tests {
             cold.absorb(SweepContext::from_json(&warm.to_json(1).unwrap(), 1).unwrap());
         assert_eq!(floorplans, 1);
         assert_eq!(manufacturing, warm_entries);
-        cold.manufacturing(&model, Area::from_mm2(123.0), TechNode::N7)
+        cold.manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
             .unwrap();
         assert_eq!(cold.stats().manufacturing_hits, 1);
         assert_eq!(cold.stats().manufacturing_misses, 0);
@@ -999,7 +1230,7 @@ mod tests {
         // the rest.
         let partial = SweepContext::new();
         partial
-            .manufacturing(&model, Area::from_mm2(123.0), TechNode::N7)
+            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
             .unwrap();
         let (_, absorbed) = partial.absorb(filled_context());
         assert_eq!(absorbed, warm_entries - 1);
@@ -1013,6 +1244,24 @@ mod tests {
         let (_, absorbed) = bounded.absorb(filled_context());
         assert_eq!(absorbed, 1, "two imports into a 1-bounded cache retain 1");
         assert_eq!(bounded.manufacturing_entries(), 1);
+
+        // A bounded absorb inserts the import from least to most recently
+        // used, so it keeps the import's most recent entries.
+        let warm = SweepContext::new();
+        for mm2 in [10.0, 20.0, 30.0, 40.0, 10.0] {
+            warm.manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
+                .unwrap();
+        }
+        let bounded = SweepContext::with_capacity(2);
+        assert_eq!(bounded.absorb(warm), (0, 2));
+        assert_eq!(bounded.stats().manufacturing_evictions, 2);
+        for mm2 in [10.0, 40.0] {
+            bounded
+                .manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
+                .unwrap();
+        }
+        assert_eq!(bounded.stats().manufacturing_hits, 2);
+        assert_eq!(bounded.stats().manufacturing_misses, 0);
         let none = SweepContext::with_capacity(0);
         assert_eq!(none.absorb(filled_context()), (0, 0));
         let disabled = SweepContext::disabled();
@@ -1021,31 +1270,297 @@ mod tests {
 
     #[test]
     fn floorplan_cache_keys_on_outline_set() {
-        use ecochip_floorplan::SlicingFloorplanner;
-        let config = FloorplanConfig::default();
-        let outlines = vec![
-            ChipletOutline::new("a", Area::from_mm2(100.0)),
-            ChipletOutline::new("b", Area::from_mm2(50.0)),
-        ];
+        let chiplets = [("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))];
         let ctx = SweepContext::new();
-        let compute = || {
-            SlicingFloorplanner::new(config)
-                .floorplan(&outlines)
-                .map_err(EcoChipError::from)
-        };
-        let first = ctx.floorplan(&config, &outlines, compute).unwrap();
-        let second = ctx.floorplan(&config, &outlines, compute).unwrap();
-        assert_eq!(first, second);
+        let first = plan(&ctx, &chiplets);
+        let second = plan(&ctx, &chiplets);
+        // A hit shares the cached plan rather than cloning it.
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(ctx.stats().floorplan_hits, 1);
         assert_eq!(ctx.stats().floorplan_misses, 1);
-        // A different outline set misses.
-        let other = vec![ChipletOutline::new("a", Area::from_mm2(101.0))];
-        ctx.floorplan(&config, &other, || {
-            SlicingFloorplanner::new(config)
-                .floorplan(&other)
+        // A different area, name or order misses.
+        plan(&ctx, &[("a", Area::from_mm2(101.0))]);
+        plan(
+            &ctx,
+            &[("a", Area::from_mm2(100.0)), ("c", Area::from_mm2(50.0))],
+        );
+        plan(
+            &ctx,
+            &[("b", Area::from_mm2(50.0)), ("a", Area::from_mm2(100.0))],
+        );
+        assert_eq!(ctx.stats().floorplan_misses, 4);
+        // So does a different floorplanner configuration.
+        let wide = FloorplanConfig {
+            chiplet_spacing: ecochip_techdb::Length::from_mm(0.9),
+            ..FloorplanConfig::default()
+        };
+        ctx.floorplan(&wide, &chiplets, |outlines| {
+            ecochip_floorplan::SlicingFloorplanner::new(wide)
+                .floorplan(outlines)
                 .map_err(EcoChipError::from)
         })
         .unwrap();
-        assert_eq!(ctx.stats().floorplan_misses, 2);
+        assert_eq!(ctx.stats().floorplan_misses, 5);
+        assert_eq!(ctx.stats().floorplan_hits, 1);
+    }
+
+    #[test]
+    fn borrowed_lookup_digest_matches_the_stored_key() {
+        let config = FloorplanConfig::default();
+        let chiplets = [
+            ("digital", Area::from_mm2(300.5)),
+            ("io", Area::from_mm2(42.0)),
+        ];
+        let outlines: Vec<ChipletOutline> = chiplets
+            .iter()
+            .map(|&(name, area)| ChipletOutline::new(name, area))
+            .collect();
+        let key = FloorplanKey::new(&config, &outlines);
+        assert!(key.matches(&config, &chiplets));
+        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
+        let borrowed = floorplan_digest(
+            config.chiplet_spacing.mm().to_bits(),
+            config.edge_margin.mm().to_bits(),
+            chiplets
+                .iter()
+                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
+        );
+        assert_eq!(key.digest(), borrowed);
+        // A restored memo's floorplans hit through the borrowed path.
+        let restored = SweepContext::from_json(&filled_context().to_json(3).unwrap(), 3).unwrap();
+        plan(
+            &restored,
+            &[("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))],
+        );
+        assert_eq!(restored.stats().floorplan_hits, 1);
+        assert_eq!(restored.stats().floorplan_misses, 0);
+    }
+
+    /// A key type whose every value shares one digest.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Colliding(u32);
+
+    impl MemoKey for Colliding {
+        fn digest(&self) -> u64 {
+            7
+        }
+    }
+
+    #[test]
+    fn digest_collisions_read_as_misses_and_replace_on_insert() {
+        let mut lru = Lru::default();
+        assert_eq!(lru.insert(Colliding(1), "one", Some(4)), 0);
+        assert_eq!(lru.get(7, |key| *key == Colliding(1)), Some(&"one"));
+        // Same digest, different key: confirmed as a miss.
+        assert_eq!(lru.get(7, |key| *key == Colliding(2)), None);
+        // Inserting it replaces the colliding entry, counted as an eviction.
+        assert_eq!(lru.insert(Colliding(2), "two", Some(4)), 1);
+        assert_eq!(lru.len(), 1);
+        assert!(!lru.contains(&Colliding(1)));
+        assert_eq!(lru.get(7, |key| *key == Colliding(2)), Some(&"two"));
+        // Re-inserting the same key only refreshes it.
+        assert_eq!(lru.insert(Colliding(2), "two again", Some(4)), 0);
+        assert_eq!(lru.get(7, |key| *key == Colliding(2)), Some(&"two again"));
+    }
+
+    #[test]
+    fn lru_evicts_in_recency_order_and_keeps_links_consistent() {
+        let key = |area: u64| ManufacturingKey {
+            node: TechNode::N7,
+            area_bits: area,
+            model_bits: 0,
+        };
+        let mut lru = Lru::default();
+        for area in 0..5 {
+            assert_eq!(lru.insert(key(area), area, Some(5)), 0);
+        }
+        // Touch 0 and 2: recency is now 2, 0, 4, 3, 1 (front to back).
+        assert_eq!(lru.get(key(0).digest(), |k| *k == key(0)), Some(&0));
+        assert_eq!(lru.get(key(2).digest(), |k| *k == key(2)), Some(&2));
+        assert_eq!(lru.insert(key(5), 5, Some(5)), 1);
+        assert!(!lru.contains(&key(1)));
+        assert_eq!(lru.shrink_to(2), 3);
+        let survivors: Vec<u64> = lru.drain_oldest_first().map(|(_, v)| v).collect();
+        assert_eq!(survivors, vec![2, 5]);
+    }
+
+    /// A naive reference LRU over key ids: a vector, most recent first.
+    #[derive(Debug, Default)]
+    struct ReferenceLru {
+        keys: Vec<usize>,
+        capacity: Option<usize>,
+        hits: usize,
+        misses: usize,
+        evictions: usize,
+    }
+
+    impl ReferenceLru {
+        fn insert(&mut self, key: usize) {
+            if self.capacity == Some(0) {
+                self.evictions += 1;
+                return;
+            }
+            while self.capacity.is_some_and(|cap| self.keys.len() >= cap) {
+                self.keys.pop();
+                self.evictions += 1;
+            }
+            self.keys.insert(0, key);
+        }
+
+        fn lookup(&mut self, key: usize) {
+            if let Some(at) = self.keys.iter().position(|&k| k == key) {
+                self.keys.remove(at);
+                self.keys.insert(0, key);
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                self.insert(key);
+            }
+        }
+
+        fn set_capacity(&mut self, capacity: Option<usize>) {
+            self.capacity = capacity;
+            while capacity.is_some_and(|cap| self.keys.len() > cap) {
+                self.keys.pop();
+                self.evictions += 1;
+            }
+        }
+
+        /// Merge `import` (most recent first) oldest first, skipping keys
+        /// already held; returns how many imported keys survive.
+        fn absorb(&mut self, import: &[usize]) -> usize {
+            let mut inserted = Vec::new();
+            for &key in import.iter().rev() {
+                if !self.keys.contains(&key) {
+                    self.insert(key);
+                    inserted.push(key);
+                }
+            }
+            inserted.iter().filter(|k| self.keys.contains(k)).count()
+        }
+    }
+
+    /// The keys of `lru`, most recently used first, walked along the links.
+    fn keys_newest_first<K, V>(lru: &Lru<K, V>) -> Vec<&K> {
+        let mut keys = Vec::new();
+        let mut slot = lru.front;
+        while slot != NIL {
+            keys.push(&lru.slots[slot].key);
+            slot = lru.slots[slot].older;
+        }
+        assert_eq!(keys.len(), lru.slots.len(), "recency list lost a slot");
+        assert_eq!(lru.index.len(), lru.slots.len(), "index out of step");
+        keys
+    }
+
+    /// Manufacturing key id `i`: a 7 nm die of `10 (i + 1)` mm².
+    fn die_area(i: usize) -> Area {
+        Area::from_mm2(10.0 * (i + 1) as f64)
+    }
+
+    /// Floorplan key id `j`: one or two square chiplets.
+    fn outline_set(j: usize) -> Vec<(&'static str, Area)> {
+        let mut chiplets = vec![("a", Area::from_mm2(40.0 + 10.0 * j as f64))];
+        if j % 2 == 1 {
+            chiplets.push(("b", Area::from_mm2(25.0)));
+        }
+        chiplets
+    }
+
+    /// One reference model per cache, driven alongside a real context.
+    struct Models {
+        floorplans: ReferenceLru,
+        manufacturing: ReferenceLru,
+    }
+
+    impl Models {
+        fn lookup(&mut self, ctx: &SweepContext, model: &ManufacturingModel<'_>, op: u64) {
+            let id = (op >> 8) as usize;
+            if op.is_multiple_of(2) {
+                ctx.manufacturing(model, None, die_area(id % 6), TechNode::N7)
+                    .unwrap();
+                self.manufacturing.lookup(id % 6);
+            } else {
+                plan(ctx, &outline_set(id % 5));
+                self.floorplans.lookup(id % 5);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn bounded_memo_matches_a_reference_lru(
+            capacity in 0usize..=6,
+            ops in prop::collection::vec(0u64..u64::MAX, 1..80),
+        ) {
+            let db = TechDb::default();
+            let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
+            let config = FloorplanConfig::default();
+            let mut ctx = SweepContext::with_capacity(capacity);
+            let mut models = Models {
+                floorplans: ReferenceLru { capacity: Some(capacity), ..ReferenceLru::default() },
+                manufacturing: ReferenceLru { capacity: Some(capacity), ..ReferenceLru::default() },
+            };
+            for op in ops {
+                match op % 8 {
+                    // Change the bound: 0–6 entries, or unbounded.
+                    0 => {
+                        let bound = ((op >> 8) % 8) as usize;
+                        let bound = (bound < 7).then_some(bound);
+                        ctx.set_capacity(bound);
+                        models.floorplans.set_capacity(bound);
+                        models.manufacturing.set_capacity(bound);
+                    }
+                    // Absorb a small warm context filled by its own lookups.
+                    1 => {
+                        let warm = SweepContext::new();
+                        let mut warm_models = Models {
+                            floorplans: ReferenceLru::default(),
+                            manufacturing: ReferenceLru::default(),
+                        };
+                        for k in 0..(op >> 8) % 6 {
+                            warm_models.lookup(&warm, &model, op >> (11 + 8 * k));
+                        }
+                        let absorbed = ctx.absorb(warm);
+                        let expected = (
+                            models.floorplans.absorb(&warm_models.floorplans.keys),
+                            models.manufacturing.absorb(&warm_models.manufacturing.keys),
+                        );
+                        prop_assert_eq!(absorbed, expected);
+                    }
+                    _ => models.lookup(&ctx, &model, op),
+                }
+
+                let stats = ctx.stats();
+                prop_assert_eq!(stats.floorplan_hits, models.floorplans.hits);
+                prop_assert_eq!(stats.floorplan_misses, models.floorplans.misses);
+                prop_assert_eq!(stats.floorplan_evictions, models.floorplans.evictions);
+                prop_assert_eq!(stats.manufacturing_hits, models.manufacturing.hits);
+                prop_assert_eq!(stats.manufacturing_misses, models.manufacturing.misses);
+                prop_assert_eq!(
+                    stats.manufacturing_evictions,
+                    models.manufacturing.evictions
+                );
+                let manufacturing = ctx.manufacturing.lock().unwrap();
+                let survivors: Vec<u64> = keys_newest_first(&manufacturing)
+                    .into_iter()
+                    .map(|key| key.area_bits)
+                    .collect();
+                let expected: Vec<u64> = models
+                    .manufacturing
+                    .keys
+                    .iter()
+                    .map(|&i| die_area(i).mm2().to_bits())
+                    .collect();
+                prop_assert_eq!(survivors, expected);
+                drop(manufacturing);
+                let floorplans = ctx.floorplans.lock().unwrap();
+                let survivors = keys_newest_first(&floorplans);
+                prop_assert_eq!(survivors.len(), models.floorplans.keys.len());
+                for (key, &j) in survivors.into_iter().zip(&models.floorplans.keys) {
+                    prop_assert!(key.matches(&config, &outline_set(j)), "floorplan {j} out of place");
+                }
+            }
+        }
     }
 }

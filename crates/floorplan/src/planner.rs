@@ -21,12 +21,15 @@ pub struct ChipletOutline {
 }
 
 impl ChipletOutline {
+    /// The aspect ratio [`ChipletOutline::new`] gives an outline: square.
+    pub const DEFAULT_ASPECT_RATIO: f64 = 1.0;
+
     /// A square chiplet of the given area.
     pub fn new(name: impl Into<String>, area: Area) -> Self {
         Self {
             name: name.into(),
             area,
-            aspect_ratio: 1.0,
+            aspect_ratio: Self::DEFAULT_ASPECT_RATIO,
         }
     }
 
