@@ -1,10 +1,10 @@
 //! The ECO-CHIP total-CFP estimator.
 
-use ecochip_act::{ActBreakdown, ActEstimator};
-use ecochip_design::{gates_from_transistors, DesignEstimator};
 use std::sync::Arc;
 
-use ecochip_floorplan::{Floorplan, SlicingFloorplanner};
+use ecochip_act::{ActBreakdown, ActEstimator};
+use ecochip_design::{gates_from_transistors, DesignEstimator};
+use ecochip_floorplan::{ChipletOutline, Floorplan, SlicingFloorplanner};
 use ecochip_packaging::{CommOverheads, CommunicationEstimator, PackageEstimator};
 use ecochip_power::OperationalEstimator;
 use ecochip_techdb::{Area, Carbon, TechNode};
@@ -103,11 +103,11 @@ impl EcoChip {
     /// order — the input of the floorplan stage, borrowed from `system`.
     fn chiplet_areas<'s>(&self, system: &'s System) -> Result<Vec<(&'s str, Area)>, EcoChipError> {
         let db = &self.config.techdb;
-        system
-            .chiplets
-            .iter()
-            .map(|chiplet| Ok((chiplet.name.as_str(), chiplet.area(db)?)))
-            .collect()
+        let mut areas = Vec::with_capacity(system.chiplets.len());
+        for chiplet in &system.chiplets {
+            areas.push((chiplet.name.as_str(), chiplet.area(db)?));
+        }
+        Ok(areas)
     }
 
     /// Floorplan the chiplets of a system (exposed for package-area studies).
@@ -135,15 +135,22 @@ impl EcoChip {
             .map(Arc::unwrap_or_clone)
     }
 
-    /// The floorplan stage: plan `chiplets` through the memo.
+    /// The floorplan stage through the memo.
     fn shared_floorplan(
         &self,
         chiplets: &[(&str, Area)],
         context: &SweepContext,
     ) -> Result<Arc<Floorplan>, EcoChipError> {
-        context.floorplan(&self.config.floorplan, chiplets, |outlines| {
-            Ok(SlicingFloorplanner::new(self.config.floorplan).floorplan(outlines)?)
-        })
+        context.floorplan(&self.config.floorplan, chiplets, || self.plan(chiplets))
+    }
+
+    /// Floorplan the square `chiplets` outlines (name and area, in order).
+    fn plan(&self, chiplets: &[(&str, Area)]) -> Result<Floorplan, EcoChipError> {
+        let outlines: Vec<ChipletOutline> = chiplets
+            .iter()
+            .map(|&(name, area)| ChipletOutline::new(name, area))
+            .collect();
+        Ok(SlicingFloorplanner::new(self.config.floorplan).floorplan(&outlines)?)
     }
 
     /// Estimate the full carbon report of a system (Eqs. 1–3).
@@ -177,7 +184,16 @@ impl EcoChip {
         // The chiplet areas feed both the floorplan stage and the per-chiplet
         // loop below, so every area is derived once.
         let chiplet_areas = self.chiplet_areas(system)?;
-        let floorplan = self.shared_floorplan(&chiplet_areas, context)?;
+        // A disabled context is bypassed rather than consulted, so a cold
+        // estimate pays for no shared handle and no memo call per stage.
+        let (planned, shared);
+        let floorplan: &Floorplan = if context.is_enabled() {
+            shared = self.shared_floorplan(&chiplet_areas, context)?;
+            &shared
+        } else {
+            planned = self.plan(&chiplet_areas)?;
+            &planned
+        };
 
         // --- Inter-die communication overheads -------------------------------
         let comm = if system.is_monolithic() {
@@ -186,7 +202,7 @@ impl EcoChip {
             CommunicationEstimator::new(db, self.config.comm).overheads(
                 &system.packaging,
                 &system.chiplet_nodes(),
-                &floorplan,
+                floorplan,
             )?
         };
 
@@ -202,12 +218,17 @@ impl EcoChip {
                 .get(i)
                 .copied()
                 .unwrap_or(Area::ZERO);
-            let manufacturing = context.manufacturing(
-                &mfg_model,
-                self.memo_bits[chiplet.node as usize],
-                base_area + comm_area,
-                chiplet.node,
-            )?;
+            let area = base_area + comm_area;
+            let manufacturing = if context.is_enabled() {
+                context.manufacturing(
+                    &mfg_model,
+                    self.memo_bits[chiplet.node as usize],
+                    area,
+                    chiplet.node,
+                )?
+            } else {
+                mfg_model.chiplet_cfp(area, chiplet.node)?
+            };
 
             let transistors = chiplet.transistors(db)?;
             let gates = gates_from_transistors(transistors)
@@ -231,7 +252,7 @@ impl EcoChip {
             HiBreakdown::none()
         } else {
             let package = PackageEstimator::new(db, self.config.packaging_source)
-                .package_cfp(&system.packaging, &floorplan)?;
+                .package_cfp(&system.packaging, floorplan)?;
             let interposer_comm =
                 self.interposer_comm_cfp(comm.interposer_logic_area, comm.interposer_node)?;
             HiBreakdown {

@@ -128,25 +128,35 @@ struct FloorplanKey {
 }
 
 impl FloorplanKey {
-    fn new(config: &FloorplanConfig, outlines: &[ChipletOutline]) -> Self {
+    /// The key of the square `chiplets` outlines (name and area, in order)
+    /// under `config`.
+    fn new(config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> Self {
+        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
         Self {
             spacing_bits: config.chiplet_spacing.mm().to_bits(),
             margin_bits: config.edge_margin.mm().to_bits(),
-            outlines: outlines
+            outlines: chiplets
                 .iter()
-                .map(|o| {
-                    (
-                        o.name.clone(),
-                        o.area.mm2().to_bits(),
-                        o.aspect_ratio.to_bits(),
-                    )
-                })
+                .map(|&(name, area)| (name.to_owned(), area.mm2().to_bits(), square))
                 .collect(),
         }
     }
 
-    /// Whether this key is the one `config` and the square `chiplets`
-    /// outlines would build, compared without building it.
+    /// The digest of the key [`FloorplanKey::new`] would build, computed
+    /// without building it.
+    fn digest_of(config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> u64 {
+        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
+        floorplan_digest(
+            config.chiplet_spacing.mm().to_bits(),
+            config.edge_margin.mm().to_bits(),
+            chiplets
+                .iter()
+                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
+        )
+    }
+
+    /// Whether this is the key [`FloorplanKey::new`] would build, compared
+    /// without building it.
     fn matches(&self, config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> bool {
         let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
         self.spacing_bits == config.chiplet_spacing.mm().to_bits()
@@ -763,8 +773,7 @@ impl SweepContext {
     /// set was already planned.
     ///
     /// A hit hashes and compares the borrowed inputs and shares the cached
-    /// plan; the owned outlines handed to `compute` and the owned cache key
-    /// are only built on a miss.
+    /// plan; the owned cache key is only built on a miss.
     pub(crate) fn floorplan<F>(
         &self,
         config: &FloorplanConfig,
@@ -772,25 +781,12 @@ impl SweepContext {
         compute: F,
     ) -> Result<Arc<Floorplan>, EcoChipError>
     where
-        F: FnOnce(&[ChipletOutline]) -> Result<Floorplan, EcoChipError>,
+        F: FnOnce() -> Result<Floorplan, EcoChipError>,
     {
-        let outlines = || -> Vec<ChipletOutline> {
-            chiplets
-                .iter()
-                .map(|&(name, area)| ChipletOutline::new(name, area))
-                .collect()
-        };
         if !self.enabled {
-            return compute(&outlines()).map(Arc::new);
+            return compute().map(Arc::new);
         }
-        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
-        let digest = floorplan_digest(
-            config.chiplet_spacing.mm().to_bits(),
-            config.edge_margin.mm().to_bits(),
-            chiplets
-                .iter()
-                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
-        );
+        let digest = FloorplanKey::digest_of(config, chiplets);
         if let Some(plan) = self
             .floorplans
             .lock()
@@ -802,12 +798,11 @@ impl SweepContext {
         }
         // Computed outside the lock so other workers make progress; a rare
         // duplicate computation of the same key is benign (same value).
-        let outlines = outlines();
-        let plan = Arc::new(compute(&outlines)?);
+        let plan = Arc::new(compute()?);
         self.floorplan_misses.fetch_add(1, Ordering::Relaxed);
         self.insert_bounded(
             &mut self.floorplans.lock().expect("floorplan cache"),
-            FloorplanKey::new(config, &outlines),
+            FloorplanKey::new(config, chiplets),
             Arc::clone(&plan),
             &self.floorplan_evictions,
         );
@@ -965,16 +960,27 @@ mod tests {
         assert_eq!(from_b, b.chiplet_cfp(area, TechNode::N7).unwrap());
     }
 
-    /// Plan `chiplets` under the default configuration through `ctx`.
-    fn plan(ctx: &SweepContext, chiplets: &[(&str, Area)]) -> Arc<Floorplan> {
-        use ecochip_floorplan::SlicingFloorplanner;
-        let config = FloorplanConfig::default();
-        ctx.floorplan(&config, chiplets, |outlines| {
-            SlicingFloorplanner::new(config)
-                .floorplan(outlines)
+    /// Plan `chiplets` under `config` through `ctx`.
+    fn plan_with(
+        ctx: &SweepContext,
+        config: FloorplanConfig,
+        chiplets: &[(&str, Area)],
+    ) -> Arc<Floorplan> {
+        let outlines: Vec<ChipletOutline> = chiplets
+            .iter()
+            .map(|&(name, area)| ChipletOutline::new(name, area))
+            .collect();
+        ctx.floorplan(&config, chiplets, || {
+            ecochip_floorplan::SlicingFloorplanner::new(config)
+                .floorplan(&outlines)
                 .map_err(EcoChipError::from)
         })
         .unwrap()
+    }
+
+    /// Plan `chiplets` under the default configuration through `ctx`.
+    fn plan(ctx: &SweepContext, chiplets: &[(&str, Area)]) -> Arc<Floorplan> {
+        plan_with(ctx, FloorplanConfig::default(), chiplets)
     }
 
     fn filled_context() -> SweepContext {
@@ -1294,12 +1300,7 @@ mod tests {
             chiplet_spacing: ecochip_techdb::Length::from_mm(0.9),
             ..FloorplanConfig::default()
         };
-        ctx.floorplan(&wide, &chiplets, |outlines| {
-            ecochip_floorplan::SlicingFloorplanner::new(wide)
-                .floorplan(outlines)
-                .map_err(EcoChipError::from)
-        })
-        .unwrap();
+        plan_with(&ctx, wide, &chiplets);
         assert_eq!(ctx.stats().floorplan_misses, 5);
         assert_eq!(ctx.stats().floorplan_hits, 1);
     }
@@ -1311,21 +1312,9 @@ mod tests {
             ("digital", Area::from_mm2(300.5)),
             ("io", Area::from_mm2(42.0)),
         ];
-        let outlines: Vec<ChipletOutline> = chiplets
-            .iter()
-            .map(|&(name, area)| ChipletOutline::new(name, area))
-            .collect();
-        let key = FloorplanKey::new(&config, &outlines);
+        let key = FloorplanKey::new(&config, &chiplets);
         assert!(key.matches(&config, &chiplets));
-        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
-        let borrowed = floorplan_digest(
-            config.chiplet_spacing.mm().to_bits(),
-            config.edge_margin.mm().to_bits(),
-            chiplets
-                .iter()
-                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
-        );
-        assert_eq!(key.digest(), borrowed);
+        assert_eq!(key.digest(), FloorplanKey::digest_of(&config, &chiplets));
         // A restored memo's floorplans hit through the borrowed path.
         let restored = SweepContext::from_json(&filled_context().to_json(3).unwrap(), 3).unwrap();
         plan(
