@@ -3,6 +3,8 @@
 //! `/v1/trace` span dump, and the HTTP response header — and the NDJSON
 //! log rendering is valid JSON line by line.
 
+use std::time::{Duration, Instant};
+
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{client, ServeConfig, Server, ServerHandle, SweepRequest, TraceResponse};
 use eco_chip::techdb::TechDb;
@@ -58,8 +60,27 @@ fn one_trace_id_spans_orchestrator_worker_log_span_dump_and_response() {
     }
     assert!(merged > 0);
 
+    // A worker writes its access-log line only after its response is
+    // complete, so the merged stream can end before the last worker has
+    // logged: wait (bounded) for both traced sweep lines to land.
+    let traced_sweeps = |events: &[trace::LogEvent]| {
+        events
+            .iter()
+            .filter(|event| {
+                event.msg == "request"
+                    && event.field("route") == Some(&trace::FieldValue::Str("sweep".into()))
+                    && event.trace.as_deref() == Some(trace_id)
+            })
+            .count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut events = logs.events();
+    while traced_sweeps(&events) < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        events = logs.events();
+    }
+
     // Hop 1 — the orchestrator's own log carries the adopted ID.
-    let events = logs.events();
     assert!(
         events.iter().any(|event| {
             event.msg == "orchestrating sweep" && event.trace.as_deref() == Some(trace_id)
