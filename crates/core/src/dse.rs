@@ -576,6 +576,11 @@ mod tests {
         let (winner, evaluated) =
             optimize_node_assignment(&estimator, &base, &candidates, Objective::Embodied).unwrap();
         assert_eq!(evaluated, 2 * 3 * 3);
+        // Only the winner carries the search's "(d, m, a)" relabeling,
+        // on its label, its system and its report alike.
+        assert_eq!(winner.label, "(7, 14, 14)");
+        assert_eq!(winner.system.name, "base (7, 14, 14)");
+        assert_eq!(winner.report.system_name, "base (7, 14, 14)");
         // The winner keeps logic in the advanced node and moves memory /
         // analog to mature nodes.
         assert_eq!(winner.system.chiplets[0].node, TechNode::N7);
