@@ -128,7 +128,14 @@ fn bench_streaming_vs_materialized(c: &mut Criterion) {
                 Ok(())
             };
             let emitted = SweepEngine::new()
-                .run_streaming(&estimator, &spec, &mut sink)
+                .stream(
+                    &estimator,
+                    &spec,
+                    Shard::FULL,
+                    &SweepContext::new(),
+                    None,
+                    &mut sink,
+                )
                 .unwrap();
             assert_eq!(emitted, spec.len());
             total_kg
@@ -146,7 +153,7 @@ fn bench_streaming_vs_materialized(c: &mut Criterion) {
                 let shard = Shard::new(index, 2).unwrap();
                 let mut sink = |_point: SweepPoint| Ok(());
                 count += SweepEngine::new()
-                    .run_streaming_with(&estimator, &spec, shard, &context, &mut sink)
+                    .stream(&estimator, &spec, shard, &context, None, &mut sink)
                     .unwrap();
             }
             assert_eq!(count, spec.len());

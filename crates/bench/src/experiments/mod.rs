@@ -41,6 +41,29 @@ pub use totals::{fig8, validation};
 
 use crate::ExperimentResult;
 
+/// A named experiment generator.
+pub type Experiment = (&'static str, fn() -> ExperimentResult);
+
+/// Every experiment in paper order, under the name the `run_all` binary
+/// selects it by (`run_all fig7 fig11`).
+pub const EXPERIMENTS: [Experiment; 15] = [
+    ("table1", table1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("validation", validation),
+    ("ablation", ablation),
+];
+
 /// Run every experiment in paper order and return all tables.
 ///
 /// # Errors
@@ -48,10 +71,7 @@ use crate::ExperimentResult;
 /// Propagates the first generator failure.
 pub fn all() -> ExperimentResult {
     let mut tables = Vec::new();
-    for generator in [
-        table1, fig2, fig3, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15,
-        validation, ablation,
-    ] {
+    for (_, generator) in EXPERIMENTS {
         tables.extend(generator()?);
     }
     Ok(tables)
@@ -63,25 +83,7 @@ mod tests {
 
     #[test]
     fn every_experiment_produces_nonempty_tables() {
-        type Generator = (&'static str, fn() -> ExperimentResult);
-        let generators: [Generator; 15] = [
-            ("table1", table1),
-            ("fig2", fig2),
-            ("fig3", fig3),
-            ("fig6", fig6),
-            ("fig7", fig7),
-            ("fig8", fig8),
-            ("fig9", fig9),
-            ("fig10", fig10),
-            ("fig11", fig11),
-            ("fig12", fig12),
-            ("fig13", fig13),
-            ("fig14", fig14),
-            ("fig15", fig15),
-            ("validation", validation),
-            ("ablation", ablation),
-        ];
-        for (name, generator) in generators {
+        for (name, generator) in EXPERIMENTS {
             let tables = generator().unwrap_or_else(|e| panic!("{name} failed: {e}"));
             assert!(!tables.is_empty(), "{name} produced no tables");
             for table in &tables {

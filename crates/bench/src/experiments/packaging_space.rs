@@ -9,7 +9,7 @@
 
 use ecochip_core::disaggregation::{split_block, NodeTuple};
 use ecochip_core::dse::sweep_chiplet_counts;
-use ecochip_core::sweep::{SweepAxis, SweepContext, SweepEngine, SweepSpec};
+use ecochip_core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
 use ecochip_core::{EcoChip, System};
 use ecochip_packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
@@ -172,10 +172,20 @@ pub fn fig11() -> ExperimentResult {
     let context = SweepContext::new();
     let run_packaging_sweep =
         |configs: Vec<PackagingArchitecture>| -> Result<Vec<_>, Box<dyn std::error::Error>> {
-            let cases = SweepSpec::new(base.clone())
-                .axis(SweepAxis::Packaging(configs))
-                .cases()?;
-            Ok(engine.run_cases_with(&estimator, cases, &context)?)
+            let spec = SweepSpec::new(base.clone()).axis(SweepAxis::Packaging(configs));
+            let mut points = Vec::new();
+            engine.stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &context,
+                None,
+                &mut |point| {
+                    points.push(point);
+                    Ok(())
+                },
+            )?;
+            Ok(points)
         };
 
     let mut rdl = Table::new(

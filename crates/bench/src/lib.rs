@@ -5,14 +5,18 @@
 //! plus Criterion performance benches for the estimator itself.
 //!
 //! Every generator in [`experiments`] returns one or more [`Table`]s — the
-//! same rows / series the paper plots — so the binaries under `src/bin/`
-//! (`fig2`, `fig7`, …, `table1`, `validation`, `run_all`) simply print them.
-//! `EXPERIMENTS.md` at the repository root records the paper-vs-measured
-//! comparison for each of them.
+//! same rows / series the paper plots. [`experiments::EXPERIMENTS`] names
+//! them in paper order, and the one binary, `run_all`, prints every table or
+//! only the named ones (`run_all fig7 fig11`; an unknown name exits 2).
 //!
 //! ```
 //! let tables = ecochip_bench::experiments::fig2().unwrap();
 //! assert!(!tables.is_empty());
+//! let names: Vec<&str> = ecochip_bench::experiments::EXPERIMENTS
+//!     .iter()
+//!     .map(|(name, _)| *name)
+//!     .collect();
+//! assert_eq!(names[..3], ["table1", "fig2", "fig3"]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,5 @@
-//! Byte-exact golden file for the `run_all` paper-figure tables.
+//! Byte-exact golden file for the `run_all` paper-figure tables, plus the
+//! binary's figure-name selection.
 //!
 //! Every experiment of the paper (Table I, Figs. 2–15, validation and the
 //! ablation) estimates through `EcoChip::estimate_with`, so this one file
@@ -54,4 +55,39 @@ fn run_all_tables_match_golden_file() {
         expected, actual,
         "run_all output changed in length (re-bless with {BLESS_VAR}=1 if intended)"
     );
+}
+
+#[test]
+fn run_all_prints_only_the_named_experiments_in_order() {
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["fig9", "table1"])
+        .output()
+        .expect("run run_all");
+    assert!(output.status.success());
+    let mut expected = String::new();
+    for generator in [
+        ecochip_bench::experiments::fig9,
+        ecochip_bench::experiments::table1,
+    ] {
+        for table in generator().unwrap() {
+            expected.push_str(&format!("{table}\n"));
+        }
+    }
+    assert_eq!(String::from_utf8_lossy(&output.stdout), expected);
+}
+
+#[test]
+fn run_all_rejects_unknown_names_with_the_valid_list() {
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["fig7", "fig99"])
+        .output()
+        .expect("run run_all");
+    assert_eq!(output.status.code(), Some(2));
+    // Names are checked before any experiment runs.
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("\"fig99\""), "{stderr}");
+    for (name, _) in ecochip_bench::experiments::EXPERIMENTS {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
 }

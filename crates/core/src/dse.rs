@@ -7,7 +7,7 @@
 //! reorder window of the streaming pipeline while returning exactly what
 //! their original serial loops produced. The `*_spec` builders expose each
 //! study's [`SweepSpec`] directly, so callers can stream, shard or memoize
-//! any of them through [`SweepEngine::run_streaming_with`] or
+//! any of them through [`SweepEngine::stream`] or
 //! [`EcoChipService`](crate::EcoChipService) instead of collecting a `Vec`.
 
 use serde::{Deserialize, Serialize};
@@ -19,7 +19,7 @@ use crate::disaggregation::{NodeTuple, SocBlocks};
 use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
-use crate::sweep::{MappedSpec, Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
+use crate::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
 use crate::system::System;
 
 pub use crate::sweep::SweepPoint;
@@ -318,39 +318,33 @@ pub fn optimize_node_assignment(
         spec = spec.axis(SweepAxis::ChipletNode { index: i, nodes });
     }
 
-    // Cases are relabeled as they are decoded — "(7, 14, 10)"-style instead
-    // of the per-axis "7 / 14 / 10" — without materializing the product.
-    let source = MappedSpec {
-        spec: &spec,
-        map: |mut case: crate::sweep::SweepCase| {
-            let joined = case.labels.join(", ");
-            case.system.name = format!("{} ({joined})", base.name);
-            case.labels = vec![format!("({joined})")];
-            case
-        },
-    };
-
     let mut evaluated = 0usize;
-    let mut best: Option<(SweepPoint, f64)> = None;
+    let mut best: Option<(SweepPoint, f64, usize)> = None;
     SweepEngine::new().stream(
         estimator,
-        &source,
+        &spec,
         Shard::FULL,
         &SweepContext::new(),
         None,
         &mut |point: SweepPoint| {
-            evaluated += 1;
             let score = objective.score(&point.report);
             if best
                 .as_ref()
-                .is_none_or(|(_, incumbent)| score < *incumbent)
+                .is_none_or(|(_, incumbent, _)| score < *incumbent)
             {
-                best = Some((point, score));
+                best = Some((point, score, evaluated));
             }
+            evaluated += 1;
             Ok(())
         },
     )?;
-    let (winner, _) = best.expect("at least one configuration evaluated");
+    let (mut winner, _, index) = best.expect("at least one configuration evaluated");
+    // Only the winner is relabeled — "(7, 14, 10)"-style instead of the
+    // per-axis "7 / 14 / 10" — so the search pays no formatting per point.
+    let joined = spec.case_at(index)?.labels.join(", ");
+    winner.label = format!("({joined})");
+    winner.system.name = format!("{} ({joined})", base.name);
+    winner.report.system_name.clone_from(&winner.system.name);
     Ok((winner, evaluated))
 }
 

@@ -817,7 +817,7 @@ where
                 &mut on_event,
             )
             .with_frontier(seeded);
-            engine.run_streaming_timed(estimator, spec, shard, context, timings, &mut sink)?;
+            engine.stream(estimator, spec, shard, context, timings, &mut sink)?;
             let (frontier, evaluated) = sink.finish();
             OptOutcome {
                 method: OptMethod::Pareto.label().to_string(),

@@ -5,8 +5,8 @@
 //! endpoint, a DSE driver, a batch queue worker — repeats the same expensive
 //! stages (floorplans, per-die manufacturing CFP) across requests.
 //! [`EcoChipService`] bundles an [`EcoChip`] estimator, a [`SweepEngine`]
-//! and one persistent [`SweepContext`] memo, so every `estimate`/`run` call
-//! after the first reuses whatever stage results earlier calls computed,
+//! and one persistent [`SweepContext`] memo, so every `estimate`/`stream`
+//! call after the first reuses whatever stage results earlier calls computed,
 //! while staying bit-for-bit identical to cold estimation.
 
 use std::path::{Path, PathBuf};
@@ -18,7 +18,7 @@ use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
 use crate::sweep::{
-    Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec, SweepStats,
+    SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSlice, SweepSpec, SweepStats,
 };
 use crate::system::System;
 
@@ -63,7 +63,7 @@ pub struct EcoChipService {
     /// Estimates served since creation (single estimates only, not sweep
     /// points).
     estimates: AtomicU64,
-    /// Sweep points emitted since creation (all `run*` entry points).
+    /// Sweep points emitted since creation (every `stream` call).
     sweep_points: AtomicU64,
 }
 
@@ -74,7 +74,7 @@ pub struct EcoChipService {
 pub struct ServiceStats {
     /// Single-system estimates served ([`EcoChipService::estimate`]).
     pub estimates: u64,
-    /// Sweep points emitted across every `run*` entry point.
+    /// Sweep points emitted across every [`EcoChipService::stream`] call.
     pub sweep_points: u64,
 }
 
@@ -121,7 +121,7 @@ impl EcoChipService {
         &self.estimator
     }
 
-    /// The sweep engine used by [`EcoChipService::run`] and friends.
+    /// The sweep engine used by [`EcoChipService::stream`].
     pub fn engine(&self) -> &SweepEngine {
         &self.engine
     }
@@ -250,108 +250,22 @@ impl EcoChipService {
         Ok(report)
     }
 
-    /// Evaluate a sweep spec against the warm memo, collecting every point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (case generation, estimation).
-    pub fn run(&self, spec: &SweepSpec) -> Result<Vec<SweepPoint>, EcoChipError> {
-        self.run_sharded(spec, Shard::FULL)
-    }
-
-    /// Evaluate the slice of a sweep a [`Shard`] owns against the warm memo.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (case generation, estimation).
-    pub fn run_sharded(
-        &self,
-        spec: &SweepSpec,
-        shard: Shard,
-    ) -> Result<Vec<SweepPoint>, EcoChipError> {
-        let mut points = Vec::new();
-        self.run_streaming(spec, shard, &mut |point| {
-            points.push(point);
-            Ok(())
-        })?;
-        Ok(points)
-    }
-
-    /// Stream (a shard of) a sweep through `sink` in deterministic case
-    /// order, holding only the engine's `O(workers)` reorder window in
-    /// memory. Returns the number of points emitted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors and the first error returned by `sink`.
-    pub fn run_streaming<S: SweepSink + ?Sized>(
-        &self,
-        spec: &SweepSpec,
-        shard: Shard,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        self.run_streaming_timed(spec, shard, None, sink)
-    }
-
-    /// [`EcoChipService::run_streaming`] with an optional per-stage
-    /// duration collector (see [`SweepEngine::run_streaming_timed`]):
-    /// the HTTP server attaches a fresh [`StageTimings`] per request so
-    /// estimator time is attributed exactly; `None` costs one branch per
-    /// point.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcoChipService::run_streaming`].
-    pub fn run_streaming_timed<S: SweepSink + ?Sized>(
-        &self,
-        spec: &SweepSpec,
-        shard: Shard,
-        timings: Option<&StageTimings>,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        let mut instrumented = InstrumentedSink {
-            service: self,
-            sink,
-        };
-        self.engine.run_streaming_timed(
-            &self.estimator,
-            spec,
-            shard,
-            &self.context,
-            timings,
-            &mut instrumented,
-        )
-    }
-
-    /// Stream an explicit, contiguous index range of a sweep's case space
-    /// through `sink` against the warm memo (see
-    /// [`SweepEngine::run_range_with`]). This is the resume entry point for
-    /// orchestrator failover: re-dispatching the unemitted suffix of a dead
-    /// worker's shard reproduces exactly the missing points.
+    /// Stream the `slice` of a sweep (a [`Shard`](crate::sweep::Shard) or an
+    /// explicit index range, see [`SweepEngine::stream`]) through `sink`
+    /// against the warm memo, in deterministic case order. Every emitted
+    /// point bumps [`ServiceStats::sweep_points`] and checks the autosave
+    /// threshold; the HTTP server attaches a fresh [`StageTimings`] per
+    /// request so estimator time is attributed exactly, while `None` costs
+    /// one branch per point. Returns the number of points emitted.
     ///
     /// # Errors
     ///
     /// Propagates engine errors (invalid ranges, case generation,
     /// estimation) and the first error returned by `sink`.
-    pub fn run_streaming_range<S: SweepSink + ?Sized>(
+    pub fn stream<S: SweepSink + ?Sized>(
         &self,
         spec: &SweepSpec,
-        range: std::ops::Range<usize>,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        self.run_streaming_range_timed(spec, range, None, sink)
-    }
-
-    /// [`EcoChipService::run_streaming_range`] with an optional per-stage
-    /// duration collector (see [`SweepEngine::run_range_timed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`EcoChipService::run_streaming_range`].
-    pub fn run_streaming_range_timed<S: SweepSink + ?Sized>(
-        &self,
-        spec: &SweepSpec,
-        range: std::ops::Range<usize>,
+        slice: impl Into<SweepSlice>,
         timings: Option<&StageTimings>,
         sink: &mut S,
     ) -> Result<usize, EcoChipError> {
@@ -359,10 +273,10 @@ impl EcoChipService {
             service: self,
             sink,
         };
-        self.engine.run_range_timed(
+        self.engine.stream(
             &self.estimator,
             spec,
-            range,
+            slice,
             &self.context,
             timings,
             &mut instrumented,
@@ -534,7 +448,7 @@ impl<S: SweepSink + ?Sized> SweepSink for InstrumentedSink<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepAxis;
+    use crate::sweep::{Shard, SweepAxis};
     use crate::system::{Chiplet, ChipletSize};
     use ecochip_packaging::{PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig};
     use ecochip_techdb::{DesignType, TechNode};
@@ -557,6 +471,23 @@ mod tests {
             ])
             .build()
             .unwrap()
+    }
+
+    /// Stream `slice` of `spec` through the service, collecting the points.
+    fn collect(
+        service: &EcoChipService,
+        spec: &SweepSpec,
+        slice: impl Into<SweepSlice>,
+    ) -> Vec<SweepPoint> {
+        let mut points = Vec::new();
+        let emitted = service
+            .stream(spec, slice, None, &mut |point| {
+                points.push(point);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(emitted, points.len());
+        points
     }
 
     #[test]
@@ -584,14 +515,14 @@ mod tests {
                 PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
             ]))
             .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0]));
-        let via_service = service.run(&spec).unwrap();
+        let via_service = collect(&service, &spec, Shard::FULL);
         let via_engine = SweepEngine::new().run(service.estimator(), &spec).unwrap();
         assert_eq!(via_service, via_engine);
         // A sharded service run concatenates to the full run.
         let mut merged = Vec::new();
         for index in 0..2 {
             let shard = Shard::new(index, 2).unwrap();
-            merged.extend(service.run_sharded(&spec, shard).unwrap());
+            merged.extend(collect(&service, &spec, shard));
         }
         assert_eq!(merged, via_engine);
     }
@@ -610,7 +541,7 @@ mod tests {
             PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
             PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
         ]));
-        let streamed = service.run(&spec).unwrap();
+        let streamed = collect(&service, &spec, Shard::FULL);
         assert_eq!(streamed.len(), 2);
         // The memo hit the disk during the run, not only at exit, and the
         // dirty counter was reset by the last autosave.
@@ -620,7 +551,7 @@ mod tests {
         // A restored service starts warm and reproduces the run bit-for-bit.
         let mut restored = EcoChipService::new(EcoChip::default());
         restored.load_memo(&path).unwrap();
-        let again = restored.run(&spec).unwrap();
+        let again = collect(&restored, &spec, Shard::FULL);
         assert_eq!(again, streamed);
         assert_eq!(restored.stats().floorplan_misses, 0);
 
@@ -648,7 +579,7 @@ mod tests {
         assert_eq!(report, cold);
         // Sweeps keep streaming past the failed save too.
         let spec = SweepSpec::new(base()).axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
-        assert_eq!(service.run(&spec).unwrap().len(), 2);
+        assert_eq!(collect(&service, &spec, Shard::FULL).len(), 2);
     }
 
     #[test]
@@ -697,17 +628,11 @@ mod tests {
         service.estimate(&base()).unwrap();
         service.estimate(&base()).unwrap();
         let spec = SweepSpec::new(base()).axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0]));
-        service.run(&spec).unwrap();
-        let mut tail = Vec::new();
-        service
-            .run_streaming_range(&spec, 1..3, &mut |point| {
-                tail.push(point);
-                Ok(())
-            })
-            .unwrap();
+        collect(&service, &spec, Shard::FULL);
+        let tail = collect(&service, &spec, 1..3);
         assert_eq!(tail.len(), 2);
         // The range reproduces the exact suffix of the full run.
-        let full = service.run(&spec).unwrap();
+        let full = collect(&service, &spec, Shard::FULL);
         assert_eq!(tail, full[1..3]);
         let stats = service.service_stats();
         assert_eq!(stats.estimates, 2);

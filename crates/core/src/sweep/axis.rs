@@ -278,6 +278,76 @@ impl std::str::FromStr for Shard {
     }
 }
 
+/// The slice of a sweep's case space one [`SweepEngine::stream`] call
+/// evaluates: a balanced [`Shard`] selector or an explicit index range (the
+/// resume form behind orchestrator failover). Both convert into a slice, so
+/// callers pass `Shard::FULL`, a parsed `--shard I/N` or `3..7` directly.
+///
+/// [`SweepEngine::stream`]: crate::sweep::SweepEngine::stream
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SweepSlice {
+    /// Shard `index`/`of` of the case space ([`Shard::range`] decides the
+    /// concrete indices).
+    Shard(Shard),
+    /// An explicit half-open index range.
+    Range(std::ops::Range<usize>),
+}
+
+impl SweepSlice {
+    /// The concrete case indices this slice selects out of a `total`-case
+    /// sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EcoChipError::InvalidSystem`] when a `Range` slice fails
+    /// [`validate_case_range`].
+    pub fn range(&self, total: usize) -> Result<std::ops::Range<usize>, EcoChipError> {
+        match self {
+            SweepSlice::Shard(shard) => Ok(shard.range(total)),
+            SweepSlice::Range(range) => {
+                validate_case_range(total, range)?;
+                Ok(range.clone())
+            }
+        }
+    }
+}
+
+impl From<Shard> for SweepSlice {
+    fn from(shard: Shard) -> Self {
+        SweepSlice::Shard(shard)
+    }
+}
+
+impl From<std::ops::Range<usize>> for SweepSlice {
+    fn from(range: std::ops::Range<usize>) -> Self {
+        SweepSlice::Range(range)
+    }
+}
+
+/// Validate that `range` is a slice of a `total`-case sweep — the single
+/// definition of the bounds rule, applied by [`SweepSlice::range`] (and so
+/// by every [`SweepEngine::stream`] call) and available to front ends that
+/// want to reject a bad resume range before they commit to a response.
+///
+/// # Errors
+///
+/// Returns [`EcoChipError::InvalidSystem`] when the range is inverted or
+/// extends past `total`.
+///
+/// [`SweepEngine::stream`]: crate::sweep::SweepEngine::stream
+pub fn validate_case_range(
+    total: usize,
+    range: &std::ops::Range<usize>,
+) -> Result<(), EcoChipError> {
+    if range.start > range.end || range.end > total {
+        return Err(EcoChipError::InvalidSystem(format!(
+            "case range {}..{} is not a slice of the sweep's {total} cases",
+            range.start, range.end
+        )));
+    }
+    Ok(())
+}
+
 /// A cartesian sweep specification: a base system plus any number of axes.
 ///
 /// Cases are *index-addressable*: the spec never materializes its cartesian

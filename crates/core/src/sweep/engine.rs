@@ -1,13 +1,14 @@
 //! The parallel, memoizing, streaming sweep evaluator.
 //!
 //! The engine is built around a bounded work queue: workers claim case
-//! *indices* (never a materialized case list), decode each case lazily from
-//! its [`CaseSource`], evaluate it against the shared [`SweepContext`], and
-//! hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`] in
-//! deterministic row-major order. A reorder window of `O(workers)` points
+//! *indices* (never a materialized case list), decode each case lazily with
+//! [`SweepSpec::case_at`], evaluate it against the shared [`SweepContext`],
+//! and hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
+//! in deterministic row-major order. A reorder window of `O(workers)` points
 //! provides backpressure, so streaming a million-point space holds only a
-//! handful of points in memory at any time. [`SweepEngine::run`] is the
-//! collect-to-`Vec` special case of the same machinery.
+//! handful of points in memory at any time. [`SweepEngine::stream`] is the
+//! one entry point; [`SweepEngine::run`] is its collect-to-`Vec` special
+//! case.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -18,7 +19,7 @@ use ecochip_trace::{Stage, StageTimings};
 
 use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
-use crate::sweep::{Shard, SweepCase, SweepContext, SweepPoint, SweepSpec};
+use crate::sweep::{Shard, SweepContext, SweepPoint, SweepSlice, SweepSpec};
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV_VAR: &str = "ECOCHIP_JOBS";
@@ -52,20 +53,27 @@ pub const DEFAULT_CHUNK: usize = 32;
 ///     .build()?;
 /// let spec = SweepSpec::new(base).axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 4.0]));
 /// // Stream: keep a running maximum instead of materializing all points.
-/// use ecochip_core::sweep::SweepPoint;
+/// use ecochip_core::sweep::{Shard, SweepContext, SweepPoint};
 /// let mut worst = f64::MIN;
 /// let mut sink = |point: SweepPoint| {
 ///     worst = worst.max(point.report.total().kg());
 ///     Ok(())
 /// };
-/// let emitted = SweepEngine::new().run_streaming(&EcoChip::default(), &spec, &mut sink)?;
+/// let emitted = SweepEngine::new().stream(
+///     &EcoChip::default(),
+///     &spec,
+///     Shard::FULL,
+///     &SweepContext::new(),
+///     None,
+///     &mut sink,
+/// )?;
 /// assert_eq!(emitted, 3);
 /// assert!(worst > 0.0);
 /// # Ok::<(), ecochip_core::EcoChipError>(())
 /// ```
 pub trait SweepSink {
     /// Accept the next point. Returning an error aborts the sweep; the error
-    /// is propagated to the caller of the streaming entry point.
+    /// is propagated to the caller of [`SweepEngine::stream`].
     fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError>;
 
     /// Accept a contiguous batch of points (one claim chunk), in case
@@ -89,63 +97,15 @@ impl<F: FnMut(SweepPoint) -> Result<(), EcoChipError>> SweepSink for F {
     }
 }
 
-/// An index-addressable source of sweep cases: the engine's workers pull
-/// case indices and decode each case on demand, so the full cartesian
-/// product is never materialized.
-pub(crate) trait CaseSource: Sync {
-    /// Checked number of cases.
-    fn total(&self) -> Result<usize, EcoChipError>;
-    /// Produce case `index` (must be below [`CaseSource::total`]).
-    fn case(&self, index: usize) -> Result<SweepCase, EcoChipError>;
-}
-
-impl CaseSource for SweepSpec {
-    fn total(&self) -> Result<usize, EcoChipError> {
-        self.try_len()
-    }
-
-    fn case(&self, index: usize) -> Result<SweepCase, EcoChipError> {
-        self.case_at(index)
-    }
-}
-
-impl CaseSource for [SweepCase] {
-    fn total(&self) -> Result<usize, EcoChipError> {
-        Ok(self.len())
-    }
-
-    fn case(&self, index: usize) -> Result<SweepCase, EcoChipError> {
-        Ok(self[index].clone())
-    }
-}
-
-/// A spec whose decoded cases are rewritten on the fly (used by the node
-/// assignment optimizer to relabel points without materializing them).
-pub(crate) struct MappedSpec<'a, F> {
-    pub(crate) spec: &'a SweepSpec,
-    pub(crate) map: F,
-}
-
-impl<F: Fn(SweepCase) -> SweepCase + Sync> CaseSource for MappedSpec<'_, F> {
-    fn total(&self) -> Result<usize, EcoChipError> {
-        self.spec.try_len()
-    }
-
-    fn case(&self, index: usize) -> Result<SweepCase, EcoChipError> {
-        self.spec.case_at(index).map(&self.map)
-    }
-}
-
 /// Evaluates the points of a [`SweepSpec`] across worker threads, sharing one
 /// [`SweepContext`] memo so stage results common to several points are
 /// computed once.
 ///
 /// Results are produced in the spec's deterministic case order regardless of
 /// the worker count, and every report is bit-for-bit identical to what the
-/// serial path ([`SweepEngine::serial`]) produces. The streaming entry
-/// points ([`SweepEngine::run_streaming`] and friends) hold only an
-/// `O(workers)` reorder window in memory; [`SweepEngine::run`] is the same
-/// pipeline with a collect-to-`Vec` sink.
+/// serial path ([`SweepEngine::serial`]) produces. [`SweepEngine::stream`]
+/// holds only an `O(workers)` reorder window in memory; [`SweepEngine::run`]
+/// is the same pipeline with a collect-to-`Vec` sink.
 ///
 /// ```
 /// use ecochip_core::sweep::{SweepAxis, SweepEngine, SweepSpec};
@@ -242,7 +202,9 @@ impl SweepEngine {
         self.chunk
     }
 
-    /// Evaluate every point of `spec`, in its deterministic case order.
+    /// Evaluate every point of `spec` with a fresh memo, collecting them in
+    /// deterministic case order — the collect-to-`Vec` special case of
+    /// [`SweepEngine::stream`].
     ///
     /// # Errors
     ///
@@ -253,62 +215,27 @@ impl SweepEngine {
         estimator: &EcoChip,
         spec: &SweepSpec,
     ) -> Result<Vec<SweepPoint>, EcoChipError> {
-        self.run_sharded(estimator, spec, Shard::FULL)
-    }
-
-    /// Evaluate the slice of `spec` a [`Shard`] owns, in case order.
-    /// Concatenating the results of shards `0/N..N-1/N` reproduces
-    /// [`SweepEngine::run`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the spec's case-generation error, or the estimator error of
-    /// the lowest-index failing point of the shard.
-    pub fn run_sharded(
-        &self,
-        estimator: &EcoChip,
-        spec: &SweepSpec,
-        shard: Shard,
-    ) -> Result<Vec<SweepPoint>, EcoChipError> {
-        let context = SweepContext::new();
         let mut points = Vec::new();
-        self.stream(estimator, spec, shard, &context, None, &mut |point| {
-            points.push(point);
-            Ok(())
-        })?;
+        self.stream(
+            estimator,
+            spec,
+            Shard::FULL,
+            &SweepContext::new(),
+            None,
+            &mut |point| {
+                points.push(point);
+                Ok(())
+            },
+        )?;
         Ok(points)
     }
 
-    /// Evaluate every point of `spec`, emitting each [`SweepPoint`] to
-    /// `sink` in deterministic case order as soon as it (and all its
-    /// predecessors) are ready. Returns the number of points emitted.
-    ///
-    /// At most `O(workers)` points are in flight at any time — the reorder
-    /// window applies backpressure to the workers — so the full product is
-    /// never held in memory.
+    /// [`SweepEngine::stream`] over a [`Shard`] with no stage timings, kept
+    /// as a shorthand for existing callers.
     ///
     /// # Errors
     ///
-    /// Returns the spec's case-generation error, the estimator error of the
-    /// lowest-index failing point, or the first error returned by `sink`.
-    pub fn run_streaming<S: SweepSink + ?Sized>(
-        &self,
-        estimator: &EcoChip,
-        spec: &SweepSpec,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        self.run_streaming_with(estimator, spec, Shard::FULL, &SweepContext::new(), sink)
-    }
-
-    /// Full-control streaming: evaluate the slice of `spec` that `shard`
-    /// owns against a caller-provided [`SweepContext`] (e.g. one restored
-    /// from a memo file), emitting points to `sink` in case order. Returns
-    /// the number of points emitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the spec's case-generation error, the estimator error of the
-    /// lowest-index failing point, or the first error returned by `sink`.
+    /// As [`SweepEngine::stream`].
     pub fn run_streaming_with<S: SweepSink + ?Sized>(
         &self,
         estimator: &EcoChip,
@@ -320,152 +247,43 @@ impl SweepEngine {
         self.stream(estimator, spec, shard, context, None, sink)
     }
 
-    /// [`SweepEngine::run_streaming_with`] with an optional per-stage
-    /// duration collector: when `timings` is `Some`, each point's
-    /// estimator call is measured into [`StageTimings`] (serving's
-    /// per-request stage histograms and trace spans). The `None` path
-    /// costs one branch per point.
+    /// The one way to run a sweep: evaluate the `slice` of `spec`'s case
+    /// space against `context`, emitting each [`SweepPoint`] to `sink` in
+    /// deterministic case order as soon as it (and all its predecessors)
+    /// are ready. Returns the number of points emitted.
+    ///
+    /// * `slice` is a [`Shard`] (concatenating shards `0/N..N-1/N`
+    ///   reproduces the full run) or an explicit index range — the resume
+    ///   primitive behind orchestrator failover: re-streaming the unemitted
+    ///   suffix `[s + k, e)` of an interrupted range reproduces exactly the
+    ///   missing points. A range is checked by
+    ///   [`validate_case_range`](crate::sweep::validate_case_range).
+    /// * `context` is the shared memo (fresh, warm, or restored from a memo
+    ///   file).
+    /// * When `timings` is `Some`, each point's estimator call is measured
+    ///   into [`StageTimings`]; `None` costs one branch per point.
+    ///
+    /// Workers pull case indices, decode and evaluate them, and park the
+    /// results in a bounded reorder window the calling thread drains in
+    /// order into `sink`: at most `O(workers)` points are in flight, so the
+    /// full product is never held in memory.
     ///
     /// # Errors
     ///
-    /// As [`SweepEngine::run_streaming_with`].
-    pub fn run_streaming_timed<S: SweepSink + ?Sized>(
+    /// Returns the spec's case-generation error,
+    /// [`EcoChipError::InvalidSystem`] for an out-of-bounds range, the
+    /// estimator error of the lowest-index failing point, or the first error
+    /// returned by `sink`.
+    pub fn stream<S: SweepSink + ?Sized>(
         &self,
         estimator: &EcoChip,
         spec: &SweepSpec,
-        shard: Shard,
+        slice: impl Into<SweepSlice>,
         context: &SweepContext,
         timings: Option<&StageTimings>,
         sink: &mut S,
     ) -> Result<usize, EcoChipError> {
-        self.stream(estimator, spec, shard, context, timings, sink)
-    }
-
-    /// Stream an explicit, contiguous index range `[range.start,
-    /// range.end)` of `spec`'s case space into `sink`, in case order.
-    /// Returns the number of points emitted.
-    ///
-    /// This is the resume primitive behind orchestrator failover: a shard
-    /// is a contiguous slice of the index space, so when a worker dies
-    /// after emitting `k` points of shard range `[s, e)`, re-dispatching
-    /// `[s + k, e)` to another worker reproduces exactly the missing
-    /// suffix — the merged stream stays bit-for-bit identical to the
-    /// unsharded run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::InvalidSystem`] when the range is inverted
-    /// or extends past the spec's case count, plus the usual streaming
-    /// errors ([`SweepEngine::run_streaming_with`]).
-    pub fn run_range_with<S: SweepSink + ?Sized>(
-        &self,
-        estimator: &EcoChip,
-        spec: &SweepSpec,
-        range: std::ops::Range<usize>,
-        context: &SweepContext,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        let total = spec.try_len()?;
-        validate_case_range(total, &range)?;
-        self.stream_range(estimator, spec, range, context, None, sink)
-    }
-
-    /// [`SweepEngine::run_range_with`] with an optional per-stage
-    /// duration collector (see [`SweepEngine::run_streaming_timed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepEngine::run_range_with`].
-    pub fn run_range_timed<S: SweepSink + ?Sized>(
-        &self,
-        estimator: &EcoChip,
-        spec: &SweepSpec,
-        range: std::ops::Range<usize>,
-        context: &SweepContext,
-        timings: Option<&StageTimings>,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        let total = spec.try_len()?;
-        validate_case_range(total, &range)?;
-        self.stream_range(estimator, spec, range, context, timings, sink)
-    }
-
-    /// Evaluate explicit cases (e.g. pre-processed for custom labels) with a
-    /// fresh memo context.
-    ///
-    /// # Errors
-    ///
-    /// Returns the estimator error of the lowest-index failing case.
-    pub fn run_cases(
-        &self,
-        estimator: &EcoChip,
-        cases: Vec<SweepCase>,
-    ) -> Result<Vec<SweepPoint>, EcoChipError> {
-        self.run_cases_with(estimator, cases, &SweepContext::new())
-    }
-
-    /// Evaluate explicit cases against a caller-provided [`SweepContext`],
-    /// so several sweeps can share one memo (or inspect its
-    /// [`stats`](SweepContext::stats) afterwards).
-    ///
-    /// # Errors
-    ///
-    /// Returns the estimator error of the lowest-index failing case.
-    pub fn run_cases_with(
-        &self,
-        estimator: &EcoChip,
-        cases: Vec<SweepCase>,
-        context: &SweepContext,
-    ) -> Result<Vec<SweepPoint>, EcoChipError> {
-        let mut points = Vec::with_capacity(cases.len());
-        self.stream(
-            estimator,
-            cases.as_slice(),
-            Shard::FULL,
-            context,
-            None,
-            &mut |point| {
-                points.push(point);
-                Ok(())
-            },
-        )?;
-        Ok(points)
-    }
-
-    /// The shared work-queue pipeline behind every entry point: workers pull
-    /// case indices, decode + evaluate, and park results in a bounded
-    /// reorder window the calling thread drains in order into `sink`.
-    pub(crate) fn stream<C: CaseSource + ?Sized, S: SweepSink + ?Sized>(
-        &self,
-        estimator: &EcoChip,
-        source: &C,
-        shard: Shard,
-        context: &SweepContext,
-        timings: Option<&StageTimings>,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
-        let total = source.total()?;
-        self.stream_range(
-            estimator,
-            source,
-            shard.range(total),
-            context,
-            timings,
-            sink,
-        )
-    }
-
-    /// The work-queue pipeline over an explicit (already validated) index
-    /// range of the case space.
-    fn stream_range<C: CaseSource + ?Sized, S: SweepSink + ?Sized>(
-        &self,
-        estimator: &EcoChip,
-        source: &C,
-        range: std::ops::Range<usize>,
-        context: &SweepContext,
-        timings: Option<&StageTimings>,
-        sink: &mut S,
-    ) -> Result<usize, EcoChipError> {
+        let range = slice.into().range(spec.try_len()?)?;
         let count = range.len();
         if count == 0 {
             return Ok(0);
@@ -473,7 +291,7 @@ impl SweepEngine {
 
         let variants = VariantCache::new(estimator);
         let evaluate = |index: usize| -> Result<SweepPoint, EcoChipError> {
-            let case = source.case(index)?;
+            let case = spec.case_at(index)?;
             let estimator = variants.estimator_for(case.fab_source);
             // Near-zero-cost disabled path: untimed requests pay one
             // branch per point, never a clock read.
@@ -716,28 +534,6 @@ fn source_bits(source: EnergySource) -> u64 {
     source.carbon_intensity().kg_per_kwh().to_bits()
 }
 
-/// Validate that `range` is a slice of a `total`-case sweep — the single
-/// definition of the bounds rule, shared by [`SweepEngine::run_range_with`]
-/// and front ends that want to reject a bad resume range before they
-/// commit to a response (e.g. the HTTP server's pre-stream 400).
-///
-/// # Errors
-///
-/// Returns [`EcoChipError::InvalidSystem`] when the range is inverted or
-/// extends past `total`.
-pub fn validate_case_range(
-    total: usize,
-    range: &std::ops::Range<usize>,
-) -> Result<(), EcoChipError> {
-    if range.start > range.end || range.end > total {
-        return Err(EcoChipError::InvalidSystem(format!(
-            "case range {}..{} is not a slice of the sweep's {total} cases",
-            range.start, range.end
-        )));
-    }
-    Ok(())
-}
-
 fn default_jobs() -> usize {
     if let Ok(value) = std::env::var(JOBS_ENV_VAR) {
         if let Ok(jobs) = value.trim().parse::<usize>() {
@@ -798,6 +594,29 @@ mod tests {
             .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0, 4.0]))
     }
 
+    /// Stream `slice` of `spec` against `context`, collecting the points.
+    fn collect(
+        engine: &SweepEngine,
+        spec: &SweepSpec,
+        slice: impl Into<SweepSlice>,
+        context: &SweepContext,
+    ) -> Result<Vec<SweepPoint>, EcoChipError> {
+        let mut points = Vec::new();
+        let emitted = engine.stream(
+            &EcoChip::default(),
+            spec,
+            slice,
+            context,
+            None,
+            &mut |point| {
+                points.push(point);
+                Ok(())
+            },
+        )?;
+        assert_eq!(emitted, points.len());
+        Ok(points)
+    }
+
     #[test]
     fn parallel_matches_serial_exactly() {
         let estimator = EcoChip::default();
@@ -819,14 +638,8 @@ mod tests {
         let spec = spec();
         let collected = SweepEngine::new().run(&estimator, &spec).unwrap();
         for jobs in [1, 2, 5, 16] {
-            let mut streamed = Vec::new();
-            let emitted = SweepEngine::with_jobs(jobs)
-                .run_streaming(&estimator, &spec, &mut |point| {
-                    streamed.push(point);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(emitted, collected.len(), "jobs={jobs}");
+            let engine = SweepEngine::with_jobs(jobs);
+            let streamed = collect(&engine, &spec, Shard::FULL, &SweepContext::new()).unwrap();
             assert_eq!(streamed, collected, "jobs={jobs}");
         }
     }
@@ -840,11 +653,8 @@ mod tests {
             let mut merged = Vec::new();
             for index in 0..of {
                 let shard = Shard::new(index, of).unwrap();
-                merged.extend(
-                    SweepEngine::with_jobs(2)
-                        .run_sharded(&estimator, &spec, shard)
-                        .unwrap(),
-                );
+                let engine = SweepEngine::with_jobs(2);
+                merged.extend(collect(&engine, &spec, shard, &SweepContext::new()).unwrap());
             }
             assert_eq!(merged, full, "of={of}");
         }
@@ -858,33 +668,15 @@ mod tests {
         let total = full.len();
         // Any contiguous range reproduces exactly that slice, so a shard
         // interrupted after k points resumes bit-for-bit from index k.
+        let engine = SweepEngine::with_jobs(2);
         for (start, end) in [(0, total), (3, 9), (5, 5), (total - 1, total)] {
-            let mut points = Vec::new();
-            let emitted = SweepEngine::with_jobs(2)
-                .run_range_with(
-                    &estimator,
-                    &spec,
-                    start..end,
-                    &SweepContext::new(),
-                    &mut |point| {
-                        points.push(point);
-                        Ok(())
-                    },
-                )
-                .unwrap();
-            assert_eq!(emitted, end - start);
+            let points = collect(&engine, &spec, start..end, &SweepContext::new()).unwrap();
             assert_eq!(points, full[start..end], "range {start}..{end}");
         }
         // Out-of-bounds and inverted ranges are rejected up front.
         #[allow(clippy::reversed_empty_ranges)]
         for bad in [0..total + 1, 7..3] {
-            let result = SweepEngine::new().run_range_with(
-                &estimator,
-                &spec,
-                bad.clone(),
-                &SweepContext::new(),
-                &mut |_point| Ok(()),
-            );
+            let result = collect(&engine, &spec, bad.clone(), &SweepContext::new());
             assert!(
                 matches!(result, Err(EcoChipError::InvalidSystem(_))),
                 "{bad:?}"
@@ -897,27 +689,31 @@ mod tests {
         let estimator = EcoChip::default();
         let spec = spec();
         let mut emitted = 0usize;
-        let result = SweepEngine::with_jobs(4).run_streaming(&estimator, &spec, &mut |_point| {
-            emitted += 1;
-            if emitted == 3 {
-                Err(EcoChipError::InvalidSystem("sink full".into()))
-            } else {
-                Ok(())
-            }
-        });
+        let result = SweepEngine::with_jobs(4).stream(
+            &estimator,
+            &spec,
+            Shard::FULL,
+            &SweepContext::new(),
+            None,
+            &mut |_point| {
+                emitted += 1;
+                if emitted == 3 {
+                    Err(EcoChipError::InvalidSystem("sink full".into()))
+                } else {
+                    Ok(())
+                }
+            },
+        );
         assert!(matches!(result, Err(EcoChipError::InvalidSystem(_))));
         assert_eq!(emitted, 3);
     }
 
     #[test]
     fn memoization_skips_repeated_floorplans_and_manufacturing() {
-        let estimator = EcoChip::default();
         let context = SweepContext::new();
-        let cases = spec().cases().unwrap();
-        let total = cases.len();
-        SweepEngine::serial()
-            .run_cases_with(&estimator, cases, &context)
-            .unwrap();
+        let total = collect(&SweepEngine::serial(), &spec(), Shard::FULL, &context)
+            .unwrap()
+            .len();
         let stats = context.stats();
         // Lifetime points share the packaging point's outlines; only the
         // packaging variants differ in comm area.
@@ -972,15 +768,8 @@ mod tests {
         let total = reference.len();
         for jobs in [1usize, 2, 4] {
             for chunk in [1usize, 3, 7, total, total + 5] {
-                let mut streamed = Vec::new();
-                let emitted = SweepEngine::with_jobs(jobs)
-                    .with_chunk(chunk)
-                    .run_streaming(&estimator, &spec, &mut |point| {
-                        streamed.push(point);
-                        Ok(())
-                    })
-                    .unwrap();
-                assert_eq!(emitted, total, "jobs={jobs} chunk={chunk}");
+                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                let streamed = collect(&engine, &spec, Shard::FULL, &SweepContext::new()).unwrap();
                 assert_eq!(streamed, reference, "jobs={jobs} chunk={chunk}");
             }
         }
@@ -1012,7 +801,14 @@ mod tests {
         };
         let emitted = SweepEngine::with_jobs(4)
             .with_chunk(5)
-            .run_streaming(&estimator, &spec, &mut sink)
+            .stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &SweepContext::new(),
+                None,
+                &mut sink,
+            )
             .unwrap();
         assert_eq!(emitted, reference.len());
         assert_eq!(sink.points, reference);
@@ -1032,12 +828,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_case_list_yields_no_points() {
-        let estimator = EcoChip::default();
-        let points = SweepEngine::new()
-            .run_cases(&estimator, Vec::new())
-            .unwrap();
-        assert!(points.is_empty());
+    fn empty_range_yields_no_points() {
+        for jobs in [1, 4] {
+            let engine = SweepEngine::with_jobs(jobs);
+            let points = collect(&engine, &spec(), 5..5, &SweepContext::new()).unwrap();
+            assert!(points.is_empty());
+        }
         assert!(SweepEngine::with_jobs(0).jobs() == 1);
         assert!(SweepEngine::default().jobs() >= 1);
     }

@@ -50,15 +50,17 @@
 //! index in `O(axes)` without materializing the product — which unlocks
 //! three scale features:
 //!
-//! * **Streaming.** [`SweepEngine::run_streaming`] pushes points to a
-//!   [`SweepSink`] in deterministic order while holding only an
-//!   `O(workers)` reorder window, so million-point spaces are not
+//! * **Streaming.** [`SweepEngine::stream`] — the one way to run a sweep —
+//!   pushes points to a [`SweepSink`] in deterministic order while holding
+//!   only an `O(workers)` reorder window, so million-point spaces are not
 //!   memory-bound. [`SweepEngine::run`] is the collect-to-`Vec` sink over
 //!   the same pipeline.
-//! * **Sharding.** A [`Shard`]`{ index, of }` selector deterministically
-//!   partitions the index space into contiguous, balanced slices for
-//!   cross-process distribution; concatenating all shards' outputs equals
-//!   the unsharded run bit-for-bit.
+//! * **Sharding.** Every stream evaluates one [`SweepSlice`]: a
+//!   [`Shard`]`{ index, of }` selector that deterministically partitions
+//!   the index space into contiguous, balanced slices for cross-process
+//!   distribution (concatenating all shards' outputs equals the unsharded
+//!   run bit-for-bit), or an explicit index range that resumes an
+//!   interrupted shard exactly where it stopped.
 //! * **Memo persistence.** [`SweepContext::save_to`] /
 //!   [`SweepContext::load_from`] persist the floorplan and manufacturing
 //!   memos as versioned JSON keyed by
@@ -70,13 +72,11 @@ mod axis;
 mod context;
 mod engine;
 
-pub use axis::{Shard, SweepAxis, SweepCase, SweepCaseIter, SweepSpec};
-pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
-pub use engine::{
-    validate_case_range, SweepEngine, SweepSink, CHUNK_ENV_VAR, DEFAULT_CHUNK, JOBS_ENV_VAR,
+pub use axis::{
+    validate_case_range, Shard, SweepAxis, SweepCase, SweepCaseIter, SweepSlice, SweepSpec,
 };
-
-pub(crate) use engine::MappedSpec;
+pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
+pub use engine::{SweepEngine, SweepSink, CHUNK_ENV_VAR, DEFAULT_CHUNK, JOBS_ENV_VAR};
 
 use serde::{Deserialize, Serialize};
 

@@ -17,6 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
+pub use ecochip_core::sweep::SweepSlice;
 use ecochip_core::sweep::{Shard, SweepAxis, SweepSpec, SweepStats};
 use ecochip_core::{dse, opt, CarbonReport, System};
 use ecochip_techdb::TechDb;
@@ -190,17 +191,6 @@ pub struct IndexRange {
     pub start: usize,
     /// One past the last case index (exclusive).
     pub end: usize,
-}
-
-/// The slice of a sweep's index space one worker evaluates: a balanced
-/// [`Shard`] selector or an explicit index range (resume form).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SweepSlice {
-    /// Shard `index`/`of` of the case space ([`Shard::range`] decides the
-    /// concrete indices).
-    Shard(Shard),
-    /// An explicit half-open index range.
-    Range(std::ops::Range<usize>),
 }
 
 impl SweepRequest {

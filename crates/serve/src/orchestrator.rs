@@ -39,9 +39,7 @@ use ecochip_core::{opt, EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_trace::FieldValue;
 
-use crate::api::{
-    MemoImportResponse, OptimizeRequest, StatsResponse, SweepFormat, SweepRequest, SweepSlice,
-};
+use crate::api::{MemoImportResponse, OptimizeRequest, StatsResponse, SweepFormat, SweepRequest};
 use crate::client::Connection;
 use crate::ServeError;
 
@@ -246,11 +244,12 @@ where
                         let engine = SweepEngine::with_optional_jobs(jobs);
                         let context = SweepContext::new();
                         let shard = Shard::new(index, shards).expect("index < shards");
-                        let result = engine.run_streaming_with(
+                        let result = engine.stream(
                             &estimator,
                             spec,
                             shard,
                             &context,
+                            None,
                             &mut |point: SweepPoint| {
                                 let line = serde_json::to_string(&point).map_err(|e| {
                                     EcoChipError::Io(format!("serializing sweep point: {e}"))
@@ -901,14 +900,7 @@ pub fn unsharded_outcome(
         points += 1;
         Ok(())
     };
-    match slice {
-        SweepSlice::Shard(shard) => {
-            engine.run_streaming_with(&estimator, &spec, shard, &context, &mut sink)?
-        }
-        SweepSlice::Range(range) => {
-            engine.run_range_with(&estimator, &spec, range, &context, &mut sink)?
-        }
-    };
+    engine.stream(&estimator, &spec, slice, &context, None, &mut sink)?;
     Ok(OrchestratorOutcome {
         points,
         fingerprint: fingerprint.digest(),

@@ -65,7 +65,7 @@ use ecochip_trace::{FieldValue, Stage, StageTimings};
 use crate::api::{
     BatchEstimateItem, ErrorResponse, EstimateRequest, EstimateResponse, HealthResponse,
     MemoImportResponse, OptimizeRequest, RouteLatency, StatsResponse, SweepFormat, SweepRequest,
-    SweepSlice, TestcasesResponse, TraceResponse, TraceSpan,
+    TestcasesResponse, TraceResponse, TraceSpan,
 };
 use crate::frames;
 use crate::http;
@@ -1508,17 +1508,12 @@ fn sweep(
         Ok(resolved) => resolved,
         Err(error) => return respond_error(writer, &error, keep_alive),
     };
-    // Validate an explicit range before committing to the 200 status line,
-    // so a malformed resume request gets a clean 400 instead of an in-band
-    // stream error. The bounds rule is the engine's (`validate_case_range`),
-    // checked early here.
-    if let SweepSlice::Range(range) = &slice {
-        let checked = spec
-            .try_len()
-            .and_then(|total| ecochip_core::sweep::validate_case_range(total, range));
-        if let Err(error) = checked {
-            return respond_error(writer, &ServeError::Estimator(error), keep_alive);
-        }
+    // Validate the slice before committing to the 200 status line, so a
+    // malformed resume range gets a clean 400 instead of an in-band stream
+    // error. The bounds rule is the engine's (`SweepSlice::range`), checked
+    // early here.
+    if let Err(error) = spec.try_len().and_then(|total| slice.range(total)) {
+        return respond_error(writer, &ServeError::Estimator(error), keep_alive);
     }
     timings.record(Stage::Decode, decode_started.elapsed());
     let trace = ecochip_trace::current_trace();
@@ -1549,18 +1544,9 @@ fn sweep(
         header_sent: false,
         bytes: 0,
     };
-    let result = match slice {
-        SweepSlice::Shard(shard) => {
-            state
-                .service
-                .run_streaming_timed(&spec, shard, Some(&timings), &mut sink)
-        }
-        SweepSlice::Range(range) => {
-            state
-                .service
-                .run_streaming_range_timed(&spec, range, Some(&timings), &mut sink)
-        }
-    };
+    let result = state
+        .service
+        .stream(&spec, slice, Some(&timings), &mut sink);
     match result {
         Ok(_) => {
             // A zero-point framed sweep still sends the stream header so

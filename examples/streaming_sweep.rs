@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         Ok(())
     };
-    engine.run_streaming_with(&estimator, &spec, Shard::FULL, &context, &mut sink)?;
+    engine.stream(&estimator, &spec, Shard::FULL, &context, None, &mut sink)?;
     let stats = context.stats();
     println!(
         "  memo after run 1: {} floorplan misses, {} manufacturing misses",
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         Ok(())
     };
-    engine.run_streaming_with(&estimator, &spec, shard, &warm, &mut warm_sink)?;
+    engine.stream(&estimator, &spec, shard, &warm, None, &mut warm_sink)?;
     let warm_stats = warm.stats();
     println!(
         "  memo after run 2: {} hits, {} misses",

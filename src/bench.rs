@@ -411,7 +411,14 @@ pub fn run_core(options: &BenchOptions) -> Result<BenchSuite, BenchError> {
             Ok(())
         };
         let emitted = streaming
-            .run_streaming(&estimator, &spec, &mut sink)
+            .stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &SweepContext::new(),
+                None,
+                &mut sink,
+            )
             .map_err(run_error)?;
         std::hint::black_box(bytes);
         Ok(emitted as u64)
@@ -449,7 +456,14 @@ pub fn run_core(options: &BenchOptions) -> Result<BenchSuite, BenchError> {
             line: String::new(),
         };
         let emitted = chunked
-            .run_streaming(&estimator, &spec, &mut sink)
+            .stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &SweepContext::new(),
+                None,
+                &mut sink,
+            )
             .map_err(run_error)?;
         std::hint::black_box(sink.bytes);
         Ok(emitted as u64)

@@ -474,7 +474,7 @@ fn run_sweep(
         }
     }
     let stream = options.stream;
-    service.run_streaming(&spec, shard, &mut |point: SweepPoint| {
+    service.stream(&spec, shard, None, &mut |point: SweepPoint| {
         use std::io::Write;
         if let (Some(out), Some(format)) = (&mut stream_out, stream) {
             line.clear();

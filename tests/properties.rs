@@ -137,9 +137,12 @@ fn jsonl_stream(
 ) -> String {
     let mut out = String::new();
     engine
-        .run_streaming(
+        .stream(
             est,
             spec,
+            eco_chip::core::sweep::Shard::FULL,
+            &eco_chip::core::sweep::SweepContext::new(),
+            None,
             &mut |point: eco_chip::core::sweep::SweepPoint| {
                 out.push_str(&serde_json::to_string(&point).unwrap());
                 out.push('\n');

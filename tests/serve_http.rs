@@ -397,6 +397,42 @@ fn malformed_requests_get_http_errors_not_hangs() {
 }
 
 #[test]
+fn hostile_bodies_get_400_and_the_server_keeps_serving() {
+    let (handle, addr) = boot(default_config());
+
+    // 200 KB of `[` once recursed the JSON parser off the end of its stack
+    // and aborted the whole server; now the nesting cap refuses it.
+    let nested = "[".repeat(200_000);
+    for path in ["/v1/estimate", "/v1/sweep"] {
+        let response = client::post_json(&addr, path, &nested).unwrap();
+        assert_eq!(response.status, 400, "{path}");
+        let text = response.text().unwrap();
+        assert!(text.contains("nesting deeper than"), "{path}: {text}");
+    }
+
+    // A sweep whose case count overflows `usize` (64 two-point axes) is
+    // refused before the stream starts, like any other bad slice.
+    let request = SweepRequest {
+        testcase: Some("ga102".into()),
+        system: None,
+        axis: None,
+        axes: Some(vec![SweepAxis::lifetimes_years(&[1.0, 2.0]); 64]),
+        shard: None,
+        range: None,
+        format: None,
+    };
+    let body = serde_json::to_string(&request).unwrap();
+    let response = client::post_json(&addr, "/v1/sweep", &body).unwrap();
+    assert_eq!(response.status, 400);
+    assert!(response.text().unwrap().contains("sweep too large"));
+
+    let health = client::get(&addr, "/v1/healthz").unwrap();
+    assert_eq!(health.status, 200);
+
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn concurrent_clients_all_get_exact_results() {
     let (handle, addr) = boot(default_config());
     let expected = reference_lines("ga102-3chiplet", "lifetime");

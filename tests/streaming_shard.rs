@@ -82,10 +82,17 @@ fn streaming_emission_order_matches_run_on_every_builtin_testcase() {
         assert_eq!(collected.len(), 15, "{}", system.name);
         let mut streamed = Vec::new();
         let emitted = SweepEngine::with_jobs(8)
-            .run_streaming(&estimator, &spec, &mut |point| {
-                streamed.push(point);
-                Ok(())
-            })
+            .stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &SweepContext::new(),
+                None,
+                &mut |point| {
+                    streamed.push(point);
+                    Ok(())
+                },
+            )
             .unwrap();
         assert_eq!(emitted, collected.len(), "{}", system.name);
         assert_bit_for_bit(&collected, &streamed);
@@ -102,11 +109,19 @@ fn shard_union_reproduces_the_unsharded_sweep_on_every_builtin_testcase() {
             let mut merged = Vec::new();
             for index in 0..of {
                 let shard = Shard::new(index, of).unwrap();
-                merged.extend(
-                    SweepEngine::with_jobs(2)
-                        .run_sharded(&estimator, &spec, shard)
-                        .unwrap(),
-                );
+                SweepEngine::with_jobs(2)
+                    .stream(
+                        &estimator,
+                        &spec,
+                        shard,
+                        &SweepContext::new(),
+                        None,
+                        &mut |point| {
+                            merged.push(point);
+                            Ok(())
+                        },
+                    )
+                    .unwrap();
             }
             assert_bit_for_bit(&full, &merged);
         }
@@ -229,7 +244,14 @@ fn oversized_sweeps_error_instead_of_overflowing() {
     ));
     let mut sink = |_point: SweepPoint| Ok(());
     assert!(matches!(
-        SweepEngine::new().run_streaming(&estimator, &spec, &mut sink),
+        SweepEngine::new().stream(
+            &estimator,
+            &spec,
+            Shard::FULL,
+            &SweepContext::new(),
+            None,
+            &mut sink
+        ),
         Err(EcoChipError::SweepTooLarge(_))
     ));
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
 use eco_chip::core::dse::{sweep_energy_sources, sweep_node_tuples};
-use eco_chip::core::sweep::{SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
+use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::core::{EcoChip, System};
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
@@ -83,14 +83,23 @@ fn parallel_engine_matches_serial_on_every_builtin_testcase() {
 fn memoized_reports_match_direct_memo_free_estimation() {
     let estimator = EcoChip::default();
     for system in builtin_systems() {
-        let cases = SweepSpec::new(system.clone())
+        let spec = SweepSpec::new(system.clone())
             .axis(SweepAxis::Packaging(all_packagings()))
-            .axis(SweepAxis::lifetimes_years(&[1.0, 3.0]))
-            .cases()
-            .unwrap();
+            .axis(SweepAxis::lifetimes_years(&[1.0, 3.0]));
         let context = SweepContext::new();
-        let points = SweepEngine::with_jobs(4)
-            .run_cases_with(&estimator, cases, &context)
+        let mut points = Vec::new();
+        SweepEngine::with_jobs(4)
+            .stream(
+                &estimator,
+                &spec,
+                Shard::FULL,
+                &context,
+                None,
+                &mut |point| {
+                    points.push(point);
+                    Ok(())
+                },
+            )
             .unwrap();
         // The memo was actually exercised: the lifetime axis never changes
         // the outline set, so at most one floorplan per packaging point.
