@@ -27,7 +27,7 @@
 //!   and a parallel, streaming [`SweepEngine`](sweep::SweepEngine) with
 //!   deterministic ordering.
 //! * [`EcoChipService`] — the batch API: one warm sweep memo amortised over
-//!   many `estimate` / `run` requests, with fingerprint-checked memo
+//!   many `estimate` / `stream` requests, with fingerprint-checked memo
 //!   persistence across processes.
 //! * [`dse`] — design-space-exploration sweeps (technology tuples, packaging
 //!   architectures, reuse ratios, lifetimes, chiplet counts and fab energy

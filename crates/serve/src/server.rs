@@ -1509,9 +1509,9 @@ fn sweep(
         Err(error) => return respond_error(writer, &error, keep_alive),
     };
     // Validate the slice before committing to the 200 status line, so a
-    // malformed resume range gets a clean 400 instead of an in-band stream
-    // error. The bounds rule is the engine's (`SweepSlice::range`), checked
-    // early here.
+    // malformed resume range or an oversized sweep gets a clean 400 instead
+    // of an in-band stream error. The rule is the engine's
+    // (`SweepSlice::range`), checked early here.
     if let Err(error) = spec.try_len().and_then(|total| slice.range(total)) {
         return respond_error(writer, &ServeError::Estimator(error), keep_alive);
     }
