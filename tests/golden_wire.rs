@@ -7,6 +7,10 @@
 //! serializer path against another that shares the same number formatter,
 //! so they cannot see a formatting change; these files can.
 //!
+//! `tests/golden/pretty/` pins the pretty-printed JSON the CLI writes
+//! (`--export` and `--json`), the `GET /v1/memo` body after a packaging
+//! sweep and the compact `TechDb`, whose maps key on integers.
+//!
 //! `tests/golden/bounded_optimize/` pins `POST /v1/optimize` against a
 //! server whose memo is bounded to 8 entries per cache: the pareto, anneal
 //! and genetic event streams over a chiplet-count × node × packaging space,
@@ -88,6 +92,92 @@ fn current_outputs() -> Vec<(String, Vec<u8>)> {
         cli_stream("ga102-3chiplet", "packaging"),
     ));
     handle.shutdown().expect("server shutdown");
+    outputs
+}
+
+/// Run `ecochip` with `args`, asserting success.
+fn cli(args: &[&str]) {
+    let output = Command::new(env!("CARGO_BIN_EXE_ecochip"))
+        .args(args)
+        .output()
+        .expect("run ecochip");
+    assert!(
+        output.status.success(),
+        "ecochip {args:?} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+/// The pretty-printed files the CLI writes (`--export`, and `--json` for a
+/// report and a sweep), the memo export after a packaging sweep, whose
+/// entry lists are tuples, and the compact `TechDb`, whose maps key on
+/// integers.
+fn pretty_outputs() -> Vec<(String, Vec<u8>)> {
+    let scratch =
+        std::env::temp_dir().join(format!("ecochip-golden-pretty-{}", std::process::id()));
+    let export = scratch.join("export");
+    let mut outputs = Vec::new();
+
+    cli(&["--export", export.to_str().expect("UTF-8 temp path")]);
+    let mut exported: Vec<PathBuf> = std::fs::read_dir(&export)
+        .expect("read export dir")
+        .map(|entry| entry.expect("export entry").path())
+        .collect();
+    exported.sort();
+    for path in exported {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        outputs.push((
+            format!("export.{name}"),
+            std::fs::read(&path).expect("read export"),
+        ));
+    }
+
+    for (name, extra) in [
+        ("ga102-3chiplet.report.json", &[][..]),
+        (
+            "ga102-3chiplet.packaging.json",
+            &["--sweep", "packaging"][..],
+        ),
+    ] {
+        let path = scratch.join(name);
+        let path_arg = path.to_str().expect("UTF-8 temp path");
+        let mut args = vec!["--testcase", "ga102-3chiplet", "--json", path_arg];
+        args.extend_from_slice(extra);
+        cli(&args);
+        outputs.push((
+            name.into(),
+            std::fs::read(&path).expect("read --json output"),
+        ));
+    }
+    std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
+
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: Some(1),
+        threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral server");
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+    let sweep = client::post_json(
+        &addr,
+        "/v1/sweep",
+        "{\"testcase\":\"ga102-3chiplet\",\"axis\":\"packaging\"}",
+    )
+    .expect("POST /v1/sweep");
+    assert_eq!(sweep.status, 200, "{:?}", sweep.text());
+    let memo = client::get(&addr, "/v1/memo").expect("GET /v1/memo");
+    assert_eq!(memo.status, 200, "{:?}", memo.text());
+    outputs.push(("ga102-3chiplet.packaging.memo.json".into(), memo.body));
+    handle.shutdown().expect("server shutdown");
+
+    outputs.push((
+        "techdb.compact.json".into(),
+        serde_json::to_string(&TechDb::default())
+            .expect("encode TechDb")
+            .into_bytes(),
+    ));
     outputs
 }
 
@@ -230,6 +320,11 @@ fn check_golden(dir: &Path, outputs: &[(String, Vec<u8>)]) {
 #[test]
 fn wire_bytes_match_golden_files() {
     check_golden(&golden_dir("wire"), &current_outputs());
+}
+
+#[test]
+fn pretty_and_map_keyed_bytes_match_golden_files() {
+    check_golden(&golden_dir("pretty"), &pretty_outputs());
 }
 
 #[test]
