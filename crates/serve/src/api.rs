@@ -98,10 +98,10 @@ pub enum BatchEstimateItem {
 }
 
 impl Serialize for BatchEstimateItem {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
         match self {
-            Self::Ok(response) => response.to_value(),
-            Self::Err(error) => error.to_value(),
+            Self::Ok(response) => response.write_json(out),
+            Self::Err(error) => error.write_json(out),
         }
     }
 }

@@ -3,9 +3,8 @@
 //! Every built-in test case's `POST /v1/estimate` body and its
 //! `ecochip --sweep lifetime --stream jsonl` output, plus the
 //! `ga102-3chiplet` packaging sweep, are compared byte for byte against the
-//! files in `tests/golden/wire/`. The in-process parity suites compare one
-//! serializer path against another that shares the same number formatter,
-//! so they cannot see a formatting change; these files can.
+//! files in `tests/golden/wire/`, so a formatting change anywhere in the
+//! serializer shows up here.
 //!
 //! `tests/golden/pretty/` pins the pretty-printed JSON the CLI writes
 //! (`--export` and `--json`), the `GET /v1/memo` body after a packaging
@@ -46,18 +45,23 @@ fn golden_dir(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// `ecochip --testcase <name> --sweep <axis> --stream jsonl`, stdout bytes.
-fn cli_stream(testcase: &str, axis: &str) -> Vec<u8> {
+/// Run `ecochip` with `args`, asserting success; its stdout bytes.
+fn cli(args: &[&str]) -> Vec<u8> {
     let output = Command::new(env!("CARGO_BIN_EXE_ecochip"))
-        .args(["--testcase", testcase, "--sweep", axis, "--stream", "jsonl"])
+        .args(args)
         .output()
         .expect("run ecochip");
     assert!(
         output.status.success(),
-        "ecochip --testcase {testcase} --sweep {axis} failed: {}",
+        "ecochip {args:?} failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     output.stdout
+}
+
+/// `ecochip --testcase <name> --sweep <axis> --stream jsonl`, stdout bytes.
+fn cli_stream(testcase: &str, axis: &str) -> Vec<u8> {
+    cli(&["--testcase", testcase, "--sweep", axis, "--stream", "jsonl"])
 }
 
 /// Every golden file's name and the bytes the current build produces for it.
@@ -93,19 +97,6 @@ fn current_outputs() -> Vec<(String, Vec<u8>)> {
     ));
     handle.shutdown().expect("server shutdown");
     outputs
-}
-
-/// Run `ecochip` with `args`, asserting success.
-fn cli(args: &[&str]) {
-    let output = Command::new(env!("CARGO_BIN_EXE_ecochip"))
-        .args(args)
-        .output()
-        .expect("run ecochip");
-    assert!(
-        output.status.success(),
-        "ecochip {args:?} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
 }
 
 /// The pretty-printed files the CLI writes (`--export`, and `--json` for a

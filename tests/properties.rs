@@ -212,37 +212,67 @@ proptest! {
     }
 }
 
-/// The derive-generated streaming serializer (`Serialize::write_json`,
-/// which `serde_json::to_string` uses) must be byte-identical to the
-/// `Value`-tree emitter for every sweep point. Serializing the point's
-/// `to_value()` tree routes through the tree emitter, so the two calls
-/// exercise the two paths. The packaging sweep covers every internally
-/// tagged `PackagingArchitecture` variant.
-#[test]
-fn streaming_serializer_matches_value_tree_for_every_builtin() {
-    use eco_chip::core::dse::named_sweep_axis;
-    use eco_chip::core::sweep::{SweepEngine, SweepSpec};
-    use eco_chip::techdb::TechDb;
-    use eco_chip::testcases::catalog;
-    use serde::Serialize;
+/// Name characters that stress the pretty printer's string skipping: JSON
+/// structure, quotes and backslashes, control characters and non-ASCII.
+fn tricky_name() -> impl Strategy<Value = Vec<char>> {
+    prop::collection::vec(
+        prop::sample::select(vec![
+            'a', 'Z', '7', ' ', '"', '\\', '{', '}', '[', ']', ',', ':', '\n', '\r', '\t', '\u{0}',
+            '\u{1f}', '\u{7f}', 'é', '→', '\u{2028}', '😀',
+        ]),
+        0..16,
+    )
+}
 
-    let db = TechDb::default();
-    let est = EcoChip::default();
-    let engine = SweepEngine::with_jobs(1);
-    let sweeps = catalog::names()
-        .into_iter()
-        .map(|name| (name, "lifetime"))
-        .chain([("ga102-3chiplet".to_string(), "packaging")]);
-    for (name, axis) in sweeps {
-        let system = catalog::build(&db, &name).unwrap();
-        let spec = SweepSpec::new(system.clone()).axis(named_sweep_axis(axis, &system).unwrap());
-        for point in engine.run(&est, &spec).unwrap() {
-            let streamed = serde_json::to_string(&point).unwrap();
-            let tree = serde_json::to_string(&point.to_value()).unwrap();
-            assert_eq!(
-                streamed, tree,
-                "{name} {axis} sweep: write_json diverged from the Value tree"
-            );
+/// `json` without the whitespace that lies outside its string literals.
+fn strip_layout(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let (mut in_string, mut escaped) = (false, false);
+    for c in json.chars() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+        } else if c == '"' {
+            in_string = true;
+        } else if matches!(c, ' ' | '\t' | '\n' | '\r') {
+            continue;
         }
+        out.push(c);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Pretty output is the compact output re-indented: both decode back to
+    /// the system, and dropping the layout whitespace from the pretty text
+    /// gives the compact text exactly, whatever the names hold.
+    #[test]
+    fn pretty_json_is_compact_json_reindented(
+        system_name in tricky_name(),
+        chiplet_names in prop::collection::vec(tricky_name(), 4),
+        nc in 1usize..4,
+        logic in arbitrary_node(),
+        packaging in arbitrary_packaging(),
+        lifetime_years in 0.5f64..10.0,
+    ) {
+        let nodes = NodeTuple::new(logic, TechNode::N14, TechNode::N10);
+        let mut system =
+            build_system(2.0e10, 5.0e9, 1.0e9, nc, nodes, packaging, lifetime_years);
+        system.name = system_name.into_iter().collect();
+        for (chiplet, name) in system.chiplets.iter_mut().zip(chiplet_names) {
+            chiplet.name = name.into_iter().collect();
+        }
+
+        let compact = serde_json::to_string(&system).unwrap();
+        let pretty = serde_json::to_string_pretty(&system).unwrap();
+        prop_assert_eq!(serde_json::from_str::<System>(&compact).unwrap(), system.clone());
+        prop_assert_eq!(serde_json::from_str::<System>(&pretty).unwrap(), system);
+        prop_assert_eq!(strip_layout(&pretty), compact);
     }
 }
