@@ -1,8 +1,9 @@
 //! End-to-end coverage of the carbon-aware optimization layer
 //! (`ecochip-core::opt`): the HTTP `/v1/optimize` route against the
-//! in-process reference, the CLI's exit-code contract, seeded determinism
-//! at the process boundary, and a property test that the streaming Pareto
-//! frontier is invariant to `--jobs`, `--chunk` and shard count.
+//! in-process reference, seeded determinism at the process boundary
+//! (the CLI's exit-code contract lives in `tests/cli.rs`), and a property
+//! test that the streaming Pareto frontier is invariant to `--jobs`,
+//! `--chunk` and shard count.
 
 use std::process::Command;
 
@@ -143,7 +144,7 @@ fn http_optimize_echoes_traces_rejects_bad_requests_and_counts_metrics() {
 }
 
 #[test]
-fn cli_optimize_is_byte_deterministic_and_exits_2_on_bad_flags() {
+fn cli_optimize_is_byte_deterministic() {
     let run = |extra: &[&str]| {
         Command::new(BIN)
             .args([
@@ -179,160 +180,6 @@ fn cli_optimize_is_byte_deterministic_and_exits_2_on_bad_flags() {
         .to_owned();
     let done: OptEvent = serde_json::from_str(&done_line).unwrap();
     assert_eq!((done.event.as_str(), done.evaluated), ("done", 12));
-
-    // Malformed optimize flags exit 2 with a one-line hint on stderr.
-    let usage_cases: &[(&[&str], &str)] = &[
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "hillclimb",
-            ],
-            "pareto|anneal|genetic",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "anneal",
-                "--budget",
-                "0",
-            ],
-            "--budget needs a positive integer",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "anneal",
-                "--budget",
-                "-3",
-            ],
-            "--budget needs a positive integer",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "anneal",
-                "--seed",
-                "banana",
-            ],
-            "--seed needs an unsigned 64-bit integer",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "pareto",
-                "--objectives",
-                "embodied,karma",
-            ],
-            "unknown objective",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "pareto",
-                "--objectives",
-                " , ",
-            ],
-            "empty objective",
-        ),
-        (
-            &["--testcase", "ga102", "--optimize", "pareto"],
-            "--optimize requires --sweep",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--budget",
-                "5",
-            ],
-            "--budget requires --optimize",
-        ),
-        (
-            &["--testcase", "ga102", "--sweep", "lifetime", "--seed", "1"],
-            "--seed requires --optimize",
-        ),
-        (
-            &[
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--optimize",
-                "pareto",
-                "--stream",
-                "jsonl",
-            ],
-            "drop --stream",
-        ),
-        (
-            &[
-                "orchestrate",
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--workers",
-                "2",
-                "--rounds",
-                "3",
-            ],
-            "--rounds requires --optimize",
-        ),
-        (
-            &[
-                "orchestrate",
-                "--testcase",
-                "ga102",
-                "--sweep",
-                "lifetime",
-                "--workers",
-                "2",
-                "--optimize",
-                "anneal",
-                "--check",
-            ],
-            "does not apply to --optimize",
-        ),
-    ];
-    for (args, hint) in usage_cases {
-        let output = Command::new(BIN).args(*args).output().expect("run ecochip");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "args {args:?} stderr {stderr}"
-        );
-        assert!(
-            stderr.contains(hint),
-            "args {args:?}: stderr {stderr:?} lacks {hint:?}"
-        );
-    }
 }
 
 #[test]
