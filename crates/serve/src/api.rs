@@ -369,17 +369,10 @@ impl OptimizeRequest {
         }
     }
 
-    /// Resolve the request into the spec, the shard to explore, and the
-    /// optimization parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Api`] for missing/conflicting design fields, unknown
-    /// test-case/axis/method/objective names and malformed shard
-    /// selectors; [`ServeError::Estimator`] when a known test case fails
-    /// to build.
-    pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, Shard, opt::OptConfig), ServeError> {
-        let sweep = SweepRequest {
+    /// The sweep this request searches: its design, axes and shard.
+    #[must_use]
+    pub fn sweep(&self) -> SweepRequest {
+        SweepRequest {
             testcase: self.testcase.clone(),
             system: self.system.clone(),
             axis: self.axis.clone(),
@@ -387,8 +380,20 @@ impl OptimizeRequest {
             shard: self.shard.clone(),
             range: None,
             format: None,
-        };
-        let (spec, slice) = sweep.resolve(db)?;
+        }
+    }
+
+    /// Resolve the request into the spec, the shard to explore, and the
+    /// optimization parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Api`] for missing/conflicting design fields, unknown
+    /// test-case/axis/method/objective names, malformed shard selectors
+    /// and a zero budget; [`ServeError::Estimator`] when a known test case
+    /// fails to build.
+    pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, Shard, opt::OptConfig), ServeError> {
+        let (spec, slice) = self.sweep().resolve(db)?;
         let SweepSlice::Shard(shard) = slice else {
             unreachable!("no range field on optimize requests");
         };
@@ -404,6 +409,11 @@ impl OptimizeRequest {
                 .parse()
                 .map_err(|e: opt::OptParseError| ServeError::Api(e.message().to_string()))?,
         };
+        if self.budget == Some(0) {
+            return Err(ServeError::Api(
+                "\"budget\" needs a positive integer, got 0".into(),
+            ));
+        }
         let config = opt::OptConfig {
             method,
             objectives,

@@ -545,9 +545,11 @@ pub struct IslandOutcome {
 
 /// Split `total` across `rounds` so every round gets `total/rounds` and the
 /// first `total % rounds` rounds absorb the remainder — the same balanced
-/// split [`Shard`] uses for index ranges.
+/// split [`Shard`] uses for index ranges. A round gets at least 1: the
+/// explorers evaluate one case on a zero budget anyway, and a worker
+/// refuses `"budget": 0`.
 fn round_budget(total: usize, rounds: usize, round: usize) -> usize {
-    total / rounds + usize::from(round < total % rounds)
+    (total / rounds + usize::from(round < total % rounds)).max(1)
 }
 
 /// Fan a carbon-aware search out across `pool` as an **island model**: each

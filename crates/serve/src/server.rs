@@ -170,6 +170,28 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// The estimation service this configuration describes: an estimator
+    /// over `techdb`, a sweep engine of `jobs` workers claiming `chunk`
+    /// cases, and the memo bounded to `memo_max_entries`, loaded from
+    /// `memo_file` and autosaved every `memo_save_every` new entries.
+    #[must_use]
+    pub fn service(&self) -> EcoChipService {
+        let db = self.techdb.clone().unwrap_or_default();
+        let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
+        let engine = SweepEngine::with_optional_jobs(self.jobs).with_optional_chunk(self.chunk);
+        let mut service = EcoChipService::with_engine(estimator, engine);
+        service.set_memo_capacity(self.memo_max_entries);
+        if let Some(path) = &self.memo_file {
+            service.load_memo_lenient(path);
+            if let Some(every) = self.memo_save_every {
+                service.save_memo_every(path, every);
+            }
+        }
+        service
+    }
+}
+
 /// Counters and flags shared by the event loop and every handler thread.
 struct ServerState {
     service: EcoChipService,
@@ -266,17 +288,8 @@ impl Server {
         if config.verbose {
             ecochip_trace::raise_level(ecochip_trace::Level::Info);
         }
-        let db = config.techdb.clone().unwrap_or_default();
-        let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db.clone()).build());
-        let engine = SweepEngine::with_optional_jobs(config.jobs).with_optional_chunk(config.chunk);
-        let mut service = EcoChipService::with_engine(estimator, engine);
-        service.set_memo_capacity(config.memo_max_entries);
-        if let Some(path) = &config.memo_file {
-            service.load_memo_lenient(path);
-            if let Some(every) = config.memo_save_every {
-                service.save_memo_every(path, every);
-            }
-        }
+        let service = config.service();
+        let db = service.estimator().config().techdb.clone();
 
         // Every connection is a file descriptor; cap the connection count
         // below the process limit so the listener, memo file, self-pipe and

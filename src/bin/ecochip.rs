@@ -84,23 +84,38 @@
 //! `--check` fails (exit 1) when a fresh run regresses beyond the
 //! tolerance against the committed baselines, `--bless` refreshes them.
 //!
-//! Exit codes: `0` on success, `2` for usage errors (unknown subcommands,
-//! flags, test cases, sweep axes, malformed `--addr`), `1` for runtime
-//! failures.
+//! Every command's flags are rows of one table ([`FLAGS`]), read by one
+//! parser that also checks which flags need or exclude others
+//! ([`REQUIRES`], [`CONFLICTS`]). The classic front end and `orchestrate`
+//! turn their design, axis, shard and search flags into an
+//! [`OptimizeRequest`] and resolve it with the function `POST /v1/sweep`
+//! and `POST /v1/optimize` use, so the CLI and HTTP accept and refuse the
+//! same inputs.
+//!
+//! Exit codes: `0` on success; `2` for usage errors, the inputs HTTP
+//! answers with `400`: unknown subcommands, flags, test cases and sweep
+//! axes, malformed flag values, `--addr`, `ECOCHIP_JOBS` or
+//! `ECOCHIP_CHUNK`, a flag without the flag it requires or with one it
+//! conflicts with (`--testcase` with `--design`, for one), and a
+//! `--design`/`--techdb` file that does not parse; `1` for runtime
+//! failures, such as a file that cannot be read. A file error names the
+//! file.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use eco_chip::core::costing::system_cost;
-use eco_chip::core::dse::{named_sweep_axis, NAMED_SWEEP_AXES};
+use eco_chip::core::dse::NAMED_SWEEP_AXES;
 use eco_chip::core::opt::{self, METHOD_NAMES, OBJECTIVE_NAMES};
-use eco_chip::core::sweep::{Shard, SweepEngine, SweepPoint, SweepSpec, CHUNK_ENV_VAR};
-use eco_chip::core::{EcoChip, EcoChipService, EstimatorConfig, System};
+use eco_chip::core::sweep::{Shard, SweepPoint, SweepSpec, CHUNK_ENV_VAR, JOBS_ENV_VAR};
+use eco_chip::core::{EcoChipService, System};
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
-use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server, SweepRequest};
+use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server};
 use eco_chip::techdb::TechDb;
-use eco_chip::testcases::catalog::{self, CatalogError};
-use eco_chip::testcases::io;
+use eco_chip::testcases::catalog;
+use eco_chip::testcases::io::{self, ConfigError};
 use eco_chip::trace::{self, FieldValue};
 
 /// Exit code for usage errors (unknown flags, test cases, sweep axes).
@@ -194,15 +209,6 @@ fn print_usage() {
     }
 }
 
-fn builtin_system(db: &TechDb, name: &str) -> CliResult<System> {
-    catalog::build(db, name).map_err(|error| match error {
-        CatalogError::UnknownTestcase(_) => CliError::usage(format!(
-            "unknown test case {name:?}; run `ecochip --list-testcases` to see the built-ins"
-        )),
-        CatalogError::Build(inner) => CliError::from(inner),
-    })
-}
-
 fn export_testcases(db: &TechDb, dir: &PathBuf) -> CliResult {
     use eco_chip::core::disaggregation::NodeTuple;
     use eco_chip::techdb::TechNode;
@@ -279,24 +285,7 @@ fn print_stats(service: &EcoChipService) {
     );
 }
 
-/// Build the request-serving [`EcoChipService`] a run uses: estimator over
-/// `db`, engine worker count, memo bound, memo load, autosave.
-fn build_service(db: TechDb, jobs: Option<usize>, options: &OutputOptions) -> EcoChipService {
-    let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
-    let engine = SweepEngine::with_optional_jobs(jobs).with_optional_chunk(options.chunk);
-    let mut service = EcoChipService::with_engine(estimator, engine);
-    service.set_memo_capacity(options.memo_cap);
-    if let Some(path) = &options.memo {
-        service.load_memo_lenient(path);
-    }
-    if let (Some(path), Some(every)) = (&options.memo, options.memo_save_every) {
-        service.save_memo_every(path, every);
-    }
-    service
-}
-
-fn run(system: &System, db: TechDb, options: &OutputOptions) -> CliResult {
-    let service = build_service(db, None, options);
+fn run(service: &EcoChipService, system: &System, options: &OutputOptions) -> CliResult {
     let report = service.estimate(system)?;
     println!("{report}");
     if let Some(path) = &options.csv {
@@ -320,8 +309,8 @@ fn run(system: &System, db: TechDb, options: &OutputOptions) -> CliResult {
     );
     let cost = system_cost(service.estimator(), system)?;
     println!("dollar cost per unit: {cost}");
-    save_memo(&service, options)?;
-    print_stats(&service);
+    save_memo(service, options)?;
+    print_stats(service);
     Ok(())
 }
 
@@ -378,17 +367,13 @@ impl StreamFormat {
 }
 
 fn run_sweep(
-    system: &System,
-    db: TechDb,
+    service: &EcoChipService,
+    spec: &SweepSpec,
+    shard: Shard,
     axis_name: &str,
-    jobs: Option<usize>,
     options: &OutputOptions,
 ) -> CliResult {
-    let service = build_service(db, jobs, options);
-
-    let axis = named_sweep_axis(axis_name, system).map_err(|e| CliError::usage(e.to_string()))?;
-    let spec = SweepSpec::new(system.clone()).axis(axis);
-    let shard = options.shard.unwrap_or(Shard::FULL);
+    let system = spec.base();
     let total = spec.try_len()?;
     let owned = shard.range(total).len();
 
@@ -474,7 +459,7 @@ fn run_sweep(
         }
     }
     let stream = options.stream;
-    service.stream(&spec, shard, None, &mut |point: SweepPoint| {
+    service.stream(spec, shard, None, &mut |point: SweepPoint| {
         use std::io::Write;
         if let (Some(out), Some(format)) = (&mut stream_out, stream) {
             line.clear();
@@ -557,8 +542,8 @@ fn run_sweep(
             println!("{note}");
         }
     }
-    save_memo(&service, options)?;
-    print_stats(&service);
+    save_memo(service, options)?;
+    print_stats(service);
     Ok(())
 }
 
@@ -567,24 +552,20 @@ fn run_sweep(
 /// (then the terminal `done` line) to stdout. Narration goes to stderr so
 /// seeded runs can be byte-diffed, exactly like `--stream jsonl`.
 fn run_optimize(
-    system: &System,
-    db: TechDb,
+    service: &EcoChipService,
+    spec: &SweepSpec,
+    shard: Shard,
     axis_name: &str,
-    jobs: Option<usize>,
-    options: &OutputOptions,
     config: &opt::OptConfig,
+    options: &OutputOptions,
 ) -> CliResult {
-    let service = build_service(db, jobs, options);
-    let axis = named_sweep_axis(axis_name, system).map_err(|e| CliError::usage(e.to_string()))?;
-    let spec = SweepSpec::new(system.clone()).axis(axis);
-    let shard = options.shard.unwrap_or(Shard::FULL);
     let total = spec.try_len()?;
     let owned = shard.range(total).len();
     eprintln!(
         "{} search over the {axis_name} space of {} ({owned} of {total} points, \
          budget {}, seed {}, objectives {}):",
         config.method.label(),
-        system.name,
+        spec.base().name,
         config.budget,
         config.seed,
         config.objectives.label()
@@ -598,7 +579,7 @@ fn run_optimize(
     let outcome = opt::optimize(
         service.estimator(),
         service.engine(),
-        &spec,
+        spec,
         shard,
         service.context(),
         None,
@@ -625,194 +606,371 @@ fn run_optimize(
         outcome.evaluated,
         outcome.frontier.len()
     );
-    save_memo(&service, options)?;
-    print_stats(&service);
+    save_memo(service, options)?;
+    print_stats(service);
     Ok(())
 }
 
+/// What a classic run writes besides its stdout report.
 struct OutputOptions {
     csv: Option<PathBuf>,
     json: Option<PathBuf>,
-    shard: Option<Shard>,
-    memo: Option<PathBuf>,
-    memo_cap: Option<usize>,
-    memo_save_every: Option<usize>,
     stream: Option<StreamFormat>,
-    chunk: Option<usize>,
+    memo: Option<PathBuf>,
 }
 
 /// Initialise structured logging: apply the `ECOCHIP_LOG` environment
 /// default, then strip the global `--log-level` / `--log-format` flags —
 /// valid anywhere on the command line, including after a subcommand — so
-/// the per-command parsers never see them.
+/// the per-command parser never sees them.
 fn init_logging(args: &mut Vec<String>) -> CliResult {
     trace::init_from_env();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--log-level" => {
-                let value = value_of(args, i, "--log-level")?;
-                let level = trace::Level::parse(&value).ok_or_else(|| {
-                    CliError::usage(format!(
-                        "--log-level needs error, warn, info or debug, got {value:?}"
-                    ))
-                })?;
-                trace::set_level(level);
-                args.drain(i..i + 2);
-            }
-            "--log-format" => {
-                let value = value_of(args, i, "--log-format")?;
-                let format = trace::LogFormat::parse(&value).ok_or_else(|| {
-                    CliError::usage(format!("--log-format needs text or json, got {value:?}"))
-                })?;
-                trace::set_format(format);
-                args.drain(i..i + 2);
-            }
-            _ => i += 1,
+        let flag = args[i].as_str();
+        if flag != "--log-level" && flag != "--log-format" {
+            i += 1;
+            continue;
         }
+        let value = args.get(i + 1).ok_or_else(|| missing_value(flag))?;
+        if flag == "--log-level" {
+            let level = trace::Level::parse(value).ok_or_else(|| {
+                CliError::usage(format!(
+                    "--log-level needs error, warn, info or debug, got {value:?}"
+                ))
+            })?;
+            trace::set_level(level);
+        } else {
+            let format = trace::LogFormat::parse(value).ok_or_else(|| {
+                CliError::usage(format!("--log-format needs text or json, got {value:?}"))
+            })?;
+            trace::set_format(format);
+        }
+        args.drain(i..i + 2);
     }
     Ok(())
 }
 
-/// Fetch the value following flag `i`, or fail with a usage hint.
-fn value_of(args: &[String], i: usize, flag: &str) -> CliResult<String> {
-    args.get(i + 1)
-        .cloned()
-        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
+fn missing_value(flag: &str) -> CliError {
+    CliError::usage(format!("{flag} needs a value"))
 }
 
-/// Parse a positive integer flag value.
-fn positive(value: &str, flag: &str) -> CliResult<usize> {
-    value
-        .parse()
-        .ok()
-        .filter(|&n: &usize| n > 0)
-        .ok_or_else(|| CliError::usage(format!("{flag} needs a positive integer, got {value:?}")))
+/// The commands a flag belongs to, as bits of a [`FLAGS`] row.
+const CLASSIC: u8 = 1;
+const SERVE: u8 = 1 << 1;
+const ORCHESTRATE: u8 = 1 << 2;
+const BENCH: u8 = 1 << 3;
+
+/// What follows a flag on the command line: nothing (a switch), free text,
+/// or a number of one kind.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    Nothing,
+    Text,
+    Positive,
+    NonNegative,
+    Seed,
+    Percent,
 }
 
-/// Parse a non-negative integer flag value (0 is meaningful, e.g. a
-/// `--memo-max-entries` bound that caches nothing).
-fn non_negative(value: &str, flag: &str) -> CliResult<usize> {
-    value.parse().map_err(|_| {
-        CliError::usage(format!(
-            "{flag} needs a non-negative integer, got {value:?}"
-        ))
+impl Takes {
+    /// Check `value`, given for `name` (a flag or an environment
+    /// variable); the error says which kind of value `name` needs.
+    fn check(self, name: &str, value: &str) -> CliResult {
+        let (kind, valid) = match self {
+            Takes::Nothing | Takes::Text => return Ok(()),
+            Takes::Positive => (
+                "a positive integer",
+                value.parse::<usize>().is_ok_and(|n| n > 0),
+            ),
+            // 0 is meaningful, e.g. a `--memo-max-entries` bound that
+            // caches nothing.
+            Takes::NonNegative => ("a non-negative integer", value.parse::<usize>().is_ok()),
+            Takes::Seed => ("an unsigned 64-bit integer", value.parse::<u64>().is_ok()),
+            Takes::Percent => (
+                "a non-negative number of percent",
+                value
+                    .parse::<f64>()
+                    .is_ok_and(|t| t.is_finite() && t >= 0.0),
+            ),
+        };
+        if valid {
+            Ok(())
+        } else {
+            Err(CliError::usage(format!(
+                "{name} needs {kind}, got {value:?}"
+            )))
+        }
+    }
+}
+
+/// Every per-command flag: its name, what follows it, and the commands
+/// that accept it.
+const FLAGS: &[(&str, Takes, u8)] = &[
+    ("--help", Takes::Nothing, CLASSIC | SERVE | ORCHESTRATE),
+    ("--testcase", Takes::Text, CLASSIC | ORCHESTRATE),
+    ("--design", Takes::Text, CLASSIC | ORCHESTRATE),
+    ("--techdb", Takes::Text, CLASSIC | SERVE | ORCHESTRATE),
+    ("--sweep", Takes::Text, CLASSIC | ORCHESTRATE),
+    ("--jobs", Takes::Positive, CLASSIC | SERVE | ORCHESTRATE),
+    ("--chunk", Takes::Positive, CLASSIC | SERVE),
+    ("--optimize", Takes::Text, CLASSIC | ORCHESTRATE),
+    ("--budget", Takes::Positive, CLASSIC | ORCHESTRATE),
+    ("--seed", Takes::Seed, CLASSIC | ORCHESTRATE),
+    ("--objectives", Takes::Text, CLASSIC | ORCHESTRATE),
+    ("--memo-file", Takes::Text, CLASSIC | SERVE),
+    ("--memo-max-entries", Takes::NonNegative, CLASSIC | SERVE),
+    ("--memo-save-every", Takes::Positive, CLASSIC | SERVE),
+    ("--verbose", Takes::Nothing, CLASSIC | SERVE),
+    ("--export", Takes::Text, CLASSIC),
+    ("--list-testcases", Takes::Nothing, CLASSIC),
+    ("--shard", Takes::Text, CLASSIC),
+    ("--stream", Takes::Text, CLASSIC),
+    ("--csv", Takes::Text, CLASSIC),
+    ("--json", Takes::Text, CLASSIC),
+    ("--addr", Takes::Text, SERVE),
+    ("--threads", Takes::Positive, SERVE),
+    ("--idle-timeout-ms", Takes::Positive, SERVE),
+    ("--max-requests-per-conn", Takes::Positive, SERVE),
+    ("--max-inflight", Takes::Positive, SERVE),
+    ("--max-connections", Takes::Positive, SERVE),
+    ("--workers", Takes::Positive, ORCHESTRATE),
+    ("--remote", Takes::Text, ORCHESTRATE),
+    ("--check", Takes::Nothing, ORCHESTRATE | BENCH),
+    ("--retries", Takes::NonNegative, ORCHESTRATE),
+    ("--backoff-ms", Takes::NonNegative, ORCHESTRATE),
+    ("--share-memo", Takes::Nothing, ORCHESTRATE),
+    ("--rounds", Takes::Positive, ORCHESTRATE),
+    ("--suite", Takes::Text, BENCH),
+    ("--smoke", Takes::Nothing, BENCH),
+    ("--repeats", Takes::Positive, BENCH),
+    ("--out", Takes::Text, BENCH),
+    ("--baseline", Takes::Text, BENCH),
+    ("--bless", Takes::Nothing, BENCH),
+    ("--tolerance", Takes::Percent, BENCH),
+];
+
+/// `(flag, needed, commands)`: for these commands, `flag` is a usage error
+/// without `needed`.
+const REQUIRES: &[(&str, &str, u8)] = &[
+    ("--shard", "--sweep", CLASSIC),
+    ("--stream", "--sweep", CLASSIC),
+    ("--chunk", "--sweep", CLASSIC),
+    ("--optimize", "--sweep", CLASSIC),
+    ("--budget", "--optimize", CLASSIC | ORCHESTRATE),
+    ("--seed", "--optimize", CLASSIC | ORCHESTRATE),
+    ("--objectives", "--optimize", CLASSIC | ORCHESTRATE),
+    ("--rounds", "--optimize", ORCHESTRATE),
+    ("--memo-save-every", "--memo-file", CLASSIC | SERVE),
+];
+
+/// `(flag, other, commands, error)`: for these commands, passing both
+/// flags is a usage error.
+const CONFLICTS: &[(&str, &str, u8, &str)] = &[
+    (
+        "--testcase",
+        "--design",
+        CLASSIC | ORCHESTRATE,
+        "pass either --testcase or --design, not both",
+    ),
+    (
+        "--optimize",
+        "--stream",
+        CLASSIC,
+        "--optimize already streams NDJSON events to stdout; drop --stream",
+    ),
+    (
+        "--optimize",
+        "--csv",
+        CLASSIC,
+        "--csv/--json export sweep points; they do not apply to --optimize",
+    ),
+    (
+        "--optimize",
+        "--json",
+        CLASSIC,
+        "--csv/--json export sweep points; they do not apply to --optimize",
+    ),
+    (
+        "--optimize",
+        "--check",
+        ORCHESTRATE,
+        "--check verifies sweep merges against the unsharded fingerprint; \
+         it does not apply to --optimize",
+    ),
+    (
+        "--workers",
+        "--remote",
+        ORCHESTRATE,
+        "pass either --workers (local threads) or --remote (server URLs), not both",
+    ),
+    (
+        "--check",
+        "--bless",
+        BENCH,
+        "--check and --bless are mutually exclusive",
+    ),
+];
+
+/// The flags given to one command, in order, each with its value (empty
+/// for a switch). A repeated flag's last value wins.
+struct Flags(Vec<(&'static str, String)>);
+
+impl Flags {
+    /// Parse `args` against the [`FLAGS`] rows of `command`, checking each
+    /// value, then check its [`REQUIRES`] and [`CONFLICTS`] rows. `--help`
+    /// (or `-h`) prints the usage and yields `None`.
+    fn parse(command: u8, args: &[String]) -> CliResult<Option<Self>> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let name = if arg == "-h" { "--help" } else { arg.as_str() };
+            let row = FLAGS
+                .iter()
+                .find(|&&(flag, _, commands)| flag == name && commands & command != 0);
+            let Some(&(flag, takes, _)) = row else {
+                let prefix = match command {
+                    SERVE => "serve ",
+                    ORCHESTRATE => "orchestrate ",
+                    BENCH => "bench ",
+                    _ => "",
+                };
+                return Err(CliError::usage(format!(
+                    "unknown {prefix}flag {arg:?}; run `ecochip --help` for usage"
+                )));
+            };
+            if flag == "--help" {
+                print_usage();
+                return Ok(None);
+            }
+            let value = if takes == Takes::Nothing {
+                String::new()
+            } else {
+                args.next().ok_or_else(|| missing_value(flag))?.clone()
+            };
+            takes.check(flag, &value)?;
+            given.push((flag, value));
+        }
+        let flags = Flags(given);
+        for &(flag, needed, commands) in REQUIRES {
+            if commands & command != 0 && flags.has(flag) && !flags.has(needed) {
+                return Err(CliError::usage(format!("{flag} requires {needed}")));
+            }
+        }
+        for &(flag, other, commands, error) in CONFLICTS {
+            if commands & command != 0 && flags.has(flag) && flags.has(other) {
+                return Err(CliError::usage(error));
+            }
+        }
+        Ok(Some(flags))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(given, _)| *given == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(given, _)| *given == flag)
+            .map(|(_, value)| value.as_str())
+    }
+
+    fn text(&self, flag: &str) -> Option<String> {
+        self.value(flag).map(str::to_owned)
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// The value of a numeric flag, which [`Flags::parse`] has checked.
+    fn number<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).and_then(|value| value.parse().ok())
+    }
+}
+
+/// Read a `--design` or `--techdb` file. A file that does not parse is bad
+/// input (exit 2, as HTTP answers an undecodable inline system with 400);
+/// one that cannot be read is a runtime failure (exit 1). Both errors name
+/// the path.
+fn load_input<T>(path: &Path, load: impl FnOnce(&Path) -> Result<T, ConfigError>) -> CliResult<T> {
+    load(path).map_err(|error| {
+        let message = format!("{}: {error}", path.display());
+        match error {
+            ConfigError::Parse(_) => CliError::Usage(message),
+            _ => CliError::Run(message.into()),
+        }
     })
 }
 
-/// Parse a `--seed` value: any unsigned 64-bit integer.
-fn parse_seed(value: &str) -> CliResult<u64> {
-    value.parse().map_err(|_| {
-        CliError::usage(format!(
-            "--seed needs an unsigned 64-bit integer, got {value:?}"
-        ))
-    })
+/// The `--techdb` database, if one was given.
+fn techdb(flags: &Flags) -> CliResult<Option<TechDb>> {
+    flags
+        .path("--techdb")
+        .map(|path| load_input(&path, |path| io::load_techdb(path)))
+        .transpose()
 }
 
-/// Parse a `--optimize` method name.
-fn parse_method(value: &str) -> CliResult<opt::OptMethod> {
-    value
-        .parse()
-        .map_err(|e: opt::OptParseError| CliError::usage(e.message().to_string()))
+/// The `--design` system, if one was given.
+fn design(flags: &Flags) -> CliResult<Option<System>> {
+    flags
+        .path("--design")
+        .map(|path| load_input(&path, |path| io::load_system(path)))
+        .transpose()
 }
 
-/// Parse a `--objectives` list.
-fn parse_objectives(value: &str) -> CliResult<opt::ObjectiveSet> {
-    value
-        .parse()
-        .map_err(|e: opt::OptParseError| CliError::usage(e.message().to_string()))
+/// The search request the design, axis, shard and search flags describe:
+/// the body `POST /v1/optimize` would decode, so it resolves exactly as
+/// HTTP does. A plain sweep or estimate uses only its design, axis and
+/// shard.
+fn search_request(flags: &Flags, system: Option<System>) -> OptimizeRequest {
+    OptimizeRequest {
+        testcase: flags.text("--testcase"),
+        system,
+        axis: flags.text("--sweep"),
+        axes: None,
+        shard: flags.text("--shard"),
+        method: flags.text("--optimize"),
+        budget: flags.number("--budget"),
+        seed: flags.number("--seed"),
+        objectives: flags.text("--objectives"),
+        island: None,
+        frontier: None,
+    }
 }
 
 /// `ecochip serve`: start the HTTP/JSON estimation service and block until
 /// it is shut down (`POST /v1/shutdown`).
 fn run_serve(args: &[String]) -> CliResult {
-    let mut config = ServeConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                config.addr = value_of(args, i, "--addr")?;
-                i += 2;
-            }
-            "--jobs" => {
-                config.jobs = Some(positive(&value_of(args, i, "--jobs")?, "--jobs")?);
-                i += 2;
-            }
-            "--chunk" => {
-                config.chunk = Some(positive(&value_of(args, i, "--chunk")?, "--chunk")?);
-                i += 2;
-            }
-            "--threads" => {
-                config.threads = positive(&value_of(args, i, "--threads")?, "--threads")?;
-                i += 2;
-            }
-            "--techdb" => {
-                let path = PathBuf::from(value_of(args, i, "--techdb")?);
-                config.techdb = Some(io::load_techdb(&path)?);
-                i += 2;
-            }
-            "--memo-file" => {
-                config.memo_file = Some(PathBuf::from(value_of(args, i, "--memo-file")?));
-                i += 2;
-            }
-            "--memo-max-entries" => {
-                config.memo_max_entries = Some(non_negative(
-                    &value_of(args, i, "--memo-max-entries")?,
-                    "--memo-max-entries",
-                )?);
-                i += 2;
-            }
-            "--memo-save-every" => {
-                config.memo_save_every = Some(positive(
-                    &value_of(args, i, "--memo-save-every")?,
-                    "--memo-save-every",
-                )?);
-                i += 2;
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout = std::time::Duration::from_millis(positive(
-                    &value_of(args, i, "--idle-timeout-ms")?,
-                    "--idle-timeout-ms",
-                )? as u64);
-                i += 2;
-            }
-            "--max-requests-per-conn" => {
-                config.max_requests_per_connection = positive(
-                    &value_of(args, i, "--max-requests-per-conn")?,
-                    "--max-requests-per-conn",
-                )?;
-                i += 2;
-            }
-            "--max-inflight" => {
-                config.max_inflight =
-                    positive(&value_of(args, i, "--max-inflight")?, "--max-inflight")?;
-                i += 2;
-            }
-            "--max-connections" => {
-                config.max_connections = positive(
-                    &value_of(args, i, "--max-connections")?,
-                    "--max-connections",
-                )?;
-                i += 2;
-            }
-            "--verbose" => {
-                config.verbose = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return Ok(());
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown serve flag {other:?}; run `ecochip --help` for usage"
-                )));
-            }
-        }
-    }
-    if config.memo_save_every.is_some() && config.memo_file.is_none() {
-        return Err(CliError::usage("--memo-save-every requires --memo-file"));
-    }
+    let Some(flags) = Flags::parse(SERVE, args)? else {
+        return Ok(());
+    };
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: flags.text("--addr").unwrap_or(defaults.addr),
+        jobs: flags.number("--jobs"),
+        chunk: flags.number("--chunk"),
+        threads: flags.number("--threads").unwrap_or(defaults.threads),
+        techdb: techdb(&flags)?,
+        memo_file: flags.path("--memo-file"),
+        memo_max_entries: flags.number("--memo-max-entries"),
+        memo_save_every: flags.number("--memo-save-every"),
+        idle_timeout: flags
+            .number("--idle-timeout-ms")
+            .map_or(defaults.idle_timeout, Duration::from_millis),
+        max_requests_per_connection: flags
+            .number("--max-requests-per-conn")
+            .unwrap_or(defaults.max_requests_per_connection),
+        max_inflight: flags
+            .number("--max-inflight")
+            .unwrap_or(defaults.max_inflight),
+        max_connections: flags
+            .number("--max-connections")
+            .unwrap_or(defaults.max_connections),
+        verbose: flags.has("--verbose"),
+    };
     let server = Server::bind(&config).map_err(serve_error)?;
     eprintln!(
         "ecochip-serve listening on http://{} ({} sweep jobs, {}-point chunks, {} handler threads, {} event loop)",
@@ -831,138 +989,25 @@ fn run_serve(args: &[String]) -> CliResult {
 /// servers, merge the ordered shard streams to stdout as JSON lines, and
 /// optionally verify the merge against the unsharded fingerprint.
 fn run_orchestrate(args: &[String]) -> CliResult {
-    let mut testcase: Option<String> = None;
-    let mut design: Option<PathBuf> = None;
-    let mut techdb_path: Option<PathBuf> = None;
-    let mut sweep: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut remote: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut check = false;
-    let mut share_memo = false;
-    let mut policy = FailoverPolicy::default();
-    let mut optimize: Option<opt::OptMethod> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut objectives: Option<opt::ObjectiveSet> = None;
-    let mut rounds: Option<usize> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--testcase" => {
-                testcase = Some(value_of(args, i, "--testcase")?);
-                i += 2;
-            }
-            "--design" => {
-                design = Some(PathBuf::from(value_of(args, i, "--design")?));
-                i += 2;
-            }
-            "--techdb" => {
-                techdb_path = Some(PathBuf::from(value_of(args, i, "--techdb")?));
-                i += 2;
-            }
-            "--sweep" => {
-                sweep = Some(value_of(args, i, "--sweep")?);
-                i += 2;
-            }
-            "--workers" => {
-                workers = Some(positive(&value_of(args, i, "--workers")?, "--workers")?);
-                i += 2;
-            }
-            "--remote" => {
-                remote = Some(value_of(args, i, "--remote")?);
-                i += 2;
-            }
-            "--jobs" => {
-                jobs = Some(positive(&value_of(args, i, "--jobs")?, "--jobs")?);
-                i += 2;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            "--retries" => {
-                policy.retries = non_negative(&value_of(args, i, "--retries")?, "--retries")?;
-                i += 2;
-            }
-            "--backoff-ms" => {
-                policy.backoff = std::time::Duration::from_millis(non_negative(
-                    &value_of(args, i, "--backoff-ms")?,
-                    "--backoff-ms",
-                )? as u64);
-                i += 2;
-            }
-            "--share-memo" => {
-                share_memo = true;
-                i += 1;
-            }
-            "--optimize" => {
-                optimize = Some(parse_method(&value_of(args, i, "--optimize")?)?);
-                i += 2;
-            }
-            "--budget" => {
-                budget = Some(positive(&value_of(args, i, "--budget")?, "--budget")?);
-                i += 2;
-            }
-            "--seed" => {
-                seed = Some(parse_seed(&value_of(args, i, "--seed")?)?);
-                i += 2;
-            }
-            "--objectives" => {
-                objectives = Some(parse_objectives(&value_of(args, i, "--objectives")?)?);
-                i += 2;
-            }
-            "--rounds" => {
-                rounds = Some(positive(&value_of(args, i, "--rounds")?, "--rounds")?);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return Ok(());
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown orchestrate flag {other:?}; run `ecochip --help` for usage"
-                )));
-            }
-        }
-    }
-
-    let Some(axis) = sweep else {
+    let Some(flags) = Flags::parse(ORCHESTRATE, args)? else {
+        return Ok(());
+    };
+    let jobs = flags.number("--jobs");
+    let defaults = FailoverPolicy::default();
+    let policy = FailoverPolicy {
+        retries: flags.number("--retries").unwrap_or(defaults.retries),
+        backoff: flags
+            .number("--backoff-ms")
+            .map_or(defaults.backoff, Duration::from_millis),
+    };
+    let rounds = flags.number("--rounds").unwrap_or(1);
+    if !flags.has("--sweep") {
         return Err(CliError::usage(format!(
             "orchestrate needs --sweep <{NAMED_SWEEP_AXES}>"
         )));
-    };
-    if optimize.is_none() {
-        for (flag, set) in [
-            ("--budget", budget.is_some()),
-            ("--seed", seed.is_some()),
-            ("--objectives", objectives.is_some()),
-            ("--rounds", rounds.is_some()),
-        ] {
-            if set {
-                return Err(CliError::usage(format!("{flag} requires --optimize")));
-            }
-        }
-    } else if check {
-        return Err(CliError::usage(
-            "--check verifies sweep merges against the unsharded fingerprint; \
-             it does not apply to --optimize",
-        ));
     }
-    let pool = match (workers, remote) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::usage(
-                "pass either --workers (local threads) or --remote (server URLs), not both",
-            ))
-        }
-        (None, None) => {
-            return Err(CliError::usage(
-                "orchestrate needs --workers <N> or --remote <url,url,...>",
-            ))
-        }
-        (Some(workers), None) => WorkerPool::Local { workers, jobs },
+    let pool = match (flags.number("--workers"), flags.value("--remote")) {
+        (Some(workers), _) => WorkerPool::Local { workers, jobs },
         (None, Some(urls)) => {
             let urls: Vec<String> = urls
                 .split(',')
@@ -975,40 +1020,25 @@ fn run_orchestrate(args: &[String]) -> CliResult {
             }
             WorkerPool::Remote(urls)
         }
-    };
-
-    let db = match &techdb_path {
-        Some(path) => io::load_techdb(path)?,
-        None => TechDb::default(),
-    };
-    let request = match (testcase, design) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::usage(
-                "pass either --testcase or --design, not both",
-            ))
-        }
         (None, None) => {
             return Err(CliError::usage(
-                "orchestrate needs a design: --testcase <name> or --design <system.json>",
+                "orchestrate needs --workers <N> or --remote <url,url,...>",
             ))
         }
-        (Some(name), None) => {
-            // Validate the name locally for a crisp exit-2 hint.
-            builtin_system(&db, &name)?;
-            SweepRequest::named(name, axis)
-        }
-        (None, Some(path)) => SweepRequest {
-            testcase: None,
-            system: Some(io::load_system(&path)?),
-            axis: Some(axis),
-            axes: None,
-            shard: None,
-            range: None,
-            format: None,
-        },
     };
 
-    if share_memo {
+    let db = techdb(&flags)?.unwrap_or_default();
+    let system = design(&flags)?;
+    if system.is_none() && !flags.has("--testcase") {
+        return Err(CliError::usage(
+            "orchestrate needs a design: --testcase <name> or --design <system.json>",
+        ));
+    }
+    let request = search_request(&flags, system);
+    // Resolve locally too, so a bad name or value exits 2 before any
+    // worker starts.
+    let (_, _, search) = request.resolve(&db).map_err(serve_error)?;
+    if flags.has("--share-memo") {
         let WorkerPool::Remote(urls) = &pool else {
             return Err(CliError::usage(
                 "--share-memo needs --remote (local workers share nothing over the wire)",
@@ -1048,44 +1078,17 @@ fn run_orchestrate(args: &[String]) -> CliResult {
         WorkerPool::Remote(_) => format!("{shards} remote servers"),
     };
 
-    if let Some(method) = optimize {
-        let opt_request = OptimizeRequest {
-            testcase: request.testcase.clone(),
-            system: request.system.clone(),
-            axis: request.axis.clone(),
-            axes: None,
-            shard: None,
-            method: Some(method.label().to_string()),
-            budget,
-            seed,
-            objectives: objectives.map(|set| set.label()),
-            island: None,
-            frontier: None,
-        };
-        let rounds = rounds.unwrap_or(1);
+    if flags.has("--optimize") {
         eprintln!(
             "orchestrating {} island search across {mode} ({rounds} rounds, \
              {} retries, {} ms backoff)",
-            method.label(),
+            search.method.label(),
             policy.retries,
             policy.backoff.as_millis()
         );
-        let mut merged_out = std::io::BufWriter::new(std::io::stdout().lock());
-        let outcome =
-            orchestrator::orchestrate_optimize(&db, &opt_request, &pool, &policy, rounds, |line| {
-                use std::io::Write;
-                merged_out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| merged_out.write_all(b"\n"))
-                    .map_err(|e| ServeError::Io(format!("writing merged stream: {e}")))
-            })
-            .map_err(serve_error)?;
-        {
-            use std::io::Write;
-            merged_out
-                .flush()
-                .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing merged stream: {e}")))?;
-        }
+        let outcome = merge_to_stdout(|on_line| {
+            orchestrator::orchestrate_optimize(&db, &request, &pool, &policy, rounds, on_line)
+        })?;
         eprintln!(
             "islands done: {} cases evaluated across {} islands in {} rounds, \
              {} points on the merged frontier",
@@ -1102,31 +1105,16 @@ fn run_orchestrate(args: &[String]) -> CliResult {
         policy.retries,
         policy.backoff.as_millis()
     );
-    // Merged lines go through one buffered writer over the locked stdout:
-    // the merger is single-threaded and ordered, so buffering changes
-    // nothing about the stream except the number of write syscalls.
-    let mut merged_out = std::io::BufWriter::new(std::io::stdout().lock());
-    let outcome = orchestrator::orchestrate_with(&db, &request, &pool, &policy, |line| {
-        use std::io::Write;
-        merged_out
-            .write_all(line.as_bytes())
-            .and_then(|()| merged_out.write_all(b"\n"))
-            .map_err(|e| ServeError::Io(format!("writing merged stream: {e}")))
-    })
-    .map_err(serve_error)?;
-    {
-        use std::io::Write;
-        merged_out
-            .flush()
-            .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing merged stream: {e}")))?;
-    }
+    let sweep = request.sweep();
+    let outcome = merge_to_stdout(|on_line| {
+        orchestrator::orchestrate_with(&db, &sweep, &pool, &policy, on_line)
+    })?;
     eprintln!(
         "merged {} points, fingerprint {:#018x}",
         outcome.points, outcome.fingerprint
     );
-    if check {
-        let reference =
-            orchestrator::unsharded_outcome(&db, &request, jobs).map_err(serve_error)?;
+    if flags.has("--check") {
+        let reference = orchestrator::unsharded_outcome(&db, &sweep, jobs).map_err(serve_error)?;
         if outcome != reference {
             return Err(CliError::Run(
                 format!(
@@ -1142,72 +1130,53 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Run an orchestrator merge, writing each merged line to stdout. Lines go
+/// through one buffered writer over the locked stdout: the merger is
+/// single-threaded and ordered, so buffering changes nothing about the
+/// stream except the number of write syscalls.
+fn merge_to_stdout<T>(
+    merge: impl FnOnce(&mut dyn FnMut(&str) -> Result<(), ServeError>) -> Result<T, ServeError>,
+) -> CliResult<T> {
+    use std::io::Write;
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let outcome = merge(&mut |line| {
+        out.write_all(line.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .map_err(|e| ServeError::Io(format!("writing merged stream: {e}")))
+    })
+    .map_err(serve_error)?;
+    out.flush()
+        .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing merged stream: {e}")))?;
+    Ok(outcome)
+}
+
 /// `ecochip bench`: run the deterministic perf workload matrix, write
 /// `BENCH_core.json` / `BENCH_serve.json`, and optionally gate a fresh run
 /// against committed baselines (`--check`) or refresh them (`--bless`).
 fn run_bench(args: &[String]) -> CliResult {
     use eco_chip::bench::{self, BenchOptions};
 
-    let mut options = BenchOptions::default();
-    let mut suites = "all".to_owned();
-    let mut out_dir: Option<PathBuf> = None;
-    let mut baseline_dir = PathBuf::from(".");
-    let mut check = false;
-    let mut bless = false;
-    let mut tolerance = bench::DEFAULT_TOLERANCE_PERCENT;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--suite" => {
-                suites = value_of(args, i, "--suite")?;
-                i += 2;
-            }
-            "--smoke" => {
-                options.smoke = true;
-                i += 1;
-            }
-            "--repeats" => {
-                options.repeats = positive(&value_of(args, i, "--repeats")?, "--repeats")?;
-                i += 2;
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(value_of(args, i, "--out")?));
-                i += 2;
-            }
-            "--baseline" => {
-                baseline_dir = PathBuf::from(value_of(args, i, "--baseline")?);
-                i += 2;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            "--bless" => {
-                bless = true;
-                i += 1;
-            }
-            "--tolerance" => {
-                let value = value_of(args, i, "--tolerance")?;
-                tolerance = value
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| {
-                        CliError::usage(format!(
-                            "--tolerance needs a non-negative number of percent, got {value:?}"
-                        ))
-                    })?;
-                i += 2;
-            }
-            other => return Err(CliError::usage(format!("unknown bench flag {other:?}"))),
-        }
+    let Some(flags) = Flags::parse(BENCH, args)? else {
+        return Ok(());
+    };
+    let mut options = BenchOptions {
+        smoke: flags.has("--smoke"),
+        ..BenchOptions::default()
+    };
+    if let Some(repeats) = flags.number("--repeats") {
+        options.repeats = repeats;
     }
-    if check && bless {
-        return Err(CliError::usage(
-            "--check and --bless are mutually exclusive",
-        ));
-    }
-    let (want_core, want_serve) = match suites.as_str() {
+    let tolerance = flags
+        .number("--tolerance")
+        .unwrap_or(bench::DEFAULT_TOLERANCE_PERCENT);
+    let suites = flags.value("--suite").unwrap_or("all");
+    let out_dir = flags.path("--out");
+    let baseline_dir = flags
+        .path("--baseline")
+        .unwrap_or_else(|| PathBuf::from("."));
+    let check = flags.has("--check");
+    let bless = flags.has("--bless");
+    let (want_core, want_serve) = match suites {
         "all" => (true, true),
         "core" => (true, false),
         "serve" => (false, true),
@@ -1292,262 +1261,94 @@ fn run_bench(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Reject a malformed `ECOCHIP_CHUNK` before any engine silently falls
-/// back to the default — a typo'd chunk size should fail loudly, exactly
-/// like a malformed `--chunk`.
-fn validate_env_chunk() -> CliResult {
-    match std::env::var(CHUNK_ENV_VAR) {
-        Ok(value) => positive(value.trim(), CHUNK_ENV_VAR).map(|_| ()),
-        Err(_) => Ok(()),
+/// Reject a malformed `ECOCHIP_JOBS` or `ECOCHIP_CHUNK` before any engine
+/// silently falls back to its default: a typo'd worker count or chunk size
+/// should fail as loudly as a malformed `--jobs` or `--chunk`.
+fn check_env() -> CliResult {
+    for var in [JOBS_ENV_VAR, CHUNK_ENV_VAR] {
+        if let Ok(value) = std::env::var(var) {
+            Takes::Positive.check(var, value.trim())?;
+        }
     }
+    Ok(())
 }
 
-fn real_main() -> CliResult {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        print_usage();
-        return Err(CliError::usage("no arguments given"));
+/// The classic front end: estimate, sweep or search one design, or export
+/// or list the built-in test cases.
+fn run_classic(args: &[String]) -> CliResult {
+    let Some(flags) = Flags::parse(CLASSIC, args)? else {
+        return Ok(());
+    };
+    if flags.has("--verbose") {
+        trace::raise_level(trace::Level::Info);
     }
-    init_logging(&mut args)?;
-    validate_env_chunk()?;
-
-    // Subcommand dispatch: a leading bare word selects a subcommand; the
-    // flag-only invocation remains the classic estimate/sweep front end.
-    match args[0].as_str() {
-        "serve" => return run_serve(&args[1..]),
-        "orchestrate" => return run_orchestrate(&args[1..]),
-        "bench" => return run_bench(&args[1..]),
-        other if !other.starts_with('-') => {
-            return Err(CliError::usage(format!(
-                "unknown subcommand {other:?} (expected serve, orchestrate or bench); \
-                 run `ecochip --help` for usage"
-            )));
-        }
-        _ => {}
-    }
-
-    let mut testcase: Option<String> = None;
-    let mut design: Option<PathBuf> = None;
-    let mut techdb_path: Option<PathBuf> = None;
-    let mut export: Option<PathBuf> = None;
-    let mut csv: Option<PathBuf> = None;
-    let mut json: Option<PathBuf> = None;
-    let mut sweep: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut chunk: Option<usize> = None;
-    let mut shard: Option<Shard> = None;
-    let mut memo: Option<PathBuf> = None;
-    let mut memo_cap: Option<usize> = None;
-    let mut memo_save_every: Option<usize> = None;
-    let mut stream: Option<StreamFormat> = None;
-    let mut optimize: Option<opt::OptMethod> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut objectives: Option<opt::ObjectiveSet> = None;
-    let mut list_testcases = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--testcase" => {
-                testcase = Some(value_of(&args, i, "--testcase")?);
-                i += 2;
-            }
-            "--design" => {
-                design = Some(PathBuf::from(value_of(&args, i, "--design")?));
-                i += 2;
-            }
-            "--techdb" => {
-                techdb_path = Some(PathBuf::from(value_of(&args, i, "--techdb")?));
-                i += 2;
-            }
-            "--export" => {
-                export = Some(PathBuf::from(value_of(&args, i, "--export")?));
-                i += 2;
-            }
-            "--csv" => {
-                csv = Some(PathBuf::from(value_of(&args, i, "--csv")?));
-                i += 2;
-            }
-            "--json" => {
-                json = Some(PathBuf::from(value_of(&args, i, "--json")?));
-                i += 2;
-            }
-            "--sweep" => {
-                sweep = Some(value_of(&args, i, "--sweep")?);
-                i += 2;
-            }
-            "--jobs" => {
-                jobs = Some(positive(&value_of(&args, i, "--jobs")?, "--jobs")?);
-                i += 2;
-            }
-            "--chunk" => {
-                chunk = Some(positive(&value_of(&args, i, "--chunk")?, "--chunk")?);
-                i += 2;
-            }
-            "--shard" => {
-                let value = value_of(&args, i, "--shard")?;
-                shard = Some(
-                    value
-                        .parse::<Shard>()
-                        .map_err(|e| CliError::usage(e.to_string()))?,
-                );
-                i += 2;
-            }
-            "--memo-file" => {
-                memo = Some(PathBuf::from(value_of(&args, i, "--memo-file")?));
-                i += 2;
-            }
-            "--memo-max-entries" => {
-                memo_cap = Some(non_negative(
-                    &value_of(&args, i, "--memo-max-entries")?,
-                    "--memo-max-entries",
-                )?);
-                i += 2;
-            }
-            "--memo-save-every" => {
-                memo_save_every = Some(positive(
-                    &value_of(&args, i, "--memo-save-every")?,
-                    "--memo-save-every",
-                )?);
-                i += 2;
-            }
-            "--stream" => {
-                stream = Some(StreamFormat::parse(&value_of(&args, i, "--stream")?)?);
-                i += 2;
-            }
-            "--optimize" => {
-                optimize = Some(parse_method(&value_of(&args, i, "--optimize")?)?);
-                i += 2;
-            }
-            "--budget" => {
-                budget = Some(positive(&value_of(&args, i, "--budget")?, "--budget")?);
-                i += 2;
-            }
-            "--seed" => {
-                seed = Some(parse_seed(&value_of(&args, i, "--seed")?)?);
-                i += 2;
-            }
-            "--objectives" => {
-                objectives = Some(parse_objectives(&value_of(&args, i, "--objectives")?)?);
-                i += 2;
-            }
-            "--verbose" => {
-                trace::raise_level(trace::Level::Info);
-                i += 1;
-            }
-            "--list-testcases" => {
-                list_testcases = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return Ok(());
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown flag {other:?}; run `ecochip --help` for usage"
-                )));
-            }
-        }
-    }
-
-    if list_testcases {
+    let stream = flags
+        .value("--stream")
+        .map(StreamFormat::parse)
+        .transpose()?;
+    if flags.has("--list-testcases") {
         for name in catalog::names() {
             println!("{name}");
         }
         return Ok(());
     }
-
-    let db = match &techdb_path {
-        Some(path) => io::load_techdb(path)?,
-        None => TechDb::default(),
-    };
-
-    if let Some(dir) = export {
+    let db = techdb(&flags)?.unwrap_or_default();
+    if let Some(dir) = flags.path("--export") {
         return export_testcases(&db, &dir);
     }
-
-    let system = if let Some(path) = design {
-        Some(io::load_system(&path)?)
-    } else if let Some(name) = &testcase {
-        Some(builtin_system(&db, name)?)
-    } else {
-        None
-    };
-    let Some(system) = system else {
+    let system = design(&flags)?;
+    if system.is_none() && !flags.has("--testcase") {
         print_usage();
         return Err(CliError::usage(
             "nothing to do: pass --testcase, --design, --export or --list-testcases",
         ));
-    };
-
-    if sweep.is_none() {
-        if shard.is_some() {
-            return Err(CliError::usage("--shard requires --sweep"));
-        }
-        if stream.is_some() {
-            return Err(CliError::usage("--stream requires --sweep"));
-        }
-        if chunk.is_some() {
-            return Err(CliError::usage("--chunk requires --sweep"));
-        }
-        if optimize.is_some() {
-            return Err(CliError::usage(format!(
-                "--optimize requires --sweep <{NAMED_SWEEP_AXES}> to define the search space"
-            )));
-        }
     }
-    if optimize.is_none() {
-        if budget.is_some() {
-            return Err(CliError::usage("--budget requires --optimize"));
-        }
-        if seed.is_some() {
-            return Err(CliError::usage("--seed requires --optimize"));
-        }
-        if objectives.is_some() {
-            return Err(CliError::usage("--objectives requires --optimize"));
-        }
-    } else {
-        if stream.is_some() {
-            return Err(CliError::usage(
-                "--optimize already streams NDJSON events to stdout; drop --stream",
-            ));
-        }
-        if csv.is_some() || json.is_some() {
-            return Err(CliError::usage(
-                "--csv/--json export sweep points; they do not apply to --optimize",
-            ));
-        }
+    let (spec, shard, search) = search_request(&flags, system)
+        .resolve(&db)
+        .map_err(serve_error)?;
+    let service = ServeConfig {
+        jobs: flags.number("--jobs"),
+        chunk: flags.number("--chunk"),
+        techdb: Some(db),
+        memo_file: flags.path("--memo-file"),
+        memo_max_entries: flags.number("--memo-max-entries"),
+        memo_save_every: flags.number("--memo-save-every"),
+        ..ServeConfig::default()
     }
-    if memo_save_every.is_some() && memo.is_none() {
-        return Err(CliError::usage("--memo-save-every requires --memo-file"));
-    }
-
+    .service();
     let options = OutputOptions {
-        csv,
-        json,
-        shard,
-        memo,
-        memo_cap,
-        memo_save_every,
+        csv: flags.path("--csv"),
+        json: flags.path("--json"),
         stream,
-        chunk,
+        memo: flags.path("--memo-file"),
     };
-    match (sweep, optimize) {
-        (Some(axis), Some(method)) => {
-            let config = opt::OptConfig {
-                method,
-                objectives: objectives.unwrap_or_default(),
-                budget: budget.unwrap_or(opt::DEFAULT_BUDGET),
-                seed: seed.unwrap_or(opt::DEFAULT_SEED),
-                island: None,
-                seed_frontier: Vec::new(),
-            };
-            run_optimize(&system, db, &axis, jobs, &options, &config)
-        }
-        (Some(axis), None) => run_sweep(&system, db, &axis, jobs, &options),
-        (None, _) => run(&system, db, &options),
+    match (flags.value("--sweep"), flags.has("--optimize")) {
+        (Some(axis), true) => run_optimize(&service, &spec, shard, axis, &search, &options),
+        (Some(axis), false) => run_sweep(&service, &spec, shard, axis, &options),
+        (None, _) => run(&service, spec.base(), &options),
+    }
+}
+
+fn real_main() -> CliResult {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    init_logging(&mut args)?;
+    if args.is_empty() {
+        print_usage();
+        return Err(CliError::usage("no arguments given"));
+    }
+    check_env()?;
+
+    // Subcommand dispatch: a leading bare word selects a subcommand; the
+    // flag-only invocation remains the classic estimate/sweep front end.
+    match args[0].as_str() {
+        "serve" => run_serve(&args[1..]),
+        "orchestrate" => run_orchestrate(&args[1..]),
+        "bench" => run_bench(&args[1..]),
+        other if !other.starts_with('-') => Err(CliError::usage(format!(
+            "unknown subcommand {other:?} (expected serve, orchestrate or bench); \
+             run `ecochip --help` for usage"
+        ))),
+        _ => run_classic(&args),
     }
 }
 

@@ -912,6 +912,99 @@ const USAGE_CASES: &[UsageCase] = &[
         2,
         "--tolerance needs a non-negative number of percent",
     ),
+    // The classic front end refuses two designs, as orchestrate and HTTP do.
+    (
+        &["--testcase", "ga102", "--design", "@design"],
+        &[],
+        2,
+        "pass either --testcase or --design, not both",
+    ),
+    // A malformed worker count fails like a malformed chunk size.
+    (
+        &["--testcase", "ga102", "--sweep", "lifetime"],
+        &[("ECOCHIP_JOBS", "bogus")],
+        2,
+        "ECOCHIP_JOBS needs a positive integer",
+    ),
+    (
+        &["--testcase", "ga102"],
+        &[("ECOCHIP_JOBS", "0")],
+        2,
+        "ECOCHIP_JOBS needs a positive integer",
+    ),
+    // Names resolve through the HTTP request types and read as their 400
+    // body does.
+    (
+        &["--testcase", "nope"],
+        &[],
+        2,
+        "bad request: unknown test case \"nope\"; the built-ins are: ",
+    ),
+    (
+        &["--testcase", "ga102", "--sweep", "wrong"],
+        &[],
+        2,
+        "bad request: invalid system description: unknown sweep axis \"wrong\"",
+    ),
+    (
+        &[
+            "orchestrate",
+            "--testcase",
+            "nope",
+            "--sweep",
+            "lifetime",
+            "--workers",
+            "2",
+        ],
+        &[],
+        2,
+        "bad request: unknown test case \"nope\"; the built-ins are: ",
+    ),
+    // Input files name their path; one that does not parse is a usage error.
+    (
+        &["--design", "@bad"],
+        &[],
+        2,
+        "bad.json: configuration parse error",
+    ),
+    (
+        &["--testcase", "ga102", "--techdb", "@bad"],
+        &[],
+        2,
+        "bad.json: configuration parse error",
+    ),
+    (
+        &["serve", "--techdb", "@bad"],
+        &[],
+        2,
+        "bad.json: configuration parse error",
+    ),
+    (
+        &[
+            "orchestrate",
+            "--design",
+            "@bad",
+            "--sweep",
+            "lifetime",
+            "--workers",
+            "2",
+        ],
+        &[],
+        2,
+        "bad.json: configuration parse error",
+    ),
+    (
+        &["--design", "@missing"],
+        &[],
+        1,
+        "missing.json: configuration file i/o error",
+    ),
+    (
+        &["serve", "--techdb", "@missing"],
+        &[],
+        1,
+        "missing.json: configuration file i/o error",
+    ),
 ];
 
 /// Run `ecochip` with `args` and `env`, the inherited worker-count, chunk

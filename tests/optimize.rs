@@ -127,6 +127,7 @@ fn http_optimize_echoes_traces_rejects_bad_requests_and_counts_metrics() {
         r#"{"testcase":"ga102-3chiplet","axis":"lifetime","method":"hillclimb"}"#,
         r#"{"testcase":"ga102-3chiplet","axis":"lifetime","objectives":"karma"}"#,
         r#"{"testcase":"nope","axis":"lifetime"}"#,
+        r#"{"testcase":"ga102-3chiplet","axis":"lifetime","method":"anneal","budget":0}"#,
         r#"not json"#,
     ] {
         let response = client::post_json(&addr, "/v1/optimize", body).unwrap();
