@@ -1050,6 +1050,19 @@ mod tests {
     }
 
     #[test]
+    fn round_budgets_split_evenly_and_are_never_zero() {
+        let split = |total| {
+            (0..3)
+                .map(|round| round_budget(total, 3, round))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(split(10), [4, 3, 3]);
+        // A remote island refuses `"budget": 0`, so a budget smaller than
+        // the round count still hands every round one evaluation.
+        assert_eq!(split(2), [1, 1, 1]);
+    }
+
+    #[test]
     fn island_orchestrator_rejects_pre_sliced_requests() {
         let db = TechDb::default();
         let pool = WorkerPool::Local {
