@@ -6,8 +6,8 @@
 use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::core::EcoChip;
-use eco_chip::serve::orchestrator::{self, WorkerPool};
-use eco_chip::serve::{client, ServeConfig, Server, ServerHandle, SweepRequest};
+use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
+use eco_chip::serve::{client, OptimizeRequest, ServeConfig, Server, ServerHandle, SweepRequest};
 use eco_chip::techdb::TechDb;
 use eco_chip::testcases::catalog;
 
@@ -908,6 +908,59 @@ fn remote_orchestration_merges_two_servers_to_the_unsharded_stream() {
     .unwrap();
     assert_eq!(local, outcome);
     assert_eq!(local_lines, lines);
+
+    // Local and remote pools agree line for line on every named sweep axis
+    // the paper's design-space figures use...
+    let pools = [
+        WorkerPool::Local {
+            workers: 2,
+            jobs: Some(2),
+        },
+        pool.clone(),
+    ];
+    for axis in ["lifetime", "nodes", "packaging"] {
+        let request = SweepRequest::named("ga102-3chiplet", axis);
+        let [local, remote] = pools.each_ref().map(|pool| {
+            let mut lines = Vec::new();
+            orchestrator::orchestrate_with(&db, &request, pool, &FailoverPolicy::none(), |line| {
+                lines.push(line.to_owned());
+                Ok(())
+            })
+            .unwrap();
+            lines
+        });
+        assert_eq!(local, reference_lines("ga102-3chiplet", axis), "{axis}");
+        assert_eq!(local, remote, "{axis}");
+    }
+    // ...and on seeded island searches, rounds and frontier exchange
+    // included.
+    for (method, rounds) in [("pareto", 1), ("anneal", 3), ("genetic", 2)] {
+        let mut request = OptimizeRequest::named("ga102-3chiplet", "nodes");
+        request.method = Some(method.into());
+        request.budget = Some(7);
+        request.seed = Some(42);
+        let [local, remote] = pools.each_ref().map(|pool| {
+            let mut lines = Vec::new();
+            orchestrator::orchestrate_optimize(
+                &db,
+                &request,
+                pool,
+                &FailoverPolicy::none(),
+                rounds,
+                |line| {
+                    lines.push(line.to_owned());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            lines
+        });
+        assert!(
+            local.last().unwrap().starts_with("{\"event\":\"done\""),
+            "{method}"
+        );
+        assert_eq!(local, remote, "{method}");
+    }
 
     // A failing remote pool surfaces a worker error: point one URL at a
     // dead port.
