@@ -66,8 +66,9 @@
 //! ## Orchestration
 //!
 //! [`orchestrator`] partitions a sweep with
-//! [`Shard`](ecochip_core::sweep::Shard)`{i, of}` across N in-process
-//! workers or N remote server URLs, merges the ordered shard streams into
+//! [`Shard`](ecochip_core::sweep::Shard)`{i, of}` across N servers — N
+//! in-process servers on loopback ports or N remote server URLs, driven
+//! over the same HTTP path — merges the ordered shard streams into
 //! one NDJSON stream (shards are contiguous, so merging is ordered
 //! concatenation), and fingerprints the merged stream so it can be verified
 //! against an unsharded run.

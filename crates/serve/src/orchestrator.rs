@@ -1,23 +1,27 @@
-//! The shard orchestrator: fan one sweep out across N workers, merge the
-//! ordered shard streams, fingerprint the result — and survive worker
-//! loss.
+//! The shard orchestrator: fan one sweep (or island search) out across N
+//! workers, merge the ordered streams, fingerprint the result — and
+//! survive worker loss.
 //!
 //! [`Shard`]`{i, of}` partitions a sweep's index space into contiguous,
 //! balanced slices, so the merged output is the ordered concatenation of
 //! the shard streams — no sorting, no buffering beyond one worker's
-//! backpressure window. Workers are either in-process threads (each with
-//! its own engine and cold memo, mimicking independent processes) or
-//! remote `ecochip-serve` servers driven over HTTP; both produce the same
-//! NDJSON lines, so the two modes are interchangeable and *diffable*.
+//! backpressure window. Every worker is an `ecochip-serve` server driven
+//! over HTTP: a remote pool names running servers, and a local pool starts
+//! in-process servers on ephemeral loopback ports (each with its own cold
+//! memo, mimicking an independent process) for the length of the run. Both
+//! pools take the same path, so their output is interchangeable and
+//! *diffable*.
 //!
 //! **Failover.** Because shards are contiguous and streamed in
-//! deterministic order, a remote worker that dies after emitting `k` lines
-//! of its shard range `[s, e)` leaves exactly the range `[s + k, e)`
-//! unserved. [`FailoverPolicy`] re-dispatches that remaining range (the
-//! `"range"` resume form of [`SweepRequest`]) to the next worker in the
-//! pool with bounded retries and backoff — every point is emitted exactly
-//! once and the merged stream stays bit-for-bit identical to the
-//! unsharded run, dead worker or not.
+//! deterministic order, a worker that dies after emitting `k` lines of its
+//! shard range `[s, e)` leaves exactly the range `[s + k, e)` unserved.
+//! One failover loop serves shards and islands alike: per
+//! [`FailoverPolicy`] it re-dispatches a lost shard's remaining range (the
+//! `"range"` resume form of [`SweepRequest`]) — or replays a lost island's
+//! deterministic event stream, skipping the lines already merged — on the
+//! next worker in the pool with bounded retries and backoff. Every line is
+//! emitted exactly once and the merged stream stays bit-for-bit identical
+//! to the unsharded run, dead worker or not.
 //!
 //! Every merged line is folded into a FNV-1a [`Fingerprint`], and
 //! [`unsharded_outcome`] computes the same fingerprint from a plain
@@ -41,12 +45,13 @@ use ecochip_trace::FieldValue;
 
 use crate::api::{MemoImportResponse, OptimizeRequest, StatsResponse, SweepFormat, SweepRequest};
 use crate::client::Connection;
+use crate::server::{ServeConfig, Server, ServerHandle};
 use crate::ServeError;
 
 /// Lines a worker can buffer before backpressure pauses it.
 const WORKER_QUEUE_LINES: usize = 256;
 
-/// How worker loss is handled when driving remote shards.
+/// How worker loss is handled when driving shards and islands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailoverPolicy {
     /// Re-dispatch attempts per shard after its first try (`0` fails the
@@ -57,8 +62,7 @@ pub struct FailoverPolicy {
 }
 
 impl FailoverPolicy {
-    /// Fail the run on the first worker loss (the pre-failover behaviour,
-    /// and what [`orchestrate`] uses).
+    /// Fail the run on the first worker loss.
     pub fn none() -> Self {
         Self {
             retries: 0,
@@ -80,10 +84,10 @@ impl Default for FailoverPolicy {
 /// How a sweep is fanned out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerPool {
-    /// N in-process workers, optionally pinning each worker's engine to a
-    /// job count.
+    /// N in-process servers started for the run, optionally pinning each
+    /// server's engine to a job count.
     Local {
-        /// Number of shards/threads.
+        /// Number of shards/servers.
         workers: usize,
         /// Sweep-engine workers per shard (`None`: engine default).
         jobs: Option<usize>,
@@ -144,40 +148,22 @@ impl Default for Fingerprint {
     }
 }
 
-/// Fan `request` out across `pool` with [`FailoverPolicy::none`] — the
-/// first worker loss fails the run. See [`orchestrate_with`].
-///
-/// # Errors
-///
-/// As [`orchestrate_with`].
-pub fn orchestrate<F>(
-    db: &TechDb,
-    request: &SweepRequest,
-    pool: &WorkerPool,
-    on_line: F,
-) -> Result<OrchestratorOutcome, ServeError>
-where
-    F: FnMut(&str) -> Result<(), ServeError>,
-{
-    orchestrate_with(db, request, pool, &FailoverPolicy::none(), on_line)
-}
-
 /// Fan `request` out across `pool`, merging the shard streams into
 /// `on_line` in the sweep's deterministic case order.
 ///
 /// The orchestrator owns the sharding, so `request.shard`/`request.range`
 /// must be empty; workers run concurrently and the merge is streaming
-/// (shard `i+1` evaluates while shard `i` drains). When a remote worker
-/// dies mid-stream, `policy` re-dispatches the remaining index range of
-/// its shard to the next worker in the pool — the merged stream is
-/// unchanged, every point emitted exactly once.
+/// (shard `i+1` evaluates while shard `i` drains). When a worker dies
+/// mid-stream, `policy` re-dispatches the remaining index range of its
+/// shard to the next worker in the pool — the merged stream is unchanged,
+/// every point emitted exactly once.
 ///
 /// # Errors
 ///
 /// [`ServeError::Api`] for unresolvable requests or a pre-sliced request,
-/// [`ServeError::Estimator`] / [`ServeError::Worker`] when a worker fails
-/// (after `policy.retries` re-dispatches, for remote pools), and the first
-/// error returned by `on_line`.
+/// [`ServeError::Worker`] when a worker fails (after `policy.retries`
+/// re-dispatches), the error that kept a local pool from starting, and the
+/// first error returned by `on_line`.
 pub fn orchestrate_with<F>(
     db: &TechDb,
     request: &SweepRequest,
@@ -199,9 +185,8 @@ where
             "a remote pool needs at least one URL".into(),
         ));
     }
-    // Resolve up front so bad requests fail before any worker starts (the
-    // local pool needs the spec anyway, failover needs the case count to
-    // compute shard ranges).
+    // Resolve up front so bad requests fail before any worker starts
+    // (failover needs the case count to compute shard ranges anyway).
     let (spec, _) = request.resolve(db)?;
     let total = spec.try_len()?;
 
@@ -221,79 +206,21 @@ where
         ],
     );
 
+    let fleet = Fleet::start(db, pool)?;
+    let work = (0..shards)
+        .map(|index| Work::Shard {
+            request,
+            range: Shard::new(index, shards)
+                .expect("index < shards")
+                .range(total),
+        })
+        .collect();
     let mut fingerprint = Fingerprint::new();
     let mut points = 0usize;
-    std::thread::scope(|scope| -> Result<(), ServeError> {
-        let mut receivers = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let (sender, receiver) =
-                mpsc::sync_channel::<Result<String, ServeError>>(WORKER_QUEUE_LINES);
-            receivers.push(receiver);
-            match pool {
-                WorkerPool::Local { jobs, .. } => {
-                    let spec = &spec;
-                    let jobs = *jobs;
-                    scope.spawn(move || {
-                        // Each worker mimics an independent process: its own
-                        // estimator, engine and cold memo. Results are
-                        // bit-for-bit identical either way; isolation keeps
-                        // the orchestrated run an honest stand-in for a
-                        // distributed one.
-                        let estimator =
-                            EcoChip::new(EstimatorConfig::builder().techdb(db.clone()).build());
-                        let engine = SweepEngine::with_optional_jobs(jobs);
-                        let context = SweepContext::new();
-                        let shard = Shard::new(index, shards).expect("index < shards");
-                        let result = engine.stream(
-                            &estimator,
-                            spec,
-                            shard,
-                            &context,
-                            None,
-                            &mut |point: SweepPoint| {
-                                let line = serde_json::to_string(&point).map_err(|e| {
-                                    EcoChipError::Io(format!("serializing sweep point: {e}"))
-                                })?;
-                                sender.send(Ok(line)).map_err(|_| {
-                                    // The merger hung up (downstream error);
-                                    // stop this worker quietly.
-                                    EcoChipError::Io("orchestrator closed the stream".into())
-                                })?;
-                                Ok(())
-                            },
-                        );
-                        if let Err(error) = result {
-                            let _ = sender.send(Err(ServeError::Estimator(error)));
-                        }
-                    });
-                }
-                WorkerPool::Remote(urls) => {
-                    let range = Shard::new(index, shards)
-                        .expect("index < shards")
-                        .range(total);
-                    let trace = trace.clone();
-                    scope.spawn(move || {
-                        let result =
-                            run_remote_shard(urls, index, range, request, policy, trace, &sender);
-                        if let Err(error) = result {
-                            let _ = sender.send(Err(error));
-                        }
-                    });
-                }
-            }
-        }
-
-        // The merge: shards are contiguous slices of the case order, so
-        // draining the receivers in shard order *is* the ordered merge.
-        for receiver in receivers {
-            for line in receiver {
-                let line = line?;
-                fingerprint.update(&line);
-                points += 1;
-                on_line(&line)?;
-            }
-        }
-        Ok(())
+    fan_out(&fleet.urls, work, policy, &trace, |line| {
+        fingerprint.update(line);
+        points += 1;
+        on_line(line)
     })?;
     Ok(OrchestratorOutcome {
         points,
@@ -301,59 +228,206 @@ where
     })
 }
 
-/// Drive one remote shard with retry/failover: POST the sharded request,
-/// forward NDJSON lines, and when the worker dies mid-stream re-dispatch
-/// the *remaining* index range (`[range.start + emitted, range.end)`) to
-/// the next worker in the pool — shards are contiguous and ordered, so the
-/// resume point is exact and every line reaches the merger exactly once.
-#[allow(clippy::too_many_arguments)]
-fn run_remote_shard(
+/// The workers a run drives, by base URL. For a local pool it also owns
+/// the in-process servers behind those URLs and shuts them down when
+/// dropped — on every exit path, errors included.
+struct Fleet {
+    urls: Vec<String>,
+    servers: Vec<ServerHandle>,
+}
+
+impl Fleet {
+    /// Start a local pool's in-process servers — each on an ephemeral
+    /// loopback port with one handler thread and its own cold memo,
+    /// mimicking an independent process — or take a remote pool's URLs.
+    fn start(db: &TechDb, pool: &WorkerPool) -> Result<Self, ServeError> {
+        let mut fleet = Fleet {
+            urls: Vec::new(),
+            servers: Vec::new(),
+        };
+        match pool {
+            WorkerPool::Local { workers, jobs } => {
+                for _ in 0..(*workers).max(1) {
+                    let server = Server::bind(&ServeConfig {
+                        addr: "127.0.0.1:0".into(),
+                        techdb: Some(db.clone()),
+                        jobs: *jobs,
+                        threads: 1,
+                        ..ServeConfig::default()
+                    })?;
+                    fleet.urls.push(server.local_addr().to_string());
+                    fleet.servers.push(server.spawn());
+                }
+            }
+            WorkerPool::Remote(urls) => fleet.urls.clone_from(urls),
+        }
+        Ok(fleet)
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for server in self.servers.drain(..) {
+            // The run's outcome is already decided; a worker that fails to
+            // stop cleanly has nothing to add to it.
+            let _ = server.shutdown();
+        }
+    }
+}
+
+/// One worker stream of a fan-out and how it survives losing its worker.
+enum Work<'a> {
+    /// A sweep shard over `range`: a re-dispatch resumes after the lines
+    /// already forwarded (the `"range"` resume form of [`SweepRequest`]).
+    Shard {
+        request: &'a SweepRequest,
+        range: std::ops::Range<usize>,
+    },
+    /// An island's search, as its serialized request: its event stream is
+    /// deterministic per seed, so a re-dispatch replays the same request
+    /// and skips the lines already forwarded.
+    Island(String),
+}
+
+impl Work<'_> {
+    /// The log label of this kind of work and of its count.
+    fn labels(&self) -> (&'static str, &'static str) {
+        match self {
+            Work::Shard { .. } => ("shard", "shards"),
+            Work::Island(_) => ("island", "islands"),
+        }
+    }
+
+    /// The path and body of attempt `attempt` of worker stream `index` of
+    /// `of`, after `forwarded` lines reached the merger.
+    fn post(
+        &self,
+        index: usize,
+        of: usize,
+        attempt: usize,
+        forwarded: usize,
+    ) -> Result<(&'static str, String), ServeError> {
+        match self {
+            Work::Shard { request, range } => {
+                // First try: the whole shard as `I/N`. Resumes: the
+                // remaining explicit index range. Worker-internal streams
+                // use the compact framed encoding — the client decodes
+                // frames back to the exact NDJSON lines, so the merged
+                // stream (and its fingerprint) is unchanged.
+                let sub_request = if attempt == 0 {
+                    request.with_shard(index, of)
+                } else {
+                    request.with_range(range.start + forwarded, range.end)
+                }
+                .with_format(SweepFormat::Frames);
+                let body = serde_json::to_string(&sub_request)
+                    .map_err(|e| ServeError::Api(format!("serializing sweep request: {e}")))?;
+                Ok(("/v1/sweep", body))
+            }
+            Work::Island(body) => Ok(("/v1/optimize", body.clone())),
+        }
+    }
+
+    /// Leading response lines the merger already holds: none for a resumed
+    /// shard, every forwarded one for a replayed island.
+    fn replayed(&self, forwarded: usize) -> usize {
+        match self {
+            Work::Shard { .. } => 0,
+            Work::Island(_) => forwarded,
+        }
+    }
+
+    /// The re-dispatch WARN's progress field.
+    fn progress(&self, forwarded: usize) -> (&'static str, FieldValue) {
+        match self {
+            Work::Shard { range, .. } => ("remaining", FieldValue::from(range.len() - forwarded)),
+            Work::Island(_) => ("replayed", FieldValue::from(forwarded)),
+        }
+    }
+}
+
+/// Drive one [`Work`] per worker concurrently and hand their lines to
+/// `on_line` in worker order. Shards are contiguous slices of the case
+/// order and islands merge in island order, so draining the workers in
+/// order *is* the ordered merge.
+fn fan_out(
     urls: &[String],
-    shard_index: usize,
-    range: std::ops::Range<usize>,
-    request: &SweepRequest,
+    work: Vec<Work<'_>>,
     policy: &FailoverPolicy,
-    trace: String,
+    trace: &str,
+    mut on_line: impl FnMut(&str) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    std::thread::scope(|scope| {
+        let receivers: Vec<_> = work
+            .into_iter()
+            .enumerate()
+            .map(|(index, work)| {
+                let (sender, receiver) =
+                    mpsc::sync_channel::<Result<String, ServeError>>(WORKER_QUEUE_LINES);
+                scope.spawn(move || {
+                    if let Err(error) = drive(&work, index, urls, policy, trace, &sender) {
+                        let _ = sender.send(Err(error));
+                    }
+                });
+                receiver
+            })
+            .collect();
+        for receiver in receivers {
+            for line in receiver {
+                on_line(&line?)?;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Drive worker stream `index` with retry/failover: POST its request,
+/// forward NDJSON lines, and when the worker dies mid-stream re-dispatch
+/// to the next worker in the pool — a shard resumes after the lines it
+/// already forwarded, an island replays its stream and skips them, so
+/// every line reaches the merger exactly once.
+fn drive(
+    work: &Work<'_>,
+    index: usize,
+    urls: &[String],
+    policy: &FailoverPolicy,
+    trace: &str,
     sender: &mpsc::SyncSender<Result<String, ServeError>>,
 ) -> Result<(), ServeError> {
-    // Shard threads don't inherit the orchestrator's thread-local trace;
-    // re-establish it so this shard's failover events carry the fleet's
+    // Worker threads don't inherit the orchestrator's thread-local trace;
+    // re-establish it so this stream's failover events carry the fleet's
     // trace ID.
-    let _trace_guard = ecochip_trace::set_current_trace(trace.clone());
-    let shards = urls.len();
-    let emitted = Cell::new(0usize);
+    let _trace_guard = ecochip_trace::set_current_trace(trace.to_owned());
+    let (label, count_label) = work.labels();
+    let count = urls.len();
+    let forwarded = Cell::new(0usize);
     // The merger hanging up (a downstream error) is fatal, never retried.
     let merger_gone = Cell::new(false);
-    let mut target = shard_index % shards;
+    let mut target = index % count;
     let mut attempt = 0usize;
     loop {
         let url = &urls[target];
-        // First try: the whole shard as `I/N`. Resumes: the remaining
-        // explicit index range. Worker-internal streams use the compact
-        // framed encoding — the client decodes frames back to the exact
-        // NDJSON lines, so the merged stream (and its fingerprint) is
-        // unchanged.
-        let sub_request = if attempt == 0 {
-            request.with_shard(shard_index, shards)
-        } else {
-            request.with_range(range.start + emitted.get(), range.end)
-        }
-        .with_format(SweepFormat::Frames);
-        let body = serde_json::to_string(&sub_request)
-            .map_err(|e| ServeError::Api(format!("serializing sweep request: {e}")))?;
+        let (path, body) = work.post(index, count, attempt, forwarded.get())?;
+        let skip = work.replayed(forwarded.get());
+        let seen = Cell::new(0usize);
         let result = Connection::open(url).and_then(|mut connection| {
             // Propagate the fleet trace on every hop (first try and every
             // re-dispatch), so each worker's log and span dump carry it.
-            connection.set_trace(Some(trace.clone()));
-            let response = connection.post_ndjson("/v1/sweep", &body, |line| {
+            connection.set_trace(Some(trace.to_owned()));
+            let response = connection.post_ndjson(path, &body, |line| {
                 if line.starts_with("{\"error\"") {
                     return Err(ServeError::Worker(format!("{url}: {line}")));
+                }
+                let position = seen.get();
+                seen.set(position + 1);
+                if position < skip {
+                    return Ok(());
                 }
                 if sender.send(Ok(line.to_owned())).is_err() {
                     merger_gone.set(true);
                     return Err(ServeError::Worker("orchestrator closed the stream".into()));
                 }
-                emitted.set(emitted.get() + 1);
+                forwarded.set(forwarded.get() + 1);
                 Ok(())
             })?;
             if response.status != 200 {
@@ -369,34 +443,34 @@ fn run_remote_shard(
             Ok(()) => return Ok(()),
             Err(error) => error,
         };
-        if merger_gone.get() || attempt >= policy.retries || !worker_loss(&error) {
-            if !merger_gone.get() && worker_loss(&error) && attempt >= policy.retries {
-                ecochip_trace::warn(
-                    "serve::orchestrator",
-                    "shard retries exhausted; failing the run",
-                    &[
-                        ("shard", FieldValue::from(shard_index)),
-                        ("shards", FieldValue::from(shards)),
-                        ("attempts", FieldValue::from(attempt + 1)),
-                        ("error", FieldValue::from(error.to_string())),
-                    ],
-                );
-            }
+        if merger_gone.get() || !worker_loss(&error) {
+            return Err(error);
+        }
+        if attempt >= policy.retries {
+            ecochip_trace::warn(
+                "serve::orchestrator",
+                &format!("{label} retries exhausted; failing the run"),
+                &[
+                    (label, FieldValue::from(index)),
+                    (count_label, FieldValue::from(count)),
+                    ("attempts", FieldValue::from(attempt + 1)),
+                    ("error", FieldValue::from(error.to_string())),
+                ],
+            );
             return Err(error);
         }
         attempt += 1;
         // Fail over to the next worker in the pool (wrapping past the dead
         // one; with a single-URL pool this retries the same worker).
-        target = (target + 1) % shards;
-        let remaining = range.end - (range.start + emitted.get());
+        target = (target + 1) % count;
         ecochip_trace::warn(
             "serve::orchestrator",
-            "shard lost its worker; re-dispatching",
+            &format!("{label} lost its worker; re-dispatching"),
             &[
-                ("shard", FieldValue::from(shard_index)),
-                ("shards", FieldValue::from(shards)),
+                (label, FieldValue::from(index)),
+                (count_label, FieldValue::from(count)),
                 ("error", FieldValue::from(error.to_string())),
-                ("remaining", FieldValue::from(remaining)),
+                work.progress(forwarded.get()),
                 ("url", FieldValue::from(urls[target].as_str())),
                 ("attempt", FieldValue::from(attempt)),
                 ("retries", FieldValue::from(policy.retries)),
@@ -556,9 +630,8 @@ fn round_budget(total: usize, rounds: usize, round: usize) -> usize {
 /// worker explores its own contiguous shard of the sweep's index space, and
 /// between rounds the orchestrator merges every island's frontier into one
 /// global [`opt::ParetoFrontier`] and seeds the next round with it — the
-/// frontier exchange rides the same request plumbing (and, for remote
-/// pools, the same [`share_memo`] transport warms the fleet's memos between
-/// rounds).
+/// frontier exchange rides the same request plumbing, and the same
+/// [`share_memo`] transport warms the fleet's memos between rounds.
 ///
 /// Per island and round, seeds derive deterministically from the request
 /// seed via [`opt::island_seed`] and the per-island budget is the request
@@ -569,17 +642,17 @@ fn round_budget(total: usize, rounds: usize, round: usize) -> usize {
 /// the merged global frontier.
 ///
 /// The exhaustive `pareto` method covers every shard in one pass, so it
-/// forces `rounds = 1`; `anneal`/`genetic` honour `rounds` as given. A
-/// remote island that dies mid-stream is re-dispatched to the next worker
+/// forces `rounds = 1`; `anneal`/`genetic` honour `rounds` as given. An
+/// island whose worker dies mid-stream is re-dispatched to the next worker
 /// per `policy`: its event stream is deterministic, so the replacement
 /// replays it and the orchestrator skips the lines the merge already saw.
 ///
 /// # Errors
 ///
 /// [`ServeError::Api`] for unresolvable or pre-sliced requests (the
-/// orchestrator assigns shards and islands), [`ServeError::Estimator`] /
-/// [`ServeError::Worker`] when an island fails (after `policy.retries`
-/// re-dispatches, for remote pools), and the first error returned by
+/// orchestrator assigns shards and islands), [`ServeError::Worker`] when
+/// an island fails (after `policy.retries` re-dispatches), the error that
+/// kept a local pool from starting, and the first error returned by
 /// `on_line`.
 pub fn orchestrate_optimize<F>(
     db: &TechDb,
@@ -607,7 +680,7 @@ where
     }
     // Resolve up front so bad requests fail before any island starts; this
     // also yields the base OptConfig the per-island configs derive from.
-    let (spec, _, base) = request.resolve(db)?;
+    let (_, _, base) = request.resolve(db)?;
     let rounds = if base.method == opt::OptMethod::Pareto {
         // Exhaustive enumeration covers each shard completely in one pass;
         // further rounds would re-evaluate the same cases for nothing.
@@ -630,148 +703,65 @@ where
         ],
     );
 
-    // Local islands keep one warm estimator/engine/memo each across
-    // rounds, mimicking long-lived worker processes.
-    let locals: Vec<(EcoChip, SweepEngine, SweepContext)> = match pool {
-        WorkerPool::Local { jobs, .. } => (0..islands)
-            .map(|_| {
-                (
-                    EcoChip::new(EstimatorConfig::builder().techdb(db.clone()).build()),
-                    SweepEngine::with_optional_jobs(*jobs),
-                    SweepContext::new(),
-                )
-            })
-            .collect(),
-        WorkerPool::Remote(_) => Vec::new(),
-    };
-
+    let fleet = Fleet::start(db, pool)?;
     let mut global = opt::ParetoFrontier::new();
     let mut evaluated = 0usize;
     for round in 0..rounds {
         let exchanged = global.points().to_vec();
-        std::thread::scope(|scope| -> Result<(), ServeError> {
-            let mut receivers = Vec::with_capacity(islands);
-            // `island` drives seeds, shards and sub-requests, not just the
-            // `locals` lookup (which is empty for remote pools anyway).
-            #[allow(clippy::needless_range_loop)]
-            for island in 0..islands {
-                let (sender, receiver) =
-                    mpsc::sync_channel::<Result<String, ServeError>>(WORKER_QUEUE_LINES);
-                receivers.push(receiver);
+        let work = (0..islands)
+            .map(|island| {
                 // Per-(round, island) seeds are split off the request seed
                 // deterministically, so island streams never correlate yet
                 // the whole run reproduces from one seed.
-                let seed = opt::island_seed(opt::island_seed(base.seed, round), island);
-                let budget = round_budget(base.budget, rounds, round);
-                match pool {
-                    WorkerPool::Local { .. } => {
-                        let (estimator, engine, context) = &locals[island];
-                        let spec = &spec;
-                        let exchanged = &exchanged;
-                        let base = &base;
-                        scope.spawn(move || {
-                            let config = opt::OptConfig {
-                                seed,
-                                budget,
-                                island: Some(island),
-                                seed_frontier: exchanged.clone(),
-                                ..base.clone()
-                            };
-                            let shard = Shard::new(island, islands).expect("island < islands");
-                            let result = opt::optimize(
-                                estimator,
-                                engine,
-                                spec,
-                                shard,
-                                context,
-                                None,
-                                &config,
-                                |event: &opt::OptEvent| {
-                                    let line = serde_json::to_string(event).map_err(|e| {
-                                        EcoChipError::Io(format!("serializing opt event: {e}"))
-                                    })?;
-                                    sender.send(Ok(line)).map_err(|_| {
-                                        EcoChipError::Io("orchestrator closed the stream".into())
-                                    })?;
-                                    Ok(())
-                                },
-                            );
-                            if let Err(error) = result {
-                                let _ = sender.send(Err(ServeError::Estimator(error)));
-                            }
-                        });
-                    }
-                    WorkerPool::Remote(urls) => {
-                        let mut sub_request = request.with_island(island, islands);
-                        sub_request.seed = Some(seed);
-                        sub_request.budget = Some(budget);
-                        sub_request.frontier = Some(exchanged.clone());
-                        let trace = trace.clone();
-                        scope.spawn(move || {
-                            let result = run_remote_island(
-                                urls,
-                                island,
-                                &sub_request,
-                                policy,
-                                trace,
-                                &sender,
-                            );
-                            if let Err(error) = result {
-                                let _ = sender.send(Err(error));
-                            }
-                        });
-                    }
+                let mut sub_request = request.with_island(island, islands);
+                sub_request.seed =
+                    Some(opt::island_seed(opt::island_seed(base.seed, round), island));
+                sub_request.budget = Some(round_budget(base.budget, rounds, round));
+                sub_request.frontier = Some(exchanged.clone());
+                serde_json::to_string(&sub_request)
+                    .map(Work::Island)
+                    .map_err(|e| ServeError::Api(format!("serializing optimize request: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        // Harvest each island's terminal `done` line (its field order puts
+        // `event` first, so the prefix test is exact) to fold its frontier
+        // into the global archive.
+        fan_out(&fleet.urls, work, policy, &trace, |line| {
+            if line.starts_with("{\"event\":\"done\"") {
+                let event: opt::OptEvent = serde_json::from_str(line).map_err(|e| {
+                    ServeError::Worker(format!("island sent an undecodable done event: {e}"))
+                })?;
+                evaluated += event.evaluated;
+                for point in event.frontier.unwrap_or_default() {
+                    global.insert(point);
                 }
             }
-
-            // Drain islands in order; harvest each island's terminal `done`
-            // line (its field order puts `event` first, so the prefix test
-            // is exact) to fold its frontier into the global archive.
-            for receiver in receivers {
-                for line in receiver {
-                    let line = line?;
-                    if line.starts_with("{\"event\":\"done\"") {
-                        let event: opt::OptEvent = serde_json::from_str(&line).map_err(|e| {
-                            ServeError::Worker(format!(
-                                "island sent an undecodable done event: {e}"
-                            ))
-                        })?;
-                        evaluated += event.evaluated;
-                        for point in event.frontier.unwrap_or_default() {
-                            global.insert(point);
-                        }
-                    }
-                    on_line(&line)?;
-                }
-            }
-            Ok(())
+            on_line(line)
         })?;
 
-        // Between rounds a remote fleet also exchanges memo warmth, riding
-        // the same transport the sweep orchestrator uses.
+        // Between rounds the fleet also exchanges memo warmth, riding the
+        // same transport the sweep orchestrator uses.
         if round + 1 < rounds {
-            if let WorkerPool::Remote(urls) = pool {
-                match share_memo(urls) {
-                    Ok(share) => ecochip_trace::info(
-                        "serve::orchestrator",
-                        "shared memo between optimization rounds",
-                        &[
-                            ("round", FieldValue::from(round)),
-                            ("entries", FieldValue::from(share.entries)),
-                            ("seeded", FieldValue::from(share.seeded.len())),
-                        ],
-                    ),
-                    // Memo sharing is a warmth optimization; a failed
-                    // exchange must not kill a run failover just saved.
-                    Err(error) => ecochip_trace::warn(
-                        "serve::orchestrator",
-                        "memo share between rounds failed; continuing cold",
-                        &[
-                            ("round", FieldValue::from(round)),
-                            ("error", FieldValue::from(error.to_string())),
-                        ],
-                    ),
-                }
+            match share_memo(&fleet.urls) {
+                Ok(share) => ecochip_trace::info(
+                    "serve::orchestrator",
+                    "shared memo between optimization rounds",
+                    &[
+                        ("round", FieldValue::from(round)),
+                        ("entries", FieldValue::from(share.entries)),
+                        ("seeded", FieldValue::from(share.seeded.len())),
+                    ],
+                ),
+                // Memo sharing is a warmth optimization; a failed
+                // exchange must not kill a run failover just saved.
+                Err(error) => ecochip_trace::warn(
+                    "serve::orchestrator",
+                    "memo share between rounds failed; continuing cold",
+                    &[
+                        ("round", FieldValue::from(round)),
+                        ("error", FieldValue::from(error.to_string())),
+                    ],
+                ),
             }
         }
     }
@@ -790,89 +780,6 @@ where
         islands,
         rounds,
     })
-}
-
-/// Drive one remote island with retry/failover: POST the island request,
-/// forward NDJSON event lines, and when the worker dies mid-stream
-/// re-dispatch the *same* request to the next worker in the pool — the
-/// island's event stream is deterministic per seed, so the replacement
-/// replays it and the first `forwarded` lines are skipped instead of
-/// re-forwarded.
-fn run_remote_island(
-    urls: &[String],
-    island: usize,
-    sub_request: &OptimizeRequest,
-    policy: &FailoverPolicy,
-    trace: String,
-    sender: &mpsc::SyncSender<Result<String, ServeError>>,
-) -> Result<(), ServeError> {
-    let _trace_guard = ecochip_trace::set_current_trace(trace.clone());
-    let islands = urls.len();
-    let forwarded = Cell::new(0usize);
-    let merger_gone = Cell::new(false);
-    let body = serde_json::to_string(sub_request)
-        .map_err(|e| ServeError::Api(format!("serializing optimize request: {e}")))?;
-    let mut target = island % islands;
-    let mut attempt = 0usize;
-    loop {
-        let url = &urls[target];
-        let skip = forwarded.get();
-        let seen = Cell::new(0usize);
-        let result = Connection::open(url).and_then(|mut connection| {
-            connection.set_trace(Some(trace.clone()));
-            let response = connection.post_ndjson("/v1/optimize", &body, |line| {
-                if line.starts_with("{\"error\"") {
-                    return Err(ServeError::Worker(format!("{url}: {line}")));
-                }
-                let position = seen.get();
-                seen.set(position + 1);
-                if position < skip {
-                    // A re-dispatch replays the deterministic stream from
-                    // the start; the merger already has these lines.
-                    return Ok(());
-                }
-                if sender.send(Ok(line.to_owned())).is_err() {
-                    merger_gone.set(true);
-                    return Err(ServeError::Worker("orchestrator closed the stream".into()));
-                }
-                forwarded.set(forwarded.get() + 1);
-                Ok(())
-            })?;
-            if response.status != 200 {
-                return Err(ServeError::Worker(format!(
-                    "{url} answered {}: {}",
-                    response.status,
-                    response.text().unwrap_or("<binary>").trim()
-                )));
-            }
-            Ok(())
-        });
-        let error = match result {
-            Ok(()) => return Ok(()),
-            Err(error) => error,
-        };
-        if merger_gone.get() || attempt >= policy.retries || !worker_loss(&error) {
-            return Err(error);
-        }
-        attempt += 1;
-        target = (target + 1) % islands;
-        ecochip_trace::warn(
-            "serve::orchestrator",
-            "island lost its worker; re-dispatching",
-            &[
-                ("island", FieldValue::from(island)),
-                ("islands", FieldValue::from(islands)),
-                ("error", FieldValue::from(error.to_string())),
-                ("replayed", FieldValue::from(forwarded.get())),
-                ("url", FieldValue::from(urls[target].as_str())),
-                ("attempt", FieldValue::from(attempt)),
-                ("retries", FieldValue::from(policy.retries)),
-            ],
-        );
-        if !policy.backoff.is_zero() {
-            std::thread::sleep(policy.backoff.saturating_mul(attempt as u32));
-        }
-    }
 }
 
 /// The reference outcome: evaluate `request` unsharded in-process (one
@@ -939,13 +846,14 @@ mod tests {
 
         for workers in [1usize, 2, 3, 5] {
             let mut lines = Vec::new();
-            let outcome = orchestrate(
+            let outcome = orchestrate_with(
                 &db,
                 &request,
                 &WorkerPool::Local {
                     workers,
                     jobs: Some(2),
                 },
+                &FailoverPolicy::none(),
                 |line| {
                     lines.push(line.to_owned());
                     Ok(())
@@ -1102,28 +1010,30 @@ mod tests {
         };
         let sharded = SweepRequest::named("ga102", "lifetime").with_shard(0, 2);
         assert!(matches!(
-            orchestrate(&db, &sharded, &pool, |_| Ok(())),
+            orchestrate_with(&db, &sharded, &pool, &FailoverPolicy::none(), |_| Ok(())),
             Err(ServeError::Api(_))
         ));
         let unknown = SweepRequest::named("nope", "lifetime");
         assert!(matches!(
-            orchestrate(&db, &unknown, &pool, |_| Ok(())),
+            orchestrate_with(&db, &unknown, &pool, &FailoverPolicy::none(), |_| Ok(())),
             Err(ServeError::Api(_))
         ));
         assert!(matches!(
-            orchestrate(
+            orchestrate_with(
                 &db,
                 &SweepRequest::named("ga102", "lifetime"),
                 &WorkerPool::Remote(Vec::new()),
+                &FailoverPolicy::none(),
                 |_| Ok(())
             ),
             Err(ServeError::Api(_))
         ));
         // Sink errors propagate out of the merge.
-        let result = orchestrate(
+        let result = orchestrate_with(
             &db,
             &SweepRequest::named("ga102", "lifetime"),
             &pool,
+            &FailoverPolicy::none(),
             |_| Err(ServeError::Worker("sink full".into())),
         );
         assert!(matches!(result, Err(ServeError::Worker(_))));

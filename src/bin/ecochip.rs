@@ -67,10 +67,11 @@
 //! and overload is answered with `429 Too Many Requests` + `Retry-After`
 //! (`--max-inflight` heavy requests in the handler pool,
 //! `--max-connections` sockets overall);
-//! `ecochip orchestrate` fans a sweep out across local workers or remote
-//! servers, merges the ordered shard streams to stdout as JSON lines, and
-//! with `--check` verifies the merge against the unsharded fingerprint.
-//! When a remote worker dies mid-stream the orchestrator re-dispatches the
+//! `ecochip orchestrate` fans a sweep out across local workers (in-process
+//! servers on loopback ports) or remote servers, merges the ordered shard
+//! streams to stdout as JSON lines, and with `--check` verifies the merge
+//! against the unsharded fingerprint.
+//! When a worker dies mid-stream the orchestrator re-dispatches the
 //! remaining index range of its shard to a surviving worker (`--retries`,
 //! `--backoff-ms`), keeping the merged stream bit-for-bit identical;
 //! `--share-memo` first seeds every worker from the warmest peer's memo.

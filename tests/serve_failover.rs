@@ -334,11 +334,14 @@ fn retries_are_bounded_and_fail_fast_stays_available() {
         Some(&trace::FieldValue::U64(3))
     );
 
-    // With failover disabled (the plain orchestrate entry point) the first
+    // With failover disabled (`FailoverPolicy::none()`) the first
     // loss fails the run immediately.
     let (flaky_addr, flaky_requests) = spawn_flaky_worker(expected, 1);
     let pool = WorkerPool::Remote(vec![flaky_addr]);
-    let result = orchestrator::orchestrate(&db, &request, &pool, |_line| Ok(()));
+    let result =
+        orchestrator::orchestrate_with(&db, &request, &pool, &FailoverPolicy::none(), |_line| {
+            Ok(())
+        });
     assert!(result.is_err());
     assert_eq!(flaky_requests.load(Ordering::SeqCst), 1, "no retries");
 }

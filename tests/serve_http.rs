@@ -883,23 +883,25 @@ fn remote_orchestration_merges_two_servers_to_the_unsharded_stream() {
 
     let pool = WorkerPool::Remote(vec![format!("http://{first_addr}"), second_addr.clone()]);
     let mut lines = Vec::new();
-    let outcome = orchestrator::orchestrate(&db, &request, &pool, |line| {
-        lines.push(line.to_owned());
-        Ok(())
-    })
-    .unwrap();
+    let outcome =
+        orchestrator::orchestrate_with(&db, &request, &pool, &FailoverPolicy::none(), |line| {
+            lines.push(line.to_owned());
+            Ok(())
+        })
+        .unwrap();
     assert_eq!(outcome, reference, "remote merge diverged");
     assert_eq!(lines, reference_lines("ga102-3chiplet", "lifetime"));
 
     // A local orchestration of the same request produces the same stream.
     let mut local_lines = Vec::new();
-    let local = orchestrator::orchestrate(
+    let local = orchestrator::orchestrate_with(
         &db,
         &request,
         &WorkerPool::Local {
             workers: 2,
             jobs: Some(2),
         },
+        &FailoverPolicy::none(),
         |line| {
             local_lines.push(line.to_owned());
             Ok(())
@@ -970,7 +972,8 @@ fn remote_orchestration_merges_two_servers_to_the_unsharded_stream() {
         listener.local_addr().unwrap().to_string()
     };
     let broken = WorkerPool::Remote(vec![first_addr.clone(), dead]);
-    let result = orchestrator::orchestrate(&db, &request, &broken, |_| Ok(()));
+    let result =
+        orchestrator::orchestrate_with(&db, &request, &broken, &FailoverPolicy::none(), |_| Ok(()));
     assert!(result.is_err(), "dead worker must fail the orchestration");
 
     first.shutdown().unwrap();
