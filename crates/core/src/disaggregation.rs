@@ -150,12 +150,19 @@ pub fn three_chiplets(blocks: &SocBlocks, nodes: NodeTuple) -> Vec<Chiplet> {
     ]
 }
 
+/// The most digital chiplets [`split_logic`] builds. The paper's splits
+/// stop at single digits; the bound keeps a request-supplied count (a
+/// `ChipletCounts` sweep axis) from sizing an allocation that aborts the
+/// process or a system no floorplanner finishes.
+pub const MAX_LOGIC_CHIPLETS: usize = 1024;
+
 /// Split the digital block into `logic_chiplets` equal chiplets (plus the
 /// memory and analog chiplets), the sweep of Figs. 9, 10 and 15(b).
 ///
 /// # Errors
 ///
-/// Returns [`EcoChipError::InvalidSystem`] when `logic_chiplets` is zero.
+/// Returns [`EcoChipError::InvalidSystem`] when `logic_chiplets` is zero or
+/// above [`MAX_LOGIC_CHIPLETS`].
 pub fn split_logic(
     blocks: &SocBlocks,
     logic_chiplets: usize,
@@ -165,6 +172,12 @@ pub fn split_logic(
         return Err(EcoChipError::InvalidSystem(
             "the digital block must be split into at least one chiplet".to_owned(),
         ));
+    }
+    if logic_chiplets > MAX_LOGIC_CHIPLETS {
+        return Err(EcoChipError::InvalidSystem(format!(
+            "cannot split the digital block into {logic_chiplets} chiplets; \
+             at most {MAX_LOGIC_CHIPLETS} are supported"
+        )));
     }
     let per_chiplet = blocks.logic_transistors / logic_chiplets as f64;
     let mut chiplets = Vec::with_capacity(logic_chiplets + 2);
@@ -300,6 +313,20 @@ mod tests {
             assert!((total - b.total_transistors()).abs() < 1.0);
         }
         assert!(split_logic(&b, 0, nodes).is_err());
+    }
+
+    #[test]
+    fn split_logic_refuses_counts_over_the_bound_naming_them() {
+        let b = blocks();
+        let nodes = NodeTuple::uniform(TechNode::N7);
+        assert_eq!(
+            split_logic(&b, MAX_LOGIC_CHIPLETS, nodes).unwrap().len(),
+            MAX_LOGIC_CHIPLETS + 2
+        );
+        for count in [MAX_LOGIC_CHIPLETS + 1, 1 << 40, 1 << 62, usize::MAX] {
+            let error = split_logic(&b, count, nodes).unwrap_err();
+            assert!(error.to_string().contains(&count.to_string()), "{error}");
+        }
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! hold the wire output to the same bit-for-bit standard as the in-process
 //! engine.
 
+use eco_chip::core::disaggregation::NodeTuple;
 use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::core::EcoChip;
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{client, OptimizeRequest, ServeConfig, Server, ServerHandle, SweepRequest};
-use eco_chip::techdb::TechDb;
-use eco_chip::testcases::catalog;
+use eco_chip::techdb::{TechDb, TechNode};
+use eco_chip::testcases::{catalog, ga102};
 
 /// Boot a server on an ephemeral port, returning its handle and `host:port`.
 fn boot(config: ServeConfig) -> (ServerHandle, String) {
@@ -398,7 +399,12 @@ fn malformed_requests_get_http_errors_not_hangs() {
 
 #[test]
 fn hostile_bodies_get_400_and_the_server_keeps_serving() {
-    let (handle, addr) = boot(default_config());
+    // One handler thread: a body that killed it would leave every later
+    // heavy request unserved.
+    let (handle, addr) = boot(ServeConfig {
+        threads: 1,
+        ..default_config()
+    });
 
     // 200 KB of `[` once recursed the JSON parser off the end of its stack
     // and aborted the whole server; now the nesting cap refuses it.
@@ -426,8 +432,46 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
     assert_eq!(response.status, 400);
     assert!(response.text().unwrap().contains("sweep too large"));
 
+    // A digital-chiplet count past the split bound once sized a
+    // `Vec::with_capacity` that aborted the process (`1 << 40`) or
+    // panicked the handler thread (`1 << 62`). The count is applied when
+    // its case is evaluated, so the refusal arrives in-band and names it.
+    let db = TechDb::default();
+    for count in [1usize << 40, 1 << 62] {
+        let request = SweepRequest {
+            testcase: Some("ga102-3chiplet".into()),
+            axis: None,
+            axes: Some(vec![SweepAxis::ChipletCounts {
+                blocks: ga102::soc_blocks(&db).unwrap(),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts: vec![count],
+            }]),
+            ..SweepRequest::named("ga102-3chiplet", "lifetime")
+        };
+        let body = serde_json::to_string(&request).unwrap();
+        let response = client::post_json(&addr, "/v1/sweep", &body).unwrap();
+        let text = response.text().unwrap();
+        assert!(text.starts_with("{\"error\""), "{count}: {text}");
+        assert!(text.contains(&count.to_string()), "{count}: {text}");
+    }
+
+    // `/v1/healthz` is answered on the event loop; a real sweep proves the
+    // handler pool survived too.
     let health = client::get(&addr, "/v1/healthz").unwrap();
     assert_eq!(health.status, 200);
+    let mut lines = Vec::new();
+    let response = client::post_ndjson(
+        &addr,
+        "/v1/sweep",
+        r#"{"testcase":"ga102-3chiplet","axis":"lifetime"}"#,
+        |line| {
+            lines.push(line.to_owned());
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(lines, reference_lines("ga102-3chiplet", "lifetime"));
 
     handle.shutdown().unwrap();
 }
