@@ -47,6 +47,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -988,6 +989,8 @@ fn is_offloaded(request: &http::Request) -> bool {
         ("POST", "/v1/optimize") => true,
         ("POST", "/v1/estimate") => metrics::is_batch_estimate_body(&request.body),
         ("GET" | "POST", "/v1/memo") => true,
+        #[cfg(test)]
+        ("POST", tests::PANIC_PATH) => true,
         _ => false,
     }
 }
@@ -1012,17 +1015,33 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
         let route = metrics::route_label_for(&request.method, &request.path, &request.body);
         state.metrics.request_started();
         let started = Instant::now();
-        let status = {
+        // A panicking handler must not take its pool thread with it: the
+        // request counts as a 500 and the connection still goes back to
+        // the loop (closed), so the in-flight count drains and the memo is
+        // still saved at shutdown.
+        let handled = {
             let _trace = ecochip_trace::set_current_trace(trace);
             let span = ecochip_trace::span(format!("request:{route}"));
-            let status = route_offloaded(state, &request, &mut conn.stream, keep_alive, &span);
+            let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+                route_offloaded(state, &request, &mut conn.stream, keep_alive, &span)
+            }))
+            .ok();
             drop(span);
-            access_log(&request, route, status, started.elapsed());
-            status
+            if handled.is_none() {
+                ecochip_trace::warn(
+                    "serve::server",
+                    "request handler panicked; closing the connection",
+                    &[("route", FieldValue::from(route))],
+                );
+            }
+            access_log(&request, route, handled.unwrap_or(500), started.elapsed());
+            handled
         };
+        let status = handled.unwrap_or(500);
         state.metrics.observe(route, status, started.elapsed());
         // 499: the peer vanished mid-stream — nothing left to keep alive.
-        let close = !keep_alive || status == 499;
+        // A panicked handler may have left a partial response behind.
+        let close = !keep_alive || status == 499 || handled.is_none();
         let _ = done.send(Done { conn, close });
         state.waker.wake();
     }
@@ -1316,6 +1335,8 @@ fn route_offloaded(
             Ok(response) => respond(stream, 200, &response, keep_alive),
             Err(error) => respond_error(stream, &error, keep_alive),
         },
+        #[cfg(test)]
+        ("POST", tests::PANIC_PATH) => panic!("handler panic requested by a test"),
         _ => respond(
             stream,
             500,
@@ -1701,4 +1722,60 @@ fn optimize(
     }
     let _ = chunked.finish();
     200
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    /// A heavy route that panics in its handler, routed only in tests.
+    pub(super) const PANIC_PATH: &str = "/v1/test/panic";
+
+    #[test]
+    fn a_panicking_handler_is_a_500_and_the_pool_keeps_serving() {
+        let memo = std::env::temp_dir().join(format!(
+            "ecochip-serve-panic-memo-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&memo);
+        // One handler thread and one in-flight slot: the sweep below is
+        // served only if the panicking request's thread survived and its
+        // slot was handed back.
+        let server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            jobs: Some(1),
+            threads: 1,
+            max_inflight: 1,
+            memo_file: Some(memo.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+
+        // The connection closes without a response.
+        assert!(client::post_json(&addr, PANIC_PATH, "{}").is_err());
+
+        let sweep = r#"{"testcase":"ga102-3chiplet","axis":"lifetime"}"#;
+        let mut lines = 0usize;
+        let response = client::post_ndjson(&addr, "/v1/sweep", sweep, |_| {
+            lines += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(lines, 7);
+
+        let metrics = client::get(&addr, "/metrics").unwrap();
+        let text = metrics.text().unwrap();
+        assert!(
+            text.contains(r#"ecochip_http_requests_total{route="other",status="500"} 1"#),
+            "{text}"
+        );
+
+        handle.shutdown().unwrap();
+        assert!(memo.exists(), "the memo is saved at shutdown");
+        std::fs::remove_file(&memo).unwrap();
+    }
 }
