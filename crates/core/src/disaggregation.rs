@@ -313,12 +313,6 @@ mod tests {
             assert!((total - b.total_transistors()).abs() < 1.0);
         }
         assert!(split_logic(&b, 0, nodes).is_err());
-    }
-
-    #[test]
-    fn split_logic_refuses_counts_over_the_bound_naming_them() {
-        let b = blocks();
-        let nodes = NodeTuple::uniform(TechNode::N7);
         assert_eq!(
             split_logic(&b, MAX_LOGIC_CHIPLETS, nodes).unwrap().len(),
             MAX_LOGIC_CHIPLETS + 2

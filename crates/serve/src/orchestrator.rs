@@ -403,7 +403,7 @@ fn drive(
     let forwarded = Cell::new(0usize);
     // The merger hanging up (a downstream error) is fatal, never retried.
     let merger_gone = Cell::new(false);
-    let mut target = index % count;
+    let mut target = index;
     let mut attempt = 0usize;
     loop {
         let url = &urls[target];

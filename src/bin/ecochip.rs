@@ -1042,7 +1042,7 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     if flags.has("--share-memo") {
         let WorkerPool::Remote(urls) = &pool else {
             return Err(CliError::usage(
-                "--share-memo needs --remote (local workers share nothing over the wire)",
+                "--share-memo needs --remote (local workers start cold, with nothing to seed)",
             ));
         };
         // Seeding is an optimization: a failed share (unreachable worker,
