@@ -96,16 +96,6 @@ pub enum WorkerPool {
     Remote(Vec<String>),
 }
 
-impl WorkerPool {
-    /// The number of shards this pool evaluates.
-    pub fn shards(&self) -> usize {
-        match self {
-            WorkerPool::Local { workers, .. } => (*workers).max(1),
-            WorkerPool::Remote(urls) => urls.len(),
-        }
-    }
-}
-
 /// What an orchestrated (or unsharded reference) run produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrchestratorOutcome {
@@ -179,16 +169,12 @@ where
             "orchestrated requests must not be pre-sliced; the orchestrator assigns shards".into(),
         ));
     }
-    let shards = pool.shards();
-    if shards == 0 {
-        return Err(ServeError::Api(
-            "a remote pool needs at least one URL".into(),
-        ));
-    }
     // Resolve up front so bad requests fail before any worker starts
     // (failover needs the case count to compute shard ranges anyway).
     let (spec, _) = request.resolve(db)?;
     let total = spec.try_len()?;
+    let fleet = Fleet::start(db, pool)?;
+    let shards = fleet.urls.len();
 
     // One trace ID for the whole fan-out: adopt the caller's current trace
     // (a front end that already minted or received one), mint otherwise.
@@ -206,7 +192,6 @@ where
         ],
     );
 
-    let fleet = Fleet::start(db, pool)?;
     let work = (0..shards)
         .map(|index| Work::Shard {
             request,
@@ -260,6 +245,11 @@ impl Fleet {
                 }
             }
             WorkerPool::Remote(urls) => fleet.urls.clone_from(urls),
+        }
+        if fleet.urls.is_empty() {
+            return Err(ServeError::Api(
+                "a remote pool needs at least one URL".into(),
+            ));
         }
         Ok(fleet)
     }
@@ -672,12 +662,6 @@ where
                 .into(),
         ));
     }
-    let islands = pool.shards();
-    if islands == 0 {
-        return Err(ServeError::Api(
-            "a remote pool needs at least one URL".into(),
-        ));
-    }
     // Resolve up front so bad requests fail before any island starts; this
     // also yields the base OptConfig the per-island configs derive from.
     let (_, _, base) = request.resolve(db)?;
@@ -688,6 +672,8 @@ where
     } else {
         rounds.max(1)
     };
+    let fleet = Fleet::start(db, pool)?;
+    let islands = fleet.urls.len();
 
     let trace = ecochip_trace::current_trace().unwrap_or_else(ecochip_trace::mint_trace_id);
     let _trace_guard = ecochip_trace::set_current_trace(trace.clone());
@@ -703,7 +689,6 @@ where
         ],
     );
 
-    let fleet = Fleet::start(db, pool)?;
     let mut global = opt::ParetoFrontier::new();
     let mut evaluated = 0usize;
     for round in 0..rounds {

@@ -1073,10 +1073,9 @@ fn run_orchestrate(args: &[String]) -> CliResult {
         }
     }
 
-    let shards = pool.shards();
     let mode = match &pool {
-        WorkerPool::Local { .. } => format!("{shards} local workers"),
-        WorkerPool::Remote(_) => format!("{shards} remote servers"),
+        WorkerPool::Local { workers, .. } => format!("{workers} local workers"),
+        WorkerPool::Remote(urls) => format!("{} remote servers", urls.len()),
     };
 
     if flags.has("--optimize") {
