@@ -439,7 +439,6 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
     let db = TechDb::default();
     for count in [1usize << 40, 1 << 62] {
         let request = SweepRequest {
-            testcase: Some("ga102-3chiplet".into()),
             axis: None,
             axes: Some(vec![SweepAxis::ChipletCounts {
                 blocks: ga102::soc_blocks(&db).unwrap(),
