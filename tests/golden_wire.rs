@@ -16,6 +16,12 @@
 //! plus the memo's hit, miss and eviction counters after each request. It
 //! is the path where LRU eviction decides what gets recomputed.
 //!
+//! `tests/golden/explore_fab_source/` pins the anneal and genetic
+//! `POST /v1/optimize` streams over a fab-energy-source × lifetime space,
+//! scored on embodied CFP, cost and area. Each case there estimates with
+//! its own fab source, so these streams show whether the explorers score
+//! every case exactly as the exhaustive sweep does.
+//!
 //! After an intended change to the wire bytes, re-bless with
 //!
 //! ```sh
@@ -28,6 +34,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use eco_chip::core::disaggregation::NodeTuple;
+use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::SweepAxis;
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig,
@@ -238,6 +245,48 @@ fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
     outputs
 }
 
+/// The anneal (seed 42) and genetic (seed 7) streams over `ga102-3chiplet`
+/// × the named `energy` axis × three lifetimes, budget 32.
+fn explore_fab_source_outputs() -> Vec<(String, Vec<u8>)> {
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: Some(1),
+        threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral server");
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+
+    let db = TechDb::default();
+    let base = catalog::build(&db, "ga102-3chiplet").expect("built-in test case");
+    let axes = vec![
+        named_sweep_axis("energy", &base).expect("named energy axis"),
+        SweepAxis::lifetimes_years(&[1.0, 2.0, 4.0]),
+    ];
+
+    let mut outputs = Vec::new();
+    for (method, seed) in [("anneal", 42), ("genetic", 7)] {
+        let request = OptimizeRequest {
+            testcase: None,
+            system: Some(base.clone()),
+            axis: None,
+            axes: Some(axes.clone()),
+            method: Some(method.into()),
+            budget: Some(32),
+            seed: Some(seed),
+            objectives: Some("embodied,cost,area".into()),
+            ..OptimizeRequest::named("", "")
+        };
+        let body = serde_json::to_string(&request).expect("encode optimize request");
+        let response = client::post_json(&addr, "/v1/optimize", &body).expect("POST /v1/optimize");
+        assert_eq!(response.status, 200, "{method}: {:?}", response.text());
+        outputs.push((format!("{method}.jsonl"), response.body));
+    }
+    handle.shutdown().expect("server shutdown");
+    outputs
+}
+
 #[test]
 fn wire_bytes_match_golden_files() {
     check_golden(&golden_dir("wire"), &current_outputs());
@@ -251,4 +300,12 @@ fn pretty_and_map_keyed_bytes_match_golden_files() {
 #[test]
 fn bounded_memo_optimize_matches_golden_files() {
     check_golden(&golden_dir("bounded_optimize"), &bounded_optimize_outputs());
+}
+
+#[test]
+fn fab_source_explorers_match_golden_files() {
+    check_golden(
+        &golden_dir("explore_fab_source"),
+        &explore_fab_source_outputs(),
+    );
 }
