@@ -1,8 +1,7 @@
 //! # ecochip-bench
 //!
 //! The experiment harness of the ECO-CHIP reproduction: one generator per
-//! table and figure of the paper's evaluation (Sections II, IV, V and VI),
-//! plus Criterion performance benches for the estimator itself.
+//! table and figure of the paper's evaluation (Sections II, IV, V and VI).
 //!
 //! Every generator in [`experiments`] returns one or more [`Table`]s — the
 //! same rows / series the paper plots. [`experiments::EXPERIMENTS`] names

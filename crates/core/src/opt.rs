@@ -24,16 +24,16 @@
 //! one `improvement` event per incumbent/frontier improvement and a final
 //! `done` event carrying the full frontier.
 
-use std::time::Instant;
-
-use ecochip_trace::{Stage, StageTimings};
+use ecochip_trace::StageTimings;
 use serde::{Deserialize, Serialize};
 
 use crate::costing;
 use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
-use crate::sweep::{Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec};
+use crate::sweep::{
+    CaseEvaluator, Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+};
 use crate::system::System;
 
 /// Default evaluation budget for the heuristic explorers.
@@ -654,72 +654,57 @@ fn scalar_energy(values: &[f64]) -> f64 {
     values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum()
 }
 
-/// Serial case evaluator shared by the explorers: decodes a flat index,
-/// picks the fab-energy-source estimator variant the engine would use,
-/// estimates against the (possibly warm) memo context and scores the
-/// objective set. Serial evaluation is what makes explorer trajectories
+/// The state the budget-bounded explorers share; each explorer only
+/// decides which index to visit next. Cases are evaluated serially through
+/// the engine's [`CaseEvaluator`] and scored with the base estimator, as
+/// [`ParetoSink`] does, which is what makes explorer trajectories
 /// independent of worker counts.
-struct CaseEval<'a> {
+struct Explorer<'a> {
+    method: OptMethod,
+    island: Option<usize>,
     estimator: &'a EcoChip,
-    context: &'a SweepContext,
     objectives: &'a ObjectiveSet,
-    timings: Option<&'a StageTimings>,
-    variants: Vec<(u64, EcoChip)>,
+    cases: CaseEvaluator<'a>,
+    frontier: ParetoFrontier,
+    evaluated: usize,
+    /// The lowest scalar energy visited so far.
+    best: f64,
+    on_event: &'a mut dyn FnMut(&OptEvent) -> Result<(), EcoChipError>,
 }
 
-impl<'a> CaseEval<'a> {
-    fn new(
-        estimator: &'a EcoChip,
-        context: &'a SweepContext,
-        objectives: &'a ObjectiveSet,
-        timings: Option<&'a StageTimings>,
-    ) -> Self {
-        Self {
-            estimator,
-            context,
-            objectives,
-            timings,
-            variants: Vec::new(),
+impl Explorer<'_> {
+    /// Evaluate and score case `index`, offer it to the frontier, and
+    /// report an improvement on the first visit or a lower scalar energy.
+    fn visit(&mut self, index: usize) -> Result<Evaluated, EcoChipError> {
+        let point = self.cases.evaluate(index)?;
+        let values = self
+            .objectives
+            .score(self.estimator, &point.system, &point.report)?;
+        let scored = Evaluated {
+            point: FrontierPoint::new(index, point.label, self.objectives, &values),
+            energy: scalar_energy(&values),
+        };
+        self.evaluated += 1;
+        self.frontier.insert(scored.point.clone());
+        if self.evaluated == 1 || scored.energy < self.best {
+            self.best = scored.energy;
+            (self.on_event)(&OptEvent::improvement(
+                self.method,
+                self.island,
+                self.evaluated,
+                self.frontier.len(),
+                scored.point.clone(),
+            ))?;
         }
+        Ok(scored)
     }
 
-    fn at(&mut self, spec: &SweepSpec, index: usize) -> Result<Evaluated, EcoChipError> {
-        let case = spec.case_at(index)?;
-        let variant = match case.fab_source {
-            None => None,
-            Some(source) => {
-                let bits = source.carbon_intensity().kg_per_kwh().to_bits();
-                let at = match self.variants.iter().position(|(b, _)| *b == bits) {
-                    Some(at) => at,
-                    None => {
-                        let mut config = self.estimator.config().clone();
-                        config.fab_source = source;
-                        self.variants.push((bits, EcoChip::new(config)));
-                        self.variants.len() - 1
-                    }
-                };
-                Some(at)
-            }
-        };
-        let estimator = match variant {
-            None => self.estimator,
-            Some(at) => &self.variants[at].1,
-        };
-        let report = match self.timings {
-            None => estimator.estimate_with(&case.system, self.context)?,
-            Some(timings) => {
-                let started = Instant::now();
-                let report = estimator.estimate_with(&case.system, self.context);
-                timings.record(Stage::Estimate, started.elapsed());
-                report?
-            }
-        };
-        let values = self.objectives.score(estimator, &case.system, &report)?;
-        let energy = scalar_energy(&values);
-        Ok(Evaluated {
-            point: FrontierPoint::new(index, case.label(), self.objectives, &values),
-            energy,
-        })
+    fn finish(self) -> OptOutcome {
+        OptOutcome {
+            method: self.method.label().to_string(),
+            evaluated: self.evaluated,
+            frontier: self.frontier.into_points(),
+        }
     }
 }
 
@@ -825,26 +810,30 @@ where
                 frontier: frontier.into_points(),
             }
         }
-        OptMethod::Anneal => anneal(
-            estimator,
-            spec,
-            &range,
-            context,
-            timings,
-            config,
-            seeded,
-            &mut on_event,
-        )?,
-        OptMethod::Genetic => genetic(
-            estimator,
-            spec,
-            &range,
-            context,
-            timings,
-            config,
-            seeded,
-            &mut on_event,
-        )?,
+        method => {
+            let mut explorer = Explorer {
+                method,
+                island: config.island,
+                estimator,
+                objectives: &config.objectives,
+                cases: CaseEvaluator::new(estimator, spec, context, timings),
+                frontier: seeded,
+                evaluated: 0,
+                best: f64::INFINITY,
+                on_event: &mut on_event,
+            };
+            if !range.is_empty() {
+                let lens: Vec<usize> = spec.axes().iter().map(|axis| axis.len()).collect();
+                let budget = config.budget.max(1);
+                let mut rng = SplitMix64::new(config.seed);
+                if method == OptMethod::Anneal {
+                    anneal(&mut explorer, &lens, &range, budget, &mut rng)?;
+                } else {
+                    genetic(&mut explorer, &lens, &range, budget, &mut rng)?;
+                }
+            }
+            explorer.finish()
+        }
     };
     on_event(&OptEvent::done(&outcome, config.island))?;
     Ok(outcome)
@@ -852,157 +841,61 @@ where
 
 /// Simulated annealing over the flat index space: single-axis neighbor
 /// moves, linear cooling, Metropolis acceptance on the log-scalarized
-/// energy. Every evaluated point is offered to the frontier; improvement
-/// events fire when the scalar incumbent improves.
-#[allow(clippy::too_many_arguments)]
-fn anneal<F>(
-    estimator: &EcoChip,
-    spec: &SweepSpec,
+/// energy.
+fn anneal(
+    explorer: &mut Explorer<'_>,
+    lens: &[usize],
     range: &std::ops::Range<usize>,
-    context: &SweepContext,
-    timings: Option<&StageTimings>,
-    config: &OptConfig,
-    mut frontier: ParetoFrontier,
-    on_event: &mut F,
-) -> Result<OptOutcome, EcoChipError>
-where
-    F: FnMut(&OptEvent) -> Result<(), EcoChipError>,
-{
-    let method = OptMethod::Anneal;
-    let mut evaluated = 0usize;
-    if range.is_empty() {
-        return Ok(OptOutcome {
-            method: method.label().to_string(),
-            evaluated,
-            frontier: frontier.into_points(),
-        });
-    }
-    let lens: Vec<usize> = spec.axes().iter().map(|axis| axis.len()).collect();
-    let budget = config.budget.max(1);
-    let mut rng = SplitMix64::new(config.seed);
-    let mut eval = CaseEval::new(estimator, context, &config.objectives, timings);
-
+    budget: usize,
+    rng: &mut SplitMix64,
+) -> Result<(), EcoChipError> {
     let start = range.start + rng.gen_range(range.len() as u64) as usize;
-    let mut current = eval.at(spec, start)?;
-    evaluated += 1;
-    frontier.insert(current.point.clone());
-    let mut best = current.energy;
-    on_event(&OptEvent::improvement(
-        method,
-        config.island,
-        evaluated,
-        frontier.len(),
-        current.point.clone(),
-    ))?;
-
-    while evaluated < budget {
-        let temperature = (1.0 - evaluated as f64 / budget as f64).max(1e-3);
-        let candidate_index = neighbor(current.point.index, &lens, range, &mut rng);
-        let candidate = eval.at(spec, candidate_index)?;
-        evaluated += 1;
-        frontier.insert(candidate.point.clone());
-        if candidate.energy < best {
-            best = candidate.energy;
-            on_event(&OptEvent::improvement(
-                method,
-                config.island,
-                evaluated,
-                frontier.len(),
-                candidate.point.clone(),
-            ))?;
-        }
+    let mut current = explorer.visit(start)?;
+    while explorer.evaluated < budget {
+        let temperature = (1.0 - explorer.evaluated as f64 / budget as f64).max(1e-3);
+        let candidate = explorer.visit(neighbor(current.point.index, lens, range, rng))?;
         let accept = candidate.energy < current.energy
             || rng.next_f64() < ((current.energy - candidate.energy) / temperature).exp();
         if accept {
             current = candidate;
         }
     }
-    Ok(OptOutcome {
-        method: method.label().to_string(),
-        evaluated,
-        frontier: frontier.into_points(),
-    })
+    Ok(())
 }
 
 /// Steady-state genetic search: tournament selection, uniform per-axis
-/// crossover, single-digit mutation, worst-member replacement. Improvement
-/// events fire when the best scalar energy improves.
-#[allow(clippy::too_many_arguments)]
-fn genetic<F>(
-    estimator: &EcoChip,
-    spec: &SweepSpec,
+/// crossover, single-digit mutation, worst-member replacement.
+fn genetic(
+    explorer: &mut Explorer<'_>,
+    lens: &[usize],
     range: &std::ops::Range<usize>,
-    context: &SweepContext,
-    timings: Option<&StageTimings>,
-    config: &OptConfig,
-    mut frontier: ParetoFrontier,
-    on_event: &mut F,
-) -> Result<OptOutcome, EcoChipError>
-where
-    F: FnMut(&OptEvent) -> Result<(), EcoChipError>,
-{
-    let method = OptMethod::Genetic;
-    let mut evaluated = 0usize;
-    if range.is_empty() {
-        return Ok(OptOutcome {
-            method: method.label().to_string(),
-            evaluated,
-            frontier: frontier.into_points(),
-        });
-    }
-    let lens: Vec<usize> = spec.axes().iter().map(|axis| axis.len()).collect();
-    let budget = config.budget.max(1);
-    let mut rng = SplitMix64::new(config.seed);
-    let mut eval = CaseEval::new(estimator, context, &config.objectives, timings);
-
+    budget: usize,
+    rng: &mut SplitMix64,
+) -> Result<(), EcoChipError> {
     let pop_size = 8.min(budget).min(range.len()).max(1);
     let mut population: Vec<Evaluated> = Vec::with_capacity(pop_size);
-    let mut best = f64::INFINITY;
-    let emit_if_best = |member: &Evaluated,
-                        best: &mut f64,
-                        evaluated: usize,
-                        frontier: &ParetoFrontier,
-                        on_event: &mut F|
-     -> Result<(), EcoChipError> {
-        if member.energy < *best {
-            *best = member.energy;
-            on_event(&OptEvent::improvement(
-                method,
-                config.island,
-                evaluated,
-                frontier.len(),
-                member.point.clone(),
-            ))?;
-        }
-        Ok(())
-    };
-
-    while population.len() < pop_size && evaluated < budget {
+    while population.len() < pop_size && explorer.evaluated < budget {
         let index = range.start + rng.gen_range(range.len() as u64) as usize;
-        let member = eval.at(spec, index)?;
-        evaluated += 1;
-        frontier.insert(member.point.clone());
-        emit_if_best(&member, &mut best, evaluated, &frontier, on_event)?;
-        population.push(member);
+        population.push(explorer.visit(index)?);
     }
 
-    while evaluated < budget {
-        let pick = |rng: &mut SplitMix64, population: &[Evaluated]| -> usize {
-            let a = rng.gen_range(population.len() as u64) as usize;
-            let b = rng.gen_range(population.len() as u64) as usize;
-            if population[a].energy <= population[b].energy {
-                a
-            } else {
-                b
-            }
-        };
-        let parent_a = pick(&mut rng, &population);
-        let parent_b = pick(&mut rng, &population);
+    let pick = |rng: &mut SplitMix64, population: &[Evaluated]| -> usize {
+        let a = rng.gen_range(population.len() as u64) as usize;
+        let b = rng.gen_range(population.len() as u64) as usize;
+        if population[a].energy <= population[b].energy {
+            a
+        } else {
+            b
+        }
+    };
+    while explorer.evaluated < budget {
+        let parent_a = pick(rng, &population);
+        let parent_b = pick(rng, &population);
         let child_index = if lens.is_empty() {
             range.start
         } else {
-            let digits_a = digits_of(population[parent_a].point.index, &lens);
-            let digits_b = digits_of(population[parent_b].point.index, &lens);
+            let digits_a = digits_of(population[parent_a].point.index, lens);
+            let digits_b = digits_of(population[parent_b].point.index, lens);
             let mut child: Vec<usize> = digits_a
                 .iter()
                 .zip(&digits_b)
@@ -1014,12 +907,9 @@ where
                 let axis = rng.gen_range(lens.len() as u64) as usize;
                 child[axis] = rng.gen_range(lens[axis] as u64) as usize;
             }
-            into_range(index_of(&child, &lens), range)
+            into_range(index_of(&child, lens), range)
         };
-        let child = eval.at(spec, child_index)?;
-        evaluated += 1;
-        frontier.insert(child.point.clone());
-        emit_if_best(&child, &mut best, evaluated, &frontier, on_event)?;
+        let child = explorer.visit(child_index)?;
         let worst = population
             .iter()
             .enumerate()
@@ -1030,11 +920,7 @@ where
             population[worst] = child;
         }
     }
-    Ok(OptOutcome {
-        method: method.label().to_string(),
-        evaluated,
-        frontier: frontier.into_points(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1204,13 +1090,26 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.evaluated, 12);
         assert!(!outcome.frontier.is_empty());
-        // The streamed frontier equals the brute-force non-dominated set.
+        // The streamed frontier equals the brute-force non-dominated set,
+        // built from a cold estimator per case that carries the case's fab
+        // source.
         let mut brute = ParetoFrontier::new();
-        let context = SweepContext::new();
         let objectives = ObjectiveSet::default();
-        let mut eval = CaseEval::new(&estimator, &context, &objectives, None);
         for index in 0..12 {
-            brute.insert(eval.at(&spec, index).unwrap().point);
+            let case = spec.case_at(index).unwrap();
+            let mut config = estimator.config().clone();
+            if let Some(source) = case.fab_source {
+                config.fab_source = source;
+            }
+            let cold = EcoChip::new(config);
+            let report = cold.estimate(&case.system).unwrap();
+            let values = objectives.score(&cold, &case.system, &report).unwrap();
+            brute.insert(FrontierPoint::new(
+                index,
+                case.label(),
+                &objectives,
+                &values,
+            ));
         }
         assert_eq!(outcome.frontier, brute.into_points());
         // The event stream ends with a done event carrying the frontier.

@@ -352,9 +352,7 @@ pub fn validate_case_range(
 ///
 /// Cases are *index-addressable*: the spec never materializes its cartesian
 /// product. [`SweepSpec::case_at`] decodes any flat index into its case in
-/// `O(axes)` time, [`SweepSpec::iter`] streams cases lazily, and
-/// [`SweepSpec::cases`] collects the full product when a `Vec` is wanted.
-/// All three use the same deterministic row-major order — the first axis
+/// `O(axes)` time, in deterministic row-major order — the first axis
 /// varies slowest, the last axis fastest — exactly the order nested `for`
 /// loops over the axes would produce.
 ///
@@ -396,9 +394,9 @@ impl SweepSpec {
     /// Total number of points (the product of the axis lengths; 1 when the
     /// spec has no axes — the base system itself), saturating at
     /// `usize::MAX` when the product overflows. Index-addressed entry points
-    /// ([`SweepSpec::case_at`], [`SweepSpec::iter`], [`SweepSpec::cases`] and
-    /// the engine) use the checked [`SweepSpec::try_len`] instead and reject
-    /// overflowing products with a typed error.
+    /// ([`SweepSpec::case_at`] and the engine) use the checked
+    /// [`SweepSpec::try_len`] instead and reject overflowing products with a
+    /// typed error.
     pub fn len(&self) -> usize {
         self.axes
             .iter()
@@ -467,76 +465,7 @@ impl SweepSpec {
         }
         Ok(case)
     }
-
-    /// Lazily iterate every case in deterministic row-major order.
-    pub fn iter(&self) -> SweepCaseIter<'_> {
-        self.iter_shard(Shard::FULL)
-    }
-
-    /// Lazily iterate the cases a [`Shard`] owns, in row-major order.
-    ///
-    /// If the cartesian product overflows the index space, the iterator
-    /// yields the [`EcoChipError::SweepTooLarge`] error as its only item.
-    pub fn iter_shard(&self, shard: Shard) -> SweepCaseIter<'_> {
-        match self.try_len() {
-            Ok(total) => SweepCaseIter {
-                spec: self,
-                range: shard.range(total),
-                overflow: None,
-            },
-            Err(error) => SweepCaseIter {
-                spec: self,
-                range: 0..0,
-                overflow: Some(error),
-            },
-        }
-    }
-
-    /// Generate every case of the cartesian product, in deterministic
-    /// row-major order (last axis fastest).
-    ///
-    /// This materializes the full product; for large spaces prefer
-    /// [`SweepSpec::iter`] / [`SweepSpec::case_at`] or the engine's
-    /// streaming entry points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::SweepTooLarge`] for overflowing products and
-    /// [`EcoChipError::InvalidSystem`] when an axis does not apply to the
-    /// base system (e.g. a [`SweepAxis::ChipletNode`] index out of range).
-    pub fn cases(&self) -> Result<Vec<SweepCase>, EcoChipError> {
-        self.iter().collect()
-    }
 }
-
-/// Lazy iterator over (a shard of) a [`SweepSpec`]'s cartesian product, in
-/// row-major order. Created by [`SweepSpec::iter`] and
-/// [`SweepSpec::iter_shard`]; holds `O(1)` state.
-#[derive(Debug)]
-pub struct SweepCaseIter<'a> {
-    spec: &'a SweepSpec,
-    range: std::ops::Range<usize>,
-    overflow: Option<EcoChipError>,
-}
-
-impl Iterator for SweepCaseIter<'_> {
-    type Item = Result<SweepCase, EcoChipError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(error) = self.overflow.take() {
-            return Some(Err(error));
-        }
-        let index = self.range.next()?;
-        Some(self.spec.case_at(index))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = self.range.len() + usize::from(self.overflow.is_some());
-        (len, Some(len))
-    }
-}
-
-impl ExactSizeIterator for SweepCaseIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -565,6 +494,13 @@ mod tests {
             .unwrap()
     }
 
+    /// Every case of `spec`, decoded index by index with `case_at`.
+    fn all_cases(spec: &SweepSpec) -> Result<Vec<SweepCase>, EcoChipError> {
+        (0..spec.try_len()?)
+            .map(|index| spec.case_at(index))
+            .collect()
+    }
+
     fn packaging_axis() -> SweepAxis {
         SweepAxis::Packaging(vec![
             PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
@@ -578,7 +514,7 @@ mod tests {
             .axis(packaging_axis())
             .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0]));
         assert_eq!(spec.len(), 6);
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         let labels: Vec<String> = cases.iter().map(SweepCase::label).collect();
         assert_eq!(
             labels,
@@ -599,11 +535,11 @@ mod tests {
     fn empty_axis_empties_the_spec() {
         let spec = SweepSpec::new(base()).axis(SweepAxis::Packaging(Vec::new()));
         assert!(spec.is_empty());
-        assert!(spec.cases().unwrap().is_empty());
+        assert!(all_cases(&spec).unwrap().is_empty());
         let no_axes = SweepSpec::new(base());
         assert_eq!(no_axes.len(), 1);
-        assert_eq!(no_axes.cases().unwrap().len(), 1);
-        assert_eq!(no_axes.cases().unwrap()[0].label(), "");
+        assert_eq!(all_cases(&no_axes).unwrap().len(), 1);
+        assert_eq!(all_cases(&no_axes).unwrap()[0].label(), "");
     }
 
     #[test]
@@ -612,7 +548,7 @@ mod tests {
             index: 1,
             nodes: vec![TechNode::N10, TechNode::N14],
         });
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         assert_eq!(cases[0].system.chiplets[1].node, TechNode::N10);
         assert_eq!(cases[0].system.chiplets[0].node, TechNode::N7);
         assert_eq!(cases[0].labels, ["10"]);
@@ -621,7 +557,7 @@ mod tests {
             index: 7,
             nodes: vec![TechNode::N10],
         });
-        assert!(bad.cases().is_err());
+        assert!(all_cases(&bad).is_err());
     }
 
     #[test]
@@ -632,7 +568,7 @@ mod tests {
             blocks,
             tuples: vec![tuple],
         });
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].system.chiplets.len(), 3);
         assert_eq!(cases[0].system.name, "soc (7, 14, 10)");
@@ -645,7 +581,7 @@ mod tests {
             EnergySource::Coal,
             EnergySource::Wind,
         ]));
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         assert_eq!(cases[0].fab_source, Some(EnergySource::Coal));
         assert_eq!(cases[1].fab_source, Some(EnergySource::Wind));
         assert_eq!(cases[0].system, cases[1].system);
@@ -660,7 +596,7 @@ mod tests {
                 ("b".to_owned(), other),
             ]))
             .axis(packaging_axis());
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         assert_eq!(cases.len(), 4);
         assert!((cases[3].system.lifetime.years() - 9.0).abs() < 1e-12);
         assert_eq!(cases[3].label(), "b / EMIB");
@@ -675,15 +611,20 @@ mod tests {
                 EnergySource::Coal,
                 EnergySource::Wind,
             ]));
-        let cases = spec.cases().unwrap();
-        assert_eq!(cases.len(), 12);
-        for (i, case) in cases.iter().enumerate() {
-            assert_eq!(&spec.case_at(i).unwrap(), case, "index {i}");
+        assert_eq!(spec.len(), 12);
+        let mut index = 0;
+        for packaging in ["RDL", "EMIB"] {
+            for years in [1.0, 2.0, 3.0] {
+                for source in [EnergySource::Coal, EnergySource::Wind] {
+                    let case = spec.case_at(index).unwrap();
+                    assert_eq!(case.system.packaging.short_name(), packaging, "{index}");
+                    assert!((case.system.lifetime.years() - years).abs() < 1e-12);
+                    assert_eq!(case.fab_source, Some(source), "index {index}");
+                    index += 1;
+                }
+            }
         }
         assert!(spec.case_at(12).is_err());
-        let collected: Vec<SweepCase> = spec.iter().map(Result::unwrap).collect();
-        assert_eq!(collected, cases);
-        assert_eq!(spec.iter().len(), 12);
     }
 
     #[test]
@@ -723,20 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_iteration_concatenates_to_the_full_sweep() {
-        let spec = SweepSpec::new(base())
-            .axis(packaging_axis())
-            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0, 4.0, 5.0]));
-        let full: Vec<SweepCase> = spec.iter().map(Result::unwrap).collect();
-        let mut merged = Vec::new();
-        for index in 0..3 {
-            let shard = Shard::new(index, 3).unwrap();
-            merged.extend(spec.iter_shard(shard).map(Result::unwrap));
-        }
-        assert_eq!(merged, full);
-    }
-
-    #[test]
     fn overflowing_products_are_rejected_not_panicked() {
         let huge = SweepAxis::lifetimes_years(&vec![1.0; 1 << 16]);
         let mut spec = SweepSpec::new(base());
@@ -753,13 +680,6 @@ mod tests {
             spec.case_at(0),
             Err(EcoChipError::SweepTooLarge(_))
         ));
-        let mut iter = spec.iter();
-        assert!(matches!(
-            iter.next(),
-            Some(Err(EcoChipError::SweepTooLarge(_)))
-        ));
-        assert!(iter.next().is_none());
-        assert!(matches!(spec.cases(), Err(EcoChipError::SweepTooLarge(_))));
     }
 
     #[test]
@@ -780,7 +700,7 @@ mod tests {
         let restored: SweepSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(restored, spec);
         // Decoded specs generate identical cases, in identical order.
-        assert_eq!(restored.cases().unwrap(), spec.cases().unwrap());
+        assert_eq!(all_cases(&restored).unwrap(), all_cases(&spec).unwrap());
 
         // Struct variants (the disaggregation-deriving axes) round-trip too.
         let derived = SweepSpec::new(base())
@@ -802,14 +722,14 @@ mod tests {
         });
         let json = serde_json::to_string(&counts).unwrap();
         let restored: SweepSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.cases().unwrap(), counts.cases().unwrap());
+        assert_eq!(all_cases(&restored).unwrap(), all_cases(&counts).unwrap());
     }
 
     #[test]
     fn reuse_ratio_axis_scales_chiplet_volume() {
         let axis = SweepAxis::reuse_ratios(100_000, &[1.0, 4.0]);
         let spec = SweepSpec::new(base()).axis(axis);
-        let cases = spec.cases().unwrap();
+        let cases = all_cases(&spec).unwrap();
         assert_eq!(cases[1].system.volumes.chiplet_volume, 400_000);
         assert_eq!(cases[1].labels, ["NMi/NS=4"]);
     }

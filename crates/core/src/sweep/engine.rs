@@ -289,27 +289,7 @@ impl SweepEngine {
             return Ok(0);
         }
 
-        let variants = VariantCache::new(estimator);
-        let evaluate = |index: usize| -> Result<SweepPoint, EcoChipError> {
-            let case = spec.case_at(index)?;
-            let estimator = variants.estimator_for(case.fab_source);
-            // Near-zero-cost disabled path: untimed requests pay one
-            // branch per point, never a clock read.
-            let report = match timings {
-                None => estimator.estimate_with(&case.system, context)?,
-                Some(timings) => {
-                    let started = Instant::now();
-                    let report = estimator.estimate_with(&case.system, context);
-                    timings.record(Stage::Estimate, started.elapsed());
-                    report?
-                }
-            };
-            Ok(SweepPoint {
-                label: case.label(),
-                system: case.system,
-                report,
-            })
-        };
+        let cases = CaseEvaluator::new(estimator, spec, context, timings);
 
         let jobs = self.jobs.min(count);
         let chunk = self.chunk.max(1);
@@ -323,7 +303,7 @@ impl SweepEngine {
                 let stop = cursor.saturating_add(chunk).min(range.end);
                 let mut batch = Vec::with_capacity(stop - cursor);
                 for index in cursor..stop {
-                    batch.push(evaluate(index)?);
+                    batch.push(cases.evaluate(index)?);
                 }
                 emitted += batch.len();
                 sink.accept_batch(batch)?;
@@ -377,7 +357,7 @@ impl SweepEngine {
                     let mut results = Vec::with_capacity(stop - start);
                     let mut failed = false;
                     for index in start..stop {
-                        let result = evaluate(index);
+                        let result = cases.evaluate(index);
                         failed = result.is_err();
                         results.push(result);
                         if failed {
@@ -480,58 +460,75 @@ struct ReorderQueue {
     space: Condvar,
 }
 
-/// Lazily-built estimator clones for the distinct fab-source overrides seen
-/// while streaming, so workers never clone the (techdb-carrying)
-/// configuration for cases without an override.
-struct VariantCache<'a> {
+/// Evaluates single cases of one spec: decode with
+/// [`SweepSpec::case_at`], pick the estimator for the case's fab-source
+/// override, estimate against the shared memo (timed when `timings` is
+/// set) and label the point. The engine's workers and the optimizer's
+/// explorers both evaluate through it, so a case scores the same whichever
+/// path visits it.
+pub(crate) struct CaseEvaluator<'a> {
+    spec: &'a SweepSpec,
     base: &'a EcoChip,
-    /// `(intensity bits, estimator)` per distinct override.
+    context: &'a SweepContext,
+    timings: Option<&'a StageTimings>,
+    /// Estimator clones for the distinct fab-source overrides seen so far,
+    /// built lazily so cases without an override never clone the
+    /// (techdb-carrying) configuration: `(intensity bits, estimator)`.
     variants: Mutex<Vec<(u64, Arc<EcoChip>)>>,
 }
 
-enum CaseEstimator<'a> {
-    Base(&'a EcoChip),
-    Variant(Arc<EcoChip>),
-}
-
-impl std::ops::Deref for CaseEstimator<'_> {
-    type Target = EcoChip;
-
-    fn deref(&self) -> &EcoChip {
-        match self {
-            CaseEstimator::Base(estimator) => estimator,
-            CaseEstimator::Variant(estimator) => estimator,
-        }
-    }
-}
-
-impl<'a> VariantCache<'a> {
-    fn new(base: &'a EcoChip) -> Self {
+impl<'a> CaseEvaluator<'a> {
+    pub(crate) fn new(
+        base: &'a EcoChip,
+        spec: &'a SweepSpec,
+        context: &'a SweepContext,
+        timings: Option<&'a StageTimings>,
+    ) -> Self {
         Self {
+            spec,
             base,
+            context,
+            timings,
             variants: Mutex::new(Vec::new()),
         }
     }
 
-    fn estimator_for(&self, source: Option<EnergySource>) -> CaseEstimator<'a> {
-        let Some(source) = source else {
-            return CaseEstimator::Base(self.base);
+    /// Evaluate case `index` of the spec.
+    pub(crate) fn evaluate(&self, index: usize) -> Result<SweepPoint, EcoChipError> {
+        let case = self.spec.case_at(index)?;
+        let variant = case.fab_source.map(|source| self.variant(source));
+        let estimator = variant.as_deref().unwrap_or(self.base);
+        // Near-zero-cost disabled path: untimed requests pay one branch
+        // per point, never a clock read.
+        let report = match self.timings {
+            None => estimator.estimate_with(&case.system, self.context)?,
+            Some(timings) => {
+                let started = Instant::now();
+                let report = estimator.estimate_with(&case.system, self.context);
+                timings.record(Stage::Estimate, started.elapsed());
+                report?
+            }
         };
-        let bits = source_bits(source);
+        Ok(SweepPoint {
+            label: case.label(),
+            system: case.system,
+            report,
+        })
+    }
+
+    /// The estimator for fab source `source`, built on first use.
+    fn variant(&self, source: EnergySource) -> Arc<EcoChip> {
+        let bits = source.carbon_intensity().kg_per_kwh().to_bits();
         let mut variants = self.variants.lock().expect("variant cache");
         if let Some((_, estimator)) = variants.iter().find(|(b, _)| *b == bits) {
-            return CaseEstimator::Variant(Arc::clone(estimator));
+            return Arc::clone(estimator);
         }
         let mut config = self.base.config().clone();
         config.fab_source = source;
         let estimator = Arc::new(EcoChip::new(config));
         variants.push((bits, Arc::clone(&estimator)));
-        CaseEstimator::Variant(estimator)
+        estimator
     }
-}
-
-fn source_bits(source: EnergySource) -> u64 {
-    source.carbon_intensity().kg_per_kwh().to_bits()
 }
 
 fn default_jobs() -> usize {

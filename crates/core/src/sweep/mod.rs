@@ -72,10 +72,9 @@ mod axis;
 mod context;
 mod engine;
 
-pub use axis::{
-    validate_case_range, Shard, SweepAxis, SweepCase, SweepCaseIter, SweepSlice, SweepSpec,
-};
+pub use axis::{validate_case_range, Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
+pub(crate) use engine::CaseEvaluator;
 pub use engine::{SweepEngine, SweepSink, CHUNK_ENV_VAR, DEFAULT_CHUNK, JOBS_ENV_VAR};
 
 use serde::{Deserialize, Serialize};

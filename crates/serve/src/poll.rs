@@ -8,8 +8,8 @@
 //! * **`epoll` on Linux** — O(ready) readiness delivery, so ten thousand
 //!   idle keep-alive connections cost nothing per wakeup.
 //! * **`poll(2)` everywhere else on Unix** — O(registered) per wait, but
-//!   portable. On Linux the fallback can be forced with
-//!   `ECOCHIP_POLL_BACKEND=poll` (the unit tests exercise both backends).
+//!   portable. The unit tests build it on Linux too, through
+//!   [`Poller::new_poll_fallback`], so both backends are exercised.
 //!
 //! Both backends are level-triggered: an event keeps firing until the
 //! condition is consumed, so the loop never needs the re-arm bookkeeping of
@@ -357,26 +357,23 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 }
 
 impl Poller {
-    /// A poller on the platform's best backend: `epoll` on Linux (unless
-    /// `ECOCHIP_POLL_BACKEND=poll` forces the fallback), `poll(2)`
-    /// elsewhere.
+    /// A poller on the platform's best backend: `epoll` on Linux,
+    /// `poll(2)` elsewhere.
     ///
     /// # Errors
     ///
     /// Propagates backend-creation and self-pipe syscall failures.
     pub fn new() -> io::Result<Self> {
         #[cfg(target_os = "linux")]
-        {
-            let forced = std::env::var_os("ECOCHIP_POLL_BACKEND")
-                .is_some_and(|v| v.eq_ignore_ascii_case("poll"));
-            if !forced {
-                return Self::with_backend(Backend::Epoll {
-                    epfd: sys::epoll_create()?,
-                    events: vec![sys::EpollEvent::default(); 1024],
-                });
-            }
-        }
-        Self::new_poll_fallback()
+        let backend = Backend::Epoll {
+            epfd: sys::epoll_create()?,
+            events: vec![sys::EpollEvent::default(); 1024],
+        };
+        #[cfg(not(target_os = "linux"))]
+        let backend = Backend::Poll {
+            entries: Vec::new(),
+        };
+        Self::with_backend(backend)
     }
 
     /// A poller on the portable `poll(2)` backend, regardless of platform
@@ -578,8 +575,7 @@ mod tests {
     fn both_backends() -> Vec<Poller> {
         let fallback = Poller::new_poll_fallback().unwrap();
         assert_eq!(fallback.backend_name(), "poll");
-        // The platform default is epoll on Linux — unless the environment
-        // forces the fallback, in which case both entries exercise poll(2).
+        // The platform default: epoll on Linux, poll(2) elsewhere.
         vec![fallback, Poller::new().unwrap()]
     }
 
@@ -660,14 +656,38 @@ mod tests {
     }
 
     #[test]
-    fn waker_interrupts_a_blocked_wait_and_coalesces() {
+    fn waker_wakes_coalesce_into_one_event() {
+        for mut poller in both_backends() {
+            // All three wakes land before the wait, so they are pending
+            // together when it drains the pipe.
+            let waker = poller.waker();
+            waker.wake();
+            waker.wake();
+            waker.wake();
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            let wakes = events
+                .iter()
+                .filter(|event| event.token == WAKER_TOKEN)
+                .count();
+            assert_eq!(wakes, 1, "{}", poller.backend_name());
+
+            // Drained: the next wait times out with no waker event.
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(events.is_empty(), "{}", poller.backend_name());
+        }
+    }
+
+    #[test]
+    fn waker_interrupts_a_blocked_wait() {
         for mut poller in both_backends() {
             let waker = poller.waker();
             let handle = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(50));
-                // Multiple wakes before the drain coalesce into one event.
-                waker.wake();
-                waker.wake();
                 waker.wake();
             });
             let mut events = Vec::new();
@@ -678,12 +698,6 @@ mod tests {
             assert!(started.elapsed() < Duration::from_secs(10));
             assert!(events.iter().any(|event| event.token == WAKER_TOKEN));
             handle.join().unwrap();
-
-            // Drained: the next wait times out with no waker event.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.iter().all(|event| event.token != WAKER_TOKEN));
         }
     }
 

@@ -803,7 +803,7 @@ const CONFLICTS: &[(&str, &str, u8, &str)] = &[
         "--workers",
         "--remote",
         ORCHESTRATE,
-        "pass either --workers (local threads) or --remote (server URLs), not both",
+        "pass either --workers (local in-process servers) or --remote (server URLs), not both",
     ),
     (
         "--check",

@@ -552,7 +552,7 @@ const USAGE_CASES: &[UsageCase] = &[
         ],
         &[],
         2,
-        "pass either --workers (local threads) or --remote (server URLs), not both",
+        "pass either --workers (local in-process servers) or --remote (server URLs), not both",
     ),
     (
         &[
