@@ -200,3 +200,44 @@ fn every_valid_body_decodes_as_its_own_type() {
     serde_json::from_str::<TechDb>(&bodies[4]).expect("techdb");
     serde_json::from_str::<System>(&bodies[5]).expect("system");
 }
+
+/// A multi-field tuple variant, externally tagged: `{"Pair":[a,b]}`.
+#[derive(Debug, PartialEq, serde::Deserialize)]
+enum External {
+    Pair(u32, u32),
+}
+
+/// The same variant adjacently tagged: `{"kind":"Pair","value":[a,b]}`.
+#[derive(Debug, PartialEq, serde::Deserialize)]
+#[serde(tag = "kind", content = "value")]
+enum Adjacent {
+    Pair(u32, u32),
+}
+
+#[test]
+fn tuple_variants_refuse_the_wrong_length() {
+    let decode = |text: &str| {
+        catch_unwind(|| {
+            (
+                serde_json::from_str::<External>(text).ok(),
+                serde_json::from_str::<Adjacent>(text).ok(),
+            )
+        })
+        .unwrap_or_else(|_| panic!("decoding {text:?} panicked"))
+    };
+    assert_eq!(decode(r#"{"Pair":[1,2]}"#).0, Some(External::Pair(1, 2)));
+    assert_eq!(
+        decode(r#"{"kind":"Pair","value":[1,2]}"#).1,
+        Some(Adjacent::Pair(1, 2))
+    );
+    for text in [
+        r#"{"Pair":[1]}"#,
+        r#"{"Pair":[]}"#,
+        r#"{"Pair":[1,2,3]}"#,
+        r#"{"kind":"Pair","value":[1]}"#,
+        r#"{"kind":"Pair","value":[]}"#,
+        r#"{"kind":"Pair","value":[1,2,3]}"#,
+    ] {
+        assert_eq!(decode(text), (None, None), "{text}");
+    }
+}

@@ -2,7 +2,9 @@
 //! standard library: every `f64` must print as `format!("{f}")` plus `.0`
 //! when that has no decimal point, every integer as `to_string()`, and
 //! every string as the reference escaper below. The multiplier tables of
-//! the float emitter are re-derived here with exact arithmetic.
+//! the float emitter are re-derived here with exact arithmetic. The
+//! emitter memoizes texts per thread, so every float is written twice and
+//! a pooled run repeats values in random order.
 //!
 //! `random_bit_patterns_100m` is the long variant; run it with
 //! `cargo test --release --test number_format -- --ignored`.
@@ -25,9 +27,19 @@ fn emitted(f: f64) -> String {
     out
 }
 
+/// Emit `f` twice, so a memoized text is checked on its first write and
+/// on the write that copies it back.
 fn check(f: f64) {
     if f.is_finite() {
-        assert_eq!(emitted(f), reference(f), "bits {:#018x}", f.to_bits());
+        let expected = reference(f);
+        for write in ["first", "second"] {
+            assert_eq!(
+                emitted(f),
+                expected,
+                "{write} write of bits {:#018x}",
+                f.to_bits()
+            );
+        }
     }
 }
 
@@ -60,6 +72,41 @@ fn random_bit_patterns() {
 #[ignore = "100 M samples; run in release with --ignored"]
 fn random_bit_patterns_100m() {
     check_random_bit_patterns(0x5eed_0100, 100_000_000);
+}
+
+/// Draw `count` values in random order from a pool of 4,096: raw bit
+/// patterns, floats of moderate magnitude and short decimals. Repeats hit
+/// the emitter's per-thread memo, and different values sharing a slot
+/// evict each other in between.
+fn check_pooled_values(seed: u64, count: usize) {
+    let mut rng = SplitMix(seed);
+    let pool: Vec<f64> = (0..4_096u64)
+        .map(|i| {
+            let word = rng.next();
+            match i % 3 {
+                0 => f64::from_bits(word),
+                1 => {
+                    // Keep the sign and mantissa; take the exponent from
+                    // 2^-24 to 2^47.
+                    let exponent = 1023 - 24 + (word >> 52) % 72;
+                    let sign_and_mantissa = (1 << 63) | ((1 << 52) - 1);
+                    f64::from_bits((word & sign_and_mantissa) | (exponent << 52))
+                }
+                _ => (word % 2_000_000) as f64 / 1_000.0 - 1_000.0,
+            }
+        })
+        .collect();
+    for _ in 0..count {
+        let f = pool[(rng.next() % pool.len() as u64) as usize];
+        if f.is_finite() {
+            assert_eq!(emitted(f), reference(f), "bits {:#018x}", f.to_bits());
+        }
+    }
+}
+
+#[test]
+fn pooled_values_through_the_memo() {
+    check_pooled_values(0x5eed_0002, 1_000_000);
 }
 
 #[test]
