@@ -32,7 +32,7 @@ use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
 use crate::sweep::{
-    CaseEvaluator, Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+    CaseEvaluator, Shard, SweepContext, SweepCursor, SweepEngine, SweepPoint, SweepSink, SweepSpec,
 };
 use crate::system::System;
 
@@ -361,7 +361,7 @@ impl FrontierPoint {
     }
 
     /// The raw objective values, in set order.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+    pub fn values(&self) -> impl Iterator<Item = f64> + Clone + '_ {
         self.objectives.iter().map(|o| o.value)
     }
 
@@ -370,17 +370,22 @@ impl FrontierPoint {
     #[must_use]
     pub fn dominates(&self, other: &FrontierPoint) -> bool {
         debug_assert_eq!(self.objectives.len(), other.objectives.len());
-        let mut strictly_better = false;
-        for (a, b) in self.values().zip(other.values()) {
-            if a > b {
-                return false;
-            }
-            if a < b {
-                strictly_better = true;
-            }
-        }
-        strictly_better
+        dominates(self.values(), other.values())
     }
+}
+
+/// Pareto dominance over raw objective values, in set order.
+fn dominates(a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> bool {
+    let mut strictly_better = false;
+    for (a, b) in a.zip(b) {
+        if a > b {
+            return false;
+        }
+        if a < b {
+            strictly_better = true;
+        }
+    }
+    strictly_better
 }
 
 /// The set of non-dominated points seen so far, in canonical case-index
@@ -429,17 +434,29 @@ impl ParetoFrontier {
     /// candidate was admitted (it is not dominated by, nor a duplicate
     /// of, any current point); dominated incumbents are evicted.
     pub fn insert(&mut self, candidate: FrontierPoint) -> bool {
+        if !self.admits(candidate.index, candidate.values()) {
+            return false;
+        }
+        self.admit(candidate);
+        true
+    }
+
+    /// Whether [`ParetoFrontier::insert`] would admit case `index` scored
+    /// as `values` (in set order), checked on the raw values so callers
+    /// build the candidate point only once it is admitted.
+    pub(crate) fn admits(&self, index: usize, values: impl Iterator<Item = f64> + Clone) -> bool {
         // Explorers revisit indices; the same case is never an improvement.
-        if self.points.iter().any(|p| p.index == candidate.index) {
-            return false;
-        }
-        if self.points.iter().any(|p| p.dominates(&candidate)) {
-            return false;
-        }
+        self.points
+            .iter()
+            .all(|p| p.index != index && !dominates(p.values(), values.clone()))
+    }
+
+    /// Add a candidate [`ParetoFrontier::admits`] accepted, evicting the
+    /// incumbents it dominates.
+    pub(crate) fn admit(&mut self, candidate: FrontierPoint) {
         self.points.retain(|p| !candidate.dominates(p));
         let at = self.points.partition_point(|p| p.index < candidate.index);
         self.points.insert(at, candidate);
-        true
     }
 
     /// Merge another frontier in (island/shard merge). Returns how many of
@@ -625,17 +642,19 @@ where
         let values = self
             .objectives
             .score(self.estimator, &point.system, &point.report)?;
-        let candidate = FrontierPoint::new(index, point.label, self.objectives, &values);
-        if self.frontier.insert(candidate.clone()) {
-            (self.on_event)(&OptEvent::improvement(
-                OptMethod::Pareto,
-                self.island,
-                self.evaluated,
-                self.frontier.len(),
-                candidate,
-            ))?;
+        // Most candidates are rejected: build the point only on admission.
+        if !self.frontier.admits(index, values.iter().copied()) {
+            return Ok(());
         }
-        Ok(())
+        let candidate = FrontierPoint::new(index, point.label, self.objectives, &values);
+        self.frontier.admit(candidate.clone());
+        (self.on_event)(&OptEvent::improvement(
+            OptMethod::Pareto,
+            self.island,
+            self.evaluated,
+            self.frontier.len(),
+            candidate,
+        ))
     }
 }
 
@@ -655,16 +674,18 @@ fn scalar_energy(values: &[f64]) -> f64 {
 }
 
 /// The state the budget-bounded explorers share; each explorer only
-/// decides which index to visit next. Cases are evaluated serially through
-/// the engine's [`CaseEvaluator`] and scored with the base estimator, as
-/// [`ParetoSink`] does, which is what makes explorer trajectories
-/// independent of worker counts.
+/// decides which index to visit next. Cases are decoded through one
+/// [`SweepCursor`], evaluated serially through the engine's
+/// [`CaseEvaluator`] and scored with the base estimator, as [`ParetoSink`]
+/// does, which is what makes explorer trajectories independent of worker
+/// counts.
 struct Explorer<'a> {
     method: OptMethod,
     island: Option<usize>,
     estimator: &'a EcoChip,
     objectives: &'a ObjectiveSet,
     cases: CaseEvaluator<'a>,
+    cursor: SweepCursor<'a>,
     frontier: ParetoFrontier,
     evaluated: usize,
     /// The lowest scalar energy visited so far.
@@ -676,7 +697,7 @@ impl Explorer<'_> {
     /// Evaluate and score case `index`, offer it to the frontier, and
     /// report an improvement on the first visit or a lower scalar energy.
     fn visit(&mut self, index: usize) -> Result<Evaluated, EcoChipError> {
-        let point = self.cases.evaluate(index)?;
+        let point = self.cases.evaluate(&mut self.cursor, index)?;
         let values = self
             .objectives
             .score(self.estimator, &point.system, &point.report)?;
@@ -685,7 +706,9 @@ impl Explorer<'_> {
             energy: scalar_energy(&values),
         };
         self.evaluated += 1;
-        self.frontier.insert(scored.point.clone());
+        if self.frontier.admits(index, values.iter().copied()) {
+            self.frontier.admit(scored.point.clone());
+        }
         if self.evaluated == 1 || scored.energy < self.best {
             self.best = scored.energy;
             (self.on_event)(&OptEvent::improvement(
@@ -816,7 +839,8 @@ where
                 island: config.island,
                 estimator,
                 objectives: &config.objectives,
-                cases: CaseEvaluator::new(estimator, spec, context, timings),
+                cases: CaseEvaluator::new(estimator, context, timings),
+                cursor: spec.cursor(),
                 frontier: seeded,
                 evaluated: 0,
                 best: f64::INFINITY,

@@ -1,6 +1,6 @@
 //! Sweep axes, cartesian sweep specifications and shard selectors.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
 
@@ -102,60 +102,73 @@ impl SweepAxis {
         self.len() == 0
     }
 
-    /// Apply point `index` of this axis to `case`, appending its label.
-    fn apply(&self, case: &mut SweepCase, index: usize) -> Result<(), EcoChipError> {
+    /// Apply point `digit` of this axis to `case`, writing its label into
+    /// `case.labels[at]` (the buffer is cleared and reused).
+    ///
+    /// An axis only *sets* the fields it owns, and which fields it sets does
+    /// not depend on `digit`. So re-applying axes `k..` on top of any case
+    /// decoded with the same digits for axes `..k` yields exactly the case
+    /// a decode from the base system would — the invariant
+    /// [`SweepCursor::seek`] relies on.
+    fn apply(&self, case: &mut SweepCase, at: usize, digit: usize) -> Result<(), EcoChipError> {
+        let label = &mut case.labels[at];
+        label.clear();
+        let system = &mut case.system;
+        // Writing into a `String` cannot fail, so the `fmt::Result`s below
+        // are discarded.
         match self {
             SweepAxis::NodeTuples { blocks, tuples } => {
-                let tuple = tuples[index];
-                case.system.chiplets = three_chiplets(blocks, tuple);
-                case.system.name = format!("{} {}", blocks.name, tuple.label());
-                case.labels.push(tuple.label());
+                let tuple = tuples[digit];
+                system.chiplets = three_chiplets(blocks, tuple);
+                label.push_str(&tuple.label());
+                system.name.clear();
+                let _ = write!(system.name, "{} {label}", blocks.name);
             }
             SweepAxis::Packaging(archs) => {
-                case.system.packaging = archs[index];
-                case.labels.push(archs[index].short_name().to_owned());
+                system.packaging = archs[digit];
+                label.push_str(archs[digit].short_name());
             }
             SweepAxis::Volumes(volumes) => {
-                case.system.volumes = volumes[index];
-                case.labels
-                    .push(format!("NMi/NS={}", volumes[index].reuse_ratio()));
+                system.volumes = volumes[digit];
+                let _ = write!(label, "NMi/NS={}", volumes[digit].reuse_ratio());
             }
             SweepAxis::Lifetimes(lifetimes) => {
-                case.system.lifetime = lifetimes[index];
-                case.labels.push(format!("{}y", lifetimes[index].years()));
+                system.lifetime = lifetimes[digit];
+                let _ = write!(label, "{}y", lifetimes[digit].years());
             }
             SweepAxis::ChipletCounts {
                 blocks,
                 nodes,
                 counts,
             } => {
-                let count = counts[index];
-                case.system.chiplets = split_logic(blocks, count, *nodes)?;
-                case.system.name = format!("{} ({count} digital chiplets)", blocks.name);
-                case.labels.push(format!("Nc={count}"));
+                let count = counts[digit];
+                system.chiplets = split_logic(blocks, count, *nodes)?;
+                system.name.clear();
+                let _ = write!(system.name, "{} ({count} digital chiplets)", blocks.name);
+                let _ = write!(label, "Nc={count}");
             }
             SweepAxis::ChipletNode {
                 index: chiplet,
                 nodes,
             } => {
-                let node = nodes[index];
-                let Some(slot) = case.system.chiplets.get_mut(*chiplet) else {
+                let node = nodes[digit];
+                let chiplets = system.chiplets.len();
+                let Some(slot) = system.chiplets.get_mut(*chiplet) else {
                     return Err(EcoChipError::InvalidSystem(format!(
-                        "sweep axis retargets chiplet {chiplet} but the system has only {}",
-                        case.system.chiplets.len()
+                        "sweep axis retargets chiplet {chiplet} but the system has only {chiplets}"
                     )));
                 };
-                *slot = slot.retargeted(node);
-                case.labels.push(node.nm().to_string());
+                slot.node = node;
+                let _ = write!(label, "{}", node.nm());
             }
             SweepAxis::FabEnergySources(sources) => {
-                case.fab_source = Some(sources[index]);
-                case.labels.push(sources[index].to_string());
+                case.fab_source = Some(sources[digit]);
+                let _ = write!(label, "{}", sources[digit]);
             }
             SweepAxis::Systems(systems) => {
-                let (label, system) = &systems[index];
-                case.system = system.clone();
-                case.labels.push(label.clone());
+                let (name, variant) = &systems[digit];
+                system.clone_from(variant);
+                label.push_str(name);
             }
         }
         Ok(())
@@ -354,7 +367,9 @@ pub fn validate_case_range(
 /// product. [`SweepSpec::case_at`] decodes any flat index into its case in
 /// `O(axes)` time, in deterministic row-major order — the first axis
 /// varies slowest, the last axis fastest — exactly the order nested `for`
-/// loops over the axes would produce.
+/// loops over the axes would produce. The engine's workers and the
+/// optimizer's explorers decode through a per-worker cursor instead, which
+/// re-applies only the axes whose digit changed since its previous case.
 ///
 /// Specs serialize to JSON (`{"base": …, "axes": […]}`), so a sweep
 /// description can be shipped to a remote evaluation service and decoded
@@ -440,30 +455,84 @@ impl SweepSpec {
     /// axis does not apply to the base system (e.g. a
     /// [`SweepAxis::ChipletNode`] index out of range).
     pub fn case_at(&self, index: usize) -> Result<SweepCase, EcoChipError> {
-        let total = self.try_len()?;
+        let mut cursor = self.cursor();
+        cursor.seek(index)?;
+        Ok(cursor.case)
+    }
+
+    /// A fresh decoding cursor over this spec's case space.
+    pub(crate) fn cursor(&self) -> SweepCursor<'_> {
+        SweepCursor {
+            spec: self,
+            digits: vec![0; self.axes.len()],
+            case: SweepCase {
+                labels: vec![String::new(); self.axes.len()],
+                system: self.base.clone(),
+                fab_source: None,
+            },
+            valid: false,
+        }
+    }
+}
+
+/// An odometer over a spec's case space: it keeps the last decoded case and
+/// its per-axis digits, and [`SweepCursor::seek`] re-applies only the axes
+/// from the first one whose digit changed. Engine workers claim contiguous
+/// chunks, so consecutive seeks mostly re-apply the last axis alone, with
+/// no base-system clone and no label `format!` for the unchanged axes.
+/// [`SweepSpec::case_at`] is a fresh cursor and one seek, so there is one
+/// decoder.
+#[derive(Debug)]
+pub(crate) struct SweepCursor<'a> {
+    spec: &'a SweepSpec,
+    /// The digit of every axis in the last seek (row-major, last fastest).
+    digits: Vec<usize>,
+    /// The reused case, one label buffer per axis.
+    case: SweepCase,
+    /// Whether `case` holds the decode of `digits`: false when the cursor
+    /// is fresh or its previous seek failed.
+    valid: bool,
+}
+
+impl SweepCursor<'_> {
+    /// Decode flat `index` into the cursor's case and borrow it.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepSpec::case_at`]; after an error the next seek decodes from
+    /// the base system again.
+    pub(crate) fn seek(&mut self, index: usize) -> Result<&SweepCase, EcoChipError> {
+        let valid = std::mem::replace(&mut self.valid, false);
+        let spec = self.spec;
+        let total = spec.try_len()?;
         if index >= total {
             return Err(EcoChipError::InvalidSystem(format!(
                 "sweep case index {index} out of range for a {total}-point sweep"
             )));
         }
-        let mut case = SweepCase {
-            labels: Vec::with_capacity(self.axes.len()),
-            system: self.base.clone(),
-            fab_source: None,
-        };
         // Row-major decode: the last axis varies fastest, so its digit is the
-        // final remainder. Peeling digits back-to-front keeps labels in axis
-        // order without a second pass.
-        let mut digits = vec![0usize; self.axes.len()];
+        // final remainder. Peeling digits back-to-front leaves `from` at the
+        // first axis whose digit changed.
+        let mut from = spec.axes.len();
         let mut remainder = index;
-        for (slot, axis) in digits.iter_mut().zip(&self.axes).rev() {
-            *slot = remainder % axis.len();
+        for (at, axis) in spec.axes.iter().enumerate().rev() {
+            let digit = remainder % axis.len();
             remainder /= axis.len();
+            if self.digits[at] != digit {
+                self.digits[at] = digit;
+                from = at;
+            }
         }
-        for (axis, &digit) in self.axes.iter().zip(&digits) {
-            axis.apply(&mut case, digit)?;
+        if !valid {
+            from = 0;
+            self.case.system.clone_from(&spec.base);
+            self.case.fab_source = None;
         }
-        Ok(case)
+        for (at, axis) in spec.axes.iter().enumerate().skip(from) {
+            axis.apply(&mut self.case, at, self.digits[at])?;
+        }
+        self.valid = true;
+        Ok(&self.case)
     }
 }
 
@@ -473,6 +542,8 @@ mod tests {
     use crate::system::{Chiplet, ChipletSize};
     use ecochip_packaging::{RdlFanoutConfig, SiliconBridgeConfig};
     use ecochip_techdb::DesignType;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn base() -> System {
         System::builder("base")
@@ -723,6 +794,117 @@ mod tests {
         let json = serde_json::to_string(&counts).unwrap();
         let restored: SweepSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(all_cases(&restored).unwrap(), all_cases(&counts).unwrap());
+    }
+
+    /// A random spec mixing every axis kind: an optional `Systems` axis
+    /// first, then up to five of the others in random order. Axes have
+    /// one to three points; `ChipletCounts` may hold a 0 (a failing
+    /// split), and `ChipletNode` indices are valid for some chiplet counts
+    /// and not for others.
+    fn random_spec(rng: &mut TestRng) -> SweepSpec {
+        let nodes = [TechNode::N5, TechNode::N7, TechNode::N10, TechNode::N14];
+        let node = |rng: &mut TestRng| nodes[rng.next_below(4) as usize];
+        let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
+        let len = |rng: &mut TestRng| 1 + rng.next_below(3) as usize;
+        let mut spec = SweepSpec::new(base());
+        if rng.next_below(2) == 0 {
+            let systems = (0..len(rng))
+                .map(|at| {
+                    let years = 1.0 + at as f64;
+                    let mut system = base().with_lifetime(TimeSpan::from_years(years));
+                    system.chiplets.truncate(1 + at % 2);
+                    (format!("sys{at}"), system)
+                })
+                .collect();
+            spec = spec.axis(SweepAxis::Systems(systems));
+        }
+        for _ in 0..rng.next_below(6) {
+            let axis = match rng.next_below(7) {
+                0 => SweepAxis::NodeTuples {
+                    blocks: blocks.clone(),
+                    tuples: (0..len(rng))
+                        .map(|_| NodeTuple::new(node(rng), node(rng), node(rng)))
+                        .collect(),
+                },
+                1 => SweepAxis::ChipletCounts {
+                    blocks: blocks.clone(),
+                    nodes: NodeTuple::new(node(rng), node(rng), node(rng)),
+                    counts: (0..len(rng))
+                        .map(|_| [0, 1, 2, 3, 4, 4][rng.next_below(6) as usize])
+                        .collect(),
+                },
+                2 => SweepAxis::ChipletNode {
+                    index: rng.next_below(6) as usize,
+                    nodes: (0..len(rng)).map(|_| node(rng)).collect(),
+                },
+                3 => SweepAxis::FabEnergySources(
+                    (0..len(rng))
+                        .map(|_| {
+                            [EnergySource::Coal, EnergySource::Wind][rng.next_below(2) as usize]
+                        })
+                        .collect(),
+                ),
+                4 => SweepAxis::lifetimes_years(
+                    &(0..len(rng)).map(|at| 1.0 + at as f64).collect::<Vec<_>>(),
+                ),
+                5 => SweepAxis::reuse_ratios(
+                    100_000,
+                    &(0..len(rng)).map(|at| 1.0 + at as f64).collect::<Vec<_>>(),
+                ),
+                _ => packaging_axis(),
+            };
+            spec = spec.axis(axis);
+        }
+        spec
+    }
+
+    /// A walk over `0..total` and a little beyond: sequential runs, jumps,
+    /// single steps back, repeats and out-of-range indices.
+    fn random_walk(rng: &mut TestRng, total: usize) -> Vec<usize> {
+        let span = total as u64 + 1;
+        let mut at = 0usize;
+        let mut walk = Vec::new();
+        for _ in 0..24 {
+            match rng.next_below(5) {
+                0 => {
+                    for _ in 0..rng.next_below(8) {
+                        at += 1;
+                        walk.push(at);
+                    }
+                }
+                1 => {
+                    at = rng.next_below(span) as usize;
+                    walk.push(at);
+                }
+                2 => {
+                    at = at.saturating_sub(1);
+                    walk.push(at);
+                }
+                3 => walk.push(at),
+                _ => walk.push(total + rng.next_below(3) as usize),
+            }
+        }
+        walk
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every seek the cursor's case equals a fresh `case_at`
+        /// (labels, system and fab source), or both fail with the same
+        /// error text.
+        #[test]
+        fn cursor_seeks_match_case_at(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let spec = random_spec(&mut rng);
+            let total = spec.try_len().unwrap();
+            let mut cursor = spec.cursor();
+            for index in random_walk(&mut rng, total) {
+                let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
+                let fresh = spec.case_at(index).map_err(|e| e.to_string());
+                prop_assert_eq!(sought, fresh);
+            }
+        }
     }
 
     #[test]

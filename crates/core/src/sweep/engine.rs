@@ -2,7 +2,10 @@
 //!
 //! The engine is built around a bounded work queue: workers claim case
 //! *indices* (never a materialized case list), decode each case lazily with
-//! [`SweepSpec::case_at`], evaluate it against the shared [`SweepContext`],
+//! a per-worker cursor (an odometer over the axis digits that re-applies
+//! only the axes whose digit changed since the worker's previous case, so
+//! decoding a contiguous chunk mostly touches the last axis alone),
+//! evaluate it against the shared [`SweepContext`],
 //! and hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
 //! in deterministic row-major order. A reorder window of `O(workers)` points
 //! provides backpressure, so streaming a million-point space holds only a
@@ -19,7 +22,7 @@ use ecochip_trace::{Stage, StageTimings};
 
 use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
-use crate::sweep::{Shard, SweepContext, SweepPoint, SweepSlice, SweepSpec};
+use crate::sweep::{Shard, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec};
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV_VAR: &str = "ECOCHIP_JOBS";
@@ -272,8 +275,9 @@ impl SweepEngine {
     ///
     /// Returns the spec's case-generation error,
     /// [`EcoChipError::InvalidSystem`] for an out-of-bounds range, the
-    /// estimator error of the lowest-index failing point, or the first error
-    /// returned by `sink`.
+    /// decode or estimator error of the lowest-index failing point (every
+    /// point before it is emitted first, whatever the worker count), or the
+    /// first error returned by `sink`.
     pub fn stream<S: SweepSink + ?Sized>(
         &self,
         estimator: &EcoChip,
@@ -289,7 +293,7 @@ impl SweepEngine {
             return Ok(0);
         }
 
-        let cases = CaseEvaluator::new(estimator, spec, context, timings);
+        let cases = CaseEvaluator::new(estimator, context, timings);
 
         let jobs = self.jobs.min(count);
         let chunk = self.chunk.max(1);
@@ -298,16 +302,12 @@ impl SweepEngine {
             // batches so batch-optimized sinks (one write per batch) get
             // the same bulk entry point the parallel path uses.
             let mut emitted = 0usize;
-            let mut cursor = range.start;
-            while cursor < range.end {
-                let stop = cursor.saturating_add(chunk).min(range.end);
-                let mut batch = Vec::with_capacity(stop - cursor);
-                for index in cursor..stop {
-                    batch.push(cases.evaluate(index)?);
-                }
-                emitted += batch.len();
-                sink.accept_batch(batch)?;
-                cursor = stop;
+            let mut cursor = spec.cursor();
+            let mut next = range.start;
+            while next < range.end {
+                let stop = next.saturating_add(chunk).min(range.end);
+                emitted += emit_chunk(sink, cases.evaluate_chunk(&mut cursor, next..stop))?;
+                next = stop;
             }
             return Ok(emitted);
         }
@@ -330,7 +330,9 @@ impl SweepEngine {
 
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| loop {
+                let mut cursor = spec.cursor();
+                let (cases, queue) = (&cases, &queue);
+                scope.spawn(move || loop {
                     let (start, stop) = {
                         let mut state = queue.state.lock().expect("sweep queue");
                         loop {
@@ -354,18 +356,9 @@ impl SweepEngine {
                     // point. On an error, stop at the failing index — the
                     // emitter drains chunks in order, so the lowest-index
                     // error still surfaces first.
-                    let mut results = Vec::with_capacity(stop - start);
-                    let mut failed = false;
-                    for index in start..stop {
-                        let result = cases.evaluate(index);
-                        failed = result.is_err();
-                        results.push(result);
-                        if failed {
-                            break;
-                        }
-                    }
+                    let results = cases.evaluate_chunk(&mut cursor, start..stop);
                     let mut state = queue.state.lock().expect("sweep queue");
-                    if failed {
+                    if results.failure.is_some() {
                         // Stop claiming new chunks; everything below `start`
                         // is already claimed, so the emitter still surfaces
                         // the lowest-index error.
@@ -396,24 +389,7 @@ impl SweepEngine {
                             state = queue.ready.wait(state).expect("sweep queue");
                         }
                     };
-                    let mut batch = Vec::with_capacity(results.len());
-                    let mut failure = None;
-                    for result in results {
-                        match result {
-                            Ok(point) => batch.push(point),
-                            Err(error) => {
-                                failure = Some(error);
-                                break;
-                            }
-                        }
-                    }
-                    if !batch.is_empty() {
-                        emitted += batch.len();
-                        sink.accept_batch(batch)?;
-                    }
-                    if let Some(error) = failure {
-                        return Err(error);
-                    }
+                    emitted += emit_chunk(sink, results)?;
                     cursor = cursor.saturating_add(chunk).min(end);
                     let mut state = queue.state.lock().expect("sweep queue");
                     state.next_emit = cursor;
@@ -447,9 +423,34 @@ struct ReorderState {
     next_emit: usize,
     /// Out-of-order chunk results keyed by chunk start index, parked until
     /// their turn (bounded by the window).
-    buffer: HashMap<usize, Vec<Result<SweepPoint, EcoChipError>>>,
+    buffer: HashMap<usize, ChunkResults>,
     /// Set on evaluation/sink errors so workers stop claiming chunks.
     aborted: bool,
+}
+
+/// One evaluated chunk: its points in case order, up to the first failing
+/// case, and that case's error.
+struct ChunkResults {
+    points: Vec<SweepPoint>,
+    failure: Option<EcoChipError>,
+}
+
+/// Pass a chunk's points to `sink` as one batch, then surface the chunk's
+/// error, if any, so a failing case is reported after every point before
+/// it — on the serial and the parallel path alike. Returns the number of
+/// points emitted.
+fn emit_chunk<S: SweepSink + ?Sized>(
+    sink: &mut S,
+    ChunkResults { points, failure }: ChunkResults,
+) -> Result<usize, EcoChipError> {
+    let emitted = points.len();
+    if emitted > 0 {
+        sink.accept_batch(points)?;
+    }
+    match failure {
+        Some(error) => Err(error),
+        None => Ok(emitted),
+    }
 }
 
 struct ReorderQueue {
@@ -460,14 +461,13 @@ struct ReorderQueue {
     space: Condvar,
 }
 
-/// Evaluates single cases of one spec: decode with
-/// [`SweepSpec::case_at`], pick the estimator for the case's fab-source
-/// override, estimate against the shared memo (timed when `timings` is
-/// set) and label the point. The engine's workers and the optimizer's
-/// explorers both evaluate through it, so a case scores the same whichever
+/// Evaluates single cases of one spec: decode through the caller's
+/// [`SweepCursor`], pick the estimator for the case's fab-source override,
+/// estimate against the shared memo (timed when `timings` is set) and label
+/// the point. The evaluator is shared; each engine worker and each
+/// optimizer explorer owns one cursor, so a case scores the same whichever
 /// path visits it.
 pub(crate) struct CaseEvaluator<'a> {
-    spec: &'a SweepSpec,
     base: &'a EcoChip,
     context: &'a SweepContext,
     timings: Option<&'a StageTimings>,
@@ -480,12 +480,10 @@ pub(crate) struct CaseEvaluator<'a> {
 impl<'a> CaseEvaluator<'a> {
     pub(crate) fn new(
         base: &'a EcoChip,
-        spec: &'a SweepSpec,
         context: &'a SweepContext,
         timings: Option<&'a StageTimings>,
     ) -> Self {
         Self {
-            spec,
             base,
             context,
             timings,
@@ -493,9 +491,13 @@ impl<'a> CaseEvaluator<'a> {
         }
     }
 
-    /// Evaluate case `index` of the spec.
-    pub(crate) fn evaluate(&self, index: usize) -> Result<SweepPoint, EcoChipError> {
-        let case = self.spec.case_at(index)?;
+    /// Evaluate case `index` of the cursor's spec.
+    pub(crate) fn evaluate(
+        &self,
+        cursor: &mut SweepCursor<'_>,
+        index: usize,
+    ) -> Result<SweepPoint, EcoChipError> {
+        let case = cursor.seek(index)?;
         let variant = case.fab_source.map(|source| self.variant(source));
         let estimator = variant.as_deref().unwrap_or(self.base);
         // Near-zero-cost disabled path: untimed requests pay one branch
@@ -511,9 +513,30 @@ impl<'a> CaseEvaluator<'a> {
         };
         Ok(SweepPoint {
             label: case.label(),
-            system: case.system,
+            system: case.system.clone(),
             report,
         })
+    }
+
+    /// Evaluate the cases of `indices` in order, stopping at the first
+    /// failing one.
+    fn evaluate_chunk(
+        &self,
+        cursor: &mut SweepCursor<'_>,
+        indices: std::ops::Range<usize>,
+    ) -> ChunkResults {
+        let mut points = Vec::with_capacity(indices.len());
+        let mut failure = None;
+        for index in indices {
+            match self.evaluate(cursor, index) {
+                Ok(point) => points.push(point),
+                Err(error) => {
+                    failure = Some(error);
+                    break;
+                }
+            }
+        }
+        ChunkResults { points, failure }
     }
 
     /// The estimator for fab source `source`, built on first use.
@@ -752,6 +775,56 @@ mod tests {
         });
         assert!(SweepEngine::new().run(&estimator, &spec).is_err());
         assert!(SweepEngine::with_jobs(4).run(&estimator, &spec).is_err());
+    }
+
+    #[test]
+    fn failed_cases_do_not_leak_into_later_cursor_decodes() {
+        use crate::disaggregation::{NodeTuple, SocBlocks};
+        // 4 digital chiplets give 6 chiplets and 1 gives 3, so retargeting
+        // chiplet 4 fails on the middle count only. A worker whose cursor
+        // failed there must decode the last count's cases from the base
+        // system again.
+        let spec = SweepSpec::new(base())
+            .axis(SweepAxis::ChipletCounts {
+                blocks: SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts: vec![4, 1, 4],
+            })
+            .axis(SweepAxis::ChipletNode {
+                index: 4,
+                nodes: vec![TechNode::N10, TechNode::N14],
+            })
+            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
+        let message = "sweep axis retargets chiplet 4 but the system has only 3";
+        for jobs in [1usize, 2, 4] {
+            for chunk in [1usize, 3] {
+                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                let mut points = Vec::new();
+                let result = engine.stream(
+                    &EcoChip::default(),
+                    &spec,
+                    Shard::FULL,
+                    &SweepContext::new(),
+                    None,
+                    &mut |point: SweepPoint| {
+                        points.push(point);
+                        Ok(())
+                    },
+                );
+                let error = result.expect_err("the count-1 cases fail").to_string();
+                assert!(
+                    error.contains(message),
+                    "jobs={jobs} chunk={chunk}: {error}"
+                );
+                let counts: Vec<usize> = points.iter().map(|p| p.system.chiplets.len()).collect();
+                assert_eq!(counts, [6; 4], "jobs={jobs} chunk={chunk}");
+            }
+        }
+        let mut cursor = spec.cursor();
+        assert!(cursor.seek(4).is_err());
+        assert_eq!(cursor.seek(9).unwrap(), &spec.case_at(9).unwrap());
+        assert!(cursor.seek(5).is_err());
+        assert_eq!(cursor.seek(8).unwrap(), &spec.case_at(8).unwrap());
     }
 
     #[test]

@@ -67,11 +67,18 @@
 //!   [`EcoChip::memo_fingerprint`](crate::EcoChip::memo_fingerprint), so a
 //!   later process (or another shard) starts warm — and a memo from a
 //!   different model configuration is rejected, never silently reused.
+//!
+//! Engine workers and optimizer explorers decode through a per-worker
+//! cursor that keeps its previous case and re-applies only the axes from
+//! the first one whose digit changed (an odometer). The next index of a
+//! claimed chunk then costs one axis, not a rebuild from the base system.
+//! `case_at` is a fresh cursor and one seek, so there is one decoder.
 
 mod axis;
 mod context;
 mod engine;
 
+pub(crate) use axis::SweepCursor;
 pub use axis::{validate_case_range, Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
 pub(crate) use engine::CaseEvaluator;

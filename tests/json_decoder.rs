@@ -1,11 +1,15 @@
-//! The JSON decoder's robustness contract: `serde_json::from_str` returns
-//! `Ok` or `Err` for any text, and never panics.
+//! The decoders' robustness contract: `serde_json::from_str`, the HTTP
+//! `RequestParser` and memo import (`SweepContext::from_json`) return `Ok`
+//! or `Err` for any input, and never panic.
 //!
 //! Every request body the server, the CLI's `--design`/`--techdb` and memo
 //! import decode goes through `from_str`, so a panic here is a crash on
 //! hostile input. The properties feed it arbitrary bytes, JSON-token soup
 //! and valid request bodies with random byte edits, and decode each text
-//! as a raw `Value` and as every request-shaped type.
+//! as a raw `Value` and as every request-shaped type. The request parser
+//! gets arbitrary bytes and edited valid requests in random-sized pieces,
+//! as a socket delivers them; memo import gets arbitrary text and edited
+//! valid memo files.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -13,29 +17,125 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::sweep::SweepAxis;
+use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
 use eco_chip::packaging::{InterposerConfig, PackagingArchitecture, RdlFanoutConfig};
 use eco_chip::serve::api::{IndexRange, OptimizeRequest, SweepRequest};
+use eco_chip::serve::http::RequestParser;
 use eco_chip::techdb::{TechDb, TechNode, TimeSpan};
 use eco_chip::testcases::{catalog, ga102};
-use eco_chip::System;
+use eco_chip::{EcoChip, System};
 
-/// Decode `text` as every request-shaped type, returning the panic message
-/// if any decode panicked.
-fn decode_everything(text: &str) -> Result<(), String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let _ = serde_json::from_str::<serde::Value>(text);
-        let _ = serde_json::from_str::<System>(text);
-        let _ = serde_json::from_str::<TechDb>(text);
-        let _ = serde_json::from_str::<SweepRequest>(text);
-        let _ = serde_json::from_str::<OptimizeRequest>(text);
-    }))
-    .map_err(|payload| {
+/// Run `decode`, returning its panic message if it panicked.
+fn no_panic<T>(decode: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(decode)).map_err(|payload| {
         payload
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .unwrap_or_else(|| "non-string panic payload".into())
+    })
+}
+
+/// Decode `text` as every request-shaped type, returning the panic message
+/// if any decode panicked.
+fn decode_everything(text: &str) -> Result<(), String> {
+    no_panic(|| {
+        let _ = serde_json::from_str::<serde::Value>(text);
+        let _ = serde_json::from_str::<System>(text);
+        let _ = serde_json::from_str::<TechDb>(text);
+        let _ = serde_json::from_str::<SweepRequest>(text);
+        let _ = serde_json::from_str::<OptimizeRequest>(text);
+    })
+}
+
+/// Apply random byte edits to `bytes`: each `edit` replaces, inserts or
+/// deletes one byte (a byte drawn from `alphabet`) at a position it picks.
+fn apply_edits(bytes: &mut Vec<u8>, edits: &[u64], alphabet: &[u8]) {
+    for &edit in edits {
+        let at = (edit >> 16) as usize % (bytes.len() + 1);
+        let byte = alphabet[(edit >> 2) as usize % alphabet.len()];
+        match edit % 3 {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Feed `bytes` to one `RequestParser` in `piece`-byte appends, the way
+/// the event loop hands it socket reads, draining each parsed request's
+/// consumed bytes. Returns the number of requests parsed before the bytes
+/// ran out or the parser refused them, or a description of the panic or
+/// of a consumed length outside `1..=buffered`.
+fn parse_stream(bytes: &[u8], piece: usize) -> Result<usize, String> {
+    no_panic(|| {
+        let mut parser = RequestParser::new();
+        let mut buf = Vec::new();
+        let mut parsed = 0usize;
+        for chunk in bytes.chunks(piece.max(1)) {
+            buf.extend_from_slice(chunk);
+            loop {
+                match parser.next_request(&buf) {
+                    Ok(Some((_, consumed))) if consumed == 0 || consumed > buf.len() => {
+                        return Err(format!("consumed {consumed} of {} bytes", buf.len()));
+                    }
+                    Ok(Some((_, consumed))) => {
+                        buf.drain(..consumed);
+                        parsed += 1;
+                    }
+                    Ok(None) => break,
+                    Err(_) => return Ok(parsed),
+                }
+            }
+        }
+        Ok(parsed)
+    })?
+}
+
+/// Valid request streams: each valid body POSTed with its Content-Length,
+/// a body-less GET, and pipelined pairs of both.
+fn valid_requests() -> &'static [Vec<u8>] {
+    static REQUESTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    REQUESTS.get_or_init(|| {
+        let get = b"GET /v1/healthz?probe=1 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec();
+        let mut requests = vec![get.clone()];
+        for (at, body) in valid_bodies().iter().enumerate() {
+            let post = format!(
+                "POST /v1/sweep HTTP/1.1\r\nHost: localhost\r\nX-Ecochip-Trace: t{at}\r\n\
+                 Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes();
+            requests.push([post.as_slice(), &get].concat());
+            requests.push(post);
+        }
+        requests
+    })
+}
+
+/// A small valid memo file (a two-lifetime GA102 3-chiplet sweep) and the
+/// fingerprint it is stamped with.
+fn valid_memo() -> &'static (String, u64) {
+    static MEMO: OnceLock<(String, u64)> = OnceLock::new();
+    MEMO.get_or_init(|| {
+        let estimator = EcoChip::default();
+        let base = catalog::build(&estimator.config().techdb, "ga102-3chiplet")
+            .expect("built-in test case");
+        let spec = SweepSpec::new(base).axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
+        let context = SweepContext::new();
+        SweepEngine::serial()
+            .stream(&estimator, &spec, Shard::FULL, &context, None, &mut |_| {
+                Ok(())
+            })
+            .expect("memo sweep");
+        let fingerprint = estimator.memo_fingerprint();
+        (
+            context.to_json(fingerprint).expect("memo export"),
+            fingerprint,
+        )
     })
 }
 
@@ -105,6 +205,35 @@ fn build_valid_bodies() -> Vec<String> {
 /// syntax, so edits land on decoder branches rather than in string bodies.
 const EDIT_BYTES: &[u8] = b"{}[]\":,\\-+.0123456789eEunltfr \n\x00\x1f\xff";
 
+/// Bytes a random edit of an HTTP request writes: line breaks, header
+/// punctuation, digits (Content-Length values) and non-UTF-8 bytes.
+const HTTP_EDIT_BYTES: &[u8] = b"\r\n\r\n: /?0123456789HTTP1.GETPOS\t\x00\xff";
+
+/// HTTP fragments whose concatenations reach the request-line, header and
+/// body-length branches of the parser.
+const HTTP_TOKENS: &[&[u8]] = &[
+    b"GET",
+    b"POST",
+    b" ",
+    b"/v1/sweep",
+    b"?a=b",
+    b"HTTP/1.1",
+    b"HTTP/1.0",
+    b"HTTP/2",
+    b"\r\n",
+    b"\n",
+    b":",
+    b"Content-Length: ",
+    b"Transfer-Encoding: chunked",
+    b"Connection: close",
+    b"0",
+    b"7",
+    b"-1",
+    b"18446744073709551616",
+    b"{}",
+    b"\xff",
+];
+
 /// JSON fragments whose concatenations reach deep into the decoder.
 const TOKENS: &[&str] = &[
     "{",
@@ -169,22 +298,92 @@ proptest! {
         edits in prop::collection::vec(0u64..u64::MAX, 1..6),
     ) {
         let mut bytes = valid_bodies()[body].clone().into_bytes();
-        for edit in edits {
-            let at = (edit >> 16) as usize % (bytes.len() + 1);
-            let byte = EDIT_BYTES[(edit >> 2) as usize % EDIT_BYTES.len()];
-            match edit % 3 {
-                0 if at < bytes.len() => bytes[at] = byte,
-                1 => bytes.insert(at, byte),
-                _ if at < bytes.len() => {
-                    bytes.remove(at);
-                }
-                _ => {}
-            }
-        }
+        apply_edits(&mut bytes, &edits, EDIT_BYTES);
         let text = String::from_utf8_lossy(&bytes);
         let outcome = decode_everything(&text);
         prop_assert!(outcome.is_ok(), "{outcome:?} on {text:?}");
     }
+
+    /// Arbitrary bytes and HTTP-token soup, delivered in arbitrary
+    /// pieces, never panic the request parser or make it consume bytes it
+    /// was not given.
+    #[test]
+    fn request_parser_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..512),
+        tokens in prop::collection::vec(prop::sample::select(HTTP_TOKENS.to_vec()), 0..48),
+        piece in 1usize..64,
+    ) {
+        for bytes in [bytes, tokens.concat()] {
+            let outcome = parse_stream(&bytes, piece);
+            prop_assert!(outcome.is_ok(), "{outcome:?} on {:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// Valid and pipelined requests with a few random byte edits never
+    /// panic the request parser, whole or in pieces.
+    #[test]
+    fn request_parser_never_panics_on_edited_requests(
+        request in 0usize..13,
+        edits in prop::collection::vec(0u64..u64::MAX, 1..6),
+        piece in 1usize..96,
+    ) {
+        let mut bytes = valid_requests()[request].clone();
+        apply_edits(&mut bytes, &edits, HTTP_EDIT_BYTES);
+        for piece in [piece, bytes.len()] {
+            let outcome = parse_stream(&bytes, piece);
+            prop_assert!(outcome.is_ok(), "{outcome:?} on {:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// Arbitrary text and JSON-token soup never panic memo import.
+    #[test]
+    fn memo_import_never_panics_on_arbitrary_text(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        tokens in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..48),
+    ) {
+        let fingerprint = valid_memo().1;
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), tokens.concat()] {
+            let outcome = no_panic(|| SweepContext::from_json(&text, fingerprint).is_ok());
+            prop_assert!(outcome.is_ok(), "{outcome:?} on {text:?}");
+        }
+    }
+
+    /// A valid memo file with a few random byte edits never panics memo
+    /// import.
+    #[test]
+    fn memo_import_never_panics_on_edited_memo_files(
+        edits in prop::collection::vec(0u64..u64::MAX, 1..6),
+    ) {
+        let (memo, fingerprint) = valid_memo();
+        let mut bytes = memo.clone().into_bytes();
+        apply_edits(&mut bytes, &edits, EDIT_BYTES);
+        let text = String::from_utf8_lossy(&bytes);
+        let outcome = no_panic(|| SweepContext::from_json(&text, *fingerprint).is_ok());
+        prop_assert!(outcome.is_ok(), "{outcome:?} on {text:?}");
+    }
+}
+
+#[test]
+fn valid_requests_and_memo_files_decode() {
+    let requests = valid_requests();
+    assert_eq!(requests.len(), 13);
+    for (at, request) in requests.iter().enumerate() {
+        // Odd entries are a POST pipelined with a GET.
+        let expected = if at % 2 == 1 { 2 } else { 1 };
+        assert_eq!(
+            parse_stream(request, request.len()),
+            Ok(expected),
+            "request {at}"
+        );
+        assert_eq!(
+            parse_stream(request, 7),
+            Ok(expected),
+            "request {at} in pieces"
+        );
+    }
+    let (memo, fingerprint) = valid_memo();
+    let context = SweepContext::from_json(memo, *fingerprint).expect("memo import");
+    assert!(context.floorplan_entries() > 0);
 }
 
 #[test]

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::{split_logic, NodeTuple, SocBlocks};
+use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepSpec};
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig,
 };
@@ -126,6 +127,83 @@ proptest! {
         let r_fine = est.estimate(&fine).unwrap();
         prop_assert!(r_fine.manufacturing().kg() <= r_coarse.manufacturing().kg() * 1.02);
         prop_assert!(r_fine.hi_overhead().kg() >= r_coarse.hi_overhead().kg() * 0.98);
+    }
+}
+
+/// A random three-chiplet-or-more system for the metamorphic properties.
+fn metamorphic_base(
+    logic_tr: f64,
+    nc: usize,
+    logic_node: TechNode,
+    packaging: PackagingArchitecture,
+) -> System {
+    let nodes = NodeTuple::new(logic_node, TechNode::N14, TechNode::N22);
+    build_system(logic_tr, 2.0e9, 5.0e8, nc, nodes, packaging, 3.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Across a `Lifetimes` axis the embodied CFP and the per-year
+    /// operational CFP are bit-identical, and the lifetime operational CFP
+    /// is exactly `operational_per_year × years`: Eq. 1 is linear in the
+    /// lifetime, so a lifetime step could be re-priced, not re-estimated.
+    #[test]
+    fn lifetime_axis_rescales_only_operational(
+        logic_tr in 1.0e9f64..3.0e10,
+        nc in 1usize..4,
+        logic_node in arbitrary_node(),
+        packaging in arbitrary_packaging(),
+        years in prop::collection::vec(0.25f64..12.0, 2..6),
+    ) {
+        let est = EcoChip::default();
+        let base = metamorphic_base(logic_tr, nc, logic_node, packaging);
+        let spec = SweepSpec::new(base).axis(SweepAxis::lifetimes_years(&years));
+        let points = SweepEngine::serial().run(&est, &spec).unwrap();
+        let first = &points[0].report;
+        for (point, &years) in points.iter().zip(&years) {
+            let report = &point.report;
+            let lifetime = TimeSpan::from_years(years);
+            prop_assert_eq!(report.lifetime, lifetime);
+            prop_assert_eq!(report.embodied().kg().to_bits(), first.embodied().kg().to_bits());
+            prop_assert_eq!(
+                report.operational_per_year.kg().to_bits(),
+                first.operational_per_year.kg().to_bits()
+            );
+            prop_assert_eq!(
+                report.operational().kg().to_bits(),
+                (first.operational_per_year * lifetime.years()).kg().to_bits()
+            );
+        }
+    }
+
+    /// Across a `Volumes` axis with a rising chiplet volume, the amortized
+    /// design CFP never rises and the manufacturing CFP is bit-identical:
+    /// volumes enter the model only through design amortization (Eq. 12).
+    #[test]
+    fn rising_chiplet_volume_lowers_only_design(
+        logic_tr in 1.0e9f64..3.0e10,
+        nc in 1usize..4,
+        logic_node in arbitrary_node(),
+        packaging in arbitrary_packaging(),
+        system_volume in 1_000u64..1_000_000,
+        ratios in prop::collection::vec(0.05f64..20.0, 2..6),
+    ) {
+        let mut ratios = ratios;
+        ratios.sort_by(f64::total_cmp);
+        let est = EcoChip::default();
+        let base = metamorphic_base(logic_tr, nc, logic_node, packaging);
+        let spec = SweepSpec::new(base).axis(SweepAxis::reuse_ratios(system_volume, &ratios));
+        let points = SweepEngine::serial().run(&est, &spec).unwrap();
+        for pair in points.windows(2) {
+            let (before, after) = (&pair[0], &pair[1]);
+            prop_assert!(after.system.volumes.chiplet_volume >= before.system.volumes.chiplet_volume);
+            prop_assert!(after.report.design().kg() <= before.report.design().kg());
+            prop_assert_eq!(
+                after.report.manufacturing().kg().to_bits(),
+                before.report.manufacturing().kg().to_bits()
+            );
+        }
     }
 }
 
