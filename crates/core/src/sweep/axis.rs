@@ -102,14 +102,26 @@ impl SweepAxis {
         self.len() == 0
     }
 
+    /// Whether the axis replaces the system's whole chiplet list.
+    fn replaces_chiplets(&self) -> bool {
+        matches!(
+            self,
+            SweepAxis::NodeTuples { .. } | SweepAxis::ChipletCounts { .. } | SweepAxis::Systems(_)
+        )
+    }
+
     /// Apply point `digit` of this axis to `case`, writing its label into
     /// `case.labels[at]` (the buffer is cleared and reused).
     ///
     /// An axis only *sets* the fields it owns, and which fields it sets does
-    /// not depend on `digit`. So re-applying axes `k..` on top of any case
-    /// decoded with the same digits for axes `..k` yields exactly the case
-    /// a decode from the base system would — the invariant
-    /// [`SweepCursor::seek`] relies on.
+    /// not depend on `digit`. The one axis that also *reads* the case is
+    /// [`SweepAxis::ChipletNode`]: it fails when the chiplet list is too
+    /// short. So re-applying axes `k..` on top of a case decoded with the
+    /// same digits for axes `..k` yields exactly the case a decode from the
+    /// base system would, unless a `ChipletNode` in `k..` runs before an
+    /// axis that replaces the chiplets and so sees the list that axis left
+    /// behind. [`SweepCursor::seek`] moves such restarts back (see
+    /// [`restart_points`]).
     fn apply(&self, case: &mut SweepCase, at: usize, digit: usize) -> Result<(), EcoChipError> {
         let label = &mut case.labels[at];
         label.clear();
@@ -464,6 +476,7 @@ impl SweepSpec {
     pub(crate) fn cursor(&self) -> SweepCursor<'_> {
         SweepCursor {
             spec: self,
+            restarts: restart_points(&self.axes),
             digits: vec![0; self.axes.len()],
             case: SweepCase {
                 labels: vec![String::new(); self.axes.len()],
@@ -475,16 +488,52 @@ impl SweepSpec {
     }
 }
 
+/// Where a cursor must start re-applying axes when axis `from` is the first
+/// whose digit changed, for every `from` in `0..=axes.len()`: `Some(k)` to
+/// re-apply axes `k..` on top of the previous case, `None` to start from the
+/// base system.
+///
+/// Restarting at `from` itself is exact unless a [`SweepAxis::ChipletNode`]
+/// in `from..` comes before the first chiplet-replacing axis in `from..`:
+/// that retarget would check its index against the chiplets the replacing
+/// axis left in the previous case. Such restarts move back to the nearest
+/// chiplet-replacing axis before `from`, which rebuilds the list the
+/// retarget must see, or to the base system when there is none.
+fn restart_points(axes: &[SweepAxis]) -> Vec<Option<usize>> {
+    (0..=axes.len())
+        .map(|from| {
+            let rest = &axes[from..];
+            let stale = rest
+                .iter()
+                .position(SweepAxis::replaces_chiplets)
+                .is_some_and(|replacer| {
+                    rest[..replacer]
+                        .iter()
+                        .any(|axis| matches!(axis, SweepAxis::ChipletNode { .. }))
+                });
+            if stale {
+                axes[..from].iter().rposition(SweepAxis::replaces_chiplets)
+            } else {
+                Some(from)
+            }
+        })
+        .collect()
+}
+
 /// An odometer over a spec's case space: it keeps the last decoded case and
 /// its per-axis digits, and [`SweepCursor::seek`] re-applies only the axes
-/// from the first one whose digit changed. Engine workers claim contiguous
-/// chunks, so consecutive seeks mostly re-apply the last axis alone, with
-/// no base-system clone and no label `format!` for the unchanged axes.
+/// from the first one whose digit changed (or from that axis's
+/// [`restart_points`] entry, when a chiplet retarget must see an earlier
+/// chiplet list). Engine workers claim contiguous chunks, so consecutive
+/// seeks mostly re-apply the last axis alone, with no base-system clone
+/// and no label `format!` for the unchanged axes.
 /// [`SweepSpec::case_at`] is a fresh cursor and one seek, so there is one
 /// decoder.
 #[derive(Debug)]
 pub(crate) struct SweepCursor<'a> {
     spec: &'a SweepSpec,
+    /// [`restart_points`] of the spec's axes.
+    restarts: Vec<Option<usize>>,
     /// The digit of every axis in the last seek (row-major, last fastest).
     digits: Vec<usize>,
     /// The reused case, one label buffer per axis.
@@ -523,11 +572,12 @@ impl SweepCursor<'_> {
                 from = at;
             }
         }
-        if !valid {
-            from = 0;
+        let restart = if valid { self.restarts[from] } else { None };
+        let from = restart.unwrap_or_else(|| {
             self.case.system.clone_from(&spec.base);
             self.case.fab_source = None;
-        }
+            0
+        });
         for (at, axis) in spec.axes.iter().enumerate().skip(from) {
             axis.apply(&mut self.case, at, self.digits[at])?;
         }
@@ -796,18 +846,104 @@ mod tests {
         assert_eq!(all_cases(&restored).unwrap(), all_cases(&counts).unwrap());
     }
 
+    /// Retargets chiplet 3, then re-splits into the 3-chiplet tuple: the
+    /// retarget must check its index against the 4 chiplets of the count-2
+    /// split before it, not the 3 the tuple split left in the previous case.
+    fn retarget_before_resplit() -> SweepSpec {
+        let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
+        SweepSpec::new(base())
+            .axis(SweepAxis::ChipletCounts {
+                blocks: blocks.clone(),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts: vec![2],
+            })
+            .axis(SweepAxis::ChipletNode {
+                index: 3,
+                nodes: vec![TechNode::N10, TechNode::N14],
+            })
+            .axis(SweepAxis::NodeTuples {
+                blocks,
+                tuples: vec![NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10)],
+            })
+    }
+
+    /// Every seek of `walk` through one cursor equals a fresh `case_at`.
+    fn assert_cursor_walk_matches(spec: &SweepSpec, walk: &[usize]) {
+        let mut cursor = spec.cursor();
+        for &index in walk {
+            let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
+            let fresh = spec.case_at(index).map_err(|e| e.to_string());
+            assert_eq!(sought, fresh, "index {index} of {walk:?}");
+        }
+    }
+
+    #[test]
+    fn retargets_see_the_chiplets_of_the_axes_before_them() {
+        let spec = retarget_before_resplit();
+        assert_eq!(all_cases(&spec).unwrap().len(), 2);
+        assert_cursor_walk_matches(&spec, &[0, 1, 0, 1, 1]);
+
+        // A `Systems` axis after the retarget replaces the chiplets too.
+        let one_chiplet = {
+            let mut system = base();
+            system.chiplets.truncate(1);
+            system
+        };
+        let systems = SweepAxis::Systems(vec![
+            ("base".to_owned(), base()),
+            ("one".to_owned(), one_chiplet),
+        ]);
+        let spec = SweepSpec::new(base())
+            .axis(retarget_before_resplit().axes[0].clone())
+            .axis(retarget_before_resplit().axes[1].clone())
+            .axis(systems.clone());
+        assert_eq!(all_cases(&spec).unwrap().len(), 4);
+        assert_cursor_walk_matches(&spec, &[0, 1, 2, 3, 1, 0, 3]);
+
+        // With no chiplet-replacing axis before the retarget, it must see
+        // the base system's chiplets again.
+        let spec = SweepSpec::new(base())
+            .axis(SweepAxis::ChipletNode {
+                index: 1,
+                nodes: vec![TechNode::N10, TechNode::N14],
+            })
+            .axis(systems);
+        assert_eq!(all_cases(&spec).unwrap().len(), 4);
+        assert_cursor_walk_matches(&spec, &[0, 1, 2, 3, 1, 0, 3]);
+    }
+
+    #[test]
+    fn restart_points_move_back_only_past_stale_retargets() {
+        let retarget = || SweepAxis::ChipletNode {
+            index: 0,
+            nodes: vec![TechNode::N10],
+        };
+        let resplit = retarget_before_resplit().axes[2].clone();
+        let lifetimes = SweepAxis::lifetimes_years(&[1.0]);
+        // Retargets after the last re-split restart where they change.
+        let axes = [resplit.clone(), retarget(), lifetimes.clone()];
+        assert_eq!(restart_points(&axes), [Some(0), Some(1), Some(2), Some(3)]);
+        // A retarget ahead of a re-split restarts at the re-split before it,
+        // or at the base system when there is none.
+        let axes = [lifetimes, retarget(), resplit.clone(), retarget(), resplit];
+        assert_eq!(
+            restart_points(&axes),
+            [None, None, Some(2), Some(2), Some(4), Some(5)]
+        );
+    }
+
     /// A random spec mixing every axis kind: an optional `Systems` axis
-    /// first, then up to five of the others in random order. Axes have
-    /// one to three points; `ChipletCounts` may hold a 0 (a failing
-    /// split), and `ChipletNode` indices are valid for some chiplet counts
-    /// and not for others.
+    /// first, then up to five axes of any kind in random order (`Systems`
+    /// included), weighted toward the axes that read or replace the
+    /// chiplet list. Axes have one to three points; `ChipletCounts` may
+    /// hold a 0 (a failing split), and `ChipletNode` indices are valid for
+    /// some chiplet counts and not for others.
     fn random_spec(rng: &mut TestRng) -> SweepSpec {
         let nodes = [TechNode::N5, TechNode::N7, TechNode::N10, TechNode::N14];
         let node = |rng: &mut TestRng| nodes[rng.next_below(4) as usize];
         let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
         let len = |rng: &mut TestRng| 1 + rng.next_below(3) as usize;
-        let mut spec = SweepSpec::new(base());
-        if rng.next_below(2) == 0 {
+        let systems = |rng: &mut TestRng| {
             let systems = (0..len(rng))
                 .map(|at| {
                     let years = 1.0 + at as f64;
@@ -816,41 +952,46 @@ mod tests {
                     (format!("sys{at}"), system)
                 })
                 .collect();
-            spec = spec.axis(SweepAxis::Systems(systems));
+            SweepAxis::Systems(systems)
+        };
+        let mut spec = SweepSpec::new(base());
+        if rng.next_below(2) == 0 {
+            spec = spec.axis(systems(rng));
         }
         for _ in 0..rng.next_below(6) {
-            let axis = match rng.next_below(7) {
-                0 => SweepAxis::NodeTuples {
+            let axis = match rng.next_below(12) {
+                0 | 1 => SweepAxis::NodeTuples {
                     blocks: blocks.clone(),
                     tuples: (0..len(rng))
                         .map(|_| NodeTuple::new(node(rng), node(rng), node(rng)))
                         .collect(),
                 },
-                1 => SweepAxis::ChipletCounts {
+                2 | 3 => SweepAxis::ChipletCounts {
                     blocks: blocks.clone(),
                     nodes: NodeTuple::new(node(rng), node(rng), node(rng)),
                     counts: (0..len(rng))
                         .map(|_| [0, 1, 2, 3, 4, 4][rng.next_below(6) as usize])
                         .collect(),
                 },
-                2 => SweepAxis::ChipletNode {
+                4..=6 => SweepAxis::ChipletNode {
                     index: rng.next_below(6) as usize,
                     nodes: (0..len(rng)).map(|_| node(rng)).collect(),
                 },
-                3 => SweepAxis::FabEnergySources(
+                7 => SweepAxis::FabEnergySources(
                     (0..len(rng))
                         .map(|_| {
                             [EnergySource::Coal, EnergySource::Wind][rng.next_below(2) as usize]
                         })
                         .collect(),
                 ),
-                4 => SweepAxis::lifetimes_years(
+                8 => SweepAxis::lifetimes_years(
                     &(0..len(rng)).map(|at| 1.0 + at as f64).collect::<Vec<_>>(),
                 ),
-                5 => SweepAxis::reuse_ratios(
+                9 => SweepAxis::reuse_ratios(
                     100_000,
                     &(0..len(rng)).map(|at| 1.0 + at as f64).collect::<Vec<_>>(),
                 ),
+                10 => systems(rng),
                 _ => packaging_axis(),
             };
             spec = spec.axis(axis);

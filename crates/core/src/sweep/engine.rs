@@ -828,6 +828,62 @@ mod tests {
     }
 
     #[test]
+    fn retargets_ahead_of_a_resplit_decode_alike_on_every_worker() {
+        use crate::disaggregation::{NodeTuple, SocBlocks};
+        // Chiplet 3 exists in the count-2 split (4 chiplets) but not in the
+        // tuple split after it (3 chiplets). Every point is valid, whichever
+        // index a worker's cursor decoded before.
+        let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
+        let spec = SweepSpec::new(base())
+            .axis(SweepAxis::ChipletCounts {
+                blocks: blocks.clone(),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts: vec![2],
+            })
+            .axis(SweepAxis::ChipletNode {
+                index: 3,
+                nodes: vec![TechNode::N10, TechNode::N14],
+            })
+            .axis(SweepAxis::NodeTuples {
+                blocks,
+                tuples: vec![
+                    NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+                    NodeTuple::uniform(TechNode::N10),
+                ],
+            })
+            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
+        let full = collect(
+            &SweepEngine::serial(),
+            &spec,
+            Shard::FULL,
+            &SweepContext::new(),
+        )
+        .expect("every case is valid");
+        let labels: Vec<String> = (0..spec.len())
+            .map(|index| spec.case_at(index).unwrap().label())
+            .collect();
+        assert_eq!(
+            full.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
+            labels
+        );
+        for jobs in [1usize, 2, 4] {
+            for chunk in [1usize, 3] {
+                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                let points = collect(&engine, &spec, Shard::FULL, &SweepContext::new());
+                assert_eq!(points.unwrap(), full, "jobs={jobs} chunk={chunk}");
+                let mut merged = Vec::new();
+                for index in 0..3 {
+                    let shard = Shard::new(index, 3).unwrap();
+                    merged.extend(collect(&engine, &spec, shard, &SweepContext::new()).unwrap());
+                }
+                assert_eq!(merged, full, "jobs={jobs} chunk={chunk} shards");
+                let tail = collect(&engine, &spec, 1..full.len(), &SweepContext::new());
+                assert_eq!(tail.unwrap(), full[1..], "jobs={jobs} chunk={chunk} 1..");
+            }
+        }
+    }
+
+    #[test]
     fn chunked_runs_match_unchunked_for_every_chunk_size() {
         let estimator = EcoChip::default();
         let spec = spec();

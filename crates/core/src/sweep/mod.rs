@@ -72,7 +72,10 @@
 //! cursor that keeps its previous case and re-applies only the axes from
 //! the first one whose digit changed (an odometer). The next index of a
 //! claimed chunk then costs one axis, not a rebuild from the base system.
-//! `case_at` is a fresh cursor and one seek, so there is one decoder.
+//! A chiplet retarget that sits ahead of an axis replacing the chiplets
+//! restarts further back, so it checks its index against the chiplets the
+//! axes before it produce. `case_at` is a fresh cursor and one seek, so
+//! there is one decoder.
 
 mod axis;
 mod context;
