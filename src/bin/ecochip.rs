@@ -18,9 +18,6 @@
 //!                     [--retries N] [--backoff-ms N] [--share-memo]
 //!                     [--optimize <pareto|anneal|genetic>] [--budget N]
 //!                     [--seed N] [--objectives <list>] [--rounds N]
-//! ecochip bench [--suite <core|serve|all>] [--smoke] [--repeats N]
-//!               [--out <dir>] [--baseline <dir>] [--tolerance <pct>]
-//!               [--check | --bless]
 //! ```
 //!
 //! Any `--testcase` / `--design` run accepts:
@@ -79,11 +76,6 @@
 //! each worker explores its shard of the space under a derived seed, the
 //! merged global frontier is exchanged between islands every `--rounds`
 //! round, and one merged `done` line closes the stream.
-//!
-//! `ecochip bench` runs the fixed perf workload matrix of
-//! [`eco_chip::bench`] and writes `BENCH_core.json` / `BENCH_serve.json`;
-//! `--check` fails (exit 1) when a fresh run regresses beyond the
-//! tolerance against the committed baselines, `--bless` refreshes them.
 //!
 //! Every command's flags are rows of one table ([`FLAGS`]), read by one
 //! parser that also checks which flags need or exclude others
@@ -198,11 +190,6 @@ fn print_usage() {
     eprintln!("                [--seed N] [--objectives <list>] [--rounds N]");
     eprintln!("                                               fan a sweep out and merge shards,");
     eprintln!("                                               or run an island-model search");
-    eprintln!("  ecochip bench [--suite <core|serve|all>] [--smoke] [--repeats N]");
-    eprintln!("                [--out <dir>] [--baseline <dir>] [--tolerance <pct>]");
-    eprintln!("                [--check | --bless]");
-    eprintln!("                                               run the perf workload matrix and");
-    eprintln!("                                               gate/refresh BENCH_*.json baselines");
     eprintln!();
     eprintln!("built-in test cases:");
     for name in catalog::names() {
@@ -660,7 +647,6 @@ fn missing_value(flag: &str) -> CliError {
 const CLASSIC: u8 = 1;
 const SERVE: u8 = 1 << 1;
 const ORCHESTRATE: u8 = 1 << 2;
-const BENCH: u8 = 1 << 3;
 
 /// What follows a flag on the command line: nothing (a switch), free text,
 /// or a number of one kind.
@@ -671,7 +657,6 @@ enum Takes {
     Positive,
     NonNegative,
     Seed,
-    Percent,
 }
 
 impl Takes {
@@ -688,12 +673,6 @@ impl Takes {
             // caches nothing.
             Takes::NonNegative => ("a non-negative integer", value.parse::<usize>().is_ok()),
             Takes::Seed => ("an unsigned 64-bit integer", value.parse::<u64>().is_ok()),
-            Takes::Percent => (
-                "a non-negative number of percent",
-                value
-                    .parse::<f64>()
-                    .is_ok_and(|t| t.is_finite() && t >= 0.0),
-            ),
         };
         if valid {
             Ok(())
@@ -737,18 +716,11 @@ const FLAGS: &[(&str, Takes, u8)] = &[
     ("--max-connections", Takes::Positive, SERVE),
     ("--workers", Takes::Positive, ORCHESTRATE),
     ("--remote", Takes::Text, ORCHESTRATE),
-    ("--check", Takes::Nothing, ORCHESTRATE | BENCH),
+    ("--check", Takes::Nothing, ORCHESTRATE),
     ("--retries", Takes::NonNegative, ORCHESTRATE),
     ("--backoff-ms", Takes::NonNegative, ORCHESTRATE),
     ("--share-memo", Takes::Nothing, ORCHESTRATE),
     ("--rounds", Takes::Positive, ORCHESTRATE),
-    ("--suite", Takes::Text, BENCH),
-    ("--smoke", Takes::Nothing, BENCH),
-    ("--repeats", Takes::Positive, BENCH),
-    ("--out", Takes::Text, BENCH),
-    ("--baseline", Takes::Text, BENCH),
-    ("--bless", Takes::Nothing, BENCH),
-    ("--tolerance", Takes::Percent, BENCH),
 ];
 
 /// `(flag, needed, commands)`: for these commands, `flag` is a usage error
@@ -805,12 +777,6 @@ const CONFLICTS: &[(&str, &str, u8, &str)] = &[
         ORCHESTRATE,
         "pass either --workers (local in-process servers) or --remote (server URLs), not both",
     ),
-    (
-        "--check",
-        "--bless",
-        BENCH,
-        "--check and --bless are mutually exclusive",
-    ),
 ];
 
 /// The flags given to one command, in order, each with its value (empty
@@ -833,7 +799,6 @@ impl Flags {
                 let prefix = match command {
                     SERVE => "serve ",
                     ORCHESTRATE => "orchestrate ",
-                    BENCH => "bench ",
                     _ => "",
                 };
                 return Err(CliError::usage(format!(
@@ -1150,117 +1115,6 @@ fn merge_to_stdout<T>(
     Ok(outcome)
 }
 
-/// `ecochip bench`: run the deterministic perf workload matrix, write
-/// `BENCH_core.json` / `BENCH_serve.json`, and optionally gate a fresh run
-/// against committed baselines (`--check`) or refresh them (`--bless`).
-fn run_bench(args: &[String]) -> CliResult {
-    use eco_chip::bench::{self, BenchOptions};
-
-    let Some(flags) = Flags::parse(BENCH, args)? else {
-        return Ok(());
-    };
-    let mut options = BenchOptions {
-        smoke: flags.has("--smoke"),
-        ..BenchOptions::default()
-    };
-    if let Some(repeats) = flags.number("--repeats") {
-        options.repeats = repeats;
-    }
-    let tolerance = flags
-        .number("--tolerance")
-        .unwrap_or(bench::DEFAULT_TOLERANCE_PERCENT);
-    let suites = flags.value("--suite").unwrap_or("all");
-    let out_dir = flags.path("--out");
-    let baseline_dir = flags
-        .path("--baseline")
-        .unwrap_or_else(|| PathBuf::from("."));
-    let check = flags.has("--check");
-    let bless = flags.has("--bless");
-    let (want_core, want_serve) = match suites {
-        "all" => (true, true),
-        "core" => (true, false),
-        "serve" => (false, true),
-        other => {
-            return Err(CliError::usage(format!(
-                "--suite must be core, serve or all, got {other:?}"
-            )))
-        }
-    };
-    // `--bless` refreshes the committed baselines in place; otherwise fresh
-    // results go to `--out` (default: the baseline directory, which keeps
-    // the no-flag invocation useful as a local refresh). A bare `--check`
-    // must NOT clobber the baselines it just gated against, so without an
-    // explicit `--out` a checking run only prints and gates.
-    let write_results = bless || !check || out_dir.is_some();
-    let out_dir = if bless {
-        baseline_dir.clone()
-    } else {
-        out_dir.unwrap_or_else(|| baseline_dir.clone())
-    };
-    if write_results {
-        std::fs::create_dir_all(&out_dir)?;
-    }
-
-    type SuiteRunner = fn(&BenchOptions) -> Result<bench::BenchSuite, bench::BenchError>;
-    let plan: [(bool, &str, SuiteRunner); 2] = [
-        (want_core, bench::CORE_BASELINE, bench::run_core),
-        (want_serve, bench::SERVE_BASELINE, bench::run_serve),
-    ];
-    let mut regressions = Vec::new();
-    for (enabled, file_name, run) in plan {
-        if !enabled {
-            continue;
-        }
-        // Load the baseline BEFORE writing anything: with the default
-        // `--out` the fresh results land in the baseline directory, and
-        // reading afterwards would compare the fresh run against itself —
-        // a gate that can never fail. A missing baseline is a hard error,
-        // not a silent pass.
-        let baseline = if check {
-            Some(bench::load_suite(&baseline_dir.join(file_name))?)
-        } else {
-            None
-        };
-        eprintln!("bench: running {file_name} workloads ...");
-        let suite = run(&options)?;
-        for record in &suite.results {
-            eprintln!(
-                "  {}/{}: {:.4} {} ({} iterations in {:.3}s)",
-                record.workload,
-                record.metric,
-                record.value,
-                record.units,
-                record.iterations,
-                record.wall_clock_seconds
-            );
-        }
-        if write_results {
-            let out_path = out_dir.join(file_name);
-            bench::write_suite(&suite, &out_path)?;
-            eprintln!("bench: wrote {}", out_path.display());
-        }
-        if let Some(baseline) = baseline {
-            regressions.extend(bench::compare(&baseline, &suite, tolerance));
-        }
-    }
-    if !regressions.is_empty() {
-        for regression in &regressions {
-            eprintln!("bench: REGRESSION: {regression}");
-        }
-        return Err(CliError::Run(
-            format!(
-                "{} perf regression(s) beyond the {tolerance}% tolerance",
-                regressions.len()
-            )
-            .into(),
-        ));
-    }
-    if check {
-        eprintln!("bench: perf check passed ({tolerance}% tolerance)");
-    }
-    Ok(())
-}
-
 /// Reject a malformed `ECOCHIP_JOBS` or `ECOCHIP_CHUNK` before any engine
 /// silently falls back to its default: a typo'd worker count or chunk size
 /// should fail as loudly as a malformed `--jobs` or `--chunk`.
@@ -1343,9 +1197,8 @@ fn real_main() -> CliResult {
     match args[0].as_str() {
         "serve" => run_serve(&args[1..]),
         "orchestrate" => run_orchestrate(&args[1..]),
-        "bench" => run_bench(&args[1..]),
         other if !other.starts_with('-') => Err(CliError::usage(format!(
-            "unknown subcommand {other:?} (expected serve, orchestrate or bench); \
+            "unknown subcommand {other:?} (expected serve or orchestrate); \
              run `ecochip --help` for usage"
         ))),
         _ => run_classic(&args),

@@ -21,7 +21,6 @@
 //! | [`testcases`] | `ecochip-testcases` | GA102, A15, EMR and AR/VR test cases, JSON I/O |
 //! | [`serve`] | `ecochip-serve` | HTTP/JSON estimation service, shard orchestrator |
 //! | [`trace`] | `ecochip-trace` | Structured logging, trace IDs, spans, stage timings |
-//! | [`mod@bench`] | (facade) | Perf workload matrix, `BENCH_*.json` baselines, regression gate |
 //!
 //! The most common entry points are also re-exported at the crate root.
 //!
@@ -50,8 +49,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod bench;
 
 pub use ecochip_act as act;
 pub use ecochip_core as core;

@@ -1,9 +1,9 @@
 //! The `ecochip` command line's contract.
 //!
 //! [`USAGE_CASES`] is the one table of malformed invocations: for every
-//! command (the classic front end, `serve`, `orchestrate` and `bench`) it
-//! pins the exit code and a substring of the one-line error on stderr —
-//! unknown and value-less flags, bad numeric values, flags that require or
+//! command (the classic front end, `serve` and `orchestrate`) it pins the
+//! exit code and a substring of the one-line error on stderr — unknown
+//! and value-less flags, bad numeric values, flags that require or
 //! conflict with others, unknown names and unreadable input files. Exit
 //! code 2 is a usage error (HTTP's 400), 1 a runtime failure.
 //!
@@ -874,43 +874,12 @@ const USAGE_CASES: &[UsageCase] = &[
         1,
         "configuration file i/o error",
     ),
-    // `bench`.
+    // The perf harness is `perfbench/`, not a subcommand.
     (
-        &["bench", "--frobnicate"],
+        &["bench"],
         &[],
         2,
-        "unknown bench flag \"--frobnicate\"",
-    ),
-    (
-        &["bench", "--help"],
-        &[],
-        2,
-        "unknown bench flag \"--help\"",
-    ),
-    (&["bench", "--out"], &[], 2, "--out needs a value"),
-    (
-        &["bench", "--check", "--bless"],
-        &[],
-        2,
-        "--check and --bless are mutually exclusive",
-    ),
-    (
-        &["bench", "--suite", "nope"],
-        &[],
-        2,
-        "--suite must be core, serve or all",
-    ),
-    (
-        &["bench", "--repeats", "0"],
-        &[],
-        2,
-        "--repeats needs a positive integer",
-    ),
-    (
-        &["bench", "--tolerance", "-1"],
-        &[],
-        2,
-        "--tolerance needs a non-negative number of percent",
+        "unknown subcommand \"bench\" (expected serve or orchestrate)",
     ),
     // The classic front end refuses two designs, as orchestrate and HTTP do.
     (

@@ -49,13 +49,18 @@ fn reference_lines(testcase: &str, axis: &str) -> Vec<String> {
         .collect()
 }
 
+/// A flaky worker's address and the count of requests it accepted.
+type FlakyWorker = (String, Arc<AtomicUsize>);
+
 /// A scripted flaky worker: speaks just enough HTTP to accept a
 /// `POST /v1/sweep`, resolves the requested shard/range against the
 /// reference lines, streams the first `serve_before_death` of them as
-/// correct chunks — and then drops the socket without the terminal chunk,
-/// exactly like a worker killed mid-stream. Every connection it accepts is
+/// correct chunks, then a *torn* line — the first half of the next one,
+/// with no newline — and drops the socket without the terminal chunk,
+/// exactly like a worker killed mid-write. The client must treat the torn
+/// tail as a worker loss, never as data. Every connection it accepts is
 /// counted so tests can assert how often the orchestrator tried it.
-fn spawn_flaky_worker(lines: Vec<String>, serve_before_death: usize) -> (String, Arc<AtomicUsize>) {
+fn spawn_flaky_worker(lines: Vec<String>, serve_before_death: usize) -> FlakyWorker {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind flaky worker");
     let addr = listener.local_addr().unwrap().to_string();
     let requests = Arc::new(AtomicUsize::new(0));
@@ -89,6 +94,10 @@ fn spawn_flaky_worker(lines: Vec<String>, serve_before_death: usize) -> (String,
             );
             for line in &own[..served] {
                 let _ = write!(writer, "{:x}\r\n{line}\n\r\n", line.len() + 1);
+            }
+            if let Some(next) = own.get(served) {
+                let torn = &next[..next.len() / 2];
+                let _ = write!(writer, "{:x}\r\n{torn}\r\n", torn.len());
             }
             let _ = writer.flush();
             // Die without the terminal chunk: the peer sees the connection
@@ -175,10 +184,7 @@ fn failover_resumes_a_dead_shard_mid_stream_exactly_once() {
 /// line followed by only half its payload — and drops the socket. The
 /// client must deliver exactly the complete frames upstream and treat the
 /// torn tail as a worker loss, never as data.
-fn spawn_flaky_framed_worker(
-    lines: Vec<String>,
-    serve_before_death: usize,
-) -> (String, Arc<AtomicUsize>) {
+fn spawn_flaky_framed_worker(lines: Vec<String>, serve_before_death: usize) -> FlakyWorker {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind flaky framed worker");
     let addr = listener.local_addr().unwrap().to_string();
     let requests = Arc::new(AtomicUsize::new(0));
@@ -232,12 +238,14 @@ fn spawn_flaky_framed_worker(
     (addr, requests)
 }
 
-#[test]
-fn failover_resumes_mid_chunk_with_framed_workers_exactly_once() {
+/// Fail over the 7-point lifetime sweep from the worker `spawn_flaky`
+/// starts, which owns shard 1 (indices 4..7) and tears its stream after one
+/// complete point, to a survivor that evaluates in 4-point chunks. The
+/// resumed range (one point into the dead worker's shard) starts mid-chunk
+/// relative to the shard's own chunking, so claims must re-align to the
+/// resumed start.
+fn assert_mid_chunk_failover_is_exactly_once(spawn_flaky: fn(Vec<String>, usize) -> FlakyWorker) {
     let expected = reference_lines("ga102-3chiplet", "lifetime");
-    // The survivor evaluates in 4-point chunks, so the resumed range
-    // (one point into the dead worker's shard) starts mid-chunk relative
-    // to the shard's own chunking — claims re-align to the resumed start.
     let survivor_server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         jobs: Some(2),
@@ -258,9 +266,7 @@ fn failover_resumes_mid_chunk_with_framed_workers_exactly_once() {
     .unwrap();
     assert_eq!(stats.chunk, 4, "{stats:?}");
 
-    // The flaky worker owns shard 1 (indices 4..7 of 7), delivers one
-    // complete frame, then tears the next frame mid-payload.
-    let (flaky_addr, flaky_requests) = spawn_flaky_framed_worker(expected.clone(), 1);
+    let (flaky_addr, flaky_requests) = spawn_flaky(expected.clone(), 1);
 
     let db = TechDb::default();
     let request = SweepRequest::named("ga102-3chiplet", "lifetime");
@@ -278,14 +284,24 @@ fn failover_resumes_mid_chunk_with_framed_workers_exactly_once() {
     })
     .unwrap();
 
-    // Exactly once: the complete frame the flaky worker served was not
-    // re-emitted, the torn frame contributed nothing, and the resumed
-    // range came back framed from the survivor — fingerprint unchanged.
+    // Exactly once: the complete point the flaky worker served was not
+    // re-emitted, the torn tail contributed nothing, and the resumed range
+    // came back from the survivor — fingerprint unchanged.
     assert_eq!(merged, expected);
     assert_eq!(outcome, reference, "mid-chunk failover changed the stream");
     assert_eq!(flaky_requests.load(Ordering::SeqCst), 1);
 
     survivor.shutdown().unwrap();
+}
+
+#[test]
+fn failover_resumes_mid_chunk_with_framed_workers_exactly_once() {
+    assert_mid_chunk_failover_is_exactly_once(spawn_flaky_framed_worker);
+}
+
+#[test]
+fn failover_resumes_mid_chunk_with_ndjson_workers_exactly_once() {
+    assert_mid_chunk_failover_is_exactly_once(spawn_flaky_worker);
 }
 
 #[test]

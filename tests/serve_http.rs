@@ -1391,3 +1391,107 @@ fn thousands_of_idle_connections_park_cheaply_and_drain_on_shutdown() {
         );
     }
 }
+
+/// Items per second of one run of `shape`, which returns how many items
+/// it served.
+fn rate(shape: &mut dyn FnMut() -> usize) -> f64 {
+    let started = std::time::Instant::now();
+    let items = shape();
+    items as f64 / started.elapsed().as_secs_f64()
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing test: release only")]
+fn batch_pipelined_and_framed_shapes_beat_their_one_at_a_time_forms() {
+    let (handle, addr) = boot(ServeConfig {
+        // Pipelined windows must not hit the per-connection request bound.
+        max_requests_per_connection: usize::MAX,
+        ..default_config()
+    });
+    let single = r#"{"testcase":"ga102-3chiplet"}"#;
+    let window = vec![single; 32];
+    let batch = format!("[{}]", vec![single; 16].join(","));
+    // A sweep wide enough that encoding, not per-request setup, dominates.
+    let lifetimes: Vec<f64> = (0..512).map(|i| 1.0 + f64::from(i) * 0.01).collect();
+    let axis = serde_json::to_string(&SweepAxis::lifetimes_years(&lifetimes)).unwrap();
+    let expect_ok = |response: &client::Response| {
+        assert_eq!(response.status, 200, "{:?}", response.text());
+    };
+    let sweep = |format: &str| -> Box<dyn FnMut() -> usize> {
+        let body = format!(r#"{{"testcase":"ga102-3chiplet","axes":[{axis}]{format}}}"#);
+        let mut connection = client::Connection::open(&addr).unwrap();
+        let expected = 16 * lifetimes.len();
+        Box::new(move || {
+            let mut points = 0;
+            for _ in 0..16 {
+                let response = connection
+                    .post_ndjson("/v1/sweep", &body, |_| {
+                        points += 1;
+                        Ok(())
+                    })
+                    .unwrap();
+                expect_ok(&response);
+            }
+            assert_eq!(points, expected);
+            points
+        })
+    };
+
+    // Each shape runs on its own keep-alive connection: single requests,
+    // depth-32 pipelined windows, 16-design batches, then the sweep as
+    // NDJSON and as frames.
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let single_shape = Box::new(move || {
+        for _ in 0..64 {
+            expect_ok(&connection.post_json("/v1/estimate", single).unwrap());
+        }
+        64
+    });
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let pipelined_shape = Box::new(move || {
+        for _ in 0..8 {
+            let responses = connection
+                .post_json_pipelined("/v1/estimate", &window)
+                .unwrap();
+            responses.iter().for_each(expect_ok);
+        }
+        8 * window.len()
+    });
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let batch_shape = Box::new(move || {
+        for _ in 0..8 {
+            expect_ok(&connection.post_json("/v1/estimate", &batch).unwrap());
+        }
+        8 * 16
+    });
+    let mut shapes: [Box<dyn FnMut() -> usize>; 5] = [
+        single_shape,
+        pipelined_shape,
+        batch_shape,
+        sweep(""),
+        sweep(r#","format":"frames""#),
+    ];
+    // Each rate is the best of three runs, and the shapes take turns, so
+    // cold memos and load from other tests fall on all of them alike.
+    let mut best = [0.0; 5];
+    for _ in 0..3 {
+        for (best, shape) in best.iter_mut().zip(&mut shapes) {
+            *best = f64::max(*best, rate(shape));
+        }
+    }
+    handle.shutdown().unwrap();
+
+    let [single, pipelined, batch, ndjson, frames] = best;
+    assert!(
+        batch >= single,
+        "batch {batch:.0} items/s < single {single:.0} requests/s"
+    );
+    assert!(
+        pipelined >= single,
+        "pipelined {pipelined:.0} requests/s < single {single:.0} requests/s"
+    );
+    assert!(
+        frames >= ndjson,
+        "frames {frames:.0} points/s < NDJSON {ndjson:.0} points/s"
+    );
+}
