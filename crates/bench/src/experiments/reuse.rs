@@ -1,7 +1,6 @@
 //! Fig. 12: chiplet-reuse (design-CFP amortisation) and lifetime sweeps.
 
 use ecochip_core::disaggregation::NodeTuple;
-use ecochip_core::dse::sweep_reuse;
 use ecochip_core::sweep::{SweepAxis, SweepEngine, SweepSpec};
 use ecochip_core::{EcoChip, System};
 use ecochip_techdb::{TechDb, TechNode};
@@ -17,23 +16,21 @@ fn grid_table(
     title: &str,
     system: &System,
 ) -> Result<Table, Box<dyn std::error::Error>> {
-    let points = sweep_reuse(estimator, system, &RATIOS, &LIFETIMES)?;
+    let spec = SweepSpec::new(system.clone())
+        .axis(SweepAxis::reuse_ratios(
+            system.volumes.system_volume,
+            &RATIOS,
+        ))
+        .axis(SweepAxis::lifetimes_years(&LIFETIMES));
+    let points = SweepEngine::new().run(estimator, &spec)?;
     let mut headers = vec!["NMi/NS".to_owned()];
     headers.extend(LIFETIMES.iter().map(|y| format!("Ctot kg @ {y:.0}y")));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut table = Table::new(title, &header_refs);
-    for ratio in RATIOS {
+    // Row-major: the lifetime axis varies fastest.
+    for (ratio, row) in RATIOS.iter().zip(points.chunks(LIFETIMES.len())) {
         let mut cells = vec![format!("{ratio:.0}")];
-        for years in LIFETIMES {
-            let p = points
-                .iter()
-                .find(|p| {
-                    (p.reuse_ratio - ratio).abs() < 1e-9
-                        && (p.lifetime.years() - years).abs() < 1e-9
-                })
-                .expect("grid point exists");
-            cells.push(format!("{:.1}", p.total.kg()));
-        }
+        cells.extend(row.iter().map(|p| format!("{:.1}", p.report.total().kg())));
         table.row(cells);
     }
     Ok(table)

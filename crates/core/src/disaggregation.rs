@@ -156,18 +156,15 @@ pub fn three_chiplets(blocks: &SocBlocks, nodes: NodeTuple) -> Vec<Chiplet> {
 /// process or a system no floorplanner finishes.
 pub const MAX_LOGIC_CHIPLETS: usize = 1024;
 
-/// Split the digital block into `logic_chiplets` equal chiplets (plus the
-/// memory and analog chiplets), the sweep of Figs. 9, 10 and 15(b).
+/// Check a digital-chiplet count for [`split_logic`]. Request resolution
+/// calls it too, so a bad `ChipletCounts` value is refused before a sweep
+/// starts.
 ///
 /// # Errors
 ///
 /// Returns [`EcoChipError::InvalidSystem`] when `logic_chiplets` is zero or
 /// above [`MAX_LOGIC_CHIPLETS`].
-pub fn split_logic(
-    blocks: &SocBlocks,
-    logic_chiplets: usize,
-    nodes: NodeTuple,
-) -> Result<Vec<Chiplet>, EcoChipError> {
+pub fn check_logic_chiplets(logic_chiplets: usize) -> Result<(), EcoChipError> {
     if logic_chiplets == 0 {
         return Err(EcoChipError::InvalidSystem(
             "the digital block must be split into at least one chiplet".to_owned(),
@@ -179,6 +176,22 @@ pub fn split_logic(
              at most {MAX_LOGIC_CHIPLETS} are supported"
         )));
     }
+    Ok(())
+}
+
+/// Split the digital block into `logic_chiplets` equal chiplets (plus the
+/// memory and analog chiplets), the sweep of Figs. 9, 10 and 15(b).
+///
+/// # Errors
+///
+/// Returns [`EcoChipError::InvalidSystem`] when [`check_logic_chiplets`]
+/// refuses `logic_chiplets`.
+pub fn split_logic(
+    blocks: &SocBlocks,
+    logic_chiplets: usize,
+    nodes: NodeTuple,
+) -> Result<Vec<Chiplet>, EcoChipError> {
+    check_logic_chiplets(logic_chiplets)?;
     let per_chiplet = blocks.logic_transistors / logic_chiplets as f64;
     let mut chiplets = Vec::with_capacity(logic_chiplets + 2);
     for i in 0..logic_chiplets {

@@ -29,10 +29,11 @@
 //! * [`EcoChipService`] — the batch API: one warm sweep memo amortised over
 //!   many `estimate` / `stream` requests, with fingerprint-checked memo
 //!   persistence across processes.
-//! * [`dse`] — design-space-exploration sweeps (technology tuples, packaging
-//!   architectures, reuse ratios, lifetimes, chiplet counts and fab energy
-//!   sources, all built on [`sweep`]) and the carbon-delay / carbon-power /
-//!   carbon-area product curves of Section VI.
+//! * [`dse`] — the paper's named design-space studies (technology tuples,
+//!   packaging architectures, chiplet counts, fab energy sources and the
+//!   named axes every front end exposes, all built on [`sweep`]) and the
+//!   carbon-delay / carbon-power / carbon-area product curves of Section VI.
+//!   Searches over a sweep space run through [`opt`].
 //! * [`costing`] — integration with the dollar-cost model for
 //!   carbon-vs-cost tradeoff studies (Fig. 15).
 //!

@@ -1182,6 +1182,50 @@ mod tests {
     }
 
     #[test]
+    fn single_objective_frontier_keeps_tied_minima_in_case_order() {
+        use ecochip_techdb::EnergySource;
+
+        let estimator = EcoChip::default();
+        let sources = [EnergySource::Wind, EnergySource::Coal, EnergySource::Wind];
+        let spec =
+            SweepSpec::new(base_system()).axis(SweepAxis::FabEnergySources(sources.to_vec()));
+        // The fixture ties: both wind cases score the same embodied CFP, bit
+        // for bit, and the coal case scores higher.
+        let embodied: Vec<f64> = (0..sources.len())
+            .map(|index| {
+                let case = spec.case_at(index).unwrap();
+                let mut config = estimator.config().clone();
+                config.fab_source = case.fab_source.unwrap();
+                let report = EcoChip::new(config).estimate(&case.system).unwrap();
+                report.embodied().kg()
+            })
+            .collect();
+        assert_eq!(embodied[0].to_bits(), embodied[2].to_bits());
+        assert!(embodied[1] > embodied[0]);
+
+        let config = OptConfig {
+            objectives: "embodied".parse().unwrap(),
+            ..OptConfig::default()
+        };
+        let outcome = optimize(
+            &estimator,
+            &SweepEngine::serial(),
+            &spec,
+            Shard::FULL,
+            &SweepContext::new(),
+            None,
+            &config,
+            |_event: &OptEvent| Ok(()),
+        )
+        .unwrap();
+        // Neither tied minimum dominates the other, so both stay, in
+        // ascending case order: the first is the earliest best case.
+        let indices: Vec<usize> = outcome.frontier.iter().map(|p| p.index).collect();
+        assert_eq!(indices, [0, 2]);
+        assert_eq!(outcome.frontier[0].objectives[0].value, embodied[0]);
+    }
+
+    #[test]
     fn explorers_are_deterministic_per_seed_and_budget_bounded() {
         let estimator = EcoChip::default();
         let spec = small_spec();

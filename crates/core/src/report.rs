@@ -156,12 +156,6 @@ impl CarbonReport {
         self.chiplets.iter().map(|c| c.total_area()).sum()
     }
 
-    /// The total CFP evaluated at a different lifetime, without re-running the
-    /// estimator (Eq. 1 is linear in the lifetime).
-    pub fn total_at_lifetime(&self, lifetime: TimeSpan) -> Carbon {
-        self.embodied() + self.operational_per_year * lifetime.years().max(0.0)
-    }
-
     /// The top-level breakdown as `(component, carbon)` rows, in the order the
     /// paper presents them: manufacturing, design, HI, embodied, operational,
     /// total.
@@ -281,15 +275,6 @@ mod tests {
         assert!((r.total().kg() - 62.5).abs() < 1e-9);
         assert!((r.embodied_fraction() - 22.5 / 62.5).abs() < 1e-9);
         assert!((r.silicon_area().mm2() - 202.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lifetime_extrapolation_is_linear() {
-        let r = report();
-        let at4 = r.total_at_lifetime(TimeSpan::from_years(4.0));
-        assert!((at4.kg() - (22.5 + 80.0)).abs() < 1e-9);
-        let at0 = r.total_at_lifetime(TimeSpan::from_years(0.0));
-        assert!((at0.kg() - r.embodied().kg()).abs() < 1e-9);
     }
 
     #[test]

@@ -49,8 +49,11 @@ pub enum SweepAxis {
         /// Number of digital chiplets per point.
         counts: Vec<usize>,
     },
-    /// Retarget the chiplet at `index` to each candidate node (one axis per
-    /// chiplet yields the exhaustive node-assignment search of Section VI).
+    /// Retarget the chiplet at `index` to each candidate node. One axis per
+    /// chiplet spans the node-assignment space of Section VI; search it with
+    /// [`crate::opt::optimize`] (e.g. [`crate::opt::OptMethod::Pareto`] on
+    /// the `embodied` objective, whose first frontier point is the earliest
+    /// minimum).
     ChipletNode {
         /// Index of the chiplet to retarget.
         index: usize,

@@ -17,6 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use ecochip_core::disaggregation::check_logic_chiplets;
 pub use ecochip_core::sweep::SweepSlice;
 use ecochip_core::sweep::{Shard, SweepAxis, SweepSpec, SweepStats};
 use ecochip_core::{dse, opt, CarbonReport, System};
@@ -261,7 +262,8 @@ impl SweepRequest {
     /// # Errors
     ///
     /// [`ServeError::Api`] for missing/conflicting fields, unknown
-    /// test-case or axis names and malformed shard selectors;
+    /// test-case or axis names, `ChipletCounts` values
+    /// [`check_logic_chiplets`] refuses and malformed shard selectors;
     /// [`ServeError::Estimator`] when a known test case fails to build.
     pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, SweepSlice), ServeError> {
         let base = resolve_base(&self.testcase, &self.system, db)?;
@@ -279,6 +281,12 @@ impl SweepRequest {
             }
             (None, Some(axes)) => {
                 for axis in axes {
+                    if let SweepAxis::ChipletCounts { counts, .. } = axis {
+                        for &count in counts {
+                            check_logic_chiplets(count)
+                                .map_err(|e| ServeError::Api(e.to_string()))?;
+                        }
+                    }
                     spec = spec.axis(axis.clone());
                 }
             }
@@ -703,6 +711,40 @@ mod tests {
             .run(&EcoChip::default(), &spec)
             .unwrap();
         assert_eq!(points.len(), 1);
+    }
+
+    #[test]
+    fn out_of_range_chiplet_counts_are_refused_at_resolve() {
+        use ecochip_core::disaggregation::{NodeTuple, SocBlocks};
+        use ecochip_techdb::TechNode;
+
+        let db = TechDb::default();
+        let counts = |counts: Vec<usize>| SweepRequest {
+            axis: None,
+            axes: Some(vec![SweepAxis::ChipletCounts {
+                blocks: SocBlocks::new("ga102", 20.0e9, 6.0e9, 2.3e9),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts,
+            }]),
+            ..SweepRequest::named("ga102", "ignored")
+        };
+        assert!(counts(vec![1, 2, 1024]).resolve(&db).is_ok());
+        for (bad, text) in [
+            (vec![0], "at least one chiplet"),
+            (vec![1, 2000], "at most 1024"),
+        ] {
+            match counts(bad).resolve(&db) {
+                Err(ServeError::Api(message)) => assert!(message.contains(text), "{message}"),
+                other => panic!("expected an API error, got {other:?}"),
+            }
+        }
+        // Optimize requests resolve through the same path.
+        let optimize = OptimizeRequest {
+            axis: None,
+            axes: counts(vec![0]).axes,
+            ..OptimizeRequest::named("ga102", "ignored")
+        };
+        assert!(matches!(optimize.resolve(&db), Err(ServeError::Api(_))));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example chiplet_reuse`
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::dse::sweep_reuse;
+use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepSpec};
 use eco_chip::techdb::{TechDb, TechNode};
 use eco_chip::testcases::{a15, emr, ga102};
 use eco_chip::{EcoChip, System};
@@ -17,7 +17,13 @@ fn print_grid(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let ratios = [1.0, 2.0, 4.0, 8.0, 16.0];
     let lifetimes = [1.0, 2.0, 3.0, 5.0];
-    let points = sweep_reuse(estimator, system, &ratios, &lifetimes)?;
+    let spec = SweepSpec::new(system.clone())
+        .axis(SweepAxis::reuse_ratios(
+            system.volumes.system_volume,
+            &ratios,
+        ))
+        .axis(SweepAxis::lifetimes_years(&lifetimes));
+    let points = SweepEngine::new().run(estimator, &spec)?;
 
     println!("== {name}: total CFP (kg CO2e) vs reuse ratio and lifetime ==");
     print!("{:>12}", "NMi/NS");
@@ -25,34 +31,22 @@ fn print_grid(
         print!("{:>12}", format!("{years:.0} yr"));
     }
     println!();
-    for &ratio in &ratios {
+    // Row-major: the lifetime axis varies fastest.
+    for (ratio, row) in ratios.iter().zip(points.chunks(lifetimes.len())) {
         print!("{ratio:>12.0}");
-        for &years in &lifetimes {
-            let p = points
-                .iter()
-                .find(|p| {
-                    (p.reuse_ratio - ratio).abs() < 1e-9
-                        && (p.lifetime.years() - years).abs() < 1e-9
-                })
-                .expect("point exists");
-            print!("{:>12.1}", p.total.kg());
+        for point in row {
+            print!("{:>12.1}", point.report.total().kg());
         }
         println!();
     }
-    let embodied_1 = points
-        .iter()
-        .find(|p| (p.reuse_ratio - 1.0).abs() < 1e-9)
-        .unwrap()
-        .embodied;
-    let embodied_16 = points
-        .iter()
-        .find(|p| (p.reuse_ratio - 16.0).abs() < 1e-9)
-        .unwrap()
-        .embodied;
+    // Embodied carbon does not depend on the lifetime: read it off the
+    // first point of the first (no reuse) and last (16x reuse) rows.
+    let no_reuse = &points[0].report;
+    let most_reuse = &points[points.len() - lifetimes.len()].report;
     println!(
         "  embodied falls from {:.1} kg (no reuse) to {:.1} kg (16x reuse)",
-        embodied_1.kg(),
-        embodied_16.kg()
+        no_reuse.embodied().kg(),
+        most_reuse.embodied().kg()
     );
     println!();
     Ok(())

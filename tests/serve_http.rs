@@ -434,24 +434,30 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
 
     // A digital-chiplet count past the split bound once sized a
     // `Vec::with_capacity` that aborted the process (`1 << 40`) or
-    // panicked the handler thread (`1 << 62`). The count is applied when
-    // its case is evaluated, so the refusal arrives in-band and names it.
+    // panicked the handler thread (`1 << 62`). Every count is checked when
+    // the request is resolved, so a bad one is a 400 that names it, even
+    // behind a good count whose point would otherwise stream first.
     let db = TechDb::default();
-    for count in [1usize << 40, 1 << 62] {
+    for counts in [vec![0], vec![1, 2000], vec![1 << 40], vec![1 << 62]] {
+        let bad = *counts.last().unwrap();
         let request = SweepRequest {
             axis: None,
             axes: Some(vec![SweepAxis::ChipletCounts {
                 blocks: ga102::soc_blocks(&db).unwrap(),
                 nodes: NodeTuple::uniform(TechNode::N7),
-                counts: vec![count],
+                counts,
             }]),
             ..SweepRequest::named("ga102-3chiplet", "lifetime")
         };
         let body = serde_json::to_string(&request).unwrap();
         let response = client::post_json(&addr, "/v1/sweep", &body).unwrap();
         let text = response.text().unwrap();
-        assert!(text.starts_with("{\"error\""), "{count}: {text}");
-        assert!(text.contains(&count.to_string()), "{count}: {text}");
+        assert_eq!(response.status, 400, "{bad}: {text}");
+        let named = match bad {
+            0 => "at least one chiplet".to_owned(),
+            _ => format!("into {bad} chiplets"),
+        };
+        assert!(text.contains(&named), "{bad}: {text}");
     }
 
     // `/v1/healthz` is answered on the event loop; a real sweep proves the
