@@ -339,31 +339,14 @@ fn connection_token(keep_alive: bool) -> &'static str {
     }
 }
 
-/// Write a complete fixed-length response and flush it. `keep_alive`
-/// advertises whether the server will serve another request on this
-/// connection.
+/// Write a complete fixed-length response, with extra response headers
+/// (name, value) ahead of the body, and flush it. `keep_alive` advertises
+/// whether the server will serve another request on this connection.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
 pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with_headers(writer, status, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response`] with extra response headers (name, value) ahead of
-/// the body — how the admission-control path attaches `Retry-After` to its
-/// `429 Too Many Requests` responses.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response_with_headers<W: Write>(
     writer: &mut W,
     status: u16,
     content_type: &str,
@@ -400,36 +383,22 @@ pub struct ChunkedWriter<W: Write> {
     writer: W,
 }
 
-/// Start a chunked response: writes the status line and headers, returns
-/// the body writer. The terminal zero-length chunk delimits the body, so
-/// chunked responses compose with keep-alive.
+/// Start a chunked response: writes the status line and headers (extra
+/// headers as name, value pairs), returns the body writer. The terminal
+/// zero-length chunk delimits the body, so chunked responses compose with
+/// keep-alive.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
 pub fn start_chunked<W: Write>(
-    writer: W,
-    status: u16,
-    content_type: &str,
-    keep_alive: bool,
-) -> std::io::Result<ChunkedWriter<W>> {
-    start_chunked_with_headers(writer, status, content_type, &[], keep_alive)
-}
-
-/// [`start_chunked`] with extra response headers (name, value) ahead of
-/// the body — how streamed sweep responses echo `X-Ecochip-Trace`.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn start_chunked_with_headers<W: Write>(
     mut writer: W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> std::io::Result<ChunkedWriter<W>> {
-    // One buffer, one write, like `write_response_with_headers`.
+    // One buffer, one write, like `write_response`.
     let mut message = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
         reason(status),
@@ -668,7 +637,7 @@ mod tests {
     #[test]
     fn responses_can_carry_extra_headers() {
         let mut out = Vec::new();
-        write_response_with_headers(
+        write_response(
             &mut out,
             429,
             "application/json",
@@ -687,7 +656,7 @@ mod tests {
     #[test]
     fn fixed_and_chunked_responses_serialize() {
         let mut out = Vec::new();
-        write_response(&mut out, 404, "application/json", b"{}", false).unwrap();
+        write_response(&mut out, 404, "application/json", &[], b"{}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -695,12 +664,12 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", b"ok", true).unwrap();
+        write_response(&mut out, 200, "text/plain", &[], b"ok", true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
 
         let mut out = Vec::new();
-        let mut chunked = start_chunked(&mut out, 200, "application/x-ndjson", true).unwrap();
+        let mut chunked = start_chunked(&mut out, 200, "application/x-ndjson", &[], true).unwrap();
         chunked.chunk(b"hello\n").unwrap();
         chunked.chunk(b"").unwrap();
         chunked.chunk(b"world\n").unwrap();

@@ -2,7 +2,8 @@
 //!
 //! The build environment has no package registry, so — like the rest of
 //! this crate — the metrics surface is hand-rolled on `std`: atomic
-//! counters, a fixed-bucket latency histogram per route, and a renderer
+//! counters, a fixed-bucket latency histogram per [`Route`] (the label the
+//! server's route table decodes each request into), and a renderer
 //! that emits the Prometheus text exposition format (`# HELP` / `# TYPE`
 //! comment lines followed by `name{labels} value` samples). The registry
 //! records the HTTP-layer signals (requests by route and status, in-flight
@@ -20,6 +21,7 @@ use ecochip_core::EcoChipService;
 use ecochip_trace::Stage;
 
 use crate::api::SweepFormat;
+use crate::server::Route;
 
 /// The toolchain label baked in by `build.rs` (the output of
 /// `rustc --version` at compile time), surfaced by the
@@ -43,77 +45,30 @@ fn format_index(format: SweepFormat) -> usize {
     }
 }
 
-/// The route labels the registry tracks. Unknown paths collapse into
-/// `"other"` so a path-scanning client cannot grow the label space.
-pub const ROUTES: [&str; 13] = [
-    "healthz",
-    "stats",
-    "testcases",
-    "estimate",
-    "estimate_batch",
-    "sweep",
-    "optimize",
-    "memo_export",
-    "memo_import",
-    "metrics",
-    "trace",
-    "shutdown",
-    "other",
-];
-
 /// Histogram bucket upper bounds, in seconds (an implicit `+Inf` bucket
 /// follows). Spans sub-millisecond health probes to multi-second sweeps.
 const BUCKETS: [f64; 7] = [0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0];
 
-/// Admission-control rejection reasons (label values of the
-/// `ecochip_http_rejected_total` series): a new connection refused at the
-/// open-connection cap, or a heavy request refused at the in-flight cap.
-pub const REJECT_REASONS: [&str; 2] = ["max_connections", "max_inflight"];
-
-fn reject_index(reason: &str) -> usize {
-    REJECT_REASONS
-        .iter()
-        .position(|&r| r == reason)
-        .unwrap_or(0)
+/// Why a request or connection was refused with a 429 (label values of the
+/// `ecochip_http_rejected_total` series).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejection {
+    /// A new connection refused at the open-connection cap.
+    MaxConnections,
+    /// A heavy request refused at the in-flight cap.
+    MaxInflight,
 }
 
-/// Map a request to its route label (the label space is fixed; see
-/// [`ROUTES`]).
-pub fn route_label(method: &str, path: &str) -> &'static str {
-    match (method, path) {
-        (_, "/v1/healthz") => "healthz",
-        (_, "/v1/stats") => "stats",
-        (_, "/v1/testcases") => "testcases",
-        (_, "/v1/estimate") => "estimate",
-        (_, "/v1/sweep") => "sweep",
-        (_, "/v1/optimize") => "optimize",
-        ("GET", "/v1/memo") => "memo_export",
-        (_, "/v1/memo") => "memo_import",
-        (_, "/metrics") => "metrics",
-        (_, "/v1/trace") => "trace",
-        (_, "/v1/shutdown") => "shutdown",
-        _ => "other",
+impl Rejection {
+    /// Every reason, in render order (the variants' declaration order).
+    const ALL: [Rejection; 2] = [Rejection::MaxConnections, Rejection::MaxInflight];
+
+    fn label(self) -> &'static str {
+        match self {
+            Rejection::MaxConnections => "max_connections",
+            Rejection::MaxInflight => "max_inflight",
+        }
     }
-}
-
-/// Whether an estimate request body is the batch form (a JSON array of
-/// requests). The first non-whitespace byte is decisive — a JSON document
-/// starting with `[` can only be an array — so the router and the metrics
-/// label agree without parsing the body twice.
-pub fn is_batch_estimate_body(body: &[u8]) -> bool {
-    body.iter()
-        .find(|byte| !byte.is_ascii_whitespace())
-        .is_some_and(|&byte| byte == b'[')
-}
-
-/// Map a request to its route label, distinguishing the batch form of
-/// `POST /v1/estimate` (a JSON array body) from the single form so the two
-/// latency profiles — one estimate vs. N per round-trip — stay separable.
-pub fn route_label_for(method: &str, path: &str, body: &[u8]) -> &'static str {
-    if method == "POST" && path == "/v1/estimate" && is_batch_estimate_body(body) {
-        return "estimate_batch";
-    }
-    route_label(method, path)
 }
 
 /// Cumulative request-latency observations of one route.
@@ -196,21 +151,22 @@ pub struct Metrics {
     /// Requests served, keyed by `(route index, status code)`. A `BTreeMap`
     /// keeps the render order deterministic.
     requests: Mutex<BTreeMap<(usize, u16), u64>>,
-    /// Per-route request latency.
-    latency: [Histogram; ROUTES.len()],
+    /// Per-route request latency, indexed by [`Route`].
+    latency: [Histogram; Route::LABELS.len()],
     /// Sweep-stream payload bytes sent, per encoding ([`FORMATS`] order).
     sweep_bytes: [AtomicU64; FORMATS.len()],
     /// Sweep-stream wall time, per encoding ([`FORMATS`] order).
     sweep_streams: [Histogram; FORMATS.len()],
-    /// Accumulated per-stage sweep time ([`Stage::ALL`] order), observed
-    /// once per instrumented sweep request per stage.
+    /// Accumulated per-stage sweep time, indexed by [`Stage`] (whose `ALL`
+    /// lists the variants in declaration order), observed once per
+    /// instrumented sweep request per stage.
     stage_durations: [Histogram; Stage::ALL.len()],
     /// Open connections parked in the event loop (gauge).
     idle_connections: AtomicU64,
     /// Open connections checked out to the handler pool (gauge).
     active_connections: AtomicU64,
-    /// 429 rejections, by reason ([`REJECT_REASONS`] order).
-    rejected: [AtomicU64; REJECT_REASONS.len()],
+    /// 429 rejections, indexed by [`Rejection`].
+    rejected: [AtomicU64; Rejection::ALL.len()],
     /// Event-loop wakeups (returns from the readiness wait, including
     /// timeout ticks and self-pipe nudges).
     wakeups: AtomicU64,
@@ -228,7 +184,7 @@ impl Default for Metrics {
 /// bucket-interpolated p50/p99 (see [`Metrics::latency_summaries`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteLatencySummary {
-    /// The route label (one of [`ROUTES`]).
+    /// The route label (see [`Route::label`]).
     pub route: &'static str,
     /// Requests observed on this route.
     pub count: u64,
@@ -267,17 +223,13 @@ impl Metrics {
     /// per-request [`ecochip_trace::StageTimings`] total, not per point —
     /// so the histogram answers "where did this request's time go").
     pub fn observe_stage(&self, stage: Stage, seconds: f64) {
-        let index = Stage::ALL
-            .iter()
-            .position(|&s| s == stage)
-            .expect("stage in Stage::ALL");
-        self.stage_durations[index].observe(Duration::from_secs_f64(seconds.max(0.0)));
+        self.stage_durations[stage as usize].observe(Duration::from_secs_f64(seconds.max(0.0)));
     }
 
     /// Per-route latency digests (count, p50, p99) for every route that
-    /// has served at least one request, in [`ROUTES`] order.
+    /// has served at least one request, in [`Route::LABELS`] order.
     pub fn latency_summaries(&self) -> Vec<RouteLatencySummary> {
-        ROUTES
+        Route::LABELS
             .iter()
             .zip(&self.latency)
             .filter_map(|(route, histogram)| {
@@ -328,9 +280,9 @@ impl Metrics {
         self.active_connections.load(Ordering::Relaxed)
     }
 
-    /// Record a 429 rejection (`reason` is one of [`REJECT_REASONS`]).
-    pub fn rejected(&self, reason: &str) {
-        self.rejected[reject_index(reason)].fetch_add(1, Ordering::Relaxed);
+    /// Record a 429 rejection.
+    pub fn rejected(&self, reason: Rejection) {
+        self.rejected[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total 429 rejections across every reason.
@@ -363,11 +315,8 @@ impl Metrics {
 
     /// Record a finished request: status, latency, and the in-flight
     /// decrement.
-    pub fn observe(&self, route: &'static str, status: u16, elapsed: Duration) {
-        let index = ROUTES
-            .iter()
-            .position(|&r| r == route)
-            .unwrap_or(ROUTES.len() - 1);
+    pub fn observe(&self, route: Route, status: u16, elapsed: Duration) {
+        let index = route as usize;
         self.latency[index].observe(elapsed);
         *self
             .requests
@@ -433,10 +382,11 @@ impl Metrics {
                 .into(),
         );
         sample("# TYPE ecochip_http_rejected_total counter".into());
-        for reason in REJECT_REASONS {
+        for reason in Rejection::ALL {
             sample(format!(
-                "ecochip_http_rejected_total{{reason=\"{reason}\"}} {}",
-                self.rejected[reject_index(reason)].load(Ordering::Relaxed)
+                "ecochip_http_rejected_total{{reason=\"{}\"}} {}",
+                reason.label(),
+                self.rejected[reason as usize].load(Ordering::Relaxed)
             ));
         }
 
@@ -459,7 +409,7 @@ impl Metrics {
         for ((route, status), count) in self.requests.lock().expect("request counters").iter() {
             sample(format!(
                 "ecochip_http_requests_total{{route=\"{}\",status=\"{status}\"}} {count}",
-                ROUTES[*route]
+                Route::LABELS[*route]
             ));
         }
 
@@ -480,7 +430,7 @@ impl Metrics {
             if count == 0 {
                 continue;
             }
-            let route = ROUTES[index];
+            let route = Route::LABELS[index];
             for (value, bound) in buckets.iter().zip(BUCKETS) {
                 sample(format!(
                     "ecochip_http_request_duration_seconds_bucket{{route=\"{route}\",le=\"{bound}\"}} {value}"
@@ -685,40 +635,57 @@ mod tests {
     use super::*;
     use ecochip_core::{EcoChip, EcoChipService};
 
+    /// The label a request is filed under, served or refused.
+    fn filed_under(method: &str, path: &str, body: &[u8]) -> &'static str {
+        let (Ok(route) | Err(route)) = Route::decode(method, path, body);
+        route.label()
+    }
+
     #[test]
     fn route_labels_cover_the_api_surface() {
-        assert_eq!(route_label("GET", "/v1/healthz"), "healthz");
-        assert_eq!(route_label("POST", "/v1/sweep"), "sweep");
-        assert_eq!(route_label("POST", "/v1/optimize"), "optimize");
-        assert_eq!(route_label("GET", "/v1/memo"), "memo_export");
-        assert_eq!(route_label("POST", "/v1/memo"), "memo_import");
-        assert_eq!(route_label("GET", "/metrics"), "metrics");
-        assert_eq!(route_label("GET", "/v2/nope"), "other");
+        assert_eq!(filed_under("GET", "/v1/healthz", b""), "healthz");
+        assert_eq!(filed_under("POST", "/v1/sweep", b""), "sweep");
+        assert_eq!(filed_under("POST", "/v1/optimize", b""), "optimize");
+        assert_eq!(filed_under("GET", "/v1/memo", b""), "memo_export");
+        assert_eq!(filed_under("POST", "/v1/memo", b""), "memo_import");
+        assert_eq!(filed_under("GET", "/metrics", b""), "metrics");
+        assert_eq!(filed_under("GET", "/v2/nope", b""), "other");
         for route in [
-            route_label("GET", "/v1/stats"),
-            route_label("GET", "/v1/testcases"),
-            route_label("POST", "/v1/estimate"),
-            route_label("POST", "/v1/shutdown"),
+            filed_under("GET", "/v1/stats", b""),
+            filed_under("GET", "/v1/testcases", b""),
+            filed_under("POST", "/v1/estimate", b""),
+            filed_under("POST", "/v1/shutdown", b""),
         ] {
-            assert!(ROUTES.contains(&route));
+            assert!(Route::LABELS.contains(&route));
         }
     }
 
     #[test]
     fn batch_estimate_bodies_get_their_own_route_label() {
-        assert!(is_batch_estimate_body(b"[{\"testcase\":\"ga102\"}]"));
-        assert!(is_batch_estimate_body(b"  \n\t[]"));
-        assert!(!is_batch_estimate_body(b"{\"testcase\":\"ga102\"}"));
-        assert!(!is_batch_estimate_body(b""));
+        let batch = b"[{\"testcase\":\"ga102\"}]";
+        assert_eq!(filed_under("POST", "/v1/estimate", batch), "estimate_batch");
         assert_eq!(
-            route_label_for("POST", "/v1/estimate", b"[{}]"),
+            filed_under("POST", "/v1/estimate", b"  \n\t[]"),
             "estimate_batch"
         );
-        assert_eq!(route_label_for("POST", "/v1/estimate", b"{}"), "estimate");
+        assert_eq!(
+            filed_under("POST", "/v1/estimate", b"{\"testcase\":\"ga102\"}"),
+            "estimate"
+        );
+        assert_eq!(filed_under("POST", "/v1/estimate", b""), "estimate");
         // Only the estimate endpoint sniffs its body.
-        assert_eq!(route_label_for("POST", "/v1/sweep", b"[]"), "sweep");
-        assert_eq!(route_label_for("GET", "/v1/healthz", b""), "healthz");
-        assert!(ROUTES.contains(&"estimate_batch"));
+        assert_eq!(filed_under("POST", "/v1/sweep", b"[]"), "sweep");
+        assert_eq!(filed_under("GET", "/v1/healthz", b""), "healthz");
+        assert!(Route::LABELS.contains(&"estimate_batch"));
+
+        // The batch form keeps its own series.
+        let metrics = Metrics::new();
+        metrics.request_started();
+        metrics.observe(Route::EstimateBatch, 200, Duration::from_millis(3));
+        let text = metrics.render(&EcoChipService::new(EcoChip::default()));
+        assert!(
+            text.contains("ecochip_http_requests_total{route=\"estimate_batch\",status=\"200\"} 1")
+        );
     }
 
     #[test]
@@ -726,13 +693,13 @@ mod tests {
         let metrics = Metrics::new();
         metrics.connection_opened();
         metrics.request_started();
-        metrics.observe("estimate", 200, Duration::from_micros(750));
+        metrics.observe(Route::Estimate, 200, Duration::from_micros(750));
         metrics.request_started();
-        metrics.observe("estimate", 400, Duration::from_millis(30));
+        metrics.observe(Route::Estimate, 400, Duration::from_millis(30));
         metrics.request_started();
-        metrics.observe("sweep", 200, Duration::from_secs(20));
+        metrics.observe(Route::Sweep, 200, Duration::from_secs(20));
         metrics.request_started();
-        metrics.observe("estimate_batch", 200, Duration::from_millis(3));
+        metrics.observe(Route::EstimateBatch, 200, Duration::from_millis(3));
 
         let service = EcoChipService::new(EcoChip::default());
         let text = metrics.render(&service);
@@ -868,9 +835,9 @@ mod tests {
         assert!(idle.contains("ecochip_event_loop_wakeups_total 0"));
 
         metrics.set_connection_gauges(10_000, 3);
-        metrics.rejected("max_inflight");
-        metrics.rejected("max_inflight");
-        metrics.rejected("max_connections");
+        metrics.rejected(Rejection::MaxInflight);
+        metrics.rejected(Rejection::MaxInflight);
+        metrics.rejected(Rejection::MaxConnections);
         for _ in 0..5 {
             metrics.wakeup();
         }

@@ -13,10 +13,12 @@
 //! and a write backlog pauses reads (TCP backpressure) instead of
 //! buffering without bound.
 //!
+//! Every request is decoded once, against one route table, into the
+//! [`Route`] that picks its handler, its metrics label, its
+//! `request:{route}` span and its access-log field.
 //! Routes split by weight. *Light* routes (health, stats, testcases,
 //! metrics, trace dumps, single estimates, shutdown, and every error
-//! reply) are
-//! answered inline on the loop thread — they are memo-bound
+//! reply) are answered inline on the loop thread — they are memo-bound
 //! microsecond work, and avoiding a thread handoff is what keeps
 //! point-lookup throughput flat while thousands of idle connections
 //! are parked. *Heavy* routes (sweeps, batch estimates, memo
@@ -70,7 +72,7 @@ use crate::api::{
 };
 use crate::frames;
 use crate::http;
-use crate::metrics::{self, Metrics};
+use crate::metrics::{Metrics, Rejection};
 use crate::poll::{self, Interest, Poller};
 use crate::ServeError;
 
@@ -105,6 +107,127 @@ const RETRY_AFTER_SECS: &str = "1";
 /// server-side spans and log lines — across every fleet hop that forwards
 /// the header — to the client that sent it.
 const TRACE_HEADER: &str = "X-Ecochip-Trace";
+
+/// The route label space: every request is filed under exactly one route,
+/// and unknown paths collapse into [`Route::Other`] so a path-scanning
+/// client cannot grow the label space. `/v1/stats` lists latencies in
+/// declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// `GET /v1/healthz`.
+    Healthz,
+    /// `GET /v1/stats`.
+    Stats,
+    /// `GET /v1/testcases`.
+    Testcases,
+    /// `POST /v1/estimate` with a single request body.
+    Estimate,
+    /// `POST /v1/estimate` with a JSON array body.
+    EstimateBatch,
+    /// `POST /v1/sweep`.
+    Sweep,
+    /// `POST /v1/optimize`.
+    Optimize,
+    /// `GET /v1/memo`.
+    MemoExport,
+    /// `POST /v1/memo`.
+    MemoImport,
+    /// `GET /metrics`.
+    Metrics,
+    /// `GET /v1/trace`.
+    Trace,
+    /// `POST /v1/shutdown`.
+    Shutdown,
+    /// Any path outside the route table.
+    Other,
+}
+
+impl Route {
+    /// Every route's label, in declaration order (a route's label is
+    /// `LABELS[route as usize]`).
+    pub const LABELS: [&'static str; 13] = [
+        "healthz",
+        "stats",
+        "testcases",
+        "estimate",
+        "estimate_batch",
+        "sweep",
+        "optimize",
+        "memo_export",
+        "memo_import",
+        "metrics",
+        "trace",
+        "shutdown",
+        "other",
+    ];
+
+    /// The metrics and span label of this route.
+    pub fn label(self) -> &'static str {
+        Self::LABELS[self as usize]
+    }
+
+    /// Decode a request against [`ROUTE_TABLE`]: `Ok` with the route that
+    /// serves it, or `Err` with the route a refused request is filed under
+    /// (404 for [`Route::Other`], 405 for a known path asked with a method
+    /// it does not serve).
+    pub(crate) fn decode(method: &str, path: &str, body: &[u8]) -> Result<Route, Route> {
+        #[cfg(test)]
+        if path == tests::PANIC_PATH {
+            return Ok(Route::Other);
+        }
+        let Some((_, methods, refused)) = ROUTE_TABLE.iter().find(|(known, ..)| *known == path)
+        else {
+            return Err(Route::Other);
+        };
+        match methods.iter().find(|(known, _)| *known == method) {
+            // The first non-whitespace byte is decisive: a JSON document
+            // starting with `[` can only be an array, the batch form.
+            Some((_, Route::Estimate))
+                if body.iter().find(|byte| !byte.is_ascii_whitespace()) == Some(&b'[') =>
+            {
+                Ok(Route::EstimateBatch)
+            }
+            Some(&(_, route)) => Ok(route),
+            None => Err(*refused),
+        }
+    }
+
+    /// Whether a served request runs on the handler pool (streaming or
+    /// bulk work) instead of inline on the event loop.
+    fn offloaded(self) -> bool {
+        use Route::*;
+        !matches!(
+            self,
+            Healthz | Stats | Testcases | Estimate | Metrics | Trace | Shutdown
+        )
+    }
+}
+
+/// One row of [`ROUTE_TABLE`]: an endpoint path, the route each method it
+/// serves decodes to, and the route any other method is filed under
+/// (answered 405).
+type Endpoint = (&'static str, &'static [(&'static str, Route)], Route);
+
+/// The server's route table, in the order the 404 reply lists it.
+const ROUTE_TABLE: [Endpoint; 10] = {
+    use Route::*;
+    [
+        ("/v1/estimate", &[("POST", Estimate)], Estimate),
+        ("/v1/sweep", &[("POST", Sweep)], Sweep),
+        ("/v1/optimize", &[("POST", Optimize)], Optimize),
+        ("/v1/testcases", &[("GET", Testcases)], Testcases),
+        (
+            "/v1/memo",
+            &[("GET", MemoExport), ("POST", MemoImport)],
+            MemoImport,
+        ),
+        ("/v1/healthz", &[("GET", Healthz)], Healthz),
+        ("/v1/stats", &[("GET", Stats)], Stats),
+        ("/v1/trace", &[("GET", Trace)], Trace),
+        ("/v1/shutdown", &[("POST", Shutdown)], Shutdown),
+        ("/metrics", &[("GET", Metrics)], Metrics),
+    ]
+};
 
 /// Configuration of [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -492,6 +615,8 @@ impl Conn {
 /// [`Conn::pending_dispatch`]).
 struct Job0 {
     request: http::Request,
+    /// Decoded on the event loop; the pool thread does not decode again.
+    route: Route,
     keep_alive: bool,
     /// The request's resolved trace ID — minted on the event loop so the
     /// loop and the pool thread agree on it.
@@ -502,9 +627,7 @@ struct Job0 {
 /// connection.
 struct Job {
     conn: Conn,
-    request: http::Request,
-    keep_alive: bool,
-    trace: String,
+    work: Box<Job0>,
 }
 
 /// A finished heavy request handing its connection back to the loop.
@@ -671,8 +794,8 @@ impl EventLoop<'_> {
                         continue; // raced the drain transition: drop it
                     }
                     if self.conns.live + self.checked_out >= self.state.max_connections {
-                        self.state.metrics.rejected("max_connections");
-                        refuse(self.state, stream);
+                        self.state.metrics.rejected(Rejection::MaxConnections);
+                        refuse(stream);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -774,19 +897,9 @@ impl EventLoop<'_> {
                     return; // connection dies; nothing to hand the pool
                 }
                 self.checked_out += 1;
-                let Job0 {
-                    request,
-                    keep_alive,
-                    trace,
-                } = *job;
                 // The pool threads outlive the loop (they exit only when
                 // the job sender drops), so this send cannot fail here.
-                let _ = self.job_tx.send(Job {
-                    conn,
-                    request,
-                    keep_alive,
-                    trace,
-                });
+                let _ = self.job_tx.send(Job { conn, work: job });
             }
             After::Close => self.close_conn(index),
         }
@@ -896,13 +1009,13 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                 // admission path, the pool thread and the response echo
                 // all agree on it.
                 let trace = resolve_trace(&request);
-                if is_offloaded(&request) {
+                let routed = Route::decode(&request.method, &request.path, &request.body);
+                let (Ok(route) | Err(route)) = routed;
+                if routed.is_ok_and(Route::offloaded) {
                     if inflight >= state.max_inflight {
                         // Admission control: refuse the heavy request but
                         // keep the connection usable.
-                        let route =
-                            metrics::route_label_for(&request.method, &request.path, &request.body);
-                        state.metrics.rejected("max_inflight");
+                        state.metrics.rejected(Rejection::MaxInflight);
                         state.metrics.request_started();
                         let started = Instant::now();
                         let _trace = ecochip_trace::set_current_trace(trace);
@@ -920,6 +1033,7 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                     }
                     let job = Box::new(Job0 {
                         request,
+                        route,
                         keep_alive,
                         trace,
                     });
@@ -929,13 +1043,13 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                     conn.pending_dispatch = Some(job);
                     continue;
                 }
-                let route = metrics::route_label_for(&request.method, &request.path, &request.body);
                 state.metrics.request_started();
                 let started = Instant::now();
                 let (status, close_after) = {
                     let _trace = ecochip_trace::set_current_trace(trace);
-                    let span = ecochip_trace::span(format!("request:{route}"));
-                    let outcome = route_light(state, &request, &mut conn.write_buf, keep_alive);
+                    let span = ecochip_trace::span(format!("request:{}", route.label()));
+                    let outcome =
+                        route_light(state, &request, routed, &mut conn.write_buf, keep_alive);
                     drop(span);
                     access_log(&request, route, outcome.0, started.elapsed());
                     outcome
@@ -951,8 +1065,10 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                 // and close.
                 state.metrics.request_started();
                 let started = Instant::now();
-                let status = respond_error_into(&mut conn.write_buf, &error, false);
-                state.metrics.observe("other", status, started.elapsed());
+                let status = respond_error(&mut conn.write_buf, &error, false);
+                state
+                    .metrics
+                    .observe(Route::Other, status, started.elapsed());
                 conn.close_after_flush = true;
             }
         }
@@ -980,21 +1096,6 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
     After::Keep
 }
 
-/// Whether a request runs on the handler pool (streaming or bulk work)
-/// instead of inline on the event loop. Wrong-method requests on these
-/// paths stay inline (405).
-fn is_offloaded(request: &http::Request) -> bool {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/sweep") => true,
-        ("POST", "/v1/optimize") => true,
-        ("POST", "/v1/estimate") => metrics::is_batch_estimate_body(&request.body),
-        ("GET" | "POST", "/v1/memo") => true,
-        #[cfg(test)]
-        ("POST", tests::PANIC_PATH) => true,
-        _ => false,
-    }
-}
-
 /// A handler-pool thread: serve heavy requests off the shared queue until
 /// the event loop drops the sender.
 fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mpsc::Sender<Done>) {
@@ -1003,16 +1104,15 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
             let receiver = jobs.lock().expect("job queue");
             receiver.recv()
         };
-        let Ok(Job {
-            mut conn,
-            request,
-            keep_alive,
-            trace,
-        }) = job
-        else {
+        let Ok(Job { mut conn, work }) = job else {
             break; // event loop ended
         };
-        let route = metrics::route_label_for(&request.method, &request.path, &request.body);
+        let Job0 {
+            request,
+            route,
+            keep_alive,
+            trace,
+        } = *work;
         state.metrics.request_started();
         let started = Instant::now();
         // A panicking handler must not take its pool thread with it: the
@@ -1021,9 +1121,9 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
         // still saved at shutdown.
         let handled = {
             let _trace = ecochip_trace::set_current_trace(trace);
-            let span = ecochip_trace::span(format!("request:{route}"));
+            let span = ecochip_trace::span(format!("request:{}", route.label()));
             let handled = panic::catch_unwind(AssertUnwindSafe(|| {
-                route_offloaded(state, &request, &mut conn.stream, keep_alive, &span)
+                route_offloaded(state, route, &request, &mut conn.stream, keep_alive, &span)
             }))
             .ok();
             drop(span);
@@ -1052,23 +1152,37 @@ fn resolve_trace(request: &http::Request) -> String {
 /// One Info-level access-log event per served request. Must run inside
 /// the request's trace guard so the line carries the trace ID — the CI
 /// chaos step greps a worker's JSON log for the orchestrator's ID.
-fn access_log(request: &http::Request, route: &'static str, status: u16, elapsed: Duration) {
+fn access_log(request: &http::Request, route: Route, status: u16, elapsed: Duration) {
     ecochip_trace::info(
         "serve::server",
         "request",
         &[
             ("method", FieldValue::from(request.method.as_str())),
             ("path", FieldValue::from(request.path.as_str())),
-            ("route", FieldValue::from(route)),
+            ("route", FieldValue::from(route.label())),
             ("status", FieldValue::from(u64::from(status))),
             ("duration_secs", FieldValue::from(elapsed.as_secs_f64())),
         ],
     );
 }
 
-/// Write a response body with the request's trace ID echoed as an
-/// `X-Ecochip-Trace` header (when a trace guard is active — every routed
-/// request; `refuse` runs outside one and echoes nothing).
+/// Hand `write` the response's extra headers: `extra`, then the request's
+/// trace ID echoed as `X-Ecochip-Trace` when a trace guard is active
+/// (every routed request; `refuse` runs outside one and echoes nothing).
+fn with_trace_header<R>(
+    extra: Option<(&str, &str)>,
+    write: impl FnOnce(&[(&str, &str)]) -> R,
+) -> R {
+    let trace = ecochip_trace::current_trace();
+    let trace = trace.as_deref().map(|trace| (TRACE_HEADER, trace));
+    match (extra, trace) {
+        (Some(extra), Some(trace)) => write(&[extra, trace]),
+        (extra, trace) => write(extra.or(trace).as_slice()),
+    }
+}
+
+/// Write a fixed-length response with the trace header (see
+/// [`with_trace_header`]).
 fn write_traced<W: Write>(
     writer: &mut W,
     status: u16,
@@ -1076,33 +1190,23 @@ fn write_traced<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) {
-    match ecochip_trace::current_trace() {
-        Some(trace) => {
-            let _ = http::write_response_with_headers(
-                writer,
-                status,
-                content_type,
-                &[(TRACE_HEADER, &trace)],
-                body,
-                keep_alive,
-            );
-        }
-        None => {
-            let _ = http::write_response(writer, status, content_type, body, keep_alive);
-        }
-    }
+    with_trace_header(None, |headers| {
+        let _ = http::write_response(writer, status, content_type, headers, body, keep_alive);
+    });
 }
 
-/// Serialize a response body; the wire types cannot fail serialization, so
-/// a failure is a programming error surfaced as a 500 body.
+/// Serialize a response value; the wire types cannot fail serialization,
+/// so a failure is a programming error surfaced as an error object.
+fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value)
+        .unwrap_or_else(|error| format!("{{\"error\":\"serializing response: {error}\"}}"))
+}
+
+/// [`to_json`] as a newline-terminated response body.
 fn body<T: Serialize>(value: &T) -> Vec<u8> {
-    match serde_json::to_string(value) {
-        Ok(mut json) => {
-            json.push('\n');
-            json.into_bytes()
-        }
-        Err(error) => format!("{{\"error\":\"serializing response: {error}\"}}\n").into_bytes(),
-    }
+    let mut json = to_json(value);
+    json.push('\n');
+    json.into_bytes()
 }
 
 /// Write a JSON response, returning the status for metrics. The writer is
@@ -1134,35 +1238,20 @@ fn respond_error<W: Write>(writer: &mut W, error: &ServeError, keep_alive: bool)
     )
 }
 
-/// [`respond_error`] onto a connection's response queue.
-fn respond_error_into(out: &mut Vec<u8>, error: &ServeError, keep_alive: bool) -> u16 {
-    respond_error(out, error, keep_alive)
-}
-
 /// Queue an admission-control refusal: `429 Too Many Requests` with a
 /// `Retry-After` hint.
 fn respond_overloaded(out: &mut Vec<u8>, message: &str, keep_alive: bool) {
-    let trace = ecochip_trace::current_trace();
-    let mut headers: Vec<(&str, &str)> = vec![("Retry-After", RETRY_AFTER_SECS)];
-    if let Some(trace) = trace.as_deref() {
-        headers.push((TRACE_HEADER, trace));
-    }
-    let _ = http::write_response_with_headers(
-        out,
-        429,
-        "application/json",
-        &headers,
-        &body(&ErrorResponse {
-            error: message.into(),
-        }),
-        keep_alive,
-    );
+    let body = body(&ErrorResponse {
+        error: message.into(),
+    });
+    with_trace_header(Some(("Retry-After", RETRY_AFTER_SECS)), |headers| {
+        let _ = http::write_response(out, 429, "application/json", headers, &body, keep_alive);
+    });
 }
 
 /// Refuse a connection over the `max_connections` bound: best-effort
 /// blocking 429 write (bounded by a short timeout), then drop.
-fn refuse(state: &ServerState, mut stream: TcpStream) {
-    let _ = state; // reserved for future per-refusal narration
+fn refuse(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = stream.set_nodelay(true);
     let mut message = Vec::new();
@@ -1174,17 +1263,19 @@ fn refuse(state: &ServerState, mut stream: TcpStream) {
     let _ = stream.write_all(&message);
 }
 
-/// Route a light request straight onto the connection's response queue.
+/// Answer a light or refused (404/405) request straight onto the
+/// connection's response queue.
 /// Returns the response status and whether the connection must close
 /// regardless of the negotiated keep-alive (the shutdown endpoint).
 fn route_light(
     state: &ServerState,
     request: &http::Request,
+    routed: Result<Route, Route>,
     out: &mut Vec<u8>,
     keep_alive: bool,
 ) -> (u16, bool) {
-    let status = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/v1/healthz") => respond(
+    let status = match routed {
+        Ok(Route::Healthz) => respond(
             out,
             200,
             &HealthResponse {
@@ -1194,7 +1285,7 @@ fn route_light(
             },
             keep_alive,
         ),
-        ("GET", "/v1/stats") => respond(
+        Ok(Route::Stats) => respond(
             out,
             200,
             &StatsResponse::new(
@@ -1226,7 +1317,7 @@ fn route_light(
             ),
             keep_alive,
         ),
-        ("GET", "/v1/trace") => respond(
+        Ok(Route::Trace) => respond(
             out,
             200,
             &TraceResponse {
@@ -1237,7 +1328,7 @@ fn route_light(
             },
             keep_alive,
         ),
-        ("GET", "/v1/testcases") => respond(
+        Ok(Route::Testcases) => respond(
             out,
             200,
             &TestcasesResponse {
@@ -1245,7 +1336,7 @@ fn route_light(
             },
             keep_alive,
         ),
-        ("GET", "/metrics") => {
+        Ok(Route::Metrics) => {
             let text = state.metrics.render(&state.service);
             write_traced(
                 out,
@@ -1256,11 +1347,11 @@ fn route_light(
             );
             200
         }
-        ("POST", "/v1/estimate") => match estimate(state, &request.body) {
+        Ok(Route::Estimate) => match estimate(state, &request.body) {
             Ok(response) => respond(out, 200, &response, keep_alive),
             Err(error) => respond_error(out, &error, keep_alive),
         },
-        ("POST", "/v1/shutdown") => {
+        Ok(Route::Shutdown) => {
             respond(
                 out,
                 200,
@@ -1274,26 +1365,28 @@ fn route_light(
             state.trigger_shutdown();
             return (200, true);
         }
-        (
-            _,
-            "/v1/healthz" | "/v1/stats" | "/v1/testcases" | "/v1/estimate" | "/v1/sweep"
-            | "/v1/optimize" | "/v1/memo" | "/v1/shutdown" | "/v1/trace" | "/metrics",
-        ) => respond(
+        Err(Route::Other) => {
+            let endpoints: Vec<&str> = ROUTE_TABLE.iter().map(|(path, ..)| *path).collect();
+            respond(
+                out,
+                404,
+                &ErrorResponse {
+                    error: format!(
+                        "unknown path {:?}; endpoints: {}",
+                        request.path,
+                        endpoints.join(" ")
+                    ),
+                },
+                keep_alive,
+            )
+        }
+        // A known path asked with a method it does not serve (offloaded
+        // routes never reach this function).
+        _ => respond(
             out,
             405,
             &ErrorResponse {
                 error: format!("method {} not allowed on {}", request.method, request.path),
-            },
-            keep_alive,
-        ),
-        (_, path) => respond(
-            out,
-            404,
-            &ErrorResponse {
-                error: format!(
-                    "unknown path {path:?}; endpoints: /v1/estimate /v1/sweep /v1/optimize \
-                     /v1/testcases /v1/memo /v1/healthz /v1/stats /v1/trace /v1/shutdown /metrics"
-                ),
             },
             keep_alive,
         ),
@@ -1305,42 +1398,37 @@ fn route_light(
 /// (streamed for sweeps) directly to the checked-out blocking socket.
 fn route_offloaded(
     state: &ServerState,
+    route: Route,
     request: &http::Request,
     stream: &mut TcpStream,
     keep_alive: bool,
     span: &ecochip_trace::SpanGuard,
 ) -> u16 {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/sweep") => sweep(state, &request.body, stream, keep_alive, span),
-        ("POST", "/v1/optimize") => optimize(state, &request.body, stream, keep_alive, span),
-        ("POST", "/v1/estimate") => match estimate_batch(state, &request.body) {
+    match route {
+        Route::Sweep => sweep(state, &request.body, stream, keep_alive, span),
+        Route::Optimize => optimize(state, &request.body, stream, keep_alive, span),
+        Route::EstimateBatch => match estimate_batch(state, &request.body) {
             Ok(items) => respond(stream, 200, &items, keep_alive),
             Err(error) => respond_error(stream, &error, keep_alive),
         },
-        ("GET", "/v1/memo") => match state.service.export_memo_json() {
+        Route::MemoExport => match state.service.export_memo_json() {
             Ok(json) => {
                 write_traced(stream, 200, "application/json", json.as_bytes(), keep_alive);
                 200
             }
             Err(error) => respond_error(stream, &ServeError::Estimator(error), keep_alive),
         },
-        ("POST", "/v1/memo") => match import_memo(state, &request.body) {
+        Route::MemoImport => match import_memo(state, &request.body) {
             Ok(response) => respond(stream, 200, &response, keep_alive),
             Err(error) => respond_error(stream, &error, keep_alive),
         },
+        // No other route is offloaded outside tests (`tests::PANIC_PATH`
+        // lands here); the worker's `catch_unwind` counts it as a 500 and
+        // closes the connection.
         // Unwinds like `panic!` but skips the panic hook: its backtrace
         // capture (under `RUST_BACKTRACE`) burns enough CPU to disturb
         // the timing-sensitive poller tests running alongside.
-        #[cfg(test)]
-        ("POST", tests::PANIC_PATH) => panic::resume_unwind(Box::new("test handler panic")),
-        _ => respond(
-            stream,
-            500,
-            &ErrorResponse {
-                error: "request misrouted to the handler pool".into(),
-            },
-            false,
-        ),
+        _ => panic::resume_unwind(Box::new("route has no handler-pool handler")),
     }
 }
 
@@ -1472,28 +1560,15 @@ impl<W: Write> SweepStreamSink<'_, W> {
     /// line NDJSON clients split off the stream, framed when negotiated).
     fn emit_error(&mut self, error: &EcoChipError) {
         self.prepare();
-        match serde_json::to_string(&ErrorResponse {
+        let line = to_json(&ErrorResponse {
             error: error.to_string(),
-        }) {
-            Ok(line) => match self.format {
-                SweepFormat::NdJson => {
-                    self.wire.extend_from_slice(line.as_bytes());
-                    self.wire.push(b'\n');
-                }
-                SweepFormat::Frames => frames::push_frame(&mut self.wire, &line),
-            },
-            Err(error) => {
-                // The wire types cannot fail serialization; surfaced for
-                // completeness, mirroring `body`.
-                let fallback = format!("{{\"error\":\"serializing response: {error}\"}}");
-                match self.format {
-                    SweepFormat::NdJson => {
-                        self.wire.extend_from_slice(fallback.as_bytes());
-                        self.wire.push(b'\n');
-                    }
-                    SweepFormat::Frames => frames::push_frame(&mut self.wire, &fallback),
-                }
+        });
+        match self.format {
+            SweepFormat::NdJson => {
+                self.wire.extend_from_slice(line.as_bytes());
+                self.wire.push(b'\n');
             }
+            SweepFormat::Frames => frames::push_frame(&mut self.wire, &line),
         }
         let _ = self.flush_wire();
     }
@@ -1546,23 +1621,9 @@ fn sweep(
         return respond_error(writer, &ServeError::Estimator(error), keep_alive);
     }
     timings.record(Stage::Decode, decode_started.elapsed());
-    let trace = ecochip_trace::current_trace();
-    let mut extra_headers: Vec<(&str, &str)> = Vec::new();
-    if let Some(trace) = trace.as_deref() {
-        extra_headers.push((TRACE_HEADER, trace));
-    }
-    let mut chunked = match http::start_chunked_with_headers(
-        &mut *writer,
-        200,
-        format.content_type(),
-        &extra_headers,
-        keep_alive,
-    ) {
+    let mut chunked = match start_stream(writer, format.content_type(), keep_alive) {
         Ok(chunked) => chunked,
-        // Peer gone before any response byte was written: record the
-        // nginx-convention 499 ("client closed request") so aborted
-        // sweeps don't count as fast successes in the metrics.
-        Err(_) => return 499,
+        Err(status) => return status,
     };
     let started = Instant::now();
     let mut sink = SweepStreamSink {
@@ -1584,42 +1645,16 @@ fn sweep(
             sink.prepare();
             let _ = sink.flush_wire();
         }
-        Err(error) => {
-            // The status line is long gone; signal the failure in-band with
-            // a terminal error object (no valid point line starts with
-            // `{"error"`) and end the stream cleanly so clients detect it.
-            sink.emit_error(&error);
-        }
+        // The status line is long gone; signal the failure in-band with a
+        // terminal error object (no valid point line starts with
+        // `{"error"`).
+        Err(error) => sink.emit_error(&error),
     }
     let bytes = sink.bytes;
-    // Surface the accumulated stage clocks: once per request per stage
-    // into the Prometheus histograms, plus synthetic child spans under
-    // this request's span so `/v1/trace` carries the breakdown. Stage
-    // spans hold *accumulated* worker time (estimate can exceed wall
-    // clock on a parallel sweep); consumers nest by parent linkage, not
-    // interval containment.
-    for stage in Stage::ALL {
-        if timings.count(stage) == 0 {
-            continue;
-        }
-        let seconds = timings.seconds(stage);
-        state.metrics.observe_stage(stage, seconds);
-        ecochip_trace::record_span(
-            format!("stage:{}", stage.label()),
-            trace.clone(),
-            Some(span.id()),
-            span.start_unix(),
-            seconds,
-        );
-    }
-    // Account the stream before the terminal chunk: a client that sees
-    // end-of-stream and immediately polls `/metrics` (answered on the
-    // event loop, not this thread) must find the counters already bumped.
     state
         .metrics
         .sweep_stream_finished(format, bytes, started.elapsed());
-    let _ = chunked.finish();
-    200
+    finish_stream(state, chunked, &timings, span)
 }
 
 /// Handle `POST /v1/optimize`: resolve, then run the requested search
@@ -1645,21 +1680,9 @@ fn optimize(
         Err(error) => return respond_error(writer, &error, keep_alive),
     };
     timings.record(Stage::Decode, decode_started.elapsed());
-    let trace = ecochip_trace::current_trace();
-    let mut extra_headers: Vec<(&str, &str)> = Vec::new();
-    if let Some(trace) = trace.as_deref() {
-        extra_headers.push((TRACE_HEADER, trace));
-    }
-    let mut chunked = match http::start_chunked_with_headers(
-        &mut *writer,
-        200,
-        "application/x-ndjson",
-        &extra_headers,
-        keep_alive,
-    ) {
+    let mut chunked = match start_stream(writer, "application/x-ndjson", keep_alive) {
         Ok(chunked) => chunked,
-        // Peer gone before any response byte was written (see `sweep`).
-        Err(_) => return 499,
+        Err(status) => return status,
     };
     let result = {
         // Improvements are sparse (unlike sweep points), so each event is
@@ -1692,16 +1715,43 @@ fn optimize(
     };
     if let Err(error) = result {
         // The status line is long gone; signal the failure in-band with a
-        // terminal error object (no event line starts with `{"error"`) and
-        // end the stream cleanly so clients detect it.
-        let mut line = serde_json::to_string(&ErrorResponse {
+        // terminal error object (no event line starts with `{"error"`).
+        let _ = chunked.chunk(&body(&ErrorResponse {
             error: error.to_string(),
-        })
-        .unwrap_or_else(|e| format!("{{\"error\":\"serializing response: {e}\"}}"));
-        line.push('\n');
-        let _ = chunked.chunk(line.as_bytes());
+        }));
     }
-    // Surface the accumulated stage clocks exactly as `sweep` does.
+    finish_stream(state, chunked, &timings, span)
+}
+
+/// Start a streamed `200` response with the trace header, or return the
+/// status to record when the peer is gone before any response byte was
+/// written: the nginx-convention 499 ("client closed request"), so aborted
+/// streams don't count as fast successes in the metrics.
+fn start_stream<'w>(
+    writer: &'w mut TcpStream,
+    content_type: &str,
+    keep_alive: bool,
+) -> Result<http::ChunkedWriter<&'w mut TcpStream>, u16> {
+    with_trace_header(None, |headers| {
+        http::start_chunked(writer, 200, content_type, headers, keep_alive)
+    })
+    .map_err(|_| 499)
+}
+
+/// End a streamed response cleanly (so clients detect an in-band error
+/// object as its last line), after surfacing its accumulated stage
+/// clocks: once per request per stage into the Prometheus histograms,
+/// plus synthetic child spans under this request's span so `/v1/trace`
+/// carries the breakdown. Stage spans hold *accumulated* worker time
+/// (estimate can exceed wall clock on a parallel sweep); consumers nest by
+/// parent linkage, not interval containment. Returns the response status.
+fn finish_stream(
+    state: &ServerState,
+    chunked: http::ChunkedWriter<&mut TcpStream>,
+    timings: &StageTimings,
+    span: &ecochip_trace::SpanGuard,
+) -> u16 {
+    let trace = ecochip_trace::current_trace();
     for stage in Stage::ALL {
         if timings.count(stage) == 0 {
             continue;
@@ -1716,6 +1766,9 @@ fn optimize(
             seconds,
         );
     }
+    // Every counter is bumped before the terminal chunk: a client that
+    // sees end-of-stream and immediately polls `/metrics` (answered on the
+    // event loop, not this thread) must find them already bumped.
     let _ = chunked.finish();
     200
 }
@@ -1727,6 +1780,73 @@ mod tests {
 
     /// A heavy route that panics in its handler, routed only in tests.
     pub(super) const PANIC_PATH: &str = "/v1/test/panic";
+
+    #[test]
+    fn route_table_decodes_every_endpoint_and_refusal() {
+        // (method, path, body, label, offloaded, refusal status)
+        let cases = [
+            ("GET", "/v1/healthz", "", "healthz", false, None),
+            ("GET", "/v1/stats", "", "stats", false, None),
+            ("GET", "/v1/testcases", "", "testcases", false, None),
+            ("POST", "/v1/estimate", "{}", "estimate", false, None),
+            ("POST", "/v1/estimate", "", "estimate", false, None),
+            ("POST", "/v1/estimate", "[{}]", "estimate_batch", true, None),
+            (
+                "POST",
+                "/v1/estimate",
+                "  \n[",
+                "estimate_batch",
+                true,
+                None,
+            ),
+            ("POST", "/v1/sweep", "[]", "sweep", true, None),
+            ("POST", "/v1/optimize", "{}", "optimize", true, None),
+            ("GET", "/v1/memo", "", "memo_export", true, None),
+            ("POST", "/v1/memo", "{}", "memo_import", true, None),
+            ("GET", "/metrics", "", "metrics", false, None),
+            ("GET", "/v1/trace", "", "trace", false, None),
+            ("POST", "/v1/shutdown", "", "shutdown", false, None),
+            // Wrong methods are filed under the path's label, answered
+            // inline; only `POST` sniffs the estimate body.
+            ("GET", "/v1/sweep", "", "sweep", false, Some(405)),
+            ("POST", "/v1/healthz", "{}", "healthz", false, Some(405)),
+            ("DELETE", "/v1/memo", "", "memo_import", false, Some(405)),
+            ("PUT", "/v1/estimate", "[", "estimate", false, Some(405)),
+            ("GET", "/v2/nope", "", "other", false, Some(404)),
+            ("POST", "/v1", "[]", "other", false, Some(404)),
+        ];
+        let server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        for (method, path, body, label, offloaded, refusal) in cases {
+            let case = format!("{method} {path} {body:?}");
+            let routed = Route::decode(method, path, body.as_bytes());
+            let (Ok(route) | Err(route)) = routed;
+            assert_eq!(route.label(), label, "{case}");
+            assert_eq!(routed.is_ok_and(Route::offloaded), offloaded, "{case}");
+            assert_eq!(routed.is_err(), refusal.is_some(), "{case}");
+            if let Some(status) = refusal {
+                let request = http::Request {
+                    method: method.into(),
+                    path: path.into(),
+                    headers: Vec::new(),
+                    body: body.as_bytes().to_vec(),
+                    keep_alive: true,
+                };
+                let mut out = Vec::new();
+                let answered = route_light(&server.state, &request, routed, &mut out, true);
+                assert_eq!(answered, (status, false), "{case}");
+                let head = format!("HTTP/1.1 {status} ");
+                assert!(out.starts_with(head.as_bytes()), "{case}");
+            }
+        }
+        // Every label is covered.
+        for label in Route::LABELS {
+            assert!(cases.iter().any(|case| case.3 == label), "{label}");
+        }
+    }
 
     #[test]
     fn a_panicking_handler_is_a_500_and_the_pool_keeps_serving() {

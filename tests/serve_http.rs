@@ -348,13 +348,30 @@ fn structured_axes_and_shards_work_over_the_wire() {
 fn malformed_requests_get_http_errors_not_hangs() {
     let (handle, addr) = boot(default_config());
 
-    // Unknown path → 404 with a JSON error body.
+    // Unknown path → 404 with a JSON error body naming every endpoint.
     let response = client::get(&addr, "/v2/nothing").unwrap();
     assert_eq!(response.status, 404);
-    assert!(response.text().unwrap().contains("\"error\""));
+    let text = response.text().unwrap();
+    assert!(text.contains("\"error\""));
+    for endpoint in [
+        "/v1/estimate",
+        "/v1/sweep",
+        "/v1/optimize",
+        "/v1/testcases",
+        "/v1/memo",
+        "/v1/healthz",
+        "/v1/stats",
+        "/v1/trace",
+        "/v1/shutdown",
+        "/metrics",
+    ] {
+        assert!(text.contains(&format!(" {endpoint}")), "{endpoint}: {text}");
+    }
 
-    // Wrong method → 405.
+    // Wrong method → 405, on light and heavy routes alike.
     let response = client::post_json(&addr, "/v1/healthz", "{}").unwrap();
+    assert_eq!(response.status, 405);
+    let response = client::get(&addr, "/v1/sweep").unwrap();
     assert_eq!(response.status, 405);
 
     // Invalid JSON → 400.
@@ -393,6 +410,18 @@ fn malformed_requests_get_http_errors_not_hangs() {
     // The server survives all of the above and still answers.
     let health = client::get(&addr, "/v1/healthz").unwrap();
     assert_eq!(health.status, 200);
+
+    // The refusals are filed under the path's route label.
+    let metrics = client::get(&addr, "/metrics").unwrap();
+    let text = metrics.text().unwrap();
+    assert!(
+        text.contains(r#"ecochip_http_requests_total{route="sweep",status="405"} 1"#),
+        "{text}"
+    );
+    assert!(
+        text.contains(r#"ecochip_http_requests_total{route="other",status="404"} 1"#),
+        "{text}"
+    );
 
     handle.shutdown().unwrap();
 }
