@@ -1,13 +1,25 @@
 //! Fig. 7 (GA102 3-chiplet CFP breakdown across technology tuples) and
 //! Fig. 14 (carbon-power / carbon-area products for the same sweep).
 
-use ecochip_core::dse::sweep_node_tuples;
-use ecochip_core::{EcoChip, EstimatorConfig};
+use ecochip_core::disaggregation::NodeTuple;
+use ecochip_core::sweep::{SweepAxis, SweepEngine, SweepPoint, SweepSpec};
+use ecochip_core::{EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_design::{gates_from_transistors, DesignEstimator};
 use ecochip_techdb::{TechDb, TechNode};
 use ecochip_testcases::ga102;
 
 use crate::{ExperimentResult, Table};
+
+/// The sweep behind Figs. 7 and 14: the GA102 3-chiplet system over the
+/// paper's `(digital, memory, analog)` technology tuples.
+fn fig7_points(db: &TechDb, estimator: &EcoChip) -> Result<Vec<SweepPoint>, EcoChipError> {
+    let base = ga102::three_chiplet_system(db, NodeTuple::uniform(TechNode::N7))?;
+    let spec = SweepSpec::new(base).axis(SweepAxis::NodeTuples {
+        blocks: ga102::soc_blocks(db)?,
+        tuples: ga102::fig7_node_tuples(),
+    });
+    SweepEngine::new().run(estimator, &spec)
+}
 
 /// Fig. 7: the GA102 3-chiplet system with RDL fanout packaging, swept over
 /// `(digital, memory, analog)` technology tuples:
@@ -19,13 +31,7 @@ use crate::{ExperimentResult, Table};
 pub fn fig7() -> ExperimentResult {
     let db = TechDb::default();
     let estimator = EcoChip::default();
-    let blocks = ga102::soc_blocks(&db)?;
-    let base = ga102::three_chiplet_system(
-        &db,
-        ecochip_core::disaggregation::NodeTuple::uniform(TechNode::N7),
-    )?;
-    let tuples = ga102::fig7_node_tuples();
-    let points = sweep_node_tuples(&estimator, &base, &blocks, &tuples)?;
+    let points = fig7_points(&db, &estimator)?;
     let design_model = DesignEstimator::new(&db, EstimatorConfig::default().design);
 
     let mut mfg = Table::new(
@@ -103,11 +109,6 @@ pub fn fig7() -> ExperimentResult {
 pub fn fig14() -> ExperimentResult {
     let db = TechDb::default();
     let estimator = EcoChip::default();
-    let blocks = ga102::soc_blocks(&db)?;
-    let base = ga102::three_chiplet_system(
-        &db,
-        ecochip_core::disaggregation::NodeTuple::uniform(TechNode::N7),
-    )?;
     let mono = estimator.estimate(&ga102::monolithic_system(&db)?)?;
     let hours_per_year = 8760.0;
     let mono_power =
@@ -116,7 +117,7 @@ pub fn fig14() -> ExperimentResult {
     let mono_cp = mono.total().kg() * mono_power;
     let mono_ca = mono.total().kg() * mono_area;
 
-    let points = sweep_node_tuples(&estimator, &base, &blocks, &ga102::fig7_node_tuples())?;
+    let points = fig7_points(&db, &estimator)?;
     let mut table = Table::new(
         "Fig. 14: GA102 carbon-power and carbon-area products (normalised to the monolith)",
         &[

@@ -8,7 +8,6 @@
 //! planned once across all of them.
 
 use ecochip_core::disaggregation::{split_block, NodeTuple};
-use ecochip_core::dse::sweep_chiplet_counts;
 use ecochip_core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
 use ecochip_core::{EcoChip, System};
 use ecochip_packaging::{
@@ -139,8 +138,12 @@ pub fn fig10() -> ExperimentResult {
         nodes,
         PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
     )?;
-    let blocks = ga102::soc_blocks(&db)?;
-    let points = sweep_chiplet_counts(&estimator, &base, &blocks, nodes, &counts)?;
+    let spec = SweepSpec::new(base).axis(SweepAxis::ChipletCounts {
+        blocks: ga102::soc_blocks(&db)?,
+        nodes,
+        counts: counts.clone(),
+    });
+    let points = SweepEngine::new().run(&estimator, &spec)?;
     for (nc, point) in counts.iter().zip(&points) {
         let report = &point.report;
         table.row([

@@ -1,100 +1,23 @@
 //! The paper's named design-space studies (Sections V and VI).
 //!
-//! Each study is a [`SweepSpec`] run on the [`SweepEngine`]: the `sweep_*`
-//! functions below collect the node-tuple, packaging, chiplet-count and
-//! fab-energy-source sweeps (Figs. 7, 9, 10 and Table I), and
+//! Each study is a [`SweepSpec`](crate::sweep::SweepSpec) run on the
+//! [`SweepEngine`](crate::sweep::SweepEngine), the one way to run a sweep:
+//! one axis for the node-tuple, packaging, chiplet-count and
+//! fab-energy-source sweeps (Figs. 7, 9, 10 and Table I), stacked axes for a
+//! grid such as the reuse × lifetime study of Fig. 12.
 //! [`named_sweep_axis`] resolves the axes every front end exposes by name.
-//! A study over more than one axis, such as the reuse × lifetime grid of
-//! Fig. 12, stacks the axes on one spec. Searches over a space, such as the
-//! carbon-aware node assignment of Section VI, run through
-//! [`crate::opt::optimize`].
+//! Searches over a space, such as the carbon-aware node assignment of
+//! Section VI, run through [`crate::opt::optimize`].
 
 use serde::{Deserialize, Serialize};
 
 use ecochip_packaging::PackagingArchitecture;
 use ecochip_techdb::{Area, Carbon, EnergySource, Power};
 
-use crate::disaggregation::{NodeTuple, SocBlocks};
 use crate::error::EcoChipError;
-use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
-use crate::sweep::{SweepAxis, SweepEngine, SweepSpec};
+use crate::sweep::SweepAxis;
 use crate::system::System;
-
-pub use crate::sweep::SweepPoint;
-
-/// Sweep the `(digital, memory, analog)` technology-node tuples of a
-/// 3-chiplet split of `blocks` (the x-axis of Fig. 7).
-///
-/// The returned points keep the order of `tuples`. The base system provides
-/// the packaging, usage profile, lifetime and volumes.
-///
-/// # Errors
-///
-/// Propagates estimator errors for any tuple.
-pub fn sweep_node_tuples(
-    estimator: &EcoChip,
-    base: &System,
-    blocks: &SocBlocks,
-    tuples: &[NodeTuple],
-) -> Result<Vec<SweepPoint>, EcoChipError> {
-    let spec = SweepSpec::new(base.clone()).axis(SweepAxis::NodeTuples {
-        blocks: blocks.clone(),
-        tuples: tuples.to_vec(),
-    });
-    SweepEngine::new().run(estimator, &spec)
-}
-
-/// Sweep packaging architectures over an otherwise fixed system (Fig. 9).
-///
-/// # Errors
-///
-/// Propagates estimator errors for any architecture.
-pub fn sweep_packaging(
-    estimator: &EcoChip,
-    base: &System,
-    architectures: &[PackagingArchitecture],
-) -> Result<Vec<SweepPoint>, EcoChipError> {
-    let spec = SweepSpec::new(base.clone()).axis(SweepAxis::Packaging(architectures.to_vec()));
-    SweepEngine::new().run(estimator, &spec)
-}
-
-/// Sweep the number of digital chiplets the SoC's logic block is split into
-/// (the x-axis of Figs. 10 and 15(b)); memory and analog chiplets stay fixed.
-///
-/// # Errors
-///
-/// Returns [`EcoChipError::InvalidSystem`] for a zero chiplet count and
-/// propagates estimator errors for any point.
-pub fn sweep_chiplet_counts(
-    estimator: &EcoChip,
-    base: &System,
-    blocks: &SocBlocks,
-    nodes: NodeTuple,
-    counts: &[usize],
-) -> Result<Vec<SweepPoint>, EcoChipError> {
-    let spec = SweepSpec::new(base.clone()).axis(SweepAxis::ChipletCounts {
-        blocks: blocks.clone(),
-        nodes,
-        counts: counts.to_vec(),
-    });
-    SweepEngine::new().run(estimator, &spec)
-}
-
-/// Sweep the energy source powering the chip-manufacturing fab (the
-/// `Cmfg,src` axis of Fig. 3(a) / Table I) over a fixed system.
-///
-/// # Errors
-///
-/// Propagates estimator errors for any source.
-pub fn sweep_energy_sources(
-    estimator: &EcoChip,
-    base: &System,
-    sources: &[EnergySource],
-) -> Result<Vec<SweepPoint>, EcoChipError> {
-    let spec = SweepSpec::new(base.clone()).axis(SweepAxis::FabEnergySources(sources.to_vec()));
-    SweepEngine::new().run(estimator, &spec)
-}
 
 /// The axis names accepted by [`named_sweep_axis`] (the CLI's `--sweep`
 /// values and the HTTP service's `"axis"` request field).
@@ -221,8 +144,9 @@ impl ProductMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disaggregation::three_chiplets;
-    use crate::system::System;
+    use crate::disaggregation::{three_chiplets, NodeTuple, SocBlocks};
+    use crate::estimator::EcoChip;
+    use crate::sweep::{SweepEngine, SweepPoint, SweepSpec};
     use ecochip_packaging::{InterposerConfig, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig};
     use ecochip_power::UsageProfile;
     use ecochip_techdb::{Energy, TechNode};
@@ -243,6 +167,12 @@ mod tests {
             })
             .build()
             .unwrap()
+    }
+
+    /// Run `axis` over [`base_system`] on the default engine.
+    fn sweep(axis: SweepAxis) -> Vec<SweepPoint> {
+        let spec = SweepSpec::new(base_system()).axis(axis);
+        SweepEngine::new().run(&EcoChip::default(), &spec).unwrap()
     }
 
     #[test]
@@ -266,13 +196,14 @@ mod tests {
     fn node_tuple_sweep_finds_mix_and_match_minimum() {
         // Fig. 7(a): the (7, 14, 10)-style mixed configuration beats the
         // all-advanced (7, 7, 7) one on embodied carbon.
-        let estimator = EcoChip::default();
-        let tuples = [
-            NodeTuple::uniform(TechNode::N7),
-            NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
-            NodeTuple::uniform(TechNode::N10),
-        ];
-        let points = sweep_node_tuples(&estimator, &base_system(), &blocks(), &tuples).unwrap();
+        let points = sweep(SweepAxis::NodeTuples {
+            blocks: blocks(),
+            tuples: vec![
+                NodeTuple::uniform(TechNode::N7),
+                NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+                NodeTuple::uniform(TechNode::N10),
+            ],
+        });
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].label, "(7, 7, 7)");
         let all7 = points[0].report.embodied().kg();
@@ -285,14 +216,12 @@ mod tests {
 
     #[test]
     fn packaging_sweep_orders_interposers_last() {
-        let estimator = EcoChip::default();
-        let archs = [
+        let points = sweep(SweepAxis::Packaging(vec![
             PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
             PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
             PackagingArchitecture::ActiveInterposer(InterposerConfig::default()),
             PackagingArchitecture::ThreeD(ThreeDConfig::default()),
-        ];
-        let points = sweep_packaging(&estimator, &base_system(), &archs).unwrap();
+        ]));
         assert_eq!(points.len(), 4);
         let by_label = |label: &str| {
             points
@@ -309,11 +238,11 @@ mod tests {
 
     #[test]
     fn chiplet_count_sweep_trades_manufacturing_for_hi() {
-        let estimator = EcoChip::default();
-        let nodes = NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10);
-        let points =
-            sweep_chiplet_counts(&estimator, &base_system(), &blocks(), nodes, &[1, 2, 4, 6])
-                .unwrap();
+        let points = sweep(SweepAxis::ChipletCounts {
+            blocks: blocks(),
+            nodes: NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+            counts: vec![1, 2, 4, 6],
+        });
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].label, "Nc=1");
         assert_eq!(points[3].system.chiplets.len(), 8);
@@ -326,13 +255,11 @@ mod tests {
 
     #[test]
     fn energy_source_sweep_only_moves_manufacturing() {
-        let estimator = EcoChip::default();
-        let points = sweep_energy_sources(
-            &estimator,
-            &base_system(),
-            &[EnergySource::Coal, EnergySource::Solar, EnergySource::Wind],
-        )
-        .unwrap();
+        let points = sweep(SweepAxis::FabEnergySources(vec![
+            EnergySource::Coal,
+            EnergySource::Solar,
+            EnergySource::Wind,
+        ]));
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].label, "coal");
         let mfg: Vec<f64> = points
@@ -341,7 +268,7 @@ mod tests {
             .collect();
         assert!(mfg[1] < mfg[0] && mfg[2] < mfg[1]);
         // The coal point matches the base estimator bit-for-bit.
-        let direct = estimator.estimate(&points[0].system).unwrap();
+        let direct = EcoChip::default().estimate(&points[0].system).unwrap();
         assert_eq!(direct, points[0].report);
     }
 

@@ -580,7 +580,7 @@ pub struct OptOutcome {
 /// The engine emits points in deterministic case order, so the point's
 /// flat index is `start_index + emission count` — and the resulting
 /// frontier (and event stream) is bit-for-bit invariant to `--jobs` and
-/// `--chunk`.
+/// the engine's claim size.
 #[derive(Debug)]
 pub struct ParetoSink<'a, F> {
     estimator: &'a EcoChip,
@@ -787,8 +787,8 @@ fn neighbor(
 /// outcome.
 ///
 /// * [`OptMethod::Pareto`] enumerates the slice exhaustively through
-///   `engine`'s chunked streaming pipeline (so `--jobs`/`--chunk` change
-///   wall-clock, never bytes).
+///   `engine`'s chunked streaming pipeline (so `--jobs` and the claim size
+///   change wall-clock, never bytes).
 /// * [`OptMethod::Anneal`] / [`OptMethod::Genetic`] evaluate serially,
 ///   bounded by `config.budget`, deterministic per `config.seed`.
 ///

@@ -97,7 +97,7 @@ struct Autosave {
 
 impl EcoChipService {
     /// A service around `estimator` with a fresh memo and the default
-    /// engine (worker count from `ECOCHIP_JOBS` / available parallelism).
+    /// engine (one worker per unit of available parallelism).
     pub fn new(estimator: EcoChip) -> Self {
         Self::with_engine(estimator, SweepEngine::new())
     }

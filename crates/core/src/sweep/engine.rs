@@ -24,12 +24,6 @@ use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::sweep::{Shard, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec};
 
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV_VAR: &str = "ECOCHIP_JOBS";
-
-/// Environment variable overriding the default claim-chunk size.
-pub const CHUNK_ENV_VAR: &str = "ECOCHIP_CHUNK";
-
 /// Default number of contiguous case indices a worker claims per queue
 /// round-trip. Large enough to amortize the Mutex+Condvar traffic to
 /// O(points/K), small enough that the reorder window (O(jobs × chunk)
@@ -142,11 +136,14 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine using the default worker count: the `ECOCHIP_JOBS`
-    /// environment variable when set, otherwise the machine's available
+    /// An engine with one worker per unit of the machine's available
     /// parallelism.
     pub fn new() -> Self {
-        Self::with_jobs(default_jobs())
+        Self::with_jobs(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 
     /// A single-worker engine — the reference serial path.
@@ -155,12 +152,11 @@ impl SweepEngine {
     }
 
     /// An engine with an explicit worker count (clamped to at least 1) and
-    /// the default claim-chunk size (`ECOCHIP_CHUNK` when set, otherwise
-    /// [`DEFAULT_CHUNK`]).
+    /// the [`DEFAULT_CHUNK`] claim size.
     pub fn with_jobs(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
-            chunk: default_chunk(),
+            chunk: DEFAULT_CHUNK,
         }
     }
 
@@ -182,17 +178,6 @@ impl SweepEngine {
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
-    }
-
-    /// Chunk size from an optional override: pinned when `Some` (a
-    /// `--chunk` flag, a config field), the `ECOCHIP_CHUNK` /
-    /// [`DEFAULT_CHUNK`] default otherwise — the same "flag set or not"
-    /// contract as [`SweepEngine::with_optional_jobs`].
-    pub fn with_optional_chunk(self, chunk: Option<usize>) -> Self {
-        match chunk {
-            Some(chunk) => self.with_chunk(chunk),
-            None => self,
-        }
     }
 
     /// The configured worker count.
@@ -552,26 +537,6 @@ impl<'a> CaseEvaluator<'a> {
         variants.push((bits, Arc::clone(&estimator)));
         estimator
     }
-}
-
-fn default_jobs() -> usize {
-    if let Ok(value) = std::env::var(JOBS_ENV_VAR) {
-        if let Ok(jobs) = value.trim().parse::<usize>() {
-            return jobs.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-fn default_chunk() -> usize {
-    if let Ok(value) = std::env::var(CHUNK_ENV_VAR) {
-        if let Ok(chunk) = value.trim().parse::<usize>() {
-            return chunk.max(1);
-        }
-    }
-    DEFAULT_CHUNK
 }
 
 #[cfg(test)]
@@ -946,10 +911,10 @@ mod tests {
     fn chunk_configuration_resolves_like_jobs() {
         assert_eq!(SweepEngine::new().with_chunk(0).chunk(), 1);
         assert_eq!(SweepEngine::new().with_chunk(9).chunk(), 9);
-        assert_eq!(SweepEngine::new().with_optional_chunk(Some(17)).chunk(), 17);
+        assert_eq!(SweepEngine::new().chunk(), DEFAULT_CHUNK);
         assert_eq!(
-            SweepEngine::new().with_optional_chunk(None).chunk(),
-            SweepEngine::new().chunk()
+            SweepEngine::with_optional_jobs(Some(3)).chunk(),
+            DEFAULT_CHUNK
         );
     }
 

@@ -41,8 +41,9 @@
 //! The engine guarantees deterministic output: points come back in the
 //! spec's row-major case order, and each report is bit-for-bit identical to
 //! what a serial, memo-free evaluation produces. Worker count comes from
-//! [`SweepEngine::with_jobs`], the `ECOCHIP_JOBS` environment variable, or
-//! the machine's available parallelism.
+//! [`SweepEngine::with_jobs`] (the `--jobs` flag) or the machine's
+//! available parallelism; workers claim [`DEFAULT_CHUNK`] case indices per
+//! queue round-trip.
 //!
 //! # Streaming, sharding and memo persistence
 //!
@@ -85,7 +86,7 @@ pub(crate) use axis::SweepCursor;
 pub use axis::{validate_case_range, Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
 pub(crate) use engine::CaseEvaluator;
-pub use engine::{SweepEngine, SweepSink, CHUNK_ENV_VAR, DEFAULT_CHUNK, JOBS_ENV_VAR};
+pub use engine::{SweepEngine, SweepSink, DEFAULT_CHUNK};
 
 use serde::{Deserialize, Serialize};
 

@@ -263,7 +263,8 @@ impl SweepRequest {
     ///
     /// [`ServeError::Api`] for missing/conflicting fields, unknown
     /// test-case or axis names, `ChipletCounts` values
-    /// [`check_logic_chiplets`] refuses and malformed shard selectors;
+    /// [`check_logic_chiplets`] refuses, a `ChipletNode` index past the
+    /// chiplets some case holds and malformed shard selectors;
     /// [`ServeError::Estimator`] when a known test case fails to build.
     pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, SweepSlice), ServeError> {
         let base = resolve_base(&self.testcase, &self.system, db)?;
@@ -280,12 +281,36 @@ impl SweepRequest {
                 spec = spec.axis(axis);
             }
             (None, Some(axes)) => {
+                // The fewest chiplets a case can hold when the next axis
+                // applies: a `ChipletNode` index past it would fail
+                // mid-stream, after the 200.
+                let mut shortest = spec.base().chiplets.len();
                 for axis in axes {
-                    if let SweepAxis::ChipletCounts { counts, .. } = axis {
-                        for &count in counts {
-                            check_logic_chiplets(count)
-                                .map_err(|e| ServeError::Api(e.to_string()))?;
+                    match axis {
+                        // `three_chiplets`: digital, memory, analog.
+                        SweepAxis::NodeTuples { .. } => shortest = 3,
+                        SweepAxis::ChipletCounts { counts, .. } => {
+                            for &count in counts {
+                                check_logic_chiplets(count)
+                                    .map_err(|e| ServeError::Api(e.to_string()))?;
+                            }
+                            // `split_logic` adds the memory and analog chiplets.
+                            shortest = counts.iter().min().map_or(shortest, |fewest| fewest + 2);
                         }
+                        SweepAxis::Systems(variants) => {
+                            shortest = variants
+                                .iter()
+                                .map(|(_, system)| system.chiplets.len())
+                                .min()
+                                .unwrap_or(shortest);
+                        }
+                        SweepAxis::ChipletNode { index, .. } if *index >= shortest => {
+                            return Err(ServeError::Api(format!(
+                                "sweep axis retargets chiplet {index} but a case of this \
+                                 sweep has only {shortest} chiplet(s)"
+                            )));
+                        }
+                        _ => {}
                     }
                     spec = spec.axis(axis.clone());
                 }
@@ -468,8 +493,8 @@ pub struct StatsResponse {
     pub requests: u64,
     /// Sweep points streamed since startup.
     pub points_streamed: u64,
-    /// Effective sweep-engine claim-chunk size (`--chunk` /
-    /// `ECOCHIP_CHUNK`, points per queue round-trip).
+    /// Sweep-engine claim size: points a worker takes per queue
+    /// round-trip (always [`DEFAULT_CHUNK`](ecochip_core::sweep::DEFAULT_CHUNK)).
     pub chunk: usize,
     /// Floorplans served from the memo.
     pub floorplan_hits: usize,
@@ -745,6 +770,68 @@ mod tests {
             ..OptimizeRequest::named("ga102", "ignored")
         };
         assert!(matches!(optimize.resolve(&db), Err(ServeError::Api(_))));
+    }
+
+    #[test]
+    fn out_of_range_chiplet_retargets_are_refused_at_resolve() {
+        use ecochip_core::disaggregation::{NodeTuple, SocBlocks};
+        use ecochip_techdb::TechNode;
+
+        let db = TechDb::default();
+        let blocks = SocBlocks::new("ga102", 20.0e9, 6.0e9, 2.3e9);
+        let retarget = |index| SweepAxis::ChipletNode {
+            index,
+            nodes: vec![TechNode::N7],
+        };
+        let counts = SweepAxis::ChipletCounts {
+            blocks: blocks.clone(),
+            nodes: NodeTuple::uniform(TechNode::N7),
+            counts: vec![4, 1],
+        };
+        let tuples = SweepAxis::NodeTuples {
+            blocks,
+            tuples: vec![NodeTuple::uniform(TechNode::N7)],
+        };
+        let monolithic = catalog::build(&db, "ga102").unwrap();
+        let three = catalog::build(&db, "ga102-3chiplet").unwrap();
+        let systems = SweepAxis::Systems(vec![
+            ("three".into(), three.clone()),
+            ("one".into(), monolithic.clone()),
+        ]);
+        assert_eq!((monolithic.chiplets.len(), three.chiplets.len()), (1, 3));
+        let sweep = |testcase: &str, axes: Vec<SweepAxis>| SweepRequest {
+            axis: None,
+            axes: Some(axes),
+            ..SweepRequest::named(testcase, "ignored")
+        };
+        // The fewest chiplets a case holds: the base, then whatever the
+        // last chiplet-replacing axis before the retarget leaves.
+        for (testcase, axes, fewest) in [
+            ("ga102", vec![], 1),
+            ("ga102-3chiplet", vec![], 3),
+            ("ga102", vec![tuples.clone()], 3),
+            ("ga102", vec![counts.clone()], 3),
+            ("ga102-3chiplet", vec![systems.clone()], 1),
+            ("ga102", vec![systems, counts], 3),
+        ] {
+            let with = |index| {
+                let mut axes = axes.clone();
+                axes.push(retarget(index));
+                sweep(testcase, axes)
+            };
+            assert!(with(fewest - 1).resolve(&db).is_ok(), "{testcase} {axes:?}");
+            match with(fewest).resolve(&db) {
+                Err(ServeError::Api(message)) => assert!(
+                    message.contains(&format!("retargets chiplet {fewest} ")),
+                    "{message}"
+                ),
+                other => panic!("expected an API error, got {other:?}"),
+            }
+        }
+        // A retarget applies before later axes replace the chiplets.
+        assert!(sweep("ga102", vec![retarget(1), tuples])
+            .resolve(&db)
+            .is_err());
     }
 
     #[test]

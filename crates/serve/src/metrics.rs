@@ -108,16 +108,7 @@ impl Histogram {
     /// exported series. Returns `None` with no observations; observations
     /// past the widest bucket clamp to its bound.
     fn quantile(&self, q: f64) -> Option<f64> {
-        // Buckets before the total, as in `render`: keeps rank ≤ +Inf.
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|bucket| bucket.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
+        let (buckets, count) = self.snapshot()?;
         let rank = (q * count as f64).ceil().clamp(1.0, count as f64) as u64;
         let mut previous_bound = 0.0;
         let mut previous_cumulative = 0u64;
@@ -135,6 +126,49 @@ impl Histogram {
             previous_cumulative = *cumulative;
         }
         Some(previous_bound)
+    }
+
+    /// The cumulative bucket counts and the total, or `None` with no
+    /// observations.
+    fn snapshot(&self) -> Option<([u64; BUCKETS.len()], u64)> {
+        // Load the buckets *before* the total: the writer bumps the total
+        // first (see `observe`), so a total loaded after the buckets is ≥
+        // every bucket value read here and the snapshot stays monotone
+        // under concurrent observations.
+        let buckets = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count = self.count.load(Ordering::Relaxed);
+        (count > 0).then_some((buckets, count))
+    }
+}
+
+/// Render one histogram family: its `# HELP` / `# TYPE` lines, then, for
+/// each series with observations, the cumulative `_bucket` samples, `_sum`
+/// and `_count`, labelled `key="value"`.
+fn render_histograms<'a>(
+    sample: &mut impl FnMut(String),
+    name: &str,
+    help: &str,
+    key: &str,
+    series: impl IntoIterator<Item = (&'a str, &'a Histogram)>,
+) {
+    sample(format!("# HELP {name} {help}"));
+    sample(format!("# TYPE {name} histogram"));
+    for (value, histogram) in series {
+        let Some((buckets, count)) = histogram.snapshot() else {
+            continue;
+        };
+        let label = format!("{key}=\"{value}\"");
+        for (cumulative, bound) in buckets.iter().zip(BUCKETS) {
+            sample(format!(
+                "{name}_bucket{{{label},le=\"{bound}\"}} {cumulative}"
+            ));
+        }
+        sample(format!("{name}_bucket{{{label},le=\"+Inf\"}} {count}"));
+        sample(format!(
+            "{name}_sum{{{label}}} {}",
+            histogram.sum_micros.load(Ordering::Relaxed) as f64 / 1.0e6
+        ));
+        sample(format!("{name}_count{{{label}}} {count}"));
     }
 }
 
@@ -413,40 +447,13 @@ impl Metrics {
             ));
         }
 
-        sample("# HELP ecochip_http_request_duration_seconds Request latency, by route.".into());
-        sample("# TYPE ecochip_http_request_duration_seconds histogram".into());
-        for (index, histogram) in self.latency.iter().enumerate() {
-            // Load the buckets *before* the total: the writer bumps the
-            // total first (see `Histogram::observe`), so a total loaded
-            // after the buckets is ≥ every bucket value read here and the
-            // rendered cumulative histogram stays monotone under
-            // concurrent observations.
-            let buckets: Vec<u64> = histogram
-                .buckets
-                .iter()
-                .map(|bucket| bucket.load(Ordering::Relaxed))
-                .collect();
-            let count = histogram.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let route = Route::LABELS[index];
-            for (value, bound) in buckets.iter().zip(BUCKETS) {
-                sample(format!(
-                    "ecochip_http_request_duration_seconds_bucket{{route=\"{route}\",le=\"{bound}\"}} {value}"
-                ));
-            }
-            sample(format!(
-                "ecochip_http_request_duration_seconds_bucket{{route=\"{route}\",le=\"+Inf\"}} {count}"
-            ));
-            sample(format!(
-                "ecochip_http_request_duration_seconds_sum{{route=\"{route}\"}} {}",
-                histogram.sum_micros.load(Ordering::Relaxed) as f64 / 1.0e6
-            ));
-            sample(format!(
-                "ecochip_http_request_duration_seconds_count{{route=\"{route}\"}} {count}"
-            ));
-        }
+        render_histograms(
+            &mut sample,
+            "ecochip_http_request_duration_seconds",
+            "Request latency, by route.",
+            "route",
+            Route::LABELS.into_iter().zip(&self.latency),
+        );
 
         sample(
             "# HELP ecochip_sweep_stream_bytes_total Sweep-stream payload bytes sent, by encoding."
@@ -461,78 +468,26 @@ impl Metrics {
             ));
         }
 
-        sample(
-            "# HELP ecochip_sweep_stream_duration_seconds Sweep-stream wall time, by encoding."
-                .into(),
+        render_histograms(
+            &mut sample,
+            "ecochip_sweep_stream_duration_seconds",
+            "Sweep-stream wall time, by encoding.",
+            "format",
+            FORMATS
+                .map(SweepFormat::label)
+                .into_iter()
+                .zip(&self.sweep_streams),
         );
-        sample("# TYPE ecochip_sweep_stream_duration_seconds histogram".into());
-        for format in FORMATS {
-            let histogram = &self.sweep_streams[format_index(format)];
-            // Same load ordering as the request-latency histogram: buckets
-            // before the total keeps the rendered cumulative histogram
-            // monotone under concurrent observations.
-            let buckets: Vec<u64> = histogram
-                .buckets
-                .iter()
-                .map(|bucket| bucket.load(Ordering::Relaxed))
-                .collect();
-            let count = histogram.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let label = format.label();
-            for (value, bound) in buckets.iter().zip(BUCKETS) {
-                sample(format!(
-                    "ecochip_sweep_stream_duration_seconds_bucket{{format=\"{label}\",le=\"{bound}\"}} {value}"
-                ));
-            }
-            sample(format!(
-                "ecochip_sweep_stream_duration_seconds_bucket{{format=\"{label}\",le=\"+Inf\"}} {count}"
-            ));
-            sample(format!(
-                "ecochip_sweep_stream_duration_seconds_sum{{format=\"{label}\"}} {}",
-                histogram.sum_micros.load(Ordering::Relaxed) as f64 / 1.0e6
-            ));
-            sample(format!(
-                "ecochip_sweep_stream_duration_seconds_count{{format=\"{label}\"}} {count}"
-            ));
-        }
-
-        sample(
-            "# HELP ecochip_sweep_stage_duration_seconds Accumulated per-stage time of \
-             instrumented sweep requests, by stage."
-                .into(),
+        render_histograms(
+            &mut sample,
+            "ecochip_sweep_stage_duration_seconds",
+            "Accumulated per-stage time of instrumented sweep requests, by stage.",
+            "stage",
+            Stage::ALL
+                .map(Stage::label)
+                .into_iter()
+                .zip(&self.stage_durations),
         );
-        sample("# TYPE ecochip_sweep_stage_duration_seconds histogram".into());
-        for (stage, histogram) in Stage::ALL.iter().zip(&self.stage_durations) {
-            // Same load ordering as the other histograms: buckets before
-            // the total keeps the rendered cumulative histogram monotone.
-            let buckets: Vec<u64> = histogram
-                .buckets
-                .iter()
-                .map(|bucket| bucket.load(Ordering::Relaxed))
-                .collect();
-            let count = histogram.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let label = stage.label();
-            for (value, bound) in buckets.iter().zip(BUCKETS) {
-                sample(format!(
-                    "ecochip_sweep_stage_duration_seconds_bucket{{stage=\"{label}\",le=\"{bound}\"}} {value}"
-                ));
-            }
-            sample(format!(
-                "ecochip_sweep_stage_duration_seconds_bucket{{stage=\"{label}\",le=\"+Inf\"}} {count}"
-            ));
-            sample(format!(
-                "ecochip_sweep_stage_duration_seconds_sum{{stage=\"{label}\"}} {}",
-                histogram.sum_micros.load(Ordering::Relaxed) as f64 / 1.0e6
-            ));
-            sample(format!(
-                "ecochip_sweep_stage_duration_seconds_count{{stage=\"{label}\"}} {count}"
-            ));
-        }
 
         let service_stats = service.service_stats();
         sample("# HELP ecochip_estimates_total Single-system estimates served.".into());
@@ -862,6 +817,99 @@ mod tests {
         assert!(text.contains("ecochip_http_connections_open{state=\"idle\"} 2"));
         assert!(text.contains("ecochip_http_connections_open{state=\"active\"} 0"));
     }
+
+    #[test]
+    fn histogram_families_render_exactly() {
+        let metrics = Metrics::new();
+        for (route, elapsed) in [
+            (Route::Estimate, Duration::from_micros(750)),
+            (Route::Estimate, Duration::from_millis(30)),
+            (Route::Sweep, Duration::from_secs(20)),
+        ] {
+            metrics.request_started();
+            metrics.observe(route, 200, elapsed);
+        }
+        metrics.sweep_stream_finished(SweepFormat::NdJson, 1, Duration::from_millis(12));
+        metrics.sweep_stream_finished(SweepFormat::Frames, 1, Duration::from_micros(400));
+        metrics.observe_stage(Stage::Decode, 0.002);
+        metrics.observe_stage(Stage::Emit, 3.0);
+        let text = metrics.render(&EcoChipService::new(EcoChip::default()));
+        let histograms: Vec<&str> = text
+            .lines()
+            .filter(|line| line.contains("_duration_seconds"))
+            .collect();
+        assert_eq!(histograms, HISTOGRAM_FAMILIES.lines().collect::<Vec<_>>());
+    }
+
+    /// The three histogram families for the observations of
+    /// `histogram_families_render_exactly`; routes, formats and stages
+    /// without observations render no samples.
+    const HISTOGRAM_FAMILIES: &str = r#"# HELP ecochip_http_request_duration_seconds Request latency, by route.
+# TYPE ecochip_http_request_duration_seconds histogram
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="0.001"} 1
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="0.005"} 1
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="0.025"} 1
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="0.1"} 2
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="0.5"} 2
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="2.5"} 2
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="10"} 2
+ecochip_http_request_duration_seconds_bucket{route="estimate",le="+Inf"} 2
+ecochip_http_request_duration_seconds_sum{route="estimate"} 0.03075
+ecochip_http_request_duration_seconds_count{route="estimate"} 2
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="0.001"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="0.005"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="0.025"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="0.1"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="0.5"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="2.5"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="10"} 0
+ecochip_http_request_duration_seconds_bucket{route="sweep",le="+Inf"} 1
+ecochip_http_request_duration_seconds_sum{route="sweep"} 20
+ecochip_http_request_duration_seconds_count{route="sweep"} 1
+# HELP ecochip_sweep_stream_duration_seconds Sweep-stream wall time, by encoding.
+# TYPE ecochip_sweep_stream_duration_seconds histogram
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="0.001"} 0
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="0.005"} 0
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="0.025"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="0.1"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="0.5"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="2.5"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="10"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="ndjson",le="+Inf"} 1
+ecochip_sweep_stream_duration_seconds_sum{format="ndjson"} 0.012
+ecochip_sweep_stream_duration_seconds_count{format="ndjson"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="0.001"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="0.005"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="0.025"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="0.1"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="0.5"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="2.5"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="10"} 1
+ecochip_sweep_stream_duration_seconds_bucket{format="frames",le="+Inf"} 1
+ecochip_sweep_stream_duration_seconds_sum{format="frames"} 0.0004
+ecochip_sweep_stream_duration_seconds_count{format="frames"} 1
+# HELP ecochip_sweep_stage_duration_seconds Accumulated per-stage time of instrumented sweep requests, by stage.
+# TYPE ecochip_sweep_stage_duration_seconds histogram
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="0.001"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="0.005"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="0.025"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="0.1"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="0.5"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="2.5"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="10"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="decode",le="+Inf"} 1
+ecochip_sweep_stage_duration_seconds_sum{stage="decode"} 0.002
+ecochip_sweep_stage_duration_seconds_count{stage="decode"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="0.001"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="0.005"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="0.025"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="0.1"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="0.5"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="2.5"} 0
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="10"} 1
+ecochip_sweep_stage_duration_seconds_bucket{stage="emit",le="+Inf"} 1
+ecochip_sweep_stage_duration_seconds_sum{stage="emit"} 3
+ecochip_sweep_stage_duration_seconds_count{stage="emit"} 1"#;
 
     #[test]
     fn metrics_line_validator_rejects_garbage() {

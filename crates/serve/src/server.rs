@@ -234,12 +234,9 @@ const ROUTE_TABLE: [Endpoint; 10] = {
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Sweep-engine workers per request (`None`: `ECOCHIP_JOBS`, then the
-    /// machine's available parallelism).
+    /// Sweep-engine workers per request (`None`: the machine's available
+    /// parallelism).
     pub jobs: Option<usize>,
-    /// Case indices a sweep worker claims per queue round-trip (`None`:
-    /// `ECOCHIP_CHUNK`, then the engine default).
-    pub chunk: Option<usize>,
     /// Handler-pool threads for heavy routes (sweeps, batch estimates,
     /// memo transfers); light routes run on the event loop.
     pub threads: usize,
@@ -279,7 +276,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:8080".into(),
             jobs: None,
-            chunk: None,
             threads: 8,
             techdb: None,
             memo_file: None,
@@ -296,14 +292,14 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The estimation service this configuration describes: an estimator
-    /// over `techdb`, a sweep engine of `jobs` workers claiming `chunk`
-    /// cases, and the memo bounded to `memo_max_entries`, loaded from
-    /// `memo_file` and autosaved every `memo_save_every` new entries.
+    /// over `techdb`, a sweep engine of `jobs` workers, and the memo
+    /// bounded to `memo_max_entries`, loaded from `memo_file` and autosaved
+    /// every `memo_save_every` new entries.
     #[must_use]
     pub fn service(&self) -> EcoChipService {
         let db = self.techdb.clone().unwrap_or_default();
         let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
-        let engine = SweepEngine::with_optional_jobs(self.jobs).with_optional_chunk(self.chunk);
+        let engine = SweepEngine::with_optional_jobs(self.jobs);
         let mut service = EcoChipService::with_engine(estimator, engine);
         service.set_memo_capacity(self.memo_max_entries);
         if let Some(path) = &self.memo_file {
@@ -448,12 +444,6 @@ impl Server {
     /// The bound listen address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
         self.state.addr
-    }
-
-    /// The effective sweep chunk size (points claimed per worker grab),
-    /// after `ServeConfig::chunk` / `ECOCHIP_CHUNK` / default resolution.
-    pub fn engine_chunk(&self) -> usize {
-        self.state.service.engine().chunk()
     }
 
     /// The readiness backend the event loop runs on (`"epoll"` or

@@ -8,7 +8,7 @@
 
 use eco_chip::core::costing::system_cost;
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::dse::sweep_node_tuples;
+use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepSpec};
 use eco_chip::techdb::{TechDb, TechNode};
 use eco_chip::testcases::ga102;
 use eco_chip::EcoChip;
@@ -36,8 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &db,
         NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
     )?;
-    let blocks = ga102::soc_blocks(&db)?;
-    let points = sweep_node_tuples(&estimator, &base, &blocks, &ga102::fig7_node_tuples())?;
+    let spec = SweepSpec::new(base).axis(SweepAxis::NodeTuples {
+        blocks: ga102::soc_blocks(&db)?,
+        tuples: ga102::fig7_node_tuples(),
+    });
+    let points = SweepEngine::new().run(&estimator, &spec)?;
 
     println!();
     println!("== GA102 3-chiplet (digital, memory, analog) sweep ==");

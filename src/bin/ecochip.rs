@@ -24,8 +24,8 @@
 //!
 //! * `--sweep <nodes|packaging|volume|lifetime|energy>` to run a design-space
 //!   sweep over the selected system on the parallel sweep engine,
-//! * `--jobs <N>` to set the engine's worker count (default: the
-//!   `ECOCHIP_JOBS` environment variable, then the available parallelism),
+//! * `--jobs <N>` to set the engine's worker count (default: the available
+//!   parallelism),
 //! * `--shard <I/N>` to evaluate only shard `I` of `N` of the sweep's index
 //!   space (concatenating all shards reproduces the unsharded run exactly),
 //! * `--stream <jsonl|csv>` to emit sweep points incrementally to stdout as
@@ -87,12 +87,11 @@
 //!
 //! Exit codes: `0` on success; `2` for usage errors, the inputs HTTP
 //! answers with `400`: unknown subcommands, flags, test cases and sweep
-//! axes, malformed flag values, `--addr`, `ECOCHIP_JOBS` or
-//! `ECOCHIP_CHUNK`, a flag without the flag it requires or with one it
-//! conflicts with (`--testcase` with `--design`, for one), and a
-//! `--design`/`--techdb` file that does not parse; `1` for runtime
-//! failures, such as a file that cannot be read. A file error names the
-//! file.
+//! axes, malformed flag values and `--addr`, a flag without the flag it
+//! requires or with one it conflicts with (`--testcase` with `--design`,
+//! for one), and a `--design`/`--techdb` file that does not parse; `1` for
+//! runtime failures, such as a file that cannot be read. A file error names
+//! the file.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -102,7 +101,7 @@ use std::time::Duration;
 use eco_chip::core::costing::system_cost;
 use eco_chip::core::dse::NAMED_SWEEP_AXES;
 use eco_chip::core::opt::{self, METHOD_NAMES, OBJECTIVE_NAMES};
-use eco_chip::core::sweep::{Shard, SweepPoint, SweepSpec, CHUNK_ENV_VAR, JOBS_ENV_VAR};
+use eco_chip::core::sweep::{Shard, SweepPoint, SweepSpec};
 use eco_chip::core::{EcoChipService, System};
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server};
@@ -153,9 +152,6 @@ fn print_usage() {
     eprintln!("  ... --sweep <{NAMED_SWEEP_AXES}>");
     eprintln!("                                               sweep the selected system");
     eprintln!("  ... --jobs <N>                               sweep-engine worker count");
-    eprintln!(
-        "  ... --chunk <K>                              points per worker claim (or ECOCHIP_CHUNK)"
-    );
     eprintln!("  ... --shard <I/N>                            evaluate only shard I of N");
     eprintln!("  ... --stream <jsonl|csv>                     emit sweep points incrementally");
     eprintln!("  ... --optimize <{METHOD_NAMES}>       carbon-aware search over the sweep");
@@ -176,7 +172,7 @@ fn print_usage() {
     eprintln!("  --log-format <text|json>                     human lines or NDJSON events");
     eprintln!();
     eprintln!("subcommands:");
-    eprintln!("  ecochip serve [--addr <host:port>] [--jobs N] [--chunk K] [--threads N]");
+    eprintln!("  ecochip serve [--addr <host:port>] [--jobs N] [--threads N]");
     eprintln!("                [--techdb <file>] [--memo-file <file>]");
     eprintln!("                [--memo-max-entries N] [--memo-save-every N]");
     eprintln!("                [--idle-timeout-ms N] [--max-requests-per-conn N]");
@@ -391,18 +387,6 @@ fn run_sweep(
     } else {
         println!("{banner}");
     }
-    trace::info(
-        "cli",
-        "sweep chunk size",
-        &[
-            (
-                "points_per_claim",
-                FieldValue::from(service.engine().chunk()),
-            ),
-            ("set_with", FieldValue::from("--chunk")),
-            ("env_var", FieldValue::from(CHUNK_ENV_VAR)),
-        ],
-    );
 
     // Collect points only when a summary table or a JSON file export needs
     // them; a streaming run with at most a CSV export holds just the
@@ -693,7 +677,6 @@ const FLAGS: &[(&str, Takes, u8)] = &[
     ("--techdb", Takes::Text, CLASSIC | SERVE | ORCHESTRATE),
     ("--sweep", Takes::Text, CLASSIC | ORCHESTRATE),
     ("--jobs", Takes::Positive, CLASSIC | SERVE | ORCHESTRATE),
-    ("--chunk", Takes::Positive, CLASSIC | SERVE),
     ("--optimize", Takes::Text, CLASSIC | ORCHESTRATE),
     ("--budget", Takes::Positive, CLASSIC | ORCHESTRATE),
     ("--seed", Takes::Seed, CLASSIC | ORCHESTRATE),
@@ -728,7 +711,6 @@ const FLAGS: &[(&str, Takes, u8)] = &[
 const REQUIRES: &[(&str, &str, u8)] = &[
     ("--shard", "--sweep", CLASSIC),
     ("--stream", "--sweep", CLASSIC),
-    ("--chunk", "--sweep", CLASSIC),
     ("--optimize", "--sweep", CLASSIC),
     ("--budget", "--optimize", CLASSIC | ORCHESTRATE),
     ("--seed", "--optimize", CLASSIC | ORCHESTRATE),
@@ -917,7 +899,6 @@ fn run_serve(args: &[String]) -> CliResult {
     let config = ServeConfig {
         addr: flags.text("--addr").unwrap_or(defaults.addr),
         jobs: flags.number("--jobs"),
-        chunk: flags.number("--chunk"),
         threads: flags.number("--threads").unwrap_or(defaults.threads),
         techdb: techdb(&flags)?,
         memo_file: flags.path("--memo-file"),
@@ -939,12 +920,11 @@ fn run_serve(args: &[String]) -> CliResult {
     };
     let server = Server::bind(&config).map_err(serve_error)?;
     eprintln!(
-        "ecochip-serve listening on http://{} ({} sweep jobs, {}-point chunks, {} handler threads, {} event loop)",
+        "ecochip-serve listening on http://{} ({} sweep jobs, {} handler threads, {} event loop)",
         server.local_addr(),
         config
             .jobs
             .map_or_else(|| "default".to_owned(), |jobs| jobs.to_string()),
-        server.engine_chunk(),
         config.threads,
         server.poll_backend()
     );
@@ -1115,18 +1095,6 @@ fn merge_to_stdout<T>(
     Ok(outcome)
 }
 
-/// Reject a malformed `ECOCHIP_JOBS` or `ECOCHIP_CHUNK` before any engine
-/// silently falls back to its default: a typo'd worker count or chunk size
-/// should fail as loudly as a malformed `--jobs` or `--chunk`.
-fn check_env() -> CliResult {
-    for var in [JOBS_ENV_VAR, CHUNK_ENV_VAR] {
-        if let Ok(value) = std::env::var(var) {
-            Takes::Positive.check(var, value.trim())?;
-        }
-    }
-    Ok(())
-}
-
 /// The classic front end: estimate, sweep or search one design, or export
 /// or list the built-in test cases.
 fn run_classic(args: &[String]) -> CliResult {
@@ -1162,7 +1130,6 @@ fn run_classic(args: &[String]) -> CliResult {
         .map_err(serve_error)?;
     let service = ServeConfig {
         jobs: flags.number("--jobs"),
-        chunk: flags.number("--chunk"),
         techdb: Some(db),
         memo_file: flags.path("--memo-file"),
         memo_max_entries: flags.number("--memo-max-entries"),
@@ -1190,7 +1157,6 @@ fn real_main() -> CliResult {
         print_usage();
         return Err(CliError::usage("no arguments given"));
     }
-    check_env()?;
 
     // Subcommand dispatch: a leading bare word selects a subcommand; the
     // flag-only invocation remains the classic estimate/sweep front end.

@@ -26,18 +26,13 @@ use common::{check_golden, golden_dir};
 
 const BIN: &str = env!("CARGO_BIN_EXE_ecochip");
 
-/// One malformed invocation: its arguments, extra environment variables,
-/// the expected exit code and a substring stderr must contain.
+/// One malformed invocation: its arguments, the expected exit code and a
+/// substring stderr must contain.
 ///
 /// In arguments, `@design` names an exported `ga102-3chiplet` system file,
 /// `@bad` a file holding truncated JSON and `@missing` a path that does not
 /// exist.
-type UsageCase = (
-    &'static [&'static str],
-    &'static [(&'static str, &'static str)],
-    i32,
-    &'static str,
-);
+type UsageCase = (&'static [&'static str], i32, &'static str);
 
 const USAGE_CASES: &[UsageCase] = &[
     // Search flags: the classic front end and orchestrate.
@@ -50,7 +45,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--optimize",
             "hillclimb",
         ],
-        &[],
         2,
         "pareto|anneal|genetic",
     ),
@@ -65,7 +59,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--budget",
             "0",
         ],
-        &[],
         2,
         "--budget needs a positive integer",
     ),
@@ -80,7 +73,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--budget",
             "-3",
         ],
-        &[],
         2,
         "--budget needs a positive integer",
     ),
@@ -95,7 +87,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--seed",
             "banana",
         ],
-        &[],
         2,
         "--seed needs an unsigned 64-bit integer",
     ),
@@ -110,7 +101,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--objectives",
             "embodied,karma",
         ],
-        &[],
         2,
         "unknown objective",
     ),
@@ -125,13 +115,11 @@ const USAGE_CASES: &[UsageCase] = &[
             "--objectives",
             " , ",
         ],
-        &[],
         2,
         "empty objective",
     ),
     (
         &["--testcase", "ga102", "--optimize", "pareto"],
-        &[],
         2,
         "--optimize requires --sweep",
     ),
@@ -144,13 +132,11 @@ const USAGE_CASES: &[UsageCase] = &[
             "--budget",
             "5",
         ],
-        &[],
         2,
         "--budget requires --optimize",
     ),
     (
         &["--testcase", "ga102", "--sweep", "lifetime", "--seed", "1"],
-        &[],
         2,
         "--seed requires --optimize",
     ),
@@ -165,7 +151,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--stream",
             "jsonl",
         ],
-        &[],
         2,
         "drop --stream",
     ),
@@ -181,7 +166,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--rounds",
             "3",
         ],
-        &[],
         2,
         "--rounds requires --optimize",
     ),
@@ -198,41 +182,32 @@ const USAGE_CASES: &[UsageCase] = &[
             "anneal",
             "--check",
         ],
-        &[],
         2,
         "does not apply to --optimize",
     ),
     // The classic front end.
-    (&["--frobnicate"], &[], 2, "unknown flag \"--frobnicate\""),
-    (&["--testcase"], &[], 2, "--testcase needs a value"),
-    (&["--export"], &[], 2, "--export needs a value"),
-    (
-        &["--testcase", "ga102", "--csv"],
-        &[],
-        2,
-        "--csv needs a value",
-    ),
+    (&["--frobnicate"], 2, "unknown flag \"--frobnicate\""),
+    (&["--testcase"], 2, "--testcase needs a value"),
+    (&["--export"], 2, "--export needs a value"),
+    (&["--testcase", "ga102", "--csv"], 2, "--csv needs a value"),
     (
         &["--testcase", "ga102", "--jobs", "x"],
-        &[],
         2,
         "--jobs needs a positive integer",
     ),
     (
         &["--testcase", "ga102", "--jobs", "0"],
-        &[],
         2,
         "--jobs needs a positive integer",
     ),
+    // The engine's claim size is a constant, not a flag.
     (
-        &["--testcase", "ga102", "--sweep", "lifetime", "--chunk", "0"],
-        &[],
+        &["--testcase", "ga102", "--sweep", "lifetime", "--chunk", "3"],
         2,
-        "--chunk needs a positive integer",
+        "unknown flag \"--chunk\"",
     ),
     (
         &["--testcase", "ga102", "--memo-max-entries", "-1"],
-        &[],
         2,
         "--memo-max-entries needs a non-negative integer",
     ),
@@ -245,7 +220,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--memo-save-every",
             "0",
         ],
-        &[],
         2,
         "--memo-save-every needs a positive integer",
     ),
@@ -258,7 +232,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--shard",
             "2/2",
         ],
-        &[],
         2,
         "invalid shard selector \"2/2\"",
     ),
@@ -271,7 +244,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--shard",
             "bogus",
         ],
-        &[],
         2,
         "invalid shard selector \"bogus\"",
     ),
@@ -284,39 +256,24 @@ const USAGE_CASES: &[UsageCase] = &[
             "--stream",
             "xml",
         ],
-        &[],
         2,
         "unknown stream format \"xml\"",
     ),
     (
         &["--testcase", "ga102", "--sweep", "wrong"],
-        &[],
         2,
         "unknown sweep axis \"wrong\"",
     ),
-    (
-        &["--testcase", "nope"],
-        &[],
-        2,
-        "unknown test case \"nope\"",
-    ),
+    (&["--testcase", "nope"], 2, "unknown test case \"nope\""),
     (
         &["--testcase", "ga102", "--shard", "0/2"],
-        &[],
         2,
         "--shard requires --sweep",
     ),
     (
         &["--testcase", "ga102", "--stream", "jsonl"],
-        &[],
         2,
         "--stream requires --sweep",
-    ),
-    (
-        &["--testcase", "ga102", "--chunk", "2"],
-        &[],
-        2,
-        "--chunk requires --sweep",
     ),
     (
         &[
@@ -327,7 +284,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--objectives",
             "cost",
         ],
-        &[],
         2,
         "--objectives requires --optimize",
     ),
@@ -342,7 +298,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--csv",
             "x.csv",
         ],
-        &[],
         2,
         "do not apply to --optimize",
     ),
@@ -357,156 +312,113 @@ const USAGE_CASES: &[UsageCase] = &[
             "--json",
             "x.json",
         ],
-        &[],
         2,
         "do not apply to --optimize",
     ),
     (
         &["--testcase", "ga102", "--memo-save-every", "5"],
-        &[],
         2,
         "--memo-save-every requires --memo-file",
     ),
-    (&[], &[], 2, "no arguments given"),
-    (&["--verbose"], &[], 2, "nothing to do"),
+    (&[], 2, "no arguments given"),
+    (&["--verbose"], 2, "nothing to do"),
     (
         &["bogus-subcommand"],
-        &[],
         2,
         "unknown subcommand \"bogus-subcommand\"",
     ),
     (
-        &["--testcase", "ga102", "--sweep", "lifetime"],
-        &[("ECOCHIP_CHUNK", "bogus")],
-        2,
-        "ECOCHIP_CHUNK needs a positive integer",
-    ),
-    (
-        &["--testcase", "ga102"],
-        &[("ECOCHIP_CHUNK", "0")],
-        2,
-        "ECOCHIP_CHUNK needs a positive integer",
-    ),
-    (
         &["--log-level", "loud", "--testcase", "ga102"],
-        &[],
         2,
         "--log-level needs error, warn, info or debug",
     ),
     (
         &["--log-format", "xml", "--testcase", "ga102"],
-        &[],
         2,
         "--log-format needs text or json",
     ),
     (
         &["--testcase", "ga102", "--log-level"],
-        &[],
         2,
         "--log-level needs a value",
     ),
-    (
-        &["--design", "@missing"],
-        &[],
-        1,
-        "configuration file i/o error",
-    ),
+    (&["--design", "@missing"], 1, "configuration file i/o error"),
     (
         &["--testcase", "ga102", "--techdb", "@missing"],
-        &[],
         1,
         "configuration file i/o error",
     ),
     // `serve`.
     (
         &["serve", "--frobnicate"],
-        &[],
         2,
         "unknown serve flag \"--frobnicate\"",
     ),
     (
         &["serve", "--testcase", "ga102"],
-        &[],
         2,
         "unknown serve flag \"--testcase\"",
     ),
-    (&["serve", "--addr"], &[], 2, "--addr needs a value"),
-    (
-        &["serve", "--addr", "not an addr"],
-        &[],
-        2,
-        "invalid address",
-    ),
+    (&["serve", "--addr"], 2, "--addr needs a value"),
+    (&["serve", "--addr", "not an addr"], 2, "invalid address"),
     (
         &["serve", "--jobs", "0"],
-        &[],
         2,
         "--jobs needs a positive integer",
     ),
     (
-        &["serve", "--chunk", "0"],
-        &[],
+        &["serve", "--chunk", "3"],
         2,
-        "--chunk needs a positive integer",
+        "unknown serve flag \"--chunk\"",
     ),
     (
         &["serve", "--threads", "0"],
-        &[],
         2,
         "--threads needs a positive integer",
     ),
     (
         &["serve", "--memo-save-every", "0"],
-        &[],
         2,
         "--memo-save-every needs a positive integer",
     ),
     (
         &["serve", "--idle-timeout-ms", "0"],
-        &[],
         2,
         "--idle-timeout-ms needs a positive integer",
     ),
     (
         &["serve", "--max-requests-per-conn", "0"],
-        &[],
         2,
         "--max-requests-per-conn needs a positive integer",
     ),
     (
         &["serve", "--max-inflight", "0"],
-        &[],
         2,
         "--max-inflight needs a positive integer",
     ),
     (
         &["serve", "--max-connections", "0"],
-        &[],
         2,
         "--max-connections needs a positive integer",
     ),
     (
         &["serve", "--memo-max-entries", "x"],
-        &[],
         2,
         "--memo-max-entries needs a non-negative integer",
     ),
     (
         &["serve", "--memo-save-every", "5"],
-        &[],
         2,
         "--memo-save-every requires --memo-file",
     ),
     (
         &["serve", "--techdb", "@missing"],
-        &[],
         1,
         "configuration file i/o error",
     ),
     // `orchestrate`.
     (
         &["orchestrate", "--frobnicate"],
-        &[],
         2,
         "unknown orchestrate flag \"--frobnicate\"",
     ),
@@ -522,19 +434,16 @@ const USAGE_CASES: &[UsageCase] = &[
             "--stream",
             "jsonl",
         ],
-        &[],
         2,
         "unknown orchestrate flag \"--stream\"",
     ),
     (
         &["orchestrate", "--testcase", "ga102"],
-        &[],
         2,
         "orchestrate needs --sweep",
     ),
     (
         &["orchestrate", "--testcase", "ga102", "--sweep", "lifetime"],
-        &[],
         2,
         "orchestrate needs --workers <N> or --remote",
     ),
@@ -550,7 +459,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--remote",
             "http://127.0.0.1:1",
         ],
-        &[],
         2,
         "pass either --workers (local in-process servers) or --remote (server URLs), not both",
     ),
@@ -564,7 +472,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "0",
         ],
-        &[],
         2,
         "--workers needs a positive integer",
     ),
@@ -577,7 +484,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "lifetime",
             "--workers",
         ],
-        &[],
         2,
         "--workers needs a value",
     ),
@@ -591,7 +497,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--remote",
             ",",
         ],
-        &[],
         2,
         "--remote needs at least one URL",
     ),
@@ -607,7 +512,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--retries",
             "x",
         ],
-        &[],
         2,
         "--retries needs a non-negative integer",
     ),
@@ -623,7 +527,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--backoff-ms",
             "-1",
         ],
-        &[],
         2,
         "--backoff-ms needs a non-negative integer",
     ),
@@ -639,7 +542,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--jobs",
             "0",
         ],
-        &[],
         2,
         "--jobs needs a positive integer",
     ),
@@ -657,7 +559,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--rounds",
             "0",
         ],
-        &[],
         2,
         "--rounds needs a positive integer",
     ),
@@ -675,7 +576,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--budget",
             "0",
         ],
-        &[],
         2,
         "--budget needs a positive integer",
     ),
@@ -693,7 +593,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--seed",
             "x",
         ],
-        &[],
         2,
         "--seed needs an unsigned 64-bit integer",
     ),
@@ -709,7 +608,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--optimize",
             "hillclimb",
         ],
-        &[],
         2,
         "unknown optimize method \"hillclimb\"",
     ),
@@ -727,7 +625,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--objectives",
             "karma",
         ],
-        &[],
         2,
         "unknown objective \"karma\"",
     ),
@@ -743,7 +640,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--budget",
             "5",
         ],
-        &[],
         2,
         "--budget requires --optimize",
     ),
@@ -759,7 +655,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--seed",
             "5",
         ],
-        &[],
         2,
         "--seed requires --optimize",
     ),
@@ -775,7 +670,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--objectives",
             "cost",
         ],
-        &[],
         2,
         "--objectives requires --optimize",
     ),
@@ -791,13 +685,11 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         2,
         "pass either --testcase or --design, not both",
     ),
     (
         &["orchestrate", "--sweep", "lifetime", "--workers", "2"],
-        &[],
         2,
         "orchestrate needs a design",
     ),
@@ -811,7 +703,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         2,
         "unknown test case \"nope\"",
     ),
@@ -825,7 +716,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         2,
         "unknown sweep axis \"wrong\"",
     ),
@@ -840,7 +730,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "2",
             "--share-memo",
         ],
-        &[],
         2,
         "--share-memo needs --remote",
     ),
@@ -854,7 +743,6 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         1,
         "configuration file i/o error",
     ),
@@ -870,48 +758,30 @@ const USAGE_CASES: &[UsageCase] = &[
             "--techdb",
             "@missing",
         ],
-        &[],
         1,
         "configuration file i/o error",
     ),
     // The perf harness is `perfbench/`, not a subcommand.
     (
         &["bench"],
-        &[],
         2,
         "unknown subcommand \"bench\" (expected serve or orchestrate)",
     ),
     // The classic front end refuses two designs, as orchestrate and HTTP do.
     (
         &["--testcase", "ga102", "--design", "@design"],
-        &[],
         2,
         "pass either --testcase or --design, not both",
-    ),
-    // A malformed worker count fails like a malformed chunk size.
-    (
-        &["--testcase", "ga102", "--sweep", "lifetime"],
-        &[("ECOCHIP_JOBS", "bogus")],
-        2,
-        "ECOCHIP_JOBS needs a positive integer",
-    ),
-    (
-        &["--testcase", "ga102"],
-        &[("ECOCHIP_JOBS", "0")],
-        2,
-        "ECOCHIP_JOBS needs a positive integer",
     ),
     // Names resolve through the HTTP request types and read as their 400
     // body does.
     (
         &["--testcase", "nope"],
-        &[],
         2,
         "bad request: unknown test case \"nope\"; the built-ins are: ",
     ),
     (
         &["--testcase", "ga102", "--sweep", "wrong"],
-        &[],
         2,
         "bad request: invalid system description: unknown sweep axis \"wrong\"",
     ),
@@ -925,26 +795,22 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         2,
         "bad request: unknown test case \"nope\"; the built-ins are: ",
     ),
     // Input files name their path; one that does not parse is a usage error.
     (
         &["--design", "@bad"],
-        &[],
         2,
         "bad.json: configuration parse error",
     ),
     (
         &["--testcase", "ga102", "--techdb", "@bad"],
-        &[],
         2,
         "bad.json: configuration parse error",
     ),
     (
         &["serve", "--techdb", "@bad"],
-        &[],
         2,
         "bad.json: configuration parse error",
     ),
@@ -958,34 +824,27 @@ const USAGE_CASES: &[UsageCase] = &[
             "--workers",
             "2",
         ],
-        &[],
         2,
         "bad.json: configuration parse error",
     ),
     (
         &["--design", "@missing"],
-        &[],
         1,
         "missing.json: configuration file i/o error",
     ),
     (
         &["serve", "--techdb", "@missing"],
-        &[],
         1,
         "missing.json: configuration file i/o error",
     ),
 ];
 
-/// Run `ecochip` with `args` and `env`, the inherited worker-count, chunk
-/// and log settings removed so only the row decides them.
-fn ecochip(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut command = Command::new(BIN);
-    for var in ["ECOCHIP_JOBS", "ECOCHIP_CHUNK", "ECOCHIP_LOG"] {
-        command.env_remove(var);
-    }
-    command
+/// Run `ecochip` with `args`, the inherited log setting removed so only
+/// the arguments decide it.
+fn ecochip(args: &[&str]) -> Output {
+    Command::new(BIN)
+        .env_remove("ECOCHIP_LOG")
         .args(args)
-        .envs(env.iter().copied())
         .output()
         .expect("run ecochip")
 }
@@ -1003,7 +862,7 @@ fn malformed_invocations_exit_with_their_code_and_hint() {
     let dir = std::env::temp_dir().join(format!("ecochip-cli-{}", std::process::id()));
     write_inputs(&dir);
     let mut failures = Vec::new();
-    for &(args, env, code, hint) in USAGE_CASES {
+    for &(args, code, hint) in USAGE_CASES {
         let args: Vec<String> = args
             .iter()
             .map(|arg| match arg.strip_prefix('@') {
@@ -1012,11 +871,11 @@ fn malformed_invocations_exit_with_their_code_and_hint() {
             })
             .collect();
         let args: Vec<&str> = args.iter().map(String::as_str).collect();
-        let output = ecochip(&args, env);
+        let output = ecochip(&args);
         let stderr = String::from_utf8_lossy(&output.stderr);
         if output.status.code() != Some(code) || !stderr.contains(hint) {
             failures.push(format!(
-                "{env:?} {args:?}: exit {:?} (want {code}), stderr {stderr:?} (want {hint:?})",
+                "{args:?}: exit {:?} (want {code}), stderr {stderr:?} (want {hint:?})",
                 output.status.code()
             ));
         }
@@ -1052,7 +911,7 @@ fn classic_stdout_matches_golden_files() {
         ),
         ("list-testcases.txt", &["--list-testcases"][..]),
     ] {
-        let output = ecochip(args, &[]);
+        let output = ecochip(args);
         assert!(
             output.status.success(),
             "ecochip {args:?} failed: {}",

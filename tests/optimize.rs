@@ -2,8 +2,8 @@
 //! (`ecochip-core::opt`): the HTTP `/v1/optimize` route against the
 //! in-process reference, seeded determinism at the process boundary
 //! (the CLI's exit-code contract lives in `tests/cli.rs`), and a property
-//! test that the streaming Pareto frontier is invariant to `--jobs`,
-//! `--chunk` and shard count.
+//! test that the streaming Pareto frontier is invariant to `--jobs`, the
+//! engine's claim size and shard count.
 
 use std::process::Command;
 
@@ -223,7 +223,7 @@ proptest! {
 
     /// For any cartesian spec, worker count, chunk size and shard count,
     /// the merged sharded Pareto frontier equals the unsharded one — the
-    /// streaming frontier is invariant to `--jobs`, `--chunk` and
+    /// streaming frontier is invariant to `--jobs`, the claim size and
     /// sharding, and its emission order is deterministic.
     #[test]
     fn pareto_frontier_is_invariant_to_jobs_chunk_and_shards(

@@ -2,8 +2,7 @@
 //! ECO-CHIP paper across the whole workspace.
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::dse::{sweep_node_tuples, sweep_packaging};
-use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepSpec};
+use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
 };
@@ -49,8 +48,11 @@ fn ga102_disaggregation_saves_embodied_carbon() {
     );
 
     let base = ga102::three_chiplet_system(&db, NodeTuple::uniform(TechNode::N7)).unwrap();
-    let blocks = ga102::soc_blocks(&db).unwrap();
-    let points = sweep_node_tuples(&est, &base, &blocks, &ga102::fig7_node_tuples()).unwrap();
+    let spec = SweepSpec::new(base).axis(SweepAxis::NodeTuples {
+        blocks: ga102::soc_blocks(&db).unwrap(),
+        tuples: ga102::fig7_node_tuples(),
+    });
+    let points = SweepEngine::new().run(&est, &spec).unwrap();
     let all7 = points
         .iter()
         .find(|p| p.label == "(7, 7, 7)")
@@ -154,14 +156,14 @@ fn packaging_architecture_ordering_and_scaling() {
         NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
     )
     .unwrap();
-    let archs = [
+    let spec = SweepSpec::new(base).axis(SweepAxis::Packaging(vec![
         PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
         PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
         PackagingArchitecture::PassiveInterposer(InterposerConfig::default()),
         PackagingArchitecture::ActiveInterposer(InterposerConfig::default()),
         PackagingArchitecture::ThreeD(ThreeDConfig::default()),
-    ];
-    let points = sweep_packaging(&est, &base, &archs).unwrap();
+    ]));
+    let points = SweepEngine::new().run(&est, &spec).unwrap();
     let chi = |label: &str| {
         points
             .iter()
@@ -234,7 +236,7 @@ fn reuse_and_lifetime_tradeoffs() {
     let ga_points = grid(&ga);
     let a15_points = grid(&a15_sys);
 
-    let total = |points: &[eco_chip::core::dse::SweepPoint], ratio: f64, years: f64| {
+    let total = |points: &[SweepPoint], ratio: f64, years: f64| {
         let r = ratios.iter().position(|&x| x == ratio).unwrap();
         let l = lifetimes.iter().position(|&x| x == years).unwrap();
         points[r * lifetimes.len() + l].report.total().kg()
@@ -288,7 +290,6 @@ fn optimizer_matches_or_beats_the_manual_sweep() {
 
     let db = db();
     let est = estimator();
-    let blocks = ga102::soc_blocks(&db).unwrap();
     let base = ga102::three_chiplet_system(&db, NodeTuple::uniform(TechNode::N7)).unwrap();
     let candidates = [TechNode::N7, TechNode::N10, TechNode::N14];
     let mut spec = SweepSpec::new(base.clone());
@@ -322,7 +323,11 @@ fn optimizer_matches_or_beats_the_manual_sweep() {
     let nodes = spec.case_at(winner.index).unwrap().system.chiplet_nodes();
     assert_eq!(nodes, [TechNode::N7, TechNode::N14, TechNode::N14]);
 
-    let manual = sweep_node_tuples(&est, &base, &blocks, &ga102::fig7_node_tuples()).unwrap();
+    let manual = SweepSpec::new(base).axis(SweepAxis::NodeTuples {
+        blocks: ga102::soc_blocks(&db).unwrap(),
+        tuples: ga102::fig7_node_tuples(),
+    });
+    let manual = SweepEngine::new().run(&est, &manual).unwrap();
     let best_manual = manual
         .iter()
         .map(|p| p.report.embodied().kg())

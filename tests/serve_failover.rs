@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eco_chip::core::dse::named_sweep_axis;
-use eco_chip::core::sweep::{Shard, SweepEngine, SweepSpec};
+use eco_chip::core::sweep::{Shard, SweepEngine, SweepSpec, DEFAULT_CHUNK};
 use eco_chip::core::EcoChip;
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, MemoShare, WorkerPool};
 use eco_chip::serve::{client, http, ServeConfig, Server, ServerHandle, SweepRequest};
@@ -240,23 +240,22 @@ fn spawn_flaky_framed_worker(lines: Vec<String>, serve_before_death: usize) -> F
 
 /// Fail over the 7-point lifetime sweep from the worker `spawn_flaky`
 /// starts, which owns shard 1 (indices 4..7) and tears its stream after one
-/// complete point, to a survivor that evaluates in 4-point chunks. The
-/// resumed range (one point into the dead worker's shard) starts mid-chunk
-/// relative to the shard's own chunking, so claims must re-align to the
+/// complete point, to a survivor that evaluates in `DEFAULT_CHUNK`-point
+/// claims. The resumed range (one point into the dead worker's shard)
+/// starts inside the shard's first claim, so claims must re-align to the
 /// resumed start.
 fn assert_mid_chunk_failover_is_exactly_once(spawn_flaky: fn(Vec<String>, usize) -> FlakyWorker) {
     let expected = reference_lines("ga102-3chiplet", "lifetime");
     let survivor_server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         jobs: Some(2),
-        chunk: Some(4),
         threads: 4,
         ..ServeConfig::default()
     })
     .expect("bind chunked survivor");
     let survivor_addr = survivor_server.local_addr().to_string();
     let survivor = survivor_server.spawn();
-    // The effective chunk is surfaced in /v1/stats.
+    // The engine's claim size is surfaced in /v1/stats.
     let stats: eco_chip::serve::StatsResponse = serde_json::from_str(
         client::get(&survivor_addr, "/v1/stats")
             .unwrap()
@@ -264,7 +263,7 @@ fn assert_mid_chunk_failover_is_exactly_once(spawn_flaky: fn(Vec<String>, usize)
             .unwrap(),
     )
     .unwrap();
-    assert_eq!(stats.chunk, 4, "{stats:?}");
+    assert_eq!(stats.chunk, DEFAULT_CHUNK, "{stats:?}");
 
     let (flaky_addr, flaky_requests) = spawn_flaky(expected.clone(), 1);
 

@@ -489,6 +489,53 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
         assert!(text.contains(&named), "{bad}: {text}");
     }
 
+    // A chiplet retarget past the chiplets some case holds is a 400 at
+    // resolve time, not an in-band error after the 200.
+    let retarget = |testcase: &str, counts: Option<Vec<usize>>, index: usize| {
+        let mut axes: Vec<SweepAxis> = counts
+            .into_iter()
+            .map(|counts| SweepAxis::ChipletCounts {
+                blocks: ga102::soc_blocks(&db).unwrap(),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts,
+            })
+            .collect();
+        axes.push(SweepAxis::ChipletNode {
+            index,
+            nodes: vec![TechNode::N7, TechNode::N10],
+        });
+        let request = SweepRequest {
+            axis: None,
+            axes: Some(axes),
+            ..SweepRequest::named(testcase, "lifetime")
+        };
+        serde_json::to_string(&request).unwrap()
+    };
+    for (body, named) in [
+        (retarget("ga102", None, 1), "retargets chiplet 1"),
+        (
+            retarget("ga102", Some(vec![1, 4]), 3),
+            "retargets chiplet 3",
+        ),
+    ] {
+        let response = client::post_json(&addr, "/v1/sweep", &body).unwrap();
+        let text = response.text().unwrap();
+        assert_eq!(response.status, 400, "{named}: {text}");
+        assert!(text.contains(named), "{text}");
+    }
+    let mut lines = 0;
+    let response = client::post_ndjson(
+        &addr,
+        "/v1/sweep",
+        &retarget("ga102", Some(vec![1, 4]), 2),
+        |_line| {
+            lines += 1;
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert_eq!((response.status, lines), (200, 4));
+
     // `/v1/healthz` is answered on the event loop; a real sweep proves the
     // handler pool survived too.
     let health = client::get(&addr, "/v1/healthz").unwrap();

@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::dse::{sweep_energy_sources, sweep_node_tuples};
 use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::core::{EcoChip, System};
 use eco_chip::packaging::{
@@ -122,15 +121,19 @@ fn memoized_reports_match_direct_memo_free_estimation() {
 
 #[test]
 fn dse_wrappers_agree_with_hand_rolled_serial_loops() {
-    // The refactored dse functions must still produce exactly what their
-    // original per-point loops produced.
+    // The engine's node-tuple and fab-source studies must still produce
+    // exactly what the original per-point loops produced.
     let db = TechDb::default();
     let estimator = EcoChip::default();
     let blocks = ga102::soc_blocks(&db).unwrap();
     let base = ga102::three_chiplet_system(&db, NodeTuple::uniform(TechNode::N7)).unwrap();
     let tuples = ga102::fig7_node_tuples();
 
-    let points = sweep_node_tuples(&estimator, &base, &blocks, &tuples).unwrap();
+    let spec = SweepSpec::new(base.clone()).axis(SweepAxis::NodeTuples {
+        blocks: blocks.clone(),
+        tuples: tuples.clone(),
+    });
+    let points = SweepEngine::new().run(&estimator, &spec).unwrap();
     assert_eq!(points.len(), tuples.len());
     for (tuple, point) in tuples.iter().zip(&points) {
         let mut expected = base.clone();
@@ -145,8 +148,9 @@ fn dse_wrappers_agree_with_hand_rolled_serial_loops() {
         );
     }
 
-    let sources = [EnergySource::Coal, EnergySource::Hydro];
-    let energy_points = sweep_energy_sources(&estimator, &base, &sources).unwrap();
+    let sources = vec![EnergySource::Coal, EnergySource::Hydro];
+    let spec = SweepSpec::new(base).axis(SweepAxis::FabEnergySources(sources));
+    let energy_points = SweepEngine::new().run(&estimator, &spec).unwrap();
     assert_eq!(energy_points.len(), 2);
     assert!(
         energy_points[1].report.manufacturing().kg() < energy_points[0].report.manufacturing().kg()
