@@ -27,13 +27,9 @@ pub enum EcoChipError {
     Cost(CostError),
     /// A sweep's cartesian product overflows the addressable index space.
     SweepTooLarge(String),
-    /// A memo file could not be read or written.
+    /// Output could not be serialized or written (a result stream, a
+    /// merged fleet stream, an event line).
     Io(String),
-    /// A memo file was malformed or has an incompatible format version.
-    MemoFormat(String),
-    /// A memo file was produced by a different estimator configuration and
-    /// must not be reused.
-    StaleMemo(String),
 }
 
 impl fmt::Display for EcoChipError {
@@ -47,8 +43,6 @@ impl fmt::Display for EcoChipError {
             EcoChipError::Cost(e) => write!(f, "cost model error: {e}"),
             EcoChipError::SweepTooLarge(msg) => write!(f, "sweep too large: {msg}"),
             EcoChipError::Io(msg) => write!(f, "i/o error: {msg}"),
-            EcoChipError::MemoFormat(msg) => write!(f, "memo format error: {msg}"),
-            EcoChipError::StaleMemo(msg) => write!(f, "stale memo rejected: {msg}"),
         }
     }
 }
@@ -119,9 +113,7 @@ mod tests {
             }
             .into(),
             EcoChipError::SweepTooLarge("overflow".into()),
-            EcoChipError::Io("missing file".into()),
-            EcoChipError::MemoFormat("bad version".into()),
-            EcoChipError::StaleMemo("fingerprint mismatch".into()),
+            EcoChipError::Io("writing event stream: broken pipe".into()),
         ];
         for e in &cases {
             assert!(!e.to_string().is_empty());

@@ -60,45 +60,6 @@ impl EcoChip {
         }
     }
 
-    /// Fingerprint of every configuration input that feeds the memoized
-    /// stages (floorplan and per-die manufacturing): the floorplanner
-    /// parameters plus, for every node of the technology database, the
-    /// manufacturing model's [`ManufacturingModel::memo_bits`] (node
-    /// parameters, wafer, fab energy source, wastage accounting).
-    ///
-    /// [`SweepContext::save_to`] stamps memo files with this value and
-    /// [`SweepContext::load_from`] rejects files whose stamp differs, so a
-    /// memo filled under one configuration is never reused under another.
-    /// The hash is stable within one toolchain but not guaranteed across
-    /// Rust releases; a cross-version mismatch simply rejects the memo,
-    /// which is always safe.
-    pub fn memo_fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-
-        let mut hasher = DefaultHasher::new();
-        self.config
-            .floorplan
-            .chiplet_spacing
-            .mm()
-            .to_bits()
-            .hash(&mut hasher);
-        self.config
-            .floorplan
-            .edge_margin
-            .mm()
-            .to_bits()
-            .hash(&mut hasher);
-        // `TechNode::ALL` is in `Ord` order, so the nodes hash sorted.
-        for (node, bits) in TechNode::ALL.iter().zip(self.memo_bits) {
-            if let Some(bits) = bits {
-                node.hash(&mut hasher);
-                bits.hash(&mut hasher);
-            }
-        }
-        hasher.finish()
-    }
-
     /// The name and derived base area of every chiplet of a system, in
     /// order — the input of the floorplan stage, borrowed from `system`.
     fn chiplet_areas<'s>(&self, system: &'s System) -> Result<Vec<(&'s str, Area)>, EcoChipError> {
@@ -567,9 +528,8 @@ mod tests {
 
     #[test]
     fn memo_bits_table_is_indexed_by_node_ordinal() {
-        // `memo_fingerprint` hashes the table in `TechNode::ALL` order, which
-        // must be the sorted order the database's nodes always hashed in.
-        assert!(TechNode::ALL.windows(2).all(|pair| pair[0] < pair[1]));
+        // The table is indexed by `node as usize`, the node's position in
+        // `TechNode::ALL`.
         let est = EcoChip::new(
             EstimatorConfig::builder()
                 .include_wafer_wastage(false)
@@ -580,35 +540,5 @@ mod tests {
             assert_eq!(node as usize, ordinal);
             assert_eq!(est.memo_bits[ordinal], model.memo_bits(node).ok());
         }
-    }
-
-    #[test]
-    fn memo_fingerprint_tracks_stage_relevant_config() {
-        use ecochip_techdb::EnergySource;
-
-        let base = EcoChip::default();
-        assert_eq!(
-            base.memo_fingerprint(),
-            EcoChip::default().memo_fingerprint()
-        );
-        let wind_fab = EcoChip::new(
-            EstimatorConfig::builder()
-                .fab_source(EnergySource::Wind)
-                .build(),
-        );
-        assert_ne!(base.memo_fingerprint(), wind_fab.memo_fingerprint());
-        let no_wastage = EcoChip::new(
-            EstimatorConfig::builder()
-                .include_wafer_wastage(false)
-                .build(),
-        );
-        assert_ne!(base.memo_fingerprint(), no_wastage.memo_fingerprint());
-        // The operational source never feeds a memoized stage.
-        let wind_use = EcoChip::new(
-            EstimatorConfig::builder()
-                .operational_source(EnergySource::Wind)
-                .build(),
-        );
-        assert_eq!(base.memo_fingerprint(), wind_use.memo_fingerprint());
     }
 }

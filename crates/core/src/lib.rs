@@ -22,13 +22,12 @@
 //! * [`sweep`] — the design-space-sweep subsystem: declarative
 //!   [`SweepAxis`](sweep::SweepAxis) / [`SweepSpec`](sweep::SweepSpec)
 //!   cartesian products with index-addressable lazy cases, a memoizing,
-//!   persistable [`SweepContext`](sweep::SweepContext), deterministic
+//!   optionally bounded [`SweepContext`](sweep::SweepContext), deterministic
 //!   [`Shard`](sweep::Shard) partitioning for cross-process distribution,
 //!   and a parallel, streaming [`SweepEngine`](sweep::SweepEngine) with
 //!   deterministic ordering.
 //! * [`EcoChipService`] — the batch API: one warm sweep memo amortised over
-//!   many `estimate` / `stream` requests, with fingerprint-checked memo
-//!   persistence across processes.
+//!   many `estimate` / `stream` requests for the life of the process.
 //! * [`dse`] — the paper's named design-space studies (technology tuples,
 //!   packaging architectures, chiplet counts, fab energy sources and the
 //!   named axes every front end exposes, all built on [`sweep`]) and the
@@ -93,5 +92,5 @@ pub use error::EcoChipError;
 pub use estimator::EcoChip;
 pub use manufacturing::{ChipletManufacturing, ManufacturingModel};
 pub use report::{CarbonReport, ChipletReport, HiBreakdown};
-pub use service::{EcoChipService, MemoImport, ServiceStats};
+pub use service::{EcoChipService, ServiceStats};
 pub use system::{Chiplet, ChipletSize, System, SystemBuilder};

@@ -11,13 +11,9 @@
 //! across its worker threads.
 //!
 //! Because the cache stores the *exact* value the stage computed, memoized
-//! runs are bit-for-bit identical to cold runs. The same exactness carries
-//! across processes: [`SweepContext::save_to`] / [`SweepContext::load_from`]
-//! persist the memo as versioned JSON keyed by a model fingerprint, and JSON
-//! floats round-trip bit-for-bit (shortest-representation formatting), so a
-//! restored memo serves the exact values the original run computed. A memo
-//! whose format version or fingerprint does not match is *rejected* with a
-//! typed error, never silently reused.
+//! runs are bit-for-bit identical to cold runs. The memo lives and dies with
+//! its process: recomputing a stage takes microseconds, so nothing is
+//! persisted or shared between processes.
 //!
 //! # Cache layout
 //!
@@ -39,29 +35,17 @@
 //! results stay bit-for-bit identical, evicted entries are simply
 //! recomputed on their next use — and the [`SweepStats`] eviction counters
 //! make the churn observable.
-//!
-//! For incremental persistence, the context tracks how many entries were
-//! inserted since the last save ([`SweepContext::dirty_entries`]);
-//! [`SweepContext::save_to`] writes atomically (temp file + rename) so a
-//! crash mid-save never corrupts the previous memo.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-use serde::{Deserialize, Serialize};
 
 use ecochip_floorplan::{ChipletOutline, Floorplan, FloorplanConfig};
 use ecochip_techdb::{Area, TechNode};
 
 use crate::error::EcoChipError;
 use crate::manufacturing::{ChipletManufacturing, ManufacturingModel};
-
-/// Format version of the persisted memo JSON; bumped on breaking layout
-/// changes so old files are rejected with [`EcoChipError::MemoFormat`].
-pub const MEMO_FORMAT_VERSION: u32 = 1;
 
 /// FNV-1a offset basis (the standard 64-bit parameters).
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -75,9 +59,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// so the default SipHash (keyed, HashDoS-resistant) pays for a robustness
 /// the closed key space never needs. FNV-1a folds each input in one
 /// xor-multiply instead. Word-sized writes fold the whole word at once
-/// rather than byte-at-a-time: the hash never leaves the process (persisted
-/// memos are sorted by [`Ord`], not hash order), so it only has to be fast
-/// and well mixed, not match any external FNV digest.
+/// rather than byte-at-a-time: the hash never leaves the process, so it
+/// only has to be fast and well mixed, not match any external FNV digest.
 #[derive(Debug, Clone, Copy)]
 struct FnvHasher(u64);
 
@@ -120,7 +103,7 @@ trait MemoKey: Clone + PartialEq {
 
 /// Cache key for a floorplan: the floorplanner configuration plus the ordered
 /// outline set (names, exact area bits, exact aspect-ratio bits).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct FloorplanKey {
     spacing_bits: u64,
     margin_bits: u64,
@@ -204,7 +187,7 @@ impl MemoKey for FloorplanKey {
 /// Cache key for a per-die manufacturing result: `(node, area)` plus the
 /// model fingerprint of [`ManufacturingModel::memo_bits`] (node parameters,
 /// wafer, fab energy source, wastage accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ManufacturingKey {
     node: TechNode,
     area_bits: u64,
@@ -217,16 +200,6 @@ impl MemoKey for ManufacturingKey {
         self.hash(&mut hasher);
         hasher.finish()
     }
-}
-
-/// On-disk layout of a persisted memo: format version, model fingerprint and
-/// the two caches as flat entry lists (JSON objects cannot key on structs).
-#[derive(Debug, Serialize, Deserialize)]
-struct MemoFile {
-    version: u32,
-    fingerprint: u64,
-    floorplans: Vec<(FloorplanKey, Floorplan)>,
-    manufacturing: Vec<(ManufacturingKey, ChipletManufacturing)>,
 }
 
 /// The "no slot" end of a recency link.
@@ -282,10 +255,6 @@ impl<K: MemoKey, V> Lru<K, V> {
         is_key(&self.slots[slot].key).then_some(slot)
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.find(key.digest(), |stored| stored == key).is_some()
-    }
-
     /// Look up the key with `digest` that satisfies `is_key`, marking it the
     /// most recently used on a hit.
     fn get(&mut self, digest: u64, is_key: impl FnOnce(&K) -> bool) -> Option<&V> {
@@ -327,16 +296,6 @@ impl<K: MemoKey, V> Lru<K, V> {
         evicted
     }
 
-    /// Evict from the back until at most `capacity` entries remain;
-    /// returns how many were evicted.
-    fn shrink_to(&mut self, capacity: usize) -> usize {
-        let mut evicted = 0;
-        while self.len() > capacity && self.pop_back().is_some() {
-            evicted += 1;
-        }
-        evicted
-    }
-
     /// Remove and return the least recently used entry.
     fn pop_back(&mut self) -> Option<Slot<K, V>> {
         if self.back == NIL {
@@ -361,11 +320,6 @@ impl<K: MemoKey, V> Lru<K, V> {
             self.index.insert(self.slots[slot].digest, slot);
         }
         Some(removed)
-    }
-
-    /// Every entry, least recently used first, emptying the cache.
-    fn drain_oldest_first(mut self) -> impl Iterator<Item = (K, V)> {
-        std::iter::from_fn(move || self.pop_back().map(|slot| (slot.key, slot.value)))
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -423,12 +377,6 @@ pub struct SweepContext {
     capacity: Option<usize>,
     floorplans: Mutex<Lru<FloorplanKey, Arc<Floorplan>>>,
     manufacturing: Mutex<Lru<ManufacturingKey, ChipletManufacturing>>,
-    /// Entries inserted since the last successful [`SweepContext::save_to`].
-    dirty: AtomicUsize,
-    /// Serializes concurrent saves: two threads writing the same temp
-    /// sibling would interleave bytes and rename a corrupt snapshot over
-    /// the good memo.
-    save_lock: Mutex<()>,
     floorplan_hits: AtomicUsize,
     floorplan_misses: AtomicUsize,
     floorplan_evictions: AtomicUsize,
@@ -479,29 +427,8 @@ impl SweepContext {
         self.capacity
     }
 
-    /// Change the per-cache entry bound (`None` = unbounded), evicting the
-    /// least-recently-used entries of any cache already above the new bound.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
-        let Some(cap) = capacity else { return };
-        let evicted = self
-            .floorplans
-            .get_mut()
-            .expect("floorplan cache")
-            .shrink_to(cap);
-        self.floorplan_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-        let evicted = self
-            .manufacturing
-            .get_mut()
-            .expect("manufacturing cache")
-            .shrink_to(cap);
-        self.manufacturing_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Insert under the capacity bound (evicting least-recently-used
-    /// entries as needed) and count the insert as dirty.
+    /// Insert under the capacity bound, evicting least-recently-used
+    /// entries as needed.
     fn insert_bounded<K: MemoKey, V>(
         &self,
         cache: &mut Lru<K, V>,
@@ -518,68 +445,6 @@ impl SweepContext {
         if evicted > 0 {
             evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        self.dirty.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Merge another context's entries into this one, keeping existing
-    /// entries (and their recency) untouched. Returns how many
-    /// `(floorplan, manufacturing)` imported entries are *retained* after
-    /// the merge — on a capacity-bounded cache an import larger than the
-    /// bound churns through eviction, so the count reflects what the cache
-    /// actually holds, not how many inserts were attempted.
-    ///
-    /// Imported entries are inserted from least to most recently used, so
-    /// they keep their relative recency and a bounded cache retains the
-    /// import's most recently used entries.
-    ///
-    /// This is the cross-server memo-sharing primitive: a warm peer's
-    /// exported memo is absorbed into a cold worker without discarding
-    /// whatever the worker already computed. Inserts respect the capacity
-    /// bound (LRU eviction) and count as dirty, so autosave persists them.
-    /// Absorbing entries never changes results — both sides computed them
-    /// under the same model fingerprint, so the values are identical.
-    pub fn absorb(&self, other: SweepContext) -> (usize, usize) {
-        if !self.enabled {
-            return (0, 0);
-        }
-        /// Merge `imported` into `cache` under the capacity bound, returning
-        /// how many imported keys survived the merge (later inserts may
-        /// evict earlier ones on a bounded cache).
-        fn merge<K: MemoKey, V>(
-            context: &SweepContext,
-            cache: &mut Lru<K, V>,
-            imported: Lru<K, V>,
-            evictions: &AtomicUsize,
-        ) -> usize {
-            let mut inserted = Vec::new();
-            for (key, value) in imported.drain_oldest_first() {
-                if cache.contains(&key) {
-                    continue;
-                }
-                context.insert_bounded(cache, key.clone(), value, evictions);
-                inserted.push(key);
-            }
-            inserted.iter().filter(|key| cache.contains(key)).count()
-        }
-        let absorbed_floorplans = merge(
-            self,
-            &mut self.floorplans.lock().expect("floorplan cache"),
-            other
-                .floorplans
-                .into_inner()
-                .expect("absorbed floorplan cache"),
-            &self.floorplan_evictions,
-        );
-        let absorbed_manufacturing = merge(
-            self,
-            &mut self.manufacturing.lock().expect("manufacturing cache"),
-            other
-                .manufacturing
-                .into_inner()
-                .expect("absorbed manufacturing cache"),
-            &self.manufacturing_evictions,
-        );
-        (absorbed_floorplans, absorbed_manufacturing)
     }
 
     /// Number of floorplans currently memoized.
@@ -593,167 +458,6 @@ impl SweepContext {
             .lock()
             .expect("manufacturing cache")
             .len()
-    }
-
-    /// Number of entries inserted since the last successful
-    /// [`SweepContext::save_to`] (or since creation). Incremental savers
-    /// ([`EcoChipService::save_memo_every`](crate::EcoChipService::save_memo_every))
-    /// persist the memo whenever this crosses their threshold.
-    pub fn dirty_entries(&self) -> usize {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Serialize the memo to versioned JSON, stamped with `fingerprint`
-    /// (use [`EcoChip::memo_fingerprint`](crate::EcoChip::memo_fingerprint)
-    /// for the estimator the memo was filled by).
-    ///
-    /// Entries are written in a deterministic (sorted-key) order so the same
-    /// memo always produces the same bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::MemoFormat`] if a cached value cannot be
-    /// serialized (e.g. a non-finite float).
-    pub fn to_json(&self, fingerprint: u64) -> Result<String, EcoChipError> {
-        let mut floorplans: Vec<(FloorplanKey, Floorplan)> = self
-            .floorplans
-            .lock()
-            .expect("floorplan cache")
-            .slots
-            .iter()
-            .map(|slot| (slot.key.clone(), Floorplan::clone(&slot.value)))
-            .collect();
-        floorplans.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut manufacturing: Vec<(ManufacturingKey, ChipletManufacturing)> = self
-            .manufacturing
-            .lock()
-            .expect("manufacturing cache")
-            .slots
-            .iter()
-            .map(|slot| (slot.key, slot.value))
-            .collect();
-        manufacturing.sort_by_key(|entry| entry.0);
-        let file = MemoFile {
-            version: MEMO_FORMAT_VERSION,
-            fingerprint,
-            floorplans,
-            manufacturing,
-        };
-        serde_json::to_string(&file).map_err(|e| EcoChipError::MemoFormat(e.to_string()))
-    }
-
-    /// Reconstruct a memoizing context from [`SweepContext::to_json`]
-    /// output, verifying the format version and the model fingerprint.
-    ///
-    /// The restored context is unbounded; apply a bound afterwards with
-    /// [`SweepContext::set_capacity`]. Entries later in the file count as
-    /// more recently used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::MemoFormat`] for malformed JSON or an
-    /// incompatible format version, and [`EcoChipError::StaleMemo`] when the
-    /// stored fingerprint differs from `fingerprint` — a memo produced under
-    /// different model parameters must never be reused.
-    pub fn from_json(json: &str, fingerprint: u64) -> Result<Self, EcoChipError> {
-        let file: MemoFile =
-            serde_json::from_str(json).map_err(|e| EcoChipError::MemoFormat(e.to_string()))?;
-        if file.version != MEMO_FORMAT_VERSION {
-            return Err(EcoChipError::MemoFormat(format!(
-                "memo format version {} is not the supported version {MEMO_FORMAT_VERSION}",
-                file.version
-            )));
-        }
-        if file.fingerprint != fingerprint {
-            return Err(EcoChipError::StaleMemo(format!(
-                "memo fingerprint {:#018x} does not match the estimator's {:#018x}",
-                file.fingerprint, fingerprint
-            )));
-        }
-        let mut context = Self::new();
-        let floorplans = context.floorplans.get_mut().expect("floorplan cache");
-        for (key, value) in file.floorplans {
-            floorplans.insert(key, Arc::new(value), None);
-        }
-        let manufacturing = context
-            .manufacturing
-            .get_mut()
-            .expect("manufacturing cache");
-        for (key, value) in file.manufacturing {
-            manufacturing.insert(key, value, None);
-        }
-        Ok(context)
-    }
-
-    /// Persist the memo to `path` as versioned, fingerprinted JSON.
-    ///
-    /// The write is atomic — the JSON goes to a temporary sibling file
-    /// which is then renamed over `path`, and concurrent saves are
-    /// serialized behind an internal lock — so a crash mid-save (or a
-    /// racing saver) leaves the previous memo intact instead of a
-    /// truncated or interleaved file. A successful save subtracts the
-    /// snapshot's share from [`SweepContext::dirty_entries`]; entries
-    /// inserted by other threads *during* the save stay counted as dirty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::Io`] when the file cannot be written and
-    /// [`EcoChipError::MemoFormat`] when serialization fails.
-    pub fn save_to(&self, path: &Path, fingerprint: u64) -> Result<(), EcoChipError> {
-        let _guard = self.save_lock.lock().expect("memo save lock");
-        // Snapshot the dirty share this save covers *before* serializing:
-        // inserts racing with the save may or may not make the snapshot,
-        // and keeping them dirty at worst re-saves them (safe), while
-        // clearing them could lose them until the next threshold (unsafe).
-        let covered = self.dirty.load(Ordering::Relaxed);
-        let json = self.to_json(fingerprint)?;
-        let tmp = Self::temp_sibling(path)?;
-        std::fs::write(&tmp, &json)
-            .map_err(|e| EcoChipError::Io(format!("writing memo {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            // Clean up the orphaned temp file; the rename error is what matters.
-            let _ = std::fs::remove_file(&tmp);
-            EcoChipError::Io(format!("renaming memo into {}: {e}", path.display()))
-        })?;
-        self.dirty.fetch_sub(covered, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// The temporary sibling `save_to` stages its atomic write in. The name
-    /// is unique per writer (pid + counter): the internal lock serializes
-    /// saves within one process, but separate *processes* sharing a memo
-    /// file (the documented multi-shard workflow) must never stage into the
-    /// same temp path, or interleaved writes could publish a corrupt
-    /// snapshot.
-    fn temp_sibling(path: &Path) -> Result<PathBuf, EcoChipError> {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let Some(name) = path.file_name() else {
-            return Err(EcoChipError::Io(format!(
-                "memo path {} has no file name",
-                path.display()
-            )));
-        };
-        let mut tmp_name = name.to_os_string();
-        tmp_name.push(format!(
-            ".{}.{}.tmp",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        Ok(path.with_file_name(tmp_name))
-    }
-
-    /// Load a memo persisted by [`SweepContext::save_to`], verifying the
-    /// format version and the model fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoChipError::Io`] when the file cannot be read,
-    /// [`EcoChipError::MemoFormat`] for malformed or incompatible files and
-    /// [`EcoChipError::StaleMemo`] for fingerprint mismatches.
-    pub fn load_from(path: &Path, fingerprint: u64) -> Result<Self, EcoChipError> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| EcoChipError::Io(format!("reading memo {}: {e}", path.display())))?;
-        Self::from_json(&json, fingerprint)
     }
 
     /// A snapshot of the hit/miss/eviction counters.
@@ -983,159 +687,6 @@ mod tests {
         plan_with(ctx, FloorplanConfig::default(), chiplets)
     }
 
-    fn filled_context() -> SweepContext {
-        let db = TechDb::default();
-        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        let ctx = SweepContext::new();
-        ctx.manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
-            .unwrap();
-        ctx.manufacturing(&model, None, Area::from_mm2(45.0), TechNode::N14)
-            .unwrap();
-        plan(
-            &ctx,
-            &[("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))],
-        );
-        ctx
-    }
-
-    #[test]
-    fn memo_json_roundtrip_restores_every_entry() {
-        let ctx = filled_context();
-        assert_eq!(ctx.manufacturing_entries(), 2);
-        assert_eq!(ctx.floorplan_entries(), 1);
-        let json = ctx.to_json(0xfeed).unwrap();
-        let restored = SweepContext::from_json(&json, 0xfeed).unwrap();
-        assert!(restored.is_enabled());
-        assert_eq!(restored.manufacturing_entries(), 2);
-        assert_eq!(restored.floorplan_entries(), 1);
-        // Restored entries hit, and serve the exact cached values.
-        let db = TechDb::default();
-        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        let original = ctx
-            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
-            .unwrap();
-        let served = restored
-            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
-            .unwrap();
-        assert_eq!(restored.stats().manufacturing_hits, 1);
-        assert_eq!(restored.stats().manufacturing_misses, 0);
-        assert_eq!(
-            original.total().kg().to_bits(),
-            served.total().kg().to_bits()
-        );
-        // Saving the restored context reproduces the same bytes.
-        assert_eq!(restored.to_json(0xfeed).unwrap(), json);
-    }
-
-    #[test]
-    fn memo_with_wrong_fingerprint_or_version_is_rejected() {
-        let ctx = filled_context();
-        let json = ctx.to_json(1).unwrap();
-        assert!(matches!(
-            SweepContext::from_json(&json, 2),
-            Err(EcoChipError::StaleMemo(_))
-        ));
-        let future = json.replacen(
-            &format!("\"version\":{MEMO_FORMAT_VERSION}"),
-            "\"version\":99",
-            1,
-        );
-        assert_ne!(future, json, "version field not found in memo JSON");
-        assert!(matches!(
-            SweepContext::from_json(&future, 1),
-            Err(EcoChipError::MemoFormat(_))
-        ));
-        assert!(matches!(
-            SweepContext::from_json("not json", 1),
-            Err(EcoChipError::MemoFormat(_))
-        ));
-    }
-
-    #[test]
-    fn memo_file_save_and_load() {
-        let ctx = filled_context();
-        let path =
-            std::env::temp_dir().join(format!("ecochip-memo-unit-{}.json", std::process::id()));
-        ctx.save_to(&path, 7).unwrap();
-        let restored = SweepContext::load_from(&path, 7).unwrap();
-        assert_eq!(restored.floorplan_entries(), ctx.floorplan_entries());
-        assert!(matches!(
-            SweepContext::load_from(&path, 8),
-            Err(EcoChipError::StaleMemo(_))
-        ));
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(
-            SweepContext::load_from(&path, 7),
-            Err(EcoChipError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn save_is_atomic_and_resets_the_dirty_counter() {
-        let ctx = filled_context();
-        assert_eq!(ctx.dirty_entries(), 3);
-        let path =
-            std::env::temp_dir().join(format!("ecochip-memo-atomic-{}.json", std::process::id()));
-        ctx.save_to(&path, 7).unwrap();
-        assert_eq!(ctx.dirty_entries(), 0);
-        // No temp sibling (`<name>.<pid>.<n>.tmp`) is left behind.
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|entry| entry.file_name().to_string_lossy().into_owned())
-            .filter(|file| file.starts_with(&name) && file.ends_with(".tmp"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        // New inserts dirty the context again.
-        let db = TechDb::default();
-        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        ctx.manufacturing(&model, None, Area::from_mm2(999.0), TechNode::N7)
-            .unwrap();
-        assert_eq!(ctx.dirty_entries(), 1);
-        // A save into a directory that does not exist fails with Io and
-        // leaves no temp file where the memo should go.
-        let bad = std::env::temp_dir().join("ecochip-definitely-missing-dir/memo.json");
-        assert!(matches!(ctx.save_to(&bad, 7), Err(EcoChipError::Io(_))));
-        std::fs::remove_file(&path).unwrap();
-        // A path with no file name is rejected.
-        assert!(matches!(
-            ctx.save_to(Path::new("/"), 7),
-            Err(EcoChipError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn concurrent_saves_never_corrupt_the_memo() {
-        let ctx = filled_context();
-        let path = std::env::temp_dir().join(format!(
-            "ecochip-memo-concurrent-{}.json",
-            std::process::id()
-        ));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..5 {
-                        ctx.save_to(&path, 7).unwrap();
-                    }
-                });
-            }
-        });
-        // Whatever interleaving happened, the final file is a valid,
-        // complete snapshot.
-        let restored = SweepContext::load_from(&path, 7).unwrap();
-        assert_eq!(restored.floorplan_entries(), ctx.floorplan_entries());
-        assert_eq!(
-            restored.manufacturing_entries(),
-            ctx.manufacturing_entries()
-        );
-        assert_eq!(ctx.dirty_entries(), 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
         let db = TechDb::default();
@@ -1188,93 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_shrinks_existing_caches() {
-        let db = TechDb::default();
-        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        let mut ctx = SweepContext::new();
-        for mm2 in [10.0, 20.0, 30.0, 40.0] {
-            ctx.manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
-                .unwrap();
-        }
-        assert_eq!(ctx.manufacturing_entries(), 4);
-        ctx.set_capacity(Some(2));
-        assert_eq!(ctx.manufacturing_entries(), 2);
-        assert_eq!(ctx.stats().manufacturing_evictions, 2);
-        // The survivors are the two most recently inserted areas.
-        let hits_before = ctx.stats().manufacturing_hits;
-        ctx.manufacturing(&model, None, Area::from_mm2(30.0), TechNode::N7)
-            .unwrap();
-        ctx.manufacturing(&model, None, Area::from_mm2(40.0), TechNode::N7)
-            .unwrap();
-        assert_eq!(ctx.stats().manufacturing_hits, hits_before + 2);
-        // Lifting the bound keeps everything.
-        ctx.set_capacity(None);
-        assert_eq!(ctx.capacity(), None);
-    }
-
-    #[test]
-    fn absorb_merges_only_missing_entries() {
-        let db = TechDb::default();
-        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
-        let warm = filled_context();
-        let warm_entries = warm.manufacturing_entries();
-
-        // A cold context absorbs everything, and the absorbed entries hit.
-        let cold = SweepContext::new();
-        let (floorplans, manufacturing) =
-            cold.absorb(SweepContext::from_json(&warm.to_json(1).unwrap(), 1).unwrap());
-        assert_eq!(floorplans, 1);
-        assert_eq!(manufacturing, warm_entries);
-        cold.manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
-            .unwrap();
-        assert_eq!(cold.stats().manufacturing_hits, 1);
-        assert_eq!(cold.stats().manufacturing_misses, 0);
-        // Absorbed entries count as dirty so autosave persists them.
-        assert_eq!(cold.dirty_entries(), 1 + warm_entries);
-
-        // A context that already holds an entry keeps it and absorbs only
-        // the rest.
-        let partial = SweepContext::new();
-        partial
-            .manufacturing(&model, None, Area::from_mm2(123.0), TechNode::N7)
-            .unwrap();
-        let (_, absorbed) = partial.absorb(filled_context());
-        assert_eq!(absorbed, warm_entries - 1);
-        assert_eq!(partial.manufacturing_entries(), warm_entries);
-
-        // Absorbing into a bounded cache respects the bound, and the count
-        // reports only the entries *retained* (an import larger than the
-        // bound churns through eviction; claiming more would overstate
-        // what the cache holds).
-        let bounded = SweepContext::with_capacity(1);
-        let (_, absorbed) = bounded.absorb(filled_context());
-        assert_eq!(absorbed, 1, "two imports into a 1-bounded cache retain 1");
-        assert_eq!(bounded.manufacturing_entries(), 1);
-
-        // A bounded absorb inserts the import from least to most recently
-        // used, so it keeps the import's most recent entries.
-        let warm = SweepContext::new();
-        for mm2 in [10.0, 20.0, 30.0, 40.0, 10.0] {
-            warm.manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
-                .unwrap();
-        }
-        let bounded = SweepContext::with_capacity(2);
-        assert_eq!(bounded.absorb(warm), (0, 2));
-        assert_eq!(bounded.stats().manufacturing_evictions, 2);
-        for mm2 in [10.0, 40.0] {
-            bounded
-                .manufacturing(&model, None, Area::from_mm2(mm2), TechNode::N7)
-                .unwrap();
-        }
-        assert_eq!(bounded.stats().manufacturing_hits, 2);
-        assert_eq!(bounded.stats().manufacturing_misses, 0);
-        let none = SweepContext::with_capacity(0);
-        assert_eq!(none.absorb(filled_context()), (0, 0));
-        let disabled = SweepContext::disabled();
-        assert_eq!(disabled.absorb(filled_context()), (0, 0));
-    }
-
-    #[test]
     fn floorplan_cache_keys_on_outline_set() {
         let chiplets = [("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))];
         let ctx = SweepContext::new();
@@ -1315,14 +779,6 @@ mod tests {
         let key = FloorplanKey::new(&config, &chiplets);
         assert!(key.matches(&config, &chiplets));
         assert_eq!(key.digest(), FloorplanKey::digest_of(&config, &chiplets));
-        // A restored memo's floorplans hit through the borrowed path.
-        let restored = SweepContext::from_json(&filled_context().to_json(3).unwrap(), 3).unwrap();
-        plan(
-            &restored,
-            &[("a", Area::from_mm2(100.0)), ("b", Area::from_mm2(50.0))],
-        );
-        assert_eq!(restored.stats().floorplan_hits, 1);
-        assert_eq!(restored.stats().floorplan_misses, 0);
     }
 
     /// A key type whose every value shares one digest.
@@ -1345,7 +801,7 @@ mod tests {
         // Inserting it replaces the colliding entry, counted as an eviction.
         assert_eq!(lru.insert(Colliding(2), "two", Some(4)), 1);
         assert_eq!(lru.len(), 1);
-        assert!(!lru.contains(&Colliding(1)));
+        assert_eq!(lru.find(7, |key| *key == Colliding(1)), None);
         assert_eq!(lru.get(7, |key| *key == Colliding(2)), Some(&"two"));
         // Re-inserting the same key only refreshes it.
         assert_eq!(lru.insert(Colliding(2), "two again", Some(4)), 0);
@@ -1367,17 +823,18 @@ mod tests {
         assert_eq!(lru.get(key(0).digest(), |k| *k == key(0)), Some(&0));
         assert_eq!(lru.get(key(2).digest(), |k| *k == key(2)), Some(&2));
         assert_eq!(lru.insert(key(5), 5, Some(5)), 1);
-        assert!(!lru.contains(&key(1)));
-        assert_eq!(lru.shrink_to(2), 3);
-        let survivors: Vec<u64> = lru.drain_oldest_first().map(|(_, v)| v).collect();
-        assert_eq!(survivors, vec![2, 5]);
+        let survivors: Vec<u64> = keys_newest_first(&lru)
+            .into_iter()
+            .map(|k| k.area_bits)
+            .collect();
+        assert_eq!(survivors, vec![5, 2, 0, 4, 3]);
     }
 
     /// A naive reference LRU over key ids: a vector, most recent first.
     #[derive(Debug, Default)]
     struct ReferenceLru {
         keys: Vec<usize>,
-        capacity: Option<usize>,
+        capacity: usize,
         hits: usize,
         misses: usize,
         evictions: usize,
@@ -1385,11 +842,11 @@ mod tests {
 
     impl ReferenceLru {
         fn insert(&mut self, key: usize) {
-            if self.capacity == Some(0) {
+            if self.capacity == 0 {
                 self.evictions += 1;
                 return;
             }
-            while self.capacity.is_some_and(|cap| self.keys.len() >= cap) {
+            while self.keys.len() >= self.capacity {
                 self.keys.pop();
                 self.evictions += 1;
             }
@@ -1405,27 +862,6 @@ mod tests {
                 self.misses += 1;
                 self.insert(key);
             }
-        }
-
-        fn set_capacity(&mut self, capacity: Option<usize>) {
-            self.capacity = capacity;
-            while capacity.is_some_and(|cap| self.keys.len() > cap) {
-                self.keys.pop();
-                self.evictions += 1;
-            }
-        }
-
-        /// Merge `import` (most recent first) oldest first, skipping keys
-        /// already held; returns how many imported keys survive.
-        fn absorb(&mut self, import: &[usize]) -> usize {
-            let mut inserted = Vec::new();
-            for &key in import.iter().rev() {
-                if !self.keys.contains(&key) {
-                    self.insert(key);
-                    inserted.push(key);
-                }
-            }
-            inserted.iter().filter(|k| self.keys.contains(k)).count()
         }
     }
 
@@ -1485,40 +921,13 @@ mod tests {
             let db = TechDb::default();
             let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
             let config = FloorplanConfig::default();
-            let mut ctx = SweepContext::with_capacity(capacity);
+            let ctx = SweepContext::with_capacity(capacity);
             let mut models = Models {
-                floorplans: ReferenceLru { capacity: Some(capacity), ..ReferenceLru::default() },
-                manufacturing: ReferenceLru { capacity: Some(capacity), ..ReferenceLru::default() },
+                floorplans: ReferenceLru { capacity, ..ReferenceLru::default() },
+                manufacturing: ReferenceLru { capacity, ..ReferenceLru::default() },
             };
             for op in ops {
-                match op % 8 {
-                    // Change the bound: 0–6 entries, or unbounded.
-                    0 => {
-                        let bound = ((op >> 8) % 8) as usize;
-                        let bound = (bound < 7).then_some(bound);
-                        ctx.set_capacity(bound);
-                        models.floorplans.set_capacity(bound);
-                        models.manufacturing.set_capacity(bound);
-                    }
-                    // Absorb a small warm context filled by its own lookups.
-                    1 => {
-                        let warm = SweepContext::new();
-                        let mut warm_models = Models {
-                            floorplans: ReferenceLru::default(),
-                            manufacturing: ReferenceLru::default(),
-                        };
-                        for k in 0..(op >> 8) % 6 {
-                            warm_models.lookup(&warm, &model, op >> (11 + 8 * k));
-                        }
-                        let absorbed = ctx.absorb(warm);
-                        let expected = (
-                            models.floorplans.absorb(&warm_models.floorplans.keys),
-                            models.manufacturing.absorb(&warm_models.manufacturing.keys),
-                        );
-                        prop_assert_eq!(absorbed, expected);
-                    }
-                    _ => models.lookup(&ctx, &model, op),
-                }
+                models.lookup(&ctx, &model, op);
 
                 let stats = ctx.stats();
                 prop_assert_eq!(stats.floorplan_hits, models.floorplans.hits);

@@ -45,11 +45,11 @@
 //! available parallelism; workers claim [`DEFAULT_CHUNK`] case indices per
 //! queue round-trip.
 //!
-//! # Streaming, sharding and memo persistence
+//! # Streaming and sharding
 //!
 //! The spec is *index-addressable* — [`SweepSpec::case_at`] decodes any flat
 //! index in `O(axes)` without materializing the product — which unlocks
-//! three scale features:
+//! two scale features:
 //!
 //! * **Streaming.** [`SweepEngine::stream`] — the one way to run a sweep —
 //!   pushes points to a [`SweepSink`] in deterministic order while holding
@@ -61,13 +61,8 @@
 //!   the index space into contiguous, balanced slices for cross-process
 //!   distribution (concatenating all shards' outputs equals the unsharded
 //!   run bit-for-bit), or an explicit index range that resumes an
-//!   interrupted shard exactly where it stopped.
-//! * **Memo persistence.** [`SweepContext::save_to`] /
-//!   [`SweepContext::load_from`] persist the floorplan and manufacturing
-//!   memos as versioned JSON keyed by
-//!   [`EcoChip::memo_fingerprint`](crate::EcoChip::memo_fingerprint), so a
-//!   later process (or another shard) starts warm — and a memo from a
-//!   different model configuration is rejected, never silently reused.
+//!   interrupted shard exactly where it stopped. Shards run in one process
+//!   can share one [`SweepContext`]; the memo never leaves its process.
 //!
 //! Engine workers and optimizer explorers decode through a per-worker
 //! cursor that keeps its previous case and re-applies only the axes from
@@ -84,7 +79,7 @@ mod engine;
 
 pub(crate) use axis::SweepCursor;
 pub use axis::{validate_case_range, Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
-pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
+pub use context::{SweepContext, SweepStats};
 pub(crate) use engine::CaseEvaluator;
 pub use engine::{SweepEngine, SweepSink, DEFAULT_CHUNK};
 

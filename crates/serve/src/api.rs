@@ -514,8 +514,6 @@ pub struct StatsResponse {
     pub manufacturing_entries: usize,
     /// The per-cache memo bound, when configured.
     pub memo_capacity: Option<usize>,
-    /// Memo entries not yet persisted (0 when autosave is off or current).
-    pub memo_dirty_entries: usize,
     /// Open connections parked in the event loop right now.
     pub idle_connections: u64,
     /// Open connections checked out to the handler pool right now.
@@ -558,7 +556,6 @@ impl StatsResponse {
         floorplan_entries: usize,
         manufacturing_entries: usize,
         memo_capacity: Option<usize>,
-        memo_dirty_entries: usize,
         totals: ServeTotals,
         latency: Vec<RouteLatency>,
     ) -> Self {
@@ -575,7 +572,6 @@ impl StatsResponse {
             manufacturing_evictions: stats.manufacturing_evictions,
             manufacturing_entries,
             memo_capacity,
-            memo_dirty_entries,
             idle_connections: totals.idle_connections,
             active_connections: totals.active_connections,
             rejected: totals.rejected,
@@ -636,20 +632,6 @@ pub struct TraceResponse {
 pub struct TestcasesResponse {
     /// Every built-in test-case name `POST /v1/estimate` accepts.
     pub testcases: Vec<String>,
-}
-
-/// `POST /v1/memo` response: what a memo import absorbed into the warm
-/// service (entries already present locally are kept and skipped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoImportResponse {
-    /// Floorplans absorbed from the posted memo.
-    pub imported_floorplans: usize,
-    /// Manufacturing results absorbed from the posted memo.
-    pub imported_manufacturing: usize,
-    /// Floorplans memoized after the import.
-    pub floorplan_entries: usize,
-    /// Manufacturing results memoized after the import.
-    pub manufacturing_entries: usize,
 }
 
 /// Error body returned with every non-2xx status.

@@ -13,8 +13,8 @@
 //! access, so no tokio/hyper/mio, the same way the workspace's `vendor/`
 //! shims hand-roll serde). Idle keep-alive connections cost a file
 //! descriptor and nothing else; cheap routes are answered on the loop
-//! thread (with HTTP/1.1 pipelining), heavy routes (sweeps, batches, memo
-//! transfers) run on a fixed handler pool, and overload is bounded by
+//! thread (with HTTP/1.1 pipelining), heavy routes (sweeps, batches,
+//! searches) run on a fixed handler pool, and overload is bounded by
 //! admission control (`429 Too Many Requests` + `Retry-After` instead of
 //! unbounded queueing).
 //!
@@ -29,11 +29,9 @@
 //! | `GET` | `/v1/testcases` | Names of the built-in test cases |
 //! | `GET` | `/v1/healthz` | Liveness probe |
 //! | `GET` | `/v1/stats` | Memo hit/miss/eviction + request counters + per-route latency |
-//! | `GET` | `/v1/memo` | Export the warm memo as fingerprinted JSON |
-//! | `POST` | `/v1/memo` | Absorb a peer's exported memo (fingerprint-validated) |
 //! | `GET` | `/v1/trace` | Recent-span ring buffer (request + sweep-stage spans) as JSON |
 //! | `GET` | `/metrics` | Prometheus text-format metrics |
-//! | `POST` | `/v1/shutdown` | Graceful shutdown (drains, then saves the memo) |
+//! | `POST` | `/v1/shutdown` | Graceful shutdown (drains in-flight requests, then exits) |
 //!
 //! Every request is traced: a valid client-supplied `X-Ecochip-Trace`
 //! header is adopted as the request's trace ID (anything else gets a
@@ -59,9 +57,9 @@
 //! All connections share one [`ecochip_core::EcoChipService`]: its memo
 //! (floorplans, per-die manufacturing CFP) warms up across requests, is
 //! bounded by `--memo-max-entries` (LRU eviction) so a long-running server
-//! cannot grow without limit, and persists incrementally
-//! (`--memo-save-every`, atomic temp-file + rename) so a restarted server
-//! starts warm.
+//! cannot grow without limit. The memo lives and dies with the server
+//! process: recomputing a stage takes microseconds, so a restarted server
+//! simply starts cold.
 //!
 //! ## Orchestration
 //!
@@ -104,11 +102,11 @@ pub mod server;
 
 pub use api::{
     BatchEstimateItem, ErrorResponse, EstimateRequest, EstimateResponse, HealthResponse,
-    IndexRange, MemoImportResponse, OptimizeRequest, RouteLatency, StatsResponse, SweepFormat,
-    SweepRequest, SweepSlice, TestcasesResponse, TraceResponse, TraceSpan,
+    IndexRange, OptimizeRequest, RouteLatency, StatsResponse, SweepFormat, SweepRequest,
+    SweepSlice, TestcasesResponse, TraceResponse, TraceSpan,
 };
 pub use client::Connection;
-pub use orchestrator::{FailoverPolicy, IslandOutcome, MemoShare, OrchestratorOutcome, WorkerPool};
+pub use orchestrator::{FailoverPolicy, IslandOutcome, OrchestratorOutcome, WorkerPool};
 pub use server::{ServeConfig, Server, ServerHandle};
 
 use std::fmt;

@@ -601,8 +601,7 @@ mod tests {
         assert_eq!(filed_under("GET", "/v1/healthz", b""), "healthz");
         assert_eq!(filed_under("POST", "/v1/sweep", b""), "sweep");
         assert_eq!(filed_under("POST", "/v1/optimize", b""), "optimize");
-        assert_eq!(filed_under("GET", "/v1/memo", b""), "memo_export");
-        assert_eq!(filed_under("POST", "/v1/memo", b""), "memo_import");
+        assert_eq!(filed_under("GET", "/v1/memo", b""), "other");
         assert_eq!(filed_under("GET", "/metrics", b""), "metrics");
         assert_eq!(filed_under("GET", "/v2/nope", b""), "other");
         for route in [

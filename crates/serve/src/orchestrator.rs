@@ -28,11 +28,6 @@
 //! in-process run — if the two match, the partition/merge (and any
 //! failover re-dispatch) provably reproduced the unsharded sweep byte for
 //! byte.
-//!
-//! **Memo sharing.** [`share_memo`] seeds a fleet from its warmest member:
-//! it polls every worker's `/v1/stats`, exports the fullest memo over
-//! `GET /v1/memo` and posts it to the others, so a fresh worker joins the
-//! fleet warm instead of re-deriving every floorplan from cold.
 
 use std::cell::Cell;
 use std::sync::mpsc;
@@ -43,7 +38,7 @@ use ecochip_core::{opt, EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_trace::FieldValue;
 
-use crate::api::{MemoImportResponse, OptimizeRequest, StatsResponse, SweepFormat, SweepRequest};
+use crate::api::{OptimizeRequest, SweepFormat, SweepRequest};
 use crate::client::Connection;
 use crate::server::{ServeConfig, Server, ServerHandle};
 use crate::ServeError;
@@ -481,119 +476,6 @@ fn worker_loss(error: &ServeError) -> bool {
     matches!(error, ServeError::Io(_) | ServeError::Http(_))
 }
 
-/// What [`share_memo`] did across a fleet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoShare {
-    /// URL of the warmest worker the memo was exported from (`None` when
-    /// every worker was cold — nothing to share).
-    pub source: Option<String>,
-    /// Memo entries (floorplans + manufacturing results) the source held.
-    pub entries: usize,
-    /// Per seeded worker: `(url, floorplans absorbed, manufacturing
-    /// results absorbed)`.
-    pub seeded: Vec<(String, usize, usize)>,
-}
-
-/// Seed every worker of a fleet from its warmest peer: poll `/v1/stats` on
-/// each URL, export the fullest memo over `GET /v1/memo` and POST it to
-/// the others (each import is fingerprint-validated server-side). Workers
-/// that already hold an entry keep theirs; only missing entries are
-/// absorbed.
-///
-/// # Errors
-///
-/// [`ServeError::Api`] for an empty URL list, [`ServeError::Worker`] when
-/// a worker answers with an error status or an undecodable body, plus the
-/// usual client connection errors.
-pub fn share_memo(urls: &[String]) -> Result<MemoShare, ServeError> {
-    if urls.is_empty() {
-        return Err(ServeError::Api(
-            "memo sharing needs at least one worker URL".into(),
-        ));
-    }
-    // One kept-alive connection per worker serves the stats poll and the
-    // export/import that follows.
-    let mut connections = Vec::with_capacity(urls.len());
-    let mut entries = Vec::with_capacity(urls.len());
-    for url in urls {
-        let mut connection = Connection::open(url)?;
-        let response = connection.get("/v1/stats")?;
-        if response.status != 200 {
-            return Err(ServeError::Worker(format!(
-                "{url} answered {} to the stats poll",
-                response.status
-            )));
-        }
-        let stats: StatsResponse = serde_json::from_str(response.text()?)
-            .map_err(|e| ServeError::Worker(format!("{url} sent undecodable stats: {e}")))?;
-        entries.push(stats.floorplan_entries + stats.manufacturing_entries);
-        connections.push(connection);
-    }
-    let (warmest, &most) = entries
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &count)| count)
-        .expect("at least one URL");
-    if most == 0 {
-        return Ok(MemoShare {
-            source: None,
-            entries: 0,
-            seeded: Vec::new(),
-        });
-    }
-    let export = connections[warmest].get("/v1/memo")?;
-    if export.status != 200 {
-        return Err(ServeError::Worker(format!(
-            "{} answered {} to the memo export",
-            urls[warmest], export.status
-        )));
-    }
-    let memo = export.text()?.to_owned();
-    // The import travels as one request body, which the server caps; a
-    // memo grown past the cap cannot be seeded this way — say so clearly
-    // instead of letting every peer answer 400.
-    if memo.len() > crate::http::MAX_BODY_BYTES {
-        return Err(ServeError::Api(format!(
-            "the warmest memo ({} bytes from {}) exceeds the {}-byte request cap; \
-             bound worker memos with --memo-max-entries to keep them shareable",
-            memo.len(),
-            urls[warmest],
-            crate::http::MAX_BODY_BYTES
-        )));
-    }
-    let mut seeded = Vec::new();
-    for (index, connection) in connections.iter_mut().enumerate() {
-        if index == warmest {
-            continue;
-        }
-        let response = connection.post_json("/v1/memo", &memo)?;
-        if response.status != 200 {
-            return Err(ServeError::Worker(format!(
-                "{} rejected the shared memo with {}: {}",
-                urls[index],
-                response.status,
-                response.text().unwrap_or("<binary>").trim()
-            )));
-        }
-        let imported: MemoImportResponse = serde_json::from_str(response.text()?).map_err(|e| {
-            ServeError::Worker(format!(
-                "{} sent an undecodable import receipt: {e}",
-                urls[index]
-            ))
-        })?;
-        seeded.push((
-            urls[index].clone(),
-            imported.imported_floorplans,
-            imported.imported_manufacturing,
-        ));
-    }
-    Ok(MemoShare {
-        source: Some(urls[warmest].clone()),
-        entries: most,
-        seeded,
-    })
-}
-
 /// What an island-model optimization run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IslandOutcome {
@@ -620,8 +502,7 @@ fn round_budget(total: usize, rounds: usize, round: usize) -> usize {
 /// worker explores its own contiguous shard of the sweep's index space, and
 /// between rounds the orchestrator merges every island's frontier into one
 /// global [`opt::ParetoFrontier`] and seeds the next round with it — the
-/// frontier exchange rides the same request plumbing, and the same
-/// [`share_memo`] transport warms the fleet's memos between rounds.
+/// frontier exchange rides the same request plumbing.
 ///
 /// Per island and round, seeds derive deterministically from the request
 /// seed via [`opt::island_seed`] and the per-island budget is the request
@@ -723,32 +604,6 @@ where
             }
             on_line(line)
         })?;
-
-        // Between rounds the fleet also exchanges memo warmth, riding the
-        // same transport the sweep orchestrator uses.
-        if round + 1 < rounds {
-            match share_memo(&fleet.urls) {
-                Ok(share) => ecochip_trace::info(
-                    "serve::orchestrator",
-                    "shared memo between optimization rounds",
-                    &[
-                        ("round", FieldValue::from(round)),
-                        ("entries", FieldValue::from(share.entries)),
-                        ("seeded", FieldValue::from(share.seeded.len())),
-                    ],
-                ),
-                // Memo sharing is a warmth optimization; a failed
-                // exchange must not kill a run failover just saved.
-                Err(error) => ecochip_trace::warn(
-                    "serve::orchestrator",
-                    "memo share between rounds failed; continuing cold",
-                    &[
-                        ("round", FieldValue::from(round)),
-                        ("error", FieldValue::from(error.to_string())),
-                    ],
-                ),
-            }
-        }
     }
 
     let outcome = opt::OptOutcome {

@@ -21,10 +21,10 @@
 //! reply) are answered inline on the loop thread — they are memo-bound
 //! microsecond work, and avoiding a thread handoff is what keeps
 //! point-lookup throughput flat while thousands of idle connections
-//! are parked. *Heavy* routes (sweeps, batch estimates, memo
-//! export/import) are dispatched to a pool of `threads` handler
-//! threads: the connection is removed from the poller, flipped back to
-//! blocking, and the worker streams the response directly (so chunked
+//! are parked. *Heavy* routes (sweeps, batch estimates, searches) are
+//! dispatched to a pool of `threads` handler threads: the connection is
+//! removed from the poller, flipped back to blocking, and the worker
+//! streams the response directly (so chunked
 //! sweep output is byte-for-byte what the old thread-per-connection
 //! server produced) before handing the connection back to the loop
 //! through a completion channel plus a [`poll::Waker`] nudge.
@@ -42,15 +42,13 @@
 //! the poller's self-pipe waker — no more "dial a throwaway TCP
 //! connection at ourselves". The loop stops accepting, lets dispatched
 //! requests finish, flushes and closes every parked connection, and
-//! only after the handler pool has drained is the memo saved — the
-//! final snapshot always contains whatever an in-flight sweep
-//! inserted, and cannot race a mid-sweep autosave.
+//! returns once the handler pool has drained — an in-flight sweep
+//! always streams to its last line before the server exits.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -59,7 +57,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use ecochip_core::opt;
-use ecochip_core::sweep::{SweepEngine, SweepPoint, SweepSink};
+use ecochip_core::sweep::{SweepContext, SweepEngine, SweepPoint, SweepSink};
 use ecochip_core::{EcoChip, EcoChipError, EcoChipService, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
@@ -67,8 +65,8 @@ use ecochip_trace::{FieldValue, Stage, StageTimings};
 
 use crate::api::{
     BatchEstimateItem, ErrorResponse, EstimateRequest, EstimateResponse, HealthResponse,
-    MemoImportResponse, OptimizeRequest, RouteLatency, StatsResponse, SweepFormat, SweepRequest,
-    TestcasesResponse, TraceResponse, TraceSpan,
+    OptimizeRequest, RouteLatency, StatsResponse, SweepFormat, SweepRequest, TestcasesResponse,
+    TraceResponse, TraceSpan,
 };
 use crate::frames;
 use crate::http;
@@ -128,10 +126,6 @@ pub enum Route {
     Sweep,
     /// `POST /v1/optimize`.
     Optimize,
-    /// `GET /v1/memo`.
-    MemoExport,
-    /// `POST /v1/memo`.
-    MemoImport,
     /// `GET /metrics`.
     Metrics,
     /// `GET /v1/trace`.
@@ -145,7 +139,7 @@ pub enum Route {
 impl Route {
     /// Every route's label, in declaration order (a route's label is
     /// `LABELS[route as usize]`).
-    pub const LABELS: [&'static str; 13] = [
+    pub const LABELS: [&'static str; 11] = [
         "healthz",
         "stats",
         "testcases",
@@ -153,8 +147,6 @@ impl Route {
         "estimate_batch",
         "sweep",
         "optimize",
-        "memo_export",
-        "memo_import",
         "metrics",
         "trace",
         "shutdown",
@@ -209,18 +201,13 @@ impl Route {
 type Endpoint = (&'static str, &'static [(&'static str, Route)], Route);
 
 /// The server's route table, in the order the 404 reply lists it.
-const ROUTE_TABLE: [Endpoint; 10] = {
+const ROUTE_TABLE: [Endpoint; 9] = {
     use Route::*;
     [
         ("/v1/estimate", &[("POST", Estimate)], Estimate),
         ("/v1/sweep", &[("POST", Sweep)], Sweep),
         ("/v1/optimize", &[("POST", Optimize)], Optimize),
         ("/v1/testcases", &[("GET", Testcases)], Testcases),
-        (
-            "/v1/memo",
-            &[("GET", MemoExport), ("POST", MemoImport)],
-            MemoImport,
-        ),
         ("/v1/healthz", &[("GET", Healthz)], Healthz),
         ("/v1/stats", &[("GET", Stats)], Stats),
         ("/v1/trace", &[("GET", Trace)], Trace),
@@ -238,18 +225,12 @@ pub struct ServeConfig {
     /// parallelism).
     pub jobs: Option<usize>,
     /// Handler-pool threads for heavy routes (sweeps, batch estimates,
-    /// memo transfers); light routes run on the event loop.
+    /// searches); light routes run on the event loop.
     pub threads: usize,
     /// Technology database (`None` uses the built-in defaults).
     pub techdb: Option<TechDb>,
-    /// Load the memo from this file at startup (if present and
-    /// fingerprint-compatible) and save it on shutdown.
-    pub memo_file: Option<PathBuf>,
     /// Bound the memo to this many entries per cache (LRU eviction).
     pub memo_max_entries: Option<usize>,
-    /// Autosave the memo whenever this many new entries accumulated
-    /// (requires `memo_file`).
-    pub memo_save_every: Option<usize>,
     /// How long a keep-alive connection may sit idle between requests —
     /// or drip-feed a partial request (slow loris) — before the server
     /// closes it.
@@ -258,7 +239,7 @@ pub struct ServeConfig {
     /// (keeps a single immortal peer from monopolising the server;
     /// clamped to at least 1).
     pub max_requests_per_connection: usize,
-    /// Heavy requests (sweep / batch estimate / memo transfer) allowed in
+    /// Heavy requests (sweep / batch estimate / search) allowed in
     /// the handler pool — dispatched plus queued — before further heavy
     /// requests are refused with `429 Too Many Requests` + `Retry-After`.
     /// Clamped to at least 1.
@@ -267,7 +248,7 @@ pub struct ServeConfig {
     /// an immediate `429` + `Retry-After` and closed. Clamped at bind
     /// time to the process's file-descriptor limit minus headroom.
     pub max_connections: usize,
-    /// Narrate memo loads/saves to stderr.
+    /// Log every request (the access log) to stderr.
     pub verbose: bool,
 }
 
@@ -278,9 +259,7 @@ impl Default for ServeConfig {
             jobs: None,
             threads: 8,
             techdb: None,
-            memo_file: None,
             memo_max_entries: None,
-            memo_save_every: None,
             idle_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1000,
             max_inflight: 256,
@@ -292,23 +271,17 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The estimation service this configuration describes: an estimator
-    /// over `techdb`, a sweep engine of `jobs` workers, and the memo
-    /// bounded to `memo_max_entries`, loaded from `memo_file` and autosaved
-    /// every `memo_save_every` new entries.
+    /// over `techdb`, a sweep engine of `jobs` workers, and a fresh memo
+    /// bounded to `memo_max_entries`.
     #[must_use]
     pub fn service(&self) -> EcoChipService {
         let db = self.techdb.clone().unwrap_or_default();
         let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
         let engine = SweepEngine::with_optional_jobs(self.jobs);
-        let mut service = EcoChipService::with_engine(estimator, engine);
-        service.set_memo_capacity(self.memo_max_entries);
-        if let Some(path) = &self.memo_file {
-            service.load_memo_lenient(path);
-            if let Some(every) = self.memo_save_every {
-                service.save_memo_every(path, every);
-            }
-        }
-        service
+        let context = self
+            .memo_max_entries
+            .map_or_else(SweepContext::new, SweepContext::with_capacity);
+        EcoChipService::with_engine(estimator, engine, context)
     }
 }
 
@@ -317,7 +290,6 @@ struct ServerState {
     service: EcoChipService,
     db: TechDb,
     addr: SocketAddr,
-    memo_file: Option<PathBuf>,
     idle_timeout: Duration,
     max_requests_per_connection: usize,
     max_inflight: usize,
@@ -331,21 +303,6 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Persist the memo if a memo file is configured (used at shutdown).
-    fn save_memo(&self) {
-        let Some(path) = &self.memo_file else { return };
-        if let Err(error) = self.service.save_memo_logged(path) {
-            ecochip_trace::warn(
-                "serve::server",
-                "saving memo failed",
-                &[
-                    ("path", FieldValue::from(path.display().to_string())),
-                    ("error", FieldValue::from(error.to_string())),
-                ],
-            );
-        }
-    }
-
     /// Trip the shutdown flag and wake the event loop (self-pipe — works
     /// from any thread, needs no connectable address).
     fn trigger_shutdown(&self) {
@@ -379,14 +336,13 @@ pub struct Server {
 
 impl Server {
     /// Bind the listen socket, create the readiness poller and warm up the
-    /// service (estimator, memo load, capacity bound, autosave).
+    /// service (estimator, engine, bounded memo).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidAddr`] when `config.addr` does not
     /// resolve and [`ServeError::Io`] when binding or poller creation
-    /// fails. A stale or malformed memo file is *not* an error — the
-    /// server starts cold and warns on stderr, matching the CLI.
+    /// fails.
     pub fn bind(config: &ServeConfig) -> Result<Self, ServeError> {
         let mut addrs = config
             .addr
@@ -403,8 +359,8 @@ impl Server {
         let poller = Poller::new().map_err(|e| ServeError::Io(format!("creating poller: {e}")))?;
 
         // `verbose` raises the structured-log threshold (never lowers an
-        // explicit `ECOCHIP_LOG=debug`), so the memo-load narration below
-        // and the per-request access log reach stderr.
+        // explicit `ECOCHIP_LOG=debug`), so the per-request access log
+        // reaches stderr.
         if config.verbose {
             ecochip_trace::raise_level(ecochip_trace::Level::Info);
         }
@@ -412,8 +368,8 @@ impl Server {
         let db = service.estimator().config().techdb.clone();
 
         // Every connection is a file descriptor; cap the connection count
-        // below the process limit so the listener, memo file, self-pipe and
-        // poller never hit EMFILE behind a connection flood.
+        // below the process limit so the listener, self-pipe and poller
+        // never hit EMFILE behind a connection flood.
         let mut max_connections = config.max_connections.max(1);
         if let Some((soft, _)) = poll::nofile_limit() {
             let headroom = (soft as usize).saturating_sub(64).max(16);
@@ -425,7 +381,6 @@ impl Server {
                 service,
                 db,
                 addr,
-                memo_file: config.memo_file.clone(),
                 idle_timeout: config.idle_timeout.max(Duration::from_millis(1)),
                 max_requests_per_connection: config.max_requests_per_connection.max(1),
                 max_inflight: config.max_inflight.max(1),
@@ -453,7 +408,7 @@ impl Server {
     }
 
     /// Serve until shut down (`POST /v1/shutdown` or
-    /// [`ServerHandle::shutdown`]), then save the memo and return.
+    /// [`ServerHandle::shutdown`]), drain in-flight requests and return.
     ///
     /// # Errors
     ///
@@ -501,12 +456,8 @@ impl Server {
             // pool threads drain any queued jobs and exit; the scope then
             // joins them.
         });
-        // The scope has joined every handler thread, so all in-flight
-        // requests (including streaming sweeps and their incremental
-        // autosaves) are fully drained: this final save is strictly ordered
-        // after the last insert and cannot race a mid-sweep autosave or
-        // publish a snapshot missing in-flight entries.
-        state.save_memo();
+        // The scope has joined every handler thread, so every in-flight
+        // request (streaming sweeps included) has finished.
         result
     }
 
@@ -532,8 +483,8 @@ impl ServerHandle {
         self.state.addr
     }
 
-    /// Stop accepting, let in-flight requests finish, save the memo and
-    /// join the server thread.
+    /// Stop accepting, let in-flight requests finish and join the server
+    /// thread.
     ///
     /// # Errors
     ///
@@ -1107,8 +1058,8 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
         let started = Instant::now();
         // A panicking handler must not take its pool thread with it: the
         // request counts as a 500 and the connection still goes back to
-        // the loop (closed), so the in-flight count drains and the memo is
-        // still saved at shutdown.
+        // the loop (closed), so the in-flight count drains and shutdown
+        // still completes.
         let handled = {
             let _trace = ecochip_trace::set_current_trace(trace);
             let span = ecochip_trace::span(format!("request:{}", route.label()));
@@ -1282,8 +1233,7 @@ fn route_light(
                 state.service.stats(),
                 state.service.context().floorplan_entries(),
                 state.service.context().manufacturing_entries(),
-                state.service.memo_capacity(),
-                state.service.context().dirty_entries(),
+                state.service.context().capacity(),
                 crate::api::ServeTotals {
                     requests: state.requests.load(Ordering::Relaxed),
                     points_streamed: state.service.service_stats().sweep_points,
@@ -1401,17 +1351,6 @@ fn route_offloaded(
             Ok(items) => respond(stream, 200, &items, keep_alive),
             Err(error) => respond_error(stream, &error, keep_alive),
         },
-        Route::MemoExport => match state.service.export_memo_json() {
-            Ok(json) => {
-                write_traced(stream, 200, "application/json", json.as_bytes(), keep_alive);
-                200
-            }
-            Err(error) => respond_error(stream, &ServeError::Estimator(error), keep_alive),
-        },
-        Route::MemoImport => match import_memo(state, &request.body) {
-            Ok(response) => respond(stream, 200, &response, keep_alive),
-            Err(error) => respond_error(stream, &error, keep_alive),
-        },
         // No other route is offloaded outside tests (`tests::PANIC_PATH`
         // lands here); the worker's `catch_unwind` counts it as a 500 and
         // closes the connection.
@@ -1420,21 +1359,6 @@ fn route_offloaded(
         // the timing-sensitive poller tests running alongside.
         _ => panic::resume_unwind(Box::new("route has no handler-pool handler")),
     }
-}
-
-/// Handle `POST /v1/memo`: absorb a peer's exported memo into the warm
-/// service, validated by the stale-memo machinery (wrong fingerprint or
-/// format version → typed 400, nothing absorbed).
-fn import_memo(state: &ServerState, request_body: &[u8]) -> Result<MemoImportResponse, ServeError> {
-    let json = std::str::from_utf8(request_body)
-        .map_err(|_| ServeError::Api("memo body is not valid UTF-8".into()))?;
-    let imported = state.service.import_memo_json(json)?;
-    Ok(MemoImportResponse {
-        imported_floorplans: imported.floorplans,
-        imported_manufacturing: imported.manufacturing,
-        floorplan_entries: state.service.context().floorplan_entries(),
-        manufacturing_entries: state.service.context().manufacturing_entries(),
-    })
 }
 
 fn parse_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
@@ -1791,8 +1715,6 @@ mod tests {
             ),
             ("POST", "/v1/sweep", "[]", "sweep", true, None),
             ("POST", "/v1/optimize", "{}", "optimize", true, None),
-            ("GET", "/v1/memo", "", "memo_export", true, None),
-            ("POST", "/v1/memo", "{}", "memo_import", true, None),
             ("GET", "/metrics", "", "metrics", false, None),
             ("GET", "/v1/trace", "", "trace", false, None),
             ("POST", "/v1/shutdown", "", "shutdown", false, None),
@@ -1800,9 +1722,12 @@ mod tests {
             // inline; only `POST` sniffs the estimate body.
             ("GET", "/v1/sweep", "", "sweep", false, Some(405)),
             ("POST", "/v1/healthz", "{}", "healthz", false, Some(405)),
-            ("DELETE", "/v1/memo", "", "memo_import", false, Some(405)),
+            ("DELETE", "/v1/stats", "", "stats", false, Some(405)),
             ("PUT", "/v1/estimate", "[", "estimate", false, Some(405)),
             ("GET", "/v2/nope", "", "other", false, Some(404)),
+            // The memo never leaves its process: no export or import route.
+            ("GET", "/v1/memo", "", "other", false, Some(404)),
+            ("POST", "/v1/memo", "{}", "other", false, Some(404)),
             ("POST", "/v1", "[]", "other", false, Some(404)),
         ];
         let server = Server::bind(&ServeConfig {
@@ -1840,11 +1765,6 @@ mod tests {
 
     #[test]
     fn a_panicking_handler_is_a_500_and_the_pool_keeps_serving() {
-        let memo = std::env::temp_dir().join(format!(
-            "ecochip-serve-panic-memo-{}.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&memo);
         // One handler thread and one in-flight slot: the sweep below is
         // served only if the panicking request's thread survived and its
         // slot was handed back.
@@ -1853,7 +1773,6 @@ mod tests {
             jobs: Some(1),
             threads: 1,
             max_inflight: 1,
-            memo_file: Some(memo.clone()),
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1881,7 +1800,5 @@ mod tests {
         );
 
         handle.shutdown().unwrap();
-        assert!(memo.exists(), "the memo is saved at shutdown");
-        std::fs::remove_file(&memo).unwrap();
     }
 }

@@ -50,7 +50,7 @@ pub enum Level {
     /// Something degraded but the process carries on (the default
     /// visibility threshold).
     Warn,
-    /// Request-level narration: access logs, memo loads, lifecycle.
+    /// Request-level narration: access logs, memo stats, lifecycle.
     Info,
     /// Verbose diagnostics for development.
     Debug,

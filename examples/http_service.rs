@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.manufacturing_misses
     );
 
-    // 5. Graceful shutdown (also saves the memo when --memo-file is set).
+    // 5. Graceful shutdown: in-flight requests drain, then the server exits.
     handle.shutdown()?;
     println!("server shut down cleanly");
     Ok(())

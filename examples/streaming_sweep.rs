@@ -1,8 +1,9 @@
-//! Streaming sweeps with a persisted memo: evaluate a packaging × lifetime
-//! design space incrementally (no materialized point list), save the warmed
-//! floorplan/manufacturing memo to disk, then run a second, sharded pass
-//! that starts warm from the file — the cross-process distribution shape of
-//! `ecochip --sweep ... --shard I/N --memo-file memo.json`.
+//! Streaming, sharded sweeps over one warm memo: evaluate a packaging ×
+//! lifetime design space incrementally (no materialized point list), one
+//! shard at a time, against a single in-process floorplan/manufacturing
+//! memo. The second shard reuses the stage results the first one computed,
+//! and the two shards concatenate to the unsharded run bit for bit — the
+//! shape of `ecochip --sweep ... --shard I/N`.
 //!
 //! Run with: `cargo run --example streaming_sweep`
 
@@ -26,64 +27,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]))
         .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0, 4.0, 5.0]));
     let engine = SweepEngine::new();
-    let memo_path = std::env::temp_dir().join(format!(
-        "ecochip-streaming-sweep-example-{}.json",
-        std::process::id()
-    ));
+    let total = spec.try_len()?;
 
-    // --- Run 1: stream the whole space, emitting each point as it is ready.
-    // The sink sees points in deterministic row-major order while the engine
-    // holds only an O(workers) reorder window — this is how a million-point
-    // space stays memory-bound to a handful of points.
-    println!("run 1 (cold): streaming {} points", spec.try_len()?);
+    // Each shard streams its points in deterministic row-major order while
+    // the engine holds only an O(workers) reorder window — this is how a
+    // million-point space stays memory-bound to a handful of points. Both
+    // shards share one memo, which lives as long as this process.
     let context = SweepContext::new();
-    let mut sink = |point: SweepPoint| {
+    let mut merged = Vec::with_capacity(total);
+    for index in 0..2 {
+        let shard = Shard::new(index, 2)?;
         println!(
-            "  {:>12}  total {:>8.1} kg",
-            point.label,
-            point.report.total().kg()
+            "shard {shard}: {} of {total} points",
+            shard.range(total).len()
         );
-        Ok(())
-    };
-    engine.stream(&estimator, &spec, Shard::FULL, &context, None, &mut sink)?;
-    let stats = context.stats();
-    println!(
-        "  memo after run 1: {} floorplan misses, {} manufacturing misses",
-        stats.floorplan_misses, stats.manufacturing_misses
-    );
-
-    // Persist the warmed memo, stamped with the estimator's fingerprint.
-    context.save_to(&memo_path, estimator.memo_fingerprint())?;
-    println!("  saved memo to {}", memo_path.display());
-
-    // --- Run 2: a later process picks one shard of the same space and loads
-    // the memo. Every stage result is served from the file: zero misses,
-    // bit-for-bit identical reports.
-    let shard: Shard = "1/2".parse()?;
-    let warm = SweepContext::load_from(&memo_path, estimator.memo_fingerprint())?;
-    println!(
-        "run 2 (warm, shard {shard}): {} of {} points",
-        shard.range(spec.try_len()?).len(),
-        spec.try_len()?
-    );
-    let mut warm_sink = |point: SweepPoint| {
+        let mut sink = |point: SweepPoint| {
+            println!(
+                "  {:>12}  total {:>8.1} kg",
+                point.label,
+                point.report.total().kg()
+            );
+            merged.push(point);
+            Ok(())
+        };
+        engine.stream(&estimator, &spec, shard, &context, None, &mut sink)?;
+        let stats = context.stats();
         println!(
-            "  {:>12}  total {:>8.1} kg",
-            point.label,
-            point.report.total().kg()
+            "  memo so far: floorplan {} hits / {} misses, manufacturing {} hits / {} misses",
+            stats.floorplan_hits,
+            stats.floorplan_misses,
+            stats.manufacturing_hits,
+            stats.manufacturing_misses
         );
-        Ok(())
-    };
-    engine.stream(&estimator, &spec, shard, &warm, None, &mut warm_sink)?;
-    let warm_stats = warm.stats();
-    println!(
-        "  memo after run 2: {} hits, {} misses",
-        warm_stats.floorplan_hits + warm_stats.manufacturing_hits,
-        warm_stats.floorplan_misses + warm_stats.manufacturing_misses
-    );
-    assert_eq!(warm_stats.floorplan_misses, 0);
-    assert_eq!(warm_stats.manufacturing_misses, 0);
+    }
 
-    std::fs::remove_file(&memo_path)?;
+    // The memo only saves work: the shards concatenate to the unsharded run.
+    assert_eq!(merged, engine.run(&estimator, &spec)?);
+    println!("shards 0/2 + 1/2 match the unsharded run bit for bit");
     Ok(())
 }

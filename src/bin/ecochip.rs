@@ -10,12 +10,12 @@
 //! ecochip --export <dir>           # write the built-in test cases as JSON configs
 //! ecochip --list-testcases         # print the built-in test-case names
 //! ecochip serve [--addr <host:port>] [--jobs N] [--threads N]
-//!               [--memo-file <file>] [--memo-max-entries N] [--memo-save-every N]
+//!               [--memo-max-entries N]
 //!               [--idle-timeout-ms N] [--max-requests-per-conn N]
 //!               [--max-inflight N] [--max-connections N]
 //! ecochip orchestrate --testcase <name> --sweep <axis>
 //!                     (--workers N | --remote <url,url,...>) [--check]
-//!                     [--retries N] [--backoff-ms N] [--share-memo]
+//!                     [--retries N] [--backoff-ms N]
 //!                     [--optimize <pareto|anneal|genetic>] [--budget N]
 //!                     [--seed N] [--objectives <list>] [--rounds N]
 //! ```
@@ -36,13 +36,9 @@
 //!   bounds the evaluations, `--seed N` makes the explorers reproducible,
 //!   and `--objectives <embodied,operational,cost,area>` selects the
 //!   objective subset (default `embodied,operational`),
-//! * `--memo-file <file>` to load a persisted floorplan/manufacturing memo
-//!   before the run (if present and fingerprint-compatible) and save the
-//!   warmed memo after it,
-//! * `--memo-max-entries <N>` to bound the memo to N entries per cache
-//!   (least-recently-used eviction),
-//! * `--memo-save-every <N>` to also persist the memo whenever N new
-//!   entries accumulated mid-run (atomic temp-file + rename),
+//! * `--memo-max-entries <N>` to bound the floorplan/manufacturing memo to
+//!   N entries per cache (least-recently-used eviction); the memo lives for
+//!   the run only,
 //! * `--verbose` to print memo hit/miss/eviction statistics to stderr,
 //! * `--csv <file>` to write the breakdown (or the sweep table) as CSV,
 //! * `--json <file>` to write the report (or the sweep points) as JSON.
@@ -57,7 +53,7 @@
 //!
 //! `ecochip serve` starts the HTTP/JSON estimation service (endpoints
 //! `/v1/estimate`, `/v1/sweep`, `/v1/optimize`, `/v1/testcases`,
-//! `/v1/healthz`, `/v1/stats`, `/v1/memo`, `/metrics`, `/v1/shutdown`) on a
+//! `/v1/healthz`, `/v1/stats`, `/v1/trace`, `/metrics`, `/v1/shutdown`) on a
 //! readiness-driven event loop: persistent keep-alive connections
 //! (`--idle-timeout-ms`, `--max-requests-per-conn`) cost one file
 //! descriptor each while idle, pipelined requests are served in order,
@@ -70,8 +66,7 @@
 //! against the unsharded fingerprint.
 //! When a worker dies mid-stream the orchestrator re-dispatches the
 //! remaining index range of its shard to a surviving worker (`--retries`,
-//! `--backoff-ms`), keeping the merged stream bit-for-bit identical;
-//! `--share-memo` first seeds every worker from the warmest peer's memo.
+//! `--backoff-ms`), keeping the merged stream bit-for-bit identical.
 //! With `--optimize` the orchestrator instead runs an island-model search:
 //! each worker explores its shard of the space under a derived seed, the
 //! merged global frontier is exchanged between islands every `--rounds`
@@ -160,9 +155,7 @@ fn print_usage() {
     eprintln!("  ... --seed <N>                               explorer RNG seed (deterministic)");
     eprintln!("  ... --objectives <{OBJECTIVE_NAMES}>");
     eprintln!("                                               comma-separated objective list");
-    eprintln!("  ... --memo-file <file>                       load/save the stage memo");
     eprintln!("  ... --memo-max-entries <N>                   bound the memo (LRU eviction)");
-    eprintln!("  ... --memo-save-every <N>                    autosave the memo mid-run");
     eprintln!("  ... --verbose                                print memo hit/miss stats");
     eprintln!("  ... --csv <file>                             also write the breakdown as CSV");
     eprintln!("  ... --json <file>                            also write the report as JSON");
@@ -173,15 +166,14 @@ fn print_usage() {
     eprintln!();
     eprintln!("subcommands:");
     eprintln!("  ecochip serve [--addr <host:port>] [--jobs N] [--threads N]");
-    eprintln!("                [--techdb <file>] [--memo-file <file>]");
-    eprintln!("                [--memo-max-entries N] [--memo-save-every N]");
+    eprintln!("                [--techdb <file>] [--memo-max-entries N]");
     eprintln!("                [--idle-timeout-ms N] [--max-requests-per-conn N]");
     eprintln!("                [--max-inflight N] [--max-connections N] [--verbose]");
     eprintln!("                                               start the HTTP/JSON service");
     eprintln!("  ecochip orchestrate --testcase <name> --sweep <axis>");
     eprintln!("                (--workers N | --remote <url,url,...>)");
     eprintln!("                [--design <system.json>] [--techdb <file>] [--jobs N] [--check]");
-    eprintln!("                [--retries N] [--backoff-ms N] [--share-memo]");
+    eprintln!("                [--retries N] [--backoff-ms N]");
     eprintln!("                [--optimize <{METHOD_NAMES}>] [--budget N]");
     eprintln!("                [--seed N] [--objectives <list>] [--rounds N]");
     eprintln!("                                               fan a sweep out and merge shards,");
@@ -227,15 +219,6 @@ fn export_testcases(db: &TechDb, dir: &PathBuf) -> CliResult {
     let techdb_path = dir.join("techdb.json");
     io::save_techdb(db, &techdb_path)?;
     println!("wrote {}", techdb_path.display());
-    Ok(())
-}
-
-/// Persist the warmed memo when `--memo-file` was given.
-fn save_memo(service: &EcoChipService, options: &OutputOptions) -> CliResult {
-    let Some(path) = &options.memo else {
-        return Ok(());
-    };
-    service.save_memo_logged(path)?;
     Ok(())
 }
 
@@ -293,7 +276,6 @@ fn run(service: &EcoChipService, system: &System, options: &OutputOptions) -> Cl
     );
     let cost = system_cost(service.estimator(), system)?;
     println!("dollar cost per unit: {cost}");
-    save_memo(service, options)?;
     print_stats(service);
     Ok(())
 }
@@ -514,7 +496,6 @@ fn run_sweep(
             println!("{note}");
         }
     }
-    save_memo(service, options)?;
     print_stats(service);
     Ok(())
 }
@@ -529,7 +510,6 @@ fn run_optimize(
     shard: Shard,
     axis_name: &str,
     config: &opt::OptConfig,
-    options: &OutputOptions,
 ) -> CliResult {
     let total = spec.try_len()?;
     let owned = shard.range(total).len();
@@ -578,7 +558,6 @@ fn run_optimize(
         outcome.evaluated,
         outcome.frontier.len()
     );
-    save_memo(service, options)?;
     print_stats(service);
     Ok(())
 }
@@ -588,7 +567,6 @@ struct OutputOptions {
     csv: Option<PathBuf>,
     json: Option<PathBuf>,
     stream: Option<StreamFormat>,
-    memo: Option<PathBuf>,
 }
 
 /// Initialise structured logging: apply the `ECOCHIP_LOG` environment
@@ -681,9 +659,7 @@ const FLAGS: &[(&str, Takes, u8)] = &[
     ("--budget", Takes::Positive, CLASSIC | ORCHESTRATE),
     ("--seed", Takes::Seed, CLASSIC | ORCHESTRATE),
     ("--objectives", Takes::Text, CLASSIC | ORCHESTRATE),
-    ("--memo-file", Takes::Text, CLASSIC | SERVE),
     ("--memo-max-entries", Takes::NonNegative, CLASSIC | SERVE),
-    ("--memo-save-every", Takes::Positive, CLASSIC | SERVE),
     ("--verbose", Takes::Nothing, CLASSIC | SERVE),
     ("--export", Takes::Text, CLASSIC),
     ("--list-testcases", Takes::Nothing, CLASSIC),
@@ -702,7 +678,6 @@ const FLAGS: &[(&str, Takes, u8)] = &[
     ("--check", Takes::Nothing, ORCHESTRATE),
     ("--retries", Takes::NonNegative, ORCHESTRATE),
     ("--backoff-ms", Takes::NonNegative, ORCHESTRATE),
-    ("--share-memo", Takes::Nothing, ORCHESTRATE),
     ("--rounds", Takes::Positive, ORCHESTRATE),
 ];
 
@@ -716,7 +691,6 @@ const REQUIRES: &[(&str, &str, u8)] = &[
     ("--seed", "--optimize", CLASSIC | ORCHESTRATE),
     ("--objectives", "--optimize", CLASSIC | ORCHESTRATE),
     ("--rounds", "--optimize", ORCHESTRATE),
-    ("--memo-save-every", "--memo-file", CLASSIC | SERVE),
 ];
 
 /// `(flag, other, commands, error)`: for these commands, passing both
@@ -901,9 +875,7 @@ fn run_serve(args: &[String]) -> CliResult {
         jobs: flags.number("--jobs"),
         threads: flags.number("--threads").unwrap_or(defaults.threads),
         techdb: techdb(&flags)?,
-        memo_file: flags.path("--memo-file"),
         memo_max_entries: flags.number("--memo-max-entries"),
-        memo_save_every: flags.number("--memo-save-every"),
         idle_timeout: flags
             .number("--idle-timeout-ms")
             .map_or(defaults.idle_timeout, Duration::from_millis),
@@ -984,40 +956,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     // Resolve locally too, so a bad name or value exits 2 before any
     // worker starts.
     let (_, _, search) = request.resolve(&db).map_err(serve_error)?;
-    if flags.has("--share-memo") {
-        let WorkerPool::Remote(urls) = &pool else {
-            return Err(CliError::usage(
-                "--share-memo needs --remote (local workers start cold, with nothing to seed)",
-            ));
-        };
-        // Seeding is an optimization: a failed share (unreachable worker,
-        // oversized memo) degrades to a cold start, never kills the run.
-        match orchestrator::share_memo(urls) {
-            Ok(orchestrator::MemoShare {
-                source: Some(source),
-                entries,
-                seeded,
-            }) => {
-                eprintln!(
-                    "memo: seeded {} workers from {source} ({entries} entries)",
-                    seeded.len()
-                );
-                for (url, floorplans, manufacturing) in seeded {
-                    eprintln!(
-                        "memo:   {url} absorbed {floorplans} floorplans, \
-                         {manufacturing} manufacturing results"
-                    );
-                }
-            }
-            Ok(_) => eprintln!("memo: every worker is cold, nothing to share"),
-            Err(error) => trace::warn(
-                "cli",
-                "memo sharing failed; workers start cold",
-                &[("error", FieldValue::from(error.to_string()))],
-            ),
-        }
-    }
-
     let mode = match &pool {
         WorkerPool::Local { workers, .. } => format!("{workers} local workers"),
         WorkerPool::Remote(urls) => format!("{} remote servers", urls.len()),
@@ -1131,9 +1069,7 @@ fn run_classic(args: &[String]) -> CliResult {
     let service = ServeConfig {
         jobs: flags.number("--jobs"),
         techdb: Some(db),
-        memo_file: flags.path("--memo-file"),
         memo_max_entries: flags.number("--memo-max-entries"),
-        memo_save_every: flags.number("--memo-save-every"),
         ..ServeConfig::default()
     }
     .service();
@@ -1141,10 +1077,9 @@ fn run_classic(args: &[String]) -> CliResult {
         csv: flags.path("--csv"),
         json: flags.path("--json"),
         stream,
-        memo: flags.path("--memo-file"),
     };
     match (flags.value("--sweep"), flags.has("--optimize")) {
-        (Some(axis), true) => run_optimize(&service, &spec, shard, axis, &search, &options),
+        (Some(axis), true) => run_optimize(&service, &spec, shard, axis, &search),
         (Some(axis), false) => run_sweep(&service, &spec, shard, axis, &options),
         (None, _) => run(&service, spec.base(), &options),
     }

@@ -211,17 +211,11 @@ const USAGE_CASES: &[UsageCase] = &[
         2,
         "--memo-max-entries needs a non-negative integer",
     ),
+    // The memo lives and dies with its process: no file to load or save.
     (
-        &[
-            "--testcase",
-            "ga102",
-            "--memo-file",
-            "unused.json",
-            "--memo-save-every",
-            "0",
-        ],
+        &["--testcase", "ga102", "--memo-file", "m.json"],
         2,
-        "--memo-save-every needs a positive integer",
+        "unknown flag \"--memo-file\"",
     ),
     (
         &[
@@ -318,7 +312,7 @@ const USAGE_CASES: &[UsageCase] = &[
     (
         &["--testcase", "ga102", "--memo-save-every", "5"],
         2,
-        "--memo-save-every requires --memo-file",
+        "unknown flag \"--memo-save-every\"",
     ),
     (&[], 2, "no arguments given"),
     (&["--verbose"], 2, "nothing to do"),
@@ -377,9 +371,9 @@ const USAGE_CASES: &[UsageCase] = &[
         "--threads needs a positive integer",
     ),
     (
-        &["serve", "--memo-save-every", "0"],
+        &["serve", "--memo-file", "m.json"],
         2,
-        "--memo-save-every needs a positive integer",
+        "unknown serve flag \"--memo-file\"",
     ),
     (
         &["serve", "--idle-timeout-ms", "0"],
@@ -409,7 +403,7 @@ const USAGE_CASES: &[UsageCase] = &[
     (
         &["serve", "--memo-save-every", "5"],
         2,
-        "--memo-save-every requires --memo-file",
+        "unknown serve flag \"--memo-save-every\"",
     ),
     (
         &["serve", "--techdb", "@missing"],
@@ -731,7 +725,7 @@ const USAGE_CASES: &[UsageCase] = &[
             "--share-memo",
         ],
         2,
-        "--share-memo needs --remote",
+        "unknown orchestrate flag \"--share-memo\"",
     ),
     (
         &[

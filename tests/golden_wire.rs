@@ -7,8 +7,8 @@
 //! serializer shows up here.
 //!
 //! `tests/golden/pretty/` pins the pretty-printed JSON the CLI writes
-//! (`--export` and `--json`), the `GET /v1/memo` body after a packaging
-//! sweep and the compact `TechDb`, whose maps key on integers.
+//! (`--export` and `--json`) and the compact `TechDb`, whose maps key on
+//! integers.
 //!
 //! `tests/golden/bounded_optimize/` pins `POST /v1/optimize` against a
 //! server whose memo is bounded to 8 entries per cache: the pareto, anneal
@@ -101,8 +101,7 @@ fn current_outputs() -> Vec<(String, Vec<u8>)> {
 }
 
 /// The pretty-printed files the CLI writes (`--export`, and `--json` for a
-/// report and a sweep), the memo export after a packaging sweep, whose
-/// entry lists are tuples, and the compact `TechDb`, whose maps key on
+/// report and a sweep) and the compact `TechDb`, whose maps key on
 /// integers.
 fn pretty_outputs() -> Vec<(String, Vec<u8>)> {
     let scratch =
@@ -142,27 +141,6 @@ fn pretty_outputs() -> Vec<(String, Vec<u8>)> {
         ));
     }
     std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
-
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        jobs: Some(1),
-        threads: 1,
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral server");
-    let addr = server.local_addr().to_string();
-    let handle = server.spawn();
-    let sweep = client::post_json(
-        &addr,
-        "/v1/sweep",
-        "{\"testcase\":\"ga102-3chiplet\",\"axis\":\"packaging\"}",
-    )
-    .expect("POST /v1/sweep");
-    assert_eq!(sweep.status, 200, "{:?}", sweep.text());
-    let memo = client::get(&addr, "/v1/memo").expect("GET /v1/memo");
-    assert_eq!(memo.status, 200, "{:?}", memo.text());
-    outputs.push(("ga102-3chiplet.packaging.memo.json".into(), memo.body));
-    handle.shutdown().expect("server shutdown");
 
     outputs.push((
         "techdb.compact.json".into(),

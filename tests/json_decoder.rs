@@ -1,15 +1,13 @@
-//! The decoders' robustness contract: `serde_json::from_str`, the HTTP
-//! `RequestParser` and memo import (`SweepContext::from_json`) return `Ok`
-//! or `Err` for any input, and never panic.
+//! The decoders' robustness contract: `serde_json::from_str` and the HTTP
+//! `RequestParser` return `Ok` or `Err` for any input, and never panic.
 //!
-//! Every request body the server, the CLI's `--design`/`--techdb` and memo
-//! import decode goes through `from_str`, so a panic here is a crash on
+//! Every request body the server and the CLI's `--design`/`--techdb`
+//! decode goes through `from_str`, so a panic here is a crash on
 //! hostile input. The properties feed it arbitrary bytes, JSON-token soup
 //! and valid request bodies with random byte edits, and decode each text
 //! as a raw `Value` and as every request-shaped type. The request parser
 //! gets arbitrary bytes and edited valid requests in random-sized pieces,
-//! as a socket delivers them; memo import gets arbitrary text and edited
-//! valid memo files.
+//! as a socket delivers them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -17,13 +15,13 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec};
+use eco_chip::core::sweep::SweepAxis;
 use eco_chip::packaging::{InterposerConfig, PackagingArchitecture, RdlFanoutConfig};
 use eco_chip::serve::api::{IndexRange, OptimizeRequest, SweepRequest};
 use eco_chip::serve::http::RequestParser;
 use eco_chip::techdb::{TechDb, TechNode, TimeSpan};
 use eco_chip::testcases::{catalog, ga102};
-use eco_chip::{EcoChip, System};
+use eco_chip::System;
 
 /// Run `decode`, returning its panic message if it panicked.
 fn no_panic<T>(decode: impl FnOnce() -> T) -> Result<T, String> {
@@ -113,29 +111,6 @@ fn valid_requests() -> &'static [Vec<u8>] {
             requests.push(post);
         }
         requests
-    })
-}
-
-/// A small valid memo file (a two-lifetime GA102 3-chiplet sweep) and the
-/// fingerprint it is stamped with.
-fn valid_memo() -> &'static (String, u64) {
-    static MEMO: OnceLock<(String, u64)> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        let estimator = EcoChip::default();
-        let base = catalog::build(&estimator.config().techdb, "ga102-3chiplet")
-            .expect("built-in test case");
-        let spec = SweepSpec::new(base).axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
-        let context = SweepContext::new();
-        SweepEngine::serial()
-            .stream(&estimator, &spec, Shard::FULL, &context, None, &mut |_| {
-                Ok(())
-            })
-            .expect("memo sweep");
-        let fingerprint = estimator.memo_fingerprint();
-        (
-            context.to_json(fingerprint).expect("memo export"),
-            fingerprint,
-        )
     })
 }
 
@@ -334,37 +309,10 @@ proptest! {
             prop_assert!(outcome.is_ok(), "{outcome:?} on {:?}", String::from_utf8_lossy(&bytes));
         }
     }
-
-    /// Arbitrary text and JSON-token soup never panic memo import.
-    #[test]
-    fn memo_import_never_panics_on_arbitrary_text(
-        bytes in prop::collection::vec(0u8..=255, 0..256),
-        tokens in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..48),
-    ) {
-        let fingerprint = valid_memo().1;
-        for text in [String::from_utf8_lossy(&bytes).into_owned(), tokens.concat()] {
-            let outcome = no_panic(|| SweepContext::from_json(&text, fingerprint).is_ok());
-            prop_assert!(outcome.is_ok(), "{outcome:?} on {text:?}");
-        }
-    }
-
-    /// A valid memo file with a few random byte edits never panics memo
-    /// import.
-    #[test]
-    fn memo_import_never_panics_on_edited_memo_files(
-        edits in prop::collection::vec(0u64..u64::MAX, 1..6),
-    ) {
-        let (memo, fingerprint) = valid_memo();
-        let mut bytes = memo.clone().into_bytes();
-        apply_edits(&mut bytes, &edits, EDIT_BYTES);
-        let text = String::from_utf8_lossy(&bytes);
-        let outcome = no_panic(|| SweepContext::from_json(&text, *fingerprint).is_ok());
-        prop_assert!(outcome.is_ok(), "{outcome:?} on {text:?}");
-    }
 }
 
 #[test]
-fn valid_requests_and_memo_files_decode() {
+fn valid_requests_decode() {
     let requests = valid_requests();
     assert_eq!(requests.len(), 13);
     for (at, request) in requests.iter().enumerate() {
@@ -381,9 +329,6 @@ fn valid_requests_and_memo_files_decode() {
             "request {at} in pieces"
         );
     }
-    let (memo, fingerprint) = valid_memo();
-    let context = SweepContext::from_json(memo, *fingerprint).expect("memo import");
-    assert!(context.floorplan_entries() > 0);
 }
 
 #[test]

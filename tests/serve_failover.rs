@@ -12,7 +12,7 @@ use std::time::Duration;
 use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::{Shard, SweepEngine, SweepSpec, DEFAULT_CHUNK};
 use eco_chip::core::EcoChip;
-use eco_chip::serve::orchestrator::{self, FailoverPolicy, MemoShare, WorkerPool};
+use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{client, http, ServeConfig, Server, ServerHandle, SweepRequest};
 use eco_chip::techdb::TechDb;
 use eco_chip::testcases::catalog;
@@ -503,76 +503,4 @@ fn explicit_ranges_resume_over_the_wire() {
     }
 
     handle.shutdown().unwrap();
-}
-
-#[test]
-fn share_memo_seeds_the_fleet_from_the_warmest_peer() {
-    let (a, addr_a) = boot();
-    let (b, addr_b) = boot();
-    let (c, addr_c) = boot();
-    let urls = vec![addr_a.clone(), addr_b.clone(), addr_c.clone()];
-
-    // Every worker cold: nothing to share.
-    let share = orchestrator::share_memo(&urls).unwrap();
-    assert_eq!(
-        share,
-        MemoShare {
-            source: None,
-            entries: 0,
-            seeded: Vec::new()
-        }
-    );
-
-    // Warm worker B, then share: B is detected as the warmest peer and the
-    // others absorb its memo.
-    client::post_ndjson(
-        &addr_b,
-        "/v1/sweep",
-        r#"{"testcase":"ga102-3chiplet","axis":"packaging"}"#,
-        |_line| Ok(()),
-    )
-    .unwrap();
-    let share = orchestrator::share_memo(&urls).unwrap();
-    assert_eq!(share.source.as_deref(), Some(addr_b.as_str()));
-    assert!(share.entries > 0);
-    assert_eq!(share.seeded.len(), 2);
-    for (url, floorplans, manufacturing) in &share.seeded {
-        assert_ne!(url, &addr_b);
-        assert!(
-            floorplans + manufacturing > 0,
-            "{url} absorbed nothing: {share:?}"
-        );
-    }
-
-    // A seeded worker serves the same sweep without a single stage miss —
-    // and still bit-for-bit identical.
-    let mut lines = Vec::new();
-    client::post_ndjson(
-        &addr_a,
-        "/v1/sweep",
-        r#"{"testcase":"ga102-3chiplet","axis":"packaging"}"#,
-        |line| {
-            lines.push(line.to_owned());
-            Ok(())
-        },
-    )
-    .unwrap();
-    assert_eq!(lines, reference_lines("ga102-3chiplet", "packaging"));
-    let stats: eco_chip::serve::StatsResponse =
-        serde_json::from_str(client::get(&addr_a, "/v1/stats").unwrap().text().unwrap()).unwrap();
-    assert_eq!(stats.floorplan_misses, 0, "{stats:?}");
-    assert!(stats.floorplan_hits > 0, "{stats:?}");
-
-    // Sharing again is idempotent: everyone already holds the entries.
-    let again = orchestrator::share_memo(&urls).unwrap();
-    for (_, floorplans, manufacturing) in &again.seeded {
-        assert_eq!(floorplans + manufacturing, 0, "{again:?}");
-    }
-
-    // An empty fleet is a usage error.
-    assert!(orchestrator::share_memo(&[]).is_err());
-
-    a.shutdown().unwrap();
-    b.shutdown().unwrap();
-    c.shutdown().unwrap();
 }

@@ -358,7 +358,6 @@ fn malformed_requests_get_http_errors_not_hangs() {
         "/v1/sweep",
         "/v1/optimize",
         "/v1/testcases",
-        "/v1/memo",
         "/v1/healthz",
         "/v1/stats",
         "/v1/trace",
@@ -367,6 +366,12 @@ fn malformed_requests_get_http_errors_not_hangs() {
     ] {
         assert!(text.contains(&format!(" {endpoint}")), "{endpoint}: {text}");
     }
+    // The memo never leaves its process: `/v1/memo` is an unknown path.
+    assert!(!text.contains("/v1/memo"), "{text}");
+    let response = client::get(&addr, "/v1/memo").unwrap();
+    assert_eq!(response.status, 404);
+    let response = client::post_json(&addr, "/v1/memo", "{}").unwrap();
+    assert_eq!(response.status, 404);
 
     // Wrong method → 405, on light and heavy routes alike.
     let response = client::post_json(&addr, "/v1/healthz", "{}").unwrap();
@@ -411,7 +416,8 @@ fn malformed_requests_get_http_errors_not_hangs() {
     let health = client::get(&addr, "/v1/healthz").unwrap();
     assert_eq!(health.status, 200);
 
-    // The refusals are filed under the path's route label.
+    // The refusals are filed under the path's route label (three 404s:
+    // `/v2/nothing` and both `/v1/memo` requests).
     let metrics = client::get(&addr, "/metrics").unwrap();
     let text = metrics.text().unwrap();
     assert!(
@@ -419,7 +425,7 @@ fn malformed_requests_get_http_errors_not_hangs() {
         "{text}"
     );
     assert!(
-        text.contains(r#"ecochip_http_requests_total{route="other",status="404"} 1"#),
+        text.contains(r#"ecochip_http_requests_total{route="other",status="404"} 3"#),
         "{text}"
     );
 
@@ -601,40 +607,31 @@ fn concurrent_clients_all_get_exact_results() {
 }
 
 #[test]
-fn http_shutdown_is_graceful_and_saves_the_memo() {
-    let memo = std::env::temp_dir().join(format!("ecochip-serve-memo-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&memo);
-    let (handle, addr) = boot(ServeConfig {
-        memo_file: Some(memo.clone()),
-        memo_save_every: Some(1),
-        ..default_config()
-    });
+fn http_shutdown_is_graceful() {
+    let (handle, addr) = boot(default_config());
 
     let response = client::post_json(&addr, "/v1/estimate", r#"{"testcase":"ga102"}"#).unwrap();
     assert_eq!(response.status, 200);
-    // The save-every threshold already persisted the memo mid-flight.
-    assert!(memo.exists(), "autosave never wrote {}", memo.display());
 
     let response = client::post_json(&addr, "/v1/shutdown", "").unwrap();
     assert_eq!(response.status, 200);
     assert!(response.text().unwrap().contains("shutting down"));
-    // The server thread exits on its own after the HTTP shutdown.
+    // The server exits on its own after the HTTP shutdown.
+    wait_until_closed(&addr);
     handle.shutdown().unwrap();
-    assert!(memo.exists());
+}
 
-    // A new server starts warm from the persisted memo.
-    let (handle, addr) = boot(ServeConfig {
-        memo_file: Some(memo.clone()),
-        ..default_config()
-    });
-    let response = client::post_json(&addr, "/v1/estimate", r#"{"testcase":"ga102"}"#).unwrap();
-    assert_eq!(response.status, 200);
-    let stats = client::get(&addr, "/v1/stats").unwrap();
-    let stats: eco_chip::serve::StatsResponse =
-        serde_json::from_str(stats.text().unwrap()).unwrap();
-    assert_eq!(stats.floorplan_misses, 0, "restored memo should hit");
-    handle.shutdown().unwrap();
-    std::fs::remove_file(&memo).unwrap();
+/// Wait until nothing accepts connections on `addr` any more: the server
+/// loop has returned and dropped its listener.
+fn wait_until_closed(addr: &str) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while std::net::TcpStream::connect(addr).is_ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{addr} still accepts connections"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
 }
 
 /// Extract the value of a (label-free) metric from Prometheus text format.
@@ -823,119 +820,12 @@ fn metrics_serve_valid_prometheus_text_over_keep_alive() {
 }
 
 #[test]
-fn memo_export_import_warms_a_cold_server() {
-    let (warm, warm_addr) = boot(default_config());
-    let (cold, cold_addr) = boot(default_config());
-
-    // Warm server A with a floorplan-heavy sweep and capture its cold-start
-    // hit rate.
-    client::post_ndjson(
-        &warm_addr,
-        "/v1/sweep",
-        r#"{"testcase":"ga102-3chiplet","axis":"packaging"}"#,
-        |_line| Ok(()),
-    )
-    .unwrap();
-    let warm_stats: eco_chip::serve::StatsResponse = serde_json::from_str(
-        client::get(&warm_addr, "/v1/stats")
-            .unwrap()
-            .text()
-            .unwrap(),
-    )
-    .unwrap();
-    assert!(warm_stats.floorplan_misses > 0, "{warm_stats:?}");
-    let cold_start_rate = warm_stats.floorplan_hits as f64
-        / (warm_stats.floorplan_hits + warm_stats.floorplan_misses) as f64;
-
-    // Export A's memo (fingerprinted JSON) and seed B with it.
-    let export = client::get(&warm_addr, "/v1/memo").unwrap();
-    assert_eq!(export.status, 200);
-    let memo_json = export.text().unwrap().to_owned();
-    assert!(memo_json.contains("\"fingerprint\":"), "{memo_json}");
-
-    let import = client::post_json(&cold_addr, "/v1/memo", &memo_json).unwrap();
-    assert_eq!(import.status, 200, "{:?}", import.text());
-    let receipt: eco_chip::serve::MemoImportResponse =
-        serde_json::from_str(import.text().unwrap()).unwrap();
-    assert!(receipt.imported_floorplans > 0, "{receipt:?}");
-    assert_eq!(receipt.floorplan_entries, receipt.imported_floorplans);
-
-    // The seeded server replays the sweep without a single stage miss: its
-    // hit rate strictly exceeds the cold-start rate.
-    let mut seeded_lines = Vec::new();
-    client::post_ndjson(
-        &cold_addr,
-        "/v1/sweep",
-        r#"{"testcase":"ga102-3chiplet","axis":"packaging"}"#,
-        |line| {
-            seeded_lines.push(line.to_owned());
-            Ok(())
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        seeded_lines,
-        reference_lines("ga102-3chiplet", "packaging"),
-        "seeded results must stay bit-for-bit identical"
-    );
-    let seeded_stats: eco_chip::serve::StatsResponse = serde_json::from_str(
-        client::get(&cold_addr, "/v1/stats")
-            .unwrap()
-            .text()
-            .unwrap(),
-    )
-    .unwrap();
-    assert_eq!(seeded_stats.floorplan_misses, 0, "{seeded_stats:?}");
-    let seeded_rate = seeded_stats.floorplan_hits as f64
-        / (seeded_stats.floorplan_hits + seeded_stats.floorplan_misses) as f64;
-    assert!(
-        seeded_rate > cold_start_rate,
-        "seeded hit rate {seeded_rate} must beat the cold-start rate {cold_start_rate}"
-    );
-
-    // Garbage and fingerprint-tampered memos are rejected and absorb
-    // nothing.
-    let garbage = client::post_json(&cold_addr, "/v1/memo", "{not json").unwrap();
-    assert_eq!(garbage.status, 400);
-    let fingerprint_field = memo_json
-        .split("\"fingerprint\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .unwrap();
-    let tampered = memo_json.replacen(
-        &format!("\"fingerprint\":{fingerprint_field}"),
-        "\"fingerprint\":42",
-        1,
-    );
-    let rejected = client::post_json(&cold_addr, "/v1/memo", &tampered).unwrap();
-    assert_eq!(rejected.status, 400);
-    assert!(
-        rejected.text().unwrap().contains("fingerprint"),
-        "{:?}",
-        rejected.text()
-    );
-
-    warm.shutdown().unwrap();
-    cold.shutdown().unwrap();
-}
-
-#[test]
-fn shutdown_mid_sweep_drains_the_stream_before_the_final_memo_save() {
-    use eco_chip::core::sweep::SweepContext;
+fn shutdown_mid_sweep_drains_the_stream() {
     use eco_chip::core::ChipletSize;
 
-    let memo = std::env::temp_dir().join(format!(
-        "ecochip-serve-drain-memo-{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&memo);
-    let (handle, addr) = boot(ServeConfig {
-        memo_file: Some(memo.clone()),
-        memo_save_every: Some(1),
-        ..default_config()
-    });
+    let (handle, addr) = boot(default_config());
 
-    // A sweep whose every point inserts fresh memo entries: 40 system
+    // A sweep whose every point computes fresh stage results: 40 system
     // variants with distinct chiplet sizes (distinct outlines → distinct
     // floorplans and manufacturing results).
     let db = TechDb::default();
@@ -959,8 +849,7 @@ fn shutdown_mid_sweep_drains_the_stream_before_the_final_memo_save() {
     let body = serde_json::to_string(&request).unwrap();
 
     // Stream the sweep; as soon as the first line arrives, another client
-    // posts the shutdown — the in-flight stream must still drain fully,
-    // and only then may the final memo save run.
+    // posts the shutdown — the in-flight stream must still drain fully.
     let mut lines = 0usize;
     let shutdown_sent = std::cell::Cell::new(false);
     let response = client::post_ndjson(&addr, "/v1/sweep", &body, |line| {
@@ -979,22 +868,9 @@ fn shutdown_mid_sweep_drains_the_stream_before_the_final_memo_save() {
     assert_eq!(response.status, 200);
     assert_eq!(lines, 40, "shutdown must drain the in-flight stream");
 
-    // The server exits on its own; the final save ran after the drain, so
-    // the persisted memo holds every variant's entries.
+    // The server exits on its own once the stream has drained.
+    wait_until_closed(&addr);
     handle.shutdown().unwrap();
-    let fingerprint = EcoChip::new(
-        eco_chip::core::EstimatorConfig::builder()
-            .techdb(db)
-            .build(),
-    )
-    .memo_fingerprint();
-    let restored = SweepContext::load_from(&memo, fingerprint).unwrap();
-    assert_eq!(
-        restored.floorplan_entries(),
-        40,
-        "final memo snapshot must contain every in-flight insert"
-    );
-    std::fs::remove_file(&memo).unwrap();
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Streaming, sharding and memo-persistence guarantees of the sweep engine.
+//! Streaming, sharding and memo-reuse guarantees of the sweep engine.
 //!
 //! The engine promises that (a) streaming emission order matches
 //! [`SweepEngine::run`]'s deterministic order bit-for-bit, (b) the union of
 //! shards `0/N..N-1/N` — concatenated in shard order — reproduces the
-//! unsharded sweep exactly, (c) a memo persisted by one run is loaded and
-//! *hit* by a second run without changing a single bit of any report, and
+//! unsharded sweep exactly, (c) a memo warmed by one run is *hit* by a
+//! second run without changing a single bit of any report, and
 //! (d) oversized cartesian products surface a typed error instead of
 //! overflowing. These tests pin all four down for every built-in test case
 //! and for randomized cartesian specs.
@@ -129,32 +129,27 @@ fn shard_union_reproduces_the_unsharded_sweep_on_every_builtin_testcase() {
 }
 
 #[test]
-fn persisted_memo_is_loaded_and_hit_by_a_second_run() {
+fn a_warm_memo_is_hit_by_a_second_run() {
     let estimator = EcoChip::default();
     let system = builtin_systems().remove(1);
     let spec = spec_for(&system);
 
-    // First (cold) run fills and saves the memo.
-    let cold = SweepContext::new();
+    // The first (cold) run fills the memo.
+    let warm = SweepContext::new();
     SweepEngine::with_jobs(4)
         .run_streaming_with(
             &estimator,
             &spec,
             Shard::FULL,
-            &cold,
+            &warm,
             &mut |_: SweepPoint| Ok(()),
         )
         .unwrap();
-    assert!(cold.stats().floorplan_misses > 0);
-    let path = std::env::temp_dir().join(format!(
-        "ecochip-streaming-shard-memo-{}.json",
-        std::process::id()
-    ));
-    cold.save_to(&path, estimator.memo_fingerprint()).unwrap();
+    let filled = warm.stats();
+    assert!(filled.floorplan_misses > 0);
 
-    // Second run starts from the persisted memo: zero stage misses, and
-    // every report identical to the cold run bit-for-bit.
-    let warm = SweepContext::load_from(&path, estimator.memo_fingerprint()).unwrap();
+    // A second run over the warm memo adds no stage misses, and every
+    // report is identical to a cold run bit-for-bit.
     let mut cold_points = Vec::new();
     SweepEngine::with_jobs(4)
         .run_streaming_with(
@@ -182,26 +177,22 @@ fn persisted_memo_is_loaded_and_hit_by_a_second_run() {
         )
         .unwrap();
     let stats = warm.stats();
-    assert_eq!(stats.floorplan_misses, 0, "{stats:?}");
-    assert_eq!(stats.manufacturing_misses, 0, "{stats:?}");
-    assert_bit_for_bit(&cold_points, &warm_points);
-
-    // A different estimator configuration rejects the memo outright.
-    let other = EcoChip::new(
-        eco_chip::core::EstimatorConfig::builder()
-            .fab_source(EnergySource::Wind)
-            .build(),
+    assert_eq!(stats.floorplan_misses, filled.floorplan_misses, "{stats:?}");
+    assert_eq!(
+        stats.manufacturing_misses, filled.manufacturing_misses,
+        "{stats:?}"
     );
-    assert!(matches!(
-        SweepContext::load_from(&path, other.memo_fingerprint()),
-        Err(EcoChipError::StaleMemo(_))
-    ));
-    std::fs::remove_file(&path).unwrap();
+    assert!(stats.floorplan_hits > filled.floorplan_hits, "{stats:?}");
+    assert_bit_for_bit(&cold_points, &warm_points);
 }
 
 #[test]
 fn service_batches_share_one_warm_context() {
-    let service = EcoChipService::with_engine(EcoChip::default(), SweepEngine::with_jobs(4));
+    let service = EcoChipService::with_engine(
+        EcoChip::default(),
+        SweepEngine::with_jobs(4),
+        SweepContext::new(),
+    );
     let systems = builtin_systems();
     // Estimate the same systems twice: the second pass is all hits.
     for system in &systems {
