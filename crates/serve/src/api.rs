@@ -27,8 +27,8 @@ use ecochip_testcases::catalog::{self, CatalogError};
 use crate::ServeError;
 
 fn resolve_base(
-    testcase: &Option<String>,
-    system: &Option<System>,
+    testcase: Option<&str>,
+    system: Option<System>,
     db: &TechDb,
 ) -> Result<System, ServeError> {
     match (testcase, system) {
@@ -44,7 +44,7 @@ fn resolve_base(
             CatalogError::UnknownTestcase(_) => ServeError::Api(error.to_string()),
             CatalogError::Build(inner) => ServeError::Estimator(inner),
         }),
-        (None, Some(system)) => Ok(system.clone()),
+        (None, Some(system)) => Ok(system),
     }
 }
 
@@ -58,15 +58,16 @@ pub struct EstimateRequest {
 }
 
 impl EstimateRequest {
-    /// Resolve the request into the system to estimate.
+    /// Resolve the request into the system to estimate, moving an inline
+    /// system out of the request.
     ///
     /// # Errors
     ///
     /// [`ServeError::Api`] when neither/both design fields are present or
     /// the test-case name is unknown; [`ServeError::Estimator`] when a known
     /// test case fails to build against `db`.
-    pub fn resolve(&self, db: &TechDb) -> Result<System, ServeError> {
-        resolve_base(&self.testcase, &self.system, db)
+    pub fn resolve(self, db: &TechDb) -> Result<System, ServeError> {
+        resolve_base(self.testcase.as_deref(), self.system, db)
     }
 }
 
@@ -108,15 +109,19 @@ impl Serialize for BatchEstimateItem {
 }
 
 impl Deserialize for BatchEstimateItem {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = v.as_object() else {
-            return Err(serde::Error::type_mismatch("object", v.kind()));
-        };
-        // The two wire forms share no keys, so the error marker is decisive.
-        if fields.iter().any(|(key, _)| key == "error") {
-            ErrorResponse::from_value(v).map(Self::Err)
+    fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let start = p.mark();
+        if !p.enter_object()? {
+            return Err(p.mismatch("object"));
+        }
+        // The two wire forms share no keys, so the error marker is decisive:
+        // scan the keys for it, then read the object again as its type.
+        let failed = p.seek_key("error")?;
+        p.reset(start);
+        if failed {
+            ErrorResponse::deserialize(p).map(Self::Err)
         } else {
-            EstimateResponse::from_value(v).map(Self::Ok)
+            EstimateResponse::deserialize(p).map(Self::Ok)
         }
     }
 }
@@ -267,7 +272,7 @@ impl SweepRequest {
     /// chiplets some case holds and malformed shard selectors;
     /// [`ServeError::Estimator`] when a known test case fails to build.
     pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, SweepSlice), ServeError> {
-        let base = resolve_base(&self.testcase, &self.system, db)?;
+        let base = resolve_base(self.testcase.as_deref(), self.system.clone(), db)?;
         let mut spec = SweepSpec::new(base);
         match (&self.axis, &self.axes) {
             (Some(_), Some(_)) => {
@@ -677,9 +682,10 @@ mod tests {
                 system: None,
             },
         ] {
+            let shown = format!("{bad:?}");
             assert!(
                 matches!(bad.resolve(&db), Err(ServeError::Api(_))),
-                "{bad:?}"
+                "{shown}"
             );
         }
     }

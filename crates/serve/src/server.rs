@@ -1368,20 +1368,21 @@ fn parse_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
 }
 
 fn estimate(state: &ServerState, request_body: &[u8]) -> Result<EstimateResponse, ServeError> {
-    let request: EstimateRequest = parse_body(request_body)?;
-    estimate_one(state, &request)
+    estimate_one(state, parse_body(request_body)?)
 }
 
-/// Estimate one resolved request — shared by the single and batch forms of
+/// Estimate one decoded request — shared by the single and batch forms of
 /// `POST /v1/estimate` so both produce identical bytes for the same design.
+/// The request is consumed, so an inline system is estimated without a
+/// copy.
 fn estimate_one(
     state: &ServerState,
-    request: &EstimateRequest,
+    request: EstimateRequest,
 ) -> Result<EstimateResponse, ServeError> {
     let system = request.resolve(&state.db)?;
     let report = state.service.estimate(&system)?;
     Ok(EstimateResponse {
-        system: system.name.clone(),
+        system: system.name,
         embodied_fraction: report.embodied_fraction(),
         report,
     })
@@ -1398,7 +1399,7 @@ fn estimate_batch(
 ) -> Result<Vec<BatchEstimateItem>, ServeError> {
     let requests: Vec<EstimateRequest> = parse_body(request_body)?;
     Ok(requests
-        .iter()
+        .into_iter()
         .map(|request| match estimate_one(state, request) {
             Ok(response) => BatchEstimateItem::Ok(response),
             Err(error) => BatchEstimateItem::Err(ErrorResponse {
