@@ -809,8 +809,8 @@ pub fn optimize<F>(
 where
     F: FnMut(&OptEvent) -> Result<(), EcoChipError>,
 {
-    let total = spec.try_len()?;
-    let range = shard.range(total);
+    let cursor = spec.cursor()?;
+    let range = shard.range(cursor.total);
     let mut seeded = ParetoFrontier::new();
     for point in &config.seed_frontier {
         seeded.insert(point.clone());
@@ -840,7 +840,7 @@ where
                 estimator,
                 objectives: &config.objectives,
                 cases: CaseEvaluator::new(estimator, context, timings),
-                cursor: spec.cursor(),
+                cursor,
                 frontier: seeded,
                 evaluated: 0,
                 best: f64::INFINITY,

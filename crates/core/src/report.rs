@@ -133,7 +133,7 @@ impl CarbonReport {
 
     /// Operational CFP over the full lifetime (`lifetime × C_op`).
     pub fn operational(&self) -> Carbon {
-        self.operational_per_year * self.lifetime.years().max(0.0)
+        self.operational_per_year * self.lifetime.years()
     }
 
     /// Total CFP (`C_tot = C_emb + lifetime × C_op`, Eq. 1).

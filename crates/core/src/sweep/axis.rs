@@ -8,9 +8,11 @@ use ecochip_design::VolumeScenario;
 use ecochip_packaging::PackagingArchitecture;
 use ecochip_techdb::{EnergySource, TechNode, TimeSpan};
 
-use crate::disaggregation::{split_logic, three_chiplets, NodeTuple, SocBlocks};
+use crate::disaggregation::{
+    check_logic_chiplets, split_logic, three_chiplets, NodeTuple, SocBlocks,
+};
 use crate::error::EcoChipError;
-use crate::system::System;
+use crate::system::{Range, System};
 
 /// One axis of a design-space sweep: a list of variations applied to a base
 /// [`System`] (or, for [`SweepAxis::FabEnergySources`], to the estimator).
@@ -54,6 +56,10 @@ pub enum SweepAxis {
     /// [`crate::opt::optimize`] (e.g. [`crate::opt::OptMethod::Pareto`] on
     /// the `embodied` objective, whose first frontier point is the earliest
     /// minimum).
+    ///
+    /// It must come after the axes that replace the chiplet list (they would
+    /// overwrite it), with an `index` every case has there: see
+    /// [`SweepSpec::validate`].
     ChipletNode {
         /// Index of the chiplet to retarget.
         index: usize,
@@ -118,13 +124,10 @@ impl SweepAxis {
     ///
     /// An axis only *sets* the fields it owns, and which fields it sets does
     /// not depend on `digit`. The one axis that also *reads* the case is
-    /// [`SweepAxis::ChipletNode`]: it fails when the chiplet list is too
-    /// short. So re-applying axes `k..` on top of a case decoded with the
-    /// same digits for axes `..k` yields exactly the case a decode from the
-    /// base system would, unless a `ChipletNode` in `k..` runs before an
-    /// axis that replaces the chiplets and so sees the list that axis left
-    /// behind. [`SweepCursor::seek`] moves such restarts back (see
-    /// [`restart_points`]).
+    /// [`SweepAxis::ChipletNode`], and [`SweepSpec::validate`] places it
+    /// after every axis that replaces the chiplets. So re-applying axes
+    /// `k..` on top of a case decoded with the same digits for axes `..k`
+    /// yields exactly the case a decode from the base system would.
     fn apply(&self, case: &mut SweepCase, at: usize, digit: usize) -> Result<(), EcoChipError> {
         let label = &mut case.labels[at];
         label.clear();
@@ -162,19 +165,10 @@ impl SweepAxis {
                 let _ = write!(system.name, "{} ({count} digital chiplets)", blocks.name);
                 let _ = write!(label, "Nc={count}");
             }
-            SweepAxis::ChipletNode {
-                index: chiplet,
-                nodes,
-            } => {
-                let node = nodes[digit];
-                let chiplets = system.chiplets.len();
-                let Some(slot) = system.chiplets.get_mut(*chiplet) else {
-                    return Err(EcoChipError::InvalidSystem(format!(
-                        "sweep axis retargets chiplet {chiplet} but the system has only {chiplets}"
-                    )));
-                };
-                slot.node = node;
-                let _ = write!(label, "{}", node.nm());
+            SweepAxis::ChipletNode { index, nodes } => {
+                // `SweepSpec::validate` keeps `index` below the chiplet count.
+                system.chiplets[*index].node = nodes[digit];
+                let _ = write!(label, "{}", nodes[digit].nm());
             }
             SweepAxis::FabEnergySources(sources) => {
                 case.fab_source = Some(sources[digit]);
@@ -327,15 +321,18 @@ impl SweepSlice {
     ///
     /// # Errors
     ///
-    /// Returns [`EcoChipError::InvalidSystem`] when a `Range` slice fails
-    /// [`validate_case_range`].
+    /// Returns [`EcoChipError::InvalidSystem`] when a `Range` slice is
+    /// inverted or extends past `total`.
     pub fn range(&self, total: usize) -> Result<std::ops::Range<usize>, EcoChipError> {
         match self {
             SweepSlice::Shard(shard) => Ok(shard.range(total)),
-            SweepSlice::Range(range) => {
-                validate_case_range(total, range)?;
-                Ok(range.clone())
+            SweepSlice::Range(range) if range.start > range.end || range.end > total => {
+                Err(EcoChipError::InvalidSystem(format!(
+                    "case range {}..{} is not a slice of the sweep's {total} cases",
+                    range.start, range.end
+                )))
             }
+            SweepSlice::Range(range) => Ok(range.clone()),
         }
     }
 }
@@ -350,30 +347,6 @@ impl From<std::ops::Range<usize>> for SweepSlice {
     fn from(range: std::ops::Range<usize>) -> Self {
         SweepSlice::Range(range)
     }
-}
-
-/// Validate that `range` is a slice of a `total`-case sweep — the single
-/// definition of the bounds rule, applied by [`SweepSlice::range`] (and so
-/// by every [`SweepEngine::stream`] call) and available to front ends that
-/// want to reject a bad resume range before they commit to a response.
-///
-/// # Errors
-///
-/// Returns [`EcoChipError::InvalidSystem`] when the range is inverted or
-/// extends past `total`.
-///
-/// [`SweepEngine::stream`]: crate::sweep::SweepEngine::stream
-pub fn validate_case_range(
-    total: usize,
-    range: &std::ops::Range<usize>,
-) -> Result<(), EcoChipError> {
-    if range.start > range.end || range.end > total {
-        return Err(EcoChipError::InvalidSystem(format!(
-            "case range {}..{} is not a slice of the sweep's {total} cases",
-            range.start, range.end
-        )));
-    }
-    Ok(())
 }
 
 /// A cartesian sweep specification: a base system plus any number of axes.
@@ -460,26 +433,110 @@ impl SweepSpec {
         self.len() == 0
     }
 
+    /// Check the spec and return its case count; every case of a valid spec
+    /// decodes. The product must fit the index space and the base system
+    /// pass [`System::validate`]; then, axis by axis, `Systems` variants
+    /// pass it too, lifetimes are > 0, volumes ≥ 1, custom fab sources in
+    /// [11, 700] gCO₂e/kWh, chiplet counts pass [`check_logic_chiplets`], a
+    /// [`SweepAxis::ChipletNode`] index is below the fewest chiplets a case
+    /// holds there, and no axis replaces the chiplets after a retarget.
+    ///
+    /// # Errors
+    ///
+    /// [`EcoChipError::SweepTooLarge`] on overflow, else the first failing
+    /// rule as [`EcoChipError::InvalidSystem`], starting with the value's
+    /// path (`axes[1].Lifetimes[0]`, `axes[0].Systems["one"].lifetime`).
+    pub fn validate(&self) -> Result<usize, EcoChipError> {
+        use Range::{AtLeastOne, Intensity, Positive};
+        let total = self.try_len()?;
+        self.base.validate()?;
+        // The fewest chiplets a case holds when the next axis applies, and
+        // the first retarget.
+        let (mut fewest, mut retarget) = (self.base.chiplets.len(), None);
+        for (at, axis) in self.axes.iter().enumerate() {
+            if let (Some(retarget), true) = (retarget, axis.replaces_chiplets()) {
+                return Err(EcoChipError::InvalidSystem(format!(
+                    "axes[{retarget}] (ChipletNode) must come after axes[{at}], which \
+                     replaces the chiplet list and so overwrites the retarget"
+                )));
+            }
+            match axis {
+                SweepAxis::Systems(variants) => {
+                    for (name, system) in variants {
+                        system.validate().map_err(|error| match error {
+                            EcoChipError::InvalidSystem(rule) => EcoChipError::InvalidSystem(
+                                format!("axes[{at}].Systems[{name:?}].{rule}"),
+                            ),
+                            other => other,
+                        })?;
+                    }
+                    let shortest = variants.iter().map(|(_, system)| system.chiplets.len());
+                    fewest = shortest.min().unwrap_or(fewest);
+                }
+                SweepAxis::Lifetimes(lifetimes) => {
+                    for (i, l) in lifetimes.iter().enumerate() {
+                        Positive.check(format_args!("axes[{at}].Lifetimes[{i}]"), l.value())?;
+                    }
+                }
+                SweepAxis::Volumes(volumes) => {
+                    for (i, v) in volumes.iter().enumerate() {
+                        let p = format_args!("axes[{at}].Volumes[{i}]");
+                        AtLeastOne
+                            .check(format_args!("{p}.chiplet_volume"), v.chiplet_volume as f64)?;
+                        AtLeastOne
+                            .check(format_args!("{p}.system_volume"), v.system_volume as f64)?;
+                    }
+                }
+                SweepAxis::FabEnergySources(sources) => {
+                    for (i, source) in sources.iter().enumerate() {
+                        if let EnergySource::Custom(intensity) = *source {
+                            let path = format_args!("axes[{at}].FabEnergySources[{i}].custom");
+                            Intensity.check(path, intensity)?;
+                        }
+                    }
+                }
+                // `three_chiplets`: digital, memory, analog.
+                SweepAxis::NodeTuples { .. } => fewest = 3,
+                SweepAxis::ChipletCounts { counts, .. } => {
+                    counts.iter().try_for_each(|&n| check_logic_chiplets(n))?;
+                    // `split_logic` adds the memory and analog chiplets.
+                    fewest = counts.iter().min().map_or(fewest, |count| count + 2);
+                }
+                SweepAxis::ChipletNode { index, .. } if *index >= fewest => {
+                    return Err(EcoChipError::InvalidSystem(format!(
+                        "sweep axis retargets chiplet {index} but a case of this sweep has \
+                         only {fewest} chiplet(s)"
+                    )));
+                }
+                SweepAxis::ChipletNode { .. } => retarget = retarget.or(Some(at)),
+                SweepAxis::Packaging(_) => {}
+            }
+        }
+        Ok(total)
+    }
+
     /// Decode flat `index` of the row-major cartesian product into its case,
     /// in `O(axes)` time and without materializing any other point.
     ///
     /// # Errors
     ///
-    /// Returns [`EcoChipError::SweepTooLarge`] when the product overflows,
-    /// [`EcoChipError::InvalidSystem`] when `index` is out of range or an
-    /// axis does not apply to the base system (e.g. a
-    /// [`SweepAxis::ChipletNode`] index out of range).
+    /// Returns the [`SweepSpec::validate`] error of a refused spec, or
+    /// [`EcoChipError::InvalidSystem`] when `index` is out of range.
     pub fn case_at(&self, index: usize) -> Result<SweepCase, EcoChipError> {
-        let mut cursor = self.cursor();
+        let mut cursor = self.cursor()?;
         cursor.seek(index)?;
         Ok(cursor.case)
     }
 
     /// A fresh decoding cursor over this spec's case space.
-    pub(crate) fn cursor(&self) -> SweepCursor<'_> {
-        SweepCursor {
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepSpec::validate`].
+    pub(crate) fn cursor(&self) -> Result<SweepCursor<'_>, EcoChipError> {
+        Ok(SweepCursor {
             spec: self,
-            restarts: restart_points(&self.axes),
+            total: self.validate()?,
             digits: vec![0; self.axes.len()],
             case: SweepCase {
                 labels: vec![String::new(); self.axes.len()],
@@ -487,56 +544,22 @@ impl SweepSpec {
                 fab_source: None,
             },
             valid: false,
-        }
+        })
     }
 }
 
-/// Where a cursor must start re-applying axes when axis `from` is the first
-/// whose digit changed, for every `from` in `0..=axes.len()`: `Some(k)` to
-/// re-apply axes `k..` on top of the previous case, `None` to start from the
-/// base system.
-///
-/// Restarting at `from` itself is exact unless a [`SweepAxis::ChipletNode`]
-/// in `from..` comes before the first chiplet-replacing axis in `from..`:
-/// that retarget would check its index against the chiplets the replacing
-/// axis left in the previous case. Such restarts move back to the nearest
-/// chiplet-replacing axis before `from`, which rebuilds the list the
-/// retarget must see, or to the base system when there is none.
-fn restart_points(axes: &[SweepAxis]) -> Vec<Option<usize>> {
-    (0..=axes.len())
-        .map(|from| {
-            let rest = &axes[from..];
-            let stale = rest
-                .iter()
-                .position(SweepAxis::replaces_chiplets)
-                .is_some_and(|replacer| {
-                    rest[..replacer]
-                        .iter()
-                        .any(|axis| matches!(axis, SweepAxis::ChipletNode { .. }))
-                });
-            if stale {
-                axes[..from].iter().rposition(SweepAxis::replaces_chiplets)
-            } else {
-                Some(from)
-            }
-        })
-        .collect()
-}
-
-/// An odometer over a spec's case space: it keeps the last decoded case and
-/// its per-axis digits, and [`SweepCursor::seek`] re-applies only the axes
-/// from the first one whose digit changed (or from that axis's
-/// [`restart_points`] entry, when a chiplet retarget must see an earlier
-/// chiplet list). Engine workers claim contiguous chunks, so consecutive
-/// seeks mostly re-apply the last axis alone, with no base-system clone
-/// and no label `format!` for the unchanged axes.
-/// [`SweepSpec::case_at`] is a fresh cursor and one seek, so there is one
-/// decoder.
-#[derive(Debug)]
+/// An odometer over a validated spec's case space: it keeps the last
+/// decoded case and its per-axis digits, and [`SweepCursor::seek`]
+/// re-applies only the axes from the first one whose digit changed.
+/// Engine workers claim contiguous chunks, so consecutive seeks mostly
+/// re-apply the last axis alone, with no base-system clone and no label
+/// `format!` for the unchanged axes. [`SweepSpec::case_at`] is a fresh
+/// cursor and one seek, so there is one decoder.
+#[derive(Debug, Clone)]
 pub(crate) struct SweepCursor<'a> {
     spec: &'a SweepSpec,
-    /// [`restart_points`] of the spec's axes.
-    restarts: Vec<Option<usize>>,
+    /// The spec's case count.
+    pub(crate) total: usize,
     /// The digit of every axis in the last seek (row-major, last fastest).
     digits: Vec<usize>,
     /// The reused case, one label buffer per axis.
@@ -551,17 +574,17 @@ impl SweepCursor<'_> {
     ///
     /// # Errors
     ///
-    /// As [`SweepSpec::case_at`]; after an error the next seek decodes from
-    /// the base system again.
+    /// [`EcoChipError::InvalidSystem`] when `index` is out of range; after
+    /// a failed decode the next seek starts from the base system again.
     pub(crate) fn seek(&mut self, index: usize) -> Result<&SweepCase, EcoChipError> {
-        let valid = std::mem::replace(&mut self.valid, false);
         let spec = self.spec;
-        let total = spec.try_len()?;
-        if index >= total {
+        if index >= self.total {
             return Err(EcoChipError::InvalidSystem(format!(
-                "sweep case index {index} out of range for a {total}-point sweep"
+                "sweep case index {index} out of range for a {}-point sweep",
+                self.total
             )));
         }
+        let valid = std::mem::replace(&mut self.valid, false);
         // Row-major decode: the last axis varies fastest, so its digit is the
         // final remainder. Peeling digits back-to-front leaves `from` at the
         // first axis whose digit changed.
@@ -575,12 +598,11 @@ impl SweepCursor<'_> {
                 from = at;
             }
         }
-        let restart = if valid { self.restarts[from] } else { None };
-        let from = restart.unwrap_or_else(|| {
+        if !valid {
             self.case.system.clone_from(&spec.base);
             self.case.fab_source = None;
-            0
-        });
+            from = 0;
+        }
         for (at, axis) in spec.axes.iter().enumerate().skip(from) {
             axis.apply(&mut self.case, at, self.digits[at])?;
         }
@@ -849,9 +871,8 @@ mod tests {
         assert_eq!(all_cases(&restored).unwrap(), all_cases(&counts).unwrap());
     }
 
-    /// Retargets chiplet 3, then re-splits into the 3-chiplet tuple: the
-    /// retarget must check its index against the 4 chiplets of the count-2
-    /// split before it, not the 3 the tuple split left in the previous case.
+    /// Retargets chiplet 3 of the count-2 split (4 chiplets), then
+    /// re-splits into the 3-chiplet tuple, which overwrites the retarget.
     fn retarget_before_resplit() -> SweepSpec {
         let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
         SweepSpec::new(base())
@@ -872,7 +893,7 @@ mod tests {
 
     /// Every seek of `walk` through one cursor equals a fresh `case_at`.
     fn assert_cursor_walk_matches(spec: &SweepSpec, walk: &[usize]) {
-        let mut cursor = spec.cursor();
+        let mut cursor = spec.cursor().unwrap();
         for &index in walk {
             let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
             let fresh = spec.case_at(index).map_err(|e| e.to_string());
@@ -880,13 +901,45 @@ mod tests {
         }
     }
 
+    /// `validate`, `cursor` and `case_at` at every index refuse `spec` with
+    /// one error, whose text contains `text`.
+    fn assert_refused(spec: &SweepSpec, text: &str) {
+        let refused = spec.validate().expect_err(text).to_string();
+        assert!(refused.contains(text), "{refused}");
+        assert_eq!(spec.cursor().unwrap_err().to_string(), refused);
+        for index in 0..=spec.len().min(64) {
+            assert_eq!(spec.case_at(index).unwrap_err().to_string(), refused);
+        }
+    }
+
     #[test]
     fn retargets_see_the_chiplets_of_the_axes_before_them() {
-        let spec = retarget_before_resplit();
-        assert_eq!(all_cases(&spec).unwrap().len(), 2);
-        assert_cursor_walk_matches(&spec, &[0, 1, 0, 1, 1]);
+        let retarget = |index| SweepAxis::ChipletNode {
+            index,
+            nodes: vec![TechNode::N10, TechNode::N14],
+        };
+        let [counts, _, tuples]: [SweepAxis; 3] =
+            retarget_before_resplit().axes.try_into().unwrap();
+        // After a re-split, a retarget's index is checked against the
+        // chiplets the split leaves: 4 for the count-2 split, 3 for a tuple.
+        let spec = SweepSpec::new(base()).axis(counts).axis(retarget(3));
+        assert_eq!(spec.validate().unwrap(), 2);
+        assert_eq!(
+            spec.case_at(1).unwrap().system.chiplets[3].node,
+            TechNode::N14
+        );
+        let spec = SweepSpec::new(base()).axis(tuples).axis(retarget(3));
+        assert_refused(
+            &spec,
+            "retargets chiplet 3 but a case of this sweep has only 3",
+        );
 
-        // A `Systems` axis after the retarget replaces the chiplets too.
+        // A retarget ahead of an axis that replaces the chiplets is
+        // refused even when its index fits: the later axis overwrites it.
+        assert_refused(
+            &retarget_before_resplit(),
+            "axes[1] (ChipletNode) must come after axes[2], which replaces the chiplet list",
+        );
         let one_chiplet = {
             let mut system = base();
             system.chiplets.truncate(1);
@@ -897,50 +950,103 @@ mod tests {
             ("one".to_owned(), one_chiplet),
         ]);
         let spec = SweepSpec::new(base())
-            .axis(retarget_before_resplit().axes[0].clone())
-            .axis(retarget_before_resplit().axes[1].clone())
+            .axis(retarget(1))
             .axis(systems.clone());
-        assert_eq!(all_cases(&spec).unwrap().len(), 4);
-        assert_cursor_walk_matches(&spec, &[0, 1, 2, 3, 1, 0, 3]);
+        assert_refused(&spec, "axes[0] (ChipletNode) must come after axes[1]");
 
-        // With no chiplet-replacing axis before the retarget, it must see
-        // the base system's chiplets again.
+        // After a `Systems` axis, a retarget sees its variants' chiplets.
         let spec = SweepSpec::new(base())
-            .axis(SweepAxis::ChipletNode {
-                index: 1,
-                nodes: vec![TechNode::N10, TechNode::N14],
-            })
-            .axis(systems);
+            .axis(systems.clone())
+            .axis(retarget(1));
+        assert_refused(
+            &spec,
+            "retargets chiplet 1 but a case of this sweep has only 1",
+        );
+        let spec = SweepSpec::new(base()).axis(systems).axis(retarget(0));
         assert_eq!(all_cases(&spec).unwrap().len(), 4);
         assert_cursor_walk_matches(&spec, &[0, 1, 2, 3, 1, 0, 3]);
     }
 
     #[test]
-    fn restart_points_move_back_only_past_stale_retargets() {
-        let retarget = || SweepAxis::ChipletNode {
-            index: 0,
-            nodes: vec![TechNode::N10],
+    fn axis_values_outside_their_ranges_are_refused() {
+        let lifetimes = |years: f64| SweepAxis::lifetimes_years(&[2.0, years]);
+        let volumes = |chiplet_volume| {
+            SweepAxis::Volumes(vec![VolumeScenario {
+                chiplet_volume,
+                system_volume: 1,
+            }])
         };
-        let resplit = retarget_before_resplit().axes[2].clone();
-        let lifetimes = SweepAxis::lifetimes_years(&[1.0]);
-        // Retargets after the last re-split restart where they change.
-        let axes = [resplit.clone(), retarget(), lifetimes.clone()];
-        assert_eq!(restart_points(&axes), [Some(0), Some(1), Some(2), Some(3)]);
-        // A retarget ahead of a re-split restarts at the re-split before it,
-        // or at the base system when there is none.
-        let axes = [lifetimes, retarget(), resplit.clone(), retarget(), resplit];
-        assert_eq!(
-            restart_points(&axes),
-            [None, None, Some(2), Some(2), Some(4), Some(5)]
+        let sources = |intensity| {
+            SweepAxis::FabEnergySources(vec![EnergySource::Wind, EnergySource::Custom(intensity)])
+        };
+        let mut expired = base();
+        expired.lifetime = TimeSpan::from_years(-1.0);
+        let systems = SweepAxis::Systems(vec![("ok".into(), base()), ("bad".into(), expired)]);
+        for (axis, text) in [
+            (
+                lifetimes(-1.0),
+                "axes[1].Lifetimes[1] must be finite and > 0, got -8760",
+            ),
+            (
+                lifetimes(0.0),
+                "axes[1].Lifetimes[1] must be finite and > 0, got 0",
+            ),
+            (
+                lifetimes(f64::NAN),
+                "axes[1].Lifetimes[1] must be finite and > 0, got NaN",
+            ),
+            (
+                volumes(0),
+                "axes[1].Volumes[0].chiplet_volume must be ≥ 1, got 0",
+            ),
+            (
+                sources(-50.0),
+                "axes[1].FabEnergySources[1].custom must be in [11, 700]",
+            ),
+            (
+                sources(5000.0),
+                "axes[1].FabEnergySources[1].custom must be in [11, 700]",
+            ),
+            (
+                systems,
+                r#"axes[1].Systems["bad"].lifetime must be finite and > 0"#,
+            ),
+        ] {
+            assert_refused(
+                &SweepSpec::new(base()).axis(packaging_axis()).axis(axis),
+                text,
+            );
+        }
+        for intensity in [11.0, 250.0, 700.0] {
+            assert!(SweepSpec::new(base())
+                .axis(sources(intensity))
+                .validate()
+                .is_ok());
+        }
+        // The base system is checked too, and the overflow check comes
+        // first.
+        let mut bad_base = base();
+        bad_base.volumes.system_volume = 0;
+        assert_refused(
+            &SweepSpec::new(bad_base.clone()),
+            "volumes.system_volume must be ≥ 1",
         );
+        let huge = SweepAxis::lifetimes_years(&vec![-1.0; 1 << 16]);
+        let spec = (0..5).fold(SweepSpec::new(bad_base), |spec, _| spec.axis(huge.clone()));
+        assert!(matches!(
+            spec.validate(),
+            Err(EcoChipError::SweepTooLarge(_))
+        ));
     }
 
     /// A random spec mixing every axis kind: an optional `Systems` axis
     /// first, then up to five axes of any kind in random order (`Systems`
     /// included), weighted toward the axes that read or replace the
     /// chiplet list. Axes have one to three points; `ChipletCounts` may
-    /// hold a 0 (a failing split), and `ChipletNode` indices are valid for
-    /// some chiplet counts and not for others.
+    /// hold a 0 (a refused split), and `ChipletNode` indices are valid for
+    /// some chiplet counts and not for others. Three specs in four move
+    /// their `ChipletNode` axes after all the others, so most specs pass
+    /// [`SweepSpec::validate`]; the rest exercise its refusals.
     fn random_spec(rng: &mut TestRng) -> SweepSpec {
         let nodes = [TechNode::N5, TechNode::N7, TechNode::N10, TechNode::N14];
         let node = |rng: &mut TestRng| nodes[rng.next_below(4) as usize];
@@ -957,9 +1063,9 @@ mod tests {
                 .collect();
             SweepAxis::Systems(systems)
         };
-        let mut spec = SweepSpec::new(base());
+        let mut axes = Vec::new();
         if rng.next_below(2) == 0 {
-            spec = spec.axis(systems(rng));
+            axes.push(systems(rng));
         }
         for _ in 0..rng.next_below(6) {
             let axis = match rng.next_below(12) {
@@ -997,9 +1103,13 @@ mod tests {
                 10 => systems(rng),
                 _ => packaging_axis(),
             };
-            spec = spec.axis(axis);
+            axes.push(axis);
         }
-        spec
+        if rng.next_below(4) != 0 {
+            axes.sort_by_key(|axis| matches!(axis, SweepAxis::ChipletNode { .. }));
+        }
+        axes.into_iter()
+            .fold(SweepSpec::new(base()), SweepSpec::axis)
     }
 
     /// A walk over `0..total` and a little beyond: sequential runs, jumps,
@@ -1036,17 +1146,27 @@ mod tests {
 
         /// After every seek the cursor's case equals a fresh `case_at`
         /// (labels, system and fab source), or both fail with the same
-        /// error text.
+        /// error text. A spec `validate` refuses fails `case_at` with its
+        /// refusal at every index.
         #[test]
         fn cursor_seeks_match_case_at(seed in 0u64..u64::MAX) {
             let mut rng = TestRng::seed_from_u64(seed);
             let spec = random_spec(&mut rng);
-            let total = spec.try_len().unwrap();
-            let mut cursor = spec.cursor();
-            for index in random_walk(&mut rng, total) {
-                let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
-                let fresh = spec.case_at(index).map_err(|e| e.to_string());
-                prop_assert_eq!(sought, fresh);
+            let walk = random_walk(&mut rng, spec.len());
+            match spec.cursor() {
+                Ok(mut cursor) => {
+                    for index in walk {
+                        let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
+                        let fresh = spec.case_at(index).map_err(|e| e.to_string());
+                        prop_assert_eq!(sought, fresh);
+                    }
+                }
+                Err(refused) => {
+                    for index in walk {
+                        let fresh = spec.case_at(index).err().map(|e| e.to_string());
+                        prop_assert_eq!(fresh, Some(refused.to_string()));
+                    }
+                }
             }
         }
     }

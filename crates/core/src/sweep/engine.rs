@@ -218,8 +218,8 @@ impl SweepEngine {
         Ok(points)
     }
 
-    /// [`SweepEngine::stream`] over a [`Shard`] with no stage timings, kept
-    /// as a shorthand for existing callers.
+    /// [`SweepEngine::stream`] over a [`Shard`] with no stage timings: the
+    /// shorthand the `perfbench` harness and the streaming tests call.
     ///
     /// # Errors
     ///
@@ -244,10 +244,9 @@ impl SweepEngine {
     ///   reproduces the full run) or an explicit index range — the resume
     ///   primitive behind orchestrator failover: re-streaming the unemitted
     ///   suffix `[s + k, e)` of an interrupted range reproduces exactly the
-    ///   missing points. A range is checked by
-    ///   [`validate_case_range`](crate::sweep::validate_case_range).
-    /// * `context` is the shared memo (fresh, warm, or restored from a memo
-    ///   file).
+    ///   missing points. A range is checked by [`SweepSlice::range`].
+    /// * `context` is the shared memo (fresh, or warm from earlier runs in
+    ///   this process).
     /// * When `timings` is `Some`, each point's estimator call is measured
     ///   into [`StageTimings`]; `None` costs one branch per point.
     ///
@@ -258,11 +257,11 @@ impl SweepEngine {
     ///
     /// # Errors
     ///
-    /// Returns the spec's case-generation error,
-    /// [`EcoChipError::InvalidSystem`] for an out-of-bounds range, the
-    /// decode or estimator error of the lowest-index failing point (every
-    /// point before it is emitted first, whatever the worker count), or the
-    /// first error returned by `sink`.
+    /// Returns the [`SweepSpec::validate`] error of a refused spec before
+    /// the first point, [`EcoChipError::InvalidSystem`] for an
+    /// out-of-bounds range, the estimator error of the lowest-index failing
+    /// point (every point before it is emitted first, whatever the worker
+    /// count), or the first error returned by `sink`.
     pub fn stream<S: SweepSink + ?Sized>(
         &self,
         estimator: &EcoChip,
@@ -272,7 +271,8 @@ impl SweepEngine {
         timings: Option<&StageTimings>,
         sink: &mut S,
     ) -> Result<usize, EcoChipError> {
-        let range = slice.into().range(spec.try_len()?)?;
+        let mut cursor = spec.cursor()?;
+        let range = slice.into().range(cursor.total)?;
         let count = range.len();
         if count == 0 {
             return Ok(0);
@@ -287,7 +287,6 @@ impl SweepEngine {
             // batches so batch-optimized sinks (one write per batch) get
             // the same bulk entry point the parallel path uses.
             let mut emitted = 0usize;
-            let mut cursor = spec.cursor();
             let mut next = range.start;
             while next < range.end {
                 let stop = next.saturating_add(chunk).min(range.end);
@@ -315,7 +314,7 @@ impl SweepEngine {
 
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                let mut cursor = spec.cursor();
+                let mut cursor = cursor.clone();
                 let (cases, queue) = (&cases, &queue);
                 scope.spawn(move || loop {
                     let (start, stop) = {
@@ -744,29 +743,41 @@ mod tests {
 
     #[test]
     fn failed_cases_do_not_leak_into_later_cursor_decodes() {
+        use crate::config::EstimatorConfig;
         use crate::disaggregation::{NodeTuple, SocBlocks};
-        // 4 digital chiplets give 6 chiplets and 1 gives 3, so retargeting
-        // chiplet 4 fails on the middle count only. A worker whose cursor
-        // failed there must decode the last count's cases from the base
-        // system again.
+        use ecochip_techdb::{TechDb, TechDbBuilder};
+        // The database lacks 10 nm, so the N10 retarget fails in the
+        // estimator, at cases 4 and 5 of the count-4 split and again in the
+        // count-1 split; every other case estimates. Points before the
+        // lowest failing index are emitted whatever the worker count, and
+        // a worker whose case failed decodes its next cases exactly.
+        let full = TechDb::default();
+        let db = TechNode::ALL
+            .into_iter()
+            .filter(|&node| node != TechNode::N10)
+            .fold(TechDbBuilder::new(), |db, node| {
+                db.insert(full.node(node).unwrap().clone())
+            })
+            .build();
+        let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
         let spec = SweepSpec::new(base())
             .axis(SweepAxis::ChipletCounts {
                 blocks: SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9),
                 nodes: NodeTuple::uniform(TechNode::N7),
-                counts: vec![4, 1, 4],
+                counts: vec![4, 1],
             })
             .axis(SweepAxis::ChipletNode {
-                index: 4,
-                nodes: vec![TechNode::N10, TechNode::N14],
+                index: 2,
+                nodes: vec![TechNode::N7, TechNode::N14, TechNode::N10],
             })
             .axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
-        let message = "sweep axis retargets chiplet 4 but the system has only 3";
+        let message = "technology database has no entry for 10 nm";
         for jobs in [1usize, 2, 4] {
             for chunk in [1usize, 3] {
                 let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
                 let mut points = Vec::new();
                 let result = engine.stream(
-                    &EcoChip::default(),
+                    &estimator,
                     &spec,
                     Shard::FULL,
                     &SweepContext::new(),
@@ -776,74 +787,82 @@ mod tests {
                         Ok(())
                     },
                 );
-                let error = result.expect_err("the count-1 cases fail").to_string();
+                let error = result.expect_err("the N10 cases fail").to_string();
                 assert!(
                     error.contains(message),
                     "jobs={jobs} chunk={chunk}: {error}"
                 );
                 let counts: Vec<usize> = points.iter().map(|p| p.system.chiplets.len()).collect();
                 assert_eq!(counts, [6; 4], "jobs={jobs} chunk={chunk}");
+                // The count-1 cases after the failure estimate as usual.
+                let tail = engine.stream(
+                    &estimator,
+                    &spec,
+                    6..10,
+                    &SweepContext::new(),
+                    None,
+                    &mut |_: SweepPoint| Ok(()),
+                );
+                assert_eq!(tail, Ok(4), "jobs={jobs} chunk={chunk}");
             }
         }
-        let mut cursor = spec.cursor();
-        assert!(cursor.seek(4).is_err());
-        assert_eq!(cursor.seek(9).unwrap(), &spec.case_at(9).unwrap());
-        assert!(cursor.seek(5).is_err());
-        assert_eq!(cursor.seek(8).unwrap(), &spec.case_at(8).unwrap());
+        let mut cursor = spec.cursor().unwrap();
+        for index in [4, 9, 5, 8, 11, 6] {
+            assert_eq!(cursor.seek(index).unwrap(), &spec.case_at(index).unwrap());
+        }
     }
 
     #[test]
     fn retargets_ahead_of_a_resplit_decode_alike_on_every_worker() {
         use crate::disaggregation::{NodeTuple, SocBlocks};
-        // Chiplet 3 exists in the count-2 split (4 chiplets) but not in the
-        // tuple split after it (3 chiplets). Every point is valid, whichever
-        // index a worker's cursor decoded before.
+        // Chiplet 3 exists in the count-2 split (4 chiplets), but the tuple
+        // split after the retarget would overwrite it. Every entry point
+        // refuses such a spec before its first point, with one error,
+        // whatever the worker count, claim size or slice.
         let blocks = SocBlocks::new("soc", 10.0e9, 4.0e9, 1.0e9);
-        let spec = SweepSpec::new(base())
-            .axis(SweepAxis::ChipletCounts {
-                blocks: blocks.clone(),
-                nodes: NodeTuple::uniform(TechNode::N7),
-                counts: vec![2],
-            })
-            .axis(SweepAxis::ChipletNode {
-                index: 3,
-                nodes: vec![TechNode::N10, TechNode::N14],
-            })
-            .axis(SweepAxis::NodeTuples {
-                blocks,
-                tuples: vec![
-                    NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
-                    NodeTuple::uniform(TechNode::N10),
-                ],
-            })
-            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
-        let full = collect(
-            &SweepEngine::serial(),
-            &spec,
-            Shard::FULL,
-            &SweepContext::new(),
-        )
-        .expect("every case is valid");
-        let labels: Vec<String> = (0..spec.len())
-            .map(|index| spec.case_at(index).unwrap().label())
-            .collect();
-        assert_eq!(
-            full.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
-            labels
-        );
-        for jobs in [1usize, 2, 4] {
-            for chunk in [1usize, 3] {
-                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
-                let points = collect(&engine, &spec, Shard::FULL, &SweepContext::new());
-                assert_eq!(points.unwrap(), full, "jobs={jobs} chunk={chunk}");
-                let mut merged = Vec::new();
-                for index in 0..3 {
-                    let shard = Shard::new(index, 3).unwrap();
-                    merged.extend(collect(&engine, &spec, shard, &SweepContext::new()).unwrap());
+        let counts = SweepAxis::ChipletCounts {
+            blocks: blocks.clone(),
+            nodes: NodeTuple::uniform(TechNode::N7),
+            counts: vec![2],
+        };
+        let retarget = SweepAxis::ChipletNode {
+            index: 3,
+            nodes: vec![TechNode::N10, TechNode::N14],
+        };
+        let tuples = SweepAxis::NodeTuples {
+            blocks,
+            tuples: vec![
+                NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+                NodeTuple::uniform(TechNode::N10),
+            ],
+        };
+        let lifetimes = SweepAxis::lifetimes_years(&[1.0, 2.0]);
+        let systems = SweepAxis::Systems(vec![("a".into(), base()), ("b".into(), base())]);
+        for replacer in [tuples, counts.clone(), systems] {
+            let spec = SweepSpec::new(base())
+                .axis(counts.clone())
+                .axis(retarget.clone())
+                .axis(replacer)
+                .axis(lifetimes.clone());
+            let refused = spec.validate().expect_err("refused").to_string();
+            assert!(refused.contains("axes[1] (ChipletNode) must come after axes[2]"));
+            assert_eq!(spec.cursor().unwrap_err().to_string(), refused);
+            for index in 0..spec.len() {
+                assert_eq!(spec.case_at(index).unwrap_err().to_string(), refused);
+            }
+            for jobs in [1usize, 2, 4] {
+                for chunk in [1usize, 3] {
+                    let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                    let shard = Shard::new(1, 3).unwrap();
+                    for slice in [Shard::FULL.into(), shard.into(), SweepSlice::Range(1..4)] {
+                        let result = collect(&engine, &spec, slice.clone(), &SweepContext::new());
+                        assert_eq!(
+                            result.unwrap_err().to_string(),
+                            refused,
+                            "jobs={jobs} chunk={chunk} {slice:?}"
+                        );
+                    }
                 }
-                assert_eq!(merged, full, "jobs={jobs} chunk={chunk} shards");
-                let tail = collect(&engine, &spec, 1..full.len(), &SweepContext::new());
-                assert_eq!(tail.unwrap(), full[1..], "jobs={jobs} chunk={chunk} 1..");
             }
         }
     }

@@ -68,17 +68,17 @@
 //! cursor that keeps its previous case and re-applies only the axes from
 //! the first one whose digit changed (an odometer). The next index of a
 //! claimed chunk then costs one axis, not a rebuild from the base system.
-//! A chiplet retarget that sits ahead of an axis replacing the chiplets
-//! restarts further back, so it checks its index against the chiplets the
-//! axes before it produce. `case_at` is a fresh cursor and one seek, so
-//! there is one decoder.
+//! That is exact because [`SweepSpec::validate`], which every entry point
+//! runs before its first point, refuses a chiplet retarget placed ahead of
+//! an axis that replaces the chiplets. `case_at` is a fresh cursor and one
+//! seek, so there is one decoder.
 
 mod axis;
 mod context;
 mod engine;
 
 pub(crate) use axis::SweepCursor;
-pub use axis::{validate_case_range, Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
+pub use axis::{Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats};
 pub(crate) use engine::CaseEvaluator;
 pub use engine::{SweepEngine, SweepSink, DEFAULT_CHUNK};

@@ -208,6 +208,60 @@ impl System {
             ..self.clone()
         }
     }
+
+    /// Check every input against its physical range (Table I); every front
+    /// end calls this before it estimates.
+    ///
+    /// # Errors
+    ///
+    /// [`EcoChipError::InvalidSystem`] for the first failing rule, its text
+    /// starting with the field path (`lifetime`, `chiplets[0].size`, …).
+    pub fn validate(&self) -> Result<(), EcoChipError> {
+        use Range::{AtLeastOne, Efficiency, Fraction, NonNegative, Positive};
+        if self.chiplets.is_empty() {
+            return Err(EcoChipError::InvalidSystem(
+                "chiplets: a system needs at least one chiplet".to_owned(),
+            ));
+        }
+        for (at, chiplet) in self.chiplets.iter().enumerate() {
+            let size = match chiplet.size {
+                ChipletSize::Transistors(count) => count,
+                ChipletSize::AreaAtNode { area, .. } => area.value(),
+            };
+            Positive.check(format_args!("chiplets[{at}].size"), size)?;
+        }
+        Positive.check("lifetime", self.lifetime.value())?;
+        // Volumes are counts: `as f64` is exact far past any real volume.
+        AtLeastOne.check("volumes.chiplet_volume", self.volumes.chiplet_volume as f64)?;
+        AtLeastOne.check("volumes.system_volume", self.volumes.system_volume as f64)?;
+        match self.usage {
+            UsageProfile::Battery {
+                battery_wh: wh,
+                charges_per_year: n,
+                charger_efficiency: eff,
+            } => {
+                NonNegative.check("usage.battery_wh", wh)?;
+                NonNegative.check("usage.charges_per_year", n)?;
+                Efficiency.check("usage.charger_efficiency", eff)?;
+            }
+            UsageProfile::Measured { energy_per_year: e } => {
+                NonNegative.check("usage.energy_per_year", e.value())?;
+            }
+            UsageProfile::Dynamic { operating_point: p } => {
+                let op = "usage.operating_point";
+                NonNegative.check(format_args!("{op}.vdd"), p.vdd.value())?;
+                NonNegative.check(format_args!("{op}.frequency"), p.frequency.value())?;
+                NonNegative.check(format_args!("{op}.leakage_current_a"), p.leakage_current_a)?;
+                let capacitance = p.switched_capacitance_f;
+                NonNegative.check(format_args!("{op}.switched_capacitance_f"), capacitance)?;
+                Fraction.check(format_args!("{op}.activity"), p.activity)?;
+                Fraction.check(format_args!("{op}.duty_cycle"), p.duty_cycle)?;
+            }
+        }
+        self.packaging
+            .validate()
+            .map_err(|error| EcoChipError::InvalidSystem(format!("packaging: {error}")))
+    }
 }
 
 impl fmt::Display for System {
@@ -220,6 +274,39 @@ impl fmt::Display for System {
             if self.chiplets.len() == 1 { "" } else { "s" },
             self.packaging
         )
+    }
+}
+
+/// The physical range of an input value, which must also be finite.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Range {
+    Positive,
+    NonNegative,
+    Fraction,
+    Efficiency,
+    AtLeastOne,
+    /// Table I's energy-source intensities, in gCO₂e/kWh.
+    Intensity,
+}
+
+impl Range {
+    /// Refuse `value` outside this range, naming `field`; valid inputs
+    /// format (and allocate) nothing.
+    pub(crate) fn check(self, field: impl fmt::Display, value: f64) -> Result<(), EcoChipError> {
+        let (inside, rule) = match self {
+            Range::Positive => (value > 0.0, "finite and > 0"),
+            Range::NonNegative => (value >= 0.0, "finite and ≥ 0"),
+            Range::Fraction => ((0.0..=1.0).contains(&value), "in [0, 1]"),
+            Range::Efficiency => (value > 0.0 && value <= 1.0, "in (0, 1]"),
+            Range::AtLeastOne => (value >= 1.0, "≥ 1"),
+            Range::Intensity => ((11.0..=700.0).contains(&value), "in [11, 700] gCO2e/kWh"),
+        };
+        if inside && value.is_finite() {
+            return Ok(());
+        }
+        Err(EcoChipError::InvalidSystem(format!(
+            "{field} must be {rule}, got {value}"
+        )))
     }
 }
 
@@ -288,33 +375,21 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`EcoChipError::InvalidSystem`] when no chiplets were added,
-    /// the lifetime is non-positive, or the packaging configuration fails
-    /// validation.
+    /// Returns [`EcoChipError::InvalidSystem`] when the system fails
+    /// [`System::validate`].
     pub fn build(self) -> Result<System, EcoChipError> {
-        if self.chiplets.is_empty() {
-            return Err(EcoChipError::InvalidSystem(
-                "a system needs at least one chiplet".to_owned(),
-            ));
-        }
-        if !self.lifetime.hours().is_finite() || self.lifetime.hours() <= 0.0 {
-            return Err(EcoChipError::InvalidSystem(format!(
-                "lifetime must be positive, got {} hours",
-                self.lifetime.hours()
-            )));
-        }
-        let packaging = self.packaging.unwrap_or(PackagingArchitecture::RdlFanout(
-            ecochip_packaging::RdlFanoutConfig::default(),
-        ));
-        packaging.validate()?;
-        Ok(System {
+        let system = System {
             name: self.name,
             chiplets: self.chiplets,
-            packaging,
+            packaging: self.packaging.unwrap_or(PackagingArchitecture::RdlFanout(
+                ecochip_packaging::RdlFanoutConfig::default(),
+            )),
             usage: self.usage,
             lifetime: self.lifetime,
             volumes: self.volumes,
-        })
+        };
+        system.validate()?;
+        Ok(system)
     }
 }
 

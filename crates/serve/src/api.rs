@@ -17,7 +17,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use ecochip_core::disaggregation::check_logic_chiplets;
 pub use ecochip_core::sweep::SweepSlice;
 use ecochip_core::sweep::{Shard, SweepAxis, SweepSpec, SweepStats};
 use ecochip_core::{dse, opt, CarbonReport, System};
@@ -26,12 +25,14 @@ use ecochip_testcases::catalog::{self, CatalogError};
 
 use crate::ServeError;
 
+/// The design a request names, refused unless it passes
+/// [`System::validate`].
 fn resolve_base(
     testcase: Option<&str>,
     system: Option<System>,
     db: &TechDb,
 ) -> Result<System, ServeError> {
-    match (testcase, system) {
+    let system = match (testcase, system) {
         (Some(_), Some(_)) => Err(ServeError::Api(
             "pass either \"testcase\" or \"system\", not both".into(),
         )),
@@ -45,7 +46,14 @@ fn resolve_base(
             CatalogError::Build(inner) => ServeError::Estimator(inner),
         }),
         (None, Some(system)) => Ok(system),
-    }
+    }?;
+    system.validate().map_err(api_error)?;
+    Ok(system)
+}
+
+/// A refused input, answered with 400 (exit 2 on the CLI).
+fn api_error(error: impl std::fmt::Display) -> ServeError {
+    ServeError::Api(error.to_string())
 }
 
 /// `POST /v1/estimate`: one design to evaluate.
@@ -63,9 +71,10 @@ impl EstimateRequest {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Api`] when neither/both design fields are present or
-    /// the test-case name is unknown; [`ServeError::Estimator`] when a known
-    /// test case fails to build against `db`.
+    /// [`ServeError::Api`] when neither/both design fields are present,
+    /// the test-case name is unknown or the system fails
+    /// [`System::validate`]; [`ServeError::Estimator`] when a known test
+    /// case fails to build against `db`.
     pub fn resolve(self, db: &TechDb) -> Result<System, ServeError> {
         resolve_base(self.testcase.as_deref(), self.system, db)
     }
@@ -267,10 +276,10 @@ impl SweepRequest {
     /// # Errors
     ///
     /// [`ServeError::Api`] for missing/conflicting fields, unknown
-    /// test-case or axis names, `ChipletCounts` values
-    /// [`check_logic_chiplets`] refuses, a `ChipletNode` index past the
-    /// chiplets some case holds and malformed shard selectors;
-    /// [`ServeError::Estimator`] when a known test case fails to build.
+    /// test-case or axis names, a spec [`SweepSpec::validate`] refuses and
+    /// a shard or range that is not a slice of it (so a front end can
+    /// refuse before committing to a response); [`ServeError::Estimator`]
+    /// when a known test case fails to build.
     pub fn resolve(&self, db: &TechDb) -> Result<(SweepSpec, SweepSlice), ServeError> {
         let base = resolve_base(self.testcase.as_deref(), self.system.clone(), db)?;
         let mut spec = SweepSpec::new(base);
@@ -281,61 +290,26 @@ impl SweepRequest {
                 ))
             }
             (Some(name), None) => {
-                let axis = dse::named_sweep_axis(name, spec.base())
-                    .map_err(|e| ServeError::Api(e.to_string()))?;
+                let axis = dse::named_sweep_axis(name, spec.base()).map_err(api_error)?;
                 spec = spec.axis(axis);
             }
-            (None, Some(axes)) => {
-                // The fewest chiplets a case can hold when the next axis
-                // applies: a `ChipletNode` index past it would fail
-                // mid-stream, after the 200.
-                let mut shortest = spec.base().chiplets.len();
-                for axis in axes {
-                    match axis {
-                        // `three_chiplets`: digital, memory, analog.
-                        SweepAxis::NodeTuples { .. } => shortest = 3,
-                        SweepAxis::ChipletCounts { counts, .. } => {
-                            for &count in counts {
-                                check_logic_chiplets(count)
-                                    .map_err(|e| ServeError::Api(e.to_string()))?;
-                            }
-                            // `split_logic` adds the memory and analog chiplets.
-                            shortest = counts.iter().min().map_or(shortest, |fewest| fewest + 2);
-                        }
-                        SweepAxis::Systems(variants) => {
-                            shortest = variants
-                                .iter()
-                                .map(|(_, system)| system.chiplets.len())
-                                .min()
-                                .unwrap_or(shortest);
-                        }
-                        SweepAxis::ChipletNode { index, .. } if *index >= shortest => {
-                            return Err(ServeError::Api(format!(
-                                "sweep axis retargets chiplet {index} but a case of this \
-                                 sweep has only {shortest} chiplet(s)"
-                            )));
-                        }
-                        _ => {}
-                    }
-                    spec = spec.axis(axis.clone());
-                }
-            }
+            (None, Some(axes)) => spec = axes.iter().cloned().fold(spec, SweepSpec::axis),
             (None, None) => {}
         }
+        let total = spec.validate().map_err(api_error)?;
         let slice = match (&self.shard, &self.range) {
             (Some(_), Some(_)) => {
                 return Err(ServeError::Api(
                     "pass either \"shard\" (I/N) or \"range\" ([start, end)), not both".into(),
                 ))
             }
-            (Some(selector), None) => SweepSlice::Shard(
-                selector
-                    .parse::<Shard>()
-                    .map_err(|e| ServeError::Api(e.to_string()))?,
-            ),
+            (Some(selector), None) => {
+                SweepSlice::Shard(selector.parse::<Shard>().map_err(api_error)?)
+            }
             (None, Some(range)) => SweepSlice::Range(range.start..range.end),
             (None, None) => SweepSlice::Shard(Shard::FULL),
         };
+        slice.range(total).map_err(api_error)?;
         Ok((spec, slice))
     }
 }
@@ -724,6 +698,18 @@ mod tests {
             .run(&EcoChip::default(), &spec)
             .unwrap();
         assert_eq!(points.len(), 1);
+    }
+
+    #[test]
+    fn every_builtin_design_and_named_sweep_passes_validation() {
+        let db = TechDb::default();
+        for testcase in catalog::names() {
+            for axis in dse::NAMED_SWEEP_AXES.split('|') {
+                let request = SweepRequest::named(testcase.as_str(), axis);
+                let (spec, _) = request.resolve(&db).unwrap();
+                assert_eq!(spec.validate(), spec.try_len(), "{testcase} {axis}");
+            }
+        }
     }
 
     #[test]

@@ -1519,6 +1519,7 @@ fn sweep(
 ) -> u16 {
     let timings = StageTimings::new();
     let decode_started = Instant::now();
+    // Resolving refuses every bad input, a bad slice too, before the 200.
     let resolved = parse_body::<SweepRequest>(request_body).and_then(|request| {
         let format = request.negotiated_format()?;
         let (spec, slice) = request.resolve(&state.db)?;
@@ -1528,13 +1529,6 @@ fn sweep(
         Ok(resolved) => resolved,
         Err(error) => return respond_error(writer, &error, keep_alive),
     };
-    // Validate the slice before committing to the 200 status line, so a
-    // malformed resume range or an oversized sweep gets a clean 400 instead
-    // of an in-band stream error. The rule is the engine's
-    // (`SweepSlice::range`), checked early here.
-    if let Err(error) = spec.try_len().and_then(|total| slice.range(total)) {
-        return respond_error(writer, &ServeError::Estimator(error), keep_alive);
-    }
     timings.record(Stage::Decode, decode_started.elapsed());
     let mut chunked = match start_stream(writer, format.content_type(), keep_alive) {
         Ok(chunked) => chunked,

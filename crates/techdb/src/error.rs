@@ -13,8 +13,6 @@ pub enum TechDbError {
     UnparsableNode(String),
     /// The string does not name a known design type.
     UnknownDesignType(String),
-    /// The string does not name a known energy source.
-    UnknownEnergySource(String),
     /// A parameter override was out of its physically valid range.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -34,7 +32,6 @@ impl fmt::Display for TechDbError {
             TechDbError::UnknownNode(nm) => write!(f, "unknown technology node: {nm} nm"),
             TechDbError::UnparsableNode(s) => write!(f, "cannot parse technology node from {s:?}"),
             TechDbError::UnknownDesignType(s) => write!(f, "unknown design type {s:?}"),
-            TechDbError::UnknownEnergySource(s) => write!(f, "unknown energy source {s:?}"),
             TechDbError::InvalidParameter {
                 name,
                 value,
@@ -62,7 +59,6 @@ mod tests {
             TechDbError::UnknownNode(6),
             TechDbError::UnparsableNode("x".into()),
             TechDbError::UnknownDesignType("dsp".into()),
-            TechDbError::UnknownEnergySource("fusion".into()),
             TechDbError::InvalidParameter {
                 name: "defect_density",
                 value: -1.0,

@@ -1,11 +1,9 @@
 //! Energy-source presets and their carbon intensities.
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::TechDbError;
 use crate::units::CarbonIntensity;
 
 /// The energy source powering a fab, a design compute farm or a deployed
@@ -41,18 +39,13 @@ pub enum EnergySource {
     Nuclear,
     /// Onshore wind (≈11 gCO₂/kWh).
     Wind,
-    /// A user-supplied intensity in gCO₂/kWh, clamped to the Table I range
-    /// [11, 700] on construction via [`EnergySource::custom`].
+    /// A user-supplied intensity in gCO₂/kWh. A sweep refuses one outside
+    /// the Table I range [11, 700] (`SweepSpec::validate` in
+    /// `ecochip-core`) rather than clamping it.
     Custom(f64),
 }
 
 impl EnergySource {
-    /// Construct a custom source from a gCO₂/kWh intensity, clamped to the
-    /// physically sensible [11, 700] range used by the paper.
-    pub fn custom(g_per_kwh: f64) -> Self {
-        EnergySource::Custom(g_per_kwh.clamp(11.0, 700.0))
-    }
-
     /// Life-cycle carbon intensity of this source.
     pub fn carbon_intensity(self) -> CarbonIntensity {
         let g_per_kwh = match self {
@@ -105,27 +98,6 @@ impl fmt::Display for EnergySource {
     }
 }
 
-impl FromStr for EnergySource {
-    type Err = TechDbError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "coal" => Ok(EnergySource::Coal),
-            "gas" | "natural_gas" | "natural gas" => Ok(EnergySource::NaturalGas),
-            "biomass" => Ok(EnergySource::Biomass),
-            "grid" | "world_grid" | "world grid" => Ok(EnergySource::WorldGrid),
-            "solar" | "pv" => Ok(EnergySource::Solar),
-            "hydro" | "hydroelectric" => Ok(EnergySource::Hydro),
-            "nuclear" => Ok(EnergySource::Nuclear),
-            "wind" => Ok(EnergySource::Wind),
-            other => match other.parse::<f64>() {
-                Ok(v) if v.is_finite() && v > 0.0 => Ok(EnergySource::custom(v)),
-                _ => Err(TechDbError::UnknownEnergySource(s.to_owned())),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,27 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_clamps() {
-        assert!((EnergySource::custom(5000.0).carbon_intensity().g_per_kwh() - 700.0).abs() < 1e-9);
-        assert!((EnergySource::custom(1.0).carbon_intensity().g_per_kwh() - 11.0).abs() < 1e-9);
-        assert!((EnergySource::custom(250.0).carbon_intensity().g_per_kwh() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parse_names_and_numbers() {
-        assert_eq!("coal".parse::<EnergySource>().unwrap(), EnergySource::Coal);
-        assert_eq!("Wind".parse::<EnergySource>().unwrap(), EnergySource::Wind);
-        assert_eq!(
-            "natural gas".parse::<EnergySource>().unwrap(),
-            EnergySource::NaturalGas
-        );
-        let custom = "350".parse::<EnergySource>().unwrap();
-        assert!((custom.carbon_intensity().g_per_kwh() - 350.0).abs() < 1e-9);
-        assert!("antimatter".parse::<EnergySource>().is_err());
-        assert!("-5".parse::<EnergySource>().is_err());
-    }
-
-    #[test]
     fn serde_round_trip() {
         let s = serde_json::to_string(&EnergySource::Solar).unwrap();
         assert_eq!(s, "\"solar\"");
@@ -189,6 +140,6 @@ mod tests {
         for src in EnergySource::PRESETS {
             assert!(!src.to_string().is_empty());
         }
-        assert!(EnergySource::custom(100.0).to_string().contains("custom"));
+        assert!(EnergySource::Custom(100.0).to_string().contains("custom"));
     }
 }

@@ -80,13 +80,13 @@
 //! and `POST /v1/optimize` use, so the CLI and HTTP accept and refuse the
 //! same inputs.
 //!
-//! Exit codes: `0` on success; `2` for usage errors, the inputs HTTP
-//! answers with `400`: unknown subcommands, flags, test cases and sweep
-//! axes, malformed flag values and `--addr`, a flag without the flag it
-//! requires or with one it conflicts with (`--testcase` with `--design`,
-//! for one), and a `--design`/`--techdb` file that does not parse; `1` for
-//! runtime failures, such as a file that cannot be read. A file error names
-//! the file.
+//! Exit codes: `0` on success; `2`, before any output, for usage errors,
+//! the inputs HTTP answers with `400`: unknown subcommands, flags, test
+//! cases and sweep axes, bad flag values and `--addr`, a flag missing the
+//! flag it requires or with one it conflicts with, a `--design`/`--techdb`
+//! file that does not parse, and a design or sweep input validation refuses
+//! (naming the field path); `1` for runtime failures, such as an unreadable
+//! file or an estimator error. A file error names the file.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

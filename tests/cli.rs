@@ -5,7 +5,8 @@
 //! exit code and a substring of the one-line error on stderr — unknown
 //! and value-less flags, bad numeric values, flags that require or
 //! conflict with others, unknown names and unreadable input files. Exit
-//! code 2 is a usage error (HTTP's 400), 1 a runtime failure.
+//! code 2 is a usage error (HTTP's 400), 1 a runtime failure. A
+//! usage error prints nothing on stdout.
 //!
 //! `tests/golden/cli/` pins the stdout bytes of a report, a sweep table
 //! and the test-case list. After an intended change, re-bless with
@@ -19,8 +20,9 @@ mod common;
 use std::path::Path;
 use std::process::{Command, Output};
 
-use eco_chip::techdb::TechDb;
+use eco_chip::techdb::{Area, TechDb, TechNode, TimeSpan};
 use eco_chip::testcases::{catalog, io};
+use eco_chip::{ChipletSize, System, UsageProfile};
 
 use common::{check_golden, golden_dir};
 
@@ -30,8 +32,9 @@ const BIN: &str = env!("CARGO_BIN_EXE_ecochip");
 /// substring stderr must contain.
 ///
 /// In arguments, `@design` names an exported `ga102-3chiplet` system file,
-/// `@bad` a file holding truncated JSON and `@missing` a path that does not
-/// exist.
+/// `@bad` a file holding truncated JSON, `@missing` a path that does not
+/// exist, and the other names an exported `a15` system with one input out
+/// of its physical range (see [`NON_PHYSICAL`]).
 type UsageCase = (&'static [&'static str], i32, &'static str);
 
 const USAGE_CASES: &[UsageCase] = &[
@@ -831,7 +834,92 @@ const USAGE_CASES: &[UsageCase] = &[
         1,
         "missing.json: configuration file i/o error",
     ),
+    // A system whose inputs leave their physical ranges is refused before
+    // any output, naming the field.
+    (
+        &["--design", "@lifetime"],
+        2,
+        "invalid system description: lifetime must be finite and > 0, got -5",
+    ),
+    (
+        &["--design", "@chiplet_volume"],
+        2,
+        "volumes.chiplet_volume must be ≥ 1, got 0",
+    ),
+    (
+        &["--design", "@system_volume"],
+        2,
+        "volumes.system_volume must be ≥ 1, got 0",
+    ),
+    (
+        &["--design", "@charger_efficiency"],
+        2,
+        "usage.charger_efficiency must be in (0, 1], got 0",
+    ),
+    (
+        &["--design", "@battery_wh"],
+        2,
+        "usage.battery_wh must be finite and ≥ 0, got -5",
+    ),
+    (
+        &["--design", "@no_chiplets"],
+        2,
+        "chiplets: a system needs at least one chiplet",
+    ),
+    (
+        &["--design", "@chiplet_area"],
+        2,
+        "chiplets[0].size must be finite and > 0, got -10",
+    ),
+    (
+        &[
+            "--design",
+            "@lifetime",
+            "--sweep",
+            "packaging",
+            "--stream",
+            "jsonl",
+        ],
+        2,
+        "lifetime must be finite and > 0",
+    ),
 ];
+
+/// An edit to a system.
+type Edit = fn(&mut System);
+
+/// The `a15` system with one input out of its physical range, by the
+/// file name `@name` arguments use.
+const NON_PHYSICAL: [(&str, Edit); 7] = [
+    ("lifetime", |s| s.lifetime = TimeSpan::from_hours(-5.0)),
+    ("chiplet_volume", |s| s.volumes.chiplet_volume = 0),
+    ("system_volume", |s| s.volumes.system_volume = 0),
+    ("charger_efficiency", |s| {
+        set_battery(s, |_, _, eff| *eff = 0.0)
+    }),
+    ("battery_wh", |s| set_battery(s, |wh, _, _| *wh = -5.0)),
+    ("no_chiplets", |s| s.chiplets.clear()),
+    ("chiplet_area", |s| {
+        s.chiplets[0].size = ChipletSize::AreaAtNode {
+            area: Area::from_mm2(-10.0),
+            node: TechNode::N5,
+        }
+    }),
+];
+
+/// Edit the battery profile of `system`: capacity, charges per year and
+/// charger efficiency.
+fn set_battery(system: &mut System, edit: fn(&mut f64, &mut f64, &mut f64)) {
+    let UsageProfile::Battery {
+        battery_wh,
+        charges_per_year,
+        charger_efficiency,
+    } = &mut system.usage
+    else {
+        panic!("the a15 has a battery profile");
+    };
+    edit(battery_wh, charges_per_year, charger_efficiency);
+}
 
 /// Run `ecochip` with `args`, the inherited log setting removed so only
 /// the arguments decide it.
@@ -849,6 +937,12 @@ fn write_inputs(dir: &Path) {
     let system = catalog::build(&TechDb::default(), "ga102-3chiplet").expect("built-in system");
     io::save_system(&system, dir.join("design.json")).expect("write design");
     std::fs::write(dir.join("bad.json"), "{\"name\": \"x\", ").expect("write bad JSON");
+    let a15 = catalog::build(&TechDb::default(), "a15").expect("built-in system");
+    for (name, edit) in NON_PHYSICAL {
+        let mut system = a15.clone();
+        edit(&mut system);
+        io::save_system(&system, dir.join(format!("{name}.json"))).expect("write design");
+    }
 }
 
 #[test]
@@ -867,11 +961,14 @@ fn malformed_invocations_exit_with_their_code_and_hint() {
         let args: Vec<&str> = args.iter().map(String::as_str).collect();
         let output = ecochip(&args);
         let stderr = String::from_utf8_lossy(&output.stderr);
+        let stdout = String::from_utf8_lossy(&output.stdout);
         if output.status.code() != Some(code) || !stderr.contains(hint) {
             failures.push(format!(
                 "{args:?}: exit {:?} (want {code}), stderr {stderr:?} (want {hint:?})",
                 output.status.code()
             ));
+        } else if code == 2 && !stdout.is_empty() {
+            failures.push(format!("{args:?}: usage error printed {stdout:?}"));
         }
     }
     std::fs::remove_dir_all(&dir).expect("remove input dir");

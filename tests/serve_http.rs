@@ -8,9 +8,12 @@ use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::{SweepAxis, SweepEngine, SweepPoint, SweepSpec};
 use eco_chip::core::EcoChip;
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
-use eco_chip::serve::{client, OptimizeRequest, ServeConfig, Server, ServerHandle, SweepRequest};
-use eco_chip::techdb::{TechDb, TechNode};
+use eco_chip::serve::{
+    client, BatchEstimateItem, OptimizeRequest, ServeConfig, Server, ServerHandle, SweepRequest,
+};
+use eco_chip::techdb::{Area, TechDb, TechNode, TimeSpan};
 use eco_chip::testcases::{catalog, ga102};
+use eco_chip::{ChipletSize, System, UsageProfile};
 
 /// Boot a server on an ephemeral port, returning its handle and `host:port`.
 fn boot(config: ServeConfig) -> (ServerHandle, String) {
@@ -541,6 +544,116 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
     )
     .unwrap();
     assert_eq!((response.status, lines), (200, 4));
+
+    // A system whose inputs leave their physical ranges is a 400 that
+    // names the field, estimated or swept; in a batch only its own item
+    // becomes an error object.
+    let a15 = catalog::build(&db, "a15").unwrap();
+    type Edit = fn(&mut System);
+    let non_physical: [(&str, Edit); 7] = [
+        ("lifetime must be finite and > 0, got -5", |s| {
+            s.lifetime = TimeSpan::from_hours(-5.0)
+        }),
+        ("volumes.chiplet_volume must be ≥ 1, got 0", |s| {
+            s.volumes.chiplet_volume = 0
+        }),
+        ("volumes.system_volume must be ≥ 1, got 0", |s| {
+            s.volumes.system_volume = 0
+        }),
+        ("usage.charger_efficiency must be in (0, 1], got 0", |s| {
+            if let UsageProfile::Battery {
+                charger_efficiency, ..
+            } = &mut s.usage
+            {
+                *charger_efficiency = 0.0;
+            }
+        }),
+        ("usage.battery_wh must be finite and ≥ 0, got -5", |s| {
+            if let UsageProfile::Battery { battery_wh, .. } = &mut s.usage {
+                *battery_wh = -5.0;
+            }
+        }),
+        ("chiplets: a system needs at least one chiplet", |s| {
+            s.chiplets.clear()
+        }),
+        ("chiplets[0].size must be finite and > 0, got -10", |s| {
+            s.chiplets[0].size = ChipletSize::AreaAtNode {
+                area: Area::from_mm2(-10.0),
+                node: TechNode::N5,
+            }
+        }),
+    ];
+    let good = r#"{"testcase":"a15"}"#;
+    for (named, edit) in non_physical {
+        let mut system = a15.clone();
+        edit(&mut system);
+        let system = serde_json::to_string(&system).unwrap();
+        let bad = format!(r#"{{"system":{system}}}"#);
+        let swept = format!(r#"{{"system":{system},"axis":"lifetime"}}"#);
+        for (path, body) in [("/v1/estimate", &bad), ("/v1/sweep", &swept)] {
+            let response = client::post_json(&addr, path, body).unwrap();
+            let text = response.text().unwrap();
+            assert_eq!(response.status, 400, "{path} {named}: {text}");
+            assert!(text.contains(named), "{path}: {text}");
+        }
+        let batch = format!("[{good},{bad},{good}]");
+        let response = client::post_json(&addr, "/v1/estimate", &batch).unwrap();
+        assert_eq!(response.status, 200, "{named}");
+        let items: Vec<BatchEstimateItem> = serde_json::from_str(response.text().unwrap()).unwrap();
+        match &items[..] {
+            [BatchEstimateItem::Ok(_), BatchEstimateItem::Err(refused), BatchEstimateItem::Ok(_)] =>
+            {
+                assert!(refused.error.contains(named), "{}", refused.error)
+            }
+            other => panic!("{named}: {other:?}"),
+        }
+    }
+
+    // So are sweep axis values out of range, and a retarget ahead of an
+    // axis that replaces the chiplets (that axis would overwrite it).
+    let overwritten = SweepRequest {
+        axis: None,
+        axes: Some(vec![
+            SweepAxis::ChipletNode {
+                index: 0,
+                nodes: vec![TechNode::N7],
+            },
+            SweepAxis::NodeTuples {
+                blocks: ga102::soc_blocks(&db).unwrap(),
+                tuples: vec![NodeTuple::uniform(TechNode::N7)],
+            },
+        ]),
+        ..SweepRequest::named("ga102", "lifetime")
+    };
+    for (body, named) in [
+        (
+            r#"{"testcase":"ga102","axes":[{"Lifetimes":[-1.0]}]}"#.to_owned(),
+            "axes[0].Lifetimes[0] must be finite and > 0, got -1",
+        ),
+        (
+            r#"{"testcase":"ga102","axes":[{"Volumes":[{"chiplet_volume":0,"system_volume":0}]}]}"#
+                .to_owned(),
+            "axes[0].Volumes[0].chiplet_volume must be ≥ 1, got 0",
+        ),
+        (
+            r#"{"testcase":"ga102","axes":[{"FabEnergySources":[{"custom":-50}]}]}"#.to_owned(),
+            "axes[0].FabEnergySources[0].custom must be in [11, 700] gCO2e/kWh, got -50",
+        ),
+        (
+            r#"{"testcase":"ga102","axes":[{"FabEnergySources":["wind",{"custom":5000}]}]}"#
+                .to_owned(),
+            "axes[0].FabEnergySources[1].custom must be in [11, 700] gCO2e/kWh, got 5000",
+        ),
+        (
+            serde_json::to_string(&overwritten).unwrap(),
+            "axes[0] (ChipletNode) must come after axes[1]",
+        ),
+    ] {
+        let response = client::post_json(&addr, "/v1/sweep", &body).unwrap();
+        let text = response.text().unwrap();
+        assert_eq!(response.status, 400, "{named}: {text}");
+        assert!(text.contains(named), "{text}");
+    }
 
     // `/v1/healthz` is answered on the event loop; a real sweep proves the
     // handler pool survived too.
