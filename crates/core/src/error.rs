@@ -6,7 +6,7 @@ use std::fmt;
 use ecochip_cost::CostError;
 use ecochip_floorplan::FloorplanError;
 use ecochip_packaging::PackagingError;
-use ecochip_techdb::TechDbError;
+use ecochip_techdb::{OutOfRange, TechDbError};
 use ecochip_yield::YieldError;
 
 /// Errors produced by the ECO-CHIP estimator.
@@ -63,6 +63,12 @@ impl Error for EcoChipError {
 impl From<TechDbError> for EcoChipError {
     fn from(value: TechDbError) -> Self {
         EcoChipError::TechDb(value)
+    }
+}
+
+impl From<OutOfRange> for EcoChipError {
+    fn from(refusal: OutOfRange) -> Self {
+        EcoChipError::InvalidSystem(refusal.0)
     }
 }
 

@@ -7,7 +7,7 @@ use ecochip_design::{gates_from_transistors, DesignEstimator};
 use ecochip_floorplan::{ChipletOutline, Floorplan, SlicingFloorplanner};
 use ecochip_packaging::{CommOverheads, CommunicationEstimator, PackageEstimator};
 use ecochip_power::OperationalEstimator;
-use ecochip_techdb::{Area, Carbon, TechNode};
+use ecochip_techdb::{Area, Carbon, TechNode, TimeSpan};
 use ecochip_yield::NegativeBinomialYield;
 
 use crate::config::EstimatorConfig;
@@ -141,6 +141,18 @@ impl EcoChip {
         system: &System,
         context: &SweepContext,
     ) -> Result<CarbonReport, EcoChipError> {
+        self.estimate_priced(system, context)
+            .map(|(report, _)| report)
+    }
+
+    /// [`EcoChip::estimate_with`], also returning the [`PriceBasis`] that
+    /// re-prices the report for another lifetime or volume scenario of the
+    /// same system.
+    pub(crate) fn estimate_priced(
+        &self,
+        system: &System,
+        context: &SweepContext,
+    ) -> Result<(CarbonReport, PriceBasis), EcoChipError> {
         let db = &self.config.techdb;
         // The chiplet areas feed both the floorplan stage and the per-chiplet
         // loop below, so every area is derived once.
@@ -167,9 +179,8 @@ impl EcoChip {
             )?
         };
 
-        // --- Per-chiplet manufacturing and design ----------------------------
+        // --- Per-chiplet manufacturing ---------------------------------------
         let mfg_model = Self::manufacturing_model(&self.config);
-        let design_model = DesignEstimator::new(db, self.config.design);
 
         let mut chiplet_reports = Vec::with_capacity(system.chiplets.len());
         for (i, chiplet) in system.chiplets.iter().enumerate() {
@@ -191,20 +202,14 @@ impl EcoChip {
                 mfg_model.chiplet_cfp(area, chiplet.node)?
             };
 
-            let transistors = chiplet.transistors(db)?;
-            let gates = gates_from_transistors(transistors)
-                * self.config.design_effort_factor(chiplet.design_type);
-            let design = design_model
-                .amortized_chiplet_cfp(gates, chiplet.node, &system.volumes)
-                .map_err(EcoChipError::from)?;
-
             chiplet_reports.push(ChipletReport {
                 name: chiplet.name.clone(),
                 node: chiplet.node,
                 base_area,
                 comm_area,
                 manufacturing,
-                design,
+                // Set by `price` below.
+                design: Carbon::ZERO,
             });
         }
 
@@ -226,21 +231,58 @@ impl EcoChip {
             }
         };
 
-        // --- Communication-fabric design CFP ----------------------------------
-        let comm_design = self.comm_design_cfp(system, &comm, &design_model)?;
-
         // --- Operational CFP ---------------------------------------------------
         let operational = OperationalEstimator::new(self.config.operational_source);
         let operational_per_year = operational.annual_cfp(&system.usage, hi.comm_power);
 
-        Ok(CarbonReport {
+        let basis = PriceBasis {
+            interposer_logic_area: comm.interposer_logic_area,
+            interposer_node: comm.interposer_node,
+        };
+        let mut report = CarbonReport {
             system_name: system.name.clone(),
             chiplets: chiplet_reports,
             hi,
-            comm_design,
+            // Set by `price` below.
+            comm_design: Carbon::ZERO,
             operational_per_year,
-            lifetime: system.lifetime,
-        })
+            lifetime: TimeSpan::ZERO,
+        };
+        self.price(system, &basis, &mut report)?;
+        Ok((report, basis))
+    }
+
+    /// The pricing step that ends every estimate: set the terms that
+    /// depend on the system's volumes and lifetime, and nothing else —
+    /// each chiplet's `design` (`C_des,i / NMi`), `comm_design`
+    /// (`C_des,comm / NS`, Eq. 12) and the `lifetime` Eq. 1 multiplies the
+    /// operational CFP by.
+    ///
+    /// `report` must hold an estimate of a system that differs from
+    /// `system` at most in `lifetime` and `volumes`, with the `basis` that
+    /// estimate returned; the sweep engine re-prices a scalar step this
+    /// way, through the same expressions as a full estimate, so the two
+    /// agree bit for bit.
+    pub(crate) fn price(
+        &self,
+        system: &System,
+        basis: &PriceBasis,
+        report: &mut CarbonReport,
+    ) -> Result<(), EcoChipError> {
+        let db = &self.config.techdb;
+        let design_model = DesignEstimator::new(db, self.config.design);
+        for (chiplet, priced) in system.chiplets.iter().zip(&mut report.chiplets) {
+            let transistors = chiplet.transistors(db)?;
+            let gates = gates_from_transistors(transistors)
+                * self.config.design_effort_factor(chiplet.design_type);
+            priced.design = design_model
+                .amortized_chiplet_cfp(gates, chiplet.node, &system.volumes)
+                .map_err(EcoChipError::from)?;
+        }
+        report.comm_design =
+            self.comm_design_cfp(system, &report.chiplets, basis, &design_model)?;
+        report.lifetime = system.lifetime;
+        Ok(())
     }
 
     /// Embodied CFP of the same system as the ACT baseline would report it
@@ -283,21 +325,19 @@ impl EcoChip {
     }
 
     /// Design CFP of the communication fabric, amortised per system
-    /// (`C_des,comm / NS` in Eq. 12).
+    /// (`C_des,comm / NS` in Eq. 12): the chiplets' `comm_area` logic,
+    /// then the interposer's.
     fn comm_design_cfp(
         &self,
         system: &System,
-        comm: &CommOverheads,
+        chiplets: &[ChipletReport],
+        basis: &PriceBasis,
         design_model: &DesignEstimator<'_>,
     ) -> Result<Carbon, EcoChipError> {
         let db = &self.config.techdb;
         let mut total = Carbon::ZERO;
-        for (i, chiplet) in system.chiplets.iter().enumerate() {
-            let area = comm
-                .chiplet_extra_area
-                .get(i)
-                .copied()
-                .unwrap_or(Area::ZERO);
+        for (chiplet, report) in system.chiplets.iter().zip(chiplets) {
+            let area = report.comm_area;
             if area.mm2() <= 0.0 {
                 continue;
             }
@@ -308,9 +348,9 @@ impl EcoChip {
                 .amortized_comm_cfp(gates, chiplet.node, &system.volumes)
                 .map_err(EcoChipError::from)?;
         }
-        if let (Some(node), true) = (comm.interposer_node, comm.interposer_logic_area.mm2() > 0.0) {
-            let transistors = db.node(node)?.logic_density.transistors_per_mm2()
-                * comm.interposer_logic_area.mm2();
+        let area = basis.interposer_logic_area;
+        if let (Some(node), true) = (basis.interposer_node, area.mm2() > 0.0) {
+            let transistors = db.node(node)?.logic_density.transistors_per_mm2() * area.mm2();
             let gates = gates_from_transistors(transistors);
             total += design_model
                 .amortized_comm_cfp(gates, node, &system.volumes)
@@ -318,6 +358,15 @@ impl EcoChip {
         }
         Ok(total)
     }
+}
+
+/// What [`EcoChip::price`] needs beyond the report it re-prices: the
+/// communication logic implemented in an active interposer, which the
+/// report does not carry (the chiplets' communication areas are in it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PriceBasis {
+    interposer_logic_area: Area,
+    interposer_node: Option<TechNode>,
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
 use crate::sweep::{
-    CaseEvaluator, Shard, SweepContext, SweepCursor, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+    CaseEvaluator, CaseWalker, Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec,
 };
 use crate::system::System;
 
@@ -675,7 +675,7 @@ fn scalar_energy(values: &[f64]) -> f64 {
 
 /// The state the budget-bounded explorers share; each explorer only
 /// decides which index to visit next. Cases are decoded through one
-/// [`SweepCursor`], evaluated serially through the engine's
+/// [`CaseWalker`], evaluated serially through the engine's
 /// [`CaseEvaluator`] and scored with the base estimator, as [`ParetoSink`]
 /// does, which is what makes explorer trajectories independent of worker
 /// counts.
@@ -685,7 +685,7 @@ struct Explorer<'a> {
     estimator: &'a EcoChip,
     objectives: &'a ObjectiveSet,
     cases: CaseEvaluator<'a>,
-    cursor: SweepCursor<'a>,
+    walker: CaseWalker<'a>,
     frontier: ParetoFrontier,
     evaluated: usize,
     /// The lowest scalar energy visited so far.
@@ -697,7 +697,7 @@ impl Explorer<'_> {
     /// Evaluate and score case `index`, offer it to the frontier, and
     /// report an improvement on the first visit or a lower scalar energy.
     fn visit(&mut self, index: usize) -> Result<Evaluated, EcoChipError> {
-        let point = self.cases.evaluate(&mut self.cursor, index)?;
+        let point = self.cases.evaluate(&mut self.walker, index)?;
         let values = self
             .objectives
             .score(self.estimator, &point.system, &point.report)?;
@@ -809,8 +809,8 @@ pub fn optimize<F>(
 where
     F: FnMut(&OptEvent) -> Result<(), EcoChipError>,
 {
-    let cursor = spec.cursor()?;
-    let range = shard.range(cursor.total);
+    let walker = CaseWalker::new(spec)?;
+    let range = shard.range(walker.total());
     let mut seeded = ParetoFrontier::new();
     for point in &config.seed_frontier {
         seeded.insert(point.clone());
@@ -840,7 +840,7 @@ where
                 estimator,
                 objectives: &config.objectives,
                 cases: CaseEvaluator::new(estimator, context, timings),
-                cursor,
+                walker,
                 frontier: seeded,
                 evaluated: 0,
                 best: f64::INFINITY,

@@ -6,13 +6,13 @@ use serde::{Deserialize, Serialize};
 
 use ecochip_design::VolumeScenario;
 use ecochip_packaging::PackagingArchitecture;
-use ecochip_techdb::{EnergySource, TechNode, TimeSpan};
+use ecochip_techdb::{EnergySource, Range, TechNode, TimeSpan};
 
 use crate::disaggregation::{
     check_logic_chiplets, split_logic, three_chiplets, NodeTuple, SocBlocks,
 };
 use crate::error::EcoChipError;
-use crate::system::{Range, System};
+use crate::system::System;
 
 /// One axis of a design-space sweep: a list of variations applied to a base
 /// [`System`] (or, for [`SweepAxis::FabEnergySources`], to the estimator).
@@ -109,6 +109,18 @@ impl SweepAxis {
     /// Whether the axis has no points (its spec generates no cases).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether the axis is *scalar*: it sets only inputs of the pricing
+    /// step that ends every estimate (the design amortization of Eq. 12 and
+    /// the lifetime of Eq. 1), so the sweep engine re-prices the previous
+    /// report instead of re-running the floorplan, communication,
+    /// manufacturing, package and operational stages. Only
+    /// [`SweepAxis::Lifetimes`] and [`SweepAxis::Volumes`] are scalar;
+    /// [`SweepAxis::FabEnergySources`] is not, because the fab's energy
+    /// source changes every die's manufacturing CFP.
+    pub fn is_scalar(&self) -> bool {
+        matches!(self, SweepAxis::Lifetimes(_) | SweepAxis::Volumes(_))
     }
 
     /// Whether the axis replaces the system's whole chiplet list.
@@ -524,7 +536,7 @@ impl SweepSpec {
     /// [`EcoChipError::InvalidSystem`] when `index` is out of range.
     pub fn case_at(&self, index: usize) -> Result<SweepCase, EcoChipError> {
         let mut cursor = self.cursor()?;
-        cursor.seek(index)?;
+        cursor.advance(index)?;
         Ok(cursor.case)
     }
 
@@ -549,34 +561,37 @@ impl SweepSpec {
 }
 
 /// An odometer over a validated spec's case space: it keeps the last
-/// decoded case and its per-axis digits, and [`SweepCursor::seek`]
+/// decoded case and its per-axis digits, and [`SweepCursor::advance`]
 /// re-applies only the axes from the first one whose digit changed.
-/// Engine workers claim contiguous chunks, so consecutive seeks mostly
+/// Engine workers claim contiguous chunks, so consecutive decodes mostly
 /// re-apply the last axis alone, with no base-system clone and no label
 /// `format!` for the unchanged axes. [`SweepSpec::case_at`] is a fresh
-/// cursor and one seek, so there is one decoder.
+/// cursor and one advance, so there is one decoder.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepCursor<'a> {
     spec: &'a SweepSpec,
     /// The spec's case count.
     pub(crate) total: usize,
-    /// The digit of every axis in the last seek (row-major, last fastest).
+    /// The digit of every axis in the last decode (row-major, last fastest).
     digits: Vec<usize>,
     /// The reused case, one label buffer per axis.
     case: SweepCase,
     /// Whether `case` holds the decode of `digits`: false when the cursor
-    /// is fresh or its previous seek failed.
+    /// is fresh or its previous decode failed.
     valid: bool,
 }
 
 impl SweepCursor<'_> {
-    /// Decode flat `index` into the cursor's case and borrow it.
+    /// Decode flat `index` into the cursor's case (read it with
+    /// [`SweepCursor::case`]) and return the first axis re-applied: 0 when
+    /// the decode started from the base system (a fresh cursor, or one
+    /// whose previous decode failed), the axis count when no digit changed.
     ///
     /// # Errors
     ///
     /// [`EcoChipError::InvalidSystem`] when `index` is out of range; after
-    /// a failed decode the next seek starts from the base system again.
-    pub(crate) fn seek(&mut self, index: usize) -> Result<&SweepCase, EcoChipError> {
+    /// a failed decode the next one starts from the base system again.
+    pub(crate) fn advance(&mut self, index: usize) -> Result<usize, EcoChipError> {
         let spec = self.spec;
         if index >= self.total {
             return Err(EcoChipError::InvalidSystem(format!(
@@ -607,7 +622,12 @@ impl SweepCursor<'_> {
             axis.apply(&mut self.case, at, self.digits[at])?;
         }
         self.valid = true;
-        Ok(&self.case)
+        Ok(from)
+    }
+
+    /// The case of the last successful decode.
+    pub(crate) fn case(&self) -> &SweepCase {
+        &self.case
     }
 }
 
@@ -891,11 +911,12 @@ mod tests {
             })
     }
 
-    /// Every seek of `walk` through one cursor equals a fresh `case_at`.
+    /// Every decode of `walk` through one cursor equals a fresh `case_at`.
     fn assert_cursor_walk_matches(spec: &SweepSpec, walk: &[usize]) {
         let mut cursor = spec.cursor().unwrap();
         for &index in walk {
-            let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
+            let sought = cursor.advance(index).map(|_| cursor.case().clone());
+            let sought = sought.map_err(|e| e.to_string());
             let fresh = spec.case_at(index).map_err(|e| e.to_string());
             assert_eq!(sought, fresh, "index {index} of {walk:?}");
         }
@@ -1144,7 +1165,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// After every seek the cursor's case equals a fresh `case_at`
+        /// After every decode the cursor's case equals a fresh `case_at`
         /// (labels, system and fab source), or both fail with the same
         /// error text. A spec `validate` refuses fails `case_at` with its
         /// refusal at every index.
@@ -1156,7 +1177,8 @@ mod tests {
             match spec.cursor() {
                 Ok(mut cursor) => {
                     for index in walk {
-                        let sought = cursor.seek(index).cloned().map_err(|e| e.to_string());
+                        let sought = cursor.advance(index).map(|_| cursor.case().clone());
+            let sought = sought.map_err(|e| e.to_string());
                         let fresh = spec.case_at(index).map_err(|e| e.to_string());
                         prop_assert_eq!(sought, fresh);
                     }
@@ -1169,6 +1191,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn advance_returns_the_first_axis_it_reapplied() {
+        let spec = SweepSpec::new(base())
+            .axis(packaging_axis())
+            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0]));
+        let mut cursor = spec.cursor().unwrap();
+        // Fresh: from the base system. Then a lifetime step, a revisit,
+        // a packaging step, a lifetime jump and a packaging step back.
+        for (index, from) in [(1, 0), (2, 1), (2, 2), (3, 0), (5, 1), (1, 0)] {
+            assert_eq!(cursor.advance(index).unwrap(), from, "index {index}");
+            assert_eq!(cursor.case(), &spec.case_at(index).unwrap());
+        }
+        // An index out of range decodes nothing and keeps the case.
+        assert!(cursor.advance(6).is_err());
+        assert_eq!(cursor.advance(2).unwrap(), 1);
+        assert!(SweepAxis::lifetimes_years(&[1.0]).is_scalar());
+        assert!(SweepAxis::reuse_ratios(1, &[1.0]).is_scalar());
+        assert!(!SweepAxis::FabEnergySources(vec![EnergySource::Wind]).is_scalar());
+        assert!(!packaging_axis().is_scalar());
     }
 
     #[test]

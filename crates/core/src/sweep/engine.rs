@@ -7,11 +7,21 @@
 //! decoding a contiguous chunk mostly touches the last axis alone),
 //! evaluate it against the shared [`SweepContext`],
 //! and hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
-//! in deterministic row-major order. A reorder window of `O(workers)` points
-//! provides backpressure, so streaming a million-point space holds only a
-//! handful of points in memory at any time. [`SweepEngine::stream`] is the
-//! one entry point; [`SweepEngine::run`] is its collect-to-`Vec` special
-//! case.
+//! in deterministic row-major order.
+//!
+//! A step that changed only trailing scalar axes (lifetimes and volumes,
+//! [`SweepAxis::is_scalar`]) is not re-estimated: the worker clones its
+//! previous report and re-runs only the estimator's pricing step (the
+//! design amortization and the lifetime), the step every full estimate
+//! ends with, so the two paths agree bit for bit. The memo is consulted
+//! on a worker's first point and on structural steps only.
+//!
+//! A reorder window of `O(workers)` points provides backpressure, so
+//! streaming a million-point space holds only a handful of points in
+//! memory at any time. [`SweepEngine::stream`] is the one entry point;
+//! [`SweepEngine::run`] is its collect-to-`Vec` special case.
+//!
+//! [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -21,7 +31,8 @@ use ecochip_techdb::EnergySource;
 use ecochip_trace::{Stage, StageTimings};
 
 use crate::error::EcoChipError;
-use crate::estimator::EcoChip;
+use crate::estimator::{EcoChip, PriceBasis};
+use crate::report::CarbonReport;
 use crate::sweep::{Shard, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec};
 
 /// Default number of contiguous case indices a worker claims per queue
@@ -271,8 +282,8 @@ impl SweepEngine {
         timings: Option<&StageTimings>,
         sink: &mut S,
     ) -> Result<usize, EcoChipError> {
-        let mut cursor = spec.cursor()?;
-        let range = slice.into().range(cursor.total)?;
+        let mut walker = CaseWalker::new(spec)?;
+        let range = slice.into().range(walker.total())?;
         let count = range.len();
         if count == 0 {
             return Ok(0);
@@ -290,7 +301,7 @@ impl SweepEngine {
             let mut next = range.start;
             while next < range.end {
                 let stop = next.saturating_add(chunk).min(range.end);
-                emitted += emit_chunk(sink, cases.evaluate_chunk(&mut cursor, next..stop))?;
+                emitted += emit_chunk(sink, cases.evaluate_chunk(&mut walker, next..stop))?;
                 next = stop;
             }
             return Ok(emitted);
@@ -314,7 +325,7 @@ impl SweepEngine {
 
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                let mut cursor = cursor.clone();
+                let mut walker = walker.clone();
                 let (cases, queue) = (&cases, &queue);
                 scope.spawn(move || loop {
                     let (start, stop) = {
@@ -340,7 +351,7 @@ impl SweepEngine {
                     // point. On an error, stop at the failing index — the
                     // emitter drains chunks in order, so the lowest-index
                     // error still surfaces first.
-                    let results = cases.evaluate_chunk(&mut cursor, start..stop);
+                    let results = cases.evaluate_chunk(&mut walker, start..stop);
                     let mut state = queue.state.lock().expect("sweep queue");
                     if results.failure.is_some() {
                         // Stop claiming new chunks; everything below `start`
@@ -445,12 +456,59 @@ struct ReorderQueue {
     space: Condvar,
 }
 
+/// One worker's walk through a spec's cases: its decoding
+/// [`SweepCursor`] and, when the spec ends in scalar axes
+/// ([`SweepAxis::is_scalar`]), the report and [`PriceBasis`] of its last
+/// successful evaluation, from which the next scalar step is re-priced.
+/// Each engine worker and each optimizer explorer owns one.
+///
+/// [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
+#[derive(Debug, Clone)]
+pub(crate) struct CaseWalker<'a> {
+    cursor: SweepCursor<'a>,
+    /// The axes a decode may re-apply and still be a scalar step: from the
+    /// first of the spec's trailing scalar axes to the last axis. Empty
+    /// when the last axis is not scalar, and then no basis is kept.
+    scalar: std::ops::Range<usize>,
+    /// The last evaluation's report and basis; `None` before the first
+    /// evaluation and after a failed one.
+    basis: Option<(CarbonReport, PriceBasis)>,
+}
+
+impl<'a> CaseWalker<'a> {
+    /// A fresh walk over `spec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepSpec::validate`].
+    pub(crate) fn new(spec: &'a SweepSpec) -> Result<Self, EcoChipError> {
+        let axes = spec.axes();
+        let structural = axes.iter().rposition(|axis| !axis.is_scalar());
+        Ok(Self {
+            cursor: spec.cursor()?,
+            scalar: structural.map_or(0, |at| at + 1)..axes.len(),
+            basis: None,
+        })
+    }
+
+    /// The spec's case count.
+    pub(crate) fn total(&self) -> usize {
+        self.cursor.total
+    }
+}
+
 /// Evaluates single cases of one spec: decode through the caller's
-/// [`SweepCursor`], pick the estimator for the case's fab-source override,
+/// [`CaseWalker`], pick the estimator for the case's fab-source override,
 /// estimate against the shared memo (timed when `timings` is set) and label
 /// the point. The evaluator is shared; each engine worker and each
-/// optimizer explorer owns one cursor, so a case scores the same whichever
+/// optimizer explorer owns one walker, so a case scores the same whichever
 /// path visits it.
+///
+/// A *scalar step* — a decode that re-applied only scalar axes, after a
+/// successful evaluation on the same walker — clones the walker's previous
+/// report and re-runs only [`EcoChip::price`] on it, skipping every stage
+/// and memo lookup before it. Every other case, an identical revisit
+/// included, takes the full estimate through the memo.
 pub(crate) struct CaseEvaluator<'a> {
     base: &'a EcoChip,
     context: &'a SweepContext,
@@ -475,26 +533,35 @@ impl<'a> CaseEvaluator<'a> {
         }
     }
 
-    /// Evaluate case `index` of the cursor's spec.
+    /// Evaluate case `index` of the walker's spec.
     pub(crate) fn evaluate(
         &self,
-        cursor: &mut SweepCursor<'_>,
+        walker: &mut CaseWalker<'_>,
         index: usize,
     ) -> Result<SweepPoint, EcoChipError> {
-        let case = cursor.seek(index)?;
+        // Taken first, so a failure below leaves the walker no basis.
+        let basis = walker.basis.take();
+        let from = walker.cursor.advance(index)?;
+        let repriced = basis.filter(|_| walker.scalar.contains(&from));
+        let case = walker.cursor.case();
         let variant = case.fab_source.map(|source| self.variant(source));
         let estimator = variant.as_deref().unwrap_or(self.base);
         // Near-zero-cost disabled path: untimed requests pay one branch
         // per point, never a clock read.
-        let report = match self.timings {
-            None => estimator.estimate_with(&case.system, self.context)?,
-            Some(timings) => {
-                let started = Instant::now();
-                let report = estimator.estimate_with(&case.system, self.context);
-                timings.record(Stage::Estimate, started.elapsed());
-                report?
-            }
+        let started = self.timings.map(|_| Instant::now());
+        let estimated = match repriced {
+            Some((mut report, basis)) => estimator
+                .price(&case.system, &basis, &mut report)
+                .map(|()| (report, basis)),
+            None => estimator.estimate_priced(&case.system, self.context),
         };
+        if let (Some(timings), Some(started)) = (self.timings, started) {
+            timings.record(Stage::Estimate, started.elapsed());
+        }
+        let (report, basis) = estimated?;
+        if !walker.scalar.is_empty() {
+            walker.basis = Some((report.clone(), basis));
+        }
         Ok(SweepPoint {
             label: case.label(),
             system: case.system.clone(),
@@ -506,13 +573,13 @@ impl<'a> CaseEvaluator<'a> {
     /// failing one.
     fn evaluate_chunk(
         &self,
-        cursor: &mut SweepCursor<'_>,
+        walker: &mut CaseWalker<'_>,
         indices: std::ops::Range<usize>,
     ) -> ChunkResults {
         let mut points = Vec::with_capacity(indices.len());
         let mut failure = None;
         for index in indices {
-            match self.evaluate(cursor, index) {
+            match self.evaluate(walker, index) {
                 Ok(point) => points.push(point),
                 Err(error) => {
                     failure = Some(error);
@@ -698,12 +765,20 @@ mod tests {
         let total = collect(&SweepEngine::serial(), &spec(), Shard::FULL, &context)
             .unwrap()
             .len();
+        assert_eq!(total, 12);
         let stats = context.stats();
-        // Lifetime points share the packaging point's outlines; only the
-        // packaging variants differ in comm area.
-        assert!(stats.floorplan_misses <= 3, "{stats:?}");
-        assert!(stats.floorplan_hits >= total - 3, "{stats:?}");
-        assert!(stats.manufacturing_hits > 0, "{stats:?}");
+        // Only the 3 packaging steps consult the memo: each lifetime step
+        // re-prices the report before it.
+        assert_eq!(
+            stats.floorplan_hits + stats.floorplan_misses,
+            3,
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.manufacturing_hits + stats.manufacturing_misses,
+            3 * base().chiplets.len(),
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -808,7 +883,44 @@ mod tests {
         }
         let mut cursor = spec.cursor().unwrap();
         for index in [4, 9, 5, 8, 11, 6] {
-            assert_eq!(cursor.seek(index).unwrap(), &spec.case_at(index).unwrap());
+            cursor.advance(index).unwrap();
+            assert_eq!(cursor.case(), &spec.case_at(index).unwrap());
+        }
+    }
+
+    #[test]
+    fn scalar_steps_after_a_failed_case_estimate_in_full() {
+        use crate::disaggregation::{NodeTuple, SocBlocks};
+        // One digital chiplet of this budget is larger than the wafer, so
+        // its manufacturing stage fails; split in 16 it fits. Pricing
+        // reads no area, so a walker that re-priced the count-16 report
+        // for the count-1 cases after the failure would return a report
+        // where there is none.
+        let spec = SweepSpec::new(base())
+            .axis(SweepAxis::ChipletCounts {
+                blocks: SocBlocks::new("huge", 5.0e12, 4.0e9, 1.0e9),
+                nodes: NodeTuple::uniform(TechNode::N7),
+                counts: vec![16, 1],
+            })
+            .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0]));
+        let estimator = EcoChip::default();
+        let message = "does not fit on a 450 mm wafer";
+        for context in [SweepContext::new(), SweepContext::disabled()] {
+            let cases = CaseEvaluator::new(&estimator, &context, None);
+            let mut walker = CaseWalker::new(&spec).unwrap();
+            for (index, fails) in [(1, false), (2, false), (3, true), (4, true), (5, true)] {
+                let result = cases
+                    .evaluate(&mut walker, index)
+                    .map_err(|e| e.to_string());
+                match result {
+                    Err(error) => assert!(fails && error.contains(message), "{index}: {error}"),
+                    Ok(point) => {
+                        assert!(!fails, "case {index} re-priced {}", point.label);
+                        let cold = estimator.estimate(&point.system).unwrap();
+                        assert_eq!(point.report, cold, "case {index}");
+                    }
+                }
+            }
         }
     }
 

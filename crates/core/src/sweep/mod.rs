@@ -71,7 +71,10 @@
 //! That is exact because [`SweepSpec::validate`], which every entry point
 //! runs before its first point, refuses a chiplet retarget placed ahead of
 //! an axis that replaces the chiplets. `case_at` is a fresh cursor and one
-//! seek, so there is one decoder.
+//! decode, so there is one decoder. When a decode changed only trailing
+//! scalar axes ([`SweepAxis::is_scalar`]: lifetimes and volumes), the
+//! worker re-prices its previous report instead of estimating the case
+//! again, so such steps skip the memo as well.
 
 mod axis;
 mod context;
@@ -80,7 +83,7 @@ mod engine;
 pub(crate) use axis::SweepCursor;
 pub use axis::{Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats};
-pub(crate) use engine::CaseEvaluator;
+pub(crate) use engine::{CaseEvaluator, CaseWalker};
 pub use engine::{SweepEngine, SweepSink, DEFAULT_CHUNK};
 
 use serde::{Deserialize, Serialize};

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use ecochip_design::VolumeScenario;
 use ecochip_packaging::PackagingArchitecture;
 use ecochip_power::UsageProfile;
-use ecochip_techdb::{Area, DesignType, TechDb, TechDbError, TechNode, TimeSpan};
+use ecochip_techdb::{Area, DesignType, Range, TechDb, TechDbError, TechNode, TimeSpan};
 
 use crate::error::EcoChipError;
 
@@ -274,39 +274,6 @@ impl fmt::Display for System {
             if self.chiplets.len() == 1 { "" } else { "s" },
             self.packaging
         )
-    }
-}
-
-/// The physical range of an input value, which must also be finite.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Range {
-    Positive,
-    NonNegative,
-    Fraction,
-    Efficiency,
-    AtLeastOne,
-    /// Table I's energy-source intensities, in gCO₂e/kWh.
-    Intensity,
-}
-
-impl Range {
-    /// Refuse `value` outside this range, naming `field`; valid inputs
-    /// format (and allocate) nothing.
-    pub(crate) fn check(self, field: impl fmt::Display, value: f64) -> Result<(), EcoChipError> {
-        let (inside, rule) = match self {
-            Range::Positive => (value > 0.0, "finite and > 0"),
-            Range::NonNegative => (value >= 0.0, "finite and ≥ 0"),
-            Range::Fraction => ((0.0..=1.0).contains(&value), "in [0, 1]"),
-            Range::Efficiency => (value > 0.0 && value <= 1.0, "in (0, 1]"),
-            Range::AtLeastOne => (value >= 1.0, "≥ 1"),
-            Range::Intensity => ((11.0..=700.0).contains(&value), "in [11, 700] gCO2e/kWh"),
-        };
-        if inside && value.is_finite() {
-            return Ok(());
-        }
-        Err(EcoChipError::InvalidSystem(format!(
-            "{field} must be {rule}, got {value}"
-        )))
     }
 }
 

@@ -340,10 +340,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidAddr`] when `config.addr` does not
-    /// resolve and [`ServeError::Io`] when binding or poller creation
-    /// fails.
+    /// Returns [`ServeError::Api`] when `config.techdb` fails
+    /// [`TechDb::validate`], [`ServeError::InvalidAddr`] when
+    /// `config.addr` does not resolve and [`ServeError::Io`] when binding
+    /// or poller creation fails.
     pub fn bind(config: &ServeConfig) -> Result<Self, ServeError> {
+        if let Some(db) = &config.techdb {
+            db.validate()
+                .map_err(|e| ServeError::Api(format!("techdb: {e}")))?;
+        }
         let mut addrs = config
             .addr
             .to_socket_addrs()

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::range::OutOfRange;
+
 /// Errors produced by the technology database.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -13,17 +15,11 @@ pub enum TechDbError {
     UnparsableNode(String),
     /// The string does not name a known design type.
     UnknownDesignType(String),
-    /// A parameter override was out of its physically valid range.
-    InvalidParameter {
-        /// Name of the offending parameter.
-        name: &'static str,
-        /// The rejected value.
-        value: f64,
-        /// Human-readable description of the valid range.
-        expected: &'static str,
-    },
     /// The database has no entry for the requested node.
     MissingNode(u32),
+    /// A database value is outside its physical range; the text starts
+    /// with the value's path (see [`crate::NodeParams::validate`]).
+    InvalidDatabase(String),
 }
 
 impl fmt::Display for TechDbError {
@@ -32,22 +28,21 @@ impl fmt::Display for TechDbError {
             TechDbError::UnknownNode(nm) => write!(f, "unknown technology node: {nm} nm"),
             TechDbError::UnparsableNode(s) => write!(f, "cannot parse technology node from {s:?}"),
             TechDbError::UnknownDesignType(s) => write!(f, "unknown design type {s:?}"),
-            TechDbError::InvalidParameter {
-                name,
-                value,
-                expected,
-            } => write!(
-                f,
-                "invalid value {value} for parameter {name} (expected {expected})"
-            ),
             TechDbError::MissingNode(nm) => {
                 write!(f, "technology database has no entry for {nm} nm")
             }
+            TechDbError::InvalidDatabase(msg) => write!(f, "invalid technology database: {msg}"),
         }
     }
 }
 
 impl Error for TechDbError {}
+
+impl From<OutOfRange> for TechDbError {
+    fn from(refusal: OutOfRange) -> Self {
+        TechDbError::InvalidDatabase(refusal.0)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -59,11 +54,7 @@ mod tests {
             TechDbError::UnknownNode(6),
             TechDbError::UnparsableNode("x".into()),
             TechDbError::UnknownDesignType("dsp".into()),
-            TechDbError::InvalidParameter {
-                name: "defect_density",
-                value: -1.0,
-                expected: "non-negative",
-            },
+            TechDbError::InvalidDatabase("nodes[7].epa must be finite and > 0, got -1".into()),
             TechDbError::MissingNode(7),
         ];
         for err in errors {

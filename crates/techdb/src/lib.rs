@@ -48,6 +48,7 @@ pub mod design_type;
 pub mod error;
 pub mod node;
 pub mod params;
+pub mod range;
 pub mod source;
 pub mod units;
 
@@ -55,6 +56,7 @@ pub use design_type::DesignType;
 pub use error::TechDbError;
 pub use node::TechNode;
 pub use params::{DefectDensity, NodeParams, NodeParamsBuilder, TechDb, TechDbBuilder};
+pub use range::{OutOfRange, Range};
 pub use source::EnergySource;
 pub use units::{
     Area, Carbon, CarbonIntensity, CarbonPerArea, Energy, EnergyPerArea, Frequency, Length, Power,

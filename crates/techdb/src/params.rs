@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::design_type::DesignType;
 use crate::error::TechDbError;
 use crate::node::TechNode;
+use crate::range::Range;
 use crate::units::{Area, CarbonPerArea, EnergyPerArea, TransistorDensity, Voltage};
 
 /// Manufacturing, packaging and design parameters of a single technology
@@ -117,6 +118,54 @@ impl NodeParams {
         NodeParamsBuilder {
             params: self.clone(),
         }
+    }
+
+    /// Check every parameter against its physical range: transistor
+    /// densities, EPA, the EPLAs, `vdd` and `clustering_alpha` finite and
+    /// greater than 0; `defect_density` and the gas, material and
+    /// silicon-wafer footprints finite and ≥ 0; `equipment_derate` and
+    /// `eda_productivity` in (0, 1]. Nothing is formatted unless a value is
+    /// refused.
+    ///
+    /// # Errors
+    ///
+    /// [`TechDbError::InvalidDatabase`] for the first value out of its
+    /// range, its text starting with the value's path
+    /// (`nodes[5].defect_density`).
+    pub fn validate(&self) -> Result<(), TechDbError> {
+        use Range::{Efficiency, NonNegative, Positive};
+        let node = self.node.nm();
+        for (range, field, value) in [
+            (NonNegative, "defect_density", self.defect_density.per_cm2()),
+            (Positive, "clustering_alpha", self.clustering_alpha),
+            (Positive, "logic_density", self.logic_density.mtr_per_mm2()),
+            (
+                Positive,
+                "memory_density",
+                self.memory_density.mtr_per_mm2(),
+            ),
+            (
+                Positive,
+                "analog_density",
+                self.analog_density.mtr_per_mm2(),
+            ),
+            (Positive, "epa", self.epa.kwh_per_cm2()),
+            (NonNegative, "gas_cfp", self.gas_cfp.kg_per_cm2()),
+            (NonNegative, "material_cfp", self.material_cfp.kg_per_cm2()),
+            (Efficiency, "equipment_derate", self.equipment_derate),
+            (Efficiency, "eda_productivity", self.eda_productivity),
+            (Positive, "epla_rdl", self.epla_rdl.kwh_per_cm2()),
+            (Positive, "epla_bridge", self.epla_bridge.kwh_per_cm2()),
+            (Positive, "vdd", self.vdd.volts()),
+            (
+                NonNegative,
+                "silicon_wafer_cfp",
+                self.silicon_wafer_cfp.kg_per_cm2(),
+            ),
+        ] {
+            range.check(format_args!("nodes[{node}].{field}"), value)?;
+        }
+        Ok(())
     }
 }
 
@@ -227,53 +276,11 @@ impl NodeParamsBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TechDbError::InvalidParameter`] when a value is outside its
-    /// physically valid range (negative densities/EPA, derates outside (0,1],
-    /// non-positive α, …).
+    /// [`TechDbError::InvalidDatabase`] when a value is outside its
+    /// physical range (see [`NodeParams::validate`]).
     pub fn build(self) -> Result<NodeParams, TechDbError> {
-        let p = self.params;
-        if !p.clustering_alpha.is_finite() || p.clustering_alpha <= 0.0 {
-            return Err(TechDbError::InvalidParameter {
-                name: "clustering_alpha",
-                value: p.clustering_alpha,
-                expected: "a finite value > 0",
-            });
-        }
-        if !(0.0 < p.equipment_derate && p.equipment_derate <= 1.0) {
-            return Err(TechDbError::InvalidParameter {
-                name: "equipment_derate",
-                value: p.equipment_derate,
-                expected: "a value in (0, 1]",
-            });
-        }
-        if !(0.0 < p.eda_productivity && p.eda_productivity <= 1.0) {
-            return Err(TechDbError::InvalidParameter {
-                name: "eda_productivity",
-                value: p.eda_productivity,
-                expected: "a value in (0, 1]",
-            });
-        }
-        for (name, value) in [
-            ("logic_density", p.logic_density.mtr_per_mm2()),
-            ("memory_density", p.memory_density.mtr_per_mm2()),
-            ("analog_density", p.analog_density.mtr_per_mm2()),
-            ("epa", p.epa.kwh_per_cm2()),
-            ("gas_cfp", p.gas_cfp.kg_per_cm2()),
-            ("material_cfp", p.material_cfp.kg_per_cm2()),
-            ("epla_rdl", p.epla_rdl.kwh_per_cm2()),
-            ("epla_bridge", p.epla_bridge.kwh_per_cm2()),
-            ("vdd", p.vdd.volts()),
-            ("silicon_wafer_cfp", p.silicon_wafer_cfp.kg_per_cm2()),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(TechDbError::InvalidParameter {
-                    name,
-                    value,
-                    expected: "a finite value > 0",
-                });
-            }
-        }
-        Ok(p)
+        self.params.validate()?;
+        Ok(self.params)
     }
 }
 
@@ -581,6 +588,19 @@ impl TechDb {
         self.nodes.is_empty()
     }
 
+    /// Check every node's parameters with [`NodeParams::validate`]. A
+    /// database decoded from a file is only shape-checked, so front ends
+    /// call this where one enters.
+    ///
+    /// # Errors
+    ///
+    /// [`TechDbError::InvalidDatabase`] for the first value out of its
+    /// range, its text starting with the value's path
+    /// (`nodes[5].defect_density`).
+    pub fn validate(&self) -> Result<(), TechDbError> {
+        self.nodes.values().try_for_each(NodeParams::validate)
+    }
+
     /// Start building a modified copy of this database.
     pub fn to_builder(&self) -> TechDbBuilder {
         TechDbBuilder {
@@ -856,6 +876,56 @@ mod tests {
         let d = DefectDensity::from_per_cm2(0.2);
         assert!((d.per_mm2() - 0.002).abs() < 1e-15);
         assert!(!d.to_string().is_empty());
+    }
+
+    #[test]
+    fn validate_accepts_the_default_database() {
+        assert_eq!(db().validate(), Ok(()));
+        assert_eq!(TechDbBuilder::new().build().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_the_first_value_out_of_range() {
+        // `DefectDensity` clamps its constructor, so a negative density
+        // can only arrive decoded, as from a `--techdb` file.
+        type Edit = fn(&mut NodeParams);
+        let edits: [(Edit, &str); 6] = [
+            (
+                |p| p.defect_density = serde_json::from_str("-0.5").unwrap(),
+                "nodes[5].defect_density must be finite and ≥ 0, got -0.5",
+            ),
+            (
+                |p| p.logic_density = TransistorDensity::from_mtr_per_mm2(0.0),
+                "nodes[5].logic_density must be finite and > 0, got 0",
+            ),
+            (
+                |p| p.vdd = Voltage::from_volts(f64::NAN),
+                "nodes[5].vdd must be finite and > 0, got NaN",
+            ),
+            (
+                |p| p.gas_cfp = CarbonPerArea::from_kg_per_cm2(f64::INFINITY),
+                "nodes[5].gas_cfp must be finite and ≥ 0, got inf",
+            ),
+            (
+                |p| p.equipment_derate = 1.5,
+                "nodes[5].equipment_derate must be in (0, 1], got 1.5",
+            ),
+            (
+                |p| p.eda_productivity = 0.0,
+                "nodes[5].eda_productivity must be in (0, 1], got 0",
+            ),
+        ];
+        for (edit, text) in edits {
+            let mut params = db().node(TechNode::N5).unwrap().clone();
+            edit(&mut params);
+            let refused = db().to_builder().insert(params).build().validate();
+            assert_eq!(refused, Err(TechDbError::InvalidDatabase(text.to_owned())));
+        }
+        // Zero footprints are allowed, decoded or built: a fab may offset
+        // its gases.
+        let params = db().node(TechNode::N5).unwrap().to_builder();
+        let params = params.gas_cfp(0.0).silicon_wafer_cfp(0.0).build().unwrap();
+        assert_eq!(db().to_builder().insert(params).build().validate(), Ok(()));
     }
 
     #[test]

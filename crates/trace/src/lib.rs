@@ -731,14 +731,15 @@ impl Stage {
     }
 }
 
-/// Accumulated per-stage durations for one request: atomic microsecond
+/// Accumulated per-stage durations for one request: atomic nanosecond
 /// and event counters, safe to bump from every engine worker thread
 /// concurrently. Created fresh per instrumented request so attribution
 /// is exact; the engine takes `Option<&StageTimings>` and the `None`
-/// path costs one branch per point.
+/// path costs one branch per point. Durations add in whole nanoseconds,
+/// so stages recorded once per point keep their sub-microsecond time.
 #[derive(Debug, Default)]
 pub struct StageTimings {
-    micros: [AtomicU64; 4],
+    nanos: [AtomicU64; 4],
     counts: [AtomicU64; 4],
 }
 
@@ -750,13 +751,15 @@ impl StageTimings {
 
     /// Add one timed occurrence of `stage`.
     pub fn record(&self, stage: Stage, elapsed: Duration) {
-        self.micros[stage.index()].fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+        // Saturating: `u64` nanoseconds last 584 years.
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos[stage.index()].fetch_add(nanos, Ordering::Relaxed);
         self.counts[stage.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total accumulated time in `stage`, seconds.
     pub fn seconds(&self, stage: Stage) -> f64 {
-        self.micros[stage.index()].load(Ordering::Relaxed) as f64 / 1e6
+        self.nanos[stage.index()].load(Ordering::Relaxed) as f64 / 1e9
     }
 
     /// How many occurrences of `stage` were recorded.
@@ -913,6 +916,18 @@ mod tests {
         assert!((timings.seconds(Stage::Estimate) - 0.002).abs() < 1e-9);
         assert!((timings.seconds(Stage::Serialize) - 0.00025).abs() < 1e-9);
         assert_eq!(timings.seconds(Stage::Emit), 0.0);
+    }
+
+    #[test]
+    fn sub_microsecond_records_add_up() {
+        // A warm sweep point estimates in under a microsecond: 1,000 such
+        // records must read 400 µs, not the 0 whole microseconds each.
+        let timings = StageTimings::new();
+        for _ in 0..1_000 {
+            timings.record(Stage::Estimate, Duration::from_nanos(400));
+        }
+        assert_eq!(timings.count(Stage::Estimate), 1_000);
+        assert!((timings.seconds(Stage::Estimate) - 400e-6).abs() < 1e-12);
     }
 
     #[test]

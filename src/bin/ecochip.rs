@@ -827,11 +827,18 @@ fn load_input<T>(path: &Path, load: impl FnOnce(&Path) -> Result<T, ConfigError>
     })
 }
 
-/// The `--techdb` database, if one was given.
+/// The `--techdb` database, if one was given. A database with a value
+/// out of its physical range is bad input too (exit 2), naming the path
+/// and the value.
 fn techdb(flags: &Flags) -> CliResult<Option<TechDb>> {
     flags
         .path("--techdb")
-        .map(|path| load_input(&path, |path| io::load_techdb(path)))
+        .map(|path| {
+            let db = load_input(&path, |path| io::load_techdb(path))?;
+            db.validate()
+                .map_err(|error| CliError::Usage(format!("{}: {error}", path.display())))?;
+            Ok(db)
+        })
         .transpose()
 }
 

@@ -20,7 +20,7 @@ mod common;
 use std::path::Path;
 use std::process::{Command, Output};
 
-use eco_chip::techdb::{Area, TechDb, TechNode, TimeSpan};
+use eco_chip::techdb::{Area, NodeParams, TechDb, TechNode, TimeSpan, TransistorDensity};
 use eco_chip::testcases::{catalog, io};
 use eco_chip::{ChipletSize, System, UsageProfile};
 
@@ -33,8 +33,10 @@ const BIN: &str = env!("CARGO_BIN_EXE_ecochip");
 ///
 /// In arguments, `@design` names an exported `ga102-3chiplet` system file,
 /// `@bad` a file holding truncated JSON, `@missing` a path that does not
-/// exist, and the other names an exported `a15` system with one input out
-/// of its physical range (see [`NON_PHYSICAL`]).
+/// exist, `@a15` the exported `a15` system, and the other names an
+/// exported `a15` system with one input out of its physical range (see
+/// [`NON_PHYSICAL`]) or a technology database with one value out of its
+/// range (see [`NON_PHYSICAL_TECHDB`]).
 type UsageCase = (&'static [&'static str], i32, &'static str);
 
 const USAGE_CASES: &[UsageCase] = &[
@@ -883,6 +885,54 @@ const USAGE_CASES: &[UsageCase] = &[
         2,
         "lifetime must be finite and > 0",
     ),
+    // So is a technology database, on every command that takes one.
+    (
+        &["--design", "@a15", "--techdb", "@negative_defect_density"],
+        2,
+        "negative_defect_density.json: invalid technology database: \
+         nodes[5].defect_density must be finite and ≥ 0, got -0.5",
+    ),
+    (
+        &["--design", "@a15", "--techdb", "@zero_logic_density"],
+        2,
+        "zero_logic_density.json: invalid technology database: \
+         nodes[5].logic_density must be finite and > 0, got 0",
+    ),
+    (
+        &["serve", "--techdb", "@negative_defect_density"],
+        2,
+        "nodes[5].defect_density must be finite and ≥ 0, got -0.5",
+    ),
+    (
+        &[
+            "orchestrate",
+            "--testcase",
+            "a15",
+            "--sweep",
+            "lifetime",
+            "--workers",
+            "2",
+            "--techdb",
+            "@zero_logic_density",
+        ],
+        2,
+        "nodes[5].logic_density must be finite and > 0, got 0",
+    ),
+];
+
+/// An edit to one node of a technology database.
+type NodeEdit = fn(&mut NodeParams);
+
+/// The default database with node 5 out of its physical range, by the
+/// file name `@name` arguments use.
+const NON_PHYSICAL_TECHDB: [(&str, NodeEdit); 2] = [
+    ("negative_defect_density", |p| {
+        // The constructor clamps; a file does not.
+        p.defect_density = serde_json::from_str("-0.5").expect("a density")
+    }),
+    ("zero_logic_density", |p| {
+        p.logic_density = TransistorDensity::from_mtr_per_mm2(0.0)
+    }),
 ];
 
 /// An edit to a system.
@@ -938,10 +988,18 @@ fn write_inputs(dir: &Path) {
     io::save_system(&system, dir.join("design.json")).expect("write design");
     std::fs::write(dir.join("bad.json"), "{\"name\": \"x\", ").expect("write bad JSON");
     let a15 = catalog::build(&TechDb::default(), "a15").expect("built-in system");
+    io::save_system(&a15, dir.join("a15.json")).expect("write design");
     for (name, edit) in NON_PHYSICAL {
         let mut system = a15.clone();
         edit(&mut system);
         io::save_system(&system, dir.join(format!("{name}.json"))).expect("write design");
+    }
+    let db = TechDb::default();
+    for (name, edit) in NON_PHYSICAL_TECHDB {
+        let mut params = db.node(TechNode::N5).expect("5 nm").clone();
+        edit(&mut params);
+        let db = db.to_builder().insert(params).build();
+        io::save_techdb(&db, dir.join(format!("{name}.json"))).expect("write techdb");
     }
 }
 

@@ -34,6 +34,26 @@ fn default_config() -> ServeConfig {
     }
 }
 
+#[test]
+fn a_techdb_out_of_range_is_a_startup_error() {
+    let db = TechDb::default();
+    let mut params = db.node(TechNode::N5).unwrap().clone();
+    params.epa = serde_json::from_str("-2.0").unwrap();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        techdb: Some(db.to_builder().insert(params).build()),
+        ..default_config()
+    };
+    let Err(refused) = Server::bind(&config) else {
+        panic!("a techdb out of range binds");
+    };
+    assert_eq!(
+        refused.to_string(),
+        "bad request: techdb: invalid technology database: nodes[5].epa must be finite and > 0, \
+         got -2"
+    );
+}
+
 /// The in-process reference: the NDJSON lines an unsharded engine run
 /// produces for a named testcase + axis.
 fn reference_lines(testcase: &str, axis: &str) -> Vec<String> {

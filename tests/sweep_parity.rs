@@ -7,10 +7,14 @@
 //! down for every built-in test case and for randomized cartesian specs.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
-use eco_chip::core::{EcoChip, System};
+use eco_chip::core::sweep::{
+    Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSlice, SweepSpec,
+};
+use eco_chip::core::{EcoChip, EstimatorConfig, System};
+use eco_chip::design::VolumeScenario;
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
 };
@@ -87,7 +91,10 @@ fn memoized_reports_match_direct_memo_free_estimation() {
             .axis(SweepAxis::lifetimes_years(&[1.0, 3.0]));
         let context = SweepContext::new();
         let mut points = Vec::new();
+        // Claims of 2 points align with the lifetime axis, so every claim
+        // starts at a packaging step however the 4 workers interleave.
         SweepEngine::with_jobs(4)
+            .with_chunk(2)
             .stream(
                 &estimator,
                 &spec,
@@ -100,12 +107,13 @@ fn memoized_reports_match_direct_memo_free_estimation() {
                 },
             )
             .unwrap();
-        // The memo was actually exercised: the lifetime axis never changes
-        // the outline set, so at most one floorplan per packaging point.
+        // The memo is consulted once per packaging step, and only then: a
+        // lifetime step re-prices the report before it.
         let stats = context.stats();
-        assert!(
-            stats.floorplan_hits >= points.len() / 2,
-            "memo unused: {stats:?}"
+        assert_eq!(
+            stats.floorplan_hits + stats.floorplan_misses,
+            all_packagings().len(),
+            "{stats:?}"
         );
         // …and every memoized report equals a cold estimate bit-for-bit.
         for point in &points {
@@ -217,6 +225,155 @@ proptest! {
                 s.report.embodied().kg().to_bits(),
                 p.report.embodied().kg().to_bits()
             );
+        }
+    }
+}
+
+/// A random spec over the `ga102-3chiplet` system that mixes scalar axes
+/// (`Lifetimes`, `Volumes`) with structural ones (`Packaging`,
+/// `FabEnergySources`, `ChipletNode`, `NodeTuples`) in random order, one
+/// to four points each. `NodeTuples` axes go first, so every retarget sees
+/// three chiplets and the spec is valid; one spec in two ends in a run of
+/// scalar axes.
+fn mixed_spec(rng: &mut TestRng) -> SweepSpec {
+    let db = TechDb::default();
+    let nodes = [TechNode::N5, TechNode::N7, TechNode::N10, TechNode::N14];
+    let node = |rng: &mut TestRng| nodes[rng.next_below(4) as usize];
+    let len = |rng: &mut TestRng| 1 + rng.next_below(4) as usize;
+    let scalar = |rng: &mut TestRng| {
+        if rng.next_below(2) == 0 {
+            let years: Vec<f64> = (0..len(rng)).map(|at| 0.5 + 1.5 * at as f64).collect();
+            SweepAxis::lifetimes_years(&years)
+        } else {
+            let volumes = (0..len(rng))
+                .map(|_| {
+                    let system_volume = [1_000, 100_000, 3_000_000][rng.next_below(3) as usize];
+                    VolumeScenario::with_reuse(system_volume, 0.5 + rng.next_below(8) as f64)
+                })
+                .collect();
+            SweepAxis::Volumes(volumes)
+        }
+    };
+    let mut axes = Vec::new();
+    for _ in 0..1 + rng.next_below(4) {
+        let axis = match rng.next_below(6) {
+            0 | 1 => scalar(rng),
+            2 => {
+                let all = all_packagings();
+                SweepAxis::Packaging(
+                    (0..len(rng))
+                        .map(|_| all[rng.next_below(5) as usize])
+                        .collect(),
+                )
+            }
+            3 => SweepAxis::FabEnergySources(
+                (0..len(rng))
+                    .map(|_| {
+                        let sources = [EnergySource::Coal, EnergySource::Wind, EnergySource::Solar];
+                        sources[rng.next_below(3) as usize]
+                    })
+                    .collect(),
+            ),
+            4 => SweepAxis::ChipletNode {
+                index: rng.next_below(3) as usize,
+                nodes: (0..len(rng)).map(|_| node(rng)).collect(),
+            },
+            _ => SweepAxis::NodeTuples {
+                blocks: ga102::soc_blocks(&db).unwrap(),
+                tuples: (0..len(rng))
+                    .map(|_| NodeTuple::new(node(rng), node(rng), node(rng)))
+                    .collect(),
+            },
+        };
+        axes.push(axis);
+    }
+    if rng.next_below(2) == 0 {
+        axes.push(scalar(rng));
+    }
+    axes.sort_by_key(|axis| !matches!(axis, SweepAxis::NodeTuples { .. }));
+    let base = ga102::three_chiplet_system(
+        &db,
+        NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+    )
+    .unwrap();
+    axes.into_iter().fold(SweepSpec::new(base), SweepSpec::axis)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every streamed report equals a cold, memo-free estimate of its
+    /// point's system, bit for bit, whether the engine estimated the point
+    /// in full or re-priced it from the worker's previous point: on 1, 2
+    /// and 4 workers, claim sizes of 3 and the default, and over the full
+    /// space, a shard and a range that starts inside a run of scalar steps.
+    #[test]
+    fn repriced_scalar_steps_match_cold_estimates(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let spec = mixed_spec(&mut rng);
+        let total = spec.len();
+        // A start that is a scalar step when the last axis is scalar: its
+        // last digit is not the first.
+        let last = spec.axes().last().map_or(1, SweepAxis::len);
+        let mut start = rng.next_below(total as u64) as usize;
+        if start.is_multiple_of(last) && start + 1 < total {
+            start += 1;
+        }
+        let slices: [SweepSlice; 3] = [
+            Shard::FULL.into(),
+            Shard::new(1, 3).unwrap().into(),
+            (start..total).into(),
+        ];
+        let cold: Vec<_> = (0..total)
+            .map(|index| {
+                let case = spec.case_at(index).unwrap();
+                let mut config = EstimatorConfig::default();
+                if let Some(source) = case.fab_source {
+                    config.fab_source = source;
+                }
+                EcoChip::new(config).estimate(&case.system).unwrap()
+            })
+            .collect();
+        for jobs in [1usize, 2, 4] {
+            for chunk in [3, SweepEngine::serial().chunk()] {
+                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                for slice in &slices {
+                    let range = slice.range(total).unwrap();
+                    let mut points = Vec::new();
+                    engine
+                        .stream(
+                            &EcoChip::default(),
+                            &spec,
+                            slice.clone(),
+                            &SweepContext::new(),
+                            None,
+                            &mut |point| {
+                                points.push(point);
+                                Ok(())
+                            },
+                        )
+                        .unwrap();
+                    prop_assert_eq!(points.len(), range.len());
+                    for (point, expected) in points.iter().zip(&cold[range]) {
+                        let terms = point.report.breakdown();
+                        let expected_terms = expected.breakdown();
+                        prop_assert_eq!(terms.len(), expected_terms.len());
+                        for ((name, got), (_, want)) in terms.iter().zip(expected_terms.iter()) {
+                            prop_assert!(
+                                got.kg().to_bits() == want.kg().to_bits(),
+                                "{name} of {}: {got} != {want} (jobs {jobs}, chunk {chunk}, \
+                                 {slice:?})",
+                                point.label
+                            );
+                        }
+                        prop_assert_eq!(
+                            point.report.total().kg().to_bits(),
+                            expected.total().kg().to_bits()
+                        );
+                        prop_assert_eq!(&point.report, expected);
+                    }
+                }
+            }
         }
     }
 }
