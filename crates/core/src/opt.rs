@@ -697,7 +697,7 @@ impl Explorer<'_> {
     /// Evaluate and score case `index`, offer it to the frontier, and
     /// report an improvement on the first visit or a lower scalar energy.
     fn visit(&mut self, index: usize) -> Result<Evaluated, EcoChipError> {
-        let point = self.cases.evaluate(&mut self.walker, index)?;
+        let (point, _) = self.cases.evaluate(&mut self.walker, index)?;
         let values = self
             .objectives
             .score(self.estimator, &point.system, &point.report)?;

@@ -165,7 +165,8 @@ impl EcoChipService {
 
 /// Wraps a caller sink so every emitted point bumps the service counters.
 /// Batched emission passes straight through to the inner sink's bulk path,
-/// with one counter update per batch instead of per point.
+/// re-price flags included, with one counter update per batch instead of
+/// per point.
 struct InstrumentedSink<'a, S: SweepSink + ?Sized> {
     service: &'a EcoChipService,
     sink: &'a mut S,
@@ -186,9 +187,13 @@ impl<S: SweepSink + ?Sized> SweepSink for InstrumentedSink<'_, S> {
         Ok(())
     }
 
-    fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
         let count = points.len() as u64;
-        self.sink.accept_batch(points)?;
+        self.sink.accept_batch(points, repriced)?;
         self.record(count);
         Ok(())
     }

@@ -448,8 +448,10 @@ impl SweepSpec {
     /// Check the spec and return its case count; every case of a valid spec
     /// decodes. The product must fit the index space and the base system
     /// pass [`System::validate`]; then, axis by axis, `Systems` variants
-    /// pass it too, lifetimes are > 0, volumes ≥ 1, custom fab sources in
-    /// [11, 700] gCO₂e/kWh, chiplet counts pass [`check_logic_chiplets`], a
+    /// pass it too, packaging values pass
+    /// [`PackagingArchitecture::validate`], lifetimes are > 0, volumes ≥ 1,
+    /// custom fab sources in [11, 700] gCO₂e/kWh, chiplet counts pass
+    /// [`check_logic_chiplets`], a
     /// [`SweepAxis::ChipletNode`] index is below the fewest chiplets a case
     /// holds there, and no axis replaces the chiplets after a retarget.
     ///
@@ -521,7 +523,15 @@ impl SweepSpec {
                     )));
                 }
                 SweepAxis::ChipletNode { .. } => retarget = retarget.or(Some(at)),
-                SweepAxis::Packaging(_) => {}
+                SweepAxis::Packaging(archs) => {
+                    for (i, arch) in archs.iter().enumerate() {
+                        arch.validate().map_err(|error| {
+                            EcoChipError::InvalidSystem(format!(
+                                "axes[{at}].Packaging[{i}]: {error}"
+                            ))
+                        })?;
+                    }
+                }
             }
         }
         Ok(total)
@@ -636,7 +646,7 @@ mod tests {
     use super::*;
     use crate::system::{Chiplet, ChipletSize};
     use ecochip_packaging::{RdlFanoutConfig, SiliconBridgeConfig};
-    use ecochip_techdb::DesignType;
+    use ecochip_techdb::{Area, DesignType};
     use proptest::prelude::*;
     use proptest::TestRng;
 
@@ -1031,6 +1041,25 @@ mod tests {
             (
                 systems,
                 r#"axes[1].Systems["bad"].lifetime must be finite and > 0"#,
+            ),
+            (
+                SweepAxis::Packaging(vec![
+                    PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
+                    PackagingArchitecture::RdlFanout(RdlFanoutConfig {
+                        layers: 0,
+                        ..RdlFanoutConfig::default()
+                    }),
+                ]),
+                "axes[1].Packaging[1]: invalid value 0 for rdl_layers",
+            ),
+            (
+                SweepAxis::Packaging(vec![PackagingArchitecture::SiliconBridge(
+                    SiliconBridgeConfig {
+                        bridge_area: Area::from_mm2(-1.0),
+                        ..SiliconBridgeConfig::default()
+                    },
+                )]),
+                "axes[1].Packaging[0]: invalid value -1 for bridge_area",
             ),
         ] {
             assert_refused(

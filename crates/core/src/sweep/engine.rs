@@ -91,7 +91,22 @@ pub trait SweepSink {
     /// override it. The batch boundary is an engine implementation detail
     /// — concatenating all batches always reproduces the per-point stream
     /// exactly.
-    fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
+    ///
+    /// `repriced` holds one flag per point. A set flag means the point is
+    /// the point before it *in this batch*, re-priced: it differs from it
+    /// only in its label, its system's lifetime and volumes, and its
+    /// report's design, comm design and lifetime. A batch's first point
+    /// is never marked, so a flag never spans the chunk boundaries where
+    /// parallel workers interleave. A [`LineEncoder`] reads the flags to
+    /// rewrite only those values of the previous line.
+    ///
+    /// [`LineEncoder`]: crate::sweep::LineEncoder
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
+        let _ = repriced; // `emit` takes points alone.
         for point in points {
             self.emit(point)?;
         }
@@ -424,9 +439,12 @@ struct ReorderState {
 }
 
 /// One evaluated chunk: its points in case order, up to the first failing
-/// case, and that case's error.
+/// case, a flag per point that is set when the point was re-priced from
+/// the one before it in the chunk (never on the first), and the failing
+/// case's error.
 struct ChunkResults {
     points: Vec<SweepPoint>,
+    repriced: Vec<bool>,
     failure: Option<EcoChipError>,
 }
 
@@ -436,11 +454,15 @@ struct ChunkResults {
 /// points emitted.
 fn emit_chunk<S: SweepSink + ?Sized>(
     sink: &mut S,
-    ChunkResults { points, failure }: ChunkResults,
+    ChunkResults {
+        points,
+        repriced,
+        failure,
+    }: ChunkResults,
 ) -> Result<usize, EcoChipError> {
     let emitted = points.len();
     if emitted > 0 {
-        sink.accept_batch(points)?;
+        sink.accept_batch(points, &repriced)?;
     }
     match failure {
         Some(error) => Err(error),
@@ -533,12 +555,13 @@ impl<'a> CaseEvaluator<'a> {
         }
     }
 
-    /// Evaluate case `index` of the walker's spec.
+    /// Evaluate case `index` of the walker's spec, and say whether the
+    /// point was re-priced from the walker's previous point.
     pub(crate) fn evaluate(
         &self,
         walker: &mut CaseWalker<'_>,
         index: usize,
-    ) -> Result<SweepPoint, EcoChipError> {
+    ) -> Result<(SweepPoint, bool), EcoChipError> {
         // Taken first, so a failure below leaves the walker no basis.
         let basis = walker.basis.take();
         let from = walker.cursor.advance(index)?;
@@ -549,6 +572,7 @@ impl<'a> CaseEvaluator<'a> {
         // Near-zero-cost disabled path: untimed requests pay one branch
         // per point, never a clock read.
         let started = self.timings.map(|_| Instant::now());
+        let was_repriced = repriced.is_some();
         let estimated = match repriced {
             Some((mut report, basis)) => estimator
                 .price(&case.system, &basis, &mut report)
@@ -562,11 +586,12 @@ impl<'a> CaseEvaluator<'a> {
         if !walker.scalar.is_empty() {
             walker.basis = Some((report.clone(), basis));
         }
-        Ok(SweepPoint {
+        let point = SweepPoint {
             label: case.label(),
             system: case.system.clone(),
             report,
-        })
+        };
+        Ok((point, was_repriced))
     }
 
     /// Evaluate the cases of `indices` in order, stopping at the first
@@ -577,17 +602,28 @@ impl<'a> CaseEvaluator<'a> {
         indices: std::ops::Range<usize>,
     ) -> ChunkResults {
         let mut points = Vec::with_capacity(indices.len());
+        let mut repriced = Vec::with_capacity(indices.len());
         let mut failure = None;
         for index in indices {
             match self.evaluate(walker, index) {
-                Ok(point) => points.push(point),
+                Ok((point, was_repriced)) => {
+                    // The walker may carry its basis over from its
+                    // previous chunk, which another chunk can separate
+                    // from this one in the stream.
+                    repriced.push(was_repriced && !points.is_empty());
+                    points.push(point);
+                }
                 Err(error) => {
                     failure = Some(error);
                     break;
                 }
             }
         }
-        ChunkResults { points, failure }
+        ChunkResults {
+            points,
+            repriced,
+            failure,
+        }
     }
 
     /// The estimator for fab source `source`, built on first use.
@@ -914,7 +950,7 @@ mod tests {
                     .map_err(|e| e.to_string());
                 match result {
                     Err(error) => assert!(fails && error.contains(message), "{index}: {error}"),
-                    Ok(point) => {
+                    Ok((point, _)) => {
                         assert!(!fails, "case {index} re-priced {}", point.label);
                         let cold = estimator.estimate(&point.system).unwrap();
                         assert_eq!(point.report, cold, "case {index}");
@@ -1001,6 +1037,7 @@ mod tests {
     fn batch_sinks_see_the_same_points_in_order() {
         struct Batches {
             points: Vec<SweepPoint>,
+            repriced: Vec<bool>,
             batches: usize,
         }
         impl SweepSink for Batches {
@@ -1008,8 +1045,14 @@ mod tests {
                 self.points.push(point);
                 Ok(())
             }
-            fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
+            fn accept_batch(
+                &mut self,
+                points: Vec<SweepPoint>,
+                repriced: &[bool],
+            ) -> Result<(), EcoChipError> {
+                assert_eq!(repriced.len(), points.len());
                 self.batches += 1;
+                self.repriced.extend_from_slice(repriced);
                 self.points.extend(points);
                 Ok(())
             }
@@ -1019,6 +1062,7 @@ mod tests {
         let reference = SweepEngine::serial().run(&estimator, &spec).unwrap();
         let mut sink = Batches {
             points: Vec::new(),
+            repriced: Vec::new(),
             batches: 0,
         };
         let emitted = SweepEngine::with_jobs(4)
@@ -1034,8 +1078,12 @@ mod tests {
             .unwrap();
         assert_eq!(emitted, reference.len());
         assert_eq!(sink.points, reference);
-        // 12 points in chunks of 5 → batches of 5, 5, 2.
+        // 12 points in chunks of 5 → batches of 5, 5, 2. Each packaging
+        // step is estimated, each lifetime step re-priced, and no batch
+        // starts marked.
         assert_eq!(sink.batches, 3);
+        let marked: Vec<usize> = (0..12).filter(|&at| sink.repriced[at]).collect();
+        assert_eq!(marked, [1, 2, 3, 6, 7, 9, 11]);
     }
 
     #[test]

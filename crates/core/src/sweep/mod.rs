@@ -74,17 +74,21 @@
 //! decode, so there is one decoder. When a decode changed only trailing
 //! scalar axes ([`SweepAxis::is_scalar`]: lifetimes and volumes), the
 //! worker re-prices its previous report instead of estimating the case
-//! again, so such steps skip the memo as well.
+//! again, so such steps skip the memo as well. The engine marks each such
+//! point for its sink, and a [`LineEncoder`] encodes a marked point by
+//! rewriting only the changed values of the line before it.
 
 mod axis;
 mod context;
 mod engine;
+mod line;
 
 pub(crate) use axis::SweepCursor;
 pub use axis::{Shard, SweepAxis, SweepCase, SweepSlice, SweepSpec};
 pub use context::{SweepContext, SweepStats};
 pub(crate) use engine::{CaseEvaluator, CaseWalker};
 pub use engine::{SweepEngine, SweepSink, DEFAULT_CHUNK};
+pub use line::LineEncoder;
 
 use serde::{Deserialize, Serialize};
 

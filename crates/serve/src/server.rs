@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use ecochip_core::opt;
-use ecochip_core::sweep::{SweepContext, SweepEngine, SweepPoint, SweepSink};
+use ecochip_core::sweep::{LineEncoder, SweepContext, SweepEngine, SweepPoint, SweepSink};
 use ecochip_core::{EcoChip, EcoChipError, EcoChipService, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
@@ -1414,21 +1414,22 @@ fn estimate_batch(
         .collect())
 }
 
-/// The streaming sink behind `POST /v1/sweep`: every point is encoded into
-/// one reusable line buffer (no per-point `String` allocation), and a whole
-/// engine batch is flushed as a single transfer chunk — one buffered write
-/// per chunk of K points instead of per point. NDJSON concatenates the
-/// `\n`-terminated lines; `ECOF` frames the same lines with a binary length
-/// prefix (see [`crate::frames`]), so both encodings carry byte-identical
-/// canonical lines.
+/// The streaming sink behind `POST /v1/sweep`: every point is encoded by
+/// one [`LineEncoder`], which rewrites only the changed values of the
+/// previous line for a point the engine marked as re-priced and reuses its
+/// buffers otherwise, and a whole engine batch is flushed as a single
+/// transfer chunk — one buffered write per chunk of K points instead of
+/// per point. NDJSON concatenates the `\n`-terminated lines; `ECOF` frames
+/// the same lines with a binary length prefix (see [`crate::frames`]), so
+/// both encodings carry byte-identical canonical lines.
 struct SweepStreamSink<'a, W: Write> {
     chunked: &'a mut http::ChunkedWriter<W>,
     format: SweepFormat,
     /// Per-request stage clocks (serialize/emit recorded here; the engine
     /// records estimate into the same accumulator).
     timings: &'a StageTimings,
-    /// Reusable per-line JSON encode buffer.
-    line: String,
+    /// The per-request line encoder.
+    encoder: LineEncoder,
     /// Reusable per-batch wire buffer (lines or frames).
     wire: Vec<u8>,
     /// Whether the `ECOF` stream header has been sent.
@@ -1438,23 +1439,6 @@ struct SweepStreamSink<'a, W: Write> {
 }
 
 impl<W: Write> SweepStreamSink<'_, W> {
-    /// Encode one point onto `self.wire` in the negotiated format. The
-    /// caller times the serialize stage once per batch, keeping clock reads
-    /// off the per-point path.
-    fn encode(&mut self, point: &SweepPoint) -> Result<(), EcoChipError> {
-        self.line.clear();
-        serde_json::to_string_into(point, &mut self.line)
-            .map_err(|e| EcoChipError::Io(format!("serializing sweep point: {e}")))?;
-        match self.format {
-            SweepFormat::NdJson => {
-                self.wire.extend_from_slice(self.line.as_bytes());
-                self.wire.push(b'\n');
-            }
-            SweepFormat::Frames => frames::push_frame(&mut self.wire, &self.line),
-        }
-        Ok(())
-    }
-
     /// Send everything buffered on `self.wire` as one transfer chunk.
     fn flush_wire(&mut self) -> Result<(), EcoChipError> {
         if self.wire.is_empty() {
@@ -1496,13 +1480,37 @@ impl<W: Write> SweepStreamSink<'_, W> {
 
 impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
     fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.accept_batch(vec![point])
+        self.accept_batch(vec![point], &[false])
     }
 
-    fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
+    /// Encode the batch onto the wire in the negotiated format, timing the
+    /// serialize stage once per batch to keep clock reads off the
+    /// per-point path, then flush it as one transfer chunk.
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
         self.prepare();
         let started = Instant::now();
-        let encoded = points.iter().try_for_each(|point| self.encode(point));
+        let encoded: Result<(), EcoChipError> =
+            points
+                .iter()
+                .zip(repriced)
+                .try_for_each(|(point, &repriced)| {
+                    let line = self
+                        .encoder
+                        .encode(point, repriced)
+                        .map_err(|e| EcoChipError::Io(format!("serializing sweep point: {e}")))?;
+                    match self.format {
+                        SweepFormat::NdJson => {
+                            self.wire.extend_from_slice(line.as_bytes());
+                            self.wire.push(b'\n');
+                        }
+                        SweepFormat::Frames => frames::push_frame(&mut self.wire, line),
+                    }
+                    Ok(())
+                });
         self.timings.record(Stage::Serialize, started.elapsed());
         encoded?;
         self.flush_wire()
@@ -1544,7 +1552,7 @@ fn sweep(
         chunked: &mut chunked,
         format,
         timings: &timings,
-        line: String::new(),
+        encoder: LineEncoder::new(),
         wire: Vec::new(),
         header_sent: false,
         bytes: 0,

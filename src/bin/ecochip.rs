@@ -96,7 +96,7 @@ use std::time::Duration;
 use eco_chip::core::costing::system_cost;
 use eco_chip::core::dse::NAMED_SWEEP_AXES;
 use eco_chip::core::opt::{self, METHOD_NAMES, OBJECTIVE_NAMES};
-use eco_chip::core::sweep::{Shard, SweepPoint, SweepSpec};
+use eco_chip::core::sweep::{LineEncoder, Shard, SweepPoint, SweepSink, SweepSpec};
 use eco_chip::core::{EcoChipService, System};
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server};
@@ -332,6 +332,78 @@ impl StreamFormat {
     }
 }
 
+/// The sink of a classic-front-end sweep: the `--stream` output on one
+/// locked, buffered stdout writer, the incremental `--csv` file of a
+/// streaming run, and the points a summary table or `--json` export
+/// needs. Per point the only work is encoding into a reused buffer and a
+/// copy into the writer. JSON lines go through the same [`LineEncoder`]
+/// as the HTTP sweep stream, so the two diff clean (CI checks it).
+struct SweepOutput {
+    stream: Option<(
+        StreamFormat,
+        std::io::BufWriter<std::io::StdoutLock<'static>>,
+    )>,
+    csv_file: Option<std::io::BufWriter<std::fs::File>>,
+    encoder: LineEncoder,
+    /// Reused CSV row buffer.
+    line: String,
+    collect: bool,
+    points: Vec<SweepPoint>,
+}
+
+impl SweepOutput {
+    fn accept(&mut self, point: SweepPoint, repriced: bool) -> Result<(), eco_chip::EcoChipError> {
+        use std::io::Write;
+        if let Some((format, out)) = &mut self.stream {
+            let line = match format {
+                StreamFormat::Csv => {
+                    self.line.clear();
+                    push_csv_row(&mut self.line, &point);
+                    &self.line
+                }
+                StreamFormat::JsonLines => {
+                    self.encoder.encode(&point, repriced).map_err(|error| {
+                        eco_chip::EcoChipError::Io(format!(
+                            "writing JSON-lines stream: serializing sweep point {:?}: {error}",
+                            point.label
+                        ))
+                    })?
+                }
+            };
+            out.write_all(line.as_bytes())
+                .and_then(|()| out.write_all(b"\n"))
+                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
+        }
+        if let Some(file) = &mut self.csv_file {
+            self.line.clear();
+            push_csv_row(&mut self.line, &point);
+            writeln!(file, "{}", self.line)
+                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing sweep CSV: {e}")))?;
+        }
+        if self.collect {
+            self.points.push(point);
+        }
+        Ok(())
+    }
+}
+
+impl SweepSink for SweepOutput {
+    fn emit(&mut self, point: SweepPoint) -> Result<(), eco_chip::EcoChipError> {
+        self.accept(point, false)
+    }
+
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        repriced: &[bool],
+    ) -> Result<(), eco_chip::EcoChipError> {
+        for (point, &repriced) in points.into_iter().zip(repriced) {
+            self.accept(point, repriced)?;
+        }
+        Ok(())
+    }
+}
+
 fn run_sweep(
     service: &EcoChipService,
     spec: &SweepSpec,
@@ -380,8 +452,7 @@ fn run_sweep(
              prefer `--stream jsonl > file` for very large sweeps"
         );
     }
-    let mut points: Vec<SweepPoint> = Vec::new();
-    let mut csv_file = match (&options.csv, streaming) {
+    let csv_file = match (&options.csv, streaming) {
         (Some(path), true) => {
             let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| {
                 eco_chip::EcoChipError::Io(format!("creating {}: {e}", path.display()))
@@ -393,57 +464,34 @@ fn run_sweep(
         }
         _ => None,
     };
-    // Stream emission goes through one locked, buffered stdout writer and
-    // one reusable encode buffer: per point the only work is formatting
-    // into the buffer and a memcpy into the writer — no `String`
-    // allocation and no stdout lock/flush round-trip per line. The bytes
-    // are identical to the old per-point `println!` path (CI diffs this
-    // stream against the HTTP one).
-    let mut stream_out = options
+    let mut stream = options
         .stream
-        .map(|_| std::io::BufWriter::new(std::io::stdout().lock()));
-    let mut line = String::new();
+        .map(|format| (format, std::io::BufWriter::new(std::io::stdout().lock())));
     // Only the first shard prints the CSV header, so concatenating shard
     // outputs 0/N..(N-1)/N reproduces the unsharded stream verbatim.
-    if options.stream == Some(StreamFormat::Csv) && shard.index() == 0 {
-        if let Some(out) = &mut stream_out {
+    if let Some((StreamFormat::Csv, out)) = &mut stream {
+        if shard.index() == 0 {
             use std::io::Write;
             writeln!(out, "{SWEEP_CSV_HEADER}")
                 .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
         }
     }
-    let stream = options.stream;
-    service.stream(spec, shard, None, &mut |point: SweepPoint| {
-        use std::io::Write;
-        if let (Some(out), Some(format)) = (&mut stream_out, stream) {
-            line.clear();
-            match format {
-                StreamFormat::Csv => push_csv_row(&mut line, &point),
-                StreamFormat::JsonLines => {
-                    serde_json::to_string_into(&point, &mut line).map_err(|error| {
-                        eco_chip::EcoChipError::Io(format!(
-                            "writing JSON-lines stream: serializing sweep point {:?}: {error}",
-                            point.label
-                        ))
-                    })?;
-                }
-            }
-            line.push('\n');
-            out.write_all(line.as_bytes())
-                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
-        }
-        if let Some(file) = &mut csv_file {
-            line.clear();
-            push_csv_row(&mut line, &point);
-            writeln!(file, "{line}")
-                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing sweep CSV: {e}")))?;
-        }
-        if collect {
-            points.push(point);
-        }
-        Ok(())
-    })?;
-    if let Some(mut out) = stream_out {
+    let mut output = SweepOutput {
+        stream,
+        csv_file,
+        encoder: LineEncoder::new(),
+        line: String::new(),
+        collect,
+        points: Vec::new(),
+    };
+    service.stream(spec, shard, None, &mut output)?;
+    let SweepOutput {
+        stream,
+        csv_file,
+        points,
+        ..
+    } = output;
+    if let Some((_, mut out)) = stream {
         use std::io::Write;
         out.flush()
             .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing point stream: {e}")))?;

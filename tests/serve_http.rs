@@ -665,6 +665,11 @@ fn hostile_bodies_get_400_and_the_server_keeps_serving() {
             "axes[0].FabEnergySources[1].custom must be in [11, 700] gCO2e/kWh, got 5000",
         ),
         (
+            r#"{"testcase":"ga102-3chiplet","axes":[{"Packaging":[{"type":"rdl_fanout","tech":65,"layers":4},{"type":"rdl_fanout","tech":65,"layers":0}]},{"Lifetimes":[8760.0,17520.0]}]}"#
+                .to_owned(),
+            "axes[0].Packaging[1]: invalid value 0 for rdl_layers",
+        ),
+        (
             serde_json::to_string(&overwritten).unwrap(),
             "axes[0] (ChipletNode) must come after axes[1]",
         ),

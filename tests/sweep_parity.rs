@@ -9,11 +9,12 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 
-use eco_chip::core::disaggregation::NodeTuple;
+use eco_chip::core::disaggregation::{NodeTuple, SocBlocks};
 use eco_chip::core::sweep::{
-    Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSlice, SweepSpec,
+    LineEncoder, Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSlice,
+    SweepSpec,
 };
-use eco_chip::core::{EcoChip, EstimatorConfig, System};
+use eco_chip::core::{EcoChip, EcoChipError, EstimatorConfig, System};
 use eco_chip::design::VolumeScenario;
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
@@ -299,6 +300,164 @@ fn mixed_spec(rng: &mut TestRng) -> SweepSpec {
     axes.into_iter().fold(SweepSpec::new(base), SweepSpec::axis)
 }
 
+/// The slices a [`mixed_spec`] is streamed over: the full space, shard
+/// 1/3, and a range from a random start that is a scalar step when the
+/// last axis is scalar (its last digit is not the first).
+fn mixed_slices(spec: &SweepSpec, rng: &mut TestRng) -> [SweepSlice; 3] {
+    let total = spec.len();
+    let last = spec.axes().last().map_or(1, SweepAxis::len);
+    let mut start = rng.next_below(total as u64) as usize;
+    if start.is_multiple_of(last) && start + 1 < total {
+        start += 1;
+    }
+    [
+        Shard::FULL.into(),
+        Shard::new(1, 3).unwrap().into(),
+        (start..total).into(),
+    ]
+}
+
+/// A sink that encodes each point through one [`LineEncoder`], as the
+/// NDJSON front ends do, and keeps every line with the derived encoding
+/// of its point and whether the engine marked the point re-priced.
+#[derive(Default)]
+struct EncodedLines {
+    encoder: LineEncoder,
+    /// `(encoded, derived, marked)` per point.
+    lines: Vec<(String, String, bool)>,
+}
+
+impl SweepSink for EncodedLines {
+    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
+        self.accept_batch(vec![point], &[false])
+    }
+
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
+        assert_eq!(points.len(), repriced.len());
+        for (point, &marked) in points.iter().zip(repriced) {
+            let line = self
+                .encoder
+                .encode(point, marked)
+                .map_err(|e| EcoChipError::Io(e.to_string()))?;
+            let derived = serde_json::to_string(point).unwrap();
+            self.lines.push((line.to_owned(), derived, marked));
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every line the [`LineEncoder`] emits over a streamed sweep equals
+    /// the derived serializer's encoding of its point, byte for byte, and
+    /// the engine marks exactly the points of a claim after its first
+    /// that change only trailing scalar axes: on 1, 2 and 4 workers, claim
+    /// sizes of 1, 3 and 32, and over the full space, a shard and a range
+    /// that starts inside a run of scalar steps.
+    #[test]
+    fn encoded_lines_match_the_derived_serializer(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let spec = mixed_spec(&mut rng);
+        let total = spec.len();
+        let slices = mixed_slices(&spec, &mut rng);
+        // The span of the trailing scalar axes: a step changes only those
+        // axes unless its index is a multiple of it.
+        let scalar_span: usize = spec
+            .axes()
+            .iter()
+            .rev()
+            .take_while(|axis| axis.is_scalar())
+            .map(SweepAxis::len)
+            .product();
+        for jobs in [1usize, 2, 4] {
+            for chunk in [1, 3, 32] {
+                let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
+                for slice in &slices {
+                    let range = slice.range(total).unwrap();
+                    let mut sink = EncodedLines::default();
+                    engine
+                        .stream(
+                            &EcoChip::default(),
+                            &spec,
+                            slice.clone(),
+                            &SweepContext::new(),
+                            None,
+                            &mut sink,
+                        )
+                        .unwrap();
+                    prop_assert_eq!(sink.lines.len(), range.len());
+                    for (index, (line, derived, marked)) in range.clone().zip(&sink.lines) {
+                        let claimed = (index - range.start).is_multiple_of(chunk);
+                        let scalar_step = !index.is_multiple_of(scalar_span);
+                        prop_assert!(
+                            *marked == (!claimed && scalar_step),
+                            "index {index} marked {marked} (jobs {jobs}, chunk {chunk}, {slice:?})"
+                        );
+                        prop_assert!(
+                            line == derived,
+                            "index {index} (jobs {jobs}, chunk {chunk}, {slice:?}):\n{line}\n{derived}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A stream that fails mid-way still encodes every line before the
+/// failing case exactly, whatever the worker count and claim size.
+#[test]
+fn encoded_lines_before_a_failing_case_match_the_derived_serializer() {
+    // One digital chiplet of this budget is larger than the wafer, so the
+    // count-1 cases fail in manufacturing; split in 16 they fit.
+    let db = TechDb::default();
+    let base = ga102::three_chiplet_system(&db, NodeTuple::uniform(TechNode::N7)).unwrap();
+    let spec = SweepSpec::new(base)
+        .axis(SweepAxis::ChipletCounts {
+            blocks: SocBlocks::new("huge", 5.0e12, 4.0e9, 1.0e9),
+            nodes: NodeTuple::uniform(TechNode::N7),
+            counts: vec![16, 1],
+        })
+        .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0, 4.0]));
+    for jobs in [1usize, 2, 4] {
+        for chunk in [1, 3, 32] {
+            let mut sink = EncodedLines::default();
+            let error = SweepEngine::with_jobs(jobs)
+                .with_chunk(chunk)
+                .stream(
+                    &EcoChip::default(),
+                    &spec,
+                    Shard::FULL,
+                    &SweepContext::new(),
+                    None,
+                    &mut sink,
+                )
+                .expect_err("the count-1 cases fail");
+            assert!(
+                error.to_string().contains("does not fit on a 450 mm wafer"),
+                "{error}"
+            );
+            assert_eq!(sink.lines.len(), 4, "jobs {jobs}, chunk {chunk}");
+            let marked = sink.lines.iter().filter(|(_, _, marked)| *marked).count();
+            // Every step after the first is a lifetime step, marked unless
+            // it starts a claim.
+            assert_eq!(
+                marked,
+                4 - 4usize.div_ceil(chunk),
+                "jobs {jobs}, chunk {chunk}"
+            );
+            for (line, derived, _) in &sink.lines {
+                assert_eq!(line, derived, "jobs {jobs}, chunk {chunk}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -312,18 +471,7 @@ proptest! {
         let mut rng = TestRng::seed_from_u64(seed);
         let spec = mixed_spec(&mut rng);
         let total = spec.len();
-        // A start that is a scalar step when the last axis is scalar: its
-        // last digit is not the first.
-        let last = spec.axes().last().map_or(1, SweepAxis::len);
-        let mut start = rng.next_below(total as u64) as usize;
-        if start.is_multiple_of(last) && start + 1 < total {
-            start += 1;
-        }
-        let slices: [SweepSlice; 3] = [
-            Shard::FULL.into(),
-            Shard::new(1, 3).unwrap().into(),
-            (start..total).into(),
-        ];
+        let slices = mixed_slices(&spec, &mut rng);
         let cold: Vec<_> = (0..total)
             .map(|index| {
                 let case = spec.case_at(index).unwrap();
