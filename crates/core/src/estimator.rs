@@ -570,6 +570,23 @@ mod tests {
     }
 
     #[test]
+    fn warm_context_spans_requests_and_stays_exact() {
+        let estimator = EcoChip::default();
+        let context = SweepContext::new();
+        let system =
+            gpu_like_3chiplet(PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()));
+        let first = estimator.estimate_with(&system, &context).unwrap();
+        assert_eq!(context.stats().floorplan_misses, 1);
+        let second = estimator.estimate_with(&system, &context).unwrap();
+        assert_eq!(context.stats().floorplan_hits, 1);
+        assert_eq!(first, second);
+        // Bit-for-bit identical to a cold estimator.
+        let cold = EcoChip::default().estimate(&system).unwrap();
+        assert_eq!(cold, second);
+        assert_eq!(cold.total().kg().to_bits(), second.total().kg().to_bits());
+    }
+
+    #[test]
     fn config_accessor() {
         let est = EcoChip::default();
         assert!(est.config().include_wafer_wastage);

@@ -25,9 +25,10 @@
 //!   optionally bounded [`SweepContext`](sweep::SweepContext), deterministic
 //!   [`Shard`](sweep::Shard) partitioning for cross-process distribution,
 //!   and a parallel, streaming [`SweepEngine`](sweep::SweepEngine) with
-//!   deterministic ordering.
-//! * [`EcoChipService`] — the batch API: one warm sweep memo amortised over
-//!   many `estimate` / `stream` requests for the life of the process.
+//!   deterministic ordering. A long-lived front end keeps one
+//!   [`SweepContext`](sweep::SweepContext) for the life of the process, so
+//!   [`EcoChip::estimate_with`] and [`SweepEngine::stream`](sweep::SweepEngine::stream)
+//!   calls share its warm stage results.
 //! * [`dse`] — the paper's named design-space studies (technology tuples,
 //!   packaging architectures, chiplet counts, fab energy sources and the
 //!   named axes every front end exposes, all built on [`sweep`]) and the
@@ -83,7 +84,6 @@ mod estimator;
 mod manufacturing;
 pub mod opt;
 mod report;
-mod service;
 pub mod sweep;
 mod system;
 
@@ -92,5 +92,4 @@ pub use error::EcoChipError;
 pub use estimator::EcoChip;
 pub use manufacturing::{ChipletManufacturing, ManufacturingModel};
 pub use report::{CarbonReport, ChipletReport, HiBreakdown};
-pub use service::{EcoChipService, ServiceStats};
 pub use system::{Chiplet, ChipletSize, System, SystemBuilder};

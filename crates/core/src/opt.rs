@@ -635,26 +635,33 @@ impl<F> SweepSink for ParetoSink<'_, F>
 where
     F: FnMut(&OptEvent) -> Result<(), EcoChipError>,
 {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.evaluated += 1;
-        let values = self
-            .objectives
-            .score(self.estimator, &point.system, &point.report)?;
-        // Most candidates are rejected: build the point only on admission.
-        if !self.frontier.admits(index, values.iter().copied()) {
-            return Ok(());
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        _repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
+        for point in points {
+            let index = self.next_index;
+            self.next_index += 1;
+            self.evaluated += 1;
+            let values = self
+                .objectives
+                .score(self.estimator, &point.system, &point.report)?;
+            // Most candidates are rejected: build the point only on admission.
+            if !self.frontier.admits(index, values.iter().copied()) {
+                continue;
+            }
+            let candidate = FrontierPoint::new(index, point.label, self.objectives, &values);
+            self.frontier.admit(candidate.clone());
+            (self.on_event)(&OptEvent::improvement(
+                OptMethod::Pareto,
+                self.island,
+                self.evaluated,
+                self.frontier.len(),
+                candidate,
+            ))?;
         }
-        let candidate = FrontierPoint::new(index, point.label, self.objectives, &values);
-        self.frontier.admit(candidate.clone());
-        (self.on_event)(&OptEvent::improvement(
-            OptMethod::Pareto,
-            self.island,
-            self.evaluated,
-            self.frontier.len(),
-            candidate,
-        ))
+        Ok(())
     }
 }
 

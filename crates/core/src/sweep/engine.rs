@@ -41,10 +41,12 @@ use crate::sweep::{Shard, SweepContext, SweepCursor, SweepPoint, SweepSlice, Swe
 /// points) stays tiny and load stays balanced across workers.
 pub const DEFAULT_CHUNK: usize = 32;
 
-/// Receives evaluated sweep points, in the spec's deterministic case order.
+/// Receives evaluated sweep points, in the spec's deterministic case order,
+/// one contiguous batch at a time.
 ///
-/// Any `FnMut(SweepPoint) -> Result<(), EcoChipError>` closure is a sink, so
-/// collecting, folding or incremental writing all work without a named type:
+/// Any `FnMut(SweepPoint) -> Result<(), EcoChipError>` closure is a sink
+/// that takes its batches point by point, so collecting, folding or
+/// incremental writing all work without a named type:
 ///
 /// ```
 /// use ecochip_core::sweep::{SweepAxis, SweepEngine, SweepSpec};
@@ -80,17 +82,13 @@ pub const DEFAULT_CHUNK: usize = 32;
 /// # Ok::<(), ecochip_core::EcoChipError>(())
 /// ```
 pub trait SweepSink {
-    /// Accept the next point. Returning an error aborts the sweep; the error
-    /// is propagated to the caller of [`SweepEngine::stream`].
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError>;
-
-    /// Accept a contiguous batch of points (one claim chunk), in case
-    /// order. The default forwards point-by-point to
-    /// [`SweepSink::emit`], so closure sinks work unchanged; sinks with a
-    /// cheaper bulk path (one write per batch, one lock per batch)
-    /// override it. The batch boundary is an engine implementation detail
-    /// — concatenating all batches always reproduces the per-point stream
-    /// exactly.
+    /// Accept the next contiguous batch of points (one claim chunk), in
+    /// case order. Returning an error aborts the sweep; the error is
+    /// propagated to the caller of [`SweepEngine::stream`]. The batch
+    /// boundary is an engine implementation detail: concatenating all
+    /// batches always reproduces the per-point stream exactly, so a sink
+    /// with a cheaper bulk path (one write per batch, one lock per batch)
+    /// and one that folds point by point see the same points.
     ///
     /// `repriced` holds one flag per point. A set flag means the point is
     /// the point before it *in this batch*, re-priced: it differs from it
@@ -105,18 +103,16 @@ pub trait SweepSink {
         &mut self,
         points: Vec<SweepPoint>,
         repriced: &[bool],
-    ) -> Result<(), EcoChipError> {
-        let _ = repriced; // `emit` takes points alone.
-        for point in points {
-            self.emit(point)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), EcoChipError>;
 }
 
 impl<F: FnMut(SweepPoint) -> Result<(), EcoChipError>> SweepSink for F {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self(point)
+    fn accept_batch(
+        &mut self,
+        points: Vec<SweepPoint>,
+        _repriced: &[bool],
+    ) -> Result<(), EcoChipError> {
+        points.into_iter().try_for_each(self)
     }
 }
 
@@ -1041,10 +1037,6 @@ mod tests {
             batches: usize,
         }
         impl SweepSink for Batches {
-            fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-                self.points.push(point);
-                Ok(())
-            }
             fn accept_batch(
                 &mut self,
                 points: Vec<SweepPoint>,

@@ -24,9 +24,10 @@ use crate::ServeError;
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Upper bound on any single allocation driven by wire-supplied sizes
-/// (chunk sizes, `Content-Length`, buffered bodies) — the client-side
-/// mirror of the server's request-body cap. Streamed NDJSON responses are
-/// unbounded in *total* but hold at most one chunk + one pending line.
+/// (chunk sizes, `Content-Length`, buffered bodies, streamed lines) — the
+/// client-side mirror of the server's request-body cap. Streamed NDJSON
+/// responses are unbounded in *total* but hold at most one chunk + one
+/// pending line, and a longer line is refused.
 const MAX_BUFFERED_BODY: usize = crate::http::MAX_BODY_BYTES;
 
 /// Upper bound on one status/header/chunk-size line — the client-side
@@ -570,8 +571,8 @@ fn perform(
 
 /// Decode one response off the connection (status line through body).
 /// Returns the response plus whether the connection may serve another one.
-fn read_response(
-    reader: &mut BufReader<TcpStream>,
+fn read_response<R: BufRead>(
+    reader: &mut R,
     reuse: bool,
     on_line: &mut Option<LineSink<'_>>,
 ) -> Result<(Response, bool), ServeError> {
@@ -651,14 +652,25 @@ fn read_response(
             }
             Some(on_line) if framed => decoder.feed(data, &mut **on_line)?,
             Some(on_line) => {
+                // `pending` holds the newline-free start of the current
+                // line, so the scan resumes where the new bytes begin.
+                let mut scan = pending.len();
                 pending.extend_from_slice(data);
-                while let Some(newline) = pending.iter().position(|&b| b == b'\n') {
-                    let rest = pending.split_off(newline + 1);
-                    pending.pop(); // the newline
-                    let line = std::str::from_utf8(&pending)
+                let mut start = 0;
+                while let Some(offset) = pending[scan..].iter().position(|&b| b == b'\n') {
+                    let end = scan + offset;
+                    if end - start > MAX_BUFFERED_BODY {
+                        return Err(line_too_long());
+                    }
+                    let line = std::str::from_utf8(&pending[start..end])
                         .map_err(|_| ServeError::Http("NDJSON line is not UTF-8".into()))?;
                     on_line(line)?;
-                    pending = rest;
+                    start = end + 1;
+                    scan = start;
+                }
+                pending.drain(..start);
+                if pending.len() > MAX_BUFFERED_BODY {
+                    return Err(line_too_long());
                 }
             }
         }
@@ -696,6 +708,12 @@ fn read_response(
             reader
                 .read_exact(&mut crlf)
                 .map_err(|e| ServeError::Http(format!("reading chunk terminator: {e}")))?;
+            if crlf != *b"\r\n" {
+                return Err(ServeError::Http(format!(
+                    "chunk terminator {:?} is not CRLF",
+                    String::from_utf8_lossy(&crlf)
+                )));
+            }
             consume(&chunk, &mut response.body)?;
         }
     } else if let Some(length) = response.header("content-length") {
@@ -749,6 +767,13 @@ fn read_response(
     Ok((response, keep_open))
 }
 
+/// The error for a streamed NDJSON line longer than [`MAX_BUFFERED_BODY`].
+fn line_too_long() -> ServeError {
+    ServeError::Http(format!(
+        "streamed line exceeds the {MAX_BUFFERED_BODY}-byte client limit"
+    ))
+}
+
 /// Read one CRLF- (or LF-) terminated line of at most [`MAX_LINE_BYTES`],
 /// without the terminator. The limit is enforced *inside* the read (via
 /// `take`), so an endless newline-free stream errors at the cap instead of
@@ -777,6 +802,90 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A chunked `200` response head, then `chunks` each framed by its size
+    /// line and CRLF, then the last chunk.
+    fn chunked_response(chunks: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
+        for chunk in chunks {
+            bytes.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+            bytes.extend_from_slice(chunk);
+            bytes.extend_from_slice(b"\r\n");
+        }
+        bytes.extend_from_slice(b"0\r\n\r\n");
+        bytes
+    }
+
+    /// Decode one streamed response off `bytes`, collecting its lines.
+    fn stream_lines(bytes: &mut &[u8]) -> Result<Vec<String>, ServeError> {
+        let mut lines = Vec::new();
+        let mut on_line = |line: &str| {
+            lines.push(line.to_owned());
+            Ok(())
+        };
+        let mut sink: Option<LineSink<'_>> = Some(&mut on_line);
+        read_response(bytes, true, &mut sink)?;
+        Ok(lines)
+    }
+
+    #[test]
+    fn many_lines_in_one_chunk_stream_in_order() {
+        let bytes = chunked_response(&[b"{\"a\":1}\n{\"b\":2}\n\n{\"c\":3}\n"]);
+        let mut reader = bytes.as_slice();
+        let lines = stream_lines(&mut reader).unwrap();
+        assert_eq!(lines, ["{\"a\":1}", "{\"b\":2}", "", "{\"c\":3}"]);
+        assert!(reader.is_empty());
+    }
+
+    #[test]
+    fn a_line_split_across_chunks_is_joined() {
+        let bytes = chunked_response(&[b"{\"a\"", b":1}\n{\"b", b"\":2}\n{\"c\"", b":3}"]);
+        let lines = stream_lines(&mut bytes.as_slice()).unwrap();
+        // The last line needs no trailing newline.
+        assert_eq!(lines, ["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"]);
+    }
+
+    #[test]
+    fn a_streamed_line_past_the_cap_is_refused() {
+        let mebibyte = vec![b'x'; 1 << 20];
+        let over = MAX_BUFFERED_BODY / mebibyte.len() + 1;
+        // A newline-free stream errors at the cap, with chunks left unread.
+        let chunks = vec![mebibyte.as_slice(); over + 1];
+        let bytes = chunked_response(&chunks);
+        let mut reader = bytes.as_slice();
+        let error = stream_lines(&mut reader).unwrap_err();
+        assert!(
+            error.to_string().contains("streamed line exceeds"),
+            "{error}"
+        );
+        assert!(reader.len() > mebibyte.len(), "read past the cap");
+        // So does a line whose newline arrives only past the cap.
+        let mut chunks = vec![mebibyte.as_slice(); over - 1];
+        chunks.push(b"x\n");
+        let bytes = chunked_response(&chunks);
+        let error = stream_lines(&mut bytes.as_slice()).unwrap_err();
+        assert!(
+            error.to_string().contains("streamed line exceeds"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn a_chunk_without_a_crlf_terminator_is_refused() {
+        let bytes = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n3\r\nab\nXY0\r\n\r\n";
+        let mut lines = 0;
+        let mut on_line = |_: &str| {
+            lines += 1;
+            Ok(())
+        };
+        let mut sink: Option<LineSink<'_>> = Some(&mut on_line);
+        let error = read_response(&mut bytes.as_slice(), true, &mut sink).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            ServeError::Http("chunk terminator \"XY\" is not CRLF".into()).to_string()
+        );
+        assert_eq!(lines, 0, "the refused chunk's line was delivered");
+    }
 
     #[test]
     fn host_port_normalizes_urls() {

@@ -1,8 +1,9 @@
 //! # ecochip-serve
 //!
 //! A network front end for the ECO-CHIP estimator: an HTTP/1.1 JSON service
-//! over [`ecochip_core::EcoChipService`] plus a shard orchestrator that
-//! fans a sweep out across workers and merges their streams.
+//! over one [`ecochip_core::EcoChip`], [`ecochip_core::sweep::SweepEngine`]
+//! and [`ecochip_core::sweep::SweepContext`], plus a shard orchestrator
+//! that fans a sweep out across workers and merges their streams.
 //!
 //! ECO-CHIP is positioned as a *tool* other systems call — carbon-aware
 //! optimisation loops, DSE drivers, dashboards — which needs a service
@@ -52,12 +53,14 @@
 //! equivalent in-process [`ecochip_core::sweep::SweepEngine::run`] — the
 //! integration tests and CI diff the two byte streams.
 //!
-//! ## One warm service, many connections
+//! ## One warm memo, many connections
 //!
-//! All connections share one [`ecochip_core::EcoChipService`]: its memo
-//! (floorplans, per-die manufacturing CFP) warms up across requests, is
-//! bounded by `--memo-max-entries` (LRU eviction) so a long-running server
-//! cannot grow without limit. The memo lives and dies with the server
+//! All connections share the server's estimator, sweep engine and one
+//! [`ecochip_core::sweep::SweepContext`]: the memo (floorplans, per-die
+//! manufacturing CFP) warms up across requests, single estimates through
+//! [`ecochip_core::EcoChip::estimate_with`] and sweeps and searches
+//! through the engine alike, and is bounded by `--memo-max-entries` (LRU
+//! eviction) so a long-running server cannot grow without limit. The memo lives and dies with the server
 //! process: recomputing a stage takes microseconds, so a restarted server
 //! simply starts cold.
 //!

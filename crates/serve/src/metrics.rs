@@ -6,18 +6,19 @@
 //! server's route table decodes each request into), and a renderer
 //! that emits the Prometheus text exposition format (`# HELP` / `# TYPE`
 //! comment lines followed by `name{labels} value` samples). The registry
-//! records the HTTP-layer signals (requests by route and status, in-flight
-//! gauge, connections, per-route latency); the estimation-layer signals
-//! (memo hits/misses/evictions, sweep points, estimates) are pulled from
-//! [`ecochip_core::EcoChipService`] at render time, so `/metrics` is always
-//! a consistent snapshot of the same counters `/v1/stats` reports.
+//! records every server counter: the HTTP-layer signals (requests by route
+//! and status, in-flight gauge, connections, per-route latency) and the
+//! estimates served and sweep points streamed. The memo's hits, misses,
+//! evictions and entries are pulled from the server's [`SweepContext`] at
+//! render time, so `/metrics` is always a consistent snapshot of the same
+//! counters `/v1/stats` reports.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ecochip_core::EcoChipService;
+use ecochip_core::sweep::SweepContext;
 use ecochip_trace::Stage;
 
 use crate::api::SweepFormat;
@@ -204,6 +205,12 @@ pub struct Metrics {
     /// Event-loop wakeups (returns from the readiness wait, including
     /// timeout ticks and self-pipe nudges).
     wakeups: AtomicU64,
+    /// Estimates served, single requests and batch items alike (errors
+    /// excluded).
+    estimates: AtomicU64,
+    /// Sweep points streamed: every point of a batch whose write
+    /// succeeded.
+    sweep_points: AtomicU64,
     /// When this registry was created (server start), for the uptime gauge.
     started: Instant,
 }
@@ -244,6 +251,8 @@ impl Metrics {
             active_connections: AtomicU64::new(0),
             rejected: Default::default(),
             wakeups: AtomicU64::new(0),
+            estimates: AtomicU64::new(0),
+            sweep_points: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -337,6 +346,21 @@ impl Metrics {
         self.wakeups.load(Ordering::Relaxed)
     }
 
+    /// Record one estimate served (a single request or one batch item).
+    pub fn estimate_served(&self) {
+        self.estimates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `points` sweep points put on the wire.
+    pub fn sweep_points_sent(&self, points: u64) {
+        self.sweep_points.fetch_add(points, Ordering::Relaxed);
+    }
+
+    /// Sweep points streamed so far.
+    pub fn sweep_points(&self) -> u64 {
+        self.sweep_points.load(Ordering::Relaxed)
+    }
+
     /// Record a finished sweep response stream: how many payload bytes the
     /// encoding put on the wire (NDJSON lines or ECOF header+frames, not
     /// counting the HTTP chunked-transfer framing) and how long the stream
@@ -361,10 +385,10 @@ impl Metrics {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Render the registry (plus the service's memo and request counters)
-    /// in the Prometheus text exposition format. Every line is either a
+    /// Render the registry (plus the memo counters of `context`) in the
+    /// Prometheus text exposition format. Every line is either a
     /// `# HELP` / `# TYPE` comment or a `name{labels} value` sample.
-    pub fn render(&self, service: &EcoChipService) -> String {
+    pub fn render(&self, context: &SweepContext) -> String {
         let mut out = String::with_capacity(4096);
         let mut sample = |line: String| {
             out.push_str(&line);
@@ -489,35 +513,34 @@ impl Metrics {
                 .zip(&self.stage_durations),
         );
 
-        let service_stats = service.service_stats();
         sample("# HELP ecochip_estimates_total Single-system estimates served.".into());
         sample("# TYPE ecochip_estimates_total counter".into());
         sample(format!(
             "ecochip_estimates_total {}",
-            service_stats.estimates
+            self.estimates.load(Ordering::Relaxed)
         ));
         sample("# HELP ecochip_sweep_points_total Sweep points evaluated and emitted.".into());
         sample("# TYPE ecochip_sweep_points_total counter".into());
         sample(format!(
             "ecochip_sweep_points_total {}",
-            service_stats.sweep_points
+            self.sweep_points.load(Ordering::Relaxed)
         ));
 
-        let stats = service.stats();
+        let stats = context.stats();
         let caches = [
             (
                 "floorplan",
                 stats.floorplan_hits,
                 stats.floorplan_misses,
                 stats.floorplan_evictions,
-                service.context().floorplan_entries(),
+                context.floorplan_entries(),
             ),
             (
                 "manufacturing",
                 stats.manufacturing_hits,
                 stats.manufacturing_misses,
                 stats.manufacturing_evictions,
-                service.context().manufacturing_entries(),
+                context.manufacturing_entries(),
             ),
         ];
         sample("# HELP ecochip_memo_hits_total Memo entries served from the cache.".into());
@@ -588,7 +611,6 @@ pub fn is_valid_metrics_line(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecochip_core::{EcoChip, EcoChipService};
 
     /// The label a request is filed under, served or refused.
     fn filed_under(method: &str, path: &str, body: &[u8]) -> &'static str {
@@ -636,7 +658,7 @@ mod tests {
         let metrics = Metrics::new();
         metrics.request_started();
         metrics.observe(Route::EstimateBatch, 200, Duration::from_millis(3));
-        let text = metrics.render(&EcoChipService::new(EcoChip::default()));
+        let text = metrics.render(&SweepContext::new());
         assert!(
             text.contains("ecochip_http_requests_total{route=\"estimate_batch\",status=\"200\"} 1")
         );
@@ -655,8 +677,7 @@ mod tests {
         metrics.request_started();
         metrics.observe(Route::EstimateBatch, 200, Duration::from_millis(3));
 
-        let service = EcoChipService::new(EcoChip::default());
-        let text = metrics.render(&service);
+        let text = metrics.render(&SweepContext::new());
         for line in text.lines() {
             assert!(is_valid_metrics_line(line), "invalid metrics line: {line}");
         }
@@ -727,8 +748,8 @@ mod tests {
         let metrics = Metrics::new();
         // Nothing streamed yet: byte counters render at zero, histograms
         // are suppressed until they have observations.
-        let service = EcoChipService::new(EcoChip::default());
-        let idle = metrics.render(&service);
+        let context = SweepContext::new();
+        let idle = metrics.render(&context);
         assert!(idle.contains("ecochip_sweep_stream_bytes_total{format=\"ndjson\"} 0"));
         assert!(idle.contains("ecochip_sweep_stream_bytes_total{format=\"frames\"} 0"));
         assert!(!idle.contains("ecochip_sweep_stream_duration_seconds_bucket"));
@@ -737,7 +758,7 @@ mod tests {
         metrics.sweep_stream_finished(SweepFormat::NdJson, 2048, Duration::from_millis(700));
         metrics.sweep_stream_finished(SweepFormat::Frames, 768, Duration::from_micros(400));
 
-        let text = metrics.render(&service);
+        let text = metrics.render(&context);
         for line in text.lines() {
             assert!(is_valid_metrics_line(line), "invalid metrics line: {line}");
         }
@@ -776,12 +797,12 @@ mod tests {
     #[test]
     fn event_loop_series_render_and_validate() {
         let metrics = Metrics::new();
-        let service = EcoChipService::new(EcoChip::default());
+        let context = SweepContext::new();
 
         // Fresh registry: gauges and counters render at zero (the series
         // exist even before the first connection, so dashboards never see
         // a missing metric).
-        let idle = metrics.render(&service);
+        let idle = metrics.render(&context);
         assert!(idle.contains("ecochip_http_connections_open{state=\"idle\"} 0"));
         assert!(idle.contains("ecochip_http_connections_open{state=\"active\"} 0"));
         assert!(idle.contains("ecochip_http_rejected_total{reason=\"max_connections\"} 0"));
@@ -796,7 +817,7 @@ mod tests {
             metrics.wakeup();
         }
 
-        let text = metrics.render(&service);
+        let text = metrics.render(&context);
         for line in text.lines() {
             assert!(is_valid_metrics_line(line), "invalid metrics line: {line}");
         }
@@ -812,7 +833,7 @@ mod tests {
 
         // Gauges are set-not-accumulate: a fresh census replaces the old.
         metrics.set_connection_gauges(2, 0);
-        let text = metrics.render(&service);
+        let text = metrics.render(&context);
         assert!(text.contains("ecochip_http_connections_open{state=\"idle\"} 2"));
         assert!(text.contains("ecochip_http_connections_open{state=\"active\"} 0"));
     }
@@ -832,7 +853,7 @@ mod tests {
         metrics.sweep_stream_finished(SweepFormat::Frames, 1, Duration::from_micros(400));
         metrics.observe_stage(Stage::Decode, 0.002);
         metrics.observe_stage(Stage::Emit, 3.0);
-        let text = metrics.render(&EcoChipService::new(EcoChip::default()));
+        let text = metrics.render(&SweepContext::new());
         let histograms: Vec<&str> = text
             .lines()
             .filter(|line| line.contains("_duration_seconds"))

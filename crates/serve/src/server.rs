@@ -1,5 +1,6 @@
-//! The HTTP server: a readiness-driven event loop in front of one warm
-//! [`EcoChipService`] shared with a fixed pool of handler threads.
+//! The HTTP server: a readiness-driven event loop in front of one
+//! estimator, one sweep engine and one warm sweep memo, shared with a fixed
+//! pool of handler threads.
 //!
 //! Architecture: one event-loop thread owns every parked connection
 //! through a [`poll::Poller`] (epoll on Linux, `poll(2)` fallback —
@@ -58,7 +59,7 @@ use serde::Serialize;
 
 use ecochip_core::opt;
 use ecochip_core::sweep::{LineEncoder, SweepContext, SweepEngine, SweepPoint, SweepSink};
-use ecochip_core::{EcoChip, EcoChipError, EcoChipService, EstimatorConfig};
+use ecochip_core::{EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
 use ecochip_trace::{FieldValue, Stage, StageTimings};
@@ -269,26 +270,14 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The estimation service this configuration describes: an estimator
-    /// over `techdb`, a sweep engine of `jobs` workers, and a fresh memo
-    /// bounded to `memo_max_entries`.
-    #[must_use]
-    pub fn service(&self) -> EcoChipService {
-        let db = self.techdb.clone().unwrap_or_default();
-        let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
-        let engine = SweepEngine::with_optional_jobs(self.jobs);
-        let context = self
-            .memo_max_entries
-            .map_or_else(SweepContext::new, SweepContext::with_capacity);
-        EcoChipService::with_engine(estimator, engine, context)
-    }
-}
-
 /// Counters and flags shared by the event loop and every handler thread.
 struct ServerState {
-    service: EcoChipService,
-    db: TechDb,
+    /// The estimator; requests resolve against its technology database.
+    estimator: EcoChip,
+    /// The sweep engine behind sweeps and searches.
+    engine: SweepEngine,
+    /// The warm memo every request shares.
+    context: SweepContext,
     addr: SocketAddr,
     idle_timeout: Duration,
     max_requests_per_connection: usize,
@@ -335,8 +324,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listen socket, create the readiness poller and warm up the
-    /// service (estimator, engine, bounded memo).
+    /// Bind the listen socket, create the readiness poller and build the
+    /// estimator over `techdb`, a sweep engine of `jobs` workers and a
+    /// fresh memo bounded to `memo_max_entries`.
     ///
     /// # Errors
     ///
@@ -369,8 +359,6 @@ impl Server {
         if config.verbose {
             ecochip_trace::raise_level(ecochip_trace::Level::Info);
         }
-        let service = config.service();
-        let db = service.estimator().config().techdb.clone();
 
         // Every connection is a file descriptor; cap the connection count
         // below the process limit so the listener, self-pipe and poller
@@ -383,8 +371,15 @@ impl Server {
 
         Ok(Self {
             state: Arc::new(ServerState {
-                service,
-                db,
+                estimator: EcoChip::new(
+                    EstimatorConfig::builder()
+                        .techdb(config.techdb.clone().unwrap_or_default())
+                        .build(),
+                ),
+                engine: SweepEngine::with_optional_jobs(config.jobs),
+                context: config
+                    .memo_max_entries
+                    .map_or_else(SweepContext::new, SweepContext::with_capacity),
                 addr,
                 idle_timeout: config.idle_timeout.max(Duration::from_millis(1)),
                 max_requests_per_connection: config.max_requests_per_connection.max(1),
@@ -1227,7 +1222,7 @@ fn route_light(
             &HealthResponse {
                 status: "ok".into(),
                 service: "ecochip-serve".into(),
-                jobs: state.service.engine().jobs(),
+                jobs: state.engine.jobs(),
             },
             keep_alive,
         ),
@@ -1235,14 +1230,14 @@ fn route_light(
             out,
             200,
             &StatsResponse::new(
-                state.service.stats(),
-                state.service.context().floorplan_entries(),
-                state.service.context().manufacturing_entries(),
-                state.service.context().capacity(),
+                state.context.stats(),
+                state.context.floorplan_entries(),
+                state.context.manufacturing_entries(),
+                state.context.capacity(),
                 crate::api::ServeTotals {
                     requests: state.requests.load(Ordering::Relaxed),
-                    points_streamed: state.service.service_stats().sweep_points,
-                    chunk: state.service.engine().chunk(),
+                    points_streamed: state.metrics.sweep_points(),
+                    chunk: state.engine.chunk(),
                     idle_connections: state.metrics.idle_connections(),
                     active_connections: state.metrics.active_connections(),
                     rejected: state.metrics.rejected_total(),
@@ -1282,7 +1277,7 @@ fn route_light(
             keep_alive,
         ),
         Ok(Route::Metrics) => {
-            let text = state.metrics.render(&state.service);
+            let text = state.metrics.render(&state.context);
             write_traced(
                 out,
                 200,
@@ -1303,7 +1298,7 @@ fn route_light(
                 &HealthResponse {
                     status: "shutting down".into(),
                     service: "ecochip-serve".into(),
-                    jobs: state.service.engine().jobs(),
+                    jobs: state.engine.jobs(),
                 },
                 false,
             );
@@ -1384,8 +1379,9 @@ fn estimate_one(
     state: &ServerState,
     request: EstimateRequest,
 ) -> Result<EstimateResponse, ServeError> {
-    let system = request.resolve(&state.db)?;
-    let report = state.service.estimate(&system)?;
+    let system = request.resolve(&state.estimator.config().techdb)?;
+    let report = state.estimator.estimate_with(&system, &state.context)?;
+    state.metrics.estimate_served();
     Ok(EstimateResponse {
         system: system.name,
         embodied_fraction: report.embodied_fraction(),
@@ -1425,6 +1421,8 @@ fn estimate_batch(
 struct SweepStreamSink<'a, W: Write> {
     chunked: &'a mut http::ChunkedWriter<W>,
     format: SweepFormat,
+    /// Counts the points of every batch whose write succeeded.
+    metrics: &'a Metrics,
     /// Per-request stage clocks (serialize/emit recorded here; the engine
     /// records estimate into the same accumulator).
     timings: &'a StageTimings,
@@ -1479,13 +1477,10 @@ impl<W: Write> SweepStreamSink<'_, W> {
 }
 
 impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.accept_batch(vec![point], &[false])
-    }
-
     /// Encode the batch onto the wire in the negotiated format, timing the
     /// serialize stage once per batch to keep clock reads off the
-    /// per-point path, then flush it as one transfer chunk.
+    /// per-point path, then flush it as one transfer chunk and count its
+    /// points once the write succeeded.
     fn accept_batch(
         &mut self,
         points: Vec<SweepPoint>,
@@ -1513,7 +1508,9 @@ impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
                 });
         self.timings.record(Stage::Serialize, started.elapsed());
         encoded?;
-        self.flush_wire()
+        self.flush_wire()?;
+        self.metrics.sweep_points_sent(points.len() as u64);
+        Ok(())
     }
 }
 
@@ -1535,7 +1532,7 @@ fn sweep(
     // Resolving refuses every bad input, a bad slice too, before the 200.
     let resolved = parse_body::<SweepRequest>(request_body).and_then(|request| {
         let format = request.negotiated_format()?;
-        let (spec, slice) = request.resolve(&state.db)?;
+        let (spec, slice) = request.resolve(&state.estimator.config().techdb)?;
         Ok((format, spec, slice))
     });
     let (format, spec, slice) = match resolved {
@@ -1551,15 +1548,21 @@ fn sweep(
     let mut sink = SweepStreamSink {
         chunked: &mut chunked,
         format,
+        metrics: &state.metrics,
         timings: &timings,
         encoder: LineEncoder::new(),
         wire: Vec::new(),
         header_sent: false,
         bytes: 0,
     };
-    let result = state
-        .service
-        .stream(&spec, slice, Some(&timings), &mut sink);
+    let result = state.engine.stream(
+        &state.estimator,
+        &spec,
+        slice,
+        &state.context,
+        Some(&timings),
+        &mut sink,
+    );
     match result {
         Ok(_) => {
             // A zero-point framed sweep still sends the stream header so
@@ -1595,8 +1598,8 @@ fn optimize(
 ) -> u16 {
     let timings = StageTimings::new();
     let decode_started = Instant::now();
-    let resolved =
-        parse_body::<OptimizeRequest>(request_body).and_then(|request| request.resolve(&state.db));
+    let resolved = parse_body::<OptimizeRequest>(request_body)
+        .and_then(|request| request.resolve(&state.estimator.config().techdb));
     let (spec, shard, config) = match resolved {
         Ok(resolved) => resolved,
         Err(error) => return respond_error(writer, &error, keep_alive),
@@ -1614,11 +1617,11 @@ fn optimize(
         let timings = &timings;
         let mut line = String::new();
         opt::optimize(
-            state.service.estimator(),
-            state.service.engine(),
+            &state.estimator,
+            &state.engine,
             &spec,
             shard,
-            state.service.context(),
+            &state.context,
             Some(timings),
             &config,
             move |event: &opt::OptEvent| {

@@ -96,8 +96,10 @@ use std::time::Duration;
 use eco_chip::core::costing::system_cost;
 use eco_chip::core::dse::NAMED_SWEEP_AXES;
 use eco_chip::core::opt::{self, METHOD_NAMES, OBJECTIVE_NAMES};
-use eco_chip::core::sweep::{LineEncoder, Shard, SweepPoint, SweepSink, SweepSpec};
-use eco_chip::core::{EcoChipService, System};
+use eco_chip::core::sweep::{
+    LineEncoder, Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+};
+use eco_chip::core::{EcoChip, EstimatorConfig, System};
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server};
 use eco_chip::techdb::TechDb;
@@ -224,8 +226,8 @@ fn export_testcases(db: &TechDb, dir: &PathBuf) -> CliResult {
 
 /// Emit the memo hit/miss/eviction counters as one Info event (visible
 /// under `--verbose` or `ECOCHIP_LOG=info`).
-fn print_stats(service: &EcoChipService) {
-    let stats = service.stats();
+fn print_stats(context: &SweepContext) {
+    let stats = context.stats();
     trace::info(
         "cli",
         "memo stats",
@@ -252,8 +254,13 @@ fn print_stats(service: &EcoChipService) {
     );
 }
 
-fn run(service: &EcoChipService, system: &System, options: &OutputOptions) -> CliResult {
-    let report = service.estimate(system)?;
+fn run(
+    estimator: &EcoChip,
+    context: &SweepContext,
+    system: &System,
+    options: &OutputOptions,
+) -> CliResult {
+    let report = estimator.estimate_with(system, context)?;
     println!("{report}");
     if let Some(path) = &options.csv {
         std::fs::write(path, report.to_csv())?;
@@ -268,15 +275,15 @@ fn run(service: &EcoChipService, system: &System, options: &OutputOptions) -> Cl
         "embodied share of total: {:.1}%",
         report.embodied_fraction() * 100.0
     );
-    let act = service.estimator().act_embodied(system)?;
+    let act = estimator.act_embodied(system)?;
     println!(
         "ACT-baseline embodied estimate: {} ({:.1}% below ECO-CHIP)",
         act.total(),
         (1.0 - act.total().kg() / report.embodied().kg()) * 100.0
     );
-    let cost = system_cost(service.estimator(), system)?;
+    let cost = system_cost(estimator, system)?;
     println!("dollar cost per unit: {cost}");
-    print_stats(service);
+    print_stats(context);
     Ok(())
 }
 
@@ -388,10 +395,6 @@ impl SweepOutput {
 }
 
 impl SweepSink for SweepOutput {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), eco_chip::EcoChipError> {
-        self.accept(point, false)
-    }
-
     fn accept_batch(
         &mut self,
         points: Vec<SweepPoint>,
@@ -405,7 +408,9 @@ impl SweepSink for SweepOutput {
 }
 
 fn run_sweep(
-    service: &EcoChipService,
+    estimator: &EcoChip,
+    engine: &SweepEngine,
+    context: &SweepContext,
     spec: &SweepSpec,
     shard: Shard,
     axis_name: &str,
@@ -422,7 +427,7 @@ fn run_sweep(
             axis_name,
             system.name,
             owned,
-            service.engine().jobs()
+            engine.jobs()
         )
     } else {
         format!(
@@ -431,7 +436,7 @@ fn run_sweep(
             system.name,
             owned,
             total,
-            service.engine().jobs()
+            engine.jobs()
         )
     };
     // In stream mode stdout carries only the point stream; narration moves
@@ -484,7 +489,7 @@ fn run_sweep(
         collect,
         points: Vec::new(),
     };
-    service.stream(spec, shard, None, &mut output)?;
+    engine.stream(estimator, spec, shard, context, None, &mut output)?;
     let SweepOutput {
         stream,
         csv_file,
@@ -544,7 +549,7 @@ fn run_sweep(
             println!("{note}");
         }
     }
-    print_stats(service);
+    print_stats(context);
     Ok(())
 }
 
@@ -553,7 +558,9 @@ fn run_sweep(
 /// (then the terminal `done` line) to stdout. Narration goes to stderr so
 /// seeded runs can be byte-diffed, exactly like `--stream jsonl`.
 fn run_optimize(
-    service: &EcoChipService,
+    estimator: &EcoChip,
+    engine: &SweepEngine,
+    context: &SweepContext,
     spec: &SweepSpec,
     shard: Shard,
     axis_name: &str,
@@ -577,11 +584,11 @@ fn run_optimize(
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     let mut line = String::new();
     let outcome = opt::optimize(
-        service.estimator(),
-        service.engine(),
+        estimator,
+        engine,
         spec,
         shard,
-        service.context(),
+        context,
         None,
         config,
         |event: &opt::OptEvent| {
@@ -606,7 +613,7 @@ fn run_optimize(
         outcome.evaluated,
         outcome.frontier.len()
     );
-    print_stats(service);
+    print_stats(context);
     Ok(())
 }
 
@@ -1121,22 +1128,24 @@ fn run_classic(args: &[String]) -> CliResult {
     let (spec, shard, search) = search_request(&flags, system)
         .resolve(&db)
         .map_err(serve_error)?;
-    let service = ServeConfig {
-        jobs: flags.number("--jobs"),
-        techdb: Some(db),
-        memo_max_entries: flags.number("--memo-max-entries"),
-        ..ServeConfig::default()
-    }
-    .service();
+    let estimator = EcoChip::new(EstimatorConfig::builder().techdb(db).build());
+    let engine = SweepEngine::with_optional_jobs(flags.number("--jobs"));
+    let context = flags
+        .number("--memo-max-entries")
+        .map_or_else(SweepContext::new, SweepContext::with_capacity);
     let options = OutputOptions {
         csv: flags.path("--csv"),
         json: flags.path("--json"),
         stream,
     };
     match (flags.value("--sweep"), flags.has("--optimize")) {
-        (Some(axis), true) => run_optimize(&service, &spec, shard, axis, &search),
-        (Some(axis), false) => run_sweep(&service, &spec, shard, axis, &options),
-        (None, _) => run(&service, spec.base(), &options),
+        (Some(axis), true) => {
+            run_optimize(&estimator, &engine, &context, &spec, shard, axis, &search)
+        }
+        (Some(axis), false) => {
+            run_sweep(&estimator, &engine, &context, &spec, shard, axis, &options)
+        }
+        (None, _) => run(&estimator, &context, spec.base(), &options),
     }
 }
 

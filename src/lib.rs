@@ -65,8 +65,7 @@ pub use ecochip_trace as trace;
 pub use ecochip_yield as yield_model;
 
 pub use ecochip_core::{
-    CarbonReport, Chiplet, ChipletSize, EcoChip, EcoChipError, EcoChipService, EstimatorConfig,
-    System,
+    CarbonReport, Chiplet, ChipletSize, EcoChip, EcoChipError, EstimatorConfig, System,
 };
 pub use ecochip_packaging::PackagingArchitecture;
 pub use ecochip_power::UsageProfile;

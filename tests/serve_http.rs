@@ -957,6 +957,85 @@ fn metrics_serve_valid_prometheus_text_over_keep_alive() {
     handle.shutdown().unwrap();
 }
 
+/// The estimate and sweep-point counters count what was served: good batch
+/// items, every streamed point of a full or ranged sweep, and no search.
+#[test]
+fn metrics_count_estimates_and_sweep_points() {
+    let (handle, addr) = boot(default_config());
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let scrape = |connection: &mut client::Connection| {
+        let metrics = connection.get("/metrics").unwrap();
+        let text = metrics.text().unwrap();
+        (
+            metric_value(text, "ecochip_estimates_total"),
+            metric_value(text, "ecochip_sweep_points_total"),
+        )
+    };
+    assert_eq!(scrape(&mut connection), (0.0, 0.0));
+
+    // A single estimate counts once; a batch counts its good items only.
+    let single = connection
+        .post_json("/v1/estimate", r#"{"testcase":"ga102"}"#)
+        .unwrap();
+    assert_eq!(single.status, 200);
+    let batch = connection
+        .post_json(
+            "/v1/estimate",
+            r#"[{"testcase":"ga102"},{"testcase":"bogus"},{"testcase":"a15"}]"#,
+        )
+        .unwrap();
+    assert_eq!(batch.status, 200);
+    assert_eq!(scrape(&mut connection), (3.0, 0.0));
+
+    // A sweep counts every point it streamed, as `/v1/stats` does; a ranged
+    // sweep counts only its range, which is the exact slice of the full run.
+    let sweep = |connection: &mut client::Connection, body: &str| {
+        let mut lines = Vec::new();
+        let response = connection
+            .post_ndjson("/v1/sweep", body, |line| {
+                lines.push(line.to_owned());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(response.status, 200);
+        lines
+    };
+    let full = sweep(
+        &mut connection,
+        r#"{"testcase":"ga102-3chiplet","axis":"lifetime"}"#,
+    );
+    assert_eq!(full.len(), 7);
+    assert_eq!(scrape(&mut connection), (3.0, 7.0));
+    let tail = sweep(
+        &mut connection,
+        r#"{"testcase":"ga102-3chiplet","axis":"lifetime","range":{"start":1,"end":3}}"#,
+    );
+    assert_eq!(tail, full[1..3]);
+    let again = sweep(
+        &mut connection,
+        r#"{"testcase":"ga102-3chiplet","axis":"lifetime"}"#,
+    );
+    assert_eq!(again, full);
+    assert_eq!(scrape(&mut connection), (3.0, (7 + 2 + 7) as f64));
+    let stats = connection.get("/v1/stats").unwrap();
+    let stats: eco_chip::serve::StatsResponse =
+        serde_json::from_str(stats.text().unwrap()).unwrap();
+    assert_eq!(stats.points_streamed, 7 + 2 + 7);
+
+    // A search evaluates points but counts as neither.
+    let response = connection
+        .post_ndjson(
+            "/v1/optimize",
+            r#"{"testcase":"ga102-3chiplet","axis":"lifetime","method":"anneal","budget":8,"seed":1}"#,
+            |_| Ok(()),
+        )
+        .unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(scrape(&mut connection), (3.0, (7 + 2 + 7) as f64));
+
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn shutdown_mid_sweep_drains_the_stream() {
     use eco_chip::core::ChipletSize;

@@ -88,10 +88,6 @@ struct WireSink {
 }
 
 impl SweepSink for WireSink {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.accept_batch(vec![point], &[false])
-    }
-
     fn accept_batch(
         &mut self,
         points: Vec<SweepPoint>,

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
 use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
-use eco_chip::core::{EcoChip, EcoChipError, EcoChipService, System};
+use eco_chip::core::{EcoChip, EcoChipError, System};
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
 };
@@ -186,24 +186,22 @@ fn a_warm_memo_is_hit_by_a_second_run() {
     assert_bit_for_bit(&cold_points, &warm_points);
 }
 
+/// A long-lived service estimates batch after batch against one memo.
 #[test]
 fn service_batches_share_one_warm_context() {
-    let service = EcoChipService::with_engine(
-        EcoChip::default(),
-        SweepEngine::with_jobs(4),
-        SweepContext::new(),
-    );
+    let estimator = EcoChip::default();
+    let context = SweepContext::new();
     let systems = builtin_systems();
     // Estimate the same systems twice: the second pass is all hits.
     for system in &systems {
-        service.estimate(system).unwrap();
+        estimator.estimate_with(system, &context).unwrap();
     }
-    let misses_after_first = service.stats().floorplan_misses;
+    let misses_after_first = context.stats().floorplan_misses;
     let mut second = Vec::new();
     for system in &systems {
-        second.push(service.estimate(system).unwrap());
+        second.push(estimator.estimate_with(system, &context).unwrap());
     }
-    assert_eq!(service.stats().floorplan_misses, misses_after_first);
+    assert_eq!(context.stats().floorplan_misses, misses_after_first);
     // And every warm report matches a cold estimator bit-for-bit.
     let cold = EcoChip::default();
     for (system, warm_report) in systems.iter().zip(&second) {

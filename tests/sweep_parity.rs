@@ -328,10 +328,6 @@ struct EncodedLines {
 }
 
 impl SweepSink for EncodedLines {
-    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.accept_batch(vec![point], &[false])
-    }
-
     fn accept_batch(
         &mut self,
         points: Vec<SweepPoint>,
