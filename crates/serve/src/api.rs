@@ -589,8 +589,8 @@ impl From<&ecochip_trace::CompletedSpan> for TraceSpan {
             seq: span.seq,
             id: span.id,
             parent: span.parent,
-            trace: span.trace.clone(),
-            name: span.name.clone(),
+            trace: span.trace.map(|trace| trace.to_string()),
+            name: span.name.to_owned(),
             start: span.start,
             duration: span.duration,
         }

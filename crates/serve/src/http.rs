@@ -16,6 +16,7 @@
 //! connection) lives in [`crate::server`].
 
 use std::io::{BufRead, Write};
+use std::ops::Range;
 
 use crate::ServeError;
 
@@ -27,8 +28,10 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// KiB; this leaves generous headroom for large structured sweeps).
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-/// A parsed HTTP request: method, path (query string stripped), lowercased
-/// header names, and the full body.
+/// A parsed HTTP request in owned storage: method, path (query string
+/// stripped), lowercased header names, and the full body. The blocking
+/// [`read_request`] returns one; the event-loop server copies a
+/// [`RequestRef`] into one only to hand it to another thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method (`GET`, `POST`, …), uppercase as sent.
@@ -50,6 +53,58 @@ impl Request {
     /// The value of the first header named `name` (ASCII case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
         header_lookup(&self.headers, name)
+    }
+}
+
+/// A parsed HTTP request borrowed from the bytes it was parsed from, as
+/// [`RequestParser::next_request`] returns it: the method, the path, the
+/// headers and the body are slices of the caller's buffer, so parsing
+/// copies nothing and builds no `String`. Headers are read from the head
+/// on demand ([`RequestRef::header`]) rather than stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestRef<'a> {
+    /// Request method (`GET`, `POST`, …), uppercase as sent.
+    pub method: &'a str,
+    /// Request path without the query string (`/v1/estimate`).
+    pub path: &'a str,
+    /// The header lines of the head, between the request line and the
+    /// blank line.
+    header_lines: &'a str,
+    /// The request body (empty when no `Content-Length` was sent).
+    pub body: &'a [u8],
+    /// Whether the peer allows this connection to serve another request
+    /// (see [`Request::keep_alive`]).
+    pub keep_alive: bool,
+}
+
+impl<'a> RequestRef<'a> {
+    /// The headers in arrival order, names as sent, both trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        // Every line was split once already, when the head was parsed.
+        self.header_lines
+            .lines()
+            .filter_map(|line| split_header_line(line).ok())
+    }
+
+    /// The value of the first header named `name` (ASCII case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
+            .find(|(key, _)| key.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
+    }
+
+    /// Copy the request into owned storage (header names lowercased).
+    pub fn to_request(&self) -> Request {
+        Request {
+            method: self.method.to_owned(),
+            path: self.path.to_owned(),
+            headers: self
+                .headers()
+                .map(|(name, value)| (name.to_ascii_lowercase(), value.to_owned()))
+                .collect(),
+            body: self.body.to_vec(),
+            keep_alive: self.keep_alive,
+        }
     }
 }
 
@@ -79,32 +134,75 @@ pub fn keep_alive_semantics(version: &str, connection_header: Option<&str>) -> b
 /// parsed header list. Shared by the server's [`Request`] and the client's
 /// `Response` so both sides apply identical lookup rules.
 pub fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    let name = name.to_ascii_lowercase();
     headers
         .iter()
-        .find(|(key, _)| *key == name)
+        .find(|(key, _)| key.eq_ignore_ascii_case(name))
         .map(|(_, value)| value.as_str())
 }
 
+/// Split one `Name: value` header line at its first `:` into the trimmed
+/// name and value — the single definition of the wire's header syntax.
+fn split_header_line(line: &str) -> Result<(&str, &str), ServeError> {
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| ServeError::Http(format!("malformed header line {line:?}")))?;
+    Ok((name.trim(), value.trim()))
+}
+
 /// Parse one `Name: value` header line into a `(lowercased name, trimmed
-/// value)` pair — the single definition of the wire's header syntax, used
-/// by both the server's request parser and the client's response parser.
+/// value)` pair, as the client's response parser stores headers.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Http`] when the line has no `:` separator.
 pub fn parse_header_line(line: &str) -> Result<(String, String), ServeError> {
-    let Some((name, value)) = line.split_once(':') else {
-        return Err(ServeError::Http(format!("malformed header line {line:?}")));
-    };
-    Ok((name.trim().to_ascii_lowercase(), value.trim().to_owned()))
+    let (name, value) = split_header_line(line)?;
+    Ok((name.to_ascii_lowercase(), value.to_owned()))
+}
+
+/// Where a parsed head's parts lie within its bytes, and what the head
+/// announced: the head is kept as offsets so a parser waiting for the body
+/// holds no borrow of the connection buffer.
+#[derive(Debug, Clone)]
+struct Head {
+    method: Range<usize>,
+    path: Range<usize>,
+    header_lines: Range<usize>,
+    keep_alive: bool,
+    body_len: usize,
+}
+
+impl Head {
+    /// The request this head describes: `head` is the head's text and
+    /// `body` its complete body.
+    fn request<'a>(&self, head: &'a str, body: &'a [u8]) -> RequestRef<'a> {
+        RequestRef {
+            method: &head[self.method.clone()],
+            path: &head[self.path.clone()],
+            header_lines: &head[self.header_lines.clone()],
+            body,
+            keep_alive: self.keep_alive,
+        }
+    }
+}
+
+/// The byte range `part` (a subslice of `whole`) occupies in `whole`.
+fn range_in(whole: &str, part: &str) -> Range<usize> {
+    let start = part.as_ptr() as usize - whole.as_ptr() as usize;
+    start..start + part.len()
+}
+
+/// Validate a head's bytes as UTF-8 text.
+fn head_text(bytes: &[u8]) -> Result<&str, ServeError> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| ServeError::Http("request head is not valid UTF-8".into()))
 }
 
 /// Parse a complete request head (every byte up to and including the blank
-/// line) into a body-less [`Request`] plus the announced `Content-Length`
-/// — the single definition of the head grammar, shared by the blocking
-/// [`read_request`] and the incremental [`RequestParser`].
-fn parse_head(head: &str) -> Result<(Request, usize), ServeError> {
+/// line) in one pass over its lines — the single definition of the head
+/// grammar, shared by the blocking [`read_request`] and the incremental
+/// [`RequestParser`].
+fn parse_head(head: &str) -> Result<Head, ServeError> {
     let mut lines = head.lines();
     let request_line = lines
         .next()
@@ -121,41 +219,53 @@ fn parse_head(head: &str) -> Result<(Request, usize), ServeError> {
             "unsupported protocol version {version:?}"
         )));
     }
-    let path = target.split('?').next().unwrap_or(target).to_owned();
+    let path = target.split('?').next().unwrap_or(target);
 
-    let mut headers = Vec::new();
+    // Header lines are never empty, so the range is empty only while no
+    // header has been seen.
+    let mut header_lines = 0..0;
+    let (mut connection, mut chunked, mut content_length) = (None, false, None);
     for line in lines {
         if line.is_empty() {
             break;
         }
-        headers.push(parse_header_line(line)?);
+        let (name, value) = split_header_line(line)?;
+        let line = range_in(head, line);
+        if header_lines.is_empty() {
+            header_lines.start = line.start;
+        }
+        header_lines.end = line.end;
+        if name.eq_ignore_ascii_case("connection") {
+            connection = connection.or(Some(value));
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = true;
+        } else if name.eq_ignore_ascii_case("content-length") {
+            content_length = content_length.or(Some(value));
+        }
     }
-
-    let request = Request {
-        method: method.to_owned(),
-        path,
-        keep_alive: keep_alive_semantics(version, header_lookup(&headers, "connection")),
-        headers,
-        body: Vec::new(),
-    };
-    if request.header("transfer-encoding").is_some() {
+    if chunked {
         return Err(ServeError::Http(
             "chunked request bodies are not supported; send Content-Length".into(),
         ));
     }
-    let length = match request.header("content-length") {
+    let body_len = match content_length {
         Some(value) => value
-            .trim()
             .parse::<usize>()
             .map_err(|_| ServeError::Http(format!("invalid Content-Length {value:?}")))?,
         None => 0,
     };
-    if length > MAX_BODY_BYTES {
+    if body_len > MAX_BODY_BYTES {
         return Err(ServeError::Http(format!(
-            "request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            "request body of {body_len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
         )));
     }
-    Ok((request, length))
+    Ok(Head {
+        method: range_in(head, method),
+        path: range_in(head, path),
+        header_lines,
+        keep_alive: keep_alive_semantics(version, connection),
+        body_len,
+    })
 }
 
 /// Read one request from `reader`.
@@ -197,22 +307,22 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Serve
     }
     // `limited`'s borrow of `reader` ends here; the body reads from
     // `reader` directly below, bounded by the Content-Length check instead.
-    let head = String::from_utf8(head)
-        .map_err(|_| ServeError::Http("request head is not valid UTF-8".into()))?;
-    let (request, length) = parse_head(&head)?;
-    let mut body = vec![0u8; length];
+    let head = head_text(&head)?;
+    let parsed = parse_head(head)?;
+    let mut body = vec![0u8; parsed.body_len];
     reader
         .read_exact(&mut body)
-        .map_err(|e| ServeError::Http(format!("reading {length}-byte body: {e}")))?;
-    Ok(Some(Request { body, ..request }))
+        .map_err(|e| ServeError::Http(format!("reading {}-byte body: {e}", body.len())))?;
+    let mut request = parsed.request(head, &[]).to_request();
+    request.body = body;
+    Ok(Some(request))
 }
 
 /// A fully parsed head waiting for its body bytes to accumulate.
 #[derive(Debug)]
 struct PendingBody {
-    request: Request,
+    head: Head,
     head_len: usize,
-    body_len: usize,
 }
 
 /// A resumable incremental request parser for nonblocking connections.
@@ -225,11 +335,18 @@ struct PendingBody {
 /// requests into one segment has them parsed out one [`next_request`] call
 /// at a time.
 ///
+/// A parsed request borrows the buffer ([`RequestRef`]): its method, path,
+/// headers and body are slices of it, and the parser itself keeps only
+/// offsets, so parsing allocates nothing.
+///
 /// Contract: `buf` always starts at the first unconsumed byte of the
-/// request stream, and the caller drains exactly `consumed` bytes from the
-/// front after each parsed request (the parser resets its scan state at
-/// that point). Size caps ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) are
-/// enforced as the bytes accumulate, never after the fact.
+/// request stream, and the caller advances past exactly `consumed` bytes
+/// after each parsed request (the parser resets its scan state at that
+/// point). The caller may consume by offset — slicing its buffer — and
+/// compact it only now and then; the bytes of a request still arriving
+/// must keep their position relative to `buf`'s start. Size caps
+/// ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) are enforced as the bytes
+/// accumulate, never after the fact.
 ///
 /// [`next_request`]: RequestParser::next_request
 #[derive(Debug, Default)]
@@ -252,38 +369,39 @@ impl RequestParser {
     /// Try to parse one complete request from the front of `buf`.
     ///
     /// Returns `Ok(Some((request, consumed)))` when a full request (head +
-    /// body) is available — the caller must drain `consumed` bytes from the
-    /// front of `buf` before the next call — and `Ok(None)` when more bytes
-    /// are needed.
+    /// body) is available — the caller must advance `consumed` bytes past
+    /// the front of `buf` before the next call — and `Ok(None)` when more
+    /// bytes are needed.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Http`] for malformed or oversized requests;
     /// the connection's framing is unrecoverable from there on.
-    pub fn next_request(&mut self, buf: &[u8]) -> Result<Option<(Request, usize)>, ServeError> {
-        if self.pending.is_none() {
-            let Some(head_end) = self.scan_head(buf)? else {
-                return Ok(None);
-            };
-            let head = std::str::from_utf8(&buf[..head_end])
-                .map_err(|_| ServeError::Http("request head is not valid UTF-8".into()))?;
-            let (request, body_len) = parse_head(head)?;
-            self.pending = Some(PendingBody {
-                request,
-                head_len: head_end,
-                body_len,
-            });
-        }
-        let pending = self.pending.as_ref().expect("pending head");
-        let total = pending.head_len + pending.body_len;
+    pub fn next_request<'a>(
+        &mut self,
+        buf: &'a [u8],
+    ) -> Result<Option<(RequestRef<'a>, usize)>, ServeError> {
+        let pending = match self.pending.take() {
+            Some(pending) => pending,
+            None => {
+                let Some(head_len) = self.scan_head(buf)? else {
+                    return Ok(None);
+                };
+                PendingBody {
+                    head: parse_head(head_text(&buf[..head_len])?)?,
+                    head_len,
+                }
+            }
+        };
+        let total = pending.head_len + pending.head.body_len;
         if buf.len() < total {
+            self.pending = Some(pending);
             return Ok(None);
         }
-        let pending = self.pending.take().expect("pending head");
-        let mut request = pending.request;
-        request.body = buf[pending.head_len..total].to_vec();
         self.scanned = 0;
         self.line_start = 0;
+        let head = head_text(&buf[..pending.head_len])?;
+        let request = pending.head.request(head, &buf[pending.head_len..total]);
         Ok(Some((request, total)))
     }
 
@@ -330,49 +448,67 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// The `Connection` response-header value for a reuse decision.
-fn connection_token(keep_alive: bool) -> &'static str {
-    if keep_alive {
-        "keep-alive"
+/// Append a response head to `out`: the status line, `Content-Type`, then
+/// `Content-Length: {length}` for a fixed-length body (`Some`) or
+/// `Transfer-Encoding: chunked` (`None`), `Connection`, the extra headers
+/// (name, value) in order, and the blank line.
+fn push_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    length: Option<usize>,
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        reason(status)
+    );
+    let _ = match length {
+        Some(length) => write!(out, "Content-Length: {length}\r\n"),
+        None => out.write_all(b"Transfer-Encoding: chunked\r\n"),
+    };
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n"
     } else {
-        "close"
+        b"Connection: close\r\n"
+    });
+    for (name, value) in extra_headers {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
+    out.extend_from_slice(b"\r\n");
 }
 
-/// Write a complete fixed-length response, with extra response headers
-/// (name, value) ahead of the body, and flush it. `keep_alive` advertises
-/// whether the server will serve another request on this connection.
+/// Append a complete fixed-length response — head, extra response headers
+/// (name, value) and body — to `out`. `keep_alive` advertises whether the
+/// server will serve another request on this connection.
 ///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response<W: Write>(
-    writer: &mut W,
+/// The caller owns the buffer: the event loop appends straight onto a
+/// connection's response queue, and a handler thread assembles a response
+/// in a reused buffer and sends it with one `write_all`. Either way the
+/// body is copied once, and nothing is allocated unless `out` must grow.
+pub fn write_response(
+    out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
-) -> std::io::Result<()> {
-    // One buffer, one write: `write!` straight onto a socket would emit a
-    // segment per format fragment.
-    let mut message = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        reason(status),
-        body.len(),
-        connection_token(keep_alive)
-    )
-    .into_bytes();
-    for (name, value) in extra_headers {
-        message.extend_from_slice(name.as_bytes());
-        message.extend_from_slice(b": ");
-        message.extend_from_slice(value.as_bytes());
-        message.extend_from_slice(b"\r\n");
-    }
-    message.extend_from_slice(b"\r\n");
-    message.extend_from_slice(body);
-    writer.write_all(&message)?;
-    writer.flush()
+) {
+    push_head(
+        out,
+        status,
+        content_type,
+        Some(body.len()),
+        extra_headers,
+        keep_alive,
+    );
+    out.extend_from_slice(body);
 }
 
 /// A chunked transfer-encoding response body: each [`ChunkedWriter::chunk`]
@@ -398,20 +534,17 @@ pub fn start_chunked<W: Write>(
     extra_headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> std::io::Result<ChunkedWriter<W>> {
-    // One buffer, one write, like `write_response`.
-    let mut message = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        reason(status),
-        connection_token(keep_alive)
-    )
-    .into_bytes();
-    for (name, value) in extra_headers {
-        message.extend_from_slice(name.as_bytes());
-        message.extend_from_slice(b": ");
-        message.extend_from_slice(value.as_bytes());
-        message.extend_from_slice(b"\r\n");
-    }
-    message.extend_from_slice(b"\r\n");
+    // One buffer, one write: `write!` straight onto a socket would emit a
+    // segment per format fragment.
+    let mut message = Vec::new();
+    push_head(
+        &mut message,
+        status,
+        content_type,
+        None,
+        extra_headers,
+        keep_alive,
+    );
     writer.write_all(&message)?;
     writer.flush()?;
     Ok(ChunkedWriter { writer })
@@ -568,9 +701,44 @@ mod tests {
             } else {
                 let (request, consumed) = result.unwrap();
                 assert_eq!(consumed, wire.len());
-                assert_eq!(request, blocking);
+                assert_eq!(request.to_request(), blocking);
             }
         }
+    }
+
+    #[test]
+    fn a_parsed_request_borrows_its_head_and_body() {
+        let wire: &[u8] = b"POST /v1/estimate HTTP/1.1\r\nHost: x\r\n\
+            X-Ecochip-Trace:  abc \r\nhost: second\r\nContent-Length: 2\r\n\r\n{}tail";
+        let (request, consumed) = RequestParser::new().next_request(wire).unwrap().unwrap();
+        assert_eq!(consumed, wire.len() - 4);
+        assert_eq!((request.method, request.path), ("POST", "/v1/estimate"));
+        assert_eq!(request.body, b"{}");
+        // Lookups are case-insensitive, trimmed, and the first header of a
+        // name wins.
+        assert_eq!(request.header("x-ecochip-trace"), Some("abc"));
+        assert_eq!(request.header("HOST"), Some("x"));
+        assert_eq!(request.header("connection"), None);
+        assert_eq!(
+            request.headers().collect::<Vec<_>>(),
+            [
+                ("Host", "x"),
+                ("X-Ecochip-Trace", "abc"),
+                ("host", "second"),
+                ("Content-Length", "2")
+            ]
+        );
+        let owned = request.to_request();
+        assert_eq!(owned.header("host"), Some("x"));
+        assert_eq!(owned.headers[1], ("x-ecochip-trace".into(), "abc".into()));
+
+        // A head without headers has none.
+        let (request, _) = RequestParser::new()
+            .next_request(b"GET / HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(request.headers().count(), 0);
+        assert!(request.body.is_empty() && request.keep_alive);
     }
 
     #[test]
@@ -584,7 +752,7 @@ mod tests {
         let mut buf = wire.clone();
         let mut paths = Vec::new();
         while let Some((request, consumed)) = parser.next_request(&buf).unwrap() {
-            paths.push((request.path.clone(), request.body.clone()));
+            paths.push((request.path.to_owned(), request.body.to_vec()));
             buf.drain(..consumed);
         }
         assert!(buf.is_empty(), "every byte consumed");
@@ -644,8 +812,7 @@ mod tests {
             &[("Retry-After", "1")],
             b"{}",
             true,
-        )
-        .unwrap();
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
@@ -656,7 +823,7 @@ mod tests {
     #[test]
     fn fixed_and_chunked_responses_serialize() {
         let mut out = Vec::new();
-        write_response(&mut out, 404, "application/json", &[], b"{}", false).unwrap();
+        write_response(&mut out, 404, "application/json", &[], b"{}", false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -664,7 +831,7 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", &[], b"ok", true).unwrap();
+        write_response(&mut out, 200, "text/plain", &[], b"ok", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
 

@@ -14,10 +14,10 @@
 //! access, so no tokio/hyper/mio, the same way the workspace's `vendor/`
 //! shims hand-roll serde). Idle keep-alive connections cost a file
 //! descriptor and nothing else; cheap routes are answered on the loop
-//! thread (with HTTP/1.1 pipelining), heavy routes (sweeps, batches,
-//! searches) run on a fixed handler pool, and overload is bounded by
-//! admission control (`429 Too Many Requests` + `Retry-After` instead of
-//! unbounded queueing).
+//! thread (with HTTP/1.1 pipelining), heavy routes (sweeps, batches
+//! larger than one 16 KiB read, searches) run on a fixed handler pool,
+//! and overload is bounded by admission control (`429 Too Many Requests`
+//! + `Retry-After` instead of unbounded queueing).
 //!
 //! ## Endpoints
 //!

@@ -36,7 +36,7 @@ use std::time::Duration;
 use ecochip_core::sweep::{Shard, SweepContext, SweepEngine, SweepPoint};
 use ecochip_core::{opt, EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_techdb::TechDb;
-use ecochip_trace::FieldValue;
+use ecochip_trace::{FieldValue, TraceId};
 
 use crate::api::{OptimizeRequest, SweepFormat, SweepRequest};
 use crate::client::Connection;
@@ -176,7 +176,7 @@ where
     // Every worker request carries it as `X-Ecochip-Trace`, so one grep
     // stitches the fleet's logs back into this run's timeline.
     let trace = ecochip_trace::current_trace().unwrap_or_else(ecochip_trace::mint_trace_id);
-    let _trace_guard = ecochip_trace::set_current_trace(trace.clone());
+    let _trace_guard = ecochip_trace::set_current_trace(trace);
     let _span = ecochip_trace::span("orchestrate:sweep");
     ecochip_trace::info(
         "serve::orchestrator",
@@ -197,7 +197,7 @@ where
         .collect();
     let mut fingerprint = Fingerprint::new();
     let mut points = 0usize;
-    fan_out(&fleet.urls, work, policy, &trace, |line| {
+    fan_out(&fleet.urls, work, policy, trace, |line| {
         fingerprint.update(line);
         points += 1;
         on_line(line)
@@ -339,7 +339,7 @@ fn fan_out(
     urls: &[String],
     work: Vec<Work<'_>>,
     policy: &FailoverPolicy,
-    trace: &str,
+    trace: TraceId,
     mut on_line: impl FnMut(&str) -> Result<(), ServeError>,
 ) -> Result<(), ServeError> {
     std::thread::scope(|scope| {
@@ -376,13 +376,13 @@ fn drive(
     index: usize,
     urls: &[String],
     policy: &FailoverPolicy,
-    trace: &str,
+    trace: TraceId,
     sender: &mpsc::SyncSender<Result<String, ServeError>>,
 ) -> Result<(), ServeError> {
     // Worker threads don't inherit the orchestrator's thread-local trace;
     // re-establish it so this stream's failover events carry the fleet's
     // trace ID.
-    let _trace_guard = ecochip_trace::set_current_trace(trace.to_owned());
+    let _trace_guard = ecochip_trace::set_current_trace(trace);
     let (label, count_label) = work.labels();
     let count = urls.len();
     let forwarded = Cell::new(0usize);
@@ -398,7 +398,7 @@ fn drive(
         let result = Connection::open(url).and_then(|mut connection| {
             // Propagate the fleet trace on every hop (first try and every
             // re-dispatch), so each worker's log and span dump carry it.
-            connection.set_trace(Some(trace.to_owned()));
+            connection.set_trace(Some(trace.to_string()));
             let response = connection.post_ndjson(path, &body, |line| {
                 if line.starts_with("{\"error\"") {
                     return Err(ServeError::Worker(format!("{url}: {line}")));
@@ -557,7 +557,7 @@ where
     let islands = fleet.urls.len();
 
     let trace = ecochip_trace::current_trace().unwrap_or_else(ecochip_trace::mint_trace_id);
-    let _trace_guard = ecochip_trace::set_current_trace(trace.clone());
+    let _trace_guard = ecochip_trace::set_current_trace(trace);
     let _span = ecochip_trace::span("orchestrate:optimize");
     ecochip_trace::info(
         "serve::orchestrator",
@@ -592,7 +592,7 @@ where
         // Harvest each island's terminal `done` line (its field order puts
         // `event` first, so the prefix test is exact) to fold its frontier
         // into the global archive.
-        fan_out(&fleet.urls, work, policy, &trace, |line| {
+        fan_out(&fleet.urls, work, policy, trace, |line| {
             if line.starts_with("{\"event\":\"done\"") {
                 let event: opt::OptEvent = serde_json::from_str(line).map_err(|e| {
                     ServeError::Worker(format!("island sent an undecodable done event: {e}"))

@@ -7,23 +7,32 @@
 //! see [`crate::poll`]). Sockets are nonblocking while parked, so ten
 //! thousand idle keep-alive connections cost ten thousand file
 //! descriptors and nothing else — no thread, no stack, no timer each.
-//! Request bytes accumulate in a per-connection buffer drained by a
+//! Request bytes accumulate in a per-connection buffer read by a
 //! resumable [`http::RequestParser`], which also gives HTTP/1.1
 //! **pipelining** for free: every complete request in the buffer is
 //! served in order, responses queue onto a per-connection write buffer,
 //! and a write backlog pauses reads (TCP backpressure) instead of
-//! buffering without bound.
+//! buffering without bound. A pass consumes requests by offset and
+//! compacts the buffer once at its end, so a deep pipeline costs one
+//! move of the unread tail, not one per request.
 //!
 //! Every request is decoded once, against one route table, into the
 //! [`Route`] that picks its handler, its metrics label, its
 //! `request:{route}` span and its access-log field.
 //! Routes split by weight. *Light* routes (health, stats, testcases,
-//! metrics, trace dumps, single estimates, shutdown, and every error
+//! metrics, trace dumps, single estimates, batch estimates whose body
+//! fits one read of `READ_CHUNK` (16 KiB), shutdown, and every error
 //! reply) are answered inline on the loop thread — they are memo-bound
 //! microsecond work, and avoiding a thread handoff is what keeps
 //! point-lookup throughput flat while thousands of idle connections
-//! are parked. *Heavy* routes (sweeps, batch estimates, searches) are
-//! dispatched to a pool of `threads` handler threads: the connection is
+//! are parked. An inline request is served from borrowed slices of the
+//! connection buffer; its JSON body is encoded once into a per-thread
+//! scratch buffer and appended, behind its head, to the connection's
+//! write buffer; its trace ID is an inline value and its span name a
+//! static string. Past the decode and the estimate it allocates nothing.
+//! *Heavy* routes (sweeps, larger batch estimates, searches) are
+//! dispatched to a pool of `threads` handler threads, with the request
+//! copied into owned storage: the connection is
 //! removed from the poller, flipped back to blocking, and the worker
 //! streams the response directly (so chunked
 //! sweep output is byte-for-byte what the old thread-per-connection
@@ -46,6 +55,8 @@
 //! returns once the handler pool has drained — an in-flight sweep
 //! always streams to its last line before the server exits.
 
+use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -62,7 +73,7 @@ use ecochip_core::sweep::{LineEncoder, SweepContext, SweepEngine, SweepPoint, Sw
 use ecochip_core::{EcoChip, EcoChipError, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
-use ecochip_trace::{FieldValue, Stage, StageTimings};
+use ecochip_trace::{FieldValue, Level, Stage, StageTimings, TraceId};
 
 use crate::api::{
     BatchEstimateItem, ErrorResponse, EstimateRequest, EstimateResponse, HealthResponse,
@@ -85,12 +96,14 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 /// and a missed wake-up can lag behind wall-clock time.
 const IDLE_SWEEP: Duration = Duration::from_millis(100);
 
-/// Bytes read per `read(2)` call on a ready connection.
+/// Bytes read per `read(2)` call on a ready connection; also the largest
+/// batch-estimate body answered inline on the event loop.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-readiness-event read budget: a firehosing peer yields the loop back
 /// to other connections after this many bytes (level-triggered polling
-/// re-reports the remainder immediately).
+/// re-reports the remainder immediately). Also the most a reused response
+/// buffer keeps between requests; a larger one is released after use.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// The poller token of the listening socket ([`poll::WAKER_TOKEN`] is
@@ -154,9 +167,29 @@ impl Route {
         "other",
     ];
 
+    /// Every route's `request:{label}` span name, in declaration order.
+    const SPAN_NAMES: [&'static str; 11] = [
+        "request:healthz",
+        "request:stats",
+        "request:testcases",
+        "request:estimate",
+        "request:estimate_batch",
+        "request:sweep",
+        "request:optimize",
+        "request:metrics",
+        "request:trace",
+        "request:shutdown",
+        "request:other",
+    ];
+
     /// The metrics and span label of this route.
     pub fn label(self) -> &'static str {
         Self::LABELS[self as usize]
+    }
+
+    /// The name of this route's request span (`request:{label}`).
+    pub fn span_name(self) -> &'static str {
+        Self::SPAN_NAMES[self as usize]
     }
 
     /// Decode a request against [`ROUTE_TABLE`]: `Ok` with the route that
@@ -185,14 +218,19 @@ impl Route {
         }
     }
 
-    /// Whether a served request runs on the handler pool (streaming or
-    /// bulk work) instead of inline on the event loop.
-    fn offloaded(self) -> bool {
+    /// Whether a served request with a `body_len`-byte body runs on the
+    /// handler pool (streaming or bulk work) instead of inline on the
+    /// event loop. A batch estimate whose body fits one read
+    /// ([`READ_CHUNK`]) is light: it costs about what the pipelined
+    /// single estimates of one read already cost inline.
+    fn offloaded(self, body_len: usize) -> bool {
         use Route::*;
-        !matches!(
-            self,
-            Healthz | Stats | Testcases | Estimate | Metrics | Trace | Shutdown
-        )
+        match self {
+            Healthz | Stats | Testcases | Estimate | Metrics | Trace | Shutdown => false,
+            EstimateBatch => body_len > READ_CHUNK,
+            // `Other` decodes as served only for the tests' panic path.
+            Sweep | Optimize | Other => true,
+        }
     }
 }
 
@@ -225,8 +263,9 @@ pub struct ServeConfig {
     /// Sweep-engine workers per request (`None`: the machine's available
     /// parallelism).
     pub jobs: Option<usize>,
-    /// Handler-pool threads for heavy routes (sweeps, batch estimates,
-    /// searches); light routes run on the event loop.
+    /// Handler-pool threads for heavy routes (sweeps, batch estimates
+    /// larger than one read, searches); light routes run on the event
+    /// loop.
     pub threads: usize,
     /// Technology database (`None` uses the built-in defaults).
     pub techdb: Option<TechDb>,
@@ -240,10 +279,10 @@ pub struct ServeConfig {
     /// (keeps a single immortal peer from monopolising the server;
     /// clamped to at least 1).
     pub max_requests_per_connection: usize,
-    /// Heavy requests (sweep / batch estimate / search) allowed in
-    /// the handler pool — dispatched plus queued — before further heavy
-    /// requests are refused with `429 Too Many Requests` + `Retry-After`.
-    /// Clamped to at least 1.
+    /// Heavy requests (sweep / batch estimate larger than one read /
+    /// search) allowed in the handler pool — dispatched plus queued —
+    /// before further heavy requests are refused with `429 Too Many
+    /// Requests` + `Retry-After`. Clamped to at least 1.
     pub max_inflight: usize,
     /// Connections held open at once; further accepts are answered with
     /// an immediate `429` + `Retry-After` and closed. Clamped at bind
@@ -501,7 +540,7 @@ impl ServerHandle {
 /// One parked connection owned by the event loop.
 struct Conn {
     stream: TcpStream,
-    /// Received-but-unparsed request bytes (drained as requests complete).
+    /// Received-but-unparsed request bytes (compacted after each pass).
     buf: Vec<u8>,
     /// Resumable head/body parser over `buf` (pipelining-aware).
     parser: http::RequestParser,
@@ -555,13 +594,14 @@ impl Conn {
 /// A parsed heavy request without its connection (boxed inside
 /// [`Conn::pending_dispatch`]).
 struct Job0 {
+    /// Copied out of the connection buffer, which stays with the loop.
     request: http::Request,
     /// Decoded on the event loop; the pool thread does not decode again.
     route: Route,
     keep_alive: bool,
     /// The request's resolved trace ID — minted on the event loop so the
     /// loop and the pool thread agree on it.
-    trace: String,
+    trace: TraceId,
 }
 
 /// A heavy request checked out to the handler pool, carrying its
@@ -858,6 +898,9 @@ impl EventLoop<'_> {
             return;
         }
         conn.last_activity = Instant::now();
+        // Time checked out to the pool does not count against a request
+        // still arriving behind the heavy one.
+        conn.partial_since = None;
         conn.interest = Interest::READ;
         let fd = conn.stream.as_raw_fd();
         let index = self.conns.insert(conn);
@@ -918,6 +961,11 @@ fn flush_write(conn: &mut Conn) -> bool {
     if conn.flushed() {
         conn.write_buf.clear();
         conn.written = 0;
+        // A rare huge response (a large inline batch, a full span dump) is
+        // not kept for the connection's lifetime.
+        if conn.write_buf.capacity() > READ_BUDGET {
+            conn.write_buf = Vec::new();
+        }
     }
     true
 }
@@ -926,20 +974,15 @@ fn flush_write(conn: &mut Conn) -> bool {
 /// request in order (light routes inline, heavy routes via
 /// [`After::Dispatch`]), then flush and decide how the connection parks.
 fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
-    loop {
-        if conn.close_after_flush {
-            break;
-        }
-        if conn.pending_dispatch.is_some() {
-            if conn.flushed() {
-                let job = conn.pending_dispatch.take().expect("pending dispatch");
-                return After::Dispatch(job);
-            }
-            break; // earlier responses must hit the wire first
-        }
-        match conn.parser.next_request(&conn.buf) {
-            Ok(Some((request, consumed))) => {
-                conn.buf.drain(..consumed);
+    // Requests are consumed by offset and the buffer compacted once, after
+    // the pass: draining each request would move every byte behind it,
+    // quadratic in the pipeline depth.
+    let mut consumed = 0;
+    // A heavy request waits for earlier responses to hit the wire.
+    while !conn.close_after_flush && conn.pending_dispatch.is_none() {
+        match conn.parser.next_request(&conn.buf[consumed..]) {
+            Ok(Some((request, length))) => {
+                consumed += length;
                 conn.partial_since = None;
                 conn.served += 1;
                 state.requests.fetch_add(1, Ordering::Relaxed);
@@ -950,9 +993,9 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                 // admission path, the pool thread and the response echo
                 // all agree on it.
                 let trace = resolve_trace(&request);
-                let routed = Route::decode(&request.method, &request.path, &request.body);
+                let routed = Route::decode(request.method, request.path, request.body);
                 let (Ok(route) | Err(route)) = routed;
-                if routed.is_ok_and(Route::offloaded) {
+                if routed.is_ok_and(|route| route.offloaded(request.body.len())) {
                     if inflight >= state.max_inflight {
                         // Admission control: refuse the heavy request but
                         // keep the connection usable.
@@ -966,33 +1009,35 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                             keep_alive,
                         );
                         state.metrics.observe(route, 429, started.elapsed());
-                        access_log(&request, route, 429, started.elapsed());
+                        access_log(request.method, request.path, route, 429, started.elapsed());
                         if !keep_alive {
                             conn.close_after_flush = true;
                         }
                         continue;
                     }
-                    let job = Box::new(Job0 {
-                        request,
+                    conn.pending_dispatch = Some(Box::new(Job0 {
+                        request: request.to_request(),
                         route,
                         keep_alive,
                         trace,
-                    });
-                    if conn.flushed() {
-                        return After::Dispatch(job);
-                    }
-                    conn.pending_dispatch = Some(job);
+                    }));
                     continue;
                 }
                 state.metrics.request_started();
                 let started = Instant::now();
                 let (status, close_after) = {
                     let _trace = ecochip_trace::set_current_trace(trace);
-                    let span = ecochip_trace::span(format!("request:{}", route.label()));
+                    let span = ecochip_trace::span(route.span_name());
                     let outcome =
                         route_light(state, &request, routed, &mut conn.write_buf, keep_alive);
                     drop(span);
-                    access_log(&request, route, outcome.0, started.elapsed());
+                    access_log(
+                        request.method,
+                        request.path,
+                        route,
+                        outcome.0,
+                        started.elapsed(),
+                    );
                     outcome
                 };
                 state.metrics.observe(route, status, started.elapsed());
@@ -1014,6 +1059,7 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
             }
         }
     }
+    conn.buf.drain(..consumed);
     if !conn.buf.is_empty() && conn.partial_since.is_none() {
         conn.partial_since = Some(Instant::now());
     }
@@ -1024,7 +1070,7 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
         return After::Keep; // parks with write interest
     }
     if let Some(job) = conn.pending_dispatch.take() {
-        // The flush above emptied the queue, so the held-back heavy
+        // Every earlier response is on the wire, so the held-back heavy
         // request can go out now instead of waiting for a socket event
         // that may never come (its bytes are already in our buffer).
         return After::Dispatch(job);
@@ -1062,13 +1108,19 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
         // still completes.
         let handled = {
             let _trace = ecochip_trace::set_current_trace(trace);
-            let span = ecochip_trace::span(format!("request:{}", route.label()));
+            let span = ecochip_trace::span(route.span_name());
             let handled = panic::catch_unwind(AssertUnwindSafe(|| {
                 route_offloaded(state, route, &request, &mut conn.stream, keep_alive, &span)
             }))
             .ok();
             drop(span);
-            access_log(&request, route, handled.unwrap_or(500), started.elapsed());
+            access_log(
+                &request.method,
+                &request.path,
+                route,
+                handled.unwrap_or(500),
+                started.elapsed(),
+            );
             handled
         };
         let status = handled.unwrap_or(500);
@@ -1083,23 +1135,29 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
 
 /// Resolve a request's trace ID: adopt a valid client-supplied
 /// `X-Ecochip-Trace` header, otherwise mint a fresh process-unique ID.
-fn resolve_trace(request: &http::Request) -> String {
-    match request.header(TRACE_HEADER) {
-        Some(id) if ecochip_trace::is_valid_trace_id(id) => id.to_string(),
-        _ => ecochip_trace::mint_trace_id(),
-    }
+fn resolve_trace(request: &http::RequestRef) -> TraceId {
+    request
+        .header(TRACE_HEADER)
+        .and_then(TraceId::parse)
+        .unwrap_or_else(ecochip_trace::mint_trace_id)
 }
 
 /// One Info-level access-log event per served request. Must run inside
 /// the request's trace guard so the line carries the trace ID — the CI
-/// chaos step greps a worker's JSON log for the orchestrator's ID.
-fn access_log(request: &http::Request, route: Route, status: u16, elapsed: Duration) {
+/// chaos step greps a worker's JSON log for the orchestrator's ID. The
+/// fields are built only when the event has a reader: at the default
+/// level with no capture sink, a request logs nothing and allocates
+/// nothing.
+fn access_log(method: &str, path: &str, route: Route, status: u16, elapsed: Duration) {
+    if !ecochip_trace::observed(Level::Info) {
+        return;
+    }
     ecochip_trace::info(
         "serve::server",
         "request",
         &[
-            ("method", FieldValue::from(request.method.as_str())),
-            ("path", FieldValue::from(request.path.as_str())),
+            ("method", FieldValue::from(method)),
+            ("path", FieldValue::from(path)),
             ("route", FieldValue::from(route.label())),
             ("status", FieldValue::from(u64::from(status))),
             ("duration_secs", FieldValue::from(elapsed.as_secs_f64())),
@@ -1122,55 +1180,83 @@ fn with_trace_header<R>(
     }
 }
 
-/// Write a fixed-length response with the trace header (see
-/// [`with_trace_header`]).
-fn write_traced<W: Write>(
-    writer: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) {
+/// Append a fixed-length response with the trace header (see
+/// [`with_trace_header`]) to `out`.
+fn write_traced(out: &mut Vec<u8>, status: u16, content_type: &str, body: &[u8], keep_alive: bool) {
     with_trace_header(None, |headers| {
-        let _ = http::write_response(writer, status, content_type, headers, body, keep_alive);
+        http::write_response(out, status, content_type, headers, body, keep_alive);
     });
 }
 
-/// Serialize a response value; the wire types cannot fail serialization,
-/// so a failure is a programming error surfaced as an error object.
+/// Append `value`'s JSON to `json`. The wire types cannot fail
+/// serialization, so a failure is a programming error surfaced as an
+/// error object.
+fn encode_json<T: Serialize>(value: &T, json: &mut String) {
+    let start = json.len();
+    if let Err(error) = serde_json::to_string_into(value, json) {
+        json.truncate(start);
+        let _ = write!(json, "{{\"error\":\"serializing response: {error}\"}}");
+    }
+}
+
+/// `value` as a JSON string (see [`encode_json`]).
 fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value)
-        .unwrap_or_else(|error| format!("{{\"error\":\"serializing response: {error}\"}}"))
+    let mut json = String::new();
+    encode_json(value, &mut json);
+    json
 }
 
-/// [`to_json`] as a newline-terminated response body.
-fn body<T: Serialize>(value: &T) -> Vec<u8> {
-    let mut json = to_json(value);
-    json.push('\n');
-    json.into_bytes()
+thread_local! {
+    /// This thread's scratch buffer for fixed-length JSON bodies: a body
+    /// is encoded here once, then copied once behind its head.
+    static JSON_BODY: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Write a JSON response, returning the status for metrics. The writer is
-/// either a connection's in-memory response queue (infallible) or a
-/// checked-out socket whose peer may already be gone — nothing useful to
-/// do about a write failure either way.
-fn respond<W: Write, T: Serialize>(
-    writer: &mut W,
+/// Append a JSON response — `value` as a newline-terminated body, with
+/// `extra` and the trace header — to `out`.
+fn write_json<T: Serialize>(
+    out: &mut Vec<u8>,
     status: u16,
+    extra: Option<(&str, &str)>,
     value: &T,
     keep_alive: bool,
-) -> u16 {
-    write_traced(writer, status, "application/json", &body(value), keep_alive);
+) {
+    JSON_BODY.with_borrow_mut(|json| {
+        json.clear();
+        encode_json(value, json);
+        json.push('\n');
+        with_trace_header(extra, |headers| {
+            http::write_response(
+                out,
+                status,
+                "application/json",
+                headers,
+                json.as_bytes(),
+                keep_alive,
+            );
+        });
+        // A rare huge body is not kept for the thread's lifetime.
+        if json.capacity() > READ_BUDGET {
+            *json = String::new();
+        }
+    });
+}
+
+/// Append a JSON response to `out` (a connection's response queue, or a
+/// reply a pool thread sends whole with [`send_reply`]), returning the
+/// status for metrics.
+fn respond<T: Serialize>(out: &mut Vec<u8>, status: u16, value: &T, keep_alive: bool) -> u16 {
+    write_json(out, status, None, value, keep_alive);
     status
 }
 
-fn respond_error<W: Write>(writer: &mut W, error: &ServeError, keep_alive: bool) -> u16 {
+fn respond_error(out: &mut Vec<u8>, error: &ServeError, keep_alive: bool) -> u16 {
     let status = match error {
         ServeError::Io(_) => 500,
         _ => 400,
     };
     respond(
-        writer,
+        out,
         status,
         &ErrorResponse {
             error: error.to_string(),
@@ -1182,12 +1268,26 @@ fn respond_error<W: Write>(writer: &mut W, error: &ServeError, keep_alive: bool)
 /// Queue an admission-control refusal: `429 Too Many Requests` with a
 /// `Retry-After` hint.
 fn respond_overloaded(out: &mut Vec<u8>, message: &str, keep_alive: bool) {
-    let body = body(&ErrorResponse {
-        error: message.into(),
-    });
-    with_trace_header(Some(("Retry-After", RETRY_AFTER_SECS)), |headers| {
-        let _ = http::write_response(out, 429, "application/json", headers, &body, keep_alive);
-    });
+    write_json(
+        out,
+        429,
+        Some(("Retry-After", RETRY_AFTER_SECS)),
+        &ErrorResponse {
+            error: message.into(),
+        },
+        keep_alive,
+    );
+}
+
+/// Send a fixed-length reply on a checked-out socket: `reply` assembles
+/// it whole and it goes out in one `write_all`. The peer may already be
+/// gone; nothing useful can be done about a failed write, so the reply's
+/// status stands.
+fn send_reply(stream: &mut TcpStream, reply: impl FnOnce(&mut Vec<u8>) -> u16) -> u16 {
+    let mut message = Vec::new();
+    let status = reply(&mut message);
+    let _ = stream.write_all(&message);
+    status
 }
 
 /// Refuse a connection over the `max_connections` bound: best-effort
@@ -1210,7 +1310,7 @@ fn refuse(mut stream: TcpStream) {
 /// regardless of the negotiated keep-alive (the shutdown endpoint).
 fn route_light(
     state: &ServerState,
-    request: &http::Request,
+    request: &http::RequestRef,
     routed: Result<Route, Route>,
     out: &mut Vec<u8>,
     keep_alive: bool,
@@ -1287,10 +1387,11 @@ fn route_light(
             );
             200
         }
-        Ok(Route::Estimate) => match estimate(state, &request.body) {
+        Ok(Route::Estimate) => match estimate(state, request.body) {
             Ok(response) => respond(out, 200, &response, keep_alive),
             Err(error) => respond_error(out, &error, keep_alive),
         },
+        Ok(Route::EstimateBatch) => respond_batch(state, request.body, out, keep_alive),
         Ok(Route::Shutdown) => {
             respond(
                 out,
@@ -1321,7 +1422,7 @@ fn route_light(
             )
         }
         // A known path asked with a method it does not serve (offloaded
-        // routes never reach this function).
+        // requests never reach this function).
         _ => respond(
             out,
             405,
@@ -1347,10 +1448,9 @@ fn route_offloaded(
     match route {
         Route::Sweep => sweep(state, &request.body, stream, keep_alive, span),
         Route::Optimize => optimize(state, &request.body, stream, keep_alive, span),
-        Route::EstimateBatch => match estimate_batch(state, &request.body) {
-            Ok(items) => respond(stream, 200, &items, keep_alive),
-            Err(error) => respond_error(stream, &error, keep_alive),
-        },
+        Route::EstimateBatch => send_reply(stream, |out| {
+            respond_batch(state, &request.body, out, keep_alive)
+        }),
         // No other route is offloaded outside tests (`tests::PANIC_PATH`
         // lands here); the worker's `catch_unwind` counts it as a 500 and
         // closes the connection.
@@ -1389,17 +1489,23 @@ fn estimate_one(
     })
 }
 
-/// Handle the batch form of `POST /v1/estimate`: a JSON array of requests,
-/// estimated in order within one HTTP round-trip. Each element resolves to
-/// its own response or its own error object (the same `{"error": …}` body
-/// the request would have produced on its own) — one bad item never fails
-/// the batch. Only a malformed top-level body is a request-level error.
-fn estimate_batch(
+/// Answer the batch form of `POST /v1/estimate` onto `out`: a JSON array
+/// of requests, estimated in order within one HTTP round-trip. Each
+/// element resolves to its own response or its own error object (the same
+/// `{"error": …}` body the request would have produced on its own) — one
+/// bad item never fails the batch. Only a malformed top-level body is a
+/// request-level error. Returns the status for metrics.
+fn respond_batch(
     state: &ServerState,
     request_body: &[u8],
-) -> Result<Vec<BatchEstimateItem>, ServeError> {
-    let requests: Vec<EstimateRequest> = parse_body(request_body)?;
-    Ok(requests
+    out: &mut Vec<u8>,
+    keep_alive: bool,
+) -> u16 {
+    let requests: Vec<EstimateRequest> = match parse_body(request_body) {
+        Ok(requests) => requests,
+        Err(error) => return respond_error(out, &error, keep_alive),
+    };
+    let items: Vec<BatchEstimateItem> = requests
         .into_iter()
         .map(|request| match estimate_one(state, request) {
             Ok(response) => BatchEstimateItem::Ok(response),
@@ -1407,7 +1513,8 @@ fn estimate_batch(
                 error: error.to_string(),
             }),
         })
-        .collect())
+        .collect();
+    respond(out, 200, &items, keep_alive)
 }
 
 /// The streaming sink behind `POST /v1/sweep`: every point is encoded by
@@ -1537,7 +1644,7 @@ fn sweep(
     });
     let (format, spec, slice) = match resolved {
         Ok(resolved) => resolved,
-        Err(error) => return respond_error(writer, &error, keep_alive),
+        Err(error) => return send_reply(writer, |out| respond_error(out, &error, keep_alive)),
     };
     timings.record(Stage::Decode, decode_started.elapsed());
     let mut chunked = match start_stream(writer, format.content_type(), keep_alive) {
@@ -1602,7 +1709,7 @@ fn optimize(
         .and_then(|request| request.resolve(&state.estimator.config().techdb));
     let (spec, shard, config) = match resolved {
         Ok(resolved) => resolved,
-        Err(error) => return respond_error(writer, &error, keep_alive),
+        Err(error) => return send_reply(writer, |out| respond_error(out, &error, keep_alive)),
     };
     timings.record(Stage::Decode, decode_started.elapsed());
     let mut chunked = match start_stream(writer, "application/x-ndjson", keep_alive) {
@@ -1641,9 +1748,11 @@ fn optimize(
     if let Err(error) = result {
         // The status line is long gone; signal the failure in-band with a
         // terminal error object (no event line starts with `{"error"`).
-        let _ = chunked.chunk(&body(&ErrorResponse {
+        let mut line = to_json(&ErrorResponse {
             error: error.to_string(),
-        }));
+        });
+        line.push('\n');
+        let _ = chunked.chunk(line.as_bytes());
     }
     finish_stream(state, chunked, &timings, span)
 }
@@ -1684,8 +1793,8 @@ fn finish_stream(
         let seconds = timings.seconds(stage);
         state.metrics.observe_stage(stage, seconds);
         ecochip_trace::record_span(
-            format!("stage:{}", stage.label()),
-            trace.clone(),
+            stage.span_name(),
+            trace,
             Some(span.id()),
             span.start_unix(),
             seconds,
@@ -1715,13 +1824,21 @@ mod tests {
             ("GET", "/v1/testcases", "", "testcases", false, None),
             ("POST", "/v1/estimate", "{}", "estimate", false, None),
             ("POST", "/v1/estimate", "", "estimate", false, None),
-            ("POST", "/v1/estimate", "[{}]", "estimate_batch", true, None),
+            // A batch whose body fits one read is answered inline.
+            (
+                "POST",
+                "/v1/estimate",
+                "[{}]",
+                "estimate_batch",
+                false,
+                None,
+            ),
             (
                 "POST",
                 "/v1/estimate",
                 "  \n[",
                 "estimate_batch",
-                true,
+                false,
                 None,
             ),
             ("POST", "/v1/sweep", "[]", "sweep", true, None),
@@ -1751,16 +1868,22 @@ mod tests {
             let routed = Route::decode(method, path, body.as_bytes());
             let (Ok(route) | Err(route)) = routed;
             assert_eq!(route.label(), label, "{case}");
-            assert_eq!(routed.is_ok_and(Route::offloaded), offloaded, "{case}");
+            assert_eq!(route.span_name(), format!("request:{label}"), "{case}");
+            assert_eq!(
+                routed.is_ok_and(|route| route.offloaded(body.len())),
+                offloaded,
+                "{case}"
+            );
             assert_eq!(routed.is_err(), refusal.is_some(), "{case}");
             if let Some(status) = refusal {
-                let request = http::Request {
-                    method: method.into(),
-                    path: path.into(),
-                    headers: Vec::new(),
-                    body: body.as_bytes().to_vec(),
-                    keep_alive: true,
-                };
+                let wire = format!(
+                    "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let (request, _) = http::RequestParser::new()
+                    .next_request(wire.as_bytes())
+                    .unwrap()
+                    .unwrap();
                 let mut out = Vec::new();
                 let answered = route_light(&server.state, &request, routed, &mut out, true);
                 assert_eq!(answered, (status, false), "{case}");
@@ -1772,6 +1895,11 @@ mod tests {
         for label in Route::LABELS {
             assert!(cases.iter().any(|case| case.3 == label), "{label}");
         }
+        // A batch body larger than one read goes to the handler pool; the
+        // other light routes stay inline at any body size.
+        assert!(!Route::EstimateBatch.offloaded(READ_CHUNK));
+        assert!(Route::EstimateBatch.offloaded(READ_CHUNK + 1));
+        assert!(!Route::Estimate.offloaded(READ_CHUNK + 1));
     }
 
     #[test]

@@ -11,16 +11,19 @@
 //!   [`Level::Warn`] (warnings always print, narration stays quiet) and
 //!   honours the `ECOCHIP_LOG` environment variable via
 //!   [`init_from_env`].
-//! - **Trace context**: a request-scoped trace ID ([`mint_trace_id`],
-//!   validated by [`is_valid_trace_id`]) carried in a thread-local and
-//!   installed with a scope guard ([`set_current_trace`]). Log events
-//!   and spans pick the current trace up automatically, so one grep for
-//!   the ID reconstructs a request's timeline across log files.
-//! - **Spans**: monotonic-clock timed regions ([`span`]) kept on a
-//!   thread-local stack for parent/child nesting. Completed spans land
-//!   in a bounded lock-free-ish ring buffer (an atomic write cursor
-//!   over per-slot mutexes — writers never contend except on cursor
-//!   wrap) that [`recent_spans`] snapshots for live debugging
+//! - **Trace context**: a request-scoped [`TraceId`] ([`mint_trace_id`],
+//!   or a peer's ID adopted with [`TraceId::parse`]) carried in a
+//!   thread-local and installed with a scope guard
+//!   ([`set_current_trace`]). The ID is held inline, so installing,
+//!   copying and echoing it never allocates. Log events and spans pick
+//!   the current trace up automatically, so one grep for the ID
+//!   reconstructs a request's timeline across log files.
+//! - **Spans**: monotonic-clock timed regions ([`span`]) with
+//!   `&'static str` names, kept on a thread-local stack for parent/child
+//!   nesting, so opening and recording one allocates nothing. Completed
+//!   spans land in a bounded lock-free-ish ring buffer (an atomic write
+//!   cursor over per-slot mutexes — writers never contend except on
+//!   cursor wrap) that [`recent_spans`] snapshots for live debugging
 //!   (`GET /v1/trace` in `ecochip-serve`).
 //!
 //! Per-stage duration accounting for the sweep hot path lives in
@@ -32,7 +35,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -163,6 +167,12 @@ pub fn enabled(level: Level) -> bool {
     (level as u8) <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
+/// Whether an event at `level` would reach stderr or a capture sink right
+/// now: callers on hot paths check it before building an event's fields.
+pub fn observed(level: Level) -> bool {
+    enabled(level) || SINK_COUNT.load(Ordering::Relaxed) > 0
+}
+
 // ---------------------------------------------------------------------------
 // Structured events
 // ---------------------------------------------------------------------------
@@ -248,7 +258,7 @@ pub struct LogEvent {
     /// Human-readable message.
     pub msg: String,
     /// The trace ID current on the emitting thread, if any.
-    pub trace: Option<String>,
+    pub trace: Option<TraceId>,
     /// Structured key/value payload.
     pub fields: Vec<(String, FieldValue)>,
 }
@@ -469,8 +479,62 @@ pub fn debug(target: &str, msg: &str, fields: &[(&str, FieldValue)]) {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static CURRENT_TRACE: RefCell<Option<String>> = const { RefCell::new(None) };
+    static CURRENT_TRACE: Cell<Option<TraceId>> = const { Cell::new(None) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A trace ID: 1–[`TraceId::MAX_LEN`] ASCII characters from
+/// `[A-Za-z0-9_-]` (see [`is_valid_trace_id`]), held inline so that
+/// installing, copying and echoing one never allocates. It reads as a
+/// `&str` through `Deref`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TraceId {
+    len: u8,
+    bytes: [u8; TraceId::MAX_LEN],
+}
+
+impl TraceId {
+    /// The longest ID a peer may supply.
+    pub const MAX_LEN: usize = 64;
+
+    /// Adopt `id` when it is a valid trace ID ([`is_valid_trace_id`]);
+    /// `None` otherwise.
+    pub fn parse(id: &str) -> Option<TraceId> {
+        if !is_valid_trace_id(id) {
+            return None;
+        }
+        let mut bytes = [0; Self::MAX_LEN];
+        bytes[..id.len()].copy_from_slice(id.as_bytes());
+        Some(TraceId {
+            len: id.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The ID's text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("trace IDs are ASCII")
+    }
+}
+
+impl std::ops::Deref for TraceId {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for TraceId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for TraceId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -489,7 +553,7 @@ static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Mint a fresh trace ID: 16 lowercase hex characters, unique within
 /// the process (`splitmix64` is a bijection over a per-process base
 /// XOR a counter).
-pub fn mint_trace_id() -> String {
+pub fn mint_trace_id() -> TraceId {
     let base = *TRACE_BASE.get_or_init(|| {
         let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -497,7 +561,10 @@ pub fn mint_trace_id() -> String {
         splitmix64(now.as_nanos() as u64 ^ (u64::from(std::process::id()) << 32))
     });
     let count = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    format!("{:016x}", splitmix64(base ^ count))
+    let mut bytes = [0; TraceId::MAX_LEN];
+    // Sixteen hex digits always fit the 64 bytes.
+    let _ = write!(&mut bytes[..], "{:016x}", splitmix64(base ^ count));
+    TraceId { len: 16, bytes }
 }
 
 /// Whether `id` is acceptable as a peer-supplied trace ID: 1–64 ASCII
@@ -505,35 +572,34 @@ pub fn mint_trace_id() -> String {
 /// freshly minted ID rather than echoed.
 pub fn is_valid_trace_id(id: &str) -> bool {
     !id.is_empty()
-        && id.len() <= 64
+        && id.len() <= TraceId::MAX_LEN
         && id
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
 }
 
 /// The trace ID installed on this thread, if any.
-pub fn current_trace() -> Option<String> {
-    CURRENT_TRACE.with(|cell| cell.borrow().clone())
+pub fn current_trace() -> Option<TraceId> {
+    CURRENT_TRACE.with(Cell::get)
 }
 
 /// Scope guard restoring the previously current trace on drop (see
 /// [`set_current_trace`]).
 #[derive(Debug)]
 pub struct TraceGuard {
-    previous: Option<String>,
+    previous: Option<TraceId>,
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        let previous = self.previous.take();
-        CURRENT_TRACE.with(|cell| *cell.borrow_mut() = previous);
+        CURRENT_TRACE.with(|cell| cell.set(self.previous));
     }
 }
 
 /// Install `id` as this thread's current trace until the returned guard
 /// drops (the previous trace, if any, is restored).
-pub fn set_current_trace(id: impl Into<String>) -> TraceGuard {
-    let previous = CURRENT_TRACE.with(|cell| cell.borrow_mut().replace(id.into()));
+pub fn set_current_trace(id: TraceId) -> TraceGuard {
+    let previous = CURRENT_TRACE.with(|cell| cell.replace(Some(id)));
     TraceGuard { previous }
 }
 
@@ -555,9 +621,9 @@ pub struct CompletedSpan {
     /// The enclosing span's ID, when this span was nested.
     pub parent: Option<u64>,
     /// The trace current when the span started.
-    pub trace: Option<String>,
+    pub trace: Option<TraceId>,
     /// Span name (e.g. `"request:sweep"`, `"stage:estimate"`).
-    pub name: String,
+    pub name: &'static str,
     /// Wall-clock start, unix seconds (fractional).
     pub start: f64,
     /// Monotonic duration in seconds.
@@ -603,8 +669,8 @@ pub fn clear_recent_spans() {
 pub struct SpanGuard {
     id: u64,
     parent: Option<u64>,
-    trace: Option<String>,
-    name: String,
+    trace: Option<TraceId>,
+    name: &'static str,
     start_unix: f64,
     started: Instant,
 }
@@ -634,8 +700,8 @@ impl Drop for SpanGuard {
             seq: 0,
             id: self.id,
             parent: self.parent,
-            trace: self.trace.take(),
-            name: std::mem::take(&mut self.name),
+            trace: self.trace,
+            name: self.name,
             start: self.start_unix,
             duration: self.started.elapsed().as_secs_f64(),
         });
@@ -645,7 +711,7 @@ impl Drop for SpanGuard {
 /// Open a span: the current thread's innermost open span becomes its
 /// parent, and the thread's current trace is attached. Dropping the
 /// returned guard completes the span into the ring buffer.
-pub fn span(name: impl Into<String>) -> SpanGuard {
+pub fn span(name: &'static str) -> SpanGuard {
     let id = SPAN_IDS.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
@@ -657,7 +723,7 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
         id,
         parent,
         trace: current_trace(),
-        name: name.into(),
+        name,
         start_unix: unix_now(),
         started: Instant::now(),
     }
@@ -671,8 +737,8 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
 /// which can exceed the parent's wall-clock duration; consumers should
 /// nest by `parent` linkage, not by interval containment.
 pub fn record_span(
-    name: impl Into<String>,
-    trace: Option<String>,
+    name: &'static str,
+    trace: Option<TraceId>,
     parent: Option<u64>,
     start_unix: f64,
     duration_secs: f64,
@@ -683,7 +749,7 @@ pub fn record_span(
         id,
         parent,
         trace,
-        name: name.into(),
+        name,
         start: start_unix,
         duration: duration_secs,
     });
@@ -723,6 +789,16 @@ impl Stage {
             Stage::Estimate => "estimate",
             Stage::Serialize => "serialize",
             Stage::Emit => "emit",
+        }
+    }
+
+    /// The name of this stage's child span (`stage:{label}`).
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Stage::Decode => "stage:decode",
+            Stage::Estimate => "stage:estimate",
+            Stage::Serialize => "stage:serialize",
+            Stage::Emit => "stage:emit",
         }
     }
 
@@ -772,6 +848,10 @@ impl StageTimings {
 mod tests {
     use super::*;
 
+    fn id(text: &str) -> TraceId {
+        TraceId::parse(text).expect("valid trace ID")
+    }
+
     #[test]
     fn level_parse_round_trips() {
         for level in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
@@ -808,13 +888,29 @@ mod tests {
     }
 
     #[test]
+    fn trace_ids_hold_every_valid_id_inline() {
+        let longest = "Z".repeat(TraceId::MAX_LEN);
+        for text in ["a", "abc-123_XYZ", longest.as_str()] {
+            let parsed = id(text);
+            assert_eq!(parsed.as_str(), text);
+            assert_eq!(parsed.to_string(), text);
+            assert_eq!(format!("{parsed:?}"), format!("{text:?}"));
+        }
+        for junk in ["", "has space", &"a".repeat(TraceId::MAX_LEN + 1)] {
+            assert_eq!(TraceId::parse(junk), None, "{junk:?}");
+        }
+        let minted = mint_trace_id();
+        assert_eq!(TraceId::parse(&minted), Some(minted));
+    }
+
+    #[test]
     fn trace_guard_restores_previous() {
         assert_eq!(current_trace(), None);
         {
-            let _outer = set_current_trace("outer");
+            let _outer = set_current_trace(id("outer"));
             assert_eq!(current_trace().as_deref(), Some("outer"));
             {
-                let _inner = set_current_trace("inner");
+                let _inner = set_current_trace(id("inner"));
                 assert_eq!(current_trace().as_deref(), Some("inner"));
             }
             assert_eq!(current_trace().as_deref(), Some("outer"));
@@ -824,7 +920,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_land_in_the_ring() {
-        let _trace = set_current_trace("ring-test-trace");
+        let _trace = set_current_trace(id("ring-test-trace"));
         let (outer_id, inner_id);
         {
             let outer = span("outer");
@@ -849,7 +945,7 @@ mod tests {
     #[test]
     fn ring_is_bounded() {
         for i in 0..(RING_CAPACITY + 100) {
-            record_span(format!("bulk-{i}"), None, None, 0.0, 0.0);
+            record_span("bulk", None, Some(i as u64), 0.0, 0.0);
         }
         assert!(recent_spans().len() <= RING_CAPACITY);
     }
@@ -861,7 +957,7 @@ mod tests {
             level: Level::Warn,
             target: "serve::orchestrator".into(),
             msg: "shard lost \"worker\"\n".into(),
-            trace: Some("abcd".into()),
+            trace: Some(id("abcd")),
             fields: vec![
                 ("shard".into(), FieldValue::U64(3)),
                 ("delta".into(), FieldValue::I64(-2)),

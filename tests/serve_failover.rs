@@ -128,7 +128,7 @@ fn failover_resumes_a_dead_shard_mid_stream_exactly_once() {
     // Pin the run's trace ID so the structured failover events are
     // attributable to this test even with other tests logging in parallel.
     let logs = trace::capture();
-    let _trace = trace::set_current_trace("failover-midstream-e2e");
+    let _trace = trace::set_current_trace(trace::TraceId::parse("failover-midstream-e2e").unwrap());
     let mut merged = Vec::new();
     let outcome = orchestrator::orchestrate_with(&db, &request, &pool, &policy, |line| {
         merged.push(line.to_owned());
@@ -317,7 +317,7 @@ fn retries_are_bounded_and_fail_fast_stays_available() {
         backoff: Duration::from_millis(5),
     };
     let logs = trace::capture();
-    let _trace = trace::set_current_trace("failover-exhausted-e2e");
+    let _trace = trace::set_current_trace(trace::TraceId::parse("failover-exhausted-e2e").unwrap());
     let result = orchestrator::orchestrate_with(&db, &request, &pool, &policy, |_line| Ok(()));
     assert!(result.is_err(), "a fleet of flaky workers must fail");
     assert_eq!(

@@ -1368,18 +1368,12 @@ fn slow_loris_partial_headers_are_cut_off_at_the_idle_timeout() {
     handle.shutdown().unwrap();
 }
 
-#[test]
-fn saturated_inflight_limit_yields_429_with_retry_after() {
-    use std::io::{Read, Write};
-    let (handle, addr) = boot(ServeConfig {
-        max_inflight: 1,
-        threads: 2,
-        ..default_config()
-    });
-
-    // A sweep whose response far exceeds what the kernel will buffer: the
-    // handler-pool worker blocks writing until we read, deterministically
-    // pinning the single in-flight slot.
+/// Start a sweep whose response far exceeds what the kernel will buffer,
+/// and wait until it is checked out to the handler pool (the active
+/// gauge): the pool thread then blocks writing until the returned socket
+/// is read, deterministically pinning one in-flight slot.
+fn hog_the_handler_pool(addr: &str) -> std::net::TcpStream {
+    use std::io::Write;
     let lifetimes: Vec<f64> = (1..=20_000).map(|i| 1.0 + f64::from(i) * 0.001).collect();
     let request = SweepRequest {
         testcase: Some("ga102".into()),
@@ -1391,7 +1385,7 @@ fn saturated_inflight_limit_yields_429_with_retry_after() {
         format: None,
     };
     let body = serde_json::to_string(&request).unwrap();
-    let mut hog = std::net::TcpStream::connect(&addr).unwrap();
+    let mut hog = std::net::TcpStream::connect(addr).unwrap();
     hog.write_all(
         format!(
             "POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -1401,10 +1395,9 @@ fn saturated_inflight_limit_yields_429_with_retry_after() {
     )
     .unwrap();
 
-    // Wait until the sweep is checked out to the pool (the active gauge).
     let mut active = 0.0;
     for _ in 0..500 {
-        let metrics = client::get(&addr, "/metrics").unwrap();
+        let metrics = client::get(addr, "/metrics").unwrap();
         active = metric_value(
             metrics.text().unwrap(),
             "ecochip_http_connections_open{state=\"active\"}",
@@ -1415,6 +1408,19 @@ fn saturated_inflight_limit_yields_429_with_retry_after() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert_eq!(active, 1.0, "sweep never reached the handler pool");
+    hog
+}
+
+#[test]
+fn saturated_inflight_limit_yields_429_with_retry_after() {
+    use std::io::Read;
+    let (handle, addr) = boot(ServeConfig {
+        max_inflight: 1,
+        threads: 2,
+        ..default_config()
+    });
+
+    let mut hog = hog_the_handler_pool(&addr);
 
     // Heavy requests now bounce: 429, Retry-After, connection preserved.
     let mut connection = client::Connection::open(&addr).unwrap();
@@ -1456,6 +1462,140 @@ fn saturated_inflight_limit_yields_429_with_retry_after() {
     }
     assert_eq!(admitted, 200, "in-flight slot never freed");
 
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn batches_up_to_one_read_are_answered_inline_and_larger_ones_on_the_pool() {
+    use std::io::Read;
+    // The event loop's read size: the largest batch body it answers inline.
+    const READ_CHUNK: usize = 16 * 1024;
+    let (handle, addr) = boot(ServeConfig {
+        max_inflight: 1,
+        threads: 2,
+        ..default_config()
+    });
+    let db = TechDb::default();
+    let item = format!(
+        r#"{{"system":{}}}"#,
+        serde_json::to_string(&catalog::build(&db, "a15-3chiplet").unwrap()).unwrap()
+    );
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let single = connection.post_json("/v1/estimate", &item).unwrap();
+    assert_eq!(single.status, 200, "{:?}", single.text());
+    let single = single.text().unwrap().trim_end_matches('\n').to_owned();
+
+    // As many items as fit one read, padded with whitespace to exactly
+    // `READ_CHUNK` bytes, and the same batch one byte longer.
+    let items = (READ_CHUNK - 2) / (item.len() + 1);
+    let batch = |len: usize| {
+        let array = vec![item.as_str(); items].join(",");
+        format!("[{}{array}]", " ".repeat(len - array.len() - 2))
+    };
+    let (small, large) = (batch(READ_CHUNK), batch(READ_CHUNK + 1));
+    assert_eq!((small.len(), large.len()), (READ_CHUNK, READ_CHUNK + 1));
+    let expected = format!("[{}]\n", vec![single.as_str(); items].join(","));
+
+    // With the only in-flight slot taken, the small batch is still
+    // answered (on the loop) and the large one is refused like any heavy
+    // request.
+    let mut hog = hog_the_handler_pool(&addr);
+    let response = connection.post_json("/v1/estimate", &small).unwrap();
+    assert_eq!(response.status, 200, "{:?}", response.text());
+    assert_eq!(response.text().unwrap(), expected);
+    let refused = connection.post_json("/v1/estimate", &large).unwrap();
+    assert_eq!(refused.status, 429, "{:?}", refused.text());
+    assert_eq!(refused.header("retry-after"), Some("1"));
+
+    // Once the hog drains and its slot frees, the pool answers the large
+    // batch with the same bytes.
+    let mut sink = Vec::new();
+    hog.read_to_end(&mut sink).unwrap();
+    drop(hog);
+    let mut answered = None;
+    for _ in 0..500 {
+        let response = connection.post_json("/v1/estimate", &large).unwrap();
+        if response.status != 429 {
+            answered = Some(response);
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let response = answered.expect("in-flight slot never freed");
+    assert_eq!(response.status, 200, "{:?}", response.text());
+    assert_eq!(response.text().unwrap(), expected);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_deep_pipeline_in_one_write_is_answered_in_order() {
+    use std::io::{BufRead, Read, Write};
+    const REQUESTS: usize = 2_000;
+    let (handle, addr) = boot(ServeConfig {
+        max_requests_per_connection: REQUESTS + 1,
+        ..default_config()
+    });
+    let names = catalog::names();
+    let bodies: Vec<String> = names
+        .iter()
+        .map(|name| format!(r#"{{"testcase":"{name}"}}"#))
+        .collect();
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let expected: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| connection.post_json("/v1/estimate", body).unwrap().body)
+        .collect();
+
+    // Every request of the pipeline cycles through the test cases, so an
+    // answer out of order shows as the wrong body. A thread writes while
+    // this one reads: the server stops reading while its answers back up.
+    let mut wire = Vec::new();
+    for at in 0..REQUESTS {
+        let body = &bodies[at % bodies.len()];
+        wire.extend_from_slice(
+            format!(
+                "POST /v1/estimate HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let writing = std::thread::spawn(move || writer.write_all(&wire));
+    let mut reader = std::io::BufReader::new(stream);
+    for at in 0..REQUESTS {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(!line.is_empty(), "connection closed after {at} answers");
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        assert!(
+            head.starts_with("HTTP/1.1 200 OK\r\n"),
+            "answer {at}: {head}"
+        );
+        let length: usize = head
+            .lines()
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .expect("Content-Length")
+            .parse()
+            .unwrap();
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        assert!(
+            body == expected[at % expected.len()],
+            "answer {at} is not the answer to request {at}"
+        );
+    }
+    writing.join().unwrap().unwrap();
     handle.shutdown().unwrap();
 }
 

@@ -51,7 +51,7 @@ fn one_trace_id_spans_orchestrator_worker_log_span_dump_and_response() {
     let logs = trace::capture();
     let mut merged = 0usize;
     {
-        let _guard = trace::set_current_trace(trace_id);
+        let _guard = trace::set_current_trace(trace::TraceId::parse(trace_id).unwrap());
         orchestrator::orchestrate_with(&db, &request, &pool, &policy, |_line| {
             merged += 1;
             Ok(())
