@@ -16,6 +16,11 @@
 //! plus the memo's hit, miss and eviction counters after each request. It
 //! is the path where LRU eviction decides what gets recomputed.
 //!
+//! `tests/golden/deep_pareto/` pins a `pareto` stream over 1–16 chiplets ×
+//! the five packaging architectures (80 points) on the same bounded memo,
+//! with its memo counters: the planner's slicing trees there run four
+//! levels deep, where the streams above stop at four chiplets.
+//!
 //! `tests/golden/explore_fab_source/` pins the anneal and genetic
 //! `POST /v1/optimize` streams over a fab-energy-source × lifetime space,
 //! scored on embodied CFP, cost and area. Each case there estimates with
@@ -36,11 +41,12 @@ use std::process::Command;
 use eco_chip::core::disaggregation::NodeTuple;
 use eco_chip::core::dse::named_sweep_axis;
 use eco_chip::core::sweep::SweepAxis;
+use eco_chip::core::System;
 use eco_chip::packaging::{
-    InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig,
+    InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
 };
 use eco_chip::serve::api::{OptimizeRequest, StatsResponse};
-use eco_chip::serve::{client, ServeConfig, Server};
+use eco_chip::serve::{client, ServeConfig, Server, ServerHandle};
 use eco_chip::techdb::{TechDb, TechNode};
 use eco_chip::testcases::{catalog, ga102};
 
@@ -151,9 +157,9 @@ fn pretty_outputs() -> Vec<(String, Vec<u8>)> {
     outputs
 }
 
-/// The bounded-memo optimize outputs: each method's NDJSON body, then one
-/// line of memo counters per request.
-fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
+/// A server on an ephemeral port whose memo holds at most 8 entries per
+/// cache, serially evaluated: its handle and `host:port`.
+fn bounded_server() -> (ServerHandle, String) {
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         jobs: Some(1),
@@ -163,8 +169,57 @@ fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
     })
     .expect("bind ephemeral server");
     let addr = server.local_addr().to_string();
-    let handle = server.spawn();
+    (server.spawn(), addr)
+}
 
+/// `POST /v1/optimize` of `method` over `axes` from `base`, with a budget
+/// of 64 for the seeded explorers; the NDJSON body.
+fn optimize(
+    addr: &str,
+    base: &System,
+    axes: &[SweepAxis],
+    method: &str,
+    seed: Option<u64>,
+) -> Vec<u8> {
+    let request = OptimizeRequest {
+        testcase: None,
+        system: Some(base.clone()),
+        axis: None,
+        axes: Some(axes.to_vec()),
+        method: Some(method.into()),
+        budget: seed.map(|_| 64),
+        seed,
+        ..OptimizeRequest::named("", "")
+    };
+    let body = serde_json::to_string(&request).expect("encode optimize request");
+    let response = client::post_json(addr, "/v1/optimize", &body).expect("POST /v1/optimize");
+    assert_eq!(response.status, 200, "{method}: {:?}", response.text());
+    response.body
+}
+
+/// One line of the server's memo counters, labelled `method`.
+fn memo_stats_line(addr: &str, method: &str) -> String {
+    let stats = client::get(addr, "/v1/stats").expect("GET /v1/stats");
+    let stats: StatsResponse =
+        serde_json::from_str(stats.text().expect("UTF-8 stats")).expect("decode /v1/stats");
+    format!(
+        "{method}: floorplan hits={} misses={} evictions={} entries={}; \
+         manufacturing hits={} misses={} evictions={} entries={}\n",
+        stats.floorplan_hits,
+        stats.floorplan_misses,
+        stats.floorplan_evictions,
+        stats.floorplan_entries,
+        stats.manufacturing_hits,
+        stats.manufacturing_misses,
+        stats.manufacturing_evictions,
+        stats.manufacturing_entries,
+    )
+}
+
+/// The bounded-memo optimize outputs: each method's NDJSON body, then one
+/// line of memo counters per request.
+fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
+    let (handle, addr) = bounded_server();
     let db = TechDb::default();
     let base = catalog::build(&db, "ga102-3chiplet").expect("built-in test case");
     let axes = vec![
@@ -187,38 +242,48 @@ fn bounded_optimize_outputs() -> Vec<(String, Vec<u8>)> {
     let mut outputs = Vec::new();
     let mut counters = String::new();
     for (method, seed) in [("pareto", None), ("anneal", Some(7)), ("genetic", Some(11))] {
-        let request = OptimizeRequest {
-            testcase: None,
-            system: Some(base.clone()),
-            axis: None,
-            axes: Some(axes.clone()),
-            method: Some(method.into()),
-            budget: seed.map(|_| 64),
-            seed,
-            ..OptimizeRequest::named("", "")
-        };
-        let body = serde_json::to_string(&request).expect("encode optimize request");
-        let response = client::post_json(&addr, "/v1/optimize", &body).expect("POST /v1/optimize");
-        assert_eq!(response.status, 200, "{method}: {:?}", response.text());
-        outputs.push((format!("{method}.jsonl"), response.body));
-
-        let stats = client::get(&addr, "/v1/stats").expect("GET /v1/stats");
-        let stats: StatsResponse =
-            serde_json::from_str(stats.text().expect("UTF-8 stats")).expect("decode /v1/stats");
-        counters.push_str(&format!(
-            "{method}: floorplan hits={} misses={} evictions={} entries={}; \
-             manufacturing hits={} misses={} evictions={} entries={}\n",
-            stats.floorplan_hits,
-            stats.floorplan_misses,
-            stats.floorplan_evictions,
-            stats.floorplan_entries,
-            stats.manufacturing_hits,
-            stats.manufacturing_misses,
-            stats.manufacturing_evictions,
-            stats.manufacturing_entries,
+        outputs.push((
+            format!("{method}.jsonl"),
+            optimize(&addr, &base, &axes, method, seed),
         ));
+        counters.push_str(&memo_stats_line(&addr, method));
     }
     outputs.push(("memo_stats.txt".into(), counters.into_bytes()));
+    handle.shutdown().expect("server shutdown");
+    outputs
+}
+
+/// The `pareto` stream over `ga102-3chiplet`'s blocks split into 1–16
+/// chiplets × all five packaging architectures, on the bounded memo, and
+/// the memo counters after it.
+fn deep_pareto_outputs() -> Vec<(String, Vec<u8>)> {
+    let (handle, addr) = bounded_server();
+    let db = TechDb::default();
+    let base = catalog::build(&db, "ga102-3chiplet").expect("built-in test case");
+    let axes = vec![
+        SweepAxis::ChipletCounts {
+            blocks: ga102::soc_blocks(&db).expect("GA102 blocks"),
+            nodes: NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+            counts: (1..=16).collect(),
+        },
+        SweepAxis::Packaging(vec![
+            PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
+            PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
+            PackagingArchitecture::PassiveInterposer(InterposerConfig::default()),
+            PackagingArchitecture::ActiveInterposer(InterposerConfig::default()),
+            PackagingArchitecture::ThreeD(ThreeDConfig::default()),
+        ]),
+    ];
+    let outputs = vec![
+        (
+            "pareto.jsonl".into(),
+            optimize(&addr, &base, &axes, "pareto", None),
+        ),
+        (
+            "memo_stats.txt".into(),
+            memo_stats_line(&addr, "pareto").into_bytes(),
+        ),
+    ];
     handle.shutdown().expect("server shutdown");
     outputs
 }
@@ -278,6 +343,11 @@ fn pretty_and_map_keyed_bytes_match_golden_files() {
 #[test]
 fn bounded_memo_optimize_matches_golden_files() {
     check_golden(&golden_dir("bounded_optimize"), &bounded_optimize_outputs());
+}
+
+#[test]
+fn deep_slicing_pareto_matches_golden_files() {
+    check_golden(&golden_dir("deep_pareto"), &deep_pareto_outputs());
 }
 
 #[test]
