@@ -102,85 +102,101 @@ trait MemoKey: Clone + PartialEq {
 }
 
 /// Cache key for a floorplan: the floorplanner configuration plus the ordered
-/// outline set (names, exact area bits, exact aspect-ratio bits).
+/// outline set (names and exact area bits; every outline is square).
+///
+/// The names are stored back to back in one string, so a key costs two
+/// allocations whatever its chiplet count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FloorplanKey {
     spacing_bits: u64,
     margin_bits: u64,
-    outlines: Vec<(String, u64, u64)>,
+    /// Every outline's name, concatenated in order.
+    names: Box<str>,
+    /// Per outline: the end of its name in `names`, and its area bits.
+    outlines: Box<[(usize, u64)]>,
 }
 
 impl FloorplanKey {
     /// The key of the square `chiplets` outlines (name and area, in order)
     /// under `config`.
     fn new(config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> Self {
-        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
+        let mut names = String::with_capacity(chiplets.iter().map(|(name, _)| name.len()).sum());
+        let outlines = chiplets
+            .iter()
+            .map(|&(name, area)| {
+                names.push_str(name);
+                (names.len(), area.mm2().to_bits())
+            })
+            .collect();
         Self {
             spacing_bits: config.chiplet_spacing.mm().to_bits(),
             margin_bits: config.edge_margin.mm().to_bits(),
-            outlines: chiplets
-                .iter()
-                .map(|&(name, area)| (name.to_owned(), area.mm2().to_bits(), square))
-                .collect(),
+            names: names.into_boxed_str(),
+            outlines,
         }
+    }
+
+    /// The stored outlines: each name and its area bits, in order.
+    fn outlines(&self) -> impl Iterator<Item = (&str, u64)> {
+        let mut start = 0;
+        self.outlines.iter().map(move |&(end, area_bits)| {
+            let name = &self.names[start..end];
+            start = end;
+            (name, area_bits)
+        })
     }
 
     /// The digest of the key [`FloorplanKey::new`] would build, computed
     /// without building it.
     fn digest_of(config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> u64 {
-        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
         floorplan_digest(
             config.chiplet_spacing.mm().to_bits(),
             config.edge_margin.mm().to_bits(),
             chiplets
                 .iter()
-                .map(|&(name, area)| (name, area.mm2().to_bits(), square)),
+                .map(|&(name, area)| (name, area.mm2().to_bits())),
         )
     }
 
     /// Whether this is the key [`FloorplanKey::new`] would build, compared
     /// without building it.
     fn matches(&self, config: &FloorplanConfig, chiplets: &[(&str, Area)]) -> bool {
-        let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
         self.spacing_bits == config.chiplet_spacing.mm().to_bits()
             && self.margin_bits == config.edge_margin.mm().to_bits()
             && self.outlines.len() == chiplets.len()
-            && self.outlines.iter().zip(chiplets).all(
-                |((name, area_bits, aspect_bits), (other, area))| {
-                    name == other && *area_bits == area.mm2().to_bits() && *aspect_bits == square
-                },
-            )
+            && self
+                .outlines()
+                .zip(chiplets)
+                .all(|((name, area_bits), (other, area))| {
+                    name == *other && area_bits == area.mm2().to_bits()
+                })
     }
 }
 
 /// FNV digest of a floorplan key's fields, taken from borrowed parts so a
-/// lookup never has to build the key.
+/// lookup never has to build the key. Each outline also folds in the
+/// square aspect ratio's bits.
 fn floorplan_digest<'a>(
     spacing_bits: u64,
     margin_bits: u64,
-    outlines: impl Iterator<Item = (&'a str, u64, u64)>,
+    outlines: impl Iterator<Item = (&'a str, u64)>,
 ) -> u64 {
+    let square = ChipletOutline::DEFAULT_ASPECT_RATIO.to_bits();
     let mut hasher = FnvHasher::default();
     hasher.write_u64(spacing_bits);
     hasher.write_u64(margin_bits);
-    for (name, area_bits, aspect_bits) in outlines {
+    for (name, area_bits) in outlines {
         hasher.write(name.as_bytes());
         hasher.write_u8(0xff);
         hasher.write_u64(area_bits);
-        hasher.write_u64(aspect_bits);
+        hasher.write_u64(square);
     }
     hasher.finish()
 }
 
 impl MemoKey for FloorplanKey {
     fn digest(&self) -> u64 {
-        floorplan_digest(
-            self.spacing_bits,
-            self.margin_bits,
-            self.outlines
-                .iter()
-                .map(|(name, area_bits, aspect_bits)| (name.as_str(), *area_bits, *aspect_bits)),
-        )
+        floorplan_digest(self.spacing_bits, self.margin_bits, self.outlines())
     }
 }
 
@@ -779,6 +795,21 @@ mod tests {
         let key = FloorplanKey::new(&config, &chiplets);
         assert!(key.matches(&config, &chiplets));
         assert_eq!(key.digest(), FloorplanKey::digest_of(&config, &chiplets));
+        assert_eq!(
+            key.outlines().collect::<Vec<_>>(),
+            [
+                ("digital", Area::from_mm2(300.5).mm2().to_bits()),
+                ("io", Area::from_mm2(42.0).mm2().to_bits())
+            ]
+        );
+        // The names are stored back to back, but each keeps its bounds.
+        let resplit = [
+            ("digita", Area::from_mm2(300.5)),
+            ("lio", Area::from_mm2(42.0)),
+        ];
+        assert!(!key.matches(&config, &resplit));
+        assert_ne!(key, FloorplanKey::new(&config, &resplit));
+        assert!(!key.matches(&config, &chiplets[..1]));
     }
 
     /// A key type whose every value shares one digest.

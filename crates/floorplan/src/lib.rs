@@ -46,6 +46,8 @@
 mod error;
 mod geometry;
 mod planner;
+#[cfg(test)]
+mod reference;
 
 pub use error::FloorplanError;
 pub use geometry::{Adjacency, Placement, Rect};

@@ -42,7 +42,7 @@ impl ChipletOutline {
         }
     }
 
-    fn dimensions(&self) -> (f64, f64) {
+    pub(crate) fn dimensions(&self) -> (f64, f64) {
         let ar = if self.aspect_ratio.is_finite() && self.aspect_ratio > 0.0 {
             self.aspect_ratio
         } else {
@@ -112,19 +112,6 @@ pub struct SlicingFloorplanner {
     config: FloorplanConfig,
 }
 
-/// Internal slicing-tree node.
-enum Node {
-    Leaf(usize),
-    Internal(Box<Node>, Box<Node>),
-}
-
-/// A packed block: relative placements within a `width x height` bounding box.
-struct Block {
-    width: f64,
-    height: f64,
-    placements: Vec<(usize, Rect)>,
-}
-
 impl SlicingFloorplanner {
     /// Create a floorplanner with the given configuration.
     pub fn new(config: FloorplanConfig) -> Self {
@@ -167,130 +154,160 @@ impl SlicingFloorplanner {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        let tree = Self::partition(chiplets, &order);
-        let block = self.pack(chiplets, &tree, 0);
+        let mut placements = Vec::with_capacity(chiplets.len());
+        let mut scratch = Vec::with_capacity(chiplets.len());
+        let (width, height) = self.place(chiplets, &mut order, &mut scratch, 0, &mut placements);
 
         let margin = self.config.edge_margin.mm();
-        let placements: Vec<Placement> = block
-            .placements
-            .iter()
-            .map(|(idx, rect)| Placement {
-                name: chiplets[*idx].name.clone(),
-                index: *idx,
-                rect: rect.translated(margin, margin),
-            })
-            .collect();
-
-        let bounding_box = Rect::new(
-            0.0,
-            0.0,
-            block.width + 2.0 * margin,
-            block.height + 2.0 * margin,
-        );
+        for placement in &mut placements {
+            placement.rect = placement.rect.translated(margin, margin);
+        }
+        let bounding_box = Rect::new(0.0, 0.0, width + 2.0 * margin, height + 2.0 * margin);
         let silicon_area = chiplets.iter().map(|c| c.area).sum();
+        let adjacencies = scan_adjacencies(&placements, self.config.chiplet_spacing);
 
         Ok(Floorplan {
             placements,
             bounding_box,
             silicon_area,
-            chiplet_spacing: self.config.chiplet_spacing,
+            adjacencies,
         })
     }
 
-    /// Greedy area-balanced recursive bi-partitioning (the paper's algorithm).
-    fn partition(chiplets: &[ChipletOutline], order: &[usize]) -> Node {
-        if order.len() == 1 {
-            return Node::Leaf(order[0]);
+    /// Place the chiplets of `order` (area-sorted) as one slicing subtree
+    /// at `depth`, appending their placements relative to the subtree's
+    /// lower-left corner; returns the subtree's `(width, height)`.
+    ///
+    /// Each level splits `order` in place with the paper's greedy
+    /// area-balanced bi-partition, places the left part, then the right
+    /// part, and shifts the right part's placements past the left one.
+    /// `depth` alternates the cut direction: even depths place the two
+    /// parts side by side (vertical cut), odd depths stack them
+    /// (horizontal cut).
+    fn place(
+        &self,
+        chiplets: &[ChipletOutline],
+        order: &mut [usize],
+        scratch: &mut Vec<usize>,
+        depth: usize,
+        placements: &mut Vec<Placement>,
+    ) -> (f64, f64) {
+        if let [idx] = *order {
+            let (w, h) = chiplets[idx].dimensions();
+            placements.push(Placement {
+                name: chiplets[idx].name.clone(),
+                index: idx,
+                rect: Rect::new(0.0, 0.0, w, h),
+            });
+            return (w, h);
         }
-        // Greedy area balancing splits close to evenly; one extra slot
-        // absorbs the worst-case skew without reallocating mid-partition.
-        let mut left: Vec<usize> = Vec::with_capacity(order.len() / 2 + 1);
-        let mut right: Vec<usize> = Vec::with_capacity(order.len() / 2 + 1);
-        let (mut left_area, mut right_area) = (0.0f64, 0.0f64);
-        for &idx in order {
-            let a = chiplets[idx].area.mm2();
-            if left_area <= right_area {
-                left.push(idx);
-                left_area += a;
-            } else {
-                right.push(idx);
-                right_area += a;
+        let split = bipartition(chiplets, order, scratch);
+        let (left, right) = order.split_at_mut(split);
+        let (left_width, left_height) = self.place(chiplets, left, scratch, depth + 1, placements);
+        let first_right = placements.len();
+        let (right_width, right_height) =
+            self.place(chiplets, right, scratch, depth + 1, placements);
+        let right_placements = &mut placements[first_right..];
+        let spacing = self.config.chiplet_spacing.mm();
+        if depth.is_multiple_of(2) {
+            // Side by side (left | right).
+            let dx = left_width + spacing;
+            for placement in right_placements {
+                placement.rect = placement.rect.translated(dx, 0.0);
             }
-        }
-        // Degenerate protection: greedy always puts the first chiplet on the
-        // left, so `left` is non-empty; `right` is non-empty whenever there is
-        // more than one chiplet because the second chiplet sees
-        // left_area > 0 = right_area.
-        Node::Internal(
-            Box::new(Self::partition(chiplets, &left)),
-            Box::new(Self::partition(chiplets, &right)),
-        )
-    }
-
-    /// Bottom-up packing of the slicing tree. `depth` alternates the cut
-    /// direction: even depths place children side by side (vertical cut),
-    /// odd depths stack them (horizontal cut).
-    fn pack(&self, chiplets: &[ChipletOutline], node: &Node, depth: usize) -> Block {
-        match node {
-            Node::Leaf(idx) => {
-                let (w, h) = chiplets[*idx].dimensions();
-                Block {
-                    width: w,
-                    height: h,
-                    placements: vec![(*idx, Rect::new(0.0, 0.0, w, h))],
-                }
+            (
+                left_width + spacing + right_width,
+                left_height.max(right_height),
+            )
+        } else {
+            // Stacked (bottom / top).
+            let dy = left_height + spacing;
+            for placement in right_placements {
+                placement.rect = placement.rect.translated(0.0, dy);
             }
-            Node::Internal(a, b) => {
-                let left = self.pack(chiplets, a, depth + 1);
-                let right = self.pack(chiplets, b, depth + 1);
-                let spacing = self.config.chiplet_spacing.mm();
-                if depth.is_multiple_of(2) {
-                    // Place side by side (left | right).
-                    let width = left.width + spacing + right.width;
-                    let height = left.height.max(right.height);
-                    let mut placements = left.placements;
-                    let dx = left.width + spacing;
-                    placements.extend(
-                        right
-                            .placements
-                            .into_iter()
-                            .map(|(i, r)| (i, r.translated(dx, 0.0))),
-                    );
-                    Block {
-                        width,
-                        height,
-                        placements,
-                    }
-                } else {
-                    // Stack vertically (bottom / top).
-                    let width = left.width.max(right.width);
-                    let height = left.height + spacing + right.height;
-                    let mut placements = left.placements;
-                    let dy = left.height + spacing;
-                    placements.extend(
-                        right
-                            .placements
-                            .into_iter()
-                            .map(|(i, r)| (i, r.translated(0.0, dy))),
-                    );
-                    Block {
-                        width,
-                        height,
-                        placements,
-                    }
-                }
-            }
+            (
+                left_width.max(right_width),
+                left_height + spacing + right_height,
+            )
         }
     }
 }
 
+/// Greedy area-balanced bi-partition (the paper's algorithm), in place and
+/// stable: each chiplet of `order` joins the side with the smaller total
+/// area so far. The left side ends up at the front of `order` and the right
+/// side behind it, each in its original order; returns the left side's
+/// length. `scratch` holds the right side meanwhile.
+///
+/// Greedy always puts the first chiplet on the left, and the second sees
+/// `left_area > 0 = right_area`, so both sides are non-empty whenever
+/// `order` holds more than one chiplet.
+fn bipartition(
+    chiplets: &[ChipletOutline],
+    order: &mut [usize],
+    scratch: &mut Vec<usize>,
+) -> usize {
+    scratch.clear();
+    let mut left = 0;
+    let (mut left_area, mut right_area) = (0.0f64, 0.0f64);
+    for at in 0..order.len() {
+        let idx = order[at];
+        let a = chiplets[idx].area.mm2();
+        if left_area <= right_area {
+            // `left <= at`: the slot is already read.
+            order[left] = idx;
+            left += 1;
+            left_area += a;
+        } else {
+            scratch.push(idx);
+            right_area += a;
+        }
+    }
+    order[left..].copy_from_slice(scratch);
+    left
+}
+
+/// The chiplet pairs of `placements` that face each other across at most
+/// the chiplet-spacing gap (with a 50% tolerance), sorted by index pair and
+/// sized exactly.
+fn scan_adjacencies(placements: &[Placement], chiplet_spacing: Length) -> Vec<Adjacency> {
+    let gap = chiplet_spacing.mm() * 1.5 + 1e-6;
+    // Slicing placements are planar, so adjacent pairs grow linearly
+    // with the chiplet count even though the scan is quadratic.
+    let mut result = Vec::with_capacity(placements.len().saturating_mul(2));
+    for i in 0..placements.len() {
+        for j in (i + 1)..placements.len() {
+            let (a, b) = (&placements[i], &placements[j]);
+            if let Some(shared) = a.rect.adjacency_overlap(&b.rect, gap) {
+                let (lo, hi) = if a.index <= b.index {
+                    (a.index, b.index)
+                } else {
+                    (b.index, a.index)
+                };
+                result.push(Adjacency {
+                    a: lo,
+                    b: hi,
+                    shared_edge: shared,
+                });
+            }
+        }
+    }
+    result.sort_by_key(|x| (x.a, x.b));
+    result.shrink_to_fit();
+    result
+}
+
 /// The result of floorplanning a set of chiplets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A plan is derived data: it is built only by
+/// [`SlicingFloorplanner::floorplan`], which also finds its adjacencies,
+/// so it has no serialized form.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     placements: Vec<Placement>,
     bounding_box: Rect,
     silicon_area: Area,
-    chiplet_spacing: Length,
+    adjacencies: Vec<Adjacency>,
 }
 
 impl Floorplan {
@@ -332,37 +349,16 @@ impl Floorplan {
     }
 
     /// Pairs of chiplets that share an interface across the chiplet-spacing
-    /// gap. These are the candidate locations for silicon bridges and
-    /// inter-die routers.
-    pub fn adjacencies(&self) -> Vec<Adjacency> {
-        let gap = self.chiplet_spacing.mm() * 1.5 + 1e-6;
-        // Slicing placements are planar, so adjacent pairs grow linearly
-        // with the chiplet count even though the scan is quadratic.
-        let mut result = Vec::with_capacity(self.placements.len().saturating_mul(2));
-        for i in 0..self.placements.len() {
-            for j in (i + 1)..self.placements.len() {
-                let (a, b) = (&self.placements[i], &self.placements[j]);
-                if let Some(shared) = a.rect.adjacency_overlap(&b.rect, gap) {
-                    let (lo, hi) = if a.index <= b.index {
-                        (a.index, b.index)
-                    } else {
-                        (b.index, a.index)
-                    };
-                    result.push(Adjacency {
-                        a: lo,
-                        b: hi,
-                        shared_edge: shared,
-                    });
-                }
-            }
-        }
-        result.sort_by_key(|x| (x.a, x.b));
-        result
+    /// gap, sorted by index pair. These are the candidate locations for
+    /// silicon bridges and inter-die routers. The planner finds them once,
+    /// so a memoized plan serves them without a rescan.
+    pub fn adjacencies(&self) -> &[Adjacency] {
+        &self.adjacencies
     }
 
     /// The number of distinct chiplet-to-chiplet interfaces.
     pub fn interface_count(&self) -> usize {
-        self.adjacencies().len()
+        self.adjacencies.len()
     }
 }
 

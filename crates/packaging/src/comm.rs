@@ -133,33 +133,27 @@ impl<'a> CommunicationEstimator<'a> {
         chiplet_nodes: &[TechNode],
         floorplan: &Floorplan,
     ) -> Result<CommOverheads, PackagingError> {
+        // Each chiplet's area slot first counts its interfaces (whole
+        // numbers, exact in `f64`), then becomes that many PHYs' area.
         let mut areas = vec![Area::ZERO; chiplet_nodes.len()];
+        for adj in floorplan.adjacencies() {
+            for end in [adj.a, adj.b] {
+                if let Some(count) = areas.get_mut(end) {
+                    *count += Area::from_mm2(1.0);
+                }
+            }
+        }
         let mut power = Power::ZERO;
         let lanes = self.config.router.flit_width_bits;
         let bandwidth = self.config.traffic.bandwidth_gbps;
-
-        let mut interface_counts = vec![0u32; chiplet_nodes.len()];
-        for adj in floorplan.adjacencies() {
-            if adj.a < interface_counts.len() {
-                interface_counts[adj.a] += 1;
-            }
-            if adj.b < interface_counts.len() {
-                interface_counts[adj.b] += 1;
-            }
-        }
-        // Every chiplet needs at least one PHY to reach the rest of the
-        // system even if the floorplan reports no direct abutment.
-        for count in &mut interface_counts {
-            if *count == 0 {
-                *count = 1;
-            }
-        }
-
-        for (i, &node) in chiplet_nodes.iter().enumerate() {
+        for (area, &node) in areas.iter_mut().zip(chiplet_nodes) {
+            // Every chiplet needs at least one PHY to reach the rest of the
+            // system even if the floorplan reports no direct abutment.
+            let interfaces = area.mm2().max(1.0);
             let params = self.db.node(node)?;
             let phy = phy_estimate(params, lanes, bandwidth);
-            areas[i] = phy.area * f64::from(interface_counts[i]);
-            power += phy.power * f64::from(interface_counts[i]);
+            *area = phy.area * interfaces;
+            power += phy.power * interfaces;
         }
         Ok(CommOverheads {
             chiplet_extra_area: areas,

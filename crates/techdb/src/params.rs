@@ -542,6 +542,12 @@ fn default_params_for(row: &ParamRow) -> NodeParams {
     }
 }
 
+/// One slot per [`TechNode`], at the node's ordinal: most advanced first.
+type NodeTable = [Option<NodeParams>; TechNode::ALL.len()];
+
+/// Every node, at its own ordinal: the keys [`TechDb::iter`] lends out.
+static NODES: [TechNode; TechNode::ALL.len()] = TechNode::ALL;
+
 /// The technology-node parameter database.
 ///
 /// The [`Default`] database contains an entry for every [`TechNode`] with the
@@ -550,9 +556,15 @@ fn default_params_for(row: &ParamRow) -> NodeParams {
 /// users with access to proprietary fab data can supply their own numbers (the
 /// paper's validation section emphasises that accuracy is bounded by input
 /// accuracy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Entries sit in a table indexed by node, so [`TechDb::node`] is one
+/// index. The JSON form is an object keyed by node name
+/// (`{"nodes":{"3":{…},…}}`), which is only built or read at the serde
+/// boundary.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(try_from = "wire::TechDb")]
 pub struct TechDb {
-    nodes: BTreeMap<TechNode, NodeParams>,
+    nodes: Box<NodeTable>,
 }
 
 impl TechDb {
@@ -563,29 +575,32 @@ impl TechDb {
     /// Returns [`TechDbError::MissingNode`] when the database has no entry for
     /// the node.
     pub fn node(&self, node: TechNode) -> Result<&NodeParams, TechDbError> {
-        self.nodes
-            .get(&node)
+        self.nodes[node as usize]
+            .as_ref()
             .ok_or(TechDbError::MissingNode(node.nm()))
     }
 
     /// Whether the database contains an entry for `node`.
     pub fn contains(&self, node: TechNode) -> bool {
-        self.nodes.contains_key(&node)
+        self.nodes[node as usize].is_some()
     }
 
     /// Iterator over all `(node, params)` entries, most advanced node first.
     pub fn iter(&self) -> impl Iterator<Item = (&TechNode, &NodeParams)> {
-        self.nodes.iter()
+        NODES
+            .iter()
+            .zip(self.nodes.iter())
+            .filter_map(|(node, params)| Some((node, params.as_ref()?)))
     }
 
     /// Number of node entries.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.nodes.iter().flatten().count()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.iter().all(Option::is_none)
     }
 
     /// Check every node's parameters with [`NodeParams::validate`]. A
@@ -598,7 +613,10 @@ impl TechDb {
     /// range, its text starting with the value's path
     /// (`nodes[5].defect_density`).
     pub fn validate(&self) -> Result<(), TechDbError> {
-        self.nodes.values().try_for_each(NodeParams::validate)
+        self.nodes
+            .iter()
+            .flatten()
+            .try_for_each(NodeParams::validate)
     }
 
     /// Start building a modified copy of this database.
@@ -647,10 +665,48 @@ impl TechDb {
 
 impl Default for TechDb {
     fn default() -> Self {
-        let nodes = DEFAULT_ROWS
+        DEFAULT_ROWS
             .iter()
-            .map(|row| (row.0, default_params_for(row)))
-            .collect();
+            .fold(TechDbBuilder::new(), |db, row| {
+                db.insert(default_params_for(row))
+            })
+            .build()
+    }
+}
+
+impl Serialize for TechDb {
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let nodes: BTreeMap<&TechNode, &NodeParams> = self.iter().collect();
+        out.push_str("{\"nodes\":");
+        nodes.write_json(out)?;
+        out.push('}');
+        Ok(())
+    }
+}
+
+/// The JSON form of a [`TechDb`]: its entries keyed by node.
+mod wire {
+    use std::collections::BTreeMap;
+
+    use serde::Deserialize;
+
+    use crate::node::TechNode;
+    use crate::params::NodeParams;
+
+    /// Named as the type it decodes to, so decode errors name `TechDb`.
+    #[derive(Deserialize)]
+    pub(super) struct TechDb {
+        pub(super) nodes: BTreeMap<TechNode, NodeParams>,
+    }
+}
+
+impl From<wire::TechDb> for TechDb {
+    /// Each entry lands at the node of its key.
+    fn from(wire: wire::TechDb) -> Self {
+        let mut nodes = Box::<NodeTable>::default();
+        for (node, params) in wire.nodes {
+            nodes[node as usize] = Some(params);
+        }
         Self { nodes }
     }
 }
@@ -658,7 +714,7 @@ impl Default for TechDb {
 /// Builder for a customised [`TechDb`].
 #[derive(Debug, Clone, Default)]
 pub struct TechDbBuilder {
-    nodes: BTreeMap<TechNode, NodeParams>,
+    nodes: Box<NodeTable>,
 }
 
 impl TechDbBuilder {
@@ -669,7 +725,8 @@ impl TechDbBuilder {
 
     /// Insert or replace the entry for `params.node`.
     pub fn insert(mut self, params: NodeParams) -> Self {
-        self.nodes.insert(params.node, params);
+        let at = params.node as usize;
+        self.nodes[at] = Some(params);
         self
     }
 
@@ -926,6 +983,51 @@ mod tests {
         let params = db().node(TechNode::N5).unwrap().to_builder();
         let params = params.gas_cfp(0.0).silicon_wafer_cfp(0.0).build().unwrap();
         assert_eq!(db().to_builder().insert(params).build().validate(), Ok(()));
+    }
+
+    #[test]
+    fn every_node_has_its_own_slot() {
+        for (at, node) in NODES.iter().enumerate() {
+            assert_eq!(*node as usize, at);
+        }
+        // A missing node reads as missing, the others are untouched.
+        let params = db().node(TechNode::N7).unwrap().clone();
+        let sparse = TechDbBuilder::new().insert(params.clone()).build();
+        assert_eq!(sparse.node(TechNode::N7), Ok(&params));
+        assert_eq!(sparse.node(TechNode::N5), Err(TechDbError::MissingNode(5)));
+        assert!(sparse.contains(TechNode::N7) && !sparse.contains(TechNode::N130));
+        assert_eq!((sparse.len(), sparse.is_empty()), (1, false));
+        assert!(TechDbBuilder::new().build().is_empty());
+        // The JSON form keys entries by node; an empty database is `{}`.
+        let json = serde_json::to_string(&sparse).unwrap();
+        assert!(json.starts_with("{\"nodes\":{\"7\":{\"node\":7,"), "{json}");
+        assert_eq!(serde_json::from_str::<TechDb>(&json).unwrap(), sparse);
+        let empty = serde_json::to_string(&TechDbBuilder::new().build()).unwrap();
+        assert_eq!(empty, "{\"nodes\":{}}");
+    }
+
+    #[test]
+    fn decoding_keeps_the_error_texts_of_the_map_form() {
+        for (text, refusal) in [
+            ("{}", "missing field `nodes` in TechDb"),
+            ("[]", "expected object while deserializing TechDb"),
+            ("{\"nodes\":[]}", "TechDb.nodes: expected object, got array"),
+            (
+                "{\"nodes\":{\"6\":{}}}",
+                "TechDb.nodes: expected integer, got string",
+            ),
+            (
+                "{\"nodes\":{\"7\":{}}}",
+                "TechDb.nodes: missing field `node` in NodeParams",
+            ),
+            (
+                "{\"nodes\":{\"7\":5}}",
+                "TechDb.nodes: expected object while deserializing NodeParams",
+            ),
+        ] {
+            let err = serde_json::from_str::<TechDb>(text).unwrap_err();
+            assert_eq!(err.to_string(), refusal, "{text}");
+        }
     }
 
     #[test]
