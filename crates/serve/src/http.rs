@@ -240,7 +240,17 @@ fn parse_head(head: &str) -> Result<Head, ServeError> {
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             chunked = true;
         } else if name.eq_ignore_ascii_case("content-length") {
-            content_length = content_length.or(Some(value));
+            // Two differing lengths leave the body's end ambiguous, and a
+            // peer that reads the other one would split requests elsewhere
+            // (RFC 9112 §6.3): refuse the message. Identical repeats agree.
+            match content_length {
+                Some(first) if first != value => {
+                    return Err(ServeError::Http(format!(
+                        "conflicting Content-Length headers {first:?} and {value:?}"
+                    )));
+                }
+                _ => content_length = Some(value),
+            }
         }
     }
     if chunked {
@@ -668,6 +678,31 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(huge.as_bytes()), Err(ServeError::Http(_))));
+    }
+
+    #[test]
+    fn differing_content_lengths_are_refused_and_repeats_accepted() {
+        let refused = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 20\r\nHost: x\r\ncontent-length: 5\r\n\r\nabcde",
+        );
+        assert_eq!(
+            refused,
+            Err(ServeError::Http(
+                "conflicting Content-Length headers \"20\" and \"5\"".into()
+            ))
+        );
+        // The incremental parser shares the rule.
+        let mut parser = RequestParser::new();
+        let wire = b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 04\r\n\r\nabcd";
+        assert!(matches!(
+            parser.next_request(wire),
+            Err(ServeError::Http(text)) if text.contains("conflicting Content-Length")
+        ));
+        let repeated =
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap()
+                .unwrap();
+        assert_eq!(repeated.body, b"abcd");
     }
 
     #[test]

@@ -861,6 +861,57 @@ fn connection_close_and_request_bounds_are_honored() {
 }
 
 #[test]
+fn conflicting_content_lengths_get_one_400_and_a_close() {
+    use std::io::{Read, Write};
+    let (handle, addr) = boot(default_config());
+
+    // A 20-byte estimate body announced as both 20 and 5 bytes, then a
+    // pipelined health check. Honouring either length would frame the
+    // health check differently from a peer that honoured the other, so
+    // the server refuses the message and closes instead of reading on.
+    let body = r#"{"testcase":"ga102"}"#;
+    assert_eq!(body.len(), 20);
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(
+            format!(
+                "POST /v1/estimate HTTP/1.1\r\nHost: x\r\nContent-Length: 20\r\n\
+                 Content-Length: 5\r\n\r\n{body}GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(
+        response.contains("conflicting Content-Length"),
+        "{response}"
+    );
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+
+    // Repeats of one length frame the body the same either way.
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .write_all(
+            format!(
+                "POST /v1/estimate HTTP/1.1\r\nHost: x\r\nContent-Length: 20\r\n\
+                 Content-Length: 20\r\nConnection: close\r\n\r\n{body}"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn idle_keep_alive_connections_are_dropped_and_clients_recover() {
     let (handle, addr) = boot(ServeConfig {
         idle_timeout: std::time::Duration::from_millis(200),
