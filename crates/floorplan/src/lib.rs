@@ -16,9 +16,16 @@
 //!    side (alternating cut direction with depth), inserting the chiplet
 //!    spacing constraint and absorbing dimension mismatch as whitespace.
 //!
+//! The planner walks that tree without building it: one recursion over the
+//! area-sorted chiplet indices partitions each level in place, appends each
+//! leaf to the plan's placements, and shifts a right subtree's placements
+//! past its left sibling once the subtree is placed.
+//!
 //! The resulting [`Floorplan`] exposes the package bounding box, the
 //! whitespace area and the adjacency interfaces used to place silicon bridges
-//! and NoC routers.
+//! and NoC routers. The planner finds the adjacencies once, when it builds
+//! the plan, and [`Floorplan::adjacencies`] lends them as a slice, so a plan
+//! shared from a memo serves them to every estimate without a rescan.
 //!
 //! # Example
 //!
