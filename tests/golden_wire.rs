@@ -18,8 +18,8 @@
 //!
 //! `tests/golden/deep_pareto/` pins a `pareto` stream over 1–16 chiplets ×
 //! the five packaging architectures (80 points) on the same bounded memo,
-//! with its memo counters: the planner's slicing trees there run four
-//! levels deep, where the streams above stop at four chiplets.
+//! with its memo counters: it pins the planner's deep slicing trees, where
+//! the streams above stop at four chiplets.
 //!
 //! `tests/golden/explore_fab_source/` pins the anneal and genetic
 //! `POST /v1/optimize` streams over a fab-energy-source × lifetime space,
