@@ -637,7 +637,7 @@ where
 {
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         _repriced: &[bool],
     ) -> Result<(), EcoChipError> {
         for point in points {
@@ -647,11 +647,13 @@ where
             let values = self
                 .objectives
                 .score(self.estimator, &point.system, &point.report)?;
-            // Most candidates are rejected: build the point only on admission.
+            // Most candidates are rejected: build the point (and copy its
+            // label out of the engine's slot) only on admission.
             if !self.frontier.admits(index, values.iter().copied()) {
                 continue;
             }
-            let candidate = FrontierPoint::new(index, point.label, self.objectives, &values);
+            let candidate =
+                FrontierPoint::new(index, point.label.clone(), self.objectives, &values);
             self.frontier.admit(candidate.clone());
             (self.on_event)(&OptEvent::improvement(
                 OptMethod::Pareto,

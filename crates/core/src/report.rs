@@ -10,7 +10,7 @@ use ecochip_yield::DieYield;
 use crate::manufacturing::ChipletManufacturing;
 
 /// Per-chiplet slice of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChipletReport {
     /// Name of the chiplet.
     pub name: String,
@@ -36,6 +36,46 @@ impl ChipletReport {
     /// Die yield of this chiplet.
     pub fn die_yield(&self) -> DieYield {
         self.manufacturing.die_yield
+    }
+}
+
+// `clone_from` reuses the name's buffer. Both methods name every field,
+// so a new one does not compile until it is cloned here.
+impl Clone for ChipletReport {
+    fn clone(&self) -> Self {
+        let Self {
+            name,
+            node,
+            base_area,
+            comm_area,
+            manufacturing,
+            design,
+        } = self;
+        Self {
+            name: name.clone(),
+            node: *node,
+            base_area: *base_area,
+            comm_area: *comm_area,
+            manufacturing: *manufacturing,
+            design: *design,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            name,
+            node,
+            base_area,
+            comm_area,
+            manufacturing,
+            design,
+        } = source;
+        self.name.clone_from(name);
+        self.node = *node;
+        self.base_area = *base_area;
+        self.comm_area = *comm_area;
+        self.manufacturing = *manufacturing;
+        self.design = *design;
     }
 }
 
@@ -93,7 +133,7 @@ impl HiBreakdown {
 }
 
 /// The complete carbon report for one system (Eqs. 1–3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct CarbonReport {
     /// Name of the system analysed.
     pub system_name: String,
@@ -193,6 +233,49 @@ impl CarbonReport {
             out.push_str(&format!("summary,{component},,,,,{:.4},\n", carbon.kg()));
         }
         out
+    }
+}
+
+// `clone_from` reuses the system name's and the chiplet list's buffers
+// (the entries through `ChipletReport::clone_from`), so copying a
+// re-priced report into a sweep point's slot allocates nothing. Both
+// methods name every field, so a new one does not compile until it is
+// cloned here.
+impl Clone for CarbonReport {
+    fn clone(&self) -> Self {
+        let Self {
+            system_name,
+            chiplets,
+            hi,
+            comm_design,
+            operational_per_year,
+            lifetime,
+        } = self;
+        Self {
+            system_name: system_name.clone(),
+            chiplets: chiplets.clone(),
+            hi: *hi,
+            comm_design: *comm_design,
+            operational_per_year: *operational_per_year,
+            lifetime: *lifetime,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            system_name,
+            chiplets,
+            hi,
+            comm_design,
+            operational_per_year,
+            lifetime,
+        } = source;
+        self.system_name.clone_from(system_name);
+        self.chiplets.clone_from(chiplets);
+        self.hi = *hi;
+        self.comm_design = *comm_design;
+        self.operational_per_year = *operational_per_year;
+        self.lifetime = *lifetime;
     }
 }
 
@@ -339,6 +422,54 @@ mod tests {
         let commas = lines[0].matches(',').count();
         for line in &lines {
             assert_eq!(line.matches(',').count(), commas, "{line}");
+        }
+    }
+
+    /// `clone_from` reuses buffers but must leave exactly what `clone`
+    /// makes, whether the target had fewer chiplets than the source, more,
+    /// or as many.
+    #[test]
+    fn clone_from_equals_clone_across_chiplet_counts() {
+        use crate::disaggregation::split_block;
+        use crate::{EcoChip, System};
+        use ecochip_packaging::{PackagingArchitecture, SiliconBridgeConfig};
+        use ecochip_techdb::{DesignType, TimeSpan};
+
+        let systems: Vec<System> = [(1, 1.0), (3, 2.0), (16, 3.5)]
+            .into_iter()
+            .map(|(count, years)| {
+                let chiplets = split_block(
+                    &format!("block{count}"),
+                    DesignType::Logic,
+                    TechNode::N7,
+                    2.0e10,
+                    count,
+                )
+                .unwrap();
+                let mut builder = System::builder(format!("soc-{count}"))
+                    .chiplets(chiplets)
+                    .lifetime(TimeSpan::from_years(years));
+                if count == 16 {
+                    builder = builder.packaging(PackagingArchitecture::SiliconBridge(
+                        SiliconBridgeConfig::default(),
+                    ));
+                }
+                builder.build().unwrap()
+            })
+            .collect();
+        let estimator = EcoChip::default();
+        let reports: Vec<CarbonReport> = systems
+            .iter()
+            .map(|system| estimator.estimate(system).unwrap())
+            .collect();
+        for (into, from) in (0..3).flat_map(|into| (0..3).map(move |from| (into, from))) {
+            let mut system = systems[into].clone();
+            system.clone_from(&systems[from]);
+            assert_eq!(system, systems[from].clone(), "{into} <- {from}");
+            let mut report = reports[into].clone();
+            report.clone_from(&reports[from]);
+            assert_eq!(report, reports[from].clone(), "{into} <- {from}");
+            assert_eq!(report.chiplets.len(), systems[from].chiplets.len());
         }
     }
 }

@@ -214,6 +214,17 @@ impl SweepCase {
     pub fn label(&self) -> String {
         self.labels.join(" / ")
     }
+
+    /// Append the joined point label to `out`, as [`SweepCase::label`]
+    /// returns it, without allocating when `out` has room.
+    pub(crate) fn push_label(&self, out: &mut String) {
+        for (at, label) in self.labels.iter().enumerate() {
+            if at > 0 {
+                out.push_str(" / ");
+            }
+            out.push_str(label);
+        }
+    }
 }
 
 /// A deterministic partition selector for distributing a sweep's index space

@@ -6,15 +6,23 @@
 //! only the axes whose digit changed since the worker's previous case, so
 //! decoding a contiguous chunk mostly touches the last axis alone),
 //! evaluate it against the shared [`SweepContext`],
-//! and hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
+//! and lend the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
 //! in deterministic row-major order.
 //!
 //! A step that changed only trailing scalar axes (lifetimes and volumes,
-//! [`SweepAxis::is_scalar`]) is not re-estimated: the worker clones its
-//! previous report and re-runs only the estimator's pricing step (the
-//! design amortization and the lifetime), the step every full estimate
-//! ends with, so the two paths agree bit for bit. The memo is consulted
-//! on a worker's first point and on structural steps only.
+//! [`SweepAxis::is_scalar`]) is not re-estimated: the worker re-prices the
+//! report it kept from its previous point in place, re-running only the
+//! estimator's pricing step (the design amortization and the lifetime),
+//! the step every full estimate ends with, so the two paths agree bit for
+//! bit. The memo is consulted on a worker's first point and on structural
+//! steps only.
+//!
+//! Points are written into reusable slots: each claimed chunk fills a
+//! batch of slots in place (the label joined into the slot's string, the
+//! system and a kept report copied with `clone_from`, which reuses their
+//! buffers), the sink borrows the filled slots, and the batch goes back to
+//! be refilled by a later chunk. A streamed point therefore allocates
+//! nothing once the slots have grown to the sweep's largest system.
 //!
 //! A reorder window of `O(workers)` points provides backpressure, so
 //! streaming a million-point space holds only a handful of points in
@@ -23,6 +31,7 @@
 //!
 //! [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -33,7 +42,9 @@ use ecochip_trace::{Stage, StageTimings};
 use crate::error::EcoChipError;
 use crate::estimator::{EcoChip, PriceBasis};
 use crate::report::CarbonReport;
-use crate::sweep::{Shard, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec};
+use crate::sweep::{
+    Shard, SweepCase, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec,
+};
 
 /// Default number of contiguous case indices a worker claims per queue
 /// round-trip. Large enough to amortize the Mutex+Condvar traffic to
@@ -44,9 +55,13 @@ pub const DEFAULT_CHUNK: usize = 32;
 /// Receives evaluated sweep points, in the spec's deterministic case order,
 /// one contiguous batch at a time.
 ///
-/// Any `FnMut(SweepPoint) -> Result<(), EcoChipError>` closure is a sink
-/// that takes its batches point by point, so collecting, folding or
-/// incremental writing all work without a named type:
+/// The engine *lends* each batch: the points live in slots the engine
+/// refills for a later batch once the call returns, so a sink that keeps
+/// a point past the call must clone it. Any
+/// `FnMut(SweepPoint) -> Result<(), EcoChipError>` closure is a sink that
+/// takes its batches point by point, each point cloned out of its slot,
+/// so collecting, folding or incremental writing all work without a named
+/// type:
 ///
 /// ```
 /// use ecochip_core::sweep::{SweepAxis, SweepEngine, SweepSpec};
@@ -83,8 +98,10 @@ pub const DEFAULT_CHUNK: usize = 32;
 /// ```
 pub trait SweepSink {
     /// Accept the next contiguous batch of points (one claim chunk), in
-    /// case order. Returning an error aborts the sweep; the error is
-    /// propagated to the caller of [`SweepEngine::stream`]. The batch
+    /// case order. The points are borrowed for the call only: after it
+    /// returns, the engine refills their slots with a later batch.
+    /// Returning an error aborts the sweep; the error is propagated to
+    /// the caller of [`SweepEngine::stream`]. The batch
     /// boundary is an engine implementation detail: concatenating all
     /// batches always reproduces the per-point stream exactly, so a sink
     /// with a cheaper bulk path (one write per batch, one lock per batch)
@@ -101,7 +118,7 @@ pub trait SweepSink {
     /// [`LineEncoder`]: crate::sweep::LineEncoder
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         repriced: &[bool],
     ) -> Result<(), EcoChipError>;
 }
@@ -109,10 +126,10 @@ pub trait SweepSink {
 impl<F: FnMut(SweepPoint) -> Result<(), EcoChipError>> SweepSink for F {
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         _repriced: &[bool],
     ) -> Result<(), EcoChipError> {
-        points.into_iter().try_for_each(self)
+        points.iter().cloned().try_for_each(self)
     }
 }
 
@@ -307,12 +324,15 @@ impl SweepEngine {
         if jobs == 1 {
             // Reference serial path: evaluate and emit in chunk-sized
             // batches so batch-optimized sinks (one write per batch) get
-            // the same bulk entry point the parallel path uses.
+            // the same bulk entry point the parallel path uses. One batch
+            // of slots serves the whole stream.
+            let mut results = ChunkResults::default();
             let mut emitted = 0usize;
             let mut next = range.start;
             while next < range.end {
                 let stop = next.saturating_add(chunk).min(range.end);
-                emitted += emit_chunk(sink, cases.evaluate_chunk(&mut walker, next..stop))?;
+                cases.evaluate_chunk(&mut walker, next..stop, &mut results);
+                emitted += emit_chunk(sink, &mut results)?;
                 next = stop;
             }
             return Ok(emitted);
@@ -327,6 +347,7 @@ impl SweepEngine {
                 next_claim: range.start,
                 next_emit: range.start,
                 buffer: HashMap::with_capacity(jobs * 2),
+                spare: Vec::with_capacity(jobs * 2),
                 aborted: false,
             }),
             ready: Condvar::new(),
@@ -339,7 +360,7 @@ impl SweepEngine {
                 let mut walker = walker.clone();
                 let (cases, queue) = (&cases, &queue);
                 scope.spawn(move || loop {
-                    let (start, stop) = {
+                    let (start, stop, mut results) = {
                         let mut state = queue.state.lock().expect("sweep queue");
                         loop {
                             if state.aborted || state.next_claim >= end {
@@ -355,14 +376,14 @@ impl SweepEngine {
                         // boundaries and short tails never over-claim.
                         let stop = start.saturating_add(chunk).min(end);
                         state.next_claim = stop;
-                        (start, stop)
+                        (start, stop, state.spare.pop().unwrap_or_default())
                     };
                     // Evaluate the whole chunk without touching the queue:
                     // one claim + one insert per K points instead of per
                     // point. On an error, stop at the failing index — the
                     // emitter drains chunks in order, so the lowest-index
                     // error still surfaces first.
-                    let results = cases.evaluate_chunk(&mut walker, start..stop);
+                    cases.evaluate_chunk(&mut walker, start..stop, &mut results);
                     let mut state = queue.state.lock().expect("sweep queue");
                     if results.failure.is_some() {
                         // Stop claiming new chunks; everything below `start`
@@ -386,7 +407,7 @@ impl SweepEngine {
                 let mut emitted = 0usize;
                 let mut cursor = range.start;
                 while cursor < end {
-                    let results = {
+                    let mut results = {
                         let mut state = queue.state.lock().expect("sweep queue");
                         loop {
                             if let Some(results) = state.buffer.remove(&cursor) {
@@ -395,10 +416,12 @@ impl SweepEngine {
                             state = queue.ready.wait(state).expect("sweep queue");
                         }
                     };
-                    emitted += emit_chunk(sink, results)?;
+                    emitted += emit_chunk(sink, &mut results)?;
                     cursor = cursor.saturating_add(chunk).min(end);
                     let mut state = queue.state.lock().expect("sweep queue");
                     state.next_emit = cursor;
+                    // The drained slots go back for a worker to refill.
+                    state.spare.push(results);
                     drop(state);
                     // Advancing the window admits exactly one new chunk
                     // claim, so wake one parked worker; stragglers parked
@@ -430,37 +453,44 @@ struct ReorderState {
     /// Out-of-order chunk results keyed by chunk start index, parked until
     /// their turn (bounded by the window).
     buffer: HashMap<usize, ChunkResults>,
+    /// Drained chunk results whose slots a worker refills on its next
+    /// claim. Every chunk in the buffer or on its way there was claimed
+    /// inside the window, so at most `window / chunk + 1` batches exist.
+    spare: Vec<ChunkResults>,
     /// Set on evaluation/sink errors so workers stop claiming chunks.
     aborted: bool,
 }
 
-/// One evaluated chunk: its points in case order, up to the first failing
-/// case, a flag per point that is set when the point was re-priced from
-/// the one before it in the chunk (never on the first), and the failing
-/// case's error.
+/// One evaluated chunk, in reusable slots: its points in case order, up to
+/// the first failing case, a flag per point that is set when the point was
+/// re-priced from the one before it in the chunk (never on the first), and
+/// the failing case's error.
+#[derive(Default)]
 struct ChunkResults {
+    /// Point slots, kept across chunks; only `points[..len]` belong to the
+    /// current chunk. Slots past `len` hold stale points of an earlier,
+    /// longer chunk and are never lent to a sink.
     points: Vec<SweepPoint>,
+    /// How many slots the current chunk filled.
+    len: usize,
+    /// One flag per filled slot.
     repriced: Vec<bool>,
     failure: Option<EcoChipError>,
 }
 
-/// Pass a chunk's points to `sink` as one batch, then surface the chunk's
+/// Lend a chunk's points to `sink` as one batch, then surface the chunk's
 /// error, if any, so a failing case is reported after every point before
 /// it — on the serial and the parallel path alike. Returns the number of
 /// points emitted.
 fn emit_chunk<S: SweepSink + ?Sized>(
     sink: &mut S,
-    ChunkResults {
-        points,
-        repriced,
-        failure,
-    }: ChunkResults,
+    results: &mut ChunkResults,
 ) -> Result<usize, EcoChipError> {
-    let emitted = points.len();
+    let emitted = results.len;
     if emitted > 0 {
-        sink.accept_batch(points, &repriced)?;
+        sink.accept_batch(&results.points[..emitted], &results.repriced)?;
     }
-    match failure {
+    match results.failure.take() {
         Some(error) => Err(error),
         None => Ok(emitted),
     }
@@ -477,8 +507,8 @@ struct ReorderQueue {
 /// One worker's walk through a spec's cases: its decoding
 /// [`SweepCursor`] and, when the spec ends in scalar axes
 /// ([`SweepAxis::is_scalar`]), the report and [`PriceBasis`] of its last
-/// successful evaluation, from which the next scalar step is re-priced.
-/// Each engine worker and each optimizer explorer owns one.
+/// successful evaluation, whose report the next scalar step re-prices in
+/// place. Each engine worker and each optimizer explorer owns one.
 ///
 /// [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 #[derive(Debug, Clone)]
@@ -488,9 +518,13 @@ pub(crate) struct CaseWalker<'a> {
     /// first of the spec's trailing scalar axes to the last axis. Empty
     /// when the last axis is not scalar, and then no basis is kept.
     scalar: std::ops::Range<usize>,
-    /// The last evaluation's report and basis; `None` before the first
-    /// evaluation and after a failed one.
-    basis: Option<(CarbonReport, PriceBasis)>,
+    /// The report of the last evaluation, kept only when `scalar` is not
+    /// empty. It is valid as a basis only while `basis` is `Some`; after a
+    /// failed evaluation it is stale and kept for its buffers.
+    report: Option<CarbonReport>,
+    /// The [`PriceBasis`] of `report`; `None` before the first evaluation
+    /// and after a failed one.
+    basis: Option<PriceBasis>,
 }
 
 impl<'a> CaseWalker<'a> {
@@ -505,6 +539,7 @@ impl<'a> CaseWalker<'a> {
         Ok(Self {
             cursor: spec.cursor()?,
             scalar: structural.map_or(0, |at| at + 1)..axes.len(),
+            report: None,
             basis: None,
         })
     }
@@ -523,9 +558,9 @@ impl<'a> CaseWalker<'a> {
 /// path visits it.
 ///
 /// A *scalar step* — a decode that re-applied only scalar axes, after a
-/// successful evaluation on the same walker — clones the walker's previous
-/// report and re-runs only [`EcoChip::price`] on it, skipping every stage
-/// and memo lookup before it. Every other case, an identical revisit
+/// successful evaluation on the same walker — re-runs only
+/// [`EcoChip::price`] on the walker's kept report, in place, skipping every
+/// stage and memo lookup before it. Every other case, an identical revisit
 /// included, takes the full estimate through the memo.
 pub(crate) struct CaseEvaluator<'a> {
     base: &'a EcoChip,
@@ -551,75 +586,105 @@ impl<'a> CaseEvaluator<'a> {
         }
     }
 
-    /// Evaluate case `index` of the walker's spec, and say whether the
-    /// point was re-priced from the walker's previous point.
+    /// Evaluate case `index` of the walker's spec into a new point, and say
+    /// whether the point was re-priced from the walker's previous point.
+    /// A report the walker does not keep moves into the point.
     pub(crate) fn evaluate(
         &self,
         walker: &mut CaseWalker<'_>,
         index: usize,
     ) -> Result<(SweepPoint, bool), EcoChipError> {
+        let priced = self.price(walker, index)?;
+        let repriced = priced.repriced;
+        Ok((priced.into_point(), repriced))
+    }
+
+    /// Evaluate the cases of `indices` in order into `results`' slots,
+    /// stopping at the first failing one.
+    fn evaluate_chunk(
+        &self,
+        walker: &mut CaseWalker<'_>,
+        indices: std::ops::Range<usize>,
+        results: &mut ChunkResults,
+    ) {
+        let ChunkResults {
+            points,
+            len,
+            repriced,
+            failure,
+        } = results;
+        // Size the slots to the chunk once, not by doubling.
+        points.reserve_exact(indices.len().saturating_sub(points.len()));
+        repriced.clear();
+        repriced.reserve_exact(indices.len());
+        *len = 0;
+        *failure = None;
+        for index in indices {
+            match self.price(walker, index) {
+                Ok(priced) => {
+                    // The walker may carry its basis over from its
+                    // previous chunk, which another chunk can separate
+                    // from this one in the stream.
+                    repriced.push(priced.repriced && *len > 0);
+                    match points.get_mut(*len) {
+                        Some(slot) => priced.fill(slot),
+                        None => points.push(priced.into_point()),
+                    }
+                    *len += 1;
+                }
+                Err(error) => {
+                    *failure = Some(error);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Decode case `index` through the walker, pick the estimator for its
+    /// fab-source override and price it: re-price the walker's kept report
+    /// in place on a scalar step, estimate in full otherwise.
+    fn price<'w>(
+        &self,
+        walker: &'w mut CaseWalker<'_>,
+        index: usize,
+    ) -> Result<Priced<'w>, EcoChipError> {
         // Taken first, so a failure below leaves the walker no basis.
         let basis = walker.basis.take();
         let from = walker.cursor.advance(index)?;
-        let repriced = basis.filter(|_| walker.scalar.contains(&from));
+        let basis = basis.filter(|_| walker.scalar.contains(&from));
         let case = walker.cursor.case();
         let variant = case.fab_source.map(|source| self.variant(source));
         let estimator = variant.as_deref().unwrap_or(self.base);
         // Near-zero-cost disabled path: untimed requests pay one branch
         // per point, never a clock read.
         let started = self.timings.map(|_| Instant::now());
-        let was_repriced = repriced.is_some();
-        let estimated = match repriced {
-            Some((mut report, basis)) => estimator
-                .price(&case.system, &basis, &mut report)
-                .map(|()| (report, basis)),
-            None => estimator.estimate_priced(&case.system, self.context),
+        let keeps = !walker.scalar.is_empty();
+        let priced = match (basis, &mut walker.report) {
+            (Some(basis), Some(report)) => estimator
+                .price(&case.system, &basis, report)
+                .map(|()| (Cow::Borrowed(&*report), Some(basis), true)),
+            (_, kept) => {
+                estimator
+                    .estimate_priced(&case.system, self.context)
+                    .map(|(report, basis)| {
+                        if keeps {
+                            (Cow::Borrowed(&*kept.insert(report)), Some(basis), false)
+                        } else {
+                            (Cow::Owned(report), None, false)
+                        }
+                    })
+            }
         };
         if let (Some(timings), Some(started)) = (self.timings, started) {
             timings.record(Stage::Estimate, started.elapsed());
         }
-        let (report, basis) = estimated?;
-        if !walker.scalar.is_empty() {
-            walker.basis = Some((report.clone(), basis));
-        }
-        let point = SweepPoint {
-            label: case.label(),
-            system: case.system.clone(),
+        let (report, basis, repriced) = priced?;
+        walker.basis = basis;
+        Ok(Priced {
+            case,
             report,
-        };
-        Ok((point, was_repriced))
-    }
-
-    /// Evaluate the cases of `indices` in order, stopping at the first
-    /// failing one.
-    fn evaluate_chunk(
-        &self,
-        walker: &mut CaseWalker<'_>,
-        indices: std::ops::Range<usize>,
-    ) -> ChunkResults {
-        let mut points = Vec::with_capacity(indices.len());
-        let mut repriced = Vec::with_capacity(indices.len());
-        let mut failure = None;
-        for index in indices {
-            match self.evaluate(walker, index) {
-                Ok((point, was_repriced)) => {
-                    // The walker may carry its basis over from its
-                    // previous chunk, which another chunk can separate
-                    // from this one in the stream.
-                    repriced.push(was_repriced && !points.is_empty());
-                    points.push(point);
-                }
-                Err(error) => {
-                    failure = Some(error);
-                    break;
-                }
-            }
-        }
-        ChunkResults {
-            points,
             repriced,
-            failure,
-        }
+        })
     }
 
     /// The estimator for fab source `source`, built on first use.
@@ -634,6 +699,37 @@ impl<'a> CaseEvaluator<'a> {
         let estimator = Arc::new(EcoChip::new(config));
         variants.push((bits, Arc::clone(&estimator)));
         estimator
+    }
+}
+
+/// One priced case, borrowed from its walker: the decoded case and its
+/// report, which is the walker's kept report unless the walker keeps none.
+struct Priced<'w> {
+    case: &'w SweepCase,
+    report: Cow<'w, CarbonReport>,
+    /// Whether the report was re-priced from the walker's previous one.
+    repriced: bool,
+}
+
+impl Priced<'_> {
+    /// The case as a new point.
+    fn into_point(self) -> SweepPoint {
+        SweepPoint {
+            label: self.case.label(),
+            system: self.case.system.clone(),
+            report: self.report.into_owned(),
+        }
+    }
+
+    /// Overwrite `slot` with the case, reusing the slot's buffers.
+    fn fill(self, slot: &mut SweepPoint) {
+        slot.label.clear();
+        self.case.push_label(&mut slot.label);
+        slot.system.clone_from(&self.case.system);
+        match self.report {
+            Cow::Borrowed(report) => slot.report.clone_from(report),
+            Cow::Owned(report) => slot.report = report,
+        }
     }
 }
 
@@ -1039,13 +1135,13 @@ mod tests {
         impl SweepSink for Batches {
             fn accept_batch(
                 &mut self,
-                points: Vec<SweepPoint>,
+                points: &[SweepPoint],
                 repriced: &[bool],
             ) -> Result<(), EcoChipError> {
                 assert_eq!(repriced.len(), points.len());
                 self.batches += 1;
                 self.repriced.extend_from_slice(repriced);
-                self.points.extend(points);
+                self.points.extend_from_slice(points);
                 Ok(())
             }
         }

@@ -52,10 +52,13 @@
 //! two scale features:
 //!
 //! * **Streaming.** [`SweepEngine::stream`] — the one way to run a sweep —
-//!   pushes points to a [`SweepSink`] in deterministic order while holding
-//!   only an `O(workers)` reorder window, so million-point spaces are not
-//!   memory-bound. [`SweepEngine::run`] is the collect-to-`Vec` sink over
-//!   the same pipeline.
+//!   lends points to a [`SweepSink`] in deterministic order, one claimed
+//!   chunk at a time, while holding only an `O(workers)` reorder window,
+//!   so million-point spaces are not memory-bound. The engine fills each
+//!   chunk into reused point slots and refills them once the sink returns,
+//!   so a streamed point allocates nothing; a sink that keeps a point
+//!   clones it. [`SweepEngine::run`] is the collect-to-`Vec` sink over the
+//!   same pipeline.
 //! * **Sharding.** Every stream evaluates one [`SweepSlice`]: a
 //!   [`Shard`]`{ index, of }` selector that deterministically partitions
 //!   the index space into contiguous, balanced slices for cross-process
@@ -73,8 +76,9 @@
 //! an axis that replaces the chiplets. `case_at` is a fresh cursor and one
 //! decode, so there is one decoder. When a decode changed only trailing
 //! scalar axes ([`SweepAxis::is_scalar`]: lifetimes and volumes), the
-//! worker re-prices its previous report instead of estimating the case
-//! again, so such steps skip the memo as well. The engine marks each such
+//! worker re-prices the report it kept from its previous case, in place,
+//! instead of estimating the case again, so such steps skip the memo as
+//! well. The engine marks each such
 //! point for its sink, and a [`LineEncoder`] encodes a marked point by
 //! rewriting only the changed values of the line before it.
 

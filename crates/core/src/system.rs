@@ -29,7 +29,7 @@ pub enum ChipletSize {
 }
 
 /// One chiplet (or the single die of a monolithic SoC).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Chiplet {
     /// Name of the chiplet (used in reports).
     pub name: String,
@@ -97,6 +97,39 @@ impl Chiplet {
     }
 }
 
+// `clone_from` reuses the name's buffer, so refilling a sweep point's
+// system allocates nothing. Both methods name every field, so a new one
+// does not compile until it is cloned here.
+impl Clone for Chiplet {
+    fn clone(&self) -> Self {
+        let Self {
+            name,
+            design_type,
+            node,
+            size,
+        } = self;
+        Self {
+            name: name.clone(),
+            design_type: *design_type,
+            node: *node,
+            size: *size,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            name,
+            design_type,
+            node,
+            size,
+        } = source;
+        self.name.clone_from(name);
+        self.design_type = *design_type;
+        self.node = *node;
+        self.size = *size;
+    }
+}
+
 impl fmt::Display for Chiplet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({} @ {})", self.name, self.design_type, self.node)
@@ -104,7 +137,7 @@ impl fmt::Display for Chiplet {
 }
 
 /// A complete system description: the input to [`crate::EcoChip::estimate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct System {
     /// Name of the system (used in reports).
     pub name: String,
@@ -261,6 +294,47 @@ impl System {
         self.packaging
             .validate()
             .map_err(|error| EcoChipError::InvalidSystem(format!("packaging: {error}")))
+    }
+}
+
+// `clone_from` reuses the name's and the chiplet list's buffers (the
+// chiplets themselves through `Chiplet::clone_from`). Both methods name
+// every field, so a new one does not compile until it is cloned here.
+impl Clone for System {
+    fn clone(&self) -> Self {
+        let Self {
+            name,
+            chiplets,
+            packaging,
+            usage,
+            lifetime,
+            volumes,
+        } = self;
+        Self {
+            name: name.clone(),
+            chiplets: chiplets.clone(),
+            packaging: *packaging,
+            usage: *usage,
+            lifetime: *lifetime,
+            volumes: *volumes,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            name,
+            chiplets,
+            packaging,
+            usage,
+            lifetime,
+            volumes,
+        } = source;
+        self.name.clone_from(name);
+        self.chiplets.clone_from(chiplets);
+        self.packaging = *packaging;
+        self.usage = *usage;
+        self.lifetime = *lifetime;
+        self.volumes = *volumes;
     }
 }
 

@@ -15,7 +15,7 @@
 //! per-connection request loop (idle timeout, bounded requests per
 //! connection) lives in [`crate::server`].
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 use std::ops::Range;
 
 use crate::ServeError;
@@ -571,12 +571,16 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        // Frame the chunk in one buffer so each NDJSON point costs one
-        // write syscall, not three.
-        let mut framed = format!("{:x}\r\n", data.len()).into_bytes();
-        framed.extend_from_slice(data);
-        framed.extend_from_slice(b"\r\n");
-        self.writer.write_all(&framed)?;
+        // The size line, the data and the closing CRLF go out in one
+        // vectored write, so a batch of NDJSON points costs one write
+        // syscall and is never copied to be framed.
+        let mut size = [0u8; SIZE_LINE_BYTES];
+        let mut parts = [
+            IoSlice::new(size_line(data.len(), &mut size)),
+            IoSlice::new(data),
+            IoSlice::new(b"\r\n"),
+        ];
+        write_all_vectored(&mut self.writer, &mut parts)?;
         self.writer.flush()
     }
 
@@ -589,6 +593,49 @@ impl<W: Write> ChunkedWriter<W> {
         self.writer.write_all(b"0\r\n\r\n")?;
         self.writer.flush()
     }
+}
+
+/// The longest chunk-size line: 16 hex digits (a 64-bit length) and CRLF.
+const SIZE_LINE_BYTES: usize = 18;
+
+/// Write `len` as a chunk-size line (lowercase hex, no leading zeros, then
+/// CRLF) into the back of `buf`, returning the written part.
+fn size_line(len: usize, buf: &mut [u8; SIZE_LINE_BYTES]) -> &[u8] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut start = SIZE_LINE_BYTES - 2;
+    buf[start..].copy_from_slice(b"\r\n");
+    let mut rest = len;
+    loop {
+        start -= 1;
+        buf[start] = DIGITS[rest & 0xf];
+        rest >>= 4;
+        if rest == 0 {
+            break;
+        }
+    }
+    &buf[start..]
+}
+
+/// Write every byte of `parts`, in order, looping on partial writes (the
+/// vectored counterpart of `write_all`).
+fn write_all_vectored(
+    writer: &mut impl Write,
+    mut parts: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    while !parts.is_empty() {
+        match writer.write_vectored(parts) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole chunk",
+                ))
+            }
+            Ok(written) => IoSlice::advance_slices(&mut parts, written),
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(error) => return Err(error),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -882,5 +929,69 @@ mod tests {
         assert!(text.contains("6\r\nhello\n\r\n6\r\nworld\n\r\n0\r\n\r\n"));
         assert_eq!(reason(500), "Internal Server Error");
         assert_eq!(reason(418), "");
+    }
+
+    /// A writer that takes 1, 2, … 7, 1, … bytes per call, across slice
+    /// boundaries when a vectored write spans them.
+    #[derive(Default)]
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut budget = 1 + self.calls % 7;
+            self.calls += 1;
+            let mut written = 0;
+            for buf in bufs {
+                let take = buf.len().min(budget);
+                self.out.extend_from_slice(&buf[..take]);
+                written += take;
+                budget -= take;
+                if budget == 0 {
+                    break;
+                }
+            }
+            Ok(written)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn chunks_written_a_few_bytes_at_a_time_keep_the_framing() {
+        let mut chunked = ChunkedWriter {
+            writer: Trickle::default(),
+        };
+        let mut expected = Vec::new();
+        for len in [1usize, 9, 15, 16, 17, 255, 256, 4_097, 61_440] {
+            let data: Vec<u8> = (0..len).map(|at| b'a' + (at % 26) as u8).collect();
+            chunked.chunk(&data).unwrap();
+            // The framing as it was built before vectored writes.
+            expected.extend_from_slice(format!("{len:x}\r\n").as_bytes());
+            expected.extend_from_slice(&data);
+            expected.extend_from_slice(b"\r\n");
+        }
+        chunked.chunk(b"").unwrap();
+        let mut writer = chunked.writer;
+        assert!(writer.calls > expected.len() / 7, "{} calls", writer.calls);
+        expected.extend_from_slice(b"0\r\n\r\n");
+        ChunkedWriter {
+            writer: &mut writer,
+        }
+        .finish()
+        .unwrap();
+        assert_eq!(writer.out, expected);
+
+        let mut line = [0u8; SIZE_LINE_BYTES];
+        assert_eq!(size_line(0xffff_ffff, &mut line), b"ffffffff\r\n");
+        assert_eq!(size_line(0xa0, &mut line), b"a0\r\n");
     }
 }

@@ -43,7 +43,10 @@
 //! sockets (excess connections get an immediate `429` with
 //! `Retry-After` and are closed), and `max_inflight` caps
 //! concurrently dispatched heavy requests (excess heavy requests get
-//! the same `429` on their own connection, which stays usable). An
+//! the same `429` on their own connection, which stays usable). A heavy
+//! request gives its in-flight slot back as soon as its handler has
+//! produced the response, before the final write, so a client that has
+//! read a whole response never finds that request still counted. An
 //! overloaded server therefore degrades into fast, explicit refusals
 //! instead of an unbounded queue.
 //!
@@ -61,7 +64,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -321,6 +324,10 @@ struct ServerState {
     idle_timeout: Duration,
     max_requests_per_connection: usize,
     max_inflight: usize,
+    /// Heavy requests dispatched to the handler pool whose responses are
+    /// not yet produced — the `max_inflight` admission measure (see
+    /// [`Admission`]).
+    inflight: AtomicUsize,
     max_connections: usize,
     shutdown: AtomicBool,
     requests: AtomicU64,
@@ -423,6 +430,7 @@ impl Server {
                 idle_timeout: config.idle_timeout.max(Duration::from_millis(1)),
                 max_requests_per_connection: config.max_requests_per_connection.max(1),
                 max_inflight: config.max_inflight.max(1),
+                inflight: AtomicUsize::new(0),
                 max_connections,
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
@@ -684,7 +692,10 @@ struct EventLoop<'a> {
     done_rx: mpsc::Receiver<Done>,
     conns: Slab,
     /// Connections currently checked out to the handler pool (dispatched
-    /// or queued) — the `max_inflight` admission measure.
+    /// or queued), until the loop reclaims them: counted against
+    /// `max_connections` and waited for on drain. Admission counts
+    /// [`ServerState::inflight`] instead, which a handler decrements
+    /// before its final write.
     checked_out: usize,
     /// Shutdown observed: listener deregistered, parked connections
     /// flushing out, loop exits when everything has drained.
@@ -839,12 +850,11 @@ impl EventLoop<'_> {
     /// Run the connection's state machine and apply the outcome: re-park
     /// with the right interest, dispatch to the pool, or close.
     fn drive(&mut self, index: usize) {
-        let inflight = self.checked_out;
         let outcome = {
             let Some(conn) = self.conns.get_mut(index) else {
                 return;
             };
-            progress(self.state, conn, inflight)
+            progress(self.state, conn)
         };
         match outcome {
             After::Keep => {
@@ -878,6 +888,7 @@ impl EventLoop<'_> {
                     return; // connection dies; nothing to hand the pool
                 }
                 self.checked_out += 1;
+                self.state.inflight.fetch_add(1, Ordering::SeqCst);
                 // The pool threads outlive the loop (they exit only when
                 // the job sender drops), so this send cannot fail here.
                 let _ = self.job_tx.send(Job { conn, work: job });
@@ -973,7 +984,7 @@ fn flush_write(conn: &mut Conn) -> bool {
 /// The per-connection state machine: serve every complete pipelined
 /// request in order (light routes inline, heavy routes via
 /// [`After::Dispatch`]), then flush and decide how the connection parks.
-fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
+fn progress(state: &ServerState, conn: &mut Conn) -> After {
     // Requests are consumed by offset and the buffer compacted once, after
     // the pass: draining each request would move every byte behind it,
     // quadratic in the pipeline depth.
@@ -996,7 +1007,7 @@ fn progress(state: &ServerState, conn: &mut Conn, inflight: usize) -> After {
                 let routed = Route::decode(request.method, request.path, request.body);
                 let (Ok(route) | Err(route)) = routed;
                 if routed.is_ok_and(|route| route.offloaded(request.body.len())) {
-                    if inflight >= state.max_inflight {
+                    if state.inflight.load(Ordering::SeqCst) >= state.max_inflight {
                         // Admission control: refuse the heavy request but
                         // keep the connection usable.
                         state.metrics.rejected(Rejection::MaxInflight);
@@ -1100,6 +1111,7 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
             keep_alive,
             trace,
         } = *work;
+        let mut admission = Admission(Some(&state.inflight));
         state.metrics.request_started();
         let started = Instant::now();
         // A panicking handler must not take its pool thread with it: the
@@ -1110,7 +1122,15 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
             let _trace = ecochip_trace::set_current_trace(trace);
             let span = ecochip_trace::span(route.span_name());
             let handled = panic::catch_unwind(AssertUnwindSafe(|| {
-                route_offloaded(state, route, &request, &mut conn.stream, keep_alive, &span)
+                route_offloaded(
+                    state,
+                    route,
+                    &request,
+                    &mut conn.stream,
+                    keep_alive,
+                    &span,
+                    &mut admission,
+                )
             }))
             .ok();
             drop(span);
@@ -1123,6 +1143,9 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
             );
             handled
         };
+        // A handler that never reached its final write (a panic, a peer
+        // gone before the stream started) gives the slot back here.
+        drop(admission);
         let status = handled.unwrap_or(500);
         state.metrics.observe(route, status, started.elapsed());
         // 499: the peer vanished mid-stream — nothing left to keep alive.
@@ -1130,6 +1153,29 @@ fn worker_loop(state: &ServerState, jobs: &Mutex<mpsc::Receiver<Job>>, done: mps
         let close = !keep_alive || status == 499 || handled.is_none();
         let _ = done.send(Done { conn, close });
         state.waker.wake();
+    }
+}
+
+/// A heavy request's claim on one of the `max_inflight` slots, taken by
+/// the event loop when it dispatches the request. The handler releases it
+/// once the response is produced, right before the final write (the whole
+/// reply, or a stream's terminal chunk), so by the time the client has
+/// read the response the slot is free again; dropping the claim releases
+/// it too. Holds [`ServerState::inflight`] until released.
+struct Admission<'a>(Option<&'a AtomicUsize>);
+
+impl Admission<'_> {
+    /// Give the slot back (once).
+    fn release(&mut self) {
+        if let Some(inflight) = self.0.take() {
+            inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -1280,12 +1326,17 @@ fn respond_overloaded(out: &mut Vec<u8>, message: &str, keep_alive: bool) {
 }
 
 /// Send a fixed-length reply on a checked-out socket: `reply` assembles
-/// it whole and it goes out in one `write_all`. The peer may already be
-/// gone; nothing useful can be done about a failed write, so the reply's
-/// status stands.
-fn send_reply(stream: &mut TcpStream, reply: impl FnOnce(&mut Vec<u8>) -> u16) -> u16 {
+/// it whole, the request's in-flight slot is released, and the reply goes
+/// out in one `write_all`. The peer may already be gone; nothing useful
+/// can be done about a failed write, so the reply's status stands.
+fn send_reply(
+    stream: &mut TcpStream,
+    admission: &mut Admission<'_>,
+    reply: impl FnOnce(&mut Vec<u8>) -> u16,
+) -> u16 {
     let mut message = Vec::new();
     let status = reply(&mut message);
+    admission.release();
     let _ = stream.write_all(&message);
     status
 }
@@ -1444,11 +1495,12 @@ fn route_offloaded(
     stream: &mut TcpStream,
     keep_alive: bool,
     span: &ecochip_trace::SpanGuard,
+    admission: &mut Admission<'_>,
 ) -> u16 {
     match route {
-        Route::Sweep => sweep(state, &request.body, stream, keep_alive, span),
-        Route::Optimize => optimize(state, &request.body, stream, keep_alive, span),
-        Route::EstimateBatch => send_reply(stream, |out| {
+        Route::Sweep => sweep(state, &request.body, stream, keep_alive, span, admission),
+        Route::Optimize => optimize(state, &request.body, stream, keep_alive, span, admission),
+        Route::EstimateBatch => send_reply(stream, admission, |out| {
             respond_batch(state, &request.body, out, keep_alive)
         }),
         // No other route is offloaded outside tests (`tests::PANIC_PATH`
@@ -1590,7 +1642,7 @@ impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
     /// points once the write succeeded.
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         repriced: &[bool],
     ) -> Result<(), EcoChipError> {
         self.prepare();
@@ -1633,6 +1685,7 @@ fn sweep(
     writer: &mut TcpStream,
     keep_alive: bool,
     span: &ecochip_trace::SpanGuard,
+    admission: &mut Admission<'_>,
 ) -> u16 {
     let timings = StageTimings::new();
     let decode_started = Instant::now();
@@ -1644,7 +1697,11 @@ fn sweep(
     });
     let (format, spec, slice) = match resolved {
         Ok(resolved) => resolved,
-        Err(error) => return send_reply(writer, |out| respond_error(out, &error, keep_alive)),
+        Err(error) => {
+            return send_reply(writer, admission, |out| {
+                respond_error(out, &error, keep_alive)
+            })
+        }
     };
     timings.record(Stage::Decode, decode_started.elapsed());
     let mut chunked = match start_stream(writer, format.content_type(), keep_alive) {
@@ -1686,7 +1743,7 @@ fn sweep(
     state
         .metrics
         .sweep_stream_finished(format, bytes, started.elapsed());
-    finish_stream(state, chunked, &timings, span)
+    finish_stream(state, chunked, &timings, span, admission)
 }
 
 /// Handle `POST /v1/optimize`: resolve, then run the requested search
@@ -1702,6 +1759,7 @@ fn optimize(
     writer: &mut TcpStream,
     keep_alive: bool,
     span: &ecochip_trace::SpanGuard,
+    admission: &mut Admission<'_>,
 ) -> u16 {
     let timings = StageTimings::new();
     let decode_started = Instant::now();
@@ -1709,7 +1767,11 @@ fn optimize(
         .and_then(|request| request.resolve(&state.estimator.config().techdb));
     let (spec, shard, config) = match resolved {
         Ok(resolved) => resolved,
-        Err(error) => return send_reply(writer, |out| respond_error(out, &error, keep_alive)),
+        Err(error) => {
+            return send_reply(writer, admission, |out| {
+                respond_error(out, &error, keep_alive)
+            })
+        }
     };
     timings.record(Stage::Decode, decode_started.elapsed());
     let mut chunked = match start_stream(writer, "application/x-ndjson", keep_alive) {
@@ -1754,7 +1816,7 @@ fn optimize(
         line.push('\n');
         let _ = chunked.chunk(line.as_bytes());
     }
-    finish_stream(state, chunked, &timings, span)
+    finish_stream(state, chunked, &timings, span, admission)
 }
 
 /// Start a streamed `200` response with the trace header, or return the
@@ -1778,12 +1840,14 @@ fn start_stream<'w>(
 /// plus synthetic child spans under this request's span so `/v1/trace`
 /// carries the breakdown. Stage spans hold *accumulated* worker time
 /// (estimate can exceed wall clock on a parallel sweep); consumers nest by
-/// parent linkage, not interval containment. Returns the response status.
+/// parent linkage, not interval containment. The request's in-flight slot
+/// is released before the terminal chunk. Returns the response status.
 fn finish_stream(
     state: &ServerState,
     chunked: http::ChunkedWriter<&mut TcpStream>,
     timings: &StageTimings,
     span: &ecochip_trace::SpanGuard,
+    admission: &mut Admission<'_>,
 ) -> u16 {
     let trace = ecochip_trace::current_trace();
     for stage in Stage::ALL {
@@ -1803,6 +1867,7 @@ fn finish_stream(
     // Every counter is bumped before the terminal chunk: a client that
     // sees end-of-stream and immediately polls `/metrics` (answered on the
     // event loop, not this thread) must find them already bumped.
+    admission.release();
     let _ = chunked.finish();
     200
 }

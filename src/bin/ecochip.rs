@@ -342,9 +342,11 @@ impl StreamFormat {
 /// The sink of a classic-front-end sweep: the `--stream` output on one
 /// locked, buffered stdout writer, the incremental `--csv` file of a
 /// streaming run, and the points a summary table or `--json` export
-/// needs. Per point the only work is encoding into a reused buffer and a
-/// copy into the writer. JSON lines go through the same [`LineEncoder`]
-/// as the HTTP sweep stream, so the two diff clean (CI checks it).
+/// needs. Per point the only work is encoding the borrowed point into a
+/// reused buffer and a copy into the writer; a point is cloned out of the
+/// engine's slot only when it is collected. JSON lines go through the
+/// same [`LineEncoder`] as the HTTP sweep stream, so the two diff clean
+/// (CI checks it).
 struct SweepOutput {
     stream: Option<(
         StreamFormat,
@@ -359,17 +361,17 @@ struct SweepOutput {
 }
 
 impl SweepOutput {
-    fn accept(&mut self, point: SweepPoint, repriced: bool) -> Result<(), eco_chip::EcoChipError> {
+    fn accept(&mut self, point: &SweepPoint, repriced: bool) -> Result<(), eco_chip::EcoChipError> {
         use std::io::Write;
         if let Some((format, out)) = &mut self.stream {
             let line = match format {
                 StreamFormat::Csv => {
                     self.line.clear();
-                    push_csv_row(&mut self.line, &point);
+                    push_csv_row(&mut self.line, point);
                     &self.line
                 }
                 StreamFormat::JsonLines => {
-                    self.encoder.encode(&point, repriced).map_err(|error| {
+                    self.encoder.encode(point, repriced).map_err(|error| {
                         eco_chip::EcoChipError::Io(format!(
                             "writing JSON-lines stream: serializing sweep point {:?}: {error}",
                             point.label
@@ -383,12 +385,12 @@ impl SweepOutput {
         }
         if let Some(file) = &mut self.csv_file {
             self.line.clear();
-            push_csv_row(&mut self.line, &point);
+            push_csv_row(&mut self.line, point);
             writeln!(file, "{}", self.line)
                 .map_err(|e| eco_chip::EcoChipError::Io(format!("writing sweep CSV: {e}")))?;
         }
         if self.collect {
-            self.points.push(point);
+            self.points.push(point.clone());
         }
         Ok(())
     }
@@ -397,10 +399,10 @@ impl SweepOutput {
 impl SweepSink for SweepOutput {
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         repriced: &[bool],
     ) -> Result<(), eco_chip::EcoChipError> {
-        for (point, &repriced) in points.into_iter().zip(repriced) {
+        for (point, &repriced) in points.iter().zip(repriced) {
             self.accept(point, repriced)?;
         }
         Ok(())

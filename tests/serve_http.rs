@@ -1517,6 +1517,45 @@ fn saturated_inflight_limit_yields_429_with_retry_after() {
 }
 
 #[test]
+fn a_pool_answered_response_read_in_full_frees_its_inflight_slot() {
+    // At `max_inflight: 1`, a heavy request sent the moment the previous
+    // pool-answered response has been read in full must be admitted: the
+    // handler gives its slot back before its final write, not when the
+    // event loop later reclaims the connection. The pool-answered request
+    // alternates between a streamed sweep and a batch one byte past what
+    // the loop answers inline.
+    const READ_CHUNK: usize = 16 * 1024;
+    let (handle, addr) = boot(ServeConfig {
+        max_inflight: 1,
+        threads: 2,
+        ..default_config()
+    });
+    let sweep = r#"{"testcase":"ga102","axis":"lifetime"}"#;
+    let items = r#"{"testcase":"ga102"},{"testcase":"a15"}"#;
+    let batch = format!("[{}{items}]", " ".repeat(READ_CHUNK + 1 - items.len() - 2));
+    assert_eq!(batch.len(), READ_CHUNK + 1);
+    let mut first = client::Connection::open(&addr).unwrap();
+    let mut second = client::Connection::open(&addr).unwrap();
+    for attempt in 0..100 {
+        let (path, body) = if attempt % 2 == 0 {
+            ("/v1/sweep", sweep)
+        } else {
+            ("/v1/estimate", batch.as_str())
+        };
+        let answered = first.post_json(path, body).unwrap();
+        assert_eq!(
+            answered.status,
+            200,
+            "attempt {attempt}: {:?}",
+            answered.text()
+        );
+        let next = second.post_json("/v1/sweep", sweep).unwrap();
+        assert_eq!(next.status, 200, "attempt {attempt}: {:?}", next.text());
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn batches_up_to_one_read_are_answered_inline_and_larger_ones_on_the_pool() {
     use std::io::Read;
     // The event loop's read size: the largest batch body it answers inline.

@@ -67,14 +67,17 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per point of the whole stream below (engine, encoder and
-/// wire buffer), measured when the line encoder was introduced: 11,407
-/// allocations over the 1,024 points, in debug and release builds alike.
-/// Nearly all are the engine's per-point clones: the joined label, the
-/// case's system (name, chiplet list, three chiplet names) and the report
-/// kept to re-price the next step (name, chiplet list, three names). A
-/// change that adds per-point allocations fails here; one that removes
-/// some should lower the pin.
-const PINNED_PER_POINT: f64 = 11.14;
+/// wire buffer): 446 allocations over the 1,024 points, in debug and
+/// release builds alike (11,407 while the engine built every point as a
+/// fresh owned value). The engine fills one batch of reused point slots,
+/// so nearly all that remain are the first chunk's 32 slots growing to
+/// the system's size (11 each: the label, the system's name, chiplet list
+/// and three chiplet names, the report's name, chiplet list and three
+/// names); the rest are the first point's full estimate and the stream's
+/// set-up (cursor, walker, slot lists, encoder and wire buffers). No point
+/// after the first chunk allocates. A change that adds per-point
+/// allocations fails here; one that removes some should lower the pin.
+const PINNED_PER_POINT: f64 = 0.436;
 
 /// The NDJSON sink of the HTTP sweep stream in miniature: each batch is
 /// encoded line by line into one reused wire buffer. It records the
@@ -90,7 +93,7 @@ struct WireSink {
 impl SweepSink for WireSink {
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         repriced: &[bool],
     ) -> Result<(), EcoChipError> {
         self.wire.clear();
@@ -132,6 +135,7 @@ fn a_scalar_sweep_stream_allocates_nothing_per_re_priced_line() {
         .stream(&estimator, &spec, Shard::FULL, &context, None, &mut sink)
         .unwrap();
     let per_point = (allocations() - before) as f64 / emitted as f64;
+    println!("{per_point:.3} allocations per point");
     assert_eq!(emitted, 1024);
     // Every step is a scalar step; only the first of each 32-point claim
     // is unmarked.

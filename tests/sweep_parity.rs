@@ -325,15 +325,18 @@ struct EncodedLines {
     encoder: LineEncoder,
     /// `(encoded, derived, marked)` per point.
     lines: Vec<(String, String, bool)>,
+    /// The length of every batch, in order.
+    batches: Vec<usize>,
 }
 
 impl SweepSink for EncodedLines {
     fn accept_batch(
         &mut self,
-        points: Vec<SweepPoint>,
+        points: &[SweepPoint],
         repriced: &[bool],
     ) -> Result<(), EcoChipError> {
         assert_eq!(points.len(), repriced.len());
+        self.batches.push(points.len());
         for (point, &marked) in points.iter().zip(repriced) {
             let line = self
                 .encoder
@@ -406,7 +409,10 @@ proptest! {
 }
 
 /// A stream that fails mid-way still encodes every line before the
-/// failing case exactly, whatever the worker count and claim size.
+/// failing case exactly, whatever the worker count and claim size: at 3
+/// points a claim the failure falls inside the second claim, whose slots
+/// past it still hold the first claim's points, and only the points
+/// before the failure are emitted, each as a cold estimate encodes it.
 #[test]
 fn encoded_lines_before_a_failing_case_match_the_derived_serializer() {
     // One digital chiplet of this budget is larger than the wafer, so the
@@ -420,6 +426,7 @@ fn encoded_lines_before_a_failing_case_match_the_derived_serializer() {
             counts: vec![16, 1],
         })
         .axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 3.0, 4.0]));
+    let cold: Vec<String> = (0..4).map(|index| cold_line(&spec, index)).collect();
     for jobs in [1usize, 2, 4] {
         for chunk in [1, 3, 32] {
             let mut sink = EncodedLines::default();
@@ -447,8 +454,9 @@ fn encoded_lines_before_a_failing_case_match_the_derived_serializer() {
                 4 - 4usize.div_ceil(chunk),
                 "jobs {jobs}, chunk {chunk}"
             );
-            for (line, derived, _) in &sink.lines {
+            for ((line, derived, _), cold) in sink.lines.iter().zip(&cold) {
                 assert_eq!(line, derived, "jobs {jobs}, chunk {chunk}");
+                assert_eq!(line, cold, "jobs {jobs}, chunk {chunk}");
             }
         }
     }
@@ -516,6 +524,75 @@ proptest! {
                         );
                         prop_assert_eq!(&point.report, expected);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The derived encoding of a cold, memo-free estimate of case `index`.
+fn cold_line(spec: &SweepSpec, index: usize) -> String {
+    let case = spec.case_at(index).unwrap();
+    let report = EcoChip::default().estimate(&case.system).unwrap();
+    serde_json::to_string(&SweepPoint {
+        label: case.label(),
+        system: case.system,
+        report,
+    })
+    .unwrap()
+}
+
+/// The engine refills its point slots chunk after chunk. A slot refilled
+/// with a system of another chiplet count, or left stale past a shorter
+/// tail chunk, must never leak into a line or a batch: every streamed
+/// line equals the derived encoding of a cold estimate of its case, and
+/// every batch is exactly the points evaluated for it.
+#[test]
+fn refilled_point_slots_stream_exactly_their_cases() {
+    let db = TechDb::default();
+    let base = ga102::three_chiplet_system(&db, NodeTuple::uniform(TechNode::N7)).unwrap();
+    let spec = SweepSpec::new(base)
+        .axis(SweepAxis::ChipletCounts {
+            blocks: ga102::soc_blocks(&db).unwrap(),
+            nodes: NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+            counts: (1..=16).collect(),
+        })
+        .axis(SweepAxis::lifetimes_years(&[1.0, 2.5, 4.0]));
+    let total = spec.len();
+    assert_eq!(total, 48);
+    let cold: Vec<String> = (0..total).map(|index| cold_line(&spec, index)).collect();
+    for jobs in [1usize, 2] {
+        for chunk in [1usize, 3, 32] {
+            // The full space ends in a 16-point tail at 32 points a claim;
+            // from index 5 every claim size leaves a shorter tail.
+            for range in [0..total, 5..total] {
+                let mut sink = EncodedLines::default();
+                let emitted = SweepEngine::with_jobs(jobs)
+                    .with_chunk(chunk)
+                    .stream(
+                        &EcoChip::default(),
+                        &spec,
+                        range.clone(),
+                        &SweepContext::new(),
+                        None,
+                        &mut sink,
+                    )
+                    .unwrap();
+                let at = format!("jobs {jobs}, chunk {chunk}, {range:?}");
+                assert_eq!(emitted, range.len(), "{at}");
+                let expected: Vec<usize> = range
+                    .clone()
+                    .step_by(chunk)
+                    .map(|start| chunk.min(range.end - start))
+                    .collect();
+                assert_eq!(sink.batches, expected, "{at}");
+                assert_eq!(sink.lines.len(), range.len(), "{at}");
+                for (index, (line, _, _)) in range.clone().zip(&sink.lines) {
+                    assert!(
+                        line == &cold[index],
+                        "case {index} ({at}):\n{line}\n{}",
+                        cold[index]
+                    );
                 }
             }
         }
