@@ -89,11 +89,6 @@ impl<'a> ManufacturingModel<'a> {
         self.fab_source
     }
 
-    /// Whether the wafer-periphery wastage term is included.
-    pub fn includes_wastage(&self) -> bool {
-        self.include_wastage
-    }
-
     /// Fingerprint of everything besides the die area that influences
     /// [`ManufacturingModel::chiplet_cfp`] for `node`: the node's
     /// manufacturing parameters from the technology database plus the

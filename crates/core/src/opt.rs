@@ -684,10 +684,10 @@ fn scalar_energy(values: &[f64]) -> f64 {
 
 /// The state the budget-bounded explorers share; each explorer only
 /// decides which index to visit next. Cases are decoded through one
-/// [`CaseWalker`], evaluated serially through the engine's
-/// [`CaseEvaluator`] and scored with the base estimator, as [`ParetoSink`]
-/// does, which is what makes explorer trajectories independent of worker
-/// counts.
+/// [`CaseWalker`], priced serially through the engine's [`CaseEvaluator`]
+/// and scored, borrowed from the walker, with the base estimator, as
+/// [`ParetoSink`] does, which is what makes explorer trajectories
+/// independent of worker counts.
 struct Explorer<'a> {
     method: OptMethod,
     island: Option<usize>,
@@ -706,12 +706,12 @@ impl Explorer<'_> {
     /// Evaluate and score case `index`, offer it to the frontier, and
     /// report an improvement on the first visit or a lower scalar energy.
     fn visit(&mut self, index: usize) -> Result<Evaluated, EcoChipError> {
-        let (point, _) = self.cases.evaluate(&mut self.walker, index)?;
+        let priced = self.cases.price(&mut self.walker, index)?;
         let values = self
             .objectives
-            .score(self.estimator, &point.system, &point.report)?;
+            .score(self.estimator, &priced.case.system, &priced.report)?;
         let scored = Evaluated {
-            point: FrontierPoint::new(index, point.label, self.objectives, &values),
+            point: FrontierPoint::new(index, priced.case.label(), self.objectives, &values),
             energy: scalar_energy(&values),
         };
         self.evaluated += 1;

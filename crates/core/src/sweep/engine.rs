@@ -1,20 +1,25 @@
 //! The parallel, memoizing, streaming sweep evaluator.
 //!
-//! The engine is built around a bounded work queue: workers claim case
+//! The engine is built around a bounded work queue: `jobs` evaluating
+//! threads, the calling thread and `jobs − 1` helpers, claim chunks of case
 //! *indices* (never a materialized case list), decode each case lazily with
-//! a per-worker cursor (an odometer over the axis digits that re-applies
-//! only the axes whose digit changed since the worker's previous case, so
+//! a per-thread cursor (an odometer over the axis digits that re-applies
+//! only the axes whose digit changed since the thread's previous case, so
 //! decoding a contiguous chunk mostly touches the last axis alone),
-//! evaluate it against the shared [`SweepContext`],
-//! and lend the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`]
-//! in deterministic row-major order.
+//! evaluate it against the shared [`SweepContext`], and park the chunks
+//! that are not yet due. The calling thread lends the resulting
+//! [`SweepPoint`]s to a caller-supplied [`SweepSink`] in deterministic
+//! row-major order, and evaluates a chunk of its own whenever the chunk at
+//! its emit cursor is not parked yet. With one job there is no helper: the
+//! calling thread claims, evaluates and emits every chunk in turn through
+//! the same loop.
 //!
 //! A step that changed only trailing scalar axes (lifetimes and volumes,
-//! [`SweepAxis::is_scalar`]) is not re-estimated: the worker re-prices the
+//! [`SweepAxis::is_scalar`]) is not re-estimated: the thread re-prices the
 //! report it kept from its previous point in place, re-running only the
 //! estimator's pricing step (the design amortization and the lifetime),
 //! the step every full estimate ends with, so the two paths agree bit for
-//! bit. The memo is consulted on a worker's first point and on structural
+//! bit. The memo is consulted on a thread's first point and on structural
 //! steps only.
 //!
 //! Points are written into reusable slots: each claimed chunk fills a
@@ -24,7 +29,7 @@
 //! be refilled by a later chunk. A streamed point therefore allocates
 //! nothing once the slots have grown to the sweep's largest system.
 //!
-//! A reorder window of `O(workers)` points provides backpressure, so
+//! A reorder window of `O(jobs)` chunks provides backpressure, so
 //! streaming a million-point space holds only a handful of points in
 //! memory at any time. [`SweepEngine::stream`] is the one entry point;
 //! [`SweepEngine::run`] is its collect-to-`Vec` special case.
@@ -46,10 +51,10 @@ use crate::sweep::{
     Shard, SweepCase, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec,
 };
 
-/// Default number of contiguous case indices a worker claims per queue
+/// Default number of contiguous case indices a thread claims per queue
 /// round-trip. Large enough to amortize the Mutex+Condvar traffic to
 /// O(points/K), small enough that the reorder window (O(jobs × chunk)
-/// points) stays tiny and load stays balanced across workers.
+/// points) stays tiny and load stays balanced across threads.
 pub const DEFAULT_CHUNK: usize = 32;
 
 /// Receives evaluated sweep points, in the spec's deterministic case order,
@@ -112,7 +117,7 @@ pub trait SweepSink {
     /// only in its label, its system's lifetime and volumes, and its
     /// report's design, comm design and lifetime. A batch's first point
     /// is never marked, so a flag never spans the chunk boundaries where
-    /// parallel workers interleave. A [`LineEncoder`] reads the flags to
+    /// evaluating threads interleave. A [`LineEncoder`] reads the flags to
     /// rewrite only those values of the previous line.
     ///
     /// [`LineEncoder`]: crate::sweep::LineEncoder
@@ -133,14 +138,14 @@ impl<F: FnMut(SweepPoint) -> Result<(), EcoChipError>> SweepSink for F {
     }
 }
 
-/// Evaluates the points of a [`SweepSpec`] across worker threads, sharing one
-/// [`SweepContext`] memo so stage results common to several points are
-/// computed once.
+/// Evaluates the points of a [`SweepSpec`] on `jobs` threads, the calling
+/// thread included, sharing one [`SweepContext`] memo so stage results
+/// common to several points are computed once.
 ///
 /// Results are produced in the spec's deterministic case order regardless of
-/// the worker count, and every report is bit-for-bit identical to what the
-/// serial path ([`SweepEngine::serial`]) produces. [`SweepEngine::stream`]
-/// holds only an `O(workers)` reorder window in memory; [`SweepEngine::run`]
+/// the job count, and every report is bit-for-bit identical to what a
+/// single-job engine ([`SweepEngine::serial`]) produces. [`SweepEngine::stream`]
+/// holds only an `O(jobs)` reorder window in memory; [`SweepEngine::run`]
 /// is the same pipeline with a collect-to-`Vec` sink.
 ///
 /// ```
@@ -175,8 +180,8 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine with one worker per unit of the machine's available
-    /// parallelism.
+    /// An engine with one evaluating thread per unit of the machine's
+    /// available parallelism, the calling thread included.
     pub fn new() -> Self {
         Self::with_jobs(
             std::thread::available_parallelism()
@@ -185,13 +190,15 @@ impl SweepEngine {
         )
     }
 
-    /// A single-worker engine — the reference serial path.
+    /// A single-job engine: the calling thread evaluates and emits every
+    /// chunk, and no helper thread is started.
     pub fn serial() -> Self {
         Self::with_jobs(1)
     }
 
-    /// An engine with an explicit worker count (clamped to at least 1) and
-    /// the [`DEFAULT_CHUNK`] claim size.
+    /// An engine with `jobs` evaluating threads (clamped to at least 1):
+    /// the calling thread and `jobs − 1` helpers, with the
+    /// [`DEFAULT_CHUNK`] claim size.
     pub fn with_jobs(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
@@ -199,7 +206,7 @@ impl SweepEngine {
         }
     }
 
-    /// An engine from an optional worker count: pinned when `Some` (a
+    /// An engine from an optional job count: pinned when `Some` (a
     /// `--jobs` flag, a config field), the [`SweepEngine::new`] default
     /// otherwise. The one place the "flag set or not" decision lives, so
     /// every front end resolves it identically.
@@ -210,7 +217,7 @@ impl SweepEngine {
         }
     }
 
-    /// Pin the number of contiguous case indices a worker claims per queue
+    /// Pin the number of contiguous case indices a thread claims per queue
     /// round-trip (clamped to at least 1). Chunking only changes lock and
     /// wakeup traffic — emission order and every emitted byte stay
     /// identical for any chunk size.
@@ -219,7 +226,7 @@ impl SweepEngine {
         self
     }
 
-    /// The configured worker count.
+    /// The configured number of evaluating threads.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -289,17 +296,22 @@ impl SweepEngine {
     /// * When `timings` is `Some`, each point's estimator call is measured
     ///   into [`StageTimings`]; `None` costs one branch per point.
     ///
-    /// Workers pull case indices, decode and evaluate them, and park the
-    /// results in a bounded reorder window the calling thread drains in
-    /// order into `sink`: at most `O(workers)` points are in flight, so the
-    /// full product is never held in memory.
+    /// `jobs` threads claim chunks of case indices, decode and evaluate
+    /// them: the calling thread and `jobs − 1` helpers, capped at one
+    /// thread per chunk. The calling thread emits chunks in order into
+    /// `sink`; when the chunk at its cursor is not ready, it claims and
+    /// evaluates the next one itself, emitting it at once when it is the
+    /// one due and parking it otherwise, as helpers park theirs. A bounded
+    /// reorder window keeps `O(jobs)` chunks in flight, so the full
+    /// product is never held in memory. With one job no helper (and no
+    /// thread scope) is started.
     ///
     /// # Errors
     ///
     /// Returns the [`SweepSpec::validate`] error of a refused spec before
     /// the first point, [`EcoChipError::InvalidSystem`] for an
     /// out-of-bounds range, the estimator error of the lowest-index failing
-    /// point (every point before it is emitted first, whatever the worker
+    /// point (every point before it is emitted first, whatever the job
     /// count), or the first error returned by `sink`.
     pub fn stream<S: SweepSink + ?Sized>(
         &self,
@@ -312,152 +324,71 @@ impl SweepEngine {
     ) -> Result<usize, EcoChipError> {
         let mut walker = CaseWalker::new(spec)?;
         let range = slice.into().range(walker.total())?;
-        let count = range.len();
-        if count == 0 {
+        if range.is_empty() {
             return Ok(0);
         }
-
         let cases = CaseEvaluator::new(estimator, context, timings);
-
-        let jobs = self.jobs.min(count);
-        let chunk = self.chunk.max(1);
-        if jobs == 1 {
-            // Reference serial path: evaluate and emit in chunk-sized
-            // batches so batch-optimized sinks (one write per batch) get
-            // the same bulk entry point the parallel path uses. One batch
-            // of slots serves the whole stream.
-            let mut results = ChunkResults::default();
-            let mut emitted = 0usize;
-            let mut next = range.start;
-            while next < range.end {
-                let stop = next.saturating_add(chunk).min(range.end);
-                cases.evaluate_chunk(&mut walker, next..stop, &mut results);
-                emitted += emit_chunk(sink, &mut results)?;
-                next = stop;
-            }
-            return Ok(emitted);
-        }
-
-        // Workers may run at most `window` points ahead of the emit cursor
-        // (two chunks in flight per worker), which bounds the reorder
-        // buffer to O(jobs × chunk) points.
-        let window = jobs * chunk * 2;
+        let chunk = self.chunk;
+        // The caller evaluates too, so `jobs` threads take one helper
+        // fewer; a helper without a chunk of its own would only wait.
+        let helpers = self.jobs.min(range.len().div_ceil(chunk)) - 1;
         let queue = ReorderQueue {
             state: Mutex::new(ReorderState {
                 next_claim: range.start,
                 next_emit: range.start,
-                buffer: HashMap::with_capacity(jobs * 2),
-                spare: Vec::with_capacity(jobs * 2),
+                buffer: HashMap::new(),
+                spare: Vec::new(),
+                waiting: 0,
                 aborted: false,
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
+            range,
+            chunk,
+            // Claims may run at most two chunks per thread ahead of the
+            // emit cursor, which bounds the reorder buffer to
+            // O(jobs × chunk) points.
+            window: (helpers + 1) * chunk * 2,
         };
-        let end = range.end;
-
+        if helpers == 0 {
+            // Nothing to join: a scope would only allocate its state.
+            return queue.emit(&cases, &mut walker, sink);
+        }
         std::thread::scope(|scope| {
-            for _ in 0..jobs {
+            for _ in 0..helpers {
                 let mut walker = walker.clone();
                 let (cases, queue) = (&cases, &queue);
-                scope.spawn(move || loop {
-                    let (start, stop, mut results) = {
-                        let mut state = queue.state.lock().expect("sweep queue");
-                        loop {
-                            if state.aborted || state.next_claim >= end {
-                                return;
-                            }
-                            if state.next_claim < state.next_emit + window {
-                                break;
-                            }
-                            state = queue.space.wait(state).expect("sweep queue");
-                        }
-                        let start = state.next_claim;
-                        // Chunks auto-clamp at the range end, so shard
-                        // boundaries and short tails never over-claim.
-                        let stop = start.saturating_add(chunk).min(end);
-                        state.next_claim = stop;
-                        (start, stop, state.spare.pop().unwrap_or_default())
-                    };
-                    // Evaluate the whole chunk without touching the queue:
-                    // one claim + one insert per K points instead of per
-                    // point. On an error, stop at the failing index — the
-                    // emitter drains chunks in order, so the lowest-index
-                    // error still surfaces first.
-                    cases.evaluate_chunk(&mut walker, start..stop, &mut results);
-                    let mut state = queue.state.lock().expect("sweep queue");
-                    if results.failure.is_some() {
-                        // Stop claiming new chunks; everything below `start`
-                        // is already claimed, so the emitter still surfaces
-                        // the lowest-index error.
-                        state.aborted = true;
-                        queue.space.notify_all();
-                    }
-                    let notify = start == state.next_emit;
-                    state.buffer.insert(start, results);
-                    drop(state);
-                    if notify {
-                        queue.ready.notify_one();
-                    }
-                });
+                scope.spawn(move || queue.help(cases, &mut walker));
             }
-
-            // The calling thread is the emitter: drain chunks in start-index
-            // order so the sink observes the deterministic case order.
-            let outcome = (|| {
-                let mut emitted = 0usize;
-                let mut cursor = range.start;
-                while cursor < end {
-                    let mut results = {
-                        let mut state = queue.state.lock().expect("sweep queue");
-                        loop {
-                            if let Some(results) = state.buffer.remove(&cursor) {
-                                break results;
-                            }
-                            state = queue.ready.wait(state).expect("sweep queue");
-                        }
-                    };
-                    emitted += emit_chunk(sink, &mut results)?;
-                    cursor = cursor.saturating_add(chunk).min(end);
-                    let mut state = queue.state.lock().expect("sweep queue");
-                    state.next_emit = cursor;
-                    // The drained slots go back for a worker to refill.
-                    state.spare.push(results);
-                    drop(state);
-                    // Advancing the window admits exactly one new chunk
-                    // claim, so wake one parked worker; stragglers parked
-                    // after the last emit are released by the notify_all
-                    // below.
-                    queue.space.notify_one();
-                }
-                Ok(emitted)
-            })();
-
-            // On early exit (evaluation or sink error) wake every parked
-            // worker so the scope can join them.
-            let mut state = queue.state.lock().expect("sweep queue");
-            state.aborted = true;
-            drop(state);
+            let outcome = queue.emit(&cases, &mut walker, sink);
+            // On early exit (evaluation or sink error) wake every waiting
+            // helper so the scope can join them.
+            queue.state.lock().expect("sweep queue").aborted = true;
             queue.space.notify_all();
             outcome
         })
     }
 }
 
-/// Bookkeeping shared between the workers and the emitting thread.
+/// Bookkeeping shared between the helpers and the calling thread.
 struct ReorderState {
-    /// Next index to hand to a worker (chunk claims advance it by up to
-    /// the chunk size at a time).
+    /// Next index to claim (chunk claims advance it by up to the chunk
+    /// size at a time).
     next_claim: usize,
-    /// Next index the emitter will pass to the sink.
+    /// Next index the calling thread will pass to the sink.
     next_emit: usize,
     /// Out-of-order chunk results keyed by chunk start index, parked until
     /// their turn (bounded by the window).
     buffer: HashMap<usize, ChunkResults>,
-    /// Drained chunk results whose slots a worker refills on its next
-    /// claim. Every chunk in the buffer or on its way there was claimed
-    /// inside the window, so at most `window / chunk + 1` batches exist.
+    /// Drained chunk results whose slots the next parking thread takes
+    /// back to refill. Every chunk in the buffer or on its way there was
+    /// claimed inside the window, so at most `window / chunk + jobs`
+    /// batches exist.
     spare: Vec<ChunkResults>,
-    /// Set on evaluation/sink errors so workers stop claiming chunks.
+    /// Helpers waiting for the window to advance. A wake-up is a system
+    /// call, so the calling thread makes one only when someone waits.
+    waiting: usize,
+    /// Set on evaluation/sink errors so no thread claims another chunk.
     aborted: bool,
 }
 
@@ -480,8 +411,8 @@ struct ChunkResults {
 
 /// Lend a chunk's points to `sink` as one batch, then surface the chunk's
 /// error, if any, so a failing case is reported after every point before
-/// it — on the serial and the parallel path alike. Returns the number of
-/// points emitted.
+/// it, whichever thread evaluated the chunk. Returns the number of points
+/// emitted.
 fn emit_chunk<S: SweepSink + ?Sized>(
     sink: &mut S,
     results: &mut ChunkResults,
@@ -496,19 +427,151 @@ fn emit_chunk<S: SweepSink + ?Sized>(
     }
 }
 
+/// The claim queue and reorder window of one stream. The calling thread
+/// and the helpers claim chunks from it and park the ones that are not
+/// yet due; the calling thread alone drains it into the sink.
 struct ReorderQueue {
     state: Mutex<ReorderState>,
-    /// Signals the emitter that the next in-order chunk arrived.
+    /// Signals the calling thread that the chunk at the cursor was parked.
     ready: Condvar,
-    /// Signals workers that the reorder window advanced.
+    /// Signals helpers that the reorder window advanced.
     space: Condvar,
+    /// The streamed range of case indices.
+    range: std::ops::Range<usize>,
+    chunk: usize,
+    /// How far past the emit cursor a claim may reach.
+    window: usize,
 }
 
-/// One worker's walk through a spec's cases: its decoding
+/// The calling thread's next step: emit a parked chunk, or evaluate a
+/// claimed one.
+enum Turn {
+    Emit(ChunkResults),
+    Evaluate(std::ops::Range<usize>),
+}
+
+impl ReorderQueue {
+    /// Claim the next chunk if the window admits one. Chunks clamp at the
+    /// range end, so shard boundaries and short tails never over-claim.
+    fn claim(&self, state: &mut ReorderState) -> Option<std::ops::Range<usize>> {
+        let start = state.next_claim;
+        if state.aborted || start >= self.range.end || start >= state.next_emit + self.window {
+            return None;
+        }
+        state.next_claim = start.saturating_add(self.chunk).min(self.range.end);
+        Some(start..state.next_claim)
+    }
+
+    /// Park an evaluated chunk until its turn, and take back a spare batch
+    /// of slots to fill next. A failed chunk stops every further claim;
+    /// everything below it is already claimed, so the lowest-index error
+    /// still surfaces first.
+    fn park(&self, start: usize, results: ChunkResults) -> ChunkResults {
+        let mut state = self.state.lock().expect("sweep queue");
+        if results.failure.is_some() {
+            state.aborted = true;
+            self.space.notify_all();
+        }
+        let due = start == state.next_emit;
+        state.buffer.insert(start, results);
+        let spare = state.spare.pop().unwrap_or_default();
+        drop(state);
+        if due {
+            self.ready.notify_one();
+        }
+        spare
+    }
+
+    /// A helper's loop: claim a chunk, evaluate it without touching the
+    /// queue (one claim and one park per chunk, not per point), park it;
+    /// wait while the window is full, stop once every chunk is claimed.
+    fn help(&self, cases: &CaseEvaluator<'_>, walker: &mut CaseWalker<'_>) {
+        let mut results = ChunkResults::default();
+        loop {
+            let claim = {
+                let mut state = self.state.lock().expect("sweep queue");
+                loop {
+                    if let Some(claim) = self.claim(&mut state) {
+                        break claim;
+                    }
+                    if state.aborted || state.next_claim >= self.range.end {
+                        return;
+                    }
+                    state.waiting += 1;
+                    state = self.space.wait(state).expect("sweep queue");
+                    state.waiting -= 1;
+                }
+            };
+            cases.evaluate_chunk(walker, claim.clone(), &mut results);
+            results = self.park(claim.start, results);
+        }
+    }
+
+    /// The calling thread's loop: emit chunks in start-index order, so the
+    /// sink observes the deterministic case order, and evaluate a chunk of
+    /// its own whenever the one at the cursor is not parked yet. Its chunk
+    /// at the cursor goes straight to the sink; any other is parked.
+    fn emit<S: SweepSink + ?Sized>(
+        &self,
+        cases: &CaseEvaluator<'_>,
+        walker: &mut CaseWalker<'_>,
+        sink: &mut S,
+    ) -> Result<usize, EcoChipError> {
+        let (mut own, mut drained) = (ChunkResults::default(), None);
+        let mut emitted = 0usize;
+        let mut cursor = self.range.start;
+        while cursor < self.range.end {
+            let mut parked = match self.turn(cursor, drained.take()) {
+                Turn::Emit(results) => Some(results),
+                Turn::Evaluate(claim) => {
+                    cases.evaluate_chunk(walker, claim.clone(), &mut own);
+                    if claim.start != cursor {
+                        own = self.park(claim.start, own);
+                        continue;
+                    }
+                    None
+                }
+            };
+            emitted += emit_chunk(sink, parked.as_mut().unwrap_or(&mut own))?;
+            cursor = cursor.saturating_add(self.chunk).min(self.range.end);
+            drained = parked;
+        }
+        Ok(emitted)
+    }
+
+    /// Move the emit cursor to `cursor` and give back the `drained` parked
+    /// slots for a parking thread to take, then wait until the chunk at
+    /// `cursor` is parked or a chunk can be claimed, whichever comes first.
+    fn turn(&self, cursor: usize, drained: Option<ChunkResults>) -> Turn {
+        let mut state = self.state.lock().expect("sweep queue");
+        state.spare.extend(drained);
+        if state.next_emit != cursor {
+            state.next_emit = cursor;
+            // Advancing the window admits exactly one new chunk claim, so
+            // wake one waiting helper; helpers still waiting after the last
+            // emit are released when the stream ends.
+            if state.waiting > 0 {
+                self.space.notify_one();
+            }
+        }
+        loop {
+            if let Some(results) = state.buffer.remove(&cursor) {
+                return Turn::Emit(results);
+            }
+            if let Some(claim) = self.claim(&mut state) {
+                return Turn::Evaluate(claim);
+            }
+            state = self.ready.wait(state).expect("sweep queue");
+        }
+    }
+}
+
+/// One evaluating thread's walk through a spec's cases: its decoding
 /// [`SweepCursor`] and, when the spec ends in scalar axes
 /// ([`SweepAxis::is_scalar`]), the report and [`PriceBasis`] of its last
 /// successful evaluation, whose report the next scalar step re-prices in
-/// place. Each engine worker and each optimizer explorer owns one.
+/// place. Each evaluating thread of the engine and each optimizer
+/// explorer owns one.
 ///
 /// [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 #[derive(Debug, Clone)]
@@ -553,7 +616,7 @@ impl<'a> CaseWalker<'a> {
 /// Evaluates single cases of one spec: decode through the caller's
 /// [`CaseWalker`], pick the estimator for the case's fab-source override,
 /// estimate against the shared memo (timed when `timings` is set) and label
-/// the point. The evaluator is shared; each engine worker and each
+/// the point. The evaluator is shared; each evaluating thread and each
 /// optimizer explorer owns one walker, so a case scores the same whichever
 /// path visits it.
 ///
@@ -584,19 +647,6 @@ impl<'a> CaseEvaluator<'a> {
             timings,
             variants: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Evaluate case `index` of the walker's spec into a new point, and say
-    /// whether the point was re-priced from the walker's previous point.
-    /// A report the walker does not keep moves into the point.
-    pub(crate) fn evaluate(
-        &self,
-        walker: &mut CaseWalker<'_>,
-        index: usize,
-    ) -> Result<(SweepPoint, bool), EcoChipError> {
-        let priced = self.price(walker, index)?;
-        let repriced = priced.repriced;
-        Ok((priced.into_point(), repriced))
     }
 
     /// Evaluate the cases of `indices` in order into `results`' slots,
@@ -642,8 +692,10 @@ impl<'a> CaseEvaluator<'a> {
 
     /// Decode case `index` through the walker, pick the estimator for its
     /// fab-source override and price it: re-price the walker's kept report
-    /// in place on a scalar step, estimate in full otherwise.
-    fn price<'w>(
+    /// in place on a scalar step, estimate in full otherwise. The case and
+    /// its report stay borrowed from the walker, so a caller that only
+    /// reads them copies nothing.
+    pub(crate) fn price<'w>(
         &self,
         walker: &'w mut CaseWalker<'_>,
         index: usize,
@@ -704,9 +756,9 @@ impl<'a> CaseEvaluator<'a> {
 
 /// One priced case, borrowed from its walker: the decoded case and its
 /// report, which is the walker's kept report unless the walker keeps none.
-struct Priced<'w> {
-    case: &'w SweepCase,
-    report: Cow<'w, CarbonReport>,
+pub(crate) struct Priced<'w> {
+    pub(crate) case: &'w SweepCase,
+    pub(crate) report: Cow<'w, CarbonReport>,
     /// Whether the report was re-priced from the walker's previous one.
     repriced: bool,
 }
@@ -867,24 +919,37 @@ mod tests {
     fn sink_errors_abort_the_sweep() {
         let estimator = EcoChip::default();
         let spec = spec();
-        let mut emitted = 0usize;
-        let result = SweepEngine::with_jobs(4).stream(
-            &estimator,
-            &spec,
-            Shard::FULL,
-            &SweepContext::new(),
-            None,
-            &mut |_point| {
-                emitted += 1;
-                if emitted == 3 {
-                    Err(EcoChipError::InvalidSystem("sink full".into()))
-                } else {
-                    Ok(())
+        for jobs in [1usize, 2, 3, 4] {
+            for chunk in [1usize, 3] {
+                // Refuse a point of the first batch, then one of a later
+                // batch: no point after the refused one reaches the sink.
+                for stop in [chunk.min(2), chunk * 2 + 2] {
+                    let mut emitted = 0usize;
+                    let result = SweepEngine::with_jobs(jobs).with_chunk(chunk).stream(
+                        &estimator,
+                        &spec,
+                        Shard::FULL,
+                        &SweepContext::new(),
+                        None,
+                        &mut |_point| {
+                            emitted += 1;
+                            if emitted == stop {
+                                Err(EcoChipError::InvalidSystem("sink full".into()))
+                            } else {
+                                Ok(())
+                            }
+                        },
+                    );
+                    let context = format!("jobs={jobs} chunk={chunk} stop={stop}");
+                    assert_eq!(
+                        result,
+                        Err(EcoChipError::InvalidSystem("sink full".into())),
+                        "{context}"
+                    );
+                    assert_eq!(emitted, stop, "{context}");
                 }
-            },
-        );
-        assert!(matches!(result, Err(EcoChipError::InvalidSystem(_))));
-        assert_eq!(emitted, 3);
+            }
+        }
     }
 
     #[test]
@@ -952,8 +1017,8 @@ mod tests {
         // The database lacks 10 nm, so the N10 retarget fails in the
         // estimator, at cases 4 and 5 of the count-4 split and again in the
         // count-1 split; every other case estimates. Points before the
-        // lowest failing index are emitted whatever the worker count, and
-        // a worker whose case failed decodes its next cases exactly.
+        // lowest failing index are emitted whatever the job count, and a
+        // thread whose case failed decodes its next cases exactly.
         let full = TechDb::default();
         let db = TechNode::ALL
             .into_iter()
@@ -975,7 +1040,9 @@ mod tests {
             })
             .axis(SweepAxis::lifetimes_years(&[1.0, 2.0]));
         let message = "technology database has no entry for 10 nm";
-        for jobs in [1usize, 2, 4] {
+        // At three jobs the caller and both helpers can each park a chunk
+        // out of order.
+        for jobs in [1usize, 2, 3, 4] {
             for chunk in [1usize, 3] {
                 let engine = SweepEngine::with_jobs(jobs).with_chunk(chunk);
                 let mut points = Vec::new();
@@ -1037,15 +1104,15 @@ mod tests {
             let cases = CaseEvaluator::new(&estimator, &context, None);
             let mut walker = CaseWalker::new(&spec).unwrap();
             for (index, fails) in [(1, false), (2, false), (3, true), (4, true), (5, true)] {
-                let result = cases
-                    .evaluate(&mut walker, index)
-                    .map_err(|e| e.to_string());
-                match result {
-                    Err(error) => assert!(fails && error.contains(message), "{index}: {error}"),
-                    Ok((point, _)) => {
-                        assert!(!fails, "case {index} re-priced {}", point.label);
-                        let cold = estimator.estimate(&point.system).unwrap();
-                        assert_eq!(point.report, cold, "case {index}");
+                match cases.price(&mut walker, index) {
+                    Err(error) => {
+                        let error = error.to_string();
+                        assert!(fails && error.contains(message), "{index}: {error}");
+                    }
+                    Ok(priced) => {
+                        assert!(!fails, "case {index} re-priced {}", priced.case.label());
+                        let cold = estimator.estimate(&priced.case.system).unwrap();
+                        assert_eq!(*priced.report, cold, "case {index}");
                     }
                 }
             }

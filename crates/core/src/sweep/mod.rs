@@ -40,9 +40,10 @@
 //!
 //! The engine guarantees deterministic output: points come back in the
 //! spec's row-major case order, and each report is bit-for-bit identical to
-//! what a serial, memo-free evaluation produces. Worker count comes from
+//! what a serial, memo-free evaluation produces. The number of evaluating
+//! threads, the calling thread included, comes from
 //! [`SweepEngine::with_jobs`] (the `--jobs` flag) or the machine's
-//! available parallelism; workers claim [`DEFAULT_CHUNK`] case indices per
+//! available parallelism; each claims [`DEFAULT_CHUNK`] case indices per
 //! queue round-trip.
 //!
 //! # Streaming and sharding
@@ -53,7 +54,7 @@
 //!
 //! * **Streaming.** [`SweepEngine::stream`] — the one way to run a sweep —
 //!   lends points to a [`SweepSink`] in deterministic order, one claimed
-//!   chunk at a time, while holding only an `O(workers)` reorder window,
+//!   chunk at a time, while holding only an `O(jobs)` reorder window,
 //!   so million-point spaces are not memory-bound. The engine fills each
 //!   chunk into reused point slots and refills them once the sink returns,
 //!   so a streamed point allocates nothing; a sink that keeps a point

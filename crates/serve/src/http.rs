@@ -1,11 +1,11 @@
-//! A minimal HTTP/1.1 wire layer over blocking byte streams.
+//! A minimal HTTP/1.1 wire layer.
 //!
 //! Hand-rolled on purpose: the build environment has no package registry,
 //! so the server cannot pull in hyper/tokio — the same constraint that made
 //! the workspace hand-roll its serde shims. The subset implemented here is
-//! exactly what the service needs: request parsing with `Content-Length`
-//! bodies, fixed-length responses, and chunked transfer-encoding for
-//! streaming NDJSON sweeps.
+//! exactly what the service needs: incremental request parsing
+//! ([`RequestParser`]) with `Content-Length` bodies, fixed-length
+//! responses, and chunked transfer-encoding for streaming NDJSON sweeps.
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive): the parser records
 //! whether the peer allows reuse ([`Request::keep_alive`], from the
@@ -15,7 +15,7 @@
 //! per-connection request loop (idle timeout, bounded requests per
 //! connection) lives in [`crate::server`].
 
-use std::io::{BufRead, IoSlice, Write};
+use std::io::{IoSlice, Write};
 use std::ops::Range;
 
 use crate::ServeError;
@@ -29,9 +29,9 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// A parsed HTTP request in owned storage: method, path (query string
-/// stripped), lowercased header names, and the full body. The blocking
-/// [`read_request`] returns one; the event-loop server copies a
-/// [`RequestRef`] into one only to hand it to another thread.
+/// stripped), lowercased header names, and the full body. The event-loop
+/// server copies a [`RequestRef`] into one only to hand it to another
+/// thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method (`GET`, `POST`, …), uppercase as sent.
@@ -200,8 +200,7 @@ fn head_text(bytes: &[u8]) -> Result<&str, ServeError> {
 
 /// Parse a complete request head (every byte up to and including the blank
 /// line) in one pass over its lines — the single definition of the head
-/// grammar, shared by the blocking [`read_request`] and the incremental
-/// [`RequestParser`].
+/// grammar, which [`RequestParser`] applies once a head is complete.
 fn parse_head(head: &str) -> Result<Head, ServeError> {
     let mut lines = head.lines();
     let request_line = lines
@@ -276,56 +275,6 @@ fn parse_head(head: &str) -> Result<Head, ServeError> {
         keep_alive: keep_alive_semantics(version, connection),
         body_len,
     })
-}
-
-/// Read one request from `reader`.
-///
-/// Returns `Ok(None)` when the peer closed the connection before sending
-/// anything (e.g. a liveness probe that only connects).
-///
-/// # Errors
-///
-/// Returns [`ServeError::Http`] for malformed or oversized requests and
-/// [`ServeError::Io`] for socket failures.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ServeError> {
-    let mut head = Vec::new();
-    // Read header lines until the blank line terminating the head. The
-    // size limit is enforced *inside* the read via `take`, so a peer
-    // sending an endless newline-free byte stream cannot grow `head`
-    // beyond the cap before the check runs.
-    let mut limited = std::io::Read::take(&mut *reader, MAX_HEAD_BYTES as u64 + 1);
-    loop {
-        let start = head.len();
-        let read = limited
-            .read_until(b'\n', &mut head)
-            .map_err(|e| ServeError::Io(format!("reading request head: {e}")))?;
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ServeError::Http(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
-        if read == 0 {
-            if head.is_empty() {
-                return Ok(None);
-            }
-            return Err(ServeError::Http("connection closed mid-request".into()));
-        }
-        let line = &head[start..];
-        if line == b"\r\n" || line == b"\n" {
-            break;
-        }
-    }
-    // `limited`'s borrow of `reader` ends here; the body reads from
-    // `reader` directly below, bounded by the Content-Length check instead.
-    let head = head_text(&head)?;
-    let parsed = parse_head(head)?;
-    let mut body = vec![0u8; parsed.body_len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| ServeError::Http(format!("reading {}-byte body: {e}", body.len())))?;
-    let mut request = parsed.request(head, &[]).to_request();
-    request.body = body;
-    Ok(Some(request))
 }
 
 /// A fully parsed head waiting for its body bytes to accumulate.
@@ -641,10 +590,11 @@ fn write_all_vectored(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// The first request of `bytes`, or `None` while it is incomplete.
     fn parse(bytes: &[u8]) -> Result<Option<Request>, ServeError> {
-        read_request(&mut BufReader::new(bytes))
+        let parsed = RequestParser::new().next_request(bytes)?;
+        Ok(parsed.map(|(request, _)| request.to_request()))
     }
 
     #[test]
@@ -713,10 +663,6 @@ mod tests {
             Err(ServeError::Http(_))
         ));
         assert!(matches!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
-            Err(ServeError::Http(_))
-        ));
-        assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(ServeError::Http(_))
         ));
@@ -766,13 +712,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_the_blocking_parser() {
+    fn incremental_parser_completes_only_once_every_byte_is_in() {
         let wire: &[u8] =
             b"POST /v1/estimate?pretty HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
-        let blocking = parse(wire).unwrap().unwrap();
+        let whole = parse(wire).unwrap().unwrap();
 
-        // Fed byte by byte, the incremental parser produces the identical
-        // request, and only once every byte is in.
+        // Fed byte by byte, one parser resumes its scan and produces the
+        // request a parse of the whole buffer does, and only once every
+        // byte is in.
         let mut parser = RequestParser::new();
         let mut buf = Vec::new();
         for (i, byte) in wire.iter().enumerate() {
@@ -783,7 +730,7 @@ mod tests {
             } else {
                 let (request, consumed) = result.unwrap();
                 assert_eq!(consumed, wire.len());
-                assert_eq!(request.to_request(), blocking);
+                assert_eq!(request.to_request(), whole);
             }
         }
     }
@@ -871,7 +818,7 @@ mod tests {
             Err(ServeError::Http(_))
         ));
 
-        // Malformed heads error exactly like the blocking parser.
+        // Malformed heads are refused.
         let mut parser = RequestParser::new();
         assert!(matches!(
             parser.next_request(b"GARBAGE\r\n\r\n"),

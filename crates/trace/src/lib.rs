@@ -656,13 +656,6 @@ pub fn recent_spans() -> Vec<CompletedSpan> {
     spans
 }
 
-/// Empty the completed-span ring buffer (test isolation).
-pub fn clear_recent_spans() {
-    for slot in ring() {
-        *slot.lock().expect("span ring slot") = None;
-    }
-}
-
 /// A live span: created by [`span`], timed on the monotonic clock, and
 /// recorded into the ring buffer when dropped.
 #[derive(Debug)]

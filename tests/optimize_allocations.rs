@@ -1,4 +1,5 @@
-//! Pins the heap allocations of a structural design-space search.
+//! Pins the heap allocations of structural design-space searches: the
+//! pareto enumeration and the anneal and genetic explorers.
 //!
 //! This binary installs its own counting global allocator, so it holds one
 //! test only: the count is kept per thread, and the serial engine evaluates
@@ -9,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAllocator};
 use std::cell::Cell;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::opt::{self, OptConfig, OptEvent};
+use eco_chip::core::opt::{self, OptConfig, OptEvent, OptMethod};
 use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepSpec, SweepStats};
 use eco_chip::core::EcoChip;
 use eco_chip::packaging::{
@@ -90,17 +91,34 @@ const PINNED_PER_EVALUATION: f64 = 30.6125;
 /// placements.
 const PINNED_PER_FLOORPLAN_MISS: f64 = 30.172;
 
+/// The explorers' evaluation budget and seed.
+const EXPLORER_BUDGET: usize = 256;
+const EXPLORER_SEED: u64 = 7;
+
+/// Allocations per evaluation of the `anneal` search of the same space,
+/// with a fresh memo: 9,369 over the 256 visits (47.84 while every visit
+/// built an owned point and cloned the case's system into it). The
+/// explorers score the case and report borrowed from their walker, so a
+/// change that copies the case again per visit fails here.
+const PINNED_PER_ANNEAL_VISIT: f64 = 36.597_656_25;
+
+/// Allocations per evaluation of the `genetic` search of the same space,
+/// with a fresh memo: 10,700 over the 256 visits (53.19 while every visit
+/// built an owned point).
+const PINNED_PER_GENETIC_VISIT: f64 = 41.796_875;
+
 /// The memo bound: the `dse_optimize` benchmark's 1,024 entries per cache,
 /// more than the search's distinct outline sets, so nothing is evicted.
 const MEMO_ENTRIES: usize = 1024;
 
-/// Run the serial `pareto` search of `spec` against `context`: the
-/// allocations it made, the cases it evaluated and the memo counters it
-/// moved.
+/// Run the serial search `config` describes over `spec` against
+/// `context`: the allocations it made, the cases it evaluated and the memo
+/// counters it moved.
 fn search(
     estimator: &EcoChip,
     spec: &SweepSpec,
     context: &SweepContext,
+    config: &OptConfig,
 ) -> (u64, usize, SweepStats) {
     let mut events = 0usize;
     let before = allocations();
@@ -111,7 +129,7 @@ fn search(
         Shard::FULL,
         context,
         None,
-        &OptConfig::default(),
+        config,
         |_: &OptEvent| {
             events += 1;
             Ok(())
@@ -150,7 +168,8 @@ fn a_structural_search_allocates_at_most_its_pins() {
     let estimator = EcoChip::default();
 
     let fresh = SweepContext::with_capacity(MEMO_ENTRIES);
-    let (cold, evaluated, stats) = search(&estimator, &spec, &fresh);
+    let pareto = OptConfig::default();
+    let (cold, evaluated, stats) = search(&estimator, &spec, &fresh, &pareto);
     assert_eq!(evaluated, 320);
     assert_eq!(stats.floorplan_misses, 64);
     assert_eq!(stats.floorplan_hits, 256);
@@ -164,7 +183,7 @@ fn a_structural_search_allocates_at_most_its_pins() {
         let case = spec.case_at(index).unwrap();
         estimator.floorplan_with(&case.system, &planned).unwrap();
     }
-    let (warm, _, warm_stats) = search(&estimator, &spec, &planned);
+    let (warm, _, warm_stats) = search(&estimator, &spec, &planned, &pareto);
     assert_eq!(warm_stats.floorplan_misses, stats.floorplan_misses);
     assert_eq!(
         warm_stats.manufacturing_misses, stats.manufacturing_misses,
@@ -182,4 +201,26 @@ fn a_structural_search_allocates_at_most_its_pins() {
         per_miss <= PINNED_PER_FLOORPLAN_MISS,
         "{per_miss:.3} allocations per floorplan miss, pinned at {PINNED_PER_FLOORPLAN_MISS}"
     );
+
+    // The explorers over the same space, each with a fresh memo.
+    for (method, pinned) in [
+        (OptMethod::Anneal, PINNED_PER_ANNEAL_VISIT),
+        (OptMethod::Genetic, PINNED_PER_GENETIC_VISIT),
+    ] {
+        let config = OptConfig {
+            method,
+            budget: EXPLORER_BUDGET,
+            seed: EXPLORER_SEED,
+            ..OptConfig::default()
+        };
+        let context = SweepContext::with_capacity(MEMO_ENTRIES);
+        let (spent, visited, _) = search(&estimator, &spec, &context, &config);
+        assert_eq!(visited, EXPLORER_BUDGET, "{method:?}");
+        let per_visit = spent as f64 / visited as f64;
+        println!("{method:?}: {per_visit:.2} allocations per evaluation");
+        assert!(
+            per_visit <= pinned,
+            "{method:?}: {per_visit:.3} allocations per evaluation, pinned at {pinned}"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! shard to a surviving worker — the merged stream stays bit-for-bit
 //! identical to the unsharded run, every point exactly once.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,6 +49,22 @@ fn reference_lines(testcase: &str, axis: &str) -> Vec<String> {
         .collect()
 }
 
+/// Read one request from `stream` with the server's incremental parser:
+/// `None` when the peer closes, or sends a malformed request, first.
+fn read_request(mut stream: impl Read) -> Option<http::Request> {
+    let mut parser = http::RequestParser::new();
+    let (mut buf, mut read) = (Vec::new(), [0u8; 4096]);
+    loop {
+        if let Some((request, _)) = parser.next_request(&buf).ok()? {
+            return Some(request.to_request());
+        }
+        match stream.read(&mut read) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => buf.extend_from_slice(&read[..n]),
+        }
+    }
+}
+
 /// A flaky worker's address and the count of requests it accepted.
 type FlakyWorker = (String, Arc<AtomicUsize>);
 
@@ -72,8 +88,7 @@ fn spawn_flaky_worker(lines: Vec<String>, serve_before_death: usize) -> FlakyWor
             let Ok(mut writer) = stream.try_clone() else {
                 continue;
             };
-            let mut reader = std::io::BufReader::new(stream);
-            let Ok(Some(request)) = http::read_request(&mut reader) else {
+            let Some(request) = read_request(stream) else {
                 continue;
             };
             let parsed: SweepRequest =
@@ -196,8 +211,7 @@ fn spawn_flaky_framed_worker(lines: Vec<String>, serve_before_death: usize) -> F
             let Ok(mut writer) = stream.try_clone() else {
                 continue;
             };
-            let mut reader = std::io::BufReader::new(stream);
-            let Ok(Some(request)) = http::read_request(&mut reader) else {
+            let Some(request) = read_request(stream) else {
                 continue;
             };
             let parsed: SweepRequest =
@@ -375,8 +389,7 @@ fn spawn_scripted_worker(response: &'static [u8]) -> (String, Arc<AtomicUsize>) 
             let Ok(mut writer) = stream.try_clone() else {
                 continue;
             };
-            let mut reader = std::io::BufReader::new(stream);
-            let _ = http::read_request(&mut reader);
+            let _ = read_request(stream);
             let _ = writer.write_all(response);
             let _ = writer.flush();
         }
