@@ -181,6 +181,7 @@ impl EcoChip {
 
         // --- Per-chiplet manufacturing ---------------------------------------
         let mfg_model = Self::manufacturing_model(&self.config);
+        let mut lookups = context.manufacturing_lookups(&mfg_model);
 
         let mut chiplet_reports = Vec::with_capacity(system.chiplets.len());
         for (i, chiplet) in system.chiplets.iter().enumerate() {
@@ -190,17 +191,11 @@ impl EcoChip {
                 .get(i)
                 .copied()
                 .unwrap_or(Area::ZERO);
-            let area = base_area + comm_area;
-            let manufacturing = if context.is_enabled() {
-                context.manufacturing(
-                    &mfg_model,
-                    self.memo_bits[chiplet.node as usize],
-                    area,
-                    chiplet.node,
-                )?
-            } else {
-                mfg_model.chiplet_cfp(area, chiplet.node)?
-            };
+            let manufacturing = lookups.get(
+                self.memo_bits[chiplet.node as usize],
+                base_area + comm_area,
+                chiplet.node,
+            )?;
 
             chiplet_reports.push(ChipletReport {
                 name: chiplet.name.clone(),
@@ -212,6 +207,7 @@ impl EcoChip {
                 design: Carbon::ZERO,
             });
         }
+        drop(lookups);
 
         // --- HI overheads -----------------------------------------------------
         let hi = if system.is_monolithic() {

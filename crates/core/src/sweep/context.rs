@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ecochip_floorplan::{ChipletOutline, Floorplan, FloorplanConfig};
 use ecochip_techdb::{Area, TechNode};
@@ -93,6 +93,25 @@ impl Hasher for FnvHasher {
 
     fn write_usize(&mut self, value: usize) {
         self.write_u64(value as u64);
+    }
+}
+
+impl FnvHasher {
+    /// Fold `name` in a word at a time: each full 8 bytes as one
+    /// little-endian word, then the 0–7 bytes left over with the name's
+    /// length (mod 256) in the top byte of the last word. The length marks
+    /// where the name ends, so `["ab", "c"]` and `["a", "bc"]` fold
+    /// differently.
+    fn write_name(&mut self, name: &str) {
+        let mut words = name.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        last[7] = name.len() as u8;
+        self.write_u64(u64::from_le_bytes(last));
     }
 }
 
@@ -186,8 +205,7 @@ fn floorplan_digest<'a>(
     hasher.write_u64(spacing_bits);
     hasher.write_u64(margin_bits);
     for (name, area_bits) in outlines {
-        hasher.write(name.as_bytes());
-        hasher.write_u8(0xff);
+        hasher.write_name(name);
         hasher.write_u64(area_bits);
         hasher.write_u64(square);
     }
@@ -529,47 +547,96 @@ impl SweepContext {
         Ok(plan)
     }
 
+    /// The manufacturing lookups of one estimate, one die at a time, under
+    /// one lock of the manufacturing cache: see [`ManufacturingLookups`].
+    pub(crate) fn manufacturing_lookups<'c>(
+        &'c self,
+        model: &'c ManufacturingModel<'c>,
+    ) -> ManufacturingLookups<'c> {
+        ManufacturingLookups {
+            context: self,
+            model,
+            cache: None,
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+/// The per-die manufacturing lookups of one estimate.
+///
+/// The first lookup locks the manufacturing cache and the guard is kept
+/// for the next, so an estimate whose dies all hit takes the lock once. A
+/// miss drops the guard while the model computes, so other workers are
+/// not held up behind the computation, then locks again to insert. The
+/// cache therefore sees the same gets and inserts, in the same order, as
+/// one locked lookup per die, and keeps the same recency. The hit and miss
+/// counters are added once, when the lookups are dropped.
+pub(crate) struct ManufacturingLookups<'c> {
+    context: &'c SweepContext,
+    model: &'c ManufacturingModel<'c>,
+    cache: Option<MutexGuard<'c, Lru<ManufacturingKey, ChipletManufacturing>>>,
+    hits: usize,
+    misses: usize,
+}
+
+impl ManufacturingLookups<'_> {
     /// Manufacturing CFP of one die, reusing a cached result when the same
     /// `(node, area)` was already evaluated under an identical model.
     /// `model_bits` is the model's [`ManufacturingModel::memo_bits`] for
     /// `node` when the caller has it precomputed; `None` computes it here
-    /// (and fails for a node the database lacks).
-    pub(crate) fn manufacturing(
-        &self,
-        model: &ManufacturingModel<'_>,
+    /// (and fails for a node the database lacks). A disabled context
+    /// computes every die.
+    pub(crate) fn get(
+        &mut self,
         model_bits: Option<u64>,
         area: Area,
         node: TechNode,
     ) -> Result<ChipletManufacturing, EcoChipError> {
-        if !self.enabled {
-            return model.chiplet_cfp(area, node);
+        let context = self.context;
+        if !context.enabled {
+            return self.model.chiplet_cfp(area, node);
         }
         let key = ManufacturingKey {
             node,
             area_bits: area.mm2().to_bits(),
             model_bits: match model_bits {
                 Some(bits) => bits,
-                None => model.memo_bits(node)?,
+                None => self.model.memo_bits(node)?,
             },
         };
-        if let Some(&cached) = self
-            .manufacturing
-            .lock()
-            .expect("manufacturing cache")
-            .get(key.digest(), |stored| *stored == key)
-        {
-            self.manufacturing_hits.fetch_add(1, Ordering::Relaxed);
+        let cache = self
+            .cache
+            .get_or_insert_with(|| context.manufacturing.lock().expect("manufacturing cache"));
+        if let Some(&cached) = cache.get(key.digest(), |stored| *stored == key) {
+            self.hits += 1;
             return Ok(cached);
         }
-        let result = model.chiplet_cfp(area, node)?;
-        self.manufacturing_misses.fetch_add(1, Ordering::Relaxed);
-        self.insert_bounded(
-            &mut self.manufacturing.lock().expect("manufacturing cache"),
-            key,
-            result,
-            &self.manufacturing_evictions,
-        );
+        // Computed outside the lock so other workers make progress; a rare
+        // duplicate computation of the same key is benign (same value).
+        self.cache = None;
+        let result = self.model.chiplet_cfp(area, node)?;
+        self.misses += 1;
+        let cache = self
+            .cache
+            .insert(context.manufacturing.lock().expect("manufacturing cache"));
+        context.insert_bounded(cache, key, result, &context.manufacturing_evictions);
         Ok(result)
+    }
+}
+
+impl Drop for ManufacturingLookups<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.context
+                .manufacturing_hits
+                .fetch_add(self.hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            self.context
+                .manufacturing_misses
+                .fetch_add(self.misses, Ordering::Relaxed);
+        }
     }
 }
 
@@ -605,6 +672,17 @@ mod tests {
         assert_ne!(packed.finish(), other.finish());
     }
 
+    /// One die's manufacturing lookup through `ctx`, as an estimate of a
+    /// one-chiplet system makes it.
+    fn lookup_die(
+        ctx: &SweepContext,
+        model: &ManufacturingModel<'_>,
+        area: Area,
+        node: TechNode,
+    ) -> Result<ChipletManufacturing, EcoChipError> {
+        ctx.manufacturing_lookups(model).get(None, area, node)
+    }
+
     #[test]
     fn disabled_context_never_caches() {
         let db = TechDb::default();
@@ -612,8 +690,7 @@ mod tests {
         let ctx = SweepContext::disabled();
         assert!(!ctx.is_enabled());
         for _ in 0..3 {
-            ctx.manufacturing(&model, None, Area::from_mm2(100.0), TechNode::N7)
-                .unwrap();
+            lookup_die(&ctx, &model, Area::from_mm2(100.0), TechNode::N7).unwrap();
         }
         assert_eq!(ctx.stats(), SweepStats::default());
     }
@@ -624,15 +701,14 @@ mod tests {
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::new();
         let area = Area::from_mm2(123.0);
-        let first = ctx.manufacturing(&model, None, area, TechNode::N7).unwrap();
-        let second = ctx.manufacturing(&model, None, area, TechNode::N7).unwrap();
+        let first = lookup_die(&ctx, &model, area, TechNode::N7).unwrap();
+        let second = lookup_die(&ctx, &model, area, TechNode::N7).unwrap();
         assert_eq!(first, second);
         let stats = ctx.stats();
         assert_eq!(stats.manufacturing_misses, 1);
         assert_eq!(stats.manufacturing_hits, 1);
         // A different node misses again.
-        ctx.manufacturing(&model, None, area, TechNode::N14)
-            .unwrap();
+        lookup_die(&ctx, &model, area, TechNode::N14).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 2);
     }
 
@@ -644,11 +720,9 @@ mod tests {
         let no_wastage = coal.without_wastage();
         let ctx = SweepContext::new();
         let area = Area::from_mm2(100.0);
-        let a = ctx.manufacturing(&coal, None, area, TechNode::N7).unwrap();
-        let b = ctx.manufacturing(&wind, None, area, TechNode::N7).unwrap();
-        let c = ctx
-            .manufacturing(&no_wastage, None, area, TechNode::N7)
-            .unwrap();
+        let a = lookup_die(&ctx, &coal, area, TechNode::N7).unwrap();
+        let b = lookup_die(&ctx, &wind, area, TechNode::N7).unwrap();
+        let c = lookup_die(&ctx, &no_wastage, area, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 3);
         assert!(b.total().kg() < a.total().kg());
         assert_eq!(c.wastage_cfp.kg(), 0.0);
@@ -671,8 +745,8 @@ mod tests {
         let b = ManufacturingModel::new(&dirty, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::new();
         let area = Area::from_mm2(300.0);
-        let from_a = ctx.manufacturing(&a, None, area, TechNode::N7).unwrap();
-        let from_b = ctx.manufacturing(&b, None, area, TechNode::N7).unwrap();
+        let from_a = lookup_die(&ctx, &a, area, TechNode::N7).unwrap();
+        let from_b = lookup_die(&ctx, &b, area, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, 2);
         assert_eq!(ctx.stats().manufacturing_hits, 0);
         assert!(from_b.total().kg() > from_a.total().kg());
@@ -712,27 +786,25 @@ mod tests {
         let a = Area::from_mm2(10.0);
         let b = Area::from_mm2(20.0);
         let c = Area::from_mm2(30.0);
-        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
-        ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, a, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, b, TechNode::N7).unwrap();
         // Touch `a` so `b` is the least recently used.
-        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, a, TechNode::N7).unwrap();
         // Inserting `c` into the full cache evicts `b`.
-        ctx.manufacturing(&model, None, c, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, c, TechNode::N7).unwrap();
         assert_eq!(ctx.manufacturing_entries(), 2);
         assert_eq!(ctx.stats().manufacturing_evictions, 1);
         // `a` and `c` still hit; `b` was evicted and misses again.
         let hits_before = ctx.stats().manufacturing_hits;
-        ctx.manufacturing(&model, None, a, TechNode::N7).unwrap();
-        ctx.manufacturing(&model, None, c, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, a, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, c, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_hits, hits_before + 2);
         let misses_before = ctx.stats().manufacturing_misses;
-        ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
+        lookup_die(&ctx, &model, b, TechNode::N7).unwrap();
         assert_eq!(ctx.stats().manufacturing_misses, misses_before + 1);
         // Eviction never changes values, only recomputes them.
-        let bounded = ctx.manufacturing(&model, None, b, TechNode::N7).unwrap();
-        let unbounded = SweepContext::new()
-            .manufacturing(&model, None, b, TechNode::N7)
-            .unwrap();
+        let bounded = lookup_die(&ctx, &model, b, TechNode::N7).unwrap();
+        let unbounded = lookup_die(&SweepContext::new(), &model, b, TechNode::N7).unwrap();
         assert_eq!(
             bounded.total().kg().to_bits(),
             unbounded.total().kg().to_bits()
@@ -745,8 +817,7 @@ mod tests {
         let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
         let ctx = SweepContext::with_capacity(0);
         for _ in 0..3 {
-            ctx.manufacturing(&model, None, Area::from_mm2(50.0), TechNode::N7)
-                .unwrap();
+            lookup_die(&ctx, &model, Area::from_mm2(50.0), TechNode::N7).unwrap();
         }
         assert_eq!(ctx.manufacturing_entries(), 0);
         assert_eq!(ctx.stats().manufacturing_hits, 0);
@@ -810,6 +881,108 @@ mod tests {
         assert!(!key.matches(&config, &resplit));
         assert_ne!(key, FloorplanKey::new(&config, &resplit));
         assert!(!key.matches(&config, &chiplets[..1]));
+    }
+
+    #[test]
+    fn names_fold_with_their_bounds() {
+        let config = FloorplanConfig::default();
+        let area = Area::from_mm2(10.0);
+        let digest = |names: &[&'static str]| {
+            let chiplets: Vec<(&str, Area)> = names.iter().map(|&name| (name, area)).collect();
+            FloorplanKey::digest_of(&config, &chiplets)
+        };
+        assert_ne!(digest(&["ab", "c"]), digest(&["a", "bc"]));
+        assert_ne!(digest(&["", "abc"]), digest(&["abc", ""]));
+        // Names around a word boundary, and one that fills its last word.
+        assert_ne!(digest(&["abcdefg"]), digest(&["abcdefg\0"]));
+        assert_ne!(digest(&["abcdefgh"]), digest(&["abcdefgh\0"]));
+        assert_ne!(digest(&["abcdefgh", "i"]), digest(&["abcdefghi"]));
+    }
+
+    /// Names of 0–24 bytes: characters of one to four bytes, taken while
+    /// they fit, so lengths land on and around the 8-byte word bounds.
+    fn name_of(picks: &[usize]) -> String {
+        const CHARS: [char; 6] = ['a', 'Z', '\u{e9}', '\u{20ac}', '\u{1d11e}', '-'];
+        let mut name = String::new();
+        for &pick in picks {
+            let c = CHARS[pick % CHARS.len()];
+            if name.len() + c.len_utf8() <= 24 {
+                name.push(c);
+            }
+        }
+        name
+    }
+
+    proptest! {
+        #[test]
+        fn borrowed_digest_matches_the_key_digest(
+            names in prop::collection::vec(prop::collection::vec(0usize..6, 0..=24), 1..=6),
+            areas in prop::collection::vec(1.0f64..900.0, 6),
+            spacing in 0.0f64..2.0,
+        ) {
+            let config = FloorplanConfig {
+                chiplet_spacing: ecochip_techdb::Length::from_mm(spacing),
+                ..FloorplanConfig::default()
+            };
+            let names: Vec<String> = names.iter().map(|picks| name_of(picks)).collect();
+            let chiplets: Vec<(&str, Area)> = names
+                .iter()
+                .zip(&areas)
+                .map(|(name, &area)| (name.as_str(), Area::from_mm2(area)))
+                .collect();
+            let key = FloorplanKey::new(&config, &chiplets);
+            prop_assert_eq!(FloorplanKey::digest_of(&config, &chiplets), key.digest());
+            prop_assert!(key.matches(&config, &chiplets));
+        }
+    }
+
+    #[test]
+    fn one_estimates_lookups_move_the_memo_like_one_die_at_a_time() {
+        let db = TechDb::default();
+        let model = ManufacturingModel::new(&db, Wafer::standard_450mm(), EnergySource::Coal);
+        // Repeats, and more distinct dies than the capacity, so the batch
+        // both hits and evicts; then a die the database lacks.
+        let dies = [0, 1, 0, 2, 3, 1, 0, 4, 3];
+        let batched = SweepContext::with_capacity(3);
+        let single = SweepContext::with_capacity(3);
+        let mut lookups = batched.manufacturing_lookups(&model);
+        for &die in &dies {
+            let value = lookups.get(None, die_area(die), TechNode::N7).unwrap();
+            assert_eq!(
+                value,
+                lookup_die(&single, &model, die_area(die), TechNode::N7).unwrap()
+            );
+        }
+        drop(lookups);
+        assert_eq!(batched.stats(), single.stats());
+        assert_eq!(batched.stats().manufacturing_hits, 1);
+        assert_eq!(batched.stats().manufacturing_evictions, 5);
+        let order = |ctx: &SweepContext| -> Vec<u64> {
+            keys_newest_first(&ctx.manufacturing.lock().unwrap())
+                .into_iter()
+                .map(|key| key.area_bits)
+                .collect()
+        };
+        assert_eq!(order(&batched), order(&single));
+        assert_eq!(
+            order(&batched),
+            [3, 4, 0].map(|i| die_area(i).mm2().to_bits())
+        );
+
+        // A failing die ends the batch; the lookups before it still count.
+        let empty = ecochip_techdb::TechDbBuilder::new().build();
+        let missing = ManufacturingModel::new(&empty, Wafer::standard_450mm(), EnergySource::Coal);
+        let mut lookups = batched.manufacturing_lookups(&missing);
+        let bits = model.memo_bits(TechNode::N7).unwrap();
+        assert_eq!(
+            lookups.get(Some(bits), die_area(3), TechNode::N7).unwrap(),
+            { lookup_die(&single, &model, die_area(3), TechNode::N7).unwrap() }
+        );
+        assert!(lookups.get(None, die_area(5), TechNode::N7).is_err());
+        assert!(lookup_die(&single, &missing, die_area(5), TechNode::N7).is_err());
+        drop(lookups);
+        assert_eq!(batched.stats(), single.stats());
+        assert_eq!(order(&batched), order(&single));
     }
 
     /// A key type whose every value shares one digest.
@@ -933,8 +1106,7 @@ mod tests {
         fn lookup(&mut self, ctx: &SweepContext, model: &ManufacturingModel<'_>, op: u64) {
             let id = (op >> 8) as usize;
             if op.is_multiple_of(2) {
-                ctx.manufacturing(model, None, die_area(id % 6), TechNode::N7)
-                    .unwrap();
+                lookup_die(ctx, model, die_area(id % 6), TechNode::N7).unwrap();
                 self.manufacturing.lookup(id % 6);
             } else {
                 plan(ctx, &outline_set(id % 5));
