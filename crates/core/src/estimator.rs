@@ -141,51 +141,89 @@ impl EcoChip {
         system: &System,
         context: &SweepContext,
     ) -> Result<CarbonReport, EcoChipError> {
-        self.estimate_priced(system, context)
-            .map(|(report, _)| report)
+        let mut report = CarbonReport::empty();
+        self.estimate_into(
+            system,
+            context,
+            &mut EstimateScratch::default(),
+            &mut report,
+        )?;
+        Ok(report)
     }
 
-    /// [`EcoChip::estimate_with`], also returning the [`PriceBasis`] that
-    /// re-prices the report for another lifetime or volume scenario of the
-    /// same system.
-    pub(crate) fn estimate_priced(
+    /// [`EcoChip::estimate_with`] into `report`, also returning the
+    /// [`PriceBasis`] that re-prices it for another lifetime or volume
+    /// scenario of the same system.
+    ///
+    /// The report is refilled in place and the stages' working vectors
+    /// live in `scratch`, so once both have grown to a system's chiplet
+    /// count and names, estimating a system no larger allocates nothing
+    /// but its memo misses. On error `report` holds a partial estimate.
+    pub(crate) fn estimate_into(
         &self,
         system: &System,
         context: &SweepContext,
-    ) -> Result<(CarbonReport, PriceBasis), EcoChipError> {
+        scratch: &mut EstimateScratch,
+        report: &mut CarbonReport,
+    ) -> Result<PriceBasis, EcoChipError> {
+        let mut areas = recycle(std::mem::take(&mut scratch.areas));
+        let basis = self.fill_report(system, context, &mut areas, scratch, report);
+        scratch.areas = recycle(areas);
+        basis
+    }
+
+    /// The body of [`EcoChip::estimate_into`], with the chiplet-area
+    /// buffer borrowing `system`'s names.
+    fn fill_report<'s>(
+        &self,
+        system: &'s System,
+        context: &SweepContext,
+        areas: &mut Vec<(&'s str, Area)>,
+        scratch: &mut EstimateScratch,
+        report: &mut CarbonReport,
+    ) -> Result<PriceBasis, EcoChipError> {
         let db = &self.config.techdb;
         // The chiplet areas feed both the floorplan stage and the per-chiplet
         // loop below, so every area is derived once.
-        let chiplet_areas = self.chiplet_areas(system)?;
+        areas.reserve(system.chiplets.len());
+        for chiplet in &system.chiplets {
+            areas.push((chiplet.name.as_str(), chiplet.area(db)?));
+        }
         // A disabled context is bypassed rather than consulted, so a cold
         // estimate pays for no shared handle and no memo call per stage.
         let (planned, shared);
         let floorplan: &Floorplan = if context.is_enabled() {
-            shared = self.shared_floorplan(&chiplet_areas, context)?;
+            shared = self.shared_floorplan(areas, context)?;
             &shared
         } else {
-            planned = self.plan(&chiplet_areas)?;
+            planned = self.plan(areas)?;
             &planned
         };
 
         // --- Inter-die communication overheads -------------------------------
-        let comm = if system.is_monolithic() {
-            CommOverheads::none(1)
+        let comm = &mut scratch.comm;
+        if system.is_monolithic() {
+            comm.reset(1);
         } else {
-            CommunicationEstimator::new(db, self.config.comm).overheads(
+            let nodes = &mut scratch.nodes;
+            nodes.clear();
+            nodes.extend(system.chiplets.iter().map(|chiplet| chiplet.node));
+            CommunicationEstimator::new(db, self.config.comm).overheads_into(
                 &system.packaging,
-                &system.chiplet_nodes(),
+                nodes,
                 floorplan,
-            )?
-        };
+                comm,
+            )?;
+        }
 
         // --- Per-chiplet manufacturing ---------------------------------------
         let mfg_model = Self::manufacturing_model(&self.config);
         let mut lookups = context.manufacturing_lookups(&mfg_model);
 
-        let mut chiplet_reports = Vec::with_capacity(system.chiplets.len());
-        for (i, chiplet) in system.chiplets.iter().enumerate() {
-            let base_area = chiplet_areas[i].1;
+        let entries = &mut report.chiplets;
+        entries.truncate(system.chiplets.len());
+        entries.reserve_exact(system.chiplets.len() - entries.len());
+        for (i, (chiplet, &(_, base_area))) in system.chiplets.iter().zip(&*areas).enumerate() {
             let comm_area = comm
                 .chiplet_extra_area
                 .get(i)
@@ -196,16 +234,26 @@ impl EcoChip {
                 base_area + comm_area,
                 chiplet.node,
             )?;
-
-            chiplet_reports.push(ChipletReport {
-                name: chiplet.name.clone(),
+            let entry = ChipletReport {
+                name: String::new(),
                 node: chiplet.node,
                 base_area,
                 comm_area,
                 manufacturing,
                 // Set by `price` below.
                 design: Carbon::ZERO,
-            });
+            };
+            // A refilled entry keeps its name's buffer.
+            match entries.get_mut(i) {
+                Some(old) => {
+                    *old = ChipletReport {
+                        name: std::mem::take(&mut old.name),
+                        ..entry
+                    }
+                }
+                None => entries.push(entry),
+            }
+            entries[i].name.clone_from(&chiplet.name);
         }
         drop(lookups);
 
@@ -235,17 +283,19 @@ impl EcoChip {
             interposer_logic_area: comm.interposer_logic_area,
             interposer_node: comm.interposer_node,
         };
-        let mut report = CarbonReport {
-            system_name: system.name.clone(),
-            chiplets: chiplet_reports,
+        let mut system_name = std::mem::take(&mut report.system_name);
+        system_name.clone_from(&system.name);
+        *report = CarbonReport {
+            system_name,
+            chiplets: std::mem::take(&mut report.chiplets),
             hi,
             // Set by `price` below.
             comm_design: Carbon::ZERO,
             operational_per_year,
             lifetime: TimeSpan::ZERO,
         };
-        self.price(system, &basis, &mut report)?;
-        Ok((report, basis))
+        self.price(system, &basis, report)?;
+        Ok(basis)
     }
 
     /// The pricing step that ends every estimate: set the terms that
@@ -354,6 +404,39 @@ impl EcoChip {
         }
         Ok(total)
     }
+}
+
+/// The working vectors of [`EcoChip::estimate_into`], kept by its caller
+/// between estimates so they are allocated once, not per estimate.
+#[derive(Debug, Clone)]
+pub(crate) struct EstimateScratch {
+    /// The chiplet-area buffer, empty between estimates: during one, its
+    /// names borrow that estimate's system (see [`recycle`]).
+    areas: Vec<(&'static str, Area)>,
+    /// The chiplet nodes the communication stage reads.
+    nodes: Vec<TechNode>,
+    /// The communication stage's output.
+    comm: CommOverheads,
+}
+
+impl Default for EstimateScratch {
+    fn default() -> Self {
+        Self {
+            areas: Vec::new(),
+            nodes: Vec::new(),
+            comm: CommOverheads::none(0),
+        }
+    }
+}
+
+/// `buffer`, emptied and retyped to borrow for another lifetime. The
+/// element layout is the same, so the collect reuses the allocation.
+fn recycle<'b>(mut buffer: Vec<(&str, Area)>) -> Vec<(&'b str, Area)> {
+    buffer.clear();
+    buffer
+        .into_iter()
+        .map(|_| unreachable!("the buffer is empty"))
+        .collect()
 }
 
 /// What [`EcoChip::price`] needs beyond the report it re-prices: the
@@ -580,6 +663,69 @@ mod tests {
         let cold = EcoChip::default().estimate(&system).unwrap();
         assert_eq!(cold, second);
         assert_eq!(cold.total().kg().to_bits(), second.total().kg().to_bits());
+    }
+
+    #[test]
+    fn refilled_reports_match_fresh_estimates() {
+        // One report and scratch refilled across systems that grow, shrink
+        // and fail must read exactly as a fresh estimate of each.
+        let est = EcoChip::default();
+        let rdl = PackagingArchitecture::RdlFanout(RdlFanoutConfig::default());
+        let five = System::builder("five")
+            .chiplets((0..5).map(|i| {
+                Chiplet::new(
+                    format!("a-much-longer-chiplet-name-{i}"),
+                    DesignType::Logic,
+                    TechNode::N7,
+                    ChipletSize::Transistors(3.0e9),
+                )
+            }))
+            .packaging(rdl)
+            .build()
+            .unwrap();
+        // Its last die does not fit on a wafer, so its estimate fails
+        // after refilling the entries before it.
+        let oversized = System::builder("oversized")
+            .chiplets((0..4).map(|i| {
+                let transistors = if i == 3 { 1.0e13 } else { 1.0e9 };
+                Chiplet::new(
+                    format!("die-{i}"),
+                    DesignType::Logic,
+                    TechNode::N7,
+                    ChipletSize::Transistors(transistors),
+                )
+            }))
+            .packaging(rdl)
+            .build()
+            .unwrap();
+        let systems = [
+            gpu_like_3chiplet(rdl),
+            five.clone(),
+            gpu_like_monolith(),
+            gpu_like_3chiplet(PackagingArchitecture::ThreeD(Default::default())),
+            five,
+            gpu_like_3chiplet(PackagingArchitecture::ActiveInterposer(
+                InterposerConfig::default(),
+            )),
+        ];
+        for context in [SweepContext::new(), SweepContext::disabled()] {
+            let mut scratch = EstimateScratch::default();
+            let mut report = CarbonReport::empty();
+            for (i, system) in systems.iter().enumerate() {
+                if i == 2 {
+                    // A failed estimate leaves a partial report behind.
+                    assert!(est
+                        .estimate_into(&oversized, &context, &mut scratch, &mut report)
+                        .is_err());
+                    assert_eq!(report.chiplets[2].name, "die-2");
+                }
+                est.estimate_into(system, &context, &mut scratch, &mut report)
+                    .unwrap();
+                let fresh = est.estimate(system).unwrap();
+                assert_eq!(report, fresh, "{}", system.name);
+                assert_eq!(report.total().kg().to_bits(), fresh.total().kg().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -709,7 +709,7 @@ impl Explorer<'_> {
         let priced = self.cases.price(&mut self.walker, index)?;
         let values = self
             .objectives
-            .score(self.estimator, &priced.case.system, &priced.report)?;
+            .score(self.estimator, &priced.case.system, priced.report)?;
         let scored = Evaluated {
             point: FrontierPoint::new(index, priced.case.label(), self.objectives, &values),
             energy: scalar_energy(&values),

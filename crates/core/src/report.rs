@@ -150,6 +150,18 @@ pub struct CarbonReport {
 }
 
 impl CarbonReport {
+    /// A report with no chiplets and zero terms, for an estimate to fill.
+    pub(crate) fn empty() -> Self {
+        Self {
+            system_name: String::new(),
+            chiplets: Vec::new(),
+            hi: HiBreakdown::none(),
+            comm_design: Carbon::ZERO,
+            operational_per_year: Carbon::ZERO,
+            lifetime: TimeSpan::ZERO,
+        }
+    }
+
     /// Total manufacturing CFP of all chiplets (`C_mfg`).
     pub fn manufacturing(&self) -> Carbon {
         self.chiplets.iter().map(|c| c.manufacturing.total()).sum()

@@ -24,7 +24,16 @@
 //! entry at the back, and both are O(1). Floorplans are looked up by the
 //! digest of the *borrowed* outline set and confirmed field by field
 //! against the stored key, so a hit allocates nothing; entries hold an
-//! [`Arc<Floorplan>`] that a hit shares instead of deep-cloning.
+//! [`Arc<Floorplan>`] that a hit shares instead of deep-cloning. The
+//! outline digest folds each chiplet name in a word (8 bytes) at a time,
+//! its length in the last word, rather than one byte per multiply.
+//!
+//! An estimate looks up all of its dies' manufacturing results under one
+//! lock of that cache ([`ManufacturingLookups`]): the guard taken for the
+//! first die is kept for the next, and dropped only while a miss is
+//! computed, so the cache sees the same lookups and inserts in the same
+//! order, and keeps the same recency, as one locked lookup per die. The
+//! hit and miss counters are added once per estimate.
 //!
 //! # Bounded memos for service deployments
 //!

@@ -14,20 +14,22 @@
 //! calling thread claims, evaluates and emits every chunk in turn through
 //! the same loop.
 //!
+//! Each thread keeps one report, which every evaluation refills in place.
 //! A step that changed only trailing scalar axes (lifetimes and volumes,
 //! [`SweepAxis::is_scalar`]) is not re-estimated: the thread re-prices the
-//! report it kept from its previous point in place, re-running only the
-//! estimator's pricing step (the design amortization and the lifetime),
-//! the step every full estimate ends with, so the two paths agree bit for
-//! bit. The memo is consulted on a thread's first point and on structural
-//! steps only.
+//! report of its previous point, re-running only the estimator's pricing
+//! step (the design amortization and the lifetime), the step every full
+//! estimate ends with, so the two paths agree bit for bit. Any other step
+//! is a full estimate into the same report and the thread's estimator
+//! scratch, which consults the memo and, warm, allocates nothing.
 //!
 //! Points are written into reusable slots: each claimed chunk fills a
 //! batch of slots in place (the label joined into the slot's string, the
-//! system and a kept report copied with `clone_from`, which reuses their
-//! buffers), the sink borrows the filled slots, and the batch goes back to
-//! be refilled by a later chunk. A streamed point therefore allocates
-//! nothing once the slots have grown to the sweep's largest system.
+//! system and the thread's report copied with `clone_from`, which reuses
+//! their buffers), the sink borrows the filled slots, and the batch goes
+//! back to be refilled by a later chunk. A streamed point therefore
+//! allocates nothing once the slots have grown to the sweep's largest
+//! system.
 //!
 //! A reorder window of `O(jobs)` chunks provides backpressure, so
 //! streaming a million-point space holds only a handful of points in
@@ -36,7 +38,6 @@
 //!
 //! [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -45,7 +46,7 @@ use ecochip_techdb::EnergySource;
 use ecochip_trace::{Stage, StageTimings};
 
 use crate::error::EcoChipError;
-use crate::estimator::{EcoChip, PriceBasis};
+use crate::estimator::{EcoChip, EstimateScratch, PriceBasis};
 use crate::report::CarbonReport;
 use crate::sweep::{
     Shard, SweepCase, SweepContext, SweepCursor, SweepPoint, SweepSlice, SweepSpec,
@@ -236,6 +237,12 @@ impl SweepEngine {
         self.chunk
     }
 
+    /// How many threads a stream of `points` points evaluates on: the
+    /// configured jobs, capped at one per claim chunk (none for no points).
+    pub fn threads(&self, points: usize) -> usize {
+        self.jobs.min(points.div_ceil(self.chunk))
+    }
+
     /// Evaluate every point of `spec` with a fresh memo, collecting them in
     /// deterministic case order — the collect-to-`Vec` special case of
     /// [`SweepEngine::stream`].
@@ -329,9 +336,9 @@ impl SweepEngine {
         }
         let cases = CaseEvaluator::new(estimator, context, timings);
         let chunk = self.chunk;
-        // The caller evaluates too, so `jobs` threads take one helper
-        // fewer; a helper without a chunk of its own would only wait.
-        let helpers = self.jobs.min(range.len().div_ceil(chunk)) - 1;
+        // The caller evaluates too, so the threads take one helper fewer;
+        // a helper without a chunk of its own would only wait.
+        let helpers = self.threads(range.len()) - 1;
         let queue = ReorderQueue {
             state: Mutex::new(ReorderState {
                 next_claim: range.start,
@@ -339,6 +346,7 @@ impl SweepEngine {
                 buffer: HashMap::new(),
                 spare: Vec::new(),
                 waiting: 0,
+                caller_waiting: false,
                 aborted: false,
             }),
             ready: Condvar::new(),
@@ -388,6 +396,9 @@ struct ReorderState {
     /// Helpers waiting for the window to advance. A wake-up is a system
     /// call, so the calling thread makes one only when someone waits.
     waiting: usize,
+    /// Whether the calling thread waits for the chunk at its cursor; a
+    /// helper that parks that chunk wakes it only then.
+    caller_waiting: bool,
     /// Set on evaluation/sink errors so no thread claims another chunk.
     aborted: bool,
 }
@@ -472,7 +483,7 @@ impl ReorderQueue {
             state.aborted = true;
             self.space.notify_all();
         }
-        let due = start == state.next_emit;
+        let due = start == state.next_emit && state.caller_waiting;
         state.buffer.insert(start, results);
         let spare = state.spare.pop().unwrap_or_default();
         drop(state);
@@ -561,17 +572,20 @@ impl ReorderQueue {
             if let Some(claim) = self.claim(&mut state) {
                 return Turn::Evaluate(claim);
             }
+            state.caller_waiting = true;
             state = self.ready.wait(state).expect("sweep queue");
+            state.caller_waiting = false;
         }
     }
 }
 
 /// One evaluating thread's walk through a spec's cases: its decoding
-/// [`SweepCursor`] and, when the spec ends in scalar axes
-/// ([`SweepAxis::is_scalar`]), the report and [`PriceBasis`] of its last
-/// successful evaluation, whose report the next scalar step re-prices in
-/// place. Each evaluating thread of the engine and each optimizer
-/// explorer owns one.
+/// [`SweepCursor`], the one report every evaluation on the walk refills in
+/// place with the [`EstimateScratch`] that fills it, and the
+/// [`PriceBasis`] of its last successful evaluation, from which the next
+/// scalar step ([`SweepAxis::is_scalar`]) re-prices the report. Each
+/// evaluating thread of the engine and each optimizer explorer owns one,
+/// so a warm structural estimate allocates nothing.
 ///
 /// [`SweepAxis::is_scalar`]: crate::sweep::SweepAxis::is_scalar
 #[derive(Debug, Clone)]
@@ -581,10 +595,12 @@ pub(crate) struct CaseWalker<'a> {
     /// first of the spec's trailing scalar axes to the last axis. Empty
     /// when the last axis is not scalar, and then no basis is kept.
     scalar: std::ops::Range<usize>,
-    /// The report of the last evaluation, kept only when `scalar` is not
-    /// empty. It is valid as a basis only while `basis` is `Some`; after a
-    /// failed evaluation it is stale and kept for its buffers.
-    report: Option<CarbonReport>,
+    /// The report of the last evaluation. It is valid as a basis only
+    /// while `basis` is `Some`; after a failed evaluation it is partial
+    /// and kept for its buffers.
+    report: CarbonReport,
+    /// The estimator's working vectors, reused across evaluations.
+    scratch: EstimateScratch,
     /// The [`PriceBasis`] of `report`; `None` before the first evaluation
     /// and after a failed one.
     basis: Option<PriceBasis>,
@@ -602,7 +618,8 @@ impl<'a> CaseWalker<'a> {
         Ok(Self {
             cursor: spec.cursor()?,
             scalar: structural.map_or(0, |at| at + 1)..axes.len(),
-            report: None,
+            report: CarbonReport::empty(),
+            scratch: EstimateScratch::default(),
             basis: None,
         })
     }
@@ -622,9 +639,10 @@ impl<'a> CaseWalker<'a> {
 ///
 /// A *scalar step* — a decode that re-applied only scalar axes, after a
 /// successful evaluation on the same walker — re-runs only
-/// [`EcoChip::price`] on the walker's kept report, in place, skipping every
+/// [`EcoChip::price`] on the walker's report, in place, skipping every
 /// stage and memo lookup before it. Every other case, an identical revisit
-/// included, takes the full estimate through the memo.
+/// included, takes the full estimate through the memo
+/// ([`EcoChip::estimate_into`]), which refills the same report.
 pub(crate) struct CaseEvaluator<'a> {
     base: &'a EcoChip,
     context: &'a SweepContext,
@@ -691,9 +709,9 @@ impl<'a> CaseEvaluator<'a> {
     }
 
     /// Decode case `index` through the walker, pick the estimator for its
-    /// fab-source override and price it: re-price the walker's kept report
-    /// in place on a scalar step, estimate in full otherwise. The case and
-    /// its report stay borrowed from the walker, so a caller that only
+    /// fab-source override and price it into the walker's report: re-price
+    /// it in place on a scalar step, estimate in full otherwise. The case
+    /// and its report stay borrowed from the walker, so a caller that only
     /// reads them copies nothing.
     pub(crate) fn price<'w>(
         &self,
@@ -710,31 +728,23 @@ impl<'a> CaseEvaluator<'a> {
         // Near-zero-cost disabled path: untimed requests pay one branch
         // per point, never a clock read.
         let started = self.timings.map(|_| Instant::now());
-        let keeps = !walker.scalar.is_empty();
-        let priced = match (basis, &mut walker.report) {
-            (Some(basis), Some(report)) => estimator
+        let report = &mut walker.report;
+        let priced = match basis {
+            Some(basis) => estimator
                 .price(&case.system, &basis, report)
-                .map(|()| (Cow::Borrowed(&*report), Some(basis), true)),
-            (_, kept) => {
-                estimator
-                    .estimate_priced(&case.system, self.context)
-                    .map(|(report, basis)| {
-                        if keeps {
-                            (Cow::Borrowed(&*kept.insert(report)), Some(basis), false)
-                        } else {
-                            (Cow::Owned(report), None, false)
-                        }
-                    })
-            }
+                .map(|()| (basis, true)),
+            None => estimator
+                .estimate_into(&case.system, self.context, &mut walker.scratch, report)
+                .map(|basis| (basis, false)),
         };
         if let (Some(timings), Some(started)) = (self.timings, started) {
             timings.record(Stage::Estimate, started.elapsed());
         }
-        let (report, basis, repriced) = priced?;
-        walker.basis = basis;
+        let (basis, repriced) = priced?;
+        walker.basis = Some(basis);
         Ok(Priced {
             case,
-            report,
+            report: &walker.report,
             repriced,
         })
     }
@@ -754,11 +764,11 @@ impl<'a> CaseEvaluator<'a> {
     }
 }
 
-/// One priced case, borrowed from its walker: the decoded case and its
-/// report, which is the walker's kept report unless the walker keeps none.
+/// One priced case, borrowed from its walker: the decoded case and the
+/// walker's report.
 pub(crate) struct Priced<'w> {
     pub(crate) case: &'w SweepCase,
-    pub(crate) report: Cow<'w, CarbonReport>,
+    pub(crate) report: &'w CarbonReport,
     /// Whether the report was re-priced from the walker's previous one.
     repriced: bool,
 }
@@ -769,7 +779,7 @@ impl Priced<'_> {
         SweepPoint {
             label: self.case.label(),
             system: self.case.system.clone(),
-            report: self.report.into_owned(),
+            report: self.report.clone(),
         }
     }
 
@@ -778,10 +788,7 @@ impl Priced<'_> {
         slot.label.clear();
         self.case.push_label(&mut slot.label);
         slot.system.clone_from(&self.case.system);
-        match self.report {
-            Cow::Borrowed(report) => slot.report.clone_from(report),
-            Cow::Owned(report) => slot.report = report,
-        }
+        slot.report.clone_from(self.report);
     }
 }
 

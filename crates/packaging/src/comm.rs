@@ -72,6 +72,16 @@ impl CommOverheads {
             total_power: Power::ZERO,
         }
     }
+
+    /// Overwrite `self` with [`CommOverheads::none`] for `chiplet_count`
+    /// chiplets, reusing the area buffer.
+    pub fn reset(&mut self, chiplet_count: usize) {
+        self.chiplet_extra_area.clear();
+        self.chiplet_extra_area.resize(chiplet_count, Area::ZERO);
+        self.interposer_logic_area = Area::ZERO;
+        self.interposer_node = None;
+        self.total_power = Power::ZERO;
+    }
 }
 
 /// Estimator for inter-die communication overheads.
@@ -108,34 +118,57 @@ impl<'a> CommunicationEstimator<'a> {
         chiplet_nodes: &[TechNode],
         floorplan: &Floorplan,
     ) -> Result<CommOverheads, PackagingError> {
-        let n = chiplet_nodes.len();
-        if n <= 1 {
-            return Ok(CommOverheads::none(n));
+        let mut overheads = CommOverheads::none(0);
+        self.overheads_into(arch, chiplet_nodes, floorplan, &mut overheads)?;
+        Ok(overheads)
+    }
+
+    /// [`CommunicationEstimator::overheads`], written into `out` so a
+    /// caller that estimates many systems reuses its area buffer. On error
+    /// `out` holds a partial result.
+    ///
+    /// # Errors
+    ///
+    /// As [`CommunicationEstimator::overheads`].
+    pub fn overheads_into(
+        &self,
+        arch: &PackagingArchitecture,
+        chiplet_nodes: &[TechNode],
+        floorplan: &Floorplan,
+        out: &mut CommOverheads,
+    ) -> Result<(), PackagingError> {
+        out.reset(chiplet_nodes.len());
+        if chiplet_nodes.len() <= 1 {
+            return Ok(());
         }
 
         match arch {
             PackagingArchitecture::RdlFanout(_) | PackagingArchitecture::SiliconBridge(_) => {
-                self.phy_overheads(chiplet_nodes, floorplan)
+                self.phy_overheads(chiplet_nodes, floorplan, out)
             }
             PackagingArchitecture::PassiveInterposer(_) => {
-                self.passive_interposer_overheads(chiplet_nodes)
+                self.passive_interposer_overheads(chiplet_nodes, out)
             }
             PackagingArchitecture::ActiveInterposer(cfg) => {
-                self.active_interposer_overheads(chiplet_nodes, cfg.tech)
+                self.active_interposer_overheads(chiplet_nodes, cfg.tech, out)
             }
-            PackagingArchitecture::ThreeD(_) => self.three_d_overheads(chiplet_nodes),
+            PackagingArchitecture::ThreeD(_) => self.three_d_overheads(chiplet_nodes, out),
         }
     }
+
+    // The per-architecture steps below fill an `out` that `overheads_into`
+    // has reset: one zero area per chiplet, no interposer logic, no power.
 
     /// RDL / EMIB: one die-to-die PHY endpoint per interface per chiplet.
     fn phy_overheads(
         &self,
         chiplet_nodes: &[TechNode],
         floorplan: &Floorplan,
-    ) -> Result<CommOverheads, PackagingError> {
+        out: &mut CommOverheads,
+    ) -> Result<(), PackagingError> {
         // Each chiplet's area slot first counts its interfaces (whole
         // numbers, exact in `f64`), then becomes that many PHYs' area.
-        let mut areas = vec![Area::ZERO; chiplet_nodes.len()];
+        let areas = &mut out.chiplet_extra_area;
         for adj in floorplan.adjacencies() {
             for end in [adj.a, adj.b] {
                 if let Some(count) = areas.get_mut(end) {
@@ -155,12 +188,8 @@ impl<'a> CommunicationEstimator<'a> {
             *area = phy.area * interfaces;
             power += phy.power * interfaces;
         }
-        Ok(CommOverheads {
-            chiplet_extra_area: areas,
-            interposer_logic_area: Area::ZERO,
-            interposer_node: None,
-            total_power: power,
-        })
+        out.total_power = power;
+        Ok(())
     }
 
     /// Passive interposer: a full router (plus NIC) inside every chiplet, in
@@ -168,22 +197,18 @@ impl<'a> CommunicationEstimator<'a> {
     fn passive_interposer_overheads(
         &self,
         chiplet_nodes: &[TechNode],
-    ) -> Result<CommOverheads, PackagingError> {
+        out: &mut CommOverheads,
+    ) -> Result<(), PackagingError> {
         let estimator = RouterEstimator::with_traffic(self.config.router, self.config.traffic);
-        let mut areas = vec![Area::ZERO; chiplet_nodes.len()];
         let mut power = Power::ZERO;
-        for (i, &node) in chiplet_nodes.iter().enumerate() {
+        for (area, &node) in out.chiplet_extra_area.iter_mut().zip(chiplet_nodes) {
             let params = self.db.node(node)?;
             let router = estimator.estimate(params)?;
-            areas[i] = router.area;
+            *area = router.area;
             power += router.total_power();
         }
-        Ok(CommOverheads {
-            chiplet_extra_area: areas,
-            interposer_logic_area: Area::ZERO,
-            interposer_node: None,
-            total_power: power,
-        })
+        out.total_power = power;
+        Ok(())
     }
 
     /// Active interposer: routers move into the interposer (mature node);
@@ -192,26 +217,24 @@ impl<'a> CommunicationEstimator<'a> {
         &self,
         chiplet_nodes: &[TechNode],
         interposer_node: TechNode,
-    ) -> Result<CommOverheads, PackagingError> {
+        out: &mut CommOverheads,
+    ) -> Result<(), PackagingError> {
         let estimator = RouterEstimator::with_traffic(self.config.router, self.config.traffic);
         let interposer_params = self.db.node(interposer_node)?;
         let router_in_interposer = estimator.estimate(interposer_params)?;
         let nic_fraction = self.config.nic_fraction.clamp(0.0, 1.0);
 
-        let mut areas = vec![Area::ZERO; chiplet_nodes.len()];
         let mut power = router_in_interposer.total_power() * chiplet_nodes.len() as f64;
-        for (i, &node) in chiplet_nodes.iter().enumerate() {
+        for (area, &node) in out.chiplet_extra_area.iter_mut().zip(chiplet_nodes) {
             let params = self.db.node(node)?;
             let router_in_chiplet = estimator.estimate(params)?;
-            areas[i] = router_in_chiplet.area * nic_fraction;
+            *area = router_in_chiplet.area * nic_fraction;
             power += router_in_chiplet.total_power() * nic_fraction;
         }
-        Ok(CommOverheads {
-            chiplet_extra_area: areas,
-            interposer_logic_area: router_in_interposer.area * chiplet_nodes.len() as f64,
-            interposer_node: Some(interposer_node),
-            total_power: power,
-        })
+        out.interposer_logic_area = router_in_interposer.area * chiplet_nodes.len() as f64;
+        out.interposer_node = Some(interposer_node);
+        out.total_power = power;
+        Ok(())
     }
 
     /// 3D stacks: vertical interfaces are cheap — each tier carries a thin
@@ -219,23 +242,19 @@ impl<'a> CommunicationEstimator<'a> {
     fn three_d_overheads(
         &self,
         chiplet_nodes: &[TechNode],
-    ) -> Result<CommOverheads, PackagingError> {
-        let mut areas = vec![Area::ZERO; chiplet_nodes.len()];
+        out: &mut CommOverheads,
+    ) -> Result<(), PackagingError> {
         let mut power = Power::ZERO;
         let lanes = self.config.router.flit_width_bits;
         let bandwidth = self.config.traffic.bandwidth_gbps;
-        for (i, &node) in chiplet_nodes.iter().enumerate() {
+        for (area, &node) in out.chiplet_extra_area.iter_mut().zip(chiplet_nodes) {
             let params = self.db.node(node)?;
             let phy = phy_estimate(params, lanes, bandwidth);
-            areas[i] = phy.area * 0.5;
+            *area = phy.area * 0.5;
             power += phy.power * 0.5;
         }
-        Ok(CommOverheads {
-            chiplet_extra_area: areas,
-            interposer_logic_area: Area::ZERO,
-            interposer_node: None,
-            total_power: power,
-        })
+        out.total_power = power;
+        Ok(())
     }
 }
 
@@ -372,6 +391,35 @@ mod tests {
         let none = CommOverheads::none(2);
         assert_eq!(none.chiplet_extra_area.len(), 2);
         assert_eq!(none.total_chiplet_area().mm2(), 0.0);
+    }
+
+    #[test]
+    fn reused_overheads_match_fresh_ones() {
+        let db = db();
+        let est = CommunicationEstimator::new(&db, CommConfig::default());
+        let mut reused = CommOverheads::none(0);
+        for (areas, nodes) in [
+            (
+                &[300.0, 120.0, 60.0][..],
+                &[TechNode::N7, TechNode::N10, TechNode::N14][..],
+            ),
+            (&[100.0, 100.0], &[TechNode::N5, TechNode::N7]),
+            (&[600.0], &[TechNode::N7]),
+            (&[50.0, 60.0, 70.0, 80.0], &[TechNode::N7; 4]),
+        ] {
+            let plan = plan(areas);
+            for arch in [
+                PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
+                PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
+                PackagingArchitecture::PassiveInterposer(InterposerConfig::default()),
+                PackagingArchitecture::ActiveInterposer(InterposerConfig::default()),
+                PackagingArchitecture::ThreeD(ThreeDConfig::default()),
+            ] {
+                est.overheads_into(&arch, nodes, &plan, &mut reused)
+                    .unwrap();
+                assert_eq!(reused, est.overheads(&arch, nodes, &plan).unwrap());
+            }
+        }
     }
 
     #[test]

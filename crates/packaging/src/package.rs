@@ -155,14 +155,13 @@ impl<'a> PackageEstimator<'a> {
             PackagingArchitecture::ActiveInterposer(cfg) => {
                 self.active_interposer_cfp(cfg, floorplan.package_area())?
             }
-            PackagingArchitecture::ThreeD(cfg) => {
-                let stack: Vec<StackedDie> = floorplan
+            PackagingArchitecture::ThreeD(cfg) => self.tiers_cfp(
+                cfg,
+                floorplan
                     .placements()
                     .iter()
-                    .map(|p| StackedDie::new(p.name.clone(), p.rect.area()))
-                    .collect();
-                self.stack_cfp(cfg, &stack)?
-            }
+                    .map(|p| (p.name.as_str(), p.rect.area())),
+            )?,
         };
         cfp.assembly = self.assembly_cfp(chiplet_count);
         Ok(cfp)
@@ -328,19 +327,28 @@ impl<'a> PackageEstimator<'a> {
         cfg: &ThreeDConfig,
         stack: &[StackedDie],
     ) -> Result<PackageCfp, PackagingError> {
+        self.tiers_cfp(cfg, stack.iter().map(|die| (die.name.as_str(), die.area)))
+    }
+
+    /// [`PackageEstimator::stack_cfp`] of the tiers' names and areas, in
+    /// bottom-up order, read without collecting them.
+    fn tiers_cfp<'n>(
+        &self,
+        cfg: &ThreeDConfig,
+        tiers: impl Iterator<Item = (&'n str, Area)> + Clone,
+    ) -> Result<PackageCfp, PackagingError> {
         PackagingArchitecture::ThreeD(*cfg).validate()?;
-        if stack.len() < 2 {
+        let count = tiers.clone().count();
+        if count < 2 {
             return Err(PackagingError::InvalidStack(format!(
-                "a 3d stack needs at least two dies, got {}",
-                stack.len()
+                "a 3d stack needs at least two dies, got {count}"
             )));
         }
-        for die in stack {
-            if !die.area.mm2().is_finite() || die.area.mm2() <= 0.0 {
+        for (name, area) in tiers.clone() {
+            if !area.mm2().is_finite() || area.mm2() <= 0.0 {
                 return Err(PackagingError::InvalidStack(format!(
-                    "die {:?} has invalid area {} mm2",
-                    die.name,
-                    die.area.mm2()
+                    "die {name:?} has invalid area {} mm2",
+                    area.mm2()
                 )));
             }
         }
@@ -350,8 +358,9 @@ impl<'a> PackageEstimator<'a> {
         let mut bond_energy_kwh = 0.0;
         let mut bonding_energy_kwh = 0.0;
         let mut assembly_yield = DieYield::PERFECT;
-        for window in stack.windows(2) {
-            let interface = Area::from_mm2(window[0].area.mm2().min(window[1].area.mm2()));
+        let areas = tiers.clone().map(|(_, area)| area);
+        for (lower, upper) in areas.clone().zip(areas.skip(1)) {
+            let interface = Area::from_mm2(lower.mm2().min(upper.mm2()));
             let bonds = cfg.bonds_for_interface(interface);
             total_bonds += bonds;
             bond_energy_kwh += bonds * cfg.bond.energy_per_bond_kwh();
@@ -366,9 +375,8 @@ impl<'a> PackageEstimator<'a> {
             Carbon::from_kg((intensity * energy).kg() * assembly_yield.inflation_factor());
 
         // The 2D footprint of the stack is the largest tier.
-        let package_area = stack
-            .iter()
-            .map(|d| d.area)
+        let package_area = tiers
+            .map(|(_, area)| area)
             .fold(Area::ZERO, |acc, a| acc.max(a));
 
         Ok(PackageCfp {

@@ -497,6 +497,7 @@ impl Server {
                 checked_out: 0,
                 draining: false,
                 last_idle_scan: Instant::now(),
+                read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             };
             event_loop.run()
             // `event_loop` (and with it the job sender) drops here, so the
@@ -701,6 +702,10 @@ struct EventLoop<'a> {
     /// flushing out, loop exits when everything has drained.
     draining: bool,
     last_idle_scan: Instant,
+    /// The one buffer every connection's reads land in before they are
+    /// appended to its parse buffer: [`READ_CHUNK`] bytes, allocated and
+    /// zeroed once per loop.
+    read_buf: Box<[u8]>,
 }
 
 impl EventLoop<'_> {
@@ -836,7 +841,7 @@ impl EventLoop<'_> {
         };
         conn.last_activity = Instant::now();
         if event.readable || event.closed {
-            match read_ready(conn) {
+            match read_ready(conn, &mut self.read_buf) {
                 Ok(eof) => conn.peer_eof |= eof,
                 Err(_) => {
                     self.close_conn(index);
@@ -935,18 +940,23 @@ impl EventLoop<'_> {
     }
 }
 
-/// Drain every readable byte (bounded by [`READ_BUDGET`]) into the
-/// connection's parse buffer. `Ok(true)` means the peer reached EOF.
-fn read_ready(conn: &mut Conn) -> std::io::Result<bool> {
-    let mut chunk = [0u8; READ_CHUNK];
+/// Read the connection's readable bytes (bounded by [`READ_BUDGET`])
+/// through `chunk` into its parse buffer. `Ok(true)` means the peer
+/// reached EOF.
+///
+/// A read shorter than `chunk` took everything the socket held, so the
+/// loop stops there rather than make one more `recv` only to be told
+/// `EAGAIN`. Both pollers are level-triggered: bytes (or an EOF) that
+/// arrive after it raise another readiness event.
+fn read_ready(conn: &mut Conn, chunk: &mut [u8]) -> std::io::Result<bool> {
     let mut total = 0;
     loop {
-        match conn.stream.read(&mut chunk) {
+        match conn.stream.read(chunk) {
             Ok(0) => return Ok(true),
             Ok(n) => {
                 conn.buf.extend_from_slice(&chunk[..n]);
                 total += n;
-                if total >= READ_BUDGET {
+                if n < chunk.len() || total >= READ_BUDGET {
                     return Ok(false);
                 }
             }

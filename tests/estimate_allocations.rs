@@ -69,13 +69,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Server allocations per single request: 15.0 measured, all of them the
+/// Server allocations per single request: 13.0 measured, all of them the
 /// body's decode and the estimate; the HTTP head, the response, the trace
 /// ID, the request span and the access log make none. (50.1 before the
 /// estimate path was cut down to decode and estimate.)
 const PINNED_PER_REQUEST: f64 = 16.0;
 
-/// Server allocations per item of an 8-item batch: 15.4 measured, the
+/// Server allocations per item of an 8-item batch: 13.4 measured, the
 /// items' decode and estimate plus the batch's two arrays. (20.4 before,
 /// most of the difference the round trip through the handler pool.)
 const PINNED_PER_BATCH_ITEM: f64 = 16.0;

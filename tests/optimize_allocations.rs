@@ -71,18 +71,20 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per evaluated case of the search below, with a fresh memo:
-/// 9,796 over the 320 cases, in debug and release builds alike (40.125
-/// while the engine built every point as a fresh owned value, 53.72 while
-/// the planner built a boxed slicing tree and the memo key held one string
-/// per chiplet). The engine now lends the pareto sink reused point slots,
-/// so what remains is the estimate itself: a warm structural estimate of
-/// these cases makes about 17.8 (the report's name, its chiplet list and
-/// one name per chiplet, 10.5 chiplets on average, plus the chiplet areas
-/// and the comm stage's vectors), then come the floorplan and
-/// manufacturing misses, one for scoring, and the frontier's admitted
-/// points. A change that adds allocations to a structural estimate fails
-/// here; one that removes some should lower the pin.
-const PINNED_PER_EVALUATION: f64 = 30.6125;
+/// 5,373 over the 320 cases, in debug and release builds alike (30.6125
+/// while every structural estimate built a new report and its stage
+/// vectors, 40.125 while the engine built every point as a fresh owned
+/// value, 53.72 while the planner built a boxed slicing tree and the memo
+/// key held one string per chiplet). A warm structural estimate now
+/// allocates nothing: it refills its walker's report and scratch. What
+/// remains is the 64 floorplan misses (about 6.0 per evaluation); the
+/// engine's 32 point slots growing with the chiplet count, since each
+/// slot's first fill and each new chiplet name in it allocates (about 7.8
+/// over a space this small); the cursor's decode of the chiplet-count and
+/// node axes (about 1.2); one score vector per case; and the frontier's
+/// admitted points. A change that adds allocations to a structural
+/// estimate fails here; one that removes some should lower the pin.
+const PINNED_PER_EVALUATION: f64 = 16.790_625;
 
 /// Allocations per floorplan miss of the same search: everything a miss
 /// costs beyond a hit (the outlines, the planner, the memo key and entry).
@@ -96,16 +98,20 @@ const EXPLORER_BUDGET: usize = 256;
 const EXPLORER_SEED: u64 = 7;
 
 /// Allocations per evaluation of the `anneal` search of the same space,
-/// with a fresh memo: 9,369 over the 256 visits (47.84 while every visit
-/// built an owned point and cloned the case's system into it). The
-/// explorers score the case and report borrowed from their walker, so a
-/// change that copies the case again per visit fails here.
-const PINNED_PER_ANNEAL_VISIT: f64 = 36.597_656_25;
+/// with a fresh memo: 5,296 over the 256 visits (36.60 while every
+/// structural estimate built a new report, 47.84 while every visit built
+/// an owned point and cloned the case's system into it). The explorers
+/// score the case and report borrowed from their walker, whose report
+/// every estimate refills, so most of what remains is memo misses and
+/// each visit's label and frontier point. A change that copies the case
+/// or the report again per visit fails here.
+const PINNED_PER_ANNEAL_VISIT: f64 = 20.6875;
 
 /// Allocations per evaluation of the `genetic` search of the same space,
-/// with a fresh memo: 10,700 over the 256 visits (53.19 while every visit
-/// built an owned point).
-const PINNED_PER_GENETIC_VISIT: f64 = 41.796_875;
+/// with a fresh memo: 5,418 over the 256 visits (41.80 while every
+/// structural estimate built a new report, 53.19 while every visit built
+/// an owned point).
+const PINNED_PER_GENETIC_VISIT: f64 = 21.164_062_5;
 
 /// The memo bound: the `dse_optimize` benchmark's 1,024 entries per cache,
 /// more than the search's distinct outline sets, so nothing is evicted.
