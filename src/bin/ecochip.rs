@@ -423,22 +423,19 @@ fn run_sweep(
     let owned = shard.range(total).len();
 
     let streaming = options.stream.is_some();
+    let workers = match engine.threads(owned) {
+        1 => "1 worker".to_string(),
+        threads => format!("{threads} workers"),
+    };
     let banner = if shard.is_full() {
         format!(
-            "{} sweep of {} ({} points, {} workers):",
-            axis_name,
-            system.name,
-            owned,
-            engine.jobs()
+            "{} sweep of {} ({} points, {workers}):",
+            axis_name, system.name, owned,
         )
     } else {
         format!(
-            "{} sweep of {} (shard {shard}: {} of {} points, {} workers):",
-            axis_name,
-            system.name,
-            owned,
-            total,
-            engine.jobs()
+            "{} sweep of {} (shard {shard}: {} of {} points, {workers}):",
+            axis_name, system.name, owned, total,
         )
     };
     // In stream mode stdout carries only the point stream; narration moves
