@@ -92,10 +92,6 @@ impl Hasher for FnvHasher {
         self.0 = acc;
     }
 
-    fn write_u8(&mut self, value: u8) {
-        self.0 = (self.0 ^ u64::from(value)).wrapping_mul(FNV_PRIME);
-    }
-
     fn write_u64(&mut self, value: u64) {
         self.0 = (self.0 ^ value).wrapping_mul(FNV_PRIME);
     }
