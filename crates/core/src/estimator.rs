@@ -60,15 +60,20 @@ impl EcoChip {
         }
     }
 
-    /// The name and derived base area of every chiplet of a system, in
-    /// order — the input of the floorplan stage, borrowed from `system`.
-    fn chiplet_areas<'s>(&self, system: &'s System) -> Result<Vec<(&'s str, Area)>, EcoChipError> {
+    /// Push the name and derived base area of every chiplet of a system,
+    /// in order, onto `areas` — the input of the floorplan stage, borrowed
+    /// from `system`.
+    fn push_chiplet_areas<'s>(
+        &self,
+        system: &'s System,
+        areas: &mut Vec<(&'s str, Area)>,
+    ) -> Result<(), EcoChipError> {
         let db = &self.config.techdb;
-        let mut areas = Vec::with_capacity(system.chiplets.len());
+        areas.reserve(system.chiplets.len());
         for chiplet in &system.chiplets {
             areas.push((chiplet.name.as_str(), chiplet.area(db)?));
         }
-        Ok(areas)
+        Ok(())
     }
 
     /// Floorplan the chiplets of a system (exposed for package-area studies).
@@ -92,7 +97,9 @@ impl EcoChip {
         system: &System,
         context: &SweepContext,
     ) -> Result<Floorplan, EcoChipError> {
-        self.shared_floorplan(&self.chiplet_areas(system)?, context)
+        let mut areas = Vec::new();
+        self.push_chiplet_areas(system, &mut areas)?;
+        self.shared_floorplan(&areas, context)
             .map(Arc::unwrap_or_clone)
     }
 
@@ -185,10 +192,7 @@ impl EcoChip {
         let db = &self.config.techdb;
         // The chiplet areas feed both the floorplan stage and the per-chiplet
         // loop below, so every area is derived once.
-        areas.reserve(system.chiplets.len());
-        for chiplet in &system.chiplets {
-            areas.push((chiplet.name.as_str(), chiplet.area(db)?));
-        }
+        self.push_chiplet_areas(system, areas)?;
         // A disabled context is bypassed rather than consulted, so a cold
         // estimate pays for no shared handle and no memo call per stage.
         let (planned, shared);

@@ -580,10 +580,10 @@ impl ReorderQueue {
 }
 
 /// One evaluating thread's walk through a spec's cases: its decoding
-/// [`SweepCursor`], the one report every evaluation on the walk refills in
-/// place with the [`EstimateScratch`] that fills it, and the
-/// [`PriceBasis`] of its last successful evaluation, from which the next
-/// scalar step ([`SweepAxis::is_scalar`]) re-prices the report. Each
+/// [`SweepCursor`], the one report that every evaluation on the walk
+/// refills in place, the [`EstimateScratch`] a full estimate works in, and
+/// the [`PriceBasis`] of its last successful evaluation, from which the
+/// next scalar step ([`SweepAxis::is_scalar`]) re-prices the report. Each
 /// evaluating thread of the engine and each optimizer explorer owns one,
 /// so a warm structural estimate allocates nothing.
 ///
