@@ -165,8 +165,13 @@ impl EcoChip {
     /// The report is refilled in place and the stages' working vectors
     /// live in `scratch`, so once both have grown to a system's chiplet
     /// count and names, estimating a system no larger allocates nothing
-    /// but its memo misses. On error `report` holds a partial estimate.
-    pub(crate) fn estimate_into(
+    /// but its memo misses. On error `report` holds a partial estimate,
+    /// which the next call refills whole.
+    ///
+    /// # Errors
+    ///
+    /// As [`EcoChip::estimate_with`].
+    pub fn estimate_into(
         &self,
         system: &System,
         context: &SweepContext,
@@ -413,7 +418,7 @@ impl EcoChip {
 /// The working vectors of [`EcoChip::estimate_into`], kept by its caller
 /// between estimates so they are allocated once, not per estimate.
 #[derive(Debug, Clone)]
-pub(crate) struct EstimateScratch {
+pub struct EstimateScratch {
     /// The chiplet-area buffer, empty between estimates: during one, its
     /// names borrow that estimate's system (see [`recycle`]).
     areas: Vec<(&'static str, Area)>,
@@ -443,11 +448,12 @@ fn recycle<'b>(mut buffer: Vec<(&str, Area)>) -> Vec<(&'b str, Area)> {
         .collect()
 }
 
-/// What [`EcoChip::price`] needs beyond the report it re-prices: the
-/// communication logic implemented in an active interposer, which the
-/// report does not carry (the chiplets' communication areas are in it).
+/// What a sweep's re-pricing of a report for another lifetime or volume
+/// scenario needs beyond the report: the communication logic implemented
+/// in an active interposer, which the report does not carry (the
+/// chiplets' communication areas are in it). Opaque outside this crate.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PriceBasis {
+pub struct PriceBasis {
     interposer_logic_area: Area,
     interposer_node: Option<TechNode>,
 }

@@ -89,7 +89,7 @@ mod system;
 
 pub use config::{EstimatorConfig, EstimatorConfigBuilder};
 pub use error::EcoChipError;
-pub use estimator::EcoChip;
+pub use estimator::{EcoChip, EstimateScratch, PriceBasis};
 pub use manufacturing::{ChipletManufacturing, ManufacturingModel};
 pub use report::{CarbonReport, ChipletReport, HiBreakdown};
 pub use system::{Chiplet, ChipletSize, System, SystemBuilder};

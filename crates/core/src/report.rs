@@ -150,8 +150,10 @@ pub struct CarbonReport {
 }
 
 impl CarbonReport {
-    /// A report with no chiplets and zero terms, for an estimate to fill.
-    pub(crate) fn empty() -> Self {
+    /// A report with no chiplets and zero terms, for an estimate to fill
+    /// ([`crate::EcoChip::estimate_into`]).
+    #[must_use]
+    pub fn empty() -> Self {
         Self {
             system_name: String::new(),
             chiplets: Vec::new(),

@@ -91,6 +91,30 @@ pub struct EstimateResponse {
     pub embodied_fraction: f64,
 }
 
+/// An [`EstimateResponse`] over a borrowed name and report: it encodes to
+/// the same bytes, so the server answers from a report it refills per
+/// estimate instead of moving each into an owned response.
+#[derive(Debug, Clone, Copy)]
+pub struct EstimateView<'a> {
+    /// Name of the evaluated system.
+    pub system: &'a str,
+    /// The full carbon breakdown.
+    pub report: &'a CarbonReport,
+}
+
+impl Serialize for EstimateView<'_> {
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        out.push_str("{\"system\":");
+        serde::write_json_str(self.system, out);
+        out.push_str(",\"report\":");
+        self.report.write_json(out)?;
+        out.push_str(",\"embodied_fraction\":");
+        serde::write_json_f64(self.report.embodied_fraction(), out)?;
+        out.push('}');
+        Ok(())
+    }
+}
+
 /// One element of a batch `POST /v1/estimate` response: each request in the
 /// posted array resolves, in request order, to either its full estimate or
 /// its own error object — one bad item never fails the whole batch.
@@ -125,7 +149,7 @@ impl Deserialize for BatchEstimateItem {
         }
         // The two wire forms share no keys, so the error marker is decisive:
         // scan the keys for it, then read the object again as its type.
-        let failed = p.seek_key("error")?;
+        let failed = p.seek_key("error")?.is_some();
         p.reset(start);
         if failed {
             ErrorResponse::deserialize(p).map(Self::Err)
@@ -945,6 +969,15 @@ mod tests {
             embodied_fraction: report.embodied_fraction(),
             report,
         };
+        // The borrowing view the server encodes writes the same bytes.
+        let view = EstimateView {
+            system: &response.system,
+            report: &response.report,
+        };
+        assert_eq!(
+            serde_json::to_string(&view).unwrap(),
+            serde_json::to_string(&response).unwrap()
+        );
         // A successful element is byte-identical to the single-request body.
         let ok = BatchEstimateItem::Ok(response.clone());
         assert_eq!(

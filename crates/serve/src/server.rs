@@ -29,7 +29,11 @@
 //! connection buffer; its JSON body is encoded once into a per-thread
 //! scratch buffer and appended, behind its head, to the connection's
 //! write buffer; its trace ID is an inline value and its span name a
-//! static string. Past the decode and the estimate it allocates nothing.
+//! static string. An estimate refills the thread's report and stage
+//! scratch, and its response is encoded from that borrowed report, so a
+//! warm estimate allocates only what its decoded request owns: an inline
+//! system's name, chiplet list and chiplet names (5 allocations for a
+//! 3-chiplet system).
 //! *Heavy* routes (sweeps, larger batch estimates, searches) are
 //! dispatched to a pool of `threads` handler threads, with the request
 //! copied into owned storage: the connection is
@@ -73,15 +77,14 @@ use serde::Serialize;
 
 use ecochip_core::opt;
 use ecochip_core::sweep::{LineEncoder, SweepContext, SweepEngine, SweepPoint, SweepSink};
-use ecochip_core::{EcoChip, EcoChipError, EstimatorConfig};
+use ecochip_core::{CarbonReport, EcoChip, EcoChipError, EstimateScratch, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
 use ecochip_trace::{FieldValue, Level, Stage, StageTimings, TraceId};
 
 use crate::api::{
-    BatchEstimateItem, ErrorResponse, EstimateRequest, EstimateResponse, HealthResponse,
-    OptimizeRequest, RouteLatency, StatsResponse, SweepFormat, SweepRequest, TestcasesResponse,
-    TraceResponse, TraceSpan,
+    ErrorResponse, EstimateRequest, EstimateView, HealthResponse, OptimizeRequest, RouteLatency,
+    StatsResponse, SweepFormat, SweepRequest, TestcasesResponse, TraceResponse, TraceSpan,
 };
 use crate::frames;
 use crate::http;
@@ -1244,12 +1247,17 @@ fn write_traced(out: &mut Vec<u8>, status: u16, content_type: &str, body: &[u8],
     });
 }
 
-/// Append `value`'s JSON to `json`. The wire types cannot fail
-/// serialization, so a failure is a programming error surfaced as an
-/// error object.
+/// Append `value`'s JSON to `json` (see [`encode_with`]).
 fn encode_json<T: Serialize>(value: &T, json: &mut String) {
+    encode_with(json, |json| value.write_json(json));
+}
+
+/// Append the JSON `write` appends to `json`. The wire types cannot fail
+/// serialization, so a failure is a programming error surfaced as an
+/// error object in place of the whole value.
+fn encode_with(json: &mut String, write: impl FnOnce(&mut String) -> Result<(), serde::Error>) {
     let start = json.len();
-    if let Err(error) = serde_json::to_string_into(value, json) {
+    if let Err(error) = write(json) {
         json.truncate(start);
         let _ = write!(json, "{{\"error\":\"serializing response: {error}\"}}");
     }
@@ -1277,9 +1285,23 @@ fn write_json<T: Serialize>(
     value: &T,
     keep_alive: bool,
 ) {
+    write_body(out, status, extra, keep_alive, |json| {
+        encode_json(value, json)
+    });
+}
+
+/// Append a JSON response whose body `encode` appends to this thread's
+/// scratch buffer, then a newline, to `out` (see [`write_json`]).
+fn write_body(
+    out: &mut Vec<u8>,
+    status: u16,
+    extra: Option<(&str, &str)>,
+    keep_alive: bool,
+    encode: impl FnOnce(&mut String),
+) {
     JSON_BODY.with_borrow_mut(|json| {
         json.clear();
-        encode_json(value, json);
+        encode(json);
         json.push('\n');
         with_trace_header(extra, |headers| {
             http::write_response(
@@ -1448,10 +1470,17 @@ fn route_light(
             );
             200
         }
-        Ok(Route::Estimate) => match estimate(state, request.body) {
-            Ok(response) => respond(out, 200, &response, keep_alive),
-            Err(error) => respond_error(out, &error, keep_alive),
-        },
+        Ok(Route::Estimate) => {
+            let answered = parse_body(request.body).and_then(|request| {
+                estimate_one(state, request, |view| {
+                    write_json(out, 200, None, view, keep_alive);
+                })
+            });
+            match answered {
+                Ok(()) => 200,
+                Err(error) => respond_error(out, &error, keep_alive),
+            }
+        }
         Ok(Route::EstimateBatch) => respond_batch(state, request.body, out, keep_alive),
         Ok(Route::Shutdown) => {
             respond(
@@ -1529,25 +1558,35 @@ fn parse_body<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, ServeError> {
     serde_json::from_str(text).map_err(|e| ServeError::Api(e.to_string()))
 }
 
-fn estimate(state: &ServerState, request_body: &[u8]) -> Result<EstimateResponse, ServeError> {
-    estimate_one(state, parse_body(request_body)?)
+thread_local! {
+    /// This thread's estimate working set: the report each estimate
+    /// refills and the stages' scratch vectors
+    /// ([`EcoChip::estimate_into`]), so a warm estimate of a system no
+    /// larger than an earlier one allocates nothing.
+    static ESTIMATE: RefCell<(CarbonReport, EstimateScratch)> =
+        RefCell::new((CarbonReport::empty(), EstimateScratch::default()));
 }
 
-/// Estimate one decoded request — shared by the single and batch forms of
-/// `POST /v1/estimate` so both produce identical bytes for the same design.
-/// The request is consumed, so an inline system is estimated without a
-/// copy.
-fn estimate_one(
+/// Estimate one decoded request into this thread's report and hand its
+/// response, as an [`EstimateView`], to `emit` — shared by the single and
+/// batch forms of `POST /v1/estimate` so both produce identical bytes for
+/// the same design. A failed estimate leaves a partial report, which the
+/// next one refills whole; `emit` never sees it.
+fn estimate_one<R>(
     state: &ServerState,
     request: EstimateRequest,
-) -> Result<EstimateResponse, ServeError> {
+    emit: impl FnOnce(&EstimateView<'_>) -> R,
+) -> Result<R, ServeError> {
     let system = request.resolve(&state.estimator.config().techdb)?;
-    let report = state.estimator.estimate_with(&system, &state.context)?;
-    state.metrics.estimate_served();
-    Ok(EstimateResponse {
-        system: system.name,
-        embodied_fraction: report.embodied_fraction(),
-        report,
+    ESTIMATE.with_borrow_mut(|(report, scratch)| {
+        state
+            .estimator
+            .estimate_into(&system, &state.context, scratch, report)?;
+        state.metrics.estimate_served();
+        Ok(emit(&EstimateView {
+            system: &system.name,
+            report,
+        }))
     })
 }
 
@@ -1555,7 +1594,8 @@ fn estimate_one(
 /// of requests, estimated in order within one HTTP round-trip. Each
 /// element resolves to its own response or its own error object (the same
 /// `{"error": …}` body the request would have produced on its own) — one
-/// bad item never fails the batch. Only a malformed top-level body is a
+/// bad item never fails the batch. Each is encoded straight into the
+/// response body as it is estimated. Only a malformed top-level body is a
 /// request-level error. Returns the status for metrics.
 fn respond_batch(
     state: &ServerState,
@@ -1567,16 +1607,26 @@ fn respond_batch(
         Ok(requests) => requests,
         Err(error) => return respond_error(out, &error, keep_alive),
     };
-    let items: Vec<BatchEstimateItem> = requests
-        .into_iter()
-        .map(|request| match estimate_one(state, request) {
-            Ok(response) => BatchEstimateItem::Ok(response),
-            Err(error) => BatchEstimateItem::Err(ErrorResponse {
-                error: error.to_string(),
-            }),
-        })
-        .collect();
-    respond(out, 200, &items, keep_alive)
+    write_body(out, 200, None, keep_alive, |json| {
+        encode_with(json, |json| {
+            json.push('[');
+            for (i, request) in requests.into_iter().enumerate() {
+                if i > 0 {
+                    json.push(',');
+                }
+                match estimate_one(state, request, |view| view.write_json(json)) {
+                    Ok(written) => written?,
+                    Err(error) => ErrorResponse {
+                        error: error.to_string(),
+                    }
+                    .write_json(json)?,
+                }
+            }
+            json.push(']');
+            Ok(())
+        });
+    });
+    200
 }
 
 /// The streaming sink behind `POST /v1/sweep`: every point is encoded by

@@ -69,16 +69,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Server allocations per single request: 13.0 measured, all of them the
-/// body's decode and the estimate; the HTTP head, the response, the trace
-/// ID, the request span and the access log make none. (50.1 before the
-/// estimate path was cut down to decode and estimate.)
-const PINNED_PER_REQUEST: f64 = 16.0;
+/// Server allocations per single request: 5.0 measured for the 3-chiplet
+/// `a15-3chiplet`, all of them the decoded system's own strings and list:
+/// its name, its chiplet list and the three chiplet names. The estimate
+/// refills the handling thread's report and stage scratch, and the HTTP
+/// head, the response, the trace ID, the request span and the access log
+/// make none. (13.0 while each estimate built a fresh report and stage
+/// vectors; 50.1 before the estimate path was cut down to decode and
+/// estimate.)
+const PINNED_PER_REQUEST: f64 = 5.5;
 
-/// Server allocations per item of an 8-item batch: 13.4 measured, the
-/// items' decode and estimate plus the batch's two arrays. (20.4 before,
-/// most of the difference the round trip through the handler pool.)
-const PINNED_PER_BATCH_ITEM: f64 = 16.0;
+/// Server allocations per item of an 8-item batch: 5.25 measured, each
+/// item's 5 decoded allocations plus the request array's two growths per
+/// batch; the items are encoded straight into the response body. (13.4
+/// with a fresh report per item and the responses collected in a second
+/// array; 20.4 before that, most of the difference the round trip through
+/// the handler pool.)
+const PINNED_PER_BATCH_ITEM: f64 = 5.75;
 
 /// Requests of each shape in the measured window: enough that the event
 /// loop's 100 ms idle scan, which allocates, averages out.

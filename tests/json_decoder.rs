@@ -18,7 +18,8 @@
 //!
 //! Round trip: random systems and request bodies of every decoded type,
 //! batches included, decode from both the compact and the pretty encoding
-//! back to the values that wrote them.
+//! back to the values that wrote them, and decode the same, value or
+//! error text, wherever each enum tag sits among its object's keys.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -994,6 +995,177 @@ proptest! {
             .and_then(|()| {
                 round_trips(&(0..rng.next_below(4)).map(|_| random_estimate(rng)).collect::<Vec<_>>())
             });
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+/// `value`'s compact JSON, as the wire types write it.
+fn value_text(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => serde::write_json_i64(*i, out),
+        Value::UInt(u) => serde::write_json_u64(*u, out),
+        Value::Float(f) => serde::write_json_f64(*f, out).expect("finite"),
+        Value::String(s) => serde::write_json_str(s, out),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                value_text(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(entries) => {
+            out.push('{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                serde::write_json_str(key, out);
+                out.push(':');
+                value_text(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// The entry indices leading to every object in `value` with a string
+/// `type` or `kind` entry: the wire types' enum tags.
+fn tagged_objects(value: &Value, path: &mut Vec<usize>, found: &mut Vec<Vec<usize>>) {
+    let children: Vec<&Value> = match value {
+        Value::Array(items) => items.iter().collect(),
+        Value::Object(entries) => {
+            if entries
+                .iter()
+                .any(|(key, item)| is_tag(key) && matches!(item, Value::String(_)))
+            {
+                found.push(path.clone());
+            }
+            entries.iter().map(|(_, item)| item).collect()
+        }
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        tagged_objects(child, path, found);
+        path.pop();
+    }
+}
+
+fn is_tag(key: &str) -> bool {
+    key == "type" || key == "kind"
+}
+
+/// The entries of the object at `path` (see [`tagged_objects`]).
+fn object_at<'v>(value: &'v mut Value, path: &[usize]) -> &'v mut Vec<(String, Value)> {
+    let mut value = value;
+    for &i in path {
+        value = match value {
+            Value::Array(items) => &mut items[i],
+            Value::Object(entries) => &mut entries[i].1,
+            _ => unreachable!("paths lead through arrays and objects"),
+        };
+    }
+    match value {
+        Value::Object(entries) => entries,
+        _ => unreachable!("paths lead to objects"),
+    }
+}
+
+/// The text of `tree` with the tag entry of the object at `path` moved to
+/// each key position in turn, after `edit` has changed that object.
+fn tag_positions(
+    tree: &Value,
+    path: &[usize],
+    edit: impl Fn(&mut Vec<(String, Value)>),
+) -> Vec<String> {
+    let mut edited = tree.clone();
+    edit(object_at(&mut edited, path));
+    let entries = object_at(&mut edited, path).clone();
+    let tag = entries
+        .iter()
+        .position(|(key, _)| is_tag(key))
+        .expect("a tagged object");
+    (0..entries.len())
+        .map(|position| {
+            let mut moved = edited.clone();
+            let object = object_at(&mut moved, path);
+            let entry = object.remove(tag);
+            object.insert(position, entry);
+            let mut text = String::new();
+            value_text(&moved, &mut text);
+            text
+        })
+        .collect()
+}
+
+/// Every tagged object of `value` decodes the same with its tag at any key
+/// position, and so do a bad tag and a bad first field: to the same value,
+/// and to the same error text.
+fn tag_position_is_free<T>(value: &T) -> Result<(), String>
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let text = serde_json::to_string(value).map_err(|e| e.to_string())?;
+    let tree: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+    let mut written = String::new();
+    value_text(&tree, &mut written);
+    if written != text {
+        return Err(format!("{text} rewrites as {written}"));
+    }
+    let mut paths = Vec::new();
+    tagged_objects(&tree, &mut Vec::new(), &mut paths);
+    for path in &paths {
+        for text in tag_positions(&tree, path, |_| {}) {
+            match serde_json::from_str::<T>(&text) {
+                Ok(decoded) if decoded == *value => {}
+                outcome => return Err(format!("{text} decoded as {outcome:?}")),
+            }
+        }
+        let bad_tag = |object: &mut Vec<(String, Value)>| {
+            for (key, item) in object.iter_mut() {
+                if is_tag(key) {
+                    *item = Value::String("bogus".into());
+                }
+            }
+        };
+        let bad_field = |object: &mut Vec<(String, Value)>| {
+            if let Some((_, item)) = object.iter_mut().find(|(key, _)| !is_tag(key)) {
+                *item = Value::Array(Vec::new());
+            }
+        };
+        for edit in [&bad_tag as &dyn Fn(&mut Vec<(String, Value)>), &bad_field] {
+            let texts = tag_positions(&tree, path, edit);
+            let errors: Vec<String> = texts
+                .iter()
+                .map(|text| match serde_json::from_str::<T>(text) {
+                    Ok(decoded) => format!("decoded as {decoded:?}"),
+                    Err(error) => error.to_string(),
+                })
+                .collect();
+            if errors.iter().any(|error| *error != errors[0]) || errors[0].starts_with("decoded") {
+                return Err(format!("{texts:?} failed with {errors:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A tag read in place when it comes first decodes exactly as one
+    /// scanned for later in its object: random systems and estimate
+    /// requests, each tagged object's tag at every key position.
+    #[test]
+    fn tags_decode_the_same_at_every_key_position(seed in 0u64..u64::MAX) {
+        let rng = &mut TestRng::seed_from_u64(seed);
+        let outcome = tag_position_is_free(&random_system(rng))
+            .and_then(|()| tag_position_is_free(&random_estimate(rng)));
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }

@@ -237,6 +237,67 @@ fn batch_estimate_is_byte_identical_to_sequential_singles() {
     handle.shutdown().unwrap();
 }
 
+/// The server answers estimates from one report per thread, refilled by
+/// each estimate, and an estimate that fails part-way leaves it partly
+/// filled. A batch whose failing items sit between good ones must still
+/// answer every item in order, each good one byte-equal to its single
+/// request, so nothing of a failed estimate leaks into the next.
+#[test]
+fn a_failing_batch_item_leaves_no_stale_report() {
+    let (handle, addr) = boot(default_config());
+    let db = TechDb::default();
+    let inline =
+        |system: &System| format!(r#"{{"system":{}}}"#, serde_json::to_string(system).unwrap());
+    let three = catalog::build(&db, "a15-3chiplet").unwrap();
+    // Refused by `System::validate`, before any estimate.
+    let mut invalid = three.clone();
+    invalid.lifetime = TimeSpan::from_hours(-5.0);
+    // Valid, but its last die fits no wafer: the estimate fails after
+    // filling the report's earlier chiplets.
+    let mut oversized = three.clone();
+    oversized.chiplets[2].size = ChipletSize::AreaAtNode {
+        area: Area::from_mm2(1.0e6),
+        node: oversized.chiplets[2].node,
+    };
+    // Each body with the status it gets alone.
+    let cases = [
+        (inline(&three), 200),
+        (r#"{"testcase":"not-a-testcase"}"#.to_string(), 400),
+        (r#"{"testcase":"a15"}"#.to_string(), 200),
+        (inline(&invalid), 400),
+        (inline(&oversized), 400),
+        (r#"{"testcase":"a15"}"#.to_string(), 200),
+        (inline(&oversized), 400),
+        (inline(&three), 200),
+        (r#"{"testcase":"ga102-3chiplet"}"#.to_string(), 200),
+    ];
+    let bodies: Vec<&str> = cases.iter().map(|(body, _)| body.as_str()).collect();
+    let mut connection = client::Connection::open(&addr).unwrap();
+    let mut singles = Vec::new();
+    for (body, status) in &cases {
+        let response = connection.post_json("/v1/estimate", body).unwrap();
+        let text = response.text().unwrap().trim_end_matches('\n').to_owned();
+        assert_eq!(response.status, *status, "{text}");
+        singles.push(text);
+    }
+    assert!(singles[4].contains("does not fit"), "{}", singles[4]);
+    let response = connection
+        .post_json("/v1/estimate", &format!("[{}]", bodies.join(",")))
+        .unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.text().unwrap(),
+        format!("[{}]\n", singles.join(",")),
+        "batch items diverged from their single requests"
+    );
+    // And a single estimate after a failed one is its own body again.
+    for i in [4, 0, 6, 2] {
+        let response = connection.post_json("/v1/estimate", bodies[i]).unwrap();
+        assert_eq!(response.text().unwrap().trim_end_matches('\n'), singles[i]);
+    }
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn streamed_sweep_is_bit_for_bit_identical_to_the_engine() {
     let (handle, addr) = boot(default_config());
