@@ -646,6 +646,22 @@ fn an_internal_tag_is_hidden_from_the_variant_content() {
 }
 
 #[test]
+fn a_struct_content_skips_any_number_of_repeated_hidden_tags() {
+    // The tag comes after a field, so the content is read from the
+    // object's start with every `type` entry hidden from it; each repeat
+    // is skipped in a loop, not by a nested call per entry.
+    let mut text = String::from(r#"{"tech":65,"type":"rdl_fanout""#);
+    for _ in 0..200_000 {
+        text.push_str(r#","type":1"#);
+    }
+    text.push_str(r#","layers":2}"#);
+    assert_eq!(
+        serde_json::from_str::<PackagingArchitecture>(&text).unwrap(),
+        serde_json::from_str(r#"{"tech":65,"type":"rdl_fanout","layers":2}"#).unwrap()
+    );
+}
+
+#[test]
 fn externally_tagged_enums_and_tuples_check_their_shape_first() {
     assert_eq!(
         decode_error::<External>(r#"{"Pair":[1,"x",3]}"#),
